@@ -50,6 +50,7 @@ from bench_shard_scale import (  # noqa: E402
 from bench_streaming import STREAM_EPOCHS, bench_streaming  # noqa: E402
 from repro.components import erasure  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
+from repro.crypto.digital_sig import generate_keypair  # noqa: E402
 from repro.crypto.group import (  # noqa: E402
     DEFAULT_GROUP,
     verify_dlog_equality_reference,
@@ -99,6 +100,24 @@ def _rate_prepared(prepare: Callable[[], object],
     return total_ops / total_time
 
 
+def _rate_pair(first: Callable[[], int], second: Callable[[], int],
+               min_seconds: float) -> tuple[float, float]:
+    """Ops/second of two operations measured in alternation.
+
+    The host changes speed for seconds at a time; a ratio of two rates taken
+    one after the other inherits that drift, one taken from interleaved
+    slices does not.
+    """
+    ops = [0, 0]
+    seconds = [0.0, 0.0]
+    while min(seconds) < min_seconds:
+        for index, operation in enumerate((first, second)):
+            start = time.perf_counter()
+            ops[index] += operation()
+            seconds[index] += time.perf_counter() - start
+    return ops[0] / seconds[0], ops[1] / seconds[1]
+
+
 # ----------------------------------------------------------------- group exp
 def bench_group_exp(budget: float) -> dict[str, float]:
     group = DEFAULT_GROUP
@@ -115,11 +134,56 @@ def bench_group_exp(budget: float) -> dict[str, float]:
             group.power_of_g(exponent)
         return len(exponents)
 
+    # A long-lived base other than g (a verify key, a coin tag point): the
+    # pure tier promotes it to a table on its second sighting, so steady-state
+    # ``Group.exp`` must beat builtin ``pow`` on the same base (a full-width
+    # base: ``pow`` is ~12% quicker on the two-digit g that ``seed_op`` uses).
+    hot_base = group.power_of_g(rng.randrange(1, group.q))
+
+    def recurring_op() -> int:
+        for exponent in exponents:
+            group.exp(hot_base, exponent)
+        return len(exponents)
+
+    def recurring_pow_op() -> int:
+        for exponent in exponents:
+            pow(hot_base, exponent, group.p)
+        return len(exponents)
+
     group.power_of_g(exponents[0])  # build the fixed-base table off the clock
+    recurring_op()                  # ... and promote the hot base
+    recurring, recurring_pow = _rate_pair(recurring_op, recurring_pow_op,
+                                          budget)
     return {
         "group_exp_pow": _rate(seed_op, budget),
         "group_exp_fixed_base": _rate(fast_op, budget),
+        "group_exp_recurring_base": recurring,
+        "group_exp_recurring_base_pow": recurring_pow,
     }
+
+
+# ------------------------------------------------------------------- signatures
+def bench_schnorr(budget: float) -> dict[str, float]:
+    """Per-packet signature verification, one fresh signature per call (the
+    process-wide verification memo would answer a repeated one)."""
+    rng = random.Random(1101)
+    signing_key, verify_key = generate_keypair(rng, owner=0)
+    counter = [0]
+
+    def make_batch() -> list:
+        batch = []
+        for _ in range(64):
+            counter[0] += 1
+            message = b"hotpath-packet-%d" % counter[0]
+            batch.append((message, signing_key.sign(message, rng)))
+        return batch
+
+    def verify(batch: list) -> int:
+        for message, signature in batch:
+            assert verify_key.verify(message, signature)
+        return len(batch)
+
+    return {"schnorr_verify": _rate_prepared(make_batch, verify, budget)}
 
 
 # ------------------------------------------------------------ threshold shares
@@ -351,9 +415,10 @@ def run_benchmarks(quick: bool = False) -> dict:
     # trajectory never depends on what happens to be installed; the native
     # section then re-measures its hot paths under the best available tier.
     with crypto_backend.use("pure"):
-        for section in (bench_group_exp, bench_threshold_shares, bench_erasure,
-                        bench_simulator, bench_dealer, bench_streaming,
-                        bench_ingress, bench_scenario, bench_shard):
+        for section in (bench_group_exp, bench_schnorr, bench_threshold_shares,
+                        bench_erasure, bench_simulator, bench_dealer,
+                        bench_streaming, bench_ingress, bench_scenario,
+                        bench_shard):
             results.update(section(budget))
     results.update(bench_native_backend(budget))
     speedups = dealer_speedups(results)
@@ -361,6 +426,9 @@ def run_benchmarks(quick: bool = False) -> dict:
     speedups |= {
         "group_exp_fixed_base_vs_pow":
             results["group_exp_fixed_base"] / results["group_exp_pow"],
+        "group_exp_recurring_base_vs_pow":
+            results["group_exp_recurring_base"] /
+            results["group_exp_recurring_base_pow"],
         "share_verify_batch_vs_seed":
             results["share_verify_batch"] / results["share_verify_seed"],
         "share_verify_batch_vs_single":

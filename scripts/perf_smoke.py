@@ -6,6 +6,9 @@ Two modes with distinct gates:
 **Quick mode (default, well under 60 seconds)** runs the micro-benchmarks
 with short budgets and checks *same-run ratio invariants* only:
 
+* steady-state ``Group.exp`` on a recurring base >= 3x builtin ``pow`` (the
+  pure tier's fixed-base promotion -- a refactor that silently sends hot
+  bases back to ``pow`` lands at ~1x);
 * batched share verification >= 3x the seed per-share path (n=16/t=5);
 * erasure decode >= 5x the seed implementation (k=32);
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
@@ -65,6 +68,8 @@ import bench_hotpath_micro  # noqa: E402
 # these paths (a dropped cache, an accidental O(k^3) decode) overshoot it.
 GATED_METRICS = (
     "group_exp_fixed_base",
+    "group_exp_recurring_base",
+    "schnorr_verify",
     "share_sign",
     "share_verify_single",
     "share_verify_batch",
@@ -84,6 +89,7 @@ GATED_METRICS = (
 MAX_REGRESSION = 2.0
 
 # Same-run ratio invariants (both modes, baseline-independent).
+MIN_RECURRING_BASE_VS_POW = 3.0
 MIN_BATCH_VS_SEED = 3.0
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
@@ -116,6 +122,12 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
     speedups = document["speedups"]
     backend_info = document["config"].get("backend", {})
 
+    if speedups["group_exp_recurring_base_vs_pow"] < MIN_RECURRING_BASE_VS_POW:
+        failures.append(
+            f"Group.exp on a recurring base only "
+            f"{speedups['group_exp_recurring_base_vs_pow']:.2f}x builtin pow "
+            f"(need >= {MIN_RECURRING_BASE_VS_POW}x): hot bases are not "
+            f"reaching the pure tier's fixed-base tables")
     if speedups["share_verify_batch_vs_seed"] < MIN_BATCH_VS_SEED:
         failures.append(
             f"batched share verification only "

@@ -12,7 +12,7 @@ charged by :mod:`repro.crypto.timing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.crypto.group import DEFAULT_GROUP, Group
 
@@ -56,7 +56,14 @@ def _verify_schnorr_cached(p: int, q: int, g: int, public_element: int,
                            message: bytes, commitment: int,
                            response: int) -> bool:
     group = Group(p=p, q=q, g=g)
-    if not group.is_member(commitment):
+    if not 1 <= commitment < p:
+        return False
+    # A commitment outside the order-q subgroup can never verify under a key
+    # inside it: ``g^z`` and ``pk^c`` are members, so ``g^z == R * pk^c``
+    # forces ``R`` to be one.  The key's membership is memoised (one Jacobi
+    # symbol per key instead of one per signature); only a non-member key
+    # still needs the explicit test on ``R``.
+    if not group.is_member(public_element) and not group.is_member(commitment):
         return False
     challenge = group.hash_to_scalar(
         b"schnorr",
@@ -77,10 +84,14 @@ class SigningKey:
     secret: int
     owner: int = -1
 
+    @cached_property
+    def public_element(self) -> int:
+        """``g^secret``, derived once per key (every signature hashes it)."""
+        return self.group.power_of_g(self.secret)
+
     def verify_key(self) -> VerifyKey:
         """Derive the matching public key."""
-        return VerifyKey(group=self.group,
-                         public_element=self.group.power_of_g(self.secret),
+        return VerifyKey(group=self.group, public_element=self.public_element,
                          owner=self.owner)
 
     def sign(self, message: bytes, rng) -> Signature:
@@ -91,7 +102,7 @@ class SigningKey:
         challenge = group.hash_to_scalar(
             b"schnorr",
             group.element_to_bytes(commitment),
-            group.element_to_bytes(group.power_of_g(self.secret)),
+            group.element_to_bytes(self.public_element),
             message,
         )
         response = (nonce + challenge * self.secret) % group.q

@@ -65,19 +65,6 @@ def _is_member_cached(p: int, q: int, a: int) -> bool:
     return crypto_backend.powm(a, q, p) == 1
 
 
-@lru_cache(maxsize=128)
-def _verify_key_table(p: int, q: int, base: int) -> FixedBaseTable:
-    """Fixed-base table for a share verify key (used by batch verification).
-
-    Verify keys are fixed for the lifetime of a public key and every batch
-    exponentiates all of them, so a windowed table (~1 ms to build, ~115 KB
-    at window 6) amortises within the first few batches.  Only public verify
-    keys reach this cache -- per-share values never do -- and the LRU bound
-    caps worst-case memory at ~15 MB.
-    """
-    return FixedBaseTable(base, p, q, window=6)
-
-
 def _hash_to_scalar(q: int, parts: tuple[bytes, ...]) -> int:
     """The one definition of scalar derivation shared by the cached and
     reference hash-to-group paths (see ``_challenge`` for the rationale)."""
@@ -120,7 +107,12 @@ class Group:
 
     # ----------------------------------------------------------- group ops
     def exp(self, base: int, exponent: int) -> int:
-        """Return ``base ** exponent mod P`` (via the active crypto backend)."""
+        """Return ``base ** exponent mod P`` (via the active crypto backend).
+
+        No call site says which bases are long-lived: the pure tier counts
+        sightings and answers a recurring base from a fixed-base table (see
+        :mod:`repro.crypto.backend.pure`), the native tiers are fast as is.
+        """
         return crypto_backend.powm(base, exponent % self.q, self.p)
 
     def mul(self, a: int, b: int) -> int:
@@ -136,8 +128,12 @@ class Group:
         return _fixed_base_table(self.p, self.q, self.g).pow(exponent)
 
     def power_of_g_reference(self, exponent: int) -> int:
-        """Uncached/naive ``g ** exponent`` (the seed implementation)."""
-        return self.exp(self.g, exponent)
+        """Uncached/naive ``g ** exponent`` (the seed implementation).
+
+        Builtin ``pow``, not :meth:`exp`: a reference must not run through
+        the recurring-base tables it is compared against.
+        """
+        return pow(self.g, exponent % self.q, self.p)
 
     def is_member(self, a: int) -> bool:
         """True if ``a`` is a member of the order-``q`` subgroup.
@@ -172,7 +168,7 @@ class Group:
         """Uncached hash-to-group (the seed implementation)."""
         exponent = self.hash_to_scalar(b"h2g", *parts)
         # Avoid the identity element, which would break share verification.
-        return self.exp(self.g, exponent if exponent != 0 else 1)
+        return self.power_of_g_reference(exponent if exponent != 0 else 1)
 
     def random_scalar(self, rng) -> int:
         """Uniformly random non-zero exponent."""
@@ -294,12 +290,13 @@ def verify_dlog_equality_reference(group: Group, proof: ChaumPedersenProof,
         return False
     challenge = _challenge(group, context, base_h, value_g, value_h,
                            proof.commitment_g, proof.commitment_h)
+    p, q = group.p, group.q
     lhs_g = group.power_of_g_reference(proof.response)
-    rhs_g = group.mul(proof.commitment_g, group.exp(value_g, challenge))
+    rhs_g = group.mul(proof.commitment_g, pow(value_g, challenge % q, p))
     if lhs_g != rhs_g:
         return False
-    lhs_h = group.exp(base_h, proof.response)
-    rhs_h = group.mul(proof.commitment_h, group.exp(value_h, challenge))
+    lhs_h = pow(base_h, proof.response % q, p)
+    rhs_h = group.mul(proof.commitment_h, pow(value_h, challenge % q, p))
     return lhs_h == rhs_h
 
 
@@ -550,11 +547,11 @@ def batch_verify_dlog_equality(group: Group, base_h: int,
             response_sum_h = (response_sum_h + weight_h * proof.response) % q
             pairs.append((proof.commitment_g, weight_g))
             pairs.append((proof.commitment_h, weight_h))
-            # value_g is a long-lived public verify key: exponentiate it
-            # through its cached fixed-base table instead of the shared
-            # multi-exp.
-            verify_key_product = verify_key_product * _verify_key_table(
-                p, q, value_g).pow(weight_g * challenge % q) % p
+            # value_g is a long-lived public verify key: a recurring base,
+            # which ``group.exp`` answers from a fixed-base table, so it is
+            # kept out of the shared multi-exp.
+            verify_key_product = verify_key_product * group.exp(
+                value_g, weight_g * challenge) % p
             pairs.append((value_h, weight_h * challenge % q))
         # Negated exponent folded into the one product: x^-e == x^(q - e)
         # for subgroup members (g's term stays on the cheap fixed-base

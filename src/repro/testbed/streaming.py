@@ -251,6 +251,8 @@ class StreamingRun:
                  ingress: Optional[IngressSpec] = None) -> None:
         self.protocol = protocol
         self.scenario = scenario
+        #: resolved once: the run_until predicate reads it twice per event
+        self.multi_hop = scenario.is_multi_hop
         self.spec = spec
         self.batched = batched
         self.seed = seed
@@ -258,7 +260,7 @@ class StreamingRun:
         self.observer = observer
         self.pack = pack
         self.ingress = ingress
-        if ingress is not None and scenario.is_multi_hop:
+        if ingress is not None and self.multi_hop:
             # Gateways front the single-hop committee; a multi-hop ingress
             # would need per-cluster gateway placement and cross-cluster
             # class routing -- a documented extension point, not a silent
@@ -280,7 +282,7 @@ class StreamingRun:
         #: instead of redoing the wall-clock work.  Modelled CPU cost and
         #: results are unchanged -- see BatchVerifySession.
         self.batch_session = BatchVerifySession()
-        if scenario.is_multi_hop:
+        if self.multi_hop:
             global_config = self._global_config(0)
             self.deployment = build_deployment(
                 scenario, batched=batched, seed=seed,
@@ -312,7 +314,7 @@ class StreamingRun:
                     "membership schedules and ingress gateways cannot be "
                     "combined yet (departed-gateway redistribution would "
                     "drop class marks)")
-            if scenario.is_multi_hop:
+            if self.multi_hop:
                 # Multi-hop reconfiguration would re-elect leaders and
                 # re-route the backbone mid-stream -- the documented
                 # extension point (membership.rebind_leader_schedules).
@@ -359,7 +361,7 @@ class StreamingRun:
                          transaction_bytes=spec.arrival.transaction_bytes,
                          flavor=spec.arrival.flavor), seed=seed)
         self.honest = self.deployment.honest_ids()
-        if scenario.is_multi_hop:
+        if self.multi_hop:
             byzantine = scenario.byzantine.byzantine_ids
             self.honest_leaders = [
                 leader for leader in self.deployment.epoch_leaders.values()
@@ -476,7 +478,7 @@ class StreamingRun:
         instances = install_epoch_protocols(deployment, self.protocol,
                                             deployment.runtimes, config)
         self.local_instances[epoch] = instances
-        if self.scenario.is_multi_hop:
+        if self.multi_hop:
             domain_of: Callable[[int], Any] = lambda node_id: (
                 "epoch", epoch, "cluster", self.cluster_of[node_id])
             self.global_instances[epoch] = install_epoch_protocols(
@@ -537,7 +539,7 @@ class StreamingRun:
             return True
         if epoch < self.checkpoint_cursor:  # already checkpointed
             return True
-        if self.scenario.is_multi_hop:
+        if self.multi_hop:
             return self._epoch_complete(epoch)
         instances = self.local_instances.get(epoch)
         if instances is None:  # already checkpointed
@@ -560,7 +562,7 @@ class StreamingRun:
         if not eligible:
             return False
         locals_done = all(instance.decided for instance in eligible)
-        if not self.scenario.is_multi_hop:
+        if not self.multi_hop:
             return locals_done
         # Multi-hop: every honest *local* instance must decide too (not just
         # the leaders' global instances) -- checkpointing releases the whole
@@ -572,7 +574,7 @@ class StreamingRun:
 
     def _checkpoint(self, epoch: int) -> None:
         """Record, commit and (optionally) GC one completed epoch."""
-        if self.scenario.is_multi_hop:
+        if self.multi_hop:
             deciders = {leader: self.global_instances[epoch][leader]
                         for leader in self.honest_leaders}
         else:
@@ -599,13 +601,12 @@ class StreamingRun:
                 committed = self._committed_transactions(list(witness.block))
             if self.observer is not None:
                 domain = ("epoch", epoch, "global") \
-                    if self.scenario.is_multi_hop else ("epoch", epoch)
+                    if self.multi_hop else ("epoch", epoch)
                 self.observer.record_decision(
                     node_id, list(witness.block), witness.decide_time,
                     domain=domain, digest=witness.digest,
-                    transactions=committed if self.scenario.is_multi_hop
-                    else None)
-        if self.observer is not None and self.scenario.is_multi_hop:
+                    transactions=committed if self.multi_hop else None)
+        if self.observer is not None and self.multi_hop:
             for node_id, instance in self.local_instances[epoch].items():
                 if node_id not in self.honest:
                     continue
@@ -662,7 +663,7 @@ class StreamingRun:
         self.checkpoint_cursor = epoch + 1
 
     def _committed_transactions(self, block: list) -> list:
-        if not self.scenario.is_multi_hop:
+        if not self.multi_hop:
             return block
         from repro.testbed.harness import _decode_contribution_txs
 
@@ -695,7 +696,7 @@ class StreamingRun:
                    and self._epoch_complete(self.checkpoint_cursor)):
                 self._checkpoint(self.checkpoint_cursor)
                 progressed = True
-            if self.scenario.is_multi_hop:
+            if self.multi_hop:
                 for epoch in list(self.global_instances):
                     self._feed_global(epoch)
             if (self.next_epoch < self.spec.epochs
