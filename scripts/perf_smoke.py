@@ -10,6 +10,10 @@ with short budgets and checks *same-run ratio invariants* only:
   pure tier's fixed-base promotion -- a refactor that silently sends hot
   bases back to ``pow`` lands at ~1x);
 * batched share verification >= 3x the seed per-share path (n=16/t=5);
+* verifying a signature or share minted in this process >= 10x verifying an
+  unstamped copy, under the pure tier and under the best available one (a
+  refactor that loses the provenance stamp lands at ~1x and would otherwise
+  quietly cost a third of every run);
 * erasure decode >= 5x the seed implementation (k=32);
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
 * with a native backend tier available, the native share combine >= 3x and
@@ -91,6 +95,7 @@ MAX_REGRESSION = 2.0
 # Same-run ratio invariants (both modes, baseline-independent).
 MIN_RECURRING_BASE_VS_POW = 3.0
 MIN_BATCH_VS_SEED = 3.0
+MIN_MINTED_VS_LONG_ROAD = 10.0
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
 MIN_COMBINE_NATIVE_VS_PURE = 3.0
@@ -133,6 +138,15 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"batched share verification only "
             f"{speedups['share_verify_batch_vs_seed']:.2f}x the seed per-share "
             f"path (need >= {MIN_BATCH_VS_SEED}x)")
+    for name in ("schnorr_verify_minted_vs_long_road",
+                 "schnorr_verify_minted_vs_long_road_native",
+                 "share_verify_minted_vs_long_road"):
+        if speedups[name] < MIN_MINTED_VS_LONG_ROAD:
+            failures.append(
+                f"{name} only {speedups[name]:.2f}x (need >= "
+                f"{MIN_MINTED_VS_LONG_ROAD}x): artefacts minted in this "
+                f"process are being re-verified -- the provenance stamp is "
+                f"lost between the maker and the verifier")
     if speedups["erasure_decode_vs_seed"] < MIN_DECODE_VS_SEED:
         failures.append(
             f"erasure decode only {speedups['erasure_decode_vs_seed']:.2f}x "

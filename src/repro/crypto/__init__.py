@@ -55,7 +55,7 @@ from repro.crypto.curves import (
     get_ec_curve,
     get_threshold_curve,
 )
-from repro.crypto.timing import CryptoSuite, CryptoCost, CostLedger
+from repro.crypto.timing import CryptoSuite, CostLedger
 
 __all__ = [
     "Group",
@@ -90,6 +90,5 @@ __all__ = [
     "get_ec_curve",
     "get_threshold_curve",
     "CryptoSuite",
-    "CryptoCost",
     "CostLedger",
 ]

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from repro.crypto.group import DEFAULT_GROUP, Group
+from repro.crypto.group import DEFAULT_GROUP, Group, Stamped, mint
 
 
 @dataclass(frozen=True)
-class Signature:
+class Signature(Stamped):
     """A Schnorr signature ``(R, z)``."""
 
     commitment: int
@@ -40,12 +40,27 @@ class VerifyKey:
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify a Schnorr signature on ``message``.
 
-        Memoised process-wide: every receiver of a broadcast frame verifies
-        the same ``(key, message, signature)`` transcript, so the n-fold
-        fan-out across simulated nodes costs one real verification.  The
-        per-node CPU cost model is charged by the :class:`CryptoSuite`
-        facade, so memoisation changes wall clock only, never virtual time.
+        Each distinct verdict is established once.  By its maker, when the
+        maker is in this process: ``SigningKey.sign`` stamps the object it
+        returns with the key and message it signed, ``g^z == R * pk^c``
+        holds identically for it, and a matching stamp is answered ``True``
+        without recomputing either side.  By the first verifier otherwise:
+        a hand-built, altered, replayed, cross-key or unpickled signature
+        has no matching stamp and runs the Schnorr check, memoised
+        process-wide because every receiver of a broadcast frame verifies
+        the same ``(key, message, signature)`` transcript.  The per-node CPU
+        cost model is charged by the :class:`CryptoSuite` facade, so neither
+        shortcut changes virtual time -- only wall clock.
+
+        Wrong-typed input is an invalid signature, not an exception.
         """
+        if not (isinstance(signature, Signature)
+                and isinstance(message, bytes)
+                and isinstance(signature.commitment, int)
+                and isinstance(signature.response, int)):
+            return False
+        if signature._minted_for == (self.group, self.public_element, message):
+            return True
         return _verify_schnorr_cached(
             self.group.p, self.group.q, self.group.g, self.public_element,
             message, signature.commitment, signature.response)
@@ -106,7 +121,8 @@ class SigningKey:
             message,
         )
         response = (nonce + challenge * self.secret) % group.q
-        return Signature(commitment=commitment, response=response)
+        return mint(Signature(commitment=commitment, response=response),
+                    group, self.public_element, message)
 
 
 def generate_keypair(rng, owner: int = -1,

@@ -19,6 +19,7 @@ modelled separately by :mod:`repro.crypto.curves`.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
@@ -187,6 +188,71 @@ class Group:
 DEFAULT_GROUP = Group(p=_SAFE_PRIME_P, q=_SUBGROUP_ORDER_Q, g=_GENERATOR)
 
 
+# ------------------------------------------------------------- provenance
+# A signature or share minted in this process is valid by construction for
+# the exact statement its maker signed, so its verifier need not recompute
+# what the maker just computed.  The maker records that statement on the
+# artefact (``mint``); ``VerifyKey.verify`` and the ``verify_share`` methods
+# answer ``True`` when the stamp equals what they are asked to check, and
+# run the memoised verifier otherwise.  Soundness rests on four rules (see
+# PERFORMANCE.md, "Verdicts by construction"):
+#
+# 1. Only ``SigningKey.sign`` and the three scheme handles' share methods
+#    stamp.  ``prove_dlog_equality`` proves whatever statement it is handed,
+#    true or not, so it never does.
+# 2. A handle stamps only if its private share matches the dealer-published
+#    verify key (``holds_published_share``).
+# 3. The stamp is an ``init=False, compare=False, repr=False`` field of the
+#    frozen dataclasses (``Stamped``): ``dataclasses.replace`` and a
+#    field-by-field rebuild drop it; equality, hashing and every
+#    repr-derived digest ignore it.
+# 4. The stamp is process-local: ``Stamped.__reduce__`` rebuilds a pickled
+#    (or ``copy``-ed) artefact from its public fields alone.
+@dataclass(frozen=True)
+class Stamped:
+    """Base of the frozen artefacts that can carry their maker's stamp."""
+
+    # rule 3: not an init field, invisible to ``==``, ``hash`` and ``repr``
+    _minted_for: "tuple | None" = dataclass_field(
+        default=None, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        # rule 4: a pickled or ``copy``-ed artefact is its init fields only
+        return type(self), tuple(
+            getattr(self, field.name)
+            for field in dataclasses.fields(self) if field.init)
+
+
+def mint(artefact, *minted_for):
+    """Stamp a freshly built frozen artefact with the statement it proves."""
+    object.__setattr__(artefact, "_minted_for", minted_for)
+    return artefact
+
+
+def unstamped(artefact):
+    """An equal copy that must be verified the long way.
+
+    For tests and micro-benchmarks that sign and then verify in one process:
+    without it they would measure a tuple comparison.
+    """
+    return dataclasses.replace(artefact)
+
+
+def holds_published_share(group: "Group", private_share,
+                          share_verify_keys: Sequence[int]) -> bool:
+    """True if ``g^secret`` is the verify key the dealer published for the
+    private share's index (rule 2: only such a handle may stamp)."""
+    index = private_share.index
+    # the range test is load-bearing: index 0 would read the *last* key
+    return (1 <= index <= len(share_verify_keys)
+            and group.power_of_g(private_share.secret)
+            == share_verify_keys[index - 1])
+
+
+def _all_ints(*values) -> bool:
+    return all(isinstance(value, int) for value in values)
+
+
 @dataclass(frozen=True)
 class ChaumPedersenProof:
     """NIZK proof that ``log_g(v) == log_h(u)`` (discrete-log equality).
@@ -246,10 +312,20 @@ def verify_dlog_equality(group: Group, proof: ChaumPedersenProof, base_h: int,
     Memoised process-wide: verification is a pure function of the transcript,
     and in a simulated broadcast domain every receiver verifies the *same*
     share, so the n-fold re-verification across simulated nodes collapses to
-    one real computation.  The per-node CPU cost model is charged by
+    one real computation -- the long road for a verdict nobody in this
+    process has established yet.  (A share still carrying its maker's stamp
+    never gets here: the scheme's ``verify_share`` answers from the stamp,
+    see "provenance" above.)  The per-node CPU cost model is charged by
     :class:`repro.crypto.timing.CryptoSuite` before this function runs, so
     simulated virtual time is unaffected -- only wall clock.
+
+    Wrong-typed input (a peer-controlled ``proof`` that is no proof, a
+    non-integer element) is an invalid proof, not an exception.
     """
+    if not (isinstance(proof, ChaumPedersenProof)
+            and _all_ints(proof.commitment_g, proof.commitment_h,
+                          proof.response, base_h, value_g, value_h)):
+        return False
     return _verify_dlog_equality_cached(
         group.p, group.q, group.g, proof.commitment_g, proof.commitment_h,
         proof.response, base_h, value_g, value_h, context)
@@ -470,8 +546,16 @@ def batch_verify_dlog_equality(group: Group, base_h: int,
     if not statements:
         return True
     q = group.q
+    if not isinstance(base_h, int):
+        return False
     elements: list[int] = []
     for proof, value_g, value_h in statements:
+        # a malformed statement fails the batch; the caller's per-share
+        # fallback then names the culprit
+        if not (isinstance(proof, ChaumPedersenProof)
+                and _all_ints(value_g, value_h, proof.commitment_g,
+                              proof.commitment_h, proof.response)):
+            return False
         elements.extend((value_g, value_h, proof.commitment_g,
                          proof.commitment_h))
     if not _batch_members_ok(group, elements):

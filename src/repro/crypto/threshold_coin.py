@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from repro.crypto import backend as crypto_backend
@@ -25,6 +26,9 @@ from repro.crypto.group import (
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
+    Stamped,
+    holds_published_share,
+    mint,
     prove_dlog_equality,
     select_shares_batched,
     verify_dlog_equality,
@@ -37,7 +41,7 @@ class ThresholdCoinError(ValueError):
 
 
 @dataclass(frozen=True)
-class CoinShare:
+class CoinShare(Stamped):
     """One node's contribution to the coin for a given tag."""
 
     signer: int
@@ -65,9 +69,18 @@ class ThresholdCoinPublicKey:
         return self.group.hash_to_group(b"tcoin", tag)
 
     def verify_share(self, tag: bytes, share: CoinShare) -> bool:
-        """Check a coin share's correctness proof."""
-        if not isinstance(share, CoinShare):
+        """Check a coin share's correctness proof.
+
+        A share still carrying the stamp of the handle that made it, for
+        this key and this tag, is valid by construction; anything else has
+        its proof verified.  Wrong-typed input is an invalid share.
+        """
+        if not (isinstance(share, CoinShare)
+                and isinstance(share.signer, int)
+                and isinstance(tag, bytes)):
             return False
+        if share._minted_for == (self, tag):
+            return True
         if not 1 <= share.signer <= self.num_parties:
             return False
         if share.tag != tag:
@@ -94,6 +107,7 @@ class ThresholdCoinPublicKey:
                 self.group, point, shares, b"tcoin-share",
                 structural_ok=lambda s: (
                     isinstance(s, CoinShare)
+                    and isinstance(s.signer, int)
                     and 1 <= s.signer <= self.num_parties
                     and s.tag == tag),
                 statement_of=lambda s: (
@@ -169,6 +183,11 @@ class ThresholdCoinScheme:
         """Number of shares needed to reveal the coin."""
         return self.public_key.threshold
 
+    @cached_property
+    def _holds_published_share(self) -> bool:
+        return holds_published_share(self.group, self.private_share,
+                                     self.public_key.share_verify_keys)
+
     def coin_share(self, tag: bytes, rng) -> CoinShare:
         """Produce this node's coin share for ``tag``."""
         point = self.public_key.tag_point(tag)
@@ -178,8 +197,11 @@ class ThresholdCoinScheme:
             self.group, secret=self.private_share.secret, base_h=point,
             value_g=self.public_key.share_verify_keys[self.private_share.index - 1],
             value_h=value, rng=rng, context=b"tcoin-share")
-        return CoinShare(signer=self.private_share.index, tag=tag,
-                         value=value, proof=proof)
+        share = CoinShare(signer=self.private_share.index, tag=tag,
+                          value=value, proof=proof)
+        if self._holds_published_share:
+            mint(share, self.public_key, tag)
+        return share
 
     def verify_share(self, tag: bytes, share: CoinShare) -> bool:
         """Verify another node's coin share."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from repro.crypto import backend as crypto_backend
@@ -27,6 +28,9 @@ from repro.crypto.group import (
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
+    Stamped,
+    holds_published_share,
+    mint,
     prove_dlog_equality,
     select_shares_batched,
     verify_dlog_equality,
@@ -86,7 +90,7 @@ def ciphertext_from_bytes(data: bytes) -> Ciphertext:
 
 
 @dataclass(frozen=True)
-class DecryptionShare:
+class DecryptionShare(Stamped):
     """Node ``signer``'s decryption share ``U^{s_i}`` with correctness proof."""
 
     signer: int
@@ -120,9 +124,19 @@ class ThresholdEncPublicKey:
         return Ciphertext(ephemeral=ephemeral, payload=masked, label=label)
 
     def verify_share(self, ciphertext: Ciphertext, share: DecryptionShare) -> bool:
-        """Check a decryption share's correctness proof."""
-        if not isinstance(share, DecryptionShare):
+        """Check a decryption share's correctness proof.
+
+        A share still carrying the stamp of the handle that made it, for
+        this key and this ciphertext's ephemeral, is valid by construction;
+        anything else has its proof verified.  Wrong-typed input is an
+        invalid share.
+        """
+        if not (isinstance(share, DecryptionShare)
+                and isinstance(share.signer, int)
+                and isinstance(ciphertext, Ciphertext)):
             return False
+        if share._minted_for == (self, ciphertext.ephemeral):
+            return True
         if not 1 <= share.signer <= self.num_parties:
             return False
         verify_key = self.share_verify_keys[share.signer - 1]
@@ -140,6 +154,7 @@ class ThresholdEncPublicKey:
                 self.group, ciphertext.ephemeral, shares, b"tenc-share",
                 structural_ok=lambda s: (
                     isinstance(s, DecryptionShare)
+                    and isinstance(s.signer, int)
                     and 1 <= s.signer <= self.num_parties),
                 statement_of=lambda s: (
                     s.proof, self.share_verify_keys[s.signer - 1], s.value),
@@ -187,6 +202,11 @@ class ThresholdEncScheme:
         """Number of decryption shares needed."""
         return self.public_key.threshold
 
+    @cached_property
+    def _holds_published_share(self) -> bool:
+        return holds_published_share(self.group, self.private_share,
+                                     self.public_key.share_verify_keys)
+
     def encrypt(self, plaintext: bytes, label: bytes, rng) -> Ciphertext:
         """Encrypt under the master public key (any node or client can do this)."""
         return self.public_key.encrypt(plaintext, label, rng)
@@ -200,8 +220,11 @@ class ThresholdEncScheme:
             base_h=ciphertext.ephemeral,
             value_g=self.public_key.share_verify_keys[self.private_share.index - 1],
             value_h=value, rng=rng, context=b"tenc-share")
-        return DecryptionShare(signer=self.private_share.index, value=value,
-                               proof=proof)
+        share = DecryptionShare(signer=self.private_share.index, value=value,
+                                proof=proof)
+        if self._holds_published_share:
+            mint(share, self.public_key, ciphertext.ephemeral)
+        return share
 
     def verify_share(self, ciphertext: Ciphertext, share: DecryptionShare) -> bool:
         """Verify another node's decryption share."""

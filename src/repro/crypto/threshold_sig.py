@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from repro.crypto import backend as crypto_backend
 from repro.crypto.field import lagrange_coefficients_at_zero
@@ -28,7 +28,10 @@ from repro.crypto.group import (
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
+    Stamped,
     batch_verify_dlog_equality,
+    holds_published_share,
+    mint,
     prove_dlog_equality,
     select_shares_batched,
     verify_dlog_equality,
@@ -41,7 +44,7 @@ class ThresholdSigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ThresholdSigShare:
+class ThresholdSigShare(Stamped):
     """A signature share ``H(m)^{s_i}`` from node ``signer`` with its proof."""
 
     signer: int
@@ -77,12 +80,21 @@ class ThresholdSigPublicKey:
         return self.group.hash_to_group(b"tsig", message)
 
     def verify_share(self, message: bytes, share: ThresholdSigShare) -> bool:
-        """Check that a share was correctly computed from the signer's key share."""
-        if not isinstance(share, ThresholdSigShare):
+        """Check that a share was correctly computed from the signer's key share.
+
+        A share still carrying the stamp of the handle that made it, for
+        this key and this message, is valid by construction; anything else
+        has its proof verified.  Wrong-typed input is an invalid share.
+        """
+        if not (isinstance(share, ThresholdSigShare)
+                and isinstance(share.signer, int)
+                and isinstance(message, bytes)):
             return False
         if not 1 <= share.signer <= self.num_parties:
             return False
         point = self.hash_message(message)
+        if share._minted_for == (self, point):
+            return True
         if point != share.message_point:
             return False
         verify_key = self.share_verify_keys[share.signer - 1]
@@ -108,6 +120,7 @@ class ThresholdSigPublicKey:
         candidates: list[ThresholdSigShare] = []
         for share in shares:
             if (not isinstance(share, ThresholdSigShare)
+                    or not isinstance(share.signer, int)
                     or not 1 <= share.signer <= self.num_parties
                     or share.message_point != point):
                 structural_bad.append(share)
@@ -144,6 +157,7 @@ class ThresholdSigPublicKey:
                 self.group, point, shares, b"tsig-share",
                 structural_ok=lambda s: (
                     isinstance(s, ThresholdSigShare)
+                    and isinstance(s.signer, int)
                     and 1 <= s.signer <= self.num_parties
                     and s.message_point == point),
                 statement_of=lambda s: (
@@ -231,6 +245,11 @@ class ThresholdSigScheme:
         """Number of shares required to combine."""
         return self.public_key.threshold
 
+    @cached_property
+    def _holds_published_share(self) -> bool:
+        return holds_published_share(self.group, self.private_share,
+                                     self.public_key.share_verify_keys)
+
     def sign_share(self, message: bytes, rng) -> ThresholdSigShare:
         """Produce this node's signature share on ``message``."""
         point = self.public_key.hash_message(message)
@@ -240,8 +259,11 @@ class ThresholdSigScheme:
             self.group, secret=self.private_share.secret, base_h=point,
             value_g=self.public_key.share_verify_keys[self.private_share.index - 1],
             value_h=value, rng=rng, context=b"tsig-share")
-        return ThresholdSigShare(signer=self.private_share.index,
-                                 message_point=point, value=value, proof=proof)
+        share = ThresholdSigShare(signer=self.private_share.index,
+                                  message_point=point, value=value, proof=proof)
+        if self._holds_published_share:
+            mint(share, self.public_key, point)
+        return share
 
     def verify_share(self, message: bytes, share: ThresholdSigShare) -> bool:
         """Verify another node's share."""

@@ -2,17 +2,21 @@
 
 Consensus latency on the paper's testbed is driven as much by cryptographic
 computation as by airtime, so every cryptographic operation performed inside
-the simulator must (a) actually execute (so the protocols are functionally
-real) and (b) charge the executing node's CPU with the per-curve latency of
-Figure 10.  :class:`CryptoSuite` is the single entry point that does both:
-components call its methods, the real primitive runs, and the configured
-``cost_sink`` (normally the owning :class:`repro.net.node.NetworkNode`) is
-charged with the modelled latency.
+the simulator must (a) be functionally real -- every signature, share and
+proof is really made, and each distinct verdict on one is really established
+once: by its maker when the maker is in this process (an artefact still
+carrying its maker's stamp is valid by construction, see "provenance" in
+:mod:`repro.crypto.group`), by the first verifier otherwise (memoised for
+the other receivers of the same broadcast) -- and (b) charge the executing
+node's CPU with the per-curve latency of Figure 10 on *every* call, whichever
+way (a) was answered.  :class:`CryptoSuite` is the single entry point that
+does both: components call its methods, the primitive answers, and the
+configured ``cost_sink`` (normally the owning
+:class:`repro.net.node.NetworkNode`) is charged with the modelled latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.crypto.curves import (
@@ -36,44 +40,38 @@ from repro.crypto.threshold_sig import (
 CostSink = Callable[[float], None]
 
 
-@dataclass(frozen=True)
-class CryptoCost:
-    """A single accounted operation."""
-
-    operation: str
-    seconds: float
-
-
-@dataclass
 class CostLedger:
-    """Accumulates cryptographic computation cost per operation type."""
+    """Accumulates cryptographic computation cost per operation type.
 
-    entries: list[CryptoCost] = field(default_factory=list)
+    Running per-operation counts and sums plus a running total, not one
+    record per operation: a long stream charges thousands of operations per
+    epoch and its memory must stay O(pipeline window).  Every sum is
+    accumulated in ``record`` order, so each figure is bit-identical to
+    summing a per-operation list.
+    """
+
+    def __init__(self) -> None:
+        self.total_seconds = 0.0
+        self._counts: dict[str, int] = {}
+        self._seconds: dict[str, float] = {}
 
     def record(self, operation: str, seconds: float) -> None:
         """Record one operation."""
-        self.entries.append(CryptoCost(operation=operation, seconds=seconds))
-
-    @property
-    def total_seconds(self) -> float:
-        """Total CPU seconds spent on cryptography."""
-        return sum(entry.seconds for entry in self.entries)
+        self.total_seconds += seconds
+        self._counts[operation] = self._counts.get(operation, 0) + 1
+        self._seconds[operation] = self._seconds.get(operation, 0.0) + seconds
 
     def count(self, operation: str) -> int:
         """Number of operations of a given type."""
-        return sum(1 for entry in self.entries if entry.operation == operation)
+        return self._counts.get(operation, 0)
 
     def seconds_for(self, operation: str) -> float:
         """Total seconds spent on a given operation type."""
-        return sum(entry.seconds for entry in self.entries
-                   if entry.operation == operation)
+        return self._seconds.get(operation, 0.0)
 
     def by_operation(self) -> dict[str, float]:
         """Total seconds grouped by operation type."""
-        grouped: dict[str, float] = {}
-        for entry in self.entries:
-            grouped[entry.operation] = grouped.get(entry.operation, 0.0) + entry.seconds
-        return grouped
+        return dict(self._seconds)
 
 
 class CryptoSuite:
@@ -169,7 +167,8 @@ class CryptoSuite:
     def verify(self, signer: int, message: bytes, signature: Signature) -> bool:
         """Verify a packet signature from ``signer``."""
         self._charge("ecdsa_verify", self.ec_profile.verify_ms)
-        if not 0 <= signer < len(self.verify_keys):
+        if not (isinstance(signer, int)
+                and 0 <= signer < len(self.verify_keys)):
             return False
         return self.verify_keys[signer].verify(message, signature)
 

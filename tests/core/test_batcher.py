@@ -2,6 +2,7 @@
 
 from repro.core.batcher import ConsensusBatcherTransport, BaselineTransport
 from repro.core.packet import ComponentMessage
+from repro.crypto.digital_sig import Signature
 
 from tests.helpers import build_cluster, make_message, run_until
 
@@ -130,6 +131,30 @@ class TestBatchedTransport:
         transports[3].handle_frame(0, forged_packet)
         deployment.shutdown()
         assert len(received[3]) == before  # rejected
+
+    def test_malformed_signature_drops_the_packet_not_the_run(self):
+        """A peer controls every packet field: ``signed=True`` with no (or a
+        wrong-typed) signature or sender is a bad packet, not an exception."""
+        deployment = build_cluster(batched=True, seed=7)
+        received = install_collectors(deployment)
+        transports = transports_of(deployment)
+        sender = transports[0]
+        sender.activate("rbc", "t", 0)
+        sender.send(make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t"))
+        packet, _size = sender._build_packet(("rbc_er", "t"))
+        good_signature = packet.signature
+        for signature, claimed in ((None, 0), ("sig", 0), ((1, 2), 0),
+                                  (Signature(None, 1), 0),
+                                  (Signature("1", "2"), 0),
+                                  (good_signature, "0"),
+                                  (good_signature, None)):
+            packet.signature, packet.sender = signature, claimed
+            transports[3].handle_frame(0, packet)
+            assert not received[3]
+        packet.signature, packet.sender = good_signature, 0
+        transports[3].handle_frame(0, packet)
+        deployment.shutdown()
+        assert len(received[3]) == 1
 
     def test_nack_repair_recovers_missing_state(self):
         deployment = build_cluster(batched=True, seed=6)

@@ -11,14 +11,14 @@ from repro.crypto.digital_sig import (
     generate_keypair,
     generate_keyring,
 )
-from repro.crypto.group import DEFAULT_GROUP
+from repro.crypto.group import DEFAULT_GROUP, unstamped
 
 
 class TestDigitalSignatures:
     def test_sign_verify_roundtrip(self):
         rng = random.Random(1)
         sk, vk = generate_keypair(rng, owner=3)
-        signature = sk.sign(b"packet contents", rng)
+        signature = unstamped(sk.sign(b"packet contents", rng))
         assert vk.verify(b"packet contents", signature)
 
     def test_wrong_message_rejected(self):
@@ -49,6 +49,20 @@ class TestDigitalSignatures:
         forged = Signature(commitment=0, response=signature.response)
         assert not vk.verify(b"message", forged)
 
+    def test_wrong_typed_input_is_rejected_not_raised(self):
+        rng = random.Random(10)
+        sk, vk = generate_keypair(rng)
+        good = sk.sign(b"message", rng)
+        for signature in (None, "signature", (good.commitment, good.response),
+                          Signature("1", good.response),
+                          Signature(good.commitment, None),
+                          Signature(1.5, good.response),
+                          Signature(good.commitment, [good.response])):
+            assert vk.verify(b"message", signature) is False
+        for message in (None, "message", bytearray(b"message"), 7):
+            assert vk.verify(message, good) is False
+            assert vk.verify(message, unstamped(good)) is False
+
     def test_verify_key_derivation_consistent(self):
         rng = random.Random(6)
         sk, vk = generate_keypair(rng, owner=2)
@@ -67,7 +81,7 @@ class TestDigitalSignatures:
         for node_id, (sk, vk) in enumerate(zip(signing, verifying)):
             assert sk.owner == node_id
             assert vk.owner == node_id
-            sig = sk.sign(b"hello", rng)
+            sig = unstamped(sk.sign(b"hello", rng))
             assert vk.verify(b"hello", sig)
             other = verifying[(node_id + 1) % 5]
             assert not other.verify(b"hello", sig)
@@ -75,8 +89,8 @@ class TestDigitalSignatures:
     def test_signatures_are_randomised(self):
         rng = random.Random(9)
         sk, vk = generate_keypair(rng)
-        sig1 = sk.sign(b"same message", rng)
-        sig2 = sk.sign(b"same message", rng)
+        sig1 = unstamped(sk.sign(b"same message", rng))
+        sig2 = unstamped(sk.sign(b"same message", rng))
         assert sig1 != sig2
         assert vk.verify(b"same message", sig1)
         assert vk.verify(b"same message", sig2)
@@ -115,7 +129,7 @@ class TestImpliedCommitmentMembership:
         rng = random.Random(seed)
         sk, vk = generate_keypair(rng, owner=1)
         _other_sk, other_vk = generate_keypair(rng, owner=2)
-        good = sk.sign(message, rng)
+        good = unstamped(sk.sign(message, rng))
         assert vk.verify(message, good)
         candidates = [good,
                       Signature(group.p - good.commitment, good.response),
@@ -161,7 +175,8 @@ class TestImpliedCommitmentMembership:
         assert found_equation_holding
         # an honest-looking signature under the rogue key: both verifiers
         # agree whatever the verdict is
-        honest = SigningKey(group=group, secret=secret).sign(message, rng)
+        honest = unstamped(
+            SigningKey(group=group, secret=secret).sign(message, rng))
         assert rogue.verify(message, honest) == \
             _verify_with_explicit_membership(rogue, message, honest)
 

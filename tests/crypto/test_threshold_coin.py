@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.crypto.group import unstamped
 from repro.crypto.threshold_coin import (
     CoinShare,
     ThresholdCoinError,
@@ -39,7 +40,7 @@ class TestThresholdCoin:
     def test_share_verification(self):
         coins, rng = _deal()
         tag = b"verify"
-        share = coins[2].coin_share(tag, rng)
+        share = unstamped(coins[2].coin_share(tag, rng))
         assert coins[0].verify_share(tag, share)
         assert not coins[0].verify_share(b"other tag", share)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.group import unstamped
 from repro.crypto.threshold_enc import (
     DecryptionShare,
     ThresholdEncError,
@@ -36,7 +37,7 @@ class TestThresholdEncryption:
     def test_share_verification(self):
         schemes, rng = _deal()
         ciphertext = schemes[0].encrypt(b"payload", b"label", rng)
-        share = schemes[1].decryption_share(ciphertext, rng)
+        share = unstamped(schemes[1].decryption_share(ciphertext, rng))
         assert schemes[2].verify_share(ciphertext, share)
 
     def test_forged_share_rejected(self):

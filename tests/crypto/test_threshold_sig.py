@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.group import unstamped
 from repro.crypto.threshold_sig import (
     ThresholdSigError,
     ThresholdSigShare,
@@ -21,7 +22,7 @@ class TestThresholdSignatures:
     def test_share_verification(self):
         schemes, rng = _deal()
         message = b"prbc|0|2|abcdef"
-        share = schemes[1].sign_share(message, rng)
+        share = unstamped(schemes[1].sign_share(message, rng))
         assert schemes[0].verify_share(message, share)
         assert schemes[3].verify_share(message, share)
 

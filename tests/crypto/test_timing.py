@@ -119,6 +119,29 @@ class TestCostLedger:
         assert ledger.seconds_for("op_b") == pytest.approx(1.0)
         assert ledger.by_operation() == pytest.approx({"op_a": 0.75, "op_b": 1.0})
 
+    def test_running_sums_equal_folding_the_record_list(self):
+        """The ledger keeps no per-operation records (a stream's memory must
+        not grow with operations run); its running sums must still be
+        bit-identical to a left fold over the list it no longer keeps."""
+        rng = random.Random(5)
+        records = [(rng.choice(("sign", "verify", "combine")),
+                    rng.choice((0.0148, 0.033, 1e-9, 0.1 + 0.2)))
+                   for _ in range(2000)]
+        ledger = CostLedger()
+        total, seconds, counts = 0, {}, {}
+        for operation, cost in records:
+            ledger.record(operation, cost)
+            total += cost
+            seconds[operation] = seconds.get(operation, 0.0) + cost
+            counts[operation] = counts.get(operation, 0) + 1
+        assert ledger.total_seconds == total
+        assert ledger.by_operation() == seconds
+        for operation in ("sign", "verify", "combine"):
+            assert ledger.seconds_for(operation) == seconds[operation]
+            assert ledger.count(operation) == counts[operation]
+        assert ledger.seconds_for("absent") == 0.0
+        assert not hasattr(ledger, "entries")
+
     def test_empty_ledger(self):
         ledger = CostLedger()
         assert ledger.total_seconds == 0.0
