@@ -233,19 +233,14 @@ def multi_exp(pairs: Sequence[tuple[int, int]], modulus: int,
 
 
 # ------------------------------------------------------------- batch verification
-def batch_randomizer_seed(seed_parts: Sequence[bytes]) -> bytes:
-    """The Fiat-Shamir seed digest over a batch's proof transcripts.
-
-    Exposed separately from :func:`expand_batch_randomizers` so that a
-    :class:`repro.crypto.group.BatchVerifySession` can use the digest both
-    as its memo key and as the randomizer seed without hashing twice.
-    """
-    return hashlib.sha512(b"\x00".join(seed_parts)).digest()
-
-
-def expand_batch_randomizers(seed: bytes, count: int,
+def derive_batch_randomizers(seed_parts: Sequence[bytes], count: int,
                              bits: int = _RANDOMIZER_BITS) -> list[int]:
-    """Expand a seed digest into ``count`` non-zero batching randomizers."""
+    """Deterministic non-zero randomizers for small-exponent batching.
+
+    Derived Fiat-Shamir style from the proof transcripts so batch
+    verification stays reproducible run-to-run (no ambient RNG draws).
+    """
+    seed = hashlib.sha512(b"\x00".join(seed_parts)).digest()
     randomizers: list[int] = []
     counter = 0
     while len(randomizers) < count:
@@ -257,15 +252,3 @@ def expand_batch_randomizers(seed: bytes, count: int,
             if len(randomizers) == count:
                 break
     return randomizers
-
-
-def derive_batch_randomizers(seed_parts: Sequence[bytes], count: int,
-                             bits: int = _RANDOMIZER_BITS) -> list[int]:
-    """Deterministic non-zero randomizers for small-exponent batching.
-
-    Derived Fiat-Shamir style from the proof transcripts so batch
-    verification stays reproducible run-to-run (no ambient RNG draws).
-    Equivalent to expanding :func:`batch_randomizer_seed` bit-for-bit.
-    """
-    return expand_batch_randomizers(batch_randomizer_seed(seed_parts),
-                                    count, bits)

@@ -28,8 +28,7 @@ from typing import Sequence
 from repro.crypto import backend as crypto_backend
 from repro.crypto.fastpath import (
     FixedBaseTable,
-    batch_randomizer_seed,
-    expand_batch_randomizers,
+    derive_batch_randomizers,
     multi_exp,
 )
 from repro.crypto.field import PrimeField
@@ -376,76 +375,6 @@ def verify_dlog_equality_reference(group: Group, proof: ChaumPedersenProof,
     return lhs_h == rhs_h
 
 
-class BatchVerifySession:
-    """Cross-epoch memo for batched Chaum-Pedersen verification.
-
-    A streaming run combines the same share batches on every simulated node:
-    the per-share verifier already collapses that n-fold repetition through
-    ``_verify_dlog_equality_cached``, but each *batch* verification used to
-    re-derive its randomizers and re-run the multi-exponentiation per caller.
-    A session owned by the run (one per :class:`repro.testbed.streaming.
-    StreamingRun`, threaded through every :class:`repro.crypto.timing.
-    CryptoSuite`) memoises both:
-
-    * randomizer expansions keyed by the transcript seed digest, so the
-      Fiat-Shamir derivation is amortised across the pipeline's per-epoch
-      ``verify_shares``/``combine`` calls, and
-    * whole-batch verdicts keyed by ``(p, q, g, seed)``, so re-verifying an
-      identical batch (another node combining the same epoch's shares) costs
-      a dict lookup instead of a multi-exponentiation.
-
-    Both memos are FIFO-bounded.  Verdicts are pure functions of the
-    transcript, so a session changes wall-clock time only -- never results;
-    the modelled per-node CPU cost is charged by ``CryptoSuite`` upstream.
-    """
-
-    __slots__ = ("maxsize", "hits", "misses", "_verdicts", "_randomizers")
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 1:
-            raise ValueError(f"session maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._verdicts: dict[tuple, bool] = {}
-        self._randomizers: dict[tuple[bytes, int], list[int]] = {}
-
-    def randomizers(self, seed: bytes, count: int) -> list[int]:
-        """Memoised :func:`repro.crypto.fastpath.expand_batch_randomizers`."""
-        key = (seed, count)
-        cached = self._randomizers.get(key)
-        if cached is None:
-            cached = expand_batch_randomizers(seed, count)
-            self._evict(self._randomizers)
-            self._randomizers[key] = cached
-        return cached
-
-    def lookup(self, key: tuple) -> "bool | None":
-        """A previously recorded batch verdict, or ``None``."""
-        verdict = self._verdicts.get(key)
-        if verdict is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return verdict
-
-    def record(self, key: tuple, verdict: bool) -> None:
-        """Record a batch verdict for later identical batches."""
-        self._evict(self._verdicts)
-        self._verdicts[key] = verdict
-
-    def _evict(self, memo: dict) -> None:
-        # Drop the oldest half in one rebuild rather than popping the front
-        # entry per insert: ``next(iter(dict))`` scans the dict's dead-entry
-        # prefix, which grows with every pop (quadratic once the bound is
-        # hit -- measured as a 30% combine slowdown at steady state).
-        if len(memo) >= self.maxsize:
-            keep = self.maxsize // 2
-            survivors = list(memo.items())[-keep:] if keep else []
-            memo.clear()
-            memo.update(survivors)
-
-
 #: FIFO memos for batched native membership tests, one flat dict per group
 #: modulus so the hot lookups hash a bare element instead of a ``(p, a)``
 #: tuple.  Semantics mirror ``_is_member_cached`` (results are identical;
@@ -512,8 +441,7 @@ def _batch_members_ok(group: Group, elements: Sequence[int]) -> bool:
 
 def batch_verify_dlog_equality(group: Group, base_h: int,
                                statements: Sequence[tuple[ChaumPedersenProof, int, int]],
-                               context: bytes = b"",
-                               session: "BatchVerifySession | None" = None) -> bool:
+                               context: bytes = b"") -> bool:
     """Batch-verify Chaum-Pedersen proofs that share the secondary base.
 
     ``statements`` is a sequence of ``(proof, value_g, value_h)`` claiming
@@ -573,15 +501,7 @@ def batch_verify_dlog_equality(group: Group, base_h: int,
             group.element_to_bytes(proof.commitment_h),
             group.scalar_to_bytes(proof.response),
         ))
-    seed = batch_randomizer_seed(transcripts)
-    if session is not None:
-        session_key = (group.p, group.q, group.g, seed)
-        cached = session.lookup(session_key)
-        if cached is not None:
-            return cached
-        randomizers = session.randomizers(seed, 2 * len(statements))
-    else:
-        randomizers = expand_batch_randomizers(seed, 2 * len(statements))
+    randomizers = derive_batch_randomizers(transcripts, 2 * len(statements))
     p = group.p
     native = crypto_backend.has_native_bigint()
     if native:
@@ -617,7 +537,7 @@ def batch_verify_dlog_equality(group: Group, base_h: int,
         pairs.append((base_h, (q - response_sum_h) % q))
         pairs.append((group.g, (q - response_sum_g) % q))
         pairs.append((prefold, 1))
-        verdict = crypto_backend.multi_powm(pairs, p) == 1
+        return crypto_backend.multi_powm(pairs, p) == 1
     else:
         pairs = []
         verify_key_product = 1
@@ -641,16 +561,12 @@ def batch_verify_dlog_equality(group: Group, base_h: int,
         # for subgroup members (g's term stays on the cheap fixed-base
         # table as the expected value).
         pairs.append((base_h, (q - response_sum_h) % q))
-        verdict = multi_exp(pairs, p) * verify_key_product % p == \
+        return multi_exp(pairs, p) * verify_key_product % p == \
             group.power_of_g(response_sum_g)
-    if session is not None:
-        session.record(session_key, verdict)
-    return verdict
 
 
 def select_shares_batched(group: Group, base_h: int, shares, context: bytes,
-                          structural_ok, statement_of, verify_one,
-                          session: "BatchVerifySession | None" = None) -> dict:
+                          structural_ok, statement_of, verify_one) -> dict:
     """Deduplicate signer-keyed shares with batch verification.
 
     The shared happy/fallback skeleton of every threshold combiner
@@ -671,8 +587,7 @@ def select_shares_batched(group: Group, base_h: int, shares, context: bytes,
         if structural_ok(share):
             distinct.setdefault(share.signer, share)
     statements = [statement_of(share) for share in distinct.values()]
-    if batch_verify_dlog_equality(group, base_h, statements, context=context,
-                                  session=session):
+    if batch_verify_dlog_equality(group, base_h, statements, context=context):
         return distinct
     distinct = {}
     for share in shares:

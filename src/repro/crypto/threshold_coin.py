@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from repro.crypto import backend as crypto_backend
 from repro.crypto.field import lagrange_coefficients_at_zero
 from repro.crypto.group import (
-    BatchVerifySession,
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
@@ -92,8 +91,7 @@ class ThresholdCoinPublicKey:
                                     context=b"tcoin-share")
 
     def _combine_element(self, tag: bytes, shares: Sequence[CoinShare],
-                         verify: bool,
-                         session: Optional[BatchVerifySession] = None) -> int:
+                         verify: bool) -> int:
         """Deduplicate, verify and Lagrange-combine shares into ``H(tag)^s``.
 
         Verification batches every proof into one check (see
@@ -112,8 +110,7 @@ class ThresholdCoinPublicKey:
                     and s.tag == tag),
                 statement_of=lambda s: (
                     s.proof, self.share_verify_keys[s.signer - 1], s.value),
-                verify_one=lambda s: self.verify_share(tag, s),
-                session=session)
+                verify_one=lambda s: self.verify_share(tag, s))
         else:
             distinct = {}
             for share in shares:
@@ -129,23 +126,21 @@ class ThresholdCoinPublicKey:
              for coefficient, share in zip(coefficients, selected)], self.group.p)
 
     def combine(self, tag: bytes, shares: Sequence[CoinShare],
-                verify: bool = True,
-                session: Optional[BatchVerifySession] = None) -> int:
+                verify: bool = True) -> int:
         """Combine shares into the coin value for ``tag`` (0 or 1)."""
-        combined = self._combine_element(tag, shares, verify, session=session)
+        combined = self._combine_element(tag, shares, verify)
         digest = hashlib.sha256(
             b"coin-out" + self.group.element_to_bytes(combined)).digest()
         return digest[0] & 1
 
     def combine_value(self, tag: bytes, shares: Sequence[CoinShare],
-                      modulus: int, verify: bool = True,
-                      session: Optional[BatchVerifySession] = None) -> int:
+                      modulus: int, verify: bool = True) -> int:
         """Combine shares into an integer in ``[0, modulus)``.
 
         Dumbo uses the coin output as a pseudorandom permutation seed (the
         global string pi); this helper exposes a wider output range.
         """
-        combined = self._combine_element(tag, shares, verify, session=session)
+        combined = self._combine_element(tag, shares, verify)
         digest = hashlib.sha256(
             b"coin-wide" + self.group.element_to_bytes(combined)).digest()
         return int.from_bytes(digest, "big") % modulus
@@ -208,18 +203,15 @@ class ThresholdCoinScheme:
         return self.public_key.verify_share(tag, share)
 
     def combine(self, tag: bytes, shares: Iterable[CoinShare],
-                verify: bool = True,
-                session: Optional[BatchVerifySession] = None) -> int:
+                verify: bool = True) -> int:
         """Reveal the coin bit for ``tag``."""
-        return self.public_key.combine(tag, list(shares), verify=verify,
-                                       session=session)
+        return self.public_key.combine(tag, list(shares), verify=verify)
 
     def combine_value(self, tag: bytes, shares: Iterable[CoinShare],
-                      modulus: int, verify: bool = True,
-                      session: Optional[BatchVerifySession] = None) -> int:
+                      modulus: int, verify: bool = True) -> int:
         """Reveal a wide pseudorandom value for ``tag``."""
         return self.public_key.combine_value(tag, list(shares), modulus,
-                                             verify=verify, session=session)
+                                             verify=verify)
 
 
 def deal_threshold_coin(num_parties: int, threshold: int, rng,

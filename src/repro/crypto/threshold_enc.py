@@ -24,7 +24,6 @@ from typing import Iterable, Optional, Sequence
 from repro.crypto import backend as crypto_backend
 from repro.crypto.field import lagrange_coefficients_at_zero
 from repro.crypto.group import (
-    BatchVerifySession,
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
@@ -146,8 +145,7 @@ class ThresholdEncPublicKey:
                                     context=b"tenc-share")
 
     def combine(self, ciphertext: Ciphertext,
-                shares: Sequence[DecryptionShare], verify: bool = True,
-                session: Optional[BatchVerifySession] = None) -> bytes:
+                shares: Sequence[DecryptionShare], verify: bool = True) -> bytes:
         """Combine ``threshold`` valid decryption shares and recover the plaintext."""
         if verify:
             distinct = select_shares_batched(
@@ -158,8 +156,7 @@ class ThresholdEncPublicKey:
                     and 1 <= s.signer <= self.num_parties),
                 statement_of=lambda s: (
                     s.proof, self.share_verify_keys[s.signer - 1], s.value),
-                verify_one=lambda s: self.verify_share(ciphertext, s),
-                session=session)
+                verify_one=lambda s: self.verify_share(ciphertext, s))
         else:
             distinct = {}
             for share in shares:
@@ -232,11 +229,9 @@ class ThresholdEncScheme:
 
     def combine(self, ciphertext: Ciphertext,
                 shares: Iterable[DecryptionShare],
-                verify: bool = True,
-                session: Optional[BatchVerifySession] = None) -> bytes:
+                verify: bool = True) -> bytes:
         """Recover the plaintext from enough valid shares."""
-        return self.public_key.combine(ciphertext, list(shares), verify=verify,
-                                       session=session)
+        return self.public_key.combine(ciphertext, list(shares), verify=verify)
 
 
 def deal_threshold_enc(num_parties: int, threshold: int, rng,

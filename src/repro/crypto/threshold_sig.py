@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 from repro.crypto import backend as crypto_backend
 from repro.crypto.field import lagrange_coefficients_at_zero
 from repro.crypto.group import (
-    BatchVerifySession,
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
@@ -103,8 +102,7 @@ class ThresholdSigPublicKey:
                                     context=b"tsig-share")
 
     def verify_shares(self, message: bytes,
-                      shares: Sequence[ThresholdSigShare],
-                      session: Optional[BatchVerifySession] = None,
+                      shares: Sequence[ThresholdSigShare]
                       ) -> tuple[list[ThresholdSigShare], list[ThresholdSigShare]]:
         """Batch-verify many shares at once; returns ``(valid, invalid)``.
 
@@ -129,7 +127,7 @@ class ThresholdSigPublicKey:
         statements = [(share.proof, self.share_verify_keys[share.signer - 1],
                        share.value) for share in candidates]
         if batch_verify_dlog_equality(self.group, point, statements,
-                                      context=b"tsig-share", session=session):
+                                      context=b"tsig-share"):
             return candidates, structural_bad
         valid: list[ThresholdSigShare] = []
         invalid = structural_bad
@@ -142,8 +140,7 @@ class ThresholdSigPublicKey:
 
     def combine(self, message: bytes,
                 shares: Sequence[ThresholdSigShare],
-                verify: bool = True,
-                session: Optional[BatchVerifySession] = None) -> ThresholdSignature:
+                verify: bool = True) -> ThresholdSignature:
         """Combine ``threshold`` valid shares into the threshold signature.
 
         Verification uses the batch fast path; if it fails the seed's
@@ -162,8 +159,7 @@ class ThresholdSigPublicKey:
                     and s.message_point == point),
                 statement_of=lambda s: (
                     s.proof, self.share_verify_keys[s.signer - 1], s.value),
-                verify_one=lambda s: self.verify_share(message, s),
-                session=session)
+                verify_one=lambda s: self.verify_share(message, s))
         else:
             distinct = {}
             for share in shares:
@@ -271,11 +267,9 @@ class ThresholdSigScheme:
 
     def combine(self, message: bytes,
                 shares: Iterable[ThresholdSigShare],
-                verify: bool = True,
-                session: Optional[BatchVerifySession] = None) -> ThresholdSignature:
+                verify: bool = True) -> ThresholdSignature:
         """Combine shares into a threshold signature."""
-        return self.public_key.combine(message, list(shares), verify=verify,
-                                       session=session)
+        return self.public_key.combine(message, list(shares), verify=verify)
 
     def verify_signature(self, message: bytes,
                          signature: ThresholdSignature) -> bool:

@@ -28,7 +28,6 @@ from repro.crypto.curves import (
     get_threshold_curve,
 )
 from repro.crypto.digital_sig import Signature, SigningKey, VerifyKey
-from repro.crypto.group import BatchVerifySession
 from repro.crypto.threshold_coin import CoinShare, ThresholdCoinScheme
 from repro.crypto.threshold_enc import Ciphertext, DecryptionShare, ThresholdEncScheme
 from repro.crypto.threshold_sig import (
@@ -98,13 +97,6 @@ class CryptoSuite:
         the paper's STM32F767 boards; large-n scale scenarios run on
         gateway-class hardware and scale the same relative costs down
         (``repro.testbed.scenarios.GATEWAY_CRYPTO_SCALE``).
-    batch_session:
-        Optional :class:`repro.crypto.group.BatchVerifySession` shared by
-        every suite of a deployment (the streaming runner installs one per
-        run).  Threaded into every combine's batch verification so that
-        randomizer derivation and whole-batch verdicts are amortised across
-        epochs and simulated nodes.  Pure memoisation: the modelled CPU
-        cost is charged exactly as before -- only wall clock changes.
     """
 
     def __init__(self, node_id: int, signing_key: SigningKey,
@@ -116,8 +108,7 @@ class CryptoSuite:
                  ec_curve: str = DEFAULT_EC_CURVE,
                  threshold_curve: str = DEFAULT_THRESHOLD_CURVE,
                  rng=None, cost_sink: Optional[CostSink] = None,
-                 cost_scale: float = 1.0,
-                 batch_session: Optional[BatchVerifySession] = None) -> None:
+                 cost_scale: float = 1.0) -> None:
         self.node_id = node_id
         self.signing_key = signing_key
         self.verify_keys = list(verify_keys)
@@ -132,7 +123,6 @@ class CryptoSuite:
         if cost_scale <= 0:
             raise ValueError(f"cost_scale must be positive, got {cost_scale}")
         self.cost_scale = cost_scale
-        self.batch_session = batch_session
         self.ledger = CostLedger()
 
     # ------------------------------------------------------------- accounting
@@ -196,8 +186,7 @@ class CryptoSuite:
         """
         self._require(self.threshold_sig, "threshold signature scheme")
         self._charge("tsig_combine", self.threshold_profile.combine_share_ms)
-        return self.threshold_sig.combine(message, shares, verify=verify,
-                                          session=self.batch_session)
+        return self.threshold_sig.combine(message, shares, verify=verify)
 
     def tsig_verify(self, message: bytes, signature: ThresholdSignature) -> bool:
         """Verify a combined threshold signature."""
@@ -242,8 +231,7 @@ class CryptoSuite:
             self._charge("coinflip_combine", self.threshold_profile.coin_combine_ms)
         else:
             self._charge("tsig_combine", self.threshold_profile.combine_share_ms)
-        return scheme.combine(tag, shares, verify=verify,
-                              session=self.batch_session)
+        return scheme.combine(tag, shares, verify=verify)
 
     def coin_combine_value(self, tag: bytes, shares: Iterable[CoinShare],
                            modulus: int, flavor: str = "tsig",
@@ -254,8 +242,7 @@ class CryptoSuite:
             self._charge("coinflip_combine", self.threshold_profile.coin_combine_ms)
         else:
             self._charge("tsig_combine", self.threshold_profile.combine_share_ms)
-        return scheme.combine_value(tag, shares, modulus, verify=verify,
-                                    session=self.batch_session)
+        return scheme.combine_value(tag, shares, modulus, verify=verify)
 
     # -------------------------------------------------- threshold encryption
     def encrypt(self, plaintext: bytes, label: bytes) -> Ciphertext:
@@ -283,8 +270,7 @@ class CryptoSuite:
         """Combine decryption shares and recover the plaintext."""
         self._require(self.threshold_enc, "threshold encryption scheme")
         self._charge("tenc_combine", self.threshold_profile.combine_share_ms)
-        return self.threshold_enc.combine(ciphertext, shares, verify=verify,
-                                          session=self.batch_session)
+        return self.threshold_enc.combine(ciphertext, shares, verify=verify)
 
     # ------------------------------------------------------------------ misc
     @staticmethod

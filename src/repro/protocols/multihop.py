@@ -11,18 +11,17 @@ every cluster member knows the locally decided block.
 
 The networking (per-cluster channels + a routed backbone channel for the
 leaders) is assembled by the testbed harness; this module holds the
-protocol-level pieces: leader selection, encoding of a cluster's contribution
-to the global consensus and the combined result record.
+protocol-level pieces: leader selection and the encoding of a cluster's
+contribution to the global consensus.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.net.topology import Cluster
-from repro.protocols.base import block_digest, decode_batch, encode_batch
+from repro.protocols.base import decode_batch, encode_batch
 
 
 def select_leader(cluster: Cluster, epoch: int, excluded: frozenset[int] = frozenset()) -> int:
@@ -119,41 +118,14 @@ def decode_cluster_contribution(payload: bytes) -> tuple[int, list[bytes]]:
     return cluster_index, decode_batch(payload[4:])
 
 
-@dataclass
-class ClusterOutcome:
-    """Result of one cluster's local consensus."""
+def contribution_transactions(item: bytes) -> list[bytes]:
+    """The transactions one globally decided item commits.
 
-    cluster_index: int
-    leader: int
-    block: list[bytes] = field(default_factory=list)
-    decide_time: Optional[float] = None
-
-    @property
-    def decided(self) -> bool:
-        """True once the cluster's local consensus has decided."""
-        return self.decide_time is not None
-
-    @property
-    def digest(self) -> str:
-        """Canonical digest of the cluster's block."""
-        return block_digest(self.block)
-
-
-@dataclass
-class MultiHopResult:
-    """Combined result of a multi-hop consensus run."""
-
-    local: dict[int, ClusterOutcome] = field(default_factory=dict)
-    global_block: list[bytes] = field(default_factory=list)
-    global_decide_time: Optional[float] = None
-    ordered_clusters: list[int] = field(default_factory=list)
-
-    @property
-    def decided(self) -> bool:
-        """True once the global consensus has decided."""
-        return self.global_decide_time is not None
-
-    @property
-    def total_transactions(self) -> int:
-        """Transactions committed by the global consensus."""
-        return len(self.global_block)
+    An item that is not a well-formed cluster contribution (a Byzantine
+    leader's garbage proposal) commits nothing.
+    """
+    try:
+        _cluster, transactions = decode_cluster_contribution(item)
+        return transactions
+    except ValueError:
+        return []

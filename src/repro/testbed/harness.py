@@ -21,13 +21,16 @@ goes through these entry points:
 The single-epoch machinery (:func:`install_epoch_protocols`,
 :func:`propose_epoch`) is shared between the one-epoch entry points and the
 streaming runner, which replays it once per epoch on one long-lived
-deployment.
+deployment.  Likewise there is one deployment assembler (:func:`_assemble`
+over :func:`_build_stack`; the sharded builder and the membership rebind
+call the same two) and one two-phase epoch driver (:class:`MultiHopEpoch`)
+behind the classic, sharded and streaming multi-hop runs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
 from repro.components.aba_bracha import BrachaAba
@@ -46,7 +49,6 @@ from repro.core.batcher import (
     ConsensusBatcherTransport,
     TransportConfig,
 )
-from repro.crypto.group import BatchVerifySession
 from repro.crypto.timing import CryptoSuite
 from repro.net.adversary import AsyncAdversary, DelayModel, LinkFaultSpec
 from repro.net.channel import WirelessChannel
@@ -60,7 +62,7 @@ from repro.protocols.base import ConsensusConfig, ConsensusProtocol, ProtocolNam
 from repro.protocols.beat import Beat
 from repro.protocols.dumbo import Dumbo
 from repro.protocols.honeybadger import HoneyBadger
-from repro.protocols.multihop import ClusterOutcome, LeaderSchedule, MultiHopResult
+from repro.protocols.multihop import LeaderSchedule, encode_cluster_contribution
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
     SCHEME_COIN_FLIP,
@@ -128,6 +130,28 @@ def crypto_schemes_for_protocol(protocol: str,
     return tuple(scheme for scheme in ALL_SCHEMES if scheme in needed)
 
 
+def global_epoch_config(config: Optional[ConsensusConfig]) -> ConsensusConfig:
+    """The config of the leaders' global instance for a local epoch config.
+
+    The global instance orders already-decided (public) cluster blocks, so it
+    runs without threshold encryption under the tag ``("global", epoch)``.
+    """
+    base = config or ConsensusConfig()
+    return ConsensusConfig(epoch=("global", base.epoch),
+                           use_threshold_encryption=False,
+                           max_aba_rounds=base.max_aba_rounds)
+
+
+def multihop_crypto_schemes(protocol: str, config: Optional[ConsensusConfig]
+                            ) -> dict[str, tuple[str, ...]]:
+    """The two ``*crypto_schemes`` builder arguments of a ``protocol`` run:
+    what the cluster domains and the leaders' global domain must deal."""
+    return {
+        "crypto_schemes": crypto_schemes_for_protocol(protocol, config),
+        "global_crypto_schemes": crypto_schemes_for_protocol(
+            protocol, global_epoch_config(config))}
+
+
 # ---------------------------------------------------------------------------
 # deployments
 # ---------------------------------------------------------------------------
@@ -178,29 +202,71 @@ class Deployment:
             runtime.transport.shutdown()
 
 
-def _make_transport(batched: bool, node: NetworkNode, num_nodes: int,
-                    suite: CryptoSuite, trace: NetworkTrace,
-                    config: TransportConfig, local_id: int) -> BaseTransport:
-    transport_class = ConsensusBatcherTransport if batched else BaselineTransport
-    return transport_class(node, num_nodes, suite, trace, config,
-                           local_id=local_id)
+def _build_stack(deployment: Deployment, node: NetworkNode, local_id: int,
+                 num_nodes: int, domain: CryptoDomain,
+                 transport_config: TransportConfig,
+                 channel_names: Sequence[Optional[str]],
+                 suite_rng: random.Random,
+                 component_rng: random.Random) -> DomainRuntime:
+    """One node's protocol stack in one crypto domain.
+
+    The single recipe behind every runtime of every deployment -- cluster
+    and leader domains, classic and sharded, first build and membership
+    reconfiguration: crypto suite -> transport -> router, bound to
+    ``channel_names`` (``None`` = the node's default stack).  Digital
+    signatures are per-domain (``local_id``), which is consistent because
+    frames only travel inside the domain's channel.
+    """
+    scenario = deployment.scenario
+    suite = CryptoSuite(
+        node_id=local_id,
+        signing_key=domain.signing_keys[local_id],
+        verify_keys=domain.verify_keys,
+        threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
+        threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
+        coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
+        threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
+        ec_curve=scenario.ec_curve,
+        threshold_curve=scenario.threshold_curve,
+        rng=suite_rng,
+        cost_sink=node.charge_cpu,
+        cost_scale=scenario.crypto_cost_scale,
+    )
+    transport_class = ConsensusBatcherTransport if deployment.batched \
+        else BaselineTransport
+    transport = transport_class(node, num_nodes, suite, deployment.trace,
+                                transport_config, local_id=local_id)
+    router = ComponentRouter()
+    transport.register_receiver(router.dispatch)
+    for channel_name in channel_names:
+        node.bind_stack(transport, channel=channel_name)
+    ctx = ComponentContext(
+        node_id=local_id, num_nodes=num_nodes, faults=domain.faults,
+        transport=transport, suite=suite, sim=deployment.sim,
+        rng=component_rng)
+    return DomainRuntime(local_id=local_id, ctx=ctx, transport=transport,
+                         router=router)
 
 
 def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
-    """Apply strategies that act at the network level (crash, delays, loss)."""
+    """Apply strategies that act at the network level (crash, delays, loss).
+
+    Crashes act on the node object and apply only where the node is hosted
+    (a shard hosts a subset of the topology); slow and lossy links act at
+    delivery time in the *receiver's* adversary, so they are registered
+    against every node of the topology wherever the Byzantine sender lives.
+    """
     scenario = deployment.scenario
     spec = scenario.byzantine
     for node_id, strategy in spec.assignments.items():
         node = deployment.nodes.get(node_id)
-        if node is None:
-            continue
-        if strategy == "crash":
+        if strategy == "crash" and node is not None:
             node.crash()
-        elif strategy == "late-crash":
+        elif strategy == "late-crash" and node is not None:
             deployment.sim.schedule(spec.late_crash_at_s, node.crash,
                                     label=f"late-crash:{node_id}")
         elif strategy == "slow-links":
-            for other_id in deployment.nodes:
+            for other_id in scenario.topology.all_node_ids():
                 if other_id != node_id:
                     deployment.adversary.target_link(node_id, other_id,
                                                      spec.slow_link_delay_s)
@@ -212,12 +278,114 @@ def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
                 senders=frozenset({node_id})))
 
 
+def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
+              crypto_schemes: Sequence[str],
+              global_crypto_schemes: Sequence[str],
+              dealer_cache: Optional[DealerCache],
+              hosted: Optional[Sequence[int]] = None,
+              backbone_class: Callable[..., WirelessChannel] = WirelessChannel,
+              backbone_mac_class: type[CsmaMac] = CsmaMac) -> Deployment:
+    """The one deployment assembler.
+
+    :func:`build_deployment` and
+    :func:`repro.testbed.sharding.build_shard_deployment` are thin wrappers
+    that differ only in the arguments they pass here: the simulator (its
+    seed), the cluster indices this process ``hosted`` (``None`` = all) and
+    the backbone channel / MAC classes.  Everything else -- ``stable_seed``
+    labels, dealing, the stack recipe -- is shared, which is what makes a
+    node's MAC/crypto/component streams independent of the shard layout.
+
+    Leaders are resolved and the global domain is dealt for *all* clusters
+    (pure functions of the scenario), but only hosted leaders get a backbone
+    MAC and stack.  Construction order is part of the determinism contract:
+    transports draw their resend jitter from the simulator RNG when built, so
+    every hosted cluster's local stacks are built first, then the global
+    stacks in cluster order.
+    """
+    topology = scenario.topology
+    clusters = topology.clusters if hosted is None \
+        else [topology.clusters[index] for index in hosted]
+    trace = NetworkTrace()
+    adversary = AsyncAdversary(
+        byzantine=set(scenario.byzantine.byzantine_ids),
+        delay_model=DelayModel(base_jitter_s=scenario.link_jitter_s),
+        link_faults=list(scenario.link_faults),
+        partitions=list(scenario.partitions))
+    channels: dict[str, WirelessChannel] = {
+        cluster.channel_name: WirelessChannel(
+            sim, scenario.radio, trace, name=cluster.channel_name,
+            adversary=adversary)
+        for cluster in clusters}
+    backbone_name = topology.global_channel_name
+    multi_hop = scenario.is_multi_hop and backbone_name is not None
+    if multi_hop:
+        channels[backbone_name] = backbone_class(
+            sim, scenario.radio, trace, name=backbone_name, adversary=adversary,
+            per_hop_forward_s=scenario.per_hop_forward_s)
+    deployment = Deployment(scenario=scenario, sim=sim, trace=trace,
+                            adversary=adversary, channels=channels, nodes={},
+                            runtimes={}, batched=batched)
+
+    # --- per-cluster (local) domains -------------------------------------
+    for cluster in clusters:
+        domain = deal_crypto_domain(
+            cluster.size, stable_seed(seed, "cluster", cluster.index),
+            schemes=crypto_schemes, cache=dealer_cache)
+        channel = channels[cluster.channel_name]
+        for local_id, global_id in enumerate(cluster.node_ids):
+            node = NetworkNode(sim, global_id, trace, cpu=scenario.cpu,
+                               dma_config=scenario.dma)
+            node.add_interface("radio0", CsmaMac(
+                sim, global_id, channel, scenario.csma, trace,
+                random.Random(stable_seed(seed, "mac", global_id))))
+            deployment.nodes[global_id] = node
+            deployment.runtimes[global_id] = _build_stack(
+                deployment, node, local_id, cluster.size, domain,
+                scenario.transport, (cluster.channel_name, None),
+                random.Random(stable_seed(seed, "crypto", global_id)),
+                random.Random(stable_seed(seed, "component", global_id)))
+
+    # --- global (leader) domain for multi-hop -----------------------------
+    if multi_hop:
+        crashed = lambda node_id: \
+            scenario.byzantine.assignments.get(node_id) == "crash"
+        for cluster in topology.clusters:
+            schedule = LeaderSchedule(cluster)
+            deployment.leader_schedules[cluster.index] = schedule
+            deployment.epoch_leaders[cluster.index] = schedule.active_leader(
+                epoch=0, crashed=crashed,
+                rotate=scenario.rotate_crashed_leaders)
+        leaders = list(deployment.epoch_leaders.values())  # cluster order
+        global_domain = deal_crypto_domain(
+            len(leaders), stable_seed(seed, "global"),
+            schemes=global_crypto_schemes, cache=dealer_cache)
+        backbone = channels[backbone_name]
+        backbone.hop_counts.update(
+            InterClusterRouting(topology).hop_table_for(leaders))
+        backbone_config = scenario.transport if scenario.transport.interface \
+            else replace(scenario.transport, interface="backbone")
+        for local_id, leader_id in enumerate(leaders):
+            node = deployment.nodes.get(leader_id)
+            if node is None:  # this leader's cluster is hosted elsewhere
+                continue
+            node.add_interface("backbone", backbone_mac_class(
+                sim, leader_id, backbone, scenario.csma, trace,
+                random.Random(stable_seed(seed, "gmac", leader_id))))
+            deployment.global_runtimes[leader_id] = _build_stack(
+                deployment, node, local_id, len(leaders), global_domain,
+                backbone_config, (backbone_name,),
+                random.Random(stable_seed(seed, "gcrypto", leader_id)),
+                random.Random(stable_seed(seed, "gcomponent", leader_id)))
+
+    _apply_byzantine_network_behaviour(deployment)
+    return deployment
+
+
 def build_deployment(scenario: Scenario, batched: bool = True,
                      seed: int = 0,
                      crypto_schemes: Sequence[str] = ALL_SCHEMES,
                      global_crypto_schemes: Optional[Sequence[str]] = None,
-                     dealer_cache: Optional[DealerCache] = None,
-                     batch_session: Optional[BatchVerifySession] = None) -> Deployment:
+                     dealer_cache: Optional[DealerCache] = None) -> Deployment:
     """Assemble nodes, channels, crypto and transports for a scenario.
 
     ``crypto_schemes`` limits which threshold schemes the per-cluster domains
@@ -226,149 +394,12 @@ def build_deployment(scenario: Scenario, batched: bool = True,
     ``crypto_schemes``).  Dealing goes through the two-tier
     :class:`~repro.testbed.dealer_cache.DealerCache`, so repeated deployments
     at the same ``(num_nodes, seed)`` share bit-identical key material
-    without re-dealing.  ``batch_session`` (one per long-lived run, e.g. a
-    streaming stream) is shared by every node's :class:`CryptoSuite` so
-    batch-verification work repeated across simulated nodes and epochs is
-    memoised -- wall clock only, never modelled cost or results.
+    without re-dealing.
     """
     if global_crypto_schemes is None:
         global_crypto_schemes = crypto_schemes
-    sim = Simulator(seed=seed)
-    trace = NetworkTrace()
-    adversary = AsyncAdversary(
-        byzantine=set(scenario.byzantine.byzantine_ids),
-        delay_model=DelayModel(base_jitter_s=scenario.link_jitter_s),
-        link_faults=list(scenario.link_faults),
-        partitions=list(scenario.partitions))
-
-    channels: dict[str, WirelessChannel] = {}
-    for cluster in scenario.topology.clusters:
-        channels[cluster.channel_name] = WirelessChannel(
-            sim, scenario.radio, trace, name=cluster.channel_name,
-            adversary=adversary)
-    backbone_name = scenario.topology.global_channel_name
-    routing: Optional[InterClusterRouting] = None
-    if scenario.is_multi_hop and backbone_name is not None:
-        routing = InterClusterRouting(scenario.topology)
-        channels[backbone_name] = WirelessChannel(
-            sim, scenario.radio, trace, name=backbone_name, adversary=adversary,
-            per_hop_forward_s=scenario.per_hop_forward_s)
-
-    nodes: dict[int, NetworkNode] = {}
-    runtimes: dict[int, DomainRuntime] = {}
-    global_runtimes: dict[int, DomainRuntime] = {}
-
-    # --- per-cluster (local) domains -------------------------------------
-    for cluster in scenario.topology.clusters:
-        domain = deal_crypto_domain(
-            cluster.size, stable_seed(seed, "cluster", cluster.index),
-            schemes=crypto_schemes, cache=dealer_cache)
-        channel = channels[cluster.channel_name]
-        for local_id, global_id in enumerate(cluster.node_ids):
-            node = NetworkNode(sim, global_id, trace, cpu=scenario.cpu,
-                               dma_config=scenario.dma)
-            mac = CsmaMac(sim, global_id, channel, scenario.csma, trace,
-                          random.Random(stable_seed(seed, "mac", global_id)))
-            node.add_interface("radio0", mac)
-            nodes[global_id] = node
-            node_rng = random.Random(stable_seed(seed, "crypto", global_id))
-            # Digital signatures are per-domain here (local ids), which is
-            # consistent because frames only travel inside the cluster channel.
-            suite = CryptoSuite(
-                node_id=local_id,
-                signing_key=domain.signing_keys[local_id],
-                verify_keys=domain.verify_keys,
-                threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-                threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-                coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-                threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
-                ec_curve=scenario.ec_curve,
-                threshold_curve=scenario.threshold_curve,
-                rng=node_rng,
-                cost_sink=node.charge_cpu,
-                cost_scale=scenario.crypto_cost_scale,
-                batch_session=batch_session,
-            )
-            transport = _make_transport(batched, node, cluster.size, suite, trace,
-                                        scenario.transport, local_id)
-            router = ComponentRouter()
-            transport.register_receiver(router.dispatch)
-            node.bind_stack(transport, channel=cluster.channel_name)
-            node.bind_stack(transport)  # default stack as well
-            ctx = ComponentContext(
-                node_id=local_id, num_nodes=cluster.size, faults=domain.faults,
-                transport=transport, suite=suite, sim=sim,
-                rng=random.Random(stable_seed(seed, "component", global_id)))
-            runtimes[global_id] = DomainRuntime(local_id=local_id, ctx=ctx,
-                                                transport=transport, router=router)
-
-    deployment = Deployment(scenario=scenario, sim=sim, trace=trace,
-                            adversary=adversary, channels=channels, nodes=nodes,
-                            runtimes=runtimes, global_runtimes=global_runtimes,
-                            batched=batched)
-
-    # --- global (leader) domain for multi-hop -----------------------------
-    if scenario.is_multi_hop and backbone_name is not None:
-        crashed = lambda node_id: \
-            scenario.byzantine.assignments.get(node_id) == "crash"
-        for cluster in scenario.topology.clusters:
-            schedule = LeaderSchedule(cluster)
-            deployment.leader_schedules[cluster.index] = schedule
-            deployment.epoch_leaders[cluster.index] = schedule.active_leader(
-                epoch=0, crashed=crashed,
-                rotate=scenario.rotate_crashed_leaders)
-        leaders = [deployment.epoch_leaders[cluster.index]
-                   for cluster in scenario.topology.clusters]
-        global_domain = deal_crypto_domain(
-            len(leaders), stable_seed(seed, "global"),
-            schemes=global_crypto_schemes, cache=dealer_cache)
-        backbone = channels[backbone_name]
-        backbone.hop_counts.update(routing.hop_table_for(leaders))
-        for local_id, leader_id in enumerate(leaders):
-            node = nodes[leader_id]
-            mac = CsmaMac(sim, leader_id, backbone, scenario.csma, trace,
-                          random.Random(stable_seed(seed, "gmac", leader_id)))
-            node.add_interface("backbone", mac)
-            node_rng = random.Random(stable_seed(seed, "gcrypto", leader_id))
-            suite = CryptoSuite(
-                node_id=local_id,
-                signing_key=global_domain.signing_keys[local_id],
-                verify_keys=global_domain.verify_keys,
-                threshold_sig=global_domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-                threshold_coin=global_domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-                coin_flip=global_domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-                threshold_enc=global_domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
-                ec_curve=scenario.ec_curve,
-                threshold_curve=scenario.threshold_curve,
-                rng=node_rng,
-                cost_sink=node.charge_cpu,
-                cost_scale=scenario.crypto_cost_scale,
-                batch_session=batch_session,
-            )
-            transport_config = scenario.transport if scenario.transport.interface \
-                else TransportConfig(
-                    aggregation_window_s=scenario.transport.aggregation_window_s,
-                    resend_interval_s=scenario.transport.resend_interval_s,
-                    resend_jitter=scenario.transport.resend_jitter,
-                    stall_threshold_s=scenario.transport.stall_threshold_s,
-                    reliability=scenario.transport.reliability,
-                    sign_packets=scenario.transport.sign_packets,
-                    interface="backbone")
-            transport = _make_transport(batched, node, len(leaders), suite, trace,
-                                        transport_config, local_id)
-            router = ComponentRouter()
-            transport.register_receiver(router.dispatch)
-            node.bind_stack(transport, channel=backbone_name)
-            ctx = ComponentContext(
-                node_id=local_id, num_nodes=len(leaders),
-                faults=global_domain.faults, transport=transport, suite=suite,
-                sim=sim,
-                rng=random.Random(stable_seed(seed, "gcomponent", leader_id)))
-            global_runtimes[leader_id] = DomainRuntime(
-                local_id=local_id, ctx=ctx, transport=transport, router=router)
-
-    _apply_byzantine_network_behaviour(deployment)
-    return deployment
+    return _assemble(scenario, Simulator(seed=seed), batched, seed,
+                     crypto_schemes, global_crypto_schemes, dealer_cache)
 
 
 def _epoch_leader(scenario: Scenario, cluster: Cluster) -> int:
@@ -626,6 +657,102 @@ def _consensus_result(protocol: str, deployment: Deployment,
 # multi-hop consensus
 # ---------------------------------------------------------------------------
 
+class MultiHopEpoch:
+    """One two-phase epoch on the clusters a deployment hosts.
+
+    The single owner of the multi-hop coupling -- install the cluster-local
+    and the leaders' global protocol instances, propose, and carry every
+    cluster's locally decided block into the global instance.  The classic
+    run drives one of these on the whole topology, every shard runner one on
+    its slice, the streaming runner one per epoch.
+    """
+
+    def __init__(self, deployment: Deployment, protocol: str,
+                 config: Optional[ConsensusConfig] = None) -> None:
+        self.deployment = deployment
+        self.local_protocols = install_epoch_protocols(
+            deployment, protocol, deployment.runtimes, config)
+        self.global_protocols = install_epoch_protocols(
+            deployment, protocol, deployment.global_runtimes,
+            global_epoch_config(config))
+        byzantine = deployment.scenario.byzantine.byzantine_ids
+        #: hosted leaders whose global decision the epoch waits for
+        self.honest_leaders = [leader for leader in deployment.global_runtimes
+                               if leader not in byzantine]
+        #: per fed cluster, the virtual time its leader decided locally
+        self.local_latencies: dict[int, float] = {}
+        # Hosted clusters not yet fed, as (cluster, leader, local instance);
+        # leaders stay pinned to the deployment's schedules.
+        self._pending = [
+            (cluster_index, leader_id, self.local_protocols[leader_id])
+            for cluster_index, leader_id in deployment.epoch_leaders.items()
+            if leader_id in self.local_protocols]
+
+    def _cluster_index(self, node_id: int) -> int:
+        return self.deployment.scenario.topology.cluster_of(node_id).index
+
+    def propose(self, workload: TransactionWorkload,
+                observer: Optional[RunObserver] = None,
+                domain_prefix: tuple = (), **batch_source: Any) -> None:
+        """Submit every hosted node's local proposal (see
+        :func:`propose_epoch`, which takes ``batch_source``); the observer
+        sees the domain ``domain_prefix + ("cluster", index)``."""
+        propose_epoch(
+            self.deployment, self.deployment.runtimes, workload,
+            observer=observer,
+            domain_of=lambda node_id: domain_prefix + (
+                "cluster", self._cluster_index(node_id)),
+            **batch_source)
+
+    def feed(self) -> None:
+        """Propose newly decided cluster blocks into the global instance.
+
+        Called from the run loop after every event.  Idempotent: a cluster is
+        fed exactly once, by the first call after its leader decided locally.
+        """
+        for entry in [entry for entry in self._pending if entry[2].decided]:
+            self._pending.remove(entry)
+            cluster_index, leader_id, local = entry
+            self.local_latencies[cluster_index] = local.decide_time
+            contribution = encode_cluster_contribution(
+                cluster_index, list(local.block or []))
+            global_instance = self.global_protocols[leader_id]
+            self.deployment.nodes[leader_id].run_task(
+                lambda p=global_instance, c=contribution: p.propose([c]))
+
+    def done(self) -> bool:
+        """Whether every hosted honest leader has decided globally."""
+        return all(self.global_protocols[leader].decided
+                   for leader in self.honest_leaders)
+
+    def report(self) -> dict[str, Any]:
+        """The picklable witness of this epoch on this deployment (what a
+        shard worker sends home; ``merge_multihop_reports`` folds them)."""
+        byzantine = self.deployment.scenario.byzantine.byzantine_ids
+        local_witnesses = []
+        for node_id, instance in self.local_protocols.items():
+            if node_id in byzantine:
+                continue
+            witness = instance.witness()
+            if witness.block is None:
+                continue
+            local_witnesses.append((node_id, self._cluster_index(node_id),
+                                    list(witness.block), witness.decide_time,
+                                    witness.digest))
+        global_witnesses = []
+        for leader in self.honest_leaders:
+            witness = self.global_protocols[leader].witness()
+            global_witnesses.append((leader, list(witness.block or []),
+                                     witness.decide_time, witness.digest))
+        return {
+            "events": self.deployment.sim.events_processed,
+            "trace": self.deployment.trace,
+            "local_latencies": self.local_latencies,
+            "local_witnesses": local_witnesses,
+            "global_witnesses": global_witnesses,
+        }
+
+
 def run_multihop_consensus(protocol: str, scenario: Scenario,
                            batch_size: int = 8, transaction_bytes: int = 64,
                            batched: bool = True, seed: int = 0,
@@ -660,144 +787,33 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
     if not scenario.is_multi_hop:
         raise DeploymentError("run_multihop_consensus expects a multi-hop scenario")
     _reject_streaming_only_strategies(scenario)
+    from repro.testbed.sharding import (
+        merge_multihop_reports,
+        run_sharded_multihop_consensus,
+    )
     if shards is not None:
-        from repro.testbed.sharding import run_sharded_multihop_consensus
         return run_sharded_multihop_consensus(
             protocol, scenario, shards=shards, shard_workers=shard_workers,
             batch_size=batch_size, transaction_bytes=transaction_bytes,
             batched=batched, seed=seed, config=config,
             workload_spec=workload_spec, observer=observer)
-    global_config = ConsensusConfig(
-        epoch=("global", (config or ConsensusConfig()).epoch),
-        use_threshold_encryption=False,
-        max_aba_rounds=(config or ConsensusConfig()).max_aba_rounds)
-    deployment = build_deployment(
-        scenario, batched=batched, seed=seed,
-        crypto_schemes=crypto_schemes_for_protocol(protocol, config),
-        global_crypto_schemes=crypto_schemes_for_protocol(protocol,
-                                                          global_config))
+    deployment = build_deployment(scenario, batched=batched, seed=seed,
+                                  **multihop_crypto_schemes(protocol, config))
     workload = TransactionWorkload(
         workload_spec or WorkloadSpec(batch_size=batch_size,
                                       transaction_bytes=transaction_bytes),
         seed=seed)
-    local_protocols = install_epoch_protocols(deployment, protocol,
-                                              deployment.runtimes, config)
-    global_protocols = install_epoch_protocols(deployment, protocol,
-                                               deployment.global_runtimes,
-                                               global_config)
-    cluster_of = {node_id: cluster.index
-                  for cluster in scenario.topology.clusters
-                  for node_id in cluster.node_ids}
-    propose_epoch(deployment, deployment.runtimes, workload, observer=observer,
-                  domain_of=lambda node_id: ("cluster", cluster_of[node_id]))
-
-    outcomes: dict[int, ClusterOutcome] = {}
-    result = MultiHopResult()
-
-    from repro.protocols.multihop import encode_cluster_contribution
-
-    def watch_local(cluster: Cluster, leader_id: int) -> Callable[[], None]:
-        def check() -> None:
-            # Called from the run loop: when this cluster's leader has decided
-            # locally, feed the decided block into the global consensus.
-            leader_protocol = local_protocols.get(leader_id)
-            if leader_protocol is None or not leader_protocol.decided:
-                return
-            if cluster.index in outcomes:
-                return
-            outcome = ClusterOutcome(cluster_index=cluster.index, leader=leader_id,
-                                     block=list(leader_protocol.block or []),
-                                     decide_time=leader_protocol.decide_time)
-            outcomes[cluster.index] = outcome
-            contribution = encode_cluster_contribution(cluster.index, outcome.block)
-            global_protocol = global_protocols.get(leader_id)
-            if global_protocol is not None:
-                deployment.nodes[leader_id].run_task(
-                    lambda p=global_protocol, c=contribution: p.propose([c]))
-        return check
-
-    watchers = []
-    for cluster in scenario.topology.clusters:
-        # The deployment's schedules already resolved (and, under
-        # rotate_crashed_leaders, rotated) the wired leader per cluster.
-        watchers.append(watch_local(cluster,
-                                    deployment.epoch_leaders[cluster.index]))
-
-    honest_leaders = [leader for leader in deployment.global_runtimes
-                      if leader not in scenario.byzantine.byzantine_ids]
+    epoch = MultiHopEpoch(deployment, protocol, config)
+    epoch.propose(workload, observer=observer)
 
     def poll() -> bool:
-        for watcher in watchers:
-            watcher()
-        return all(global_protocols[leader].decided for leader in honest_leaders)
+        epoch.feed()
+        return epoch.done()
 
     decided = deployment.sim.run_until(poll, timeout=scenario.timeout_s)
     deployment.shutdown()
-
-    local_latencies = {outcome.cluster_index: outcome.decide_time
-                       for outcome in outcomes.values()
-                       if outcome.decide_time is not None}
-    global_decide_times = [global_protocols[leader].decide_time
-                           for leader in honest_leaders
-                           if global_protocols[leader].decide_time is not None]
-    latency = max(global_decide_times) if global_decide_times else float("nan")
-
-    byzantine_ids = scenario.byzantine.byzantine_ids
-    if observer is not None:
-        # Local decisions: every honest cluster node that got that far.
-        for node_id, instance in local_protocols.items():
-            if node_id in byzantine_ids:
-                continue
-            witness = instance.witness()
-            if witness.block is None:
-                continue
-            observer.record_decision(node_id, list(witness.block),
-                                     witness.decide_time,
-                                     domain=("cluster", cluster_of[node_id]),
-                                     digest=witness.digest)
-    committed = 0
-    digest = ""
-    per_leader_digest: dict[int, str] = {}
-    for leader in honest_leaders:
-        witness = global_protocols[leader].witness()
-        if not witness.block:
-            continue
-        per_leader_digest[leader] = witness.digest
-        transactions = [transaction for item in witness.block
-                        for transaction in _decode_contribution_txs(item)]
-        if not digest:
-            committed = len(transactions)
-            digest = witness.digest
-        if observer is not None:
-            observer.record_decision(leader, list(witness.block),
-                                     witness.decide_time,
-                                     domain="global",
-                                     transactions=transactions,
-                                     digest=witness.digest)
-    return MultiHopRunResult(
-        protocol=protocol, batched=batched,
-        num_clusters=scenario.topology.num_clusters,
-        nodes_per_cluster=scenario.topology.clusters[0].size,
-        decided=decided, latency_s=latency,
-        local_latencies_s=local_latencies,
-        committed_transactions=committed,
-        block_digest=digest,
-        per_leader_digest=per_leader_digest,
-        channel_accesses=deployment.trace.total_channel_accesses,
-        bytes_sent=deployment.trace.total_bytes_sent,
-        collisions=deployment.trace.total_collisions,
-        sim_events=deployment.sim.events_processed,
-        seed=seed)
-
-
-def _decode_contribution_txs(item: bytes) -> list[bytes]:
-    from repro.protocols.multihop import decode_cluster_contribution
-
-    try:
-        _cluster, transactions = decode_cluster_contribution(item)
-        return transactions
-    except ValueError:
-        return []
+    return merge_multihop_reports([epoch.report()], protocol, scenario,
+                                  batched, seed, decided, observer=observer)
 
 
 # ---------------------------------------------------------------------------

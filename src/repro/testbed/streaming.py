@@ -59,21 +59,25 @@ from __future__ import annotations
 import itertools
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
-from repro.crypto.group import BatchVerifySession
 from repro.protocols.base import ConsensusConfig, ConsensusProtocol
+from repro.protocols.multihop import contribution_transactions
 from repro.testbed.harness import (
-    Deployment,
     DeploymentError,
+    MultiHopEpoch,
     build_deployment,
-    crypto_schemes_for_protocol,
     install_epoch_protocols,
+    multihop_crypto_schemes,
     propose_epoch,
 )
 from repro.testbed.ingress import ClassedArrivals, IngressGateway, IngressSpec
 from repro.testbed.invariants import RunObserver
-from repro.testbed.membership import MembershipController, MembershipSchedule
+from repro.testbed.membership import (
+    MembershipController,
+    MembershipSchedule,
+    rebind_leader_schedules,
+)
 from repro.testbed.metrics import (
     ClassRecord,
     CommitteeRecord,
@@ -233,11 +237,6 @@ class Mempool:
         return drained
 
 
-#: the canonical digest-chaining rule lives in metrics so the
-#: ledger-continuity invariant checker can rebuild the chain independently
-_chain_digest = chain_digest
-
-
 class StreamingRun:
     """Internal driver of one streaming run (kept as a class so tests can
     inspect the deployment's post-run state, e.g. the GC bounds)."""
@@ -276,27 +275,10 @@ class StreamingRun:
             raise DeploymentError(
                 f"epoch-crash at epoch {byzantine.crash_at_epoch} can never "
                 f"fire in a {spec.epochs}-epoch stream")
-        #: one batch-verification memo shared by every node's CryptoSuite for
-        #: the whole stream: repeated verifications of the same share batch
-        #: (every node combines the same quorum each epoch) hit the memo
-        #: instead of redoing the wall-clock work.  Modelled CPU cost and
-        #: results are unchanged -- see BatchVerifySession.
-        self.batch_session = BatchVerifySession()
-        if self.multi_hop:
-            global_config = self._global_config(0)
-            self.deployment = build_deployment(
-                scenario, batched=batched, seed=seed,
-                crypto_schemes=crypto_schemes_for_protocol(
-                    protocol, self.base_config),
-                global_crypto_schemes=crypto_schemes_for_protocol(
-                    protocol, global_config),
-                batch_session=self.batch_session)
-        else:
-            self.deployment = build_deployment(
-                scenario, batched=batched, seed=seed,
-                crypto_schemes=crypto_schemes_for_protocol(
-                    protocol, self.base_config),
-                batch_session=self.batch_session)
+        # (a single-hop deployment has no global domain to deal for)
+        self.deployment = build_deployment(
+            scenario, batched=batched, seed=seed,
+            **multihop_crypto_schemes(protocol, self.base_config))
         #: time-varying network conditions (None = static scenario only)
         self.controller = ScenarioController(pack, self.deployment) \
             if pack is not None else None
@@ -332,8 +314,8 @@ class StreamingRun:
                     f"nodes but the scenario deploys {scenario.num_nodes}")
         self.membership = MembershipController(
             schedule, self.deployment, protocol=protocol,
-            base_config=self.base_config, seed=seed,
-            batch_session=self.batch_session) if schedule is not None else None
+            base_config=self.base_config, seed=seed) \
+            if schedule is not None else None
         self.committees: list[CommitteeRecord] = []
         if ingress is not None:
             self.arrivals: Any = ClassedArrivals(
@@ -361,19 +343,11 @@ class StreamingRun:
                          transaction_bytes=spec.arrival.transaction_bytes,
                          flavor=spec.arrival.flavor), seed=seed)
         self.honest = self.deployment.honest_ids()
-        if self.multi_hop:
-            byzantine = scenario.byzantine.byzantine_ids
-            self.honest_leaders = [
-                leader for leader in self.deployment.epoch_leaders.values()
-                if leader not in byzantine]
-            self.cluster_of = {node_id: cluster.index
-                               for cluster in scenario.topology.clusters
-                               for node_id in cluster.node_ids}
         # per-epoch state, dropped at checkpoint time
         self.epoch_batches: dict[int, dict[int, list]] = {}
         self.local_instances: dict[int, dict[int, ConsensusProtocol]] = {}
-        self.global_instances: dict[int, dict[int, ConsensusProtocol]] = {}
-        self._fed_clusters: dict[int, set] = {}
+        #: multi-hop only: the in-flight epochs' two-phase drivers
+        self.multihop_epochs: dict[int, MultiHopEpoch] = {}
         self.epoch_start_s: dict[int, float] = {}
         self.epoch_backlogs: dict[int, list] = {}
         # stream progress
@@ -412,12 +386,6 @@ class StreamingRun:
         self._pump(node_id)
 
     # ------------------------------------------------------------ epoch starts
-    def _global_config(self, epoch: int) -> ConsensusConfig:
-        return ConsensusConfig(
-            epoch=("global", epoch),
-            use_threshold_encryption=False,
-            max_aba_rounds=self.base_config.max_aba_rounds)
-
     def _crash_epoch_victims(self, epoch: int) -> None:
         """Fire the ``epoch-crash`` fault: victims go silent at epoch k."""
         byzantine = self.scenario.byzantine
@@ -450,8 +418,6 @@ class StreamingRun:
                 if self.mempools[survivors[index % len(survivors)]].admit(
                         transaction):
                     controller.redistributed += 1
-            from repro.testbed.membership import rebind_leader_schedules
-
             rebind_leader_schedules(self.deployment, removed, epoch=epoch)
             controller.reconfigure(released_roots=tuple(
                 ("epoch", done) for done in range(self.checkpoint_cursor)))
@@ -475,18 +441,6 @@ class StreamingRun:
                            for node_id in proposers]
         self.epoch_backlogs[epoch] = honest_backlogs
         config = replace(self.base_config, epoch=epoch)
-        instances = install_epoch_protocols(deployment, self.protocol,
-                                            deployment.runtimes, config)
-        self.local_instances[epoch] = instances
-        if self.multi_hop:
-            domain_of: Callable[[int], Any] = lambda node_id: (
-                "epoch", epoch, "cluster", self.cluster_of[node_id])
-            self.global_instances[epoch] = install_epoch_protocols(
-                deployment, self.protocol, deployment.global_runtimes,
-                self._global_config(epoch))
-            self._fed_clusters[epoch] = set()
-        else:
-            domain_of = lambda _node_id: ("epoch", epoch)
         batches: dict[int, list] = {}
         self.epoch_batches[epoch] = batches
 
@@ -495,33 +449,22 @@ class StreamingRun:
             batches[node_id] = batch
             return batch
 
-        propose_epoch(
-            deployment, deployment.runtimes, self.workload,
-            observer=self.observer, domain_of=domain_of,
-            batch_for=drain, equivocation_epoch=("equiv", epoch))
+        batch_source = {"batch_for": drain,
+                        "equivocation_epoch": ("equiv", epoch)}
+        if self.multi_hop:
+            driver = MultiHopEpoch(deployment, self.protocol, config)
+            self.multihop_epochs[epoch] = driver
+            self.local_instances[epoch] = driver.local_protocols
+            driver.propose(self.workload, observer=self.observer,
+                           domain_prefix=("epoch", epoch), **batch_source)
+        else:
+            self.local_instances[epoch] = install_epoch_protocols(
+                deployment, self.protocol, deployment.runtimes, config)
+            propose_epoch(
+                deployment, deployment.runtimes, self.workload,
+                observer=self.observer,
+                domain_of=lambda _node_id: ("epoch", epoch), **batch_source)
         self.next_epoch = epoch + 1
-
-    def _feed_global(self, epoch: int) -> None:
-        """Multi-hop: feed decided local blocks into the epoch's global
-        instance (the streaming replay of ``run_multihop_consensus``'s
-        watcher loop; leaders stay pinned to the deployment's schedules)."""
-        from repro.protocols.multihop import encode_cluster_contribution
-
-        fed = self._fed_clusters[epoch]
-        for cluster in self.scenario.topology.clusters:
-            if cluster.index in fed:
-                continue
-            leader_id = self.deployment.epoch_leaders[cluster.index]
-            local = self.local_instances[epoch].get(leader_id)
-            if local is None or not local.decided:
-                continue
-            fed.add(cluster.index)
-            contribution = encode_cluster_contribution(
-                cluster.index, list(local.block or []))
-            global_instance = self.global_instances[epoch].get(leader_id)
-            if global_instance is not None:
-                self.deployment.nodes[leader_id].run_task(
-                    lambda p=global_instance, c=contribution: p.propose([c]))
 
     # -------------------------------------------------------------- lifecycle
     def _epoch_ready(self, epoch: int) -> bool:
@@ -568,15 +511,14 @@ class StreamingRun:
         # the leaders' global instances) -- checkpointing releases the whole
         # epoch, and release() is only sound once no honest instance is
         # still in flight (see ConsensusProtocol.release).
-        instances = self.global_instances[epoch]
-        return locals_done and all(instances[leader].decided
-                                   for leader in self.honest_leaders)
+        return locals_done and self.multihop_epochs[epoch].done()
 
     def _checkpoint(self, epoch: int) -> None:
         """Record, commit and (optionally) GC one completed epoch."""
         if self.multi_hop:
-            deciders = {leader: self.global_instances[epoch][leader]
-                        for leader in self.honest_leaders}
+            driver = self.multihop_epochs[epoch]
+            deciders = {leader: driver.global_protocols[leader]
+                        for leader in driver.honest_leaders}
         else:
             # Iterate the epoch's instances (the committee that ran it, under
             # membership), not the deployment-wide honest list: standby nodes
@@ -616,7 +558,7 @@ class StreamingRun:
                 self.observer.record_decision(
                     node_id, list(witness.block), witness.decide_time,
                     domain=("epoch", epoch, "cluster",
-                            self.cluster_of[node_id]),
+                            self.scenario.topology.cluster_of(node_id).index),
                     digest=witness.digest)
         committed_set = set(committed)
         for mempool in self.mempools.values():
@@ -637,7 +579,7 @@ class StreamingRun:
             block_digest=digest,
             backlog_max=max(backlogs) if backlogs else 0,
             backlog_mean=statistics.fmean(backlogs) if backlogs else 0.0))
-        self.ledger_digest = _chain_digest(self.ledger_digest, digest)
+        self.ledger_digest = chain_digest(self.ledger_digest, digest)
         self.committed_transactions += len(committed)
         self.last_decide_s = decide_s
         if self.ingress is not None:
@@ -658,22 +600,20 @@ class StreamingRun:
         if self.spec.gc:
             self._release_epoch(epoch)
         self.local_instances.pop(epoch, None)
-        self.global_instances.pop(epoch, None)
-        self._fed_clusters.pop(epoch, None)
+        self.multihop_epochs.pop(epoch, None)
         self.checkpoint_cursor = epoch + 1
 
     def _committed_transactions(self, block: list) -> list:
         if not self.multi_hop:
             return block
-        from repro.testbed.harness import _decode_contribution_txs
-
         return [transaction for item in block
-                for transaction in _decode_contribution_txs(item)]
+                for transaction in contribution_transactions(item)]
 
     def _release_epoch(self, epoch: int) -> None:
-        for instance in self.local_instances[epoch].values():
-            instance.release()
-        for instance in self.global_instances.get(epoch, {}).values():
+        instances = list(self.local_instances[epoch].values())
+        if self.multi_hop:
+            instances += self.multihop_epochs[epoch].global_protocols.values()
+        for instance in instances:
             instance.release()
 
     # ------------------------------------------------------------------- run
@@ -696,9 +636,8 @@ class StreamingRun:
                    and self._epoch_complete(self.checkpoint_cursor)):
                 self._checkpoint(self.checkpoint_cursor)
                 progressed = True
-            if self.multi_hop:
-                for epoch in list(self.global_instances):
-                    self._feed_global(epoch)
+            for driver in self.multihop_epochs.values():
+                driver.feed()
             if (self.next_epoch < self.spec.epochs
                     and self.next_epoch - self.checkpoint_cursor < window
                     and self._epoch_ready(self.next_epoch - 1)):

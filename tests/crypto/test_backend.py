@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import backend
 from repro.crypto.backend import BackendUnavailableError
 from repro.crypto.backend.pure import PureBigint
-from repro.crypto.group import BatchVerifySession, DEFAULT_GROUP
+from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.threshold_sig import deal_threshold_sig
 
 P = DEFAULT_GROUP.p
@@ -294,45 +294,3 @@ class TestMembershipMemoEviction:
         with backend.use("auto"):
             assert group_module._batch_members_ok(
                 DEFAULT_GROUP, [element, element, element])
-
-
-# ------------------------------------------------------ batch-verify memo
-class TestBatchVerifySession:
-    def _setup(self):
-        rng = random.Random(4)
-        schemes = deal_threshold_sig(7, 3, rng)
-        message = b"session-memo"
-        shares = [scheme.sign_share(message, rng) for scheme in schemes[:4]]
-        return schemes, message, shares
-
-    def test_repeat_combines_hit_the_memo(self):
-        schemes, message, shares = self._setup()
-        session = BatchVerifySession()
-        first = schemes[0].combine(message, shares, session=session)
-        assert session.misses == 1 and session.hits == 0
-        second = schemes[1].combine(message, shares, session=session)
-        assert session.hits == 1
-        assert first == second
-
-    def test_session_does_not_change_the_verdict(self):
-        schemes, message, shares = self._setup()
-        session = BatchVerifySession()
-        with_session = schemes[0].combine(message, shares, session=session)
-        without = schemes[0].combine(message, shares)
-        assert with_session == without
-
-    def test_eviction_bounds_the_memo(self):
-        schemes, _, _ = self._setup()
-        rng = random.Random(8)
-        session = BatchVerifySession(maxsize=2)
-        for round_number in range(4):
-            message = b"evict-%d" % round_number
-            shares = [scheme.sign_share(message, rng)
-                      for scheme in schemes[:4]]
-            schemes[0].combine(message, shares, session=session)
-        assert len(session._verdicts) <= 2
-        assert len(session._randomizers) <= 2
-
-    def test_invalid_maxsize_rejected(self):
-        with pytest.raises(ValueError):
-            BatchVerifySession(maxsize=0)
