@@ -49,6 +49,7 @@ from bench_shard_scale import (  # noqa: E402
 )
 from bench_streaming import STREAM_EPOCHS, bench_streaming  # noqa: E402
 from repro.components import erasure  # noqa: E402
+from repro.components.base import Component  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
 from repro.crypto.digital_sig import generate_keypair  # noqa: E402
 from repro.crypto.group import (  # noqa: E402
@@ -58,6 +59,9 @@ from repro.crypto.group import (  # noqa: E402
 )
 from repro.crypto.threshold_sig import deal_threshold_sig  # noqa: E402
 from repro.net.sim import Simulator  # noqa: E402
+from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
+from repro.testbed.harness import build_deployment  # noqa: E402
+from repro.testbed.scenarios import Scenario  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_hotpath.json")
 
@@ -68,6 +72,8 @@ THRESHOLD = 6  # t + 1 with t = 5
 ERASURE_K = 32
 ERASURE_N = 48
 ERASURE_PAYLOAD = 3000  # bytes -> 1000 chunks -> 32 polynomials at k=32
+FANOUT_NODES = 32  # one sender, 31 receivers: the components-n32 fan-out
+FANOUT_FRAMES = 200  # per storm; below the MAC queue limit of 256
 
 
 def _rate(operation: Callable[[], int], min_seconds: float) -> float:
@@ -391,6 +397,56 @@ class _SeedEvent:
     label: str = dataclass_field(default="", compare=False)
 
 
+class _CountingComponent(Component):
+    """Counts the messages dispatched to it (into a shared one-cell list)."""
+
+    kind = "fanout"
+
+    def __init__(self, ctx, tally: list[int]) -> None:
+        super().__init__(ctx, 0, tag="bench")
+        self.tally = tally
+        # nothing is "unfinished": keeps the NACK repair cycle off the air
+        ctx.transport.mark_complete(self.kind, self.tag, 0)
+
+    def handle(self, message) -> None:
+        self.tally[0] += 1
+
+
+def bench_frame_fanout(budget: float) -> float:
+    """Deliveries per second of one sender storming 31 receivers.
+
+    The broadcast property as the simulator pays for it: every frame is one
+    ``tx-end`` fanning out into 31 ``rx`` plus 31 ``rx-process`` events, each
+    through the real channel, node, ``BaselineTransport`` (one message per
+    frame), router and a component.  Whatever a delivery costs in Python --
+    a per-receiver closure, a property, a re-derived label -- shows here
+    before it shows in the ledger.
+    """
+    def prepare():
+        deployment = build_deployment(
+            Scenario.scale_single_hop(FANOUT_NODES), batched=False, seed=0,
+            crypto_schemes=(SCHEME_KEYRING,))
+        tally = [0]
+        for runtime in deployment.runtimes.values():
+            runtime.router.register(_CountingComponent(runtime.ctx, tally))
+        sender = deployment.runtimes[0].router.get("fanout", "bench", 0)
+        for index in range(FANOUT_FRAMES):
+            sender.send("storm", {"index": index}, payload_bytes=8, slot=index)
+        tally[0] = 0  # the sender's own copies were delivered on send
+        return deployment, tally
+
+    def work(context) -> int:
+        deployment, tally = context
+        target = FANOUT_FRAMES * (FANOUT_NODES - 1)
+        finished = deployment.sim.run_until(lambda: tally[0] >= target,
+                                            timeout=600.0)
+        deployment.shutdown()
+        assert finished and tally[0] == target, tally
+        return target
+
+    return _rate_prepared(prepare, work, budget)
+
+
 def bench_simulator(budget: float) -> dict[str, float]:
     batch = 20_000
 
@@ -430,6 +486,7 @@ def bench_simulator(budget: float) -> dict[str, float]:
     return {
         "sim_events_seed": _rate(seed_op, budget),
         "sim_events": _rate(fast_op, budget),
+        "frame_fanout_deliveries": bench_frame_fanout(budget),
     }
 
 
@@ -497,6 +554,8 @@ def run_benchmarks(quick: bool = False) -> dict:
             "erasure_k": ERASURE_K,
             "erasure_n": ERASURE_N,
             "erasure_payload_bytes": ERASURE_PAYLOAD,
+            "fanout_nodes": FANOUT_NODES,
+            "fanout_frames": FANOUT_FRAMES,
             "shard_workers": shard_workers(),
             "backend": crypto_backend.backend_info(),
         },

@@ -37,6 +37,12 @@ applies every quick-mode invariant plus
   (overhead bound on one core, same-league floor with real cores) plus a
   4x4 bit-identity smoke across ``shard_workers`` 1 vs 2.
 
+``frame_fanout_deliveries`` (one sender storming 31 receivers through the
+real channel / node / transport / router) rides in the gated set beside
+``sim_events``: a per-delivery closure, property or re-derived label on the
+receive path multiplies by the fan-out and fails here before it reaches the
+ledger.
+
 The streaming gates (``streaming_tx_per_sec``,
 ``scenario_stream_tx_per_sec``, ``ingress_stream_tx_per_sec``) ride in the
 gated set so a slowdown of the multi-epoch path (mempool, pipelining
@@ -83,6 +89,7 @@ GATED_METRICS = (
     "erasure_decode_k32",
     "erasure_decode_native_k32",
     "sim_events",
+    "frame_fanout_deliveries",
     "dealer_domain_cached_n64",
     "streaming_tx_per_sec",
     "scenario_stream_tx_per_sec",

@@ -27,6 +27,7 @@ the common case inside ACS).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -73,7 +74,8 @@ class BrachaAba(Component):
         self.estimate: Optional[int] = None
         self.round = 0
         self.decided_value: Optional[int] = None
-        self._rounds: dict[int, _RoundState] = {}
+        # created on first lookup (messages for a round can arrive early)
+        self._rounds: dict[int, _RoundState] = defaultdict(_RoundState)
         self._decided_notices: dict[int, set[int]] = {}
         self._decided_sent = False
         self._started = False
@@ -106,7 +108,7 @@ class BrachaAba(Component):
             return
         kind = parts[1]
         round_number = message.round
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._rounds[round_number]
         if kind == "initial":
             self._on_vote_initial(state, round_number, phase_number, message)
         elif kind == "echo":
@@ -170,7 +172,7 @@ class BrachaAba(Component):
 
     # ----------------------------------------------------------- round logic
     def _start_phase(self, round_number: int, phase: int) -> None:
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._rounds[round_number]
         if phase in state.started_phases:
             return
         state.started_phases.add(phase)
@@ -180,7 +182,7 @@ class BrachaAba(Component):
                   round_number=round_number, payload_bytes=1)
 
     def _phase_input(self, round_number: int, phase: int) -> Any:
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._rounds[round_number]
         if phase == 1:
             return self.estimate
         return state.my_votes.get(phase, self.estimate)
@@ -255,7 +257,7 @@ class BrachaAba(Component):
         # round; dirty-only packet building keeps them off the air otherwise.
         self._start_phase(next_round, 1)
         # Re-examine any votes that arrived for this round before we entered it.
-        state = self._rounds.setdefault(next_round, _RoundState())
+        state = self._rounds[next_round]
         for phase in (1, 2, 3):
             self._check_phase_completion(state, next_round, phase)
 

@@ -29,6 +29,7 @@ The DECIDED-notice termination helper mirrors the one in
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -42,7 +43,8 @@ class _RoundState:
     """Per-round BVAL/AUX bookkeeping."""
 
     bval_sent: set[int] = field(default_factory=set)
-    bval_received: dict[int, set[int]] = field(default_factory=dict)
+    bval_received: dict[int, set[int]] = field(
+        default_factory=lambda: defaultdict(set))
     bin_values: set[int] = field(default_factory=set)
     aux_sent: bool = False
     aux_received: dict[int, int] = field(default_factory=dict)
@@ -72,7 +74,8 @@ class CachinAba(Component):
         self.round = 0
         self.decided_value: Optional[int] = None
         self.rounds_executed = 0
-        self._rounds: dict[int, _RoundState] = {}
+        # created on first lookup (messages for a round can arrive early)
+        self._rounds: dict[int, _RoundState] = defaultdict(_RoundState)
         self._decided_notices: dict[int, set[int]] = {}
         self._decided_sent = False
         self._started = False
@@ -100,15 +103,12 @@ class CachinAba(Component):
             self._on_decided(message)
 
     # ------------------------------------------------------------------ BVAL
-    def _state(self, round_number: int) -> _RoundState:
-        return self._rounds.setdefault(round_number, _RoundState())
-
     def _broadcast_bval(self, round_number: int, value: int) -> None:
-        state = self._state(round_number)
+        state = self._rounds[round_number]
         if value in state.bval_sent:
             return
         state.bval_sent.add(value)
-        received = state.bval_received.setdefault(value, set())
+        received = state.bval_received[value]
         newly_counted = self.ctx.node_id not in received
         received.add(self.ctx.node_id)
         self.send("bval", {"value": value}, round_number=round_number,
@@ -123,8 +123,8 @@ class CachinAba(Component):
         if value not in (0, 1):
             return
         round_number = message.round
-        state = self._state(round_number)
-        received = state.bval_received.setdefault(value, set())
+        state = self._rounds[round_number]
+        received = state.bval_received[value]
         if message.sender in received:
             return  # duplicate delivery (NACK repair); state is unchanged
         received.add(message.sender)
@@ -162,7 +162,7 @@ class CachinAba(Component):
         if value not in (0, 1):
             return
         round_number = message.round
-        state = self._state(round_number)
+        state = self._rounds[round_number]
         if message.sender in state.aux_received:
             return  # duplicate delivery; first value per sender counts
         self._record_aux(state, message.sender, value)
@@ -198,7 +198,7 @@ class CachinAba(Component):
         return round_number
 
     def _on_coin(self, round_number: int, coin_value: int) -> None:
-        state = self._state(round_number)
+        state = self._rounds[round_number]
         state.coin_value = coin_value
         self._finish_round(round_number, state)
 
@@ -232,7 +232,7 @@ class CachinAba(Component):
         # round; dirty-only packet building keeps them off the air otherwise.
         self._broadcast_bval(next_round, self.estimate)
         # Messages for the new round may have arrived early; re-evaluate them.
-        new_state = self._state(next_round)
+        new_state = self._rounds[next_round]
         self._maybe_send_aux(next_round, new_state)
         self._maybe_reveal_coin(next_round, new_state)
 

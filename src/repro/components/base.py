@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.batcher import BaseTransport
@@ -48,16 +48,15 @@ class ComponentContext:
     suite: CryptoSuite
     sim: Simulator
     rng: Any
+    #: the 2f + 1 and f + 1 quorums.  Fixed at construction (``faults`` is
+    #: never reassigned; a membership change builds fresh contexts), because
+    #: every vote a component counts is compared against one of them.
+    quorum: int = field(init=False)
+    small_quorum: int = field(init=False)
 
-    @property
-    def quorum(self) -> int:
-        """The 2f + 1 quorum."""
-        return 2 * self.faults + 1
-
-    @property
-    def small_quorum(self) -> int:
-        """The f + 1 quorum."""
-        return self.faults + 1
+    def __post_init__(self) -> None:
+        self.quorum = 2 * self.faults + 1
+        self.small_quorum = self.faults + 1
 
     def byzantine_quorum_reached(self, count: int) -> bool:
         """True when ``count`` distinct contributions reach 2f + 1."""
@@ -127,14 +126,10 @@ class ComponentRouter:
         #: dropped instead of buffered (one tiny tuple per released epoch)
         self._released: set = set()
 
-    @staticmethod
-    def _key(kind: str, tag: Any, instance: int) -> tuple:
-        return (kind, tag, instance)
-
     # --------------------------------------------------------------- register
     def register(self, component: Component) -> None:
         """Register a component instance and replay any buffered messages."""
-        key = self._key(component.kind, component.tag, component.instance)
+        key = (component.kind, component.tag, component.instance)
         self._components[key] = component
         pending = self._pending.pop(key, [])
         for message in pending:
@@ -148,7 +143,7 @@ class ComponentRouter:
 
     def get(self, kind: str, tag: Any, instance: int) -> Optional[Component]:
         """Look up a registered component instance."""
-        return self._components.get(self._key(kind, tag, instance))
+        return self._components.get((kind, tag, instance))
 
     def components(self) -> list[Component]:
         """All registered component instances."""
@@ -157,17 +152,19 @@ class ComponentRouter:
     # --------------------------------------------------------------- dispatch
     def dispatch(self, message: ComponentMessage) -> None:
         """Deliver a message to its component (or buffer it until it exists)."""
-        handler = self._extra_handlers.get((message.kind, message.tag))
-        if handler is not None:
-            handler(message)
-            return
-        key = self._key(message.kind, message.tag, message.instance)
+        kind, tag = message.kind, message.tag
+        if self._extra_handlers:
+            handler = self._extra_handlers.get((kind, tag))
+            if handler is not None:
+                handler(message)
+                return
+        key = (kind, tag, message.instance)
         component = self._components.get(key)
         if component is None:
             # A message for a released (checkpointed) scope is stale by
             # definition -- drop it instead of buffering it forever.
             if self._released and any(root in self._released
-                                      for root in tag_scope_chain(message.tag)):
+                                      for root in tag_scope_chain(tag)):
                 return
             self._pending[key].append(message)
             return

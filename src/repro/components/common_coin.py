@@ -19,6 +19,7 @@ Fig. 6b carries a single Share field for k batched instances.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -50,7 +51,8 @@ class CommonCoinManager:
         self.tag = tag
         self.flavor = flavor
         self.coin_name = coin_name
-        self._rounds: dict[int, _RoundState] = {}
+        # created on first lookup (shares for a round can arrive early)
+        self._rounds: dict[int, _RoundState] = defaultdict(_RoundState)
         ctx.transport.activate(self.kind, tag, 0)
         # The manager only counts as "unfinished" while a requested coin is
         # still unrevealed (drives NACK repair for missing coin shares).
@@ -59,7 +61,7 @@ class CommonCoinManager:
     # ---------------------------------------------------------------- request
     def request(self, round_number: int, callback: CoinCallback) -> None:
         """Ask for the coin of ``round_number``; ``callback`` fires when known."""
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._rounds[round_number]
         if state.value is not None:
             callback(round_number, state.value)
             return
@@ -91,7 +93,7 @@ class CommonCoinManager:
         if message.tag != self.tag or message.phase != "share":
             return
         round_number = message.round
-        state = self._rounds.setdefault(round_number, _RoundState())
+        state = self._rounds[round_number]
         if message.sender in state.shares or state.value is not None:
             self._maybe_combine(round_number, state)
             return

@@ -13,6 +13,7 @@ signature (or ``None`` until it is available).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Optional
 
 from repro.components.base import Component, ComponentContext, OutputCallback, sha256_hex
@@ -33,8 +34,8 @@ class Prbc(Component):
         self.value: Optional[bytes] = None
         self.value_hash: Optional[str] = None
         self.proof: Any = None
-        self._echoes: dict[str, set[int]] = {}
-        self._readies: dict[str, set[int]] = {}
+        self._echoes: dict[str, set[int]] = defaultdict(set)
+        self._readies: dict[str, set[int]] = defaultdict(set)
         self._echo_sent = False
         self._ready_sent = False
         self._done_sent = False
@@ -83,26 +84,31 @@ class Prbc(Component):
         value_hash = message.payload.get("hash")
         if value_hash is None:
             return
-        self._echoes.setdefault(value_hash, set()).add(message.sender)
-        self._check_quorums()
+        self._echoes[value_hash].add(message.sender)
+        if not self._ready_sent:  # echoes only ever trigger READY
+            self._check_quorums()
 
     def _on_ready(self, message: ComponentMessage) -> None:
         value_hash = message.payload.get("hash")
         if value_hash is None:
             return
-        self._readies.setdefault(value_hash, set()).add(message.sender)
-        self._check_quorums()
+        self._readies[value_hash].add(message.sender)
+        if not self._rbc_delivered:  # delivered implies READY sent
+            self._check_quorums()
 
     def _check_quorums(self) -> None:
-        for value_hash, echoers in self._echoes.items():
-            if len(echoers) >= self.ctx.quorum and not self._ready_sent:
-                self._send_ready(value_hash)
+        quorum = self.ctx.quorum
+        if not self._ready_sent:
+            for value_hash, echoers in self._echoes.items():
+                if len(echoers) >= quorum and not self._ready_sent:
+                    self._send_ready(value_hash)
         for value_hash, readiers in self._readies.items():
             if len(readiers) >= self.ctx.small_quorum and not self._ready_sent:
                 self._send_ready(value_hash)
-            if len(readiers) >= self.ctx.quorum:
+            if len(readiers) >= quorum:
                 self._pending_deliver_hash = value_hash
-        self._maybe_rbc_deliver()
+        if self._pending_deliver_hash is not None:
+            self._maybe_rbc_deliver()
 
     def _send_ready(self, value_hash: str) -> None:
         self._ready_sent = True

@@ -191,7 +191,9 @@ class BaseTransport:
     # ---------------------------------------------------------------- receive
     def handle_frame(self, sender: int, payload: Any) -> None:
         """Entry point bound as the node's protocol stack."""
-        self._last_rx_time = self.node.sim.now
+        node = self.node
+        now = node.sim.now
+        self._last_rx_time = now
         self._packets_received += 1
         if not isinstance(payload, Packet):
             return
@@ -199,18 +201,30 @@ class BaseTransport:
             digest = self._packet_digest(payload)
             if not self.suite.verify(payload.sender, digest, payload.signature):
                 return
+        receiver = self._receiver
+        released = self._released_tags
+        nack_kind = self.NACK_KIND
+        # A batched packet carries runs of messages of one (kind, tag)
+        # family, so the family bookkeeping is fixed per run, not per
+        # message.  A scope released by a receiver callback mid-run needs no
+        # re-check: release_tag drops the family's entry itself, and the
+        # rest of the run stores nothing.
+        family_kind = family_tag = stats = None
         for message in payload.messages:
-            if message.kind == self.NACK_KIND:
+            kind = message.kind
+            if kind == nack_kind:
                 self._on_nack_request(message)
                 continue
-            if not self._released_tags or not any(
-                    root in self._released_tags
-                    for root in tag_scope_chain(message.tag)):
-                self._family_last_rx[(message.kind, message.tag)] = \
-                    self.node.sim.now
-            self.trace.record_logical_receive(self.node.node_id)
-            if self._receiver is not None:
-                self._receiver(message)
+            tag = message.tag
+            if stats is None or kind != family_kind or tag != family_tag:
+                family_kind, family_tag = kind, tag
+                if not released or not any(
+                        root in released for root in tag_scope_chain(tag)):
+                    self._family_last_rx[(kind, tag)] = now
+                stats = self.trace.nodes[node.node_id]
+            stats.logical_messages_received += 1
+            if receiver is not None:
+                receiver(message)
 
     # --------------------------------------------------------------- signing
     @staticmethod

@@ -242,6 +242,10 @@ class AsyncAdversary:
         well-defined: a later phase's partition supersedes an earlier one it
         overlaps with instead of the two OR-ing into a surprise cut.
         """
+        if not self.partitions and not self.link_faults:
+            # the fault-free deployment: nothing below can match, and the
+            # one draw a delivery makes is the delay model's
+            return [self.delay_model.delay(sender, receiver, rng)]
         opinion: Optional[bool] = None
         opinion_start = -math.inf
         for partition in self.partitions:

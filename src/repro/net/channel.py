@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import pickle
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, TYPE_CHECKING  # noqa: F401
 
 from repro.net.radio import RadioConfig
@@ -165,36 +166,50 @@ class WirelessChannel:
         """
         frame = transmission.frame
         sender_mac = transmission.sender_mac
+        # Fixed per transmission, not per receiver: one transmission fans out
+        # into N - 1 deliveries, so nothing below the loop header may re-derive
+        # a value the transmission already determines.
+        sender = frame.sender
+        start, end = transmission.start, transmission.end
+        name, trace, sim = self.name, self.trace, self.sim
+        schedule, now, rng = sim.schedule, sim.now, sim.rng
+        base_delay = self.radio.rx_turnaround_s
+        per_hop = self.per_hop_forward_s
+        hop_counts = self.hop_counts
+        adversary = self.adversary
+        label = f"rx:{name}:{frame.frame_id}"
+        delivered = 0
         for mac in self._macs:
             if mac is sender_mac:
                 continue
             # Half-duplex: a node that transmitted at any point during this
             # frame's airtime cannot have received it.
-            if mac.was_transmitting_during(transmission.start, transmission.end):
-                self.trace.record_half_duplex_miss(self.name)
+            if mac.was_transmitting_during(start, end):
+                trace.record_half_duplex_miss(name)
                 continue
-            delay = self.radio.rx_turnaround_s
-            if self.per_hop_forward_s > 0.0:
-                hops = self.hop_counts.get((frame.sender, mac.node_id), 1)
-                delay += max(0, hops - 1) * self.per_hop_forward_s
-            if self.adversary is not None:
-                # The adversary decides the fate of this link's copy: one
-                # delay (normal), several (duplication) or none (drop --
-                # a partition or lossy link the reliability layer must mend).
-                extras = self.adversary.plan_delivery(
-                    frame.sender, mac.node_id, self.sim.now, self.sim.rng)
-                if not extras:
-                    self.trace.record_adversary_drop(self.name)
-                    continue
-                for extra in extras:
-                    self.trace.record_delivery(self.name)
-                    self.sim.schedule(delay + extra,
-                                      lambda m=mac: m.node.deliver_frame(frame),
-                                      label=f"rx:{self.name}:{frame.frame_id}")
+            delay = base_delay
+            if per_hop > 0.0:
+                hops = hop_counts.get((sender, mac.node_id), 1)
+                delay += max(0, hops - 1) * per_hop
+            # mac.node is bound here, at schedule time (add_interface assigns
+            # it exactly once, before any frame can fly).
+            deliver = partial(mac.node.deliver_frame, frame)
+            if adversary is None:
+                delivered += 1
+                schedule(delay, deliver, label)
                 continue
-            self.trace.record_delivery(self.name)
-            self.sim.schedule(delay, lambda m=mac: m.node.deliver_frame(frame),
-                              label=f"rx:{self.name}:{frame.frame_id}")
+            # The adversary decides the fate of this link's copy: one delay
+            # (normal), several (duplication) or none (drop -- a partition
+            # or lossy link the reliability layer must mend).
+            extras = adversary.plan_delivery(sender, mac.node_id, now, rng)
+            if not extras:
+                trace.record_adversary_drop(name)
+                continue
+            for extra in extras:
+                delivered += 1
+                schedule(delay + extra, deliver, label)
+        if delivered:
+            trace.record_delivery(name, delivered)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.core.dma import DmaBuffer, DmaConfig
@@ -63,10 +64,23 @@ class NetworkNode:
         self._rx_drain_scheduled = False
         #: set True to silence the node entirely (crash-fault behaviour)
         self.crashed = False
+        # Event labels are fixed per node; the receive and send paths
+        # schedule two events per delivered frame and must not rebuild them.
+        self._rx_process_label = f"rx-process:{node_id}"
+        self._tx_enqueue_label = f"tx-enqueue:{node_id}"
 
     # -------------------------------------------------------------- wiring
     def add_interface(self, name: str, mac: CsmaMac) -> None:
-        """Attach a MAC (and its channel) under interface ``name``."""
+        """Attach a MAC (and its channel) under interface ``name``.
+
+        A MAC belongs to one node for life: the channel binds
+        ``mac.node.deliver_frame`` when it schedules a delivery, not when the
+        delivery fires, so re-homing a MAC would strand frames in flight.
+        """
+        if mac.node is not None and mac.node is not self:
+            raise ValueError(
+                f"MAC of node {mac.node_id} is already attached to node "
+                f"{mac.node.node_id}; a MAC cannot move between nodes")
         mac.node = self
         self.interfaces[name] = mac
         if len(self.interfaces) == 1:
@@ -107,13 +121,14 @@ class NetworkNode:
             self.cpu_available_at = start + seconds
             self.trace.record_cpu(self.node_id, seconds)
 
-    def _run_accounted(self, fn: Callable[[], None], base_cost: float) -> None:
-        """Run ``fn`` under CPU accounting and flush its outgoing frames."""
+    def _run_accounted(self, fn: Callable[..., None], base_cost: float,
+                       *args: Any) -> None:
+        """Run ``fn(*args)`` under CPU accounting and flush its outgoing frames."""
         self._in_task = True
         self._task_charge = 0.0
         self._outbox = []
         try:
-            fn()
+            fn(*args)
         finally:
             total = self._task_charge + base_cost
             start = max(self.sim.now, self.cpu_available_at)
@@ -121,14 +136,10 @@ class NetworkNode:
             self.trace.record_cpu(self.node_id, total)
             outbox = self._outbox
             self._in_task = False
-            self._task_charge = 0.0
-            self._outbox = []
         send_at = self.cpu_available_at
-        for payload, size_bytes, interface, builder in outbox:
-            self.sim.schedule_at(send_at,
-                                 lambda p=payload, s=size_bytes, i=interface, b=builder:
-                                 self._enqueue_frame(p, s, i, b),
-                                 label=f"tx-enqueue:{self.node_id}")
+        for queued in outbox:
+            self.sim.schedule_at(send_at, partial(self._enqueue_frame, *queued),
+                                 self._tx_enqueue_label)
 
     # ------------------------------------------------------------ receive path
     def deliver_frame(self, frame: Frame) -> None:
@@ -137,8 +148,8 @@ class NetworkNode:
             return
         interrupt_at = self.dma.on_frame(self.sim.now, frame.size_bytes)
         start_at = max(interrupt_at, self.cpu_available_at)
-        self.sim.schedule_at(start_at, lambda: self._process_frame(frame),
-                             label=f"rx-process:{self.node_id}")
+        self.sim.schedule_at(start_at, partial(self._process_frame, frame),
+                             self._rx_process_label)
 
     def _process_frame(self, frame: Frame) -> None:
         if self.crashed:
@@ -162,8 +173,8 @@ class NetworkNode:
         if stack is None:
             return
         self.trace.record_frame_received(self.node_id)
-        self._run_accounted(lambda: stack.handle_frame(frame.sender, frame.payload),
-                            base_cost=self.cpu.frame_processing_s)
+        self._run_accounted(stack.handle_frame, self.cpu.frame_processing_s,
+                            frame.sender, frame.payload)
 
     def _schedule_rx_drain(self) -> None:
         if self._rx_drain_scheduled:
@@ -214,9 +225,9 @@ class NetworkNode:
         else:
             send_at = max(self.sim.now, self.cpu_available_at)
             self.sim.schedule_at(send_at,
-                                 lambda: self._enqueue_frame(payload, size_bytes,
-                                                             interface, builder),
-                                 label=f"tx-enqueue:{self.node_id}")
+                                 partial(self._enqueue_frame, payload,
+                                         size_bytes, interface, builder),
+                                 self._tx_enqueue_label)
 
     def _enqueue_frame(self, payload: Any, size_bytes: int, interface: str,
                        builder: Optional[Callable[[], Optional[tuple[Any, int]]]] = None

@@ -77,7 +77,10 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: current virtual time in seconds.  A plain attribute, not a
+        #: property: every layer reads it several times per event, and only
+        #: the run loops below write it.
+        self.now = 0.0
         self.rng = random.Random(seed)
         self.seed = seed
         self._running = False
@@ -87,11 +90,6 @@ class Simulator:
         self._cancelled_queued = [0]
 
     # ------------------------------------------------------------------ time
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of callbacks executed so far."""
@@ -115,7 +113,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event {label or '<unlabelled>'!r} in the "
                 f"past (delay={delay})")
-        return self._push(self._now + delay, callback, label)
+        return self._push(self.now + delay, callback, label)
 
     def schedule_at(self, when: float, callback: Callable[[], None],
                     label: str = "") -> Event:
@@ -124,16 +122,16 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event {label or '<unlabelled>'!r}: "
                 f"time is NaN")
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
                 f"cannot schedule event {label or '<unlabelled>'!r} at "
-                f"{when} before current time {self._now}")
+                f"{when} before current time {self.now}")
         return self._push(when, callback, label)
 
     def _push(self, when: float, callback: Callable[[], None],
               label: str) -> Event:
-        event = Event(time=when, seq=next(self._seq), callback=callback,
-                      label=label, cancel_tally=self._cancelled_queued)
+        event = Event(when, next(self._seq), callback, False, label,
+                      self._cancelled_queued)
         heapq.heappush(self._queue, (when, event.seq, event))
         cancelled = self._cancelled_queued[0]
         if (cancelled >= _COMPACT_MIN_CANCELLED
@@ -156,6 +154,17 @@ class Simulator:
         return self.schedule(0.0, callback, label=label)
 
     # ------------------------------------------------------------------- run
+    def _check_horizon(self, until: float) -> None:
+        """The clock only moves forward: reject a NaN or past horizon.
+
+        A past horizon used to rewind ``now`` below timestamps already
+        executed; a NaN one compares false against every event time, so the
+        run loops would never stop at it.
+        """
+        if not until >= self.now:  # also true for NaN
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self.now}")
+
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -163,6 +172,8 @@ class Simulator:
 
         Returns the virtual time at which the run stopped.
         """
+        if until is not None:
+            self._check_horizon(until)
         self._running = True
         processed_this_run = 0
         queue = self._queue
@@ -171,7 +182,7 @@ class Simulator:
             while queue:
                 when, _, event = queue[0]
                 if until is not None and when > until:
-                    self._now = until
+                    self.now = until
                     break
                 pop(queue)
                 if event.cancelled:
@@ -182,18 +193,18 @@ class Simulator:
                 # an event that is no longer queued, or the compaction
                 # heuristic would fire on a queue with nothing to reclaim.
                 event._cancel_tally = None
-                self._now = when
+                self.now = when
                 event.callback()
                 self._events_processed += 1
                 processed_this_run += 1
                 if max_events is not None and processed_this_run >= max_events:
                     break
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_window(self, until: float,
                    poll: Optional[Callable[[], None]] = None) -> int:
@@ -210,6 +221,7 @@ class Simulator:
 
         Returns the number of events processed in the window.
         """
+        self._check_horizon(until)
         processed = 0
         queue = self._queue
         pop = heapq.heappop
@@ -224,14 +236,14 @@ class Simulator:
                     self._cancelled_queued[0] -= 1
                     continue
                 event._cancel_tally = None  # see run(): popped events must not tally
-                self._now = when
+                self.now = when
                 event.callback()
                 self._events_processed += 1
                 processed += 1
                 if poll is not None:
                     poll()
-            if until > self._now:
-                self._now = until
+            if until > self.now:
+                self.now = until
         finally:
             self._running = False
         return processed
@@ -243,8 +255,16 @@ class Simulator:
         if the predicate became true, False on timeout or queue exhaustion.
         (A ``check_interval`` parameter used to exist but was silently
         ignored; it has been removed rather than given surprise semantics.)
+        ``timeout`` must be a non-negative number: a negative one would put
+        the deadline (where a timed-out run leaves the clock) in the past,
+        and a NaN one never expires -- with periodic timers re-arming, such
+        a run never returns.
         """
-        deadline = self._now + timeout
+        if not timeout >= 0:  # also true for NaN
+            raise SimulationError(
+                f"run_until timeout must be a non-negative number of "
+                f"seconds, got {timeout}")
+        deadline = self.now + timeout
         if predicate():
             return True
         queue = self._queue
@@ -252,14 +272,14 @@ class Simulator:
         while queue:
             when, _, event = queue[0]
             if when > deadline:
-                self._now = deadline
+                self.now = deadline
                 return predicate()
             pop(queue)
             if event.cancelled:
                 self._cancelled_queued[0] -= 1
                 continue
             event._cancel_tally = None  # see run(): popped events must not tally
-            self._now = when
+            self.now = when
             event.callback()
             self._events_processed += 1
             if predicate():

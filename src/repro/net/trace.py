@@ -67,9 +67,9 @@ class NetworkTrace:
         """A frame was lost to a collision."""
         self.channels[channel].collisions += 1
 
-    def record_delivery(self, channel: str) -> None:
-        """A frame was delivered to some receiver."""
-        self.channels[channel].delivered_frames += 1
+    def record_delivery(self, channel: str, count: int = 1) -> None:
+        """A frame was delivered to ``count`` receivers."""
+        self.channels[channel].delivered_frames += count
 
     def record_half_duplex_miss(self, channel: str) -> None:
         """A frame was missed because the receiver was itself transmitting."""

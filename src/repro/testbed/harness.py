@@ -82,7 +82,11 @@ from repro.testbed.metrics import (
     MultiHopRunResult,
 )
 from repro.testbed.scenarios import Scenario
-from repro.testbed.workload import TransactionWorkload, WorkloadSpec
+from repro.testbed.workload import (
+    TransactionWorkload,
+    WorkloadSpec,
+    random_bytes,
+)
 
 #: epoch tag used to derive the conflicting batch of an equivocating proposer
 EQUIVOCATION_EPOCH = "equiv"
@@ -458,6 +462,46 @@ def _reject_streaming_only_strategies(scenario: Scenario) -> None:
 
 
 # ---------------------------------------------------------------------------
+# completion by counting
+# ---------------------------------------------------------------------------
+
+class _CompletionLatch:
+    """Counts down to "every honest node finished every instance".
+
+    The run loops evaluate their stop predicate after *every* event, while
+    the answer only changes when an instance completes.  So the completion
+    hooks (``Component.on_output`` / ``ConsensusProtocol.on_decide``, once
+    per decision) :meth:`mark` the latch, and the predicate :meth:`done` is
+    one integer test instead of a scan over all honest nodes.  Marks from
+    nodes outside the honest set, repeated marks and instances outside
+    ``range(instances)`` are ignored, like the scan ignored them.
+    """
+
+    def __init__(self, honest: Sequence[int], instances: int = 1) -> None:
+        self._remaining = {node_id: set(range(instances)) for node_id in honest}
+        #: honest nodes that still have an unfinished instance
+        self.pending = sum(1 for left in self._remaining.values() if left)
+
+    def mark(self, node_id: int, instance: int = 0) -> None:
+        """Record that ``node_id`` finished ``instance``."""
+        remaining = self._remaining.get(node_id)
+        if remaining and instance in remaining:
+            remaining.remove(instance)
+            if not remaining:
+                self.pending -= 1
+
+    def watch(self, protocols: dict[int, ConsensusProtocol]) -> None:
+        """Mark each honest node when its instance in ``protocols`` decides."""
+        for node_id in self._remaining:
+            protocols[node_id].on_decide = \
+                lambda _block, node_id=node_id: self.mark(node_id)
+
+    def done(self) -> bool:
+        """Whether every honest node has finished every instance."""
+        return not self.pending
+
+
+# ---------------------------------------------------------------------------
 # consensus runs (single-hop)
 # ---------------------------------------------------------------------------
 
@@ -514,10 +558,10 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
     propose_epoch(deployment, deployment.runtimes, workload, observer=observer)
 
     honest = deployment.honest_ids()
-    decided = deployment.sim.run_until(
-        lambda: all(protocols[node_id].decided for node_id in honest
-                    if node_id in protocols),
-        timeout=scenario.timeout_s)
+    latch = _CompletionLatch([node_id for node_id in honest
+                              if node_id in protocols])
+    latch.watch(protocols)
+    decided = deployment.sim.run_until(latch.done, timeout=scenario.timeout_s)
     deployment.shutdown()
     return _consensus_result(protocol, deployment, protocols, honest, decided,
                              batched, seed, observer=observer)
@@ -569,7 +613,7 @@ def propose_epoch(deployment: Deployment, runtimes: dict[int, DomainRuntime],
         if node.crashed:
             continue
         if spec.proposal_is_garbage(node_id):
-            batch = [bytes(proposal_rng.randrange(256) for _ in range(40))]
+            batch = [random_bytes(proposal_rng, 40)]
             if observer is not None:
                 observer.record_proposal(node_id, batch, domain_of(node_id),
                                          kind="garbage")
@@ -679,6 +723,8 @@ class MultiHopEpoch:
         #: hosted leaders whose global decision the epoch waits for
         self.honest_leaders = [leader for leader in deployment.global_runtimes
                                if leader not in byzantine]
+        self._global_decisions = _CompletionLatch(self.honest_leaders)
+        self._global_decisions.watch(self.global_protocols)
         #: per fed cluster, the virtual time its leader decided locally
         self.local_latencies: dict[int, float] = {}
         # Hosted clusters not yet fed, as (cluster, leader, local instance);
@@ -687,6 +733,13 @@ class MultiHopEpoch:
             (cluster_index, leader_id, self.local_protocols[leader_id])
             for cluster_index, leader_id in deployment.epoch_leaders.items()
             if leader_id in self.local_protocols]
+        #: leaders that decided locally since the last feed()
+        self._unfed = 0
+        for _cluster_index, _leader_id, local in self._pending:
+            local.on_decide = self._note_local_decision
+
+    def _note_local_decision(self, _block: list[bytes]) -> None:
+        self._unfed += 1
 
     def _cluster_index(self, node_id: int) -> int:
         return self.deployment.scenario.topology.cluster_of(node_id).index
@@ -707,9 +760,14 @@ class MultiHopEpoch:
     def feed(self) -> None:
         """Propose newly decided cluster blocks into the global instance.
 
-        Called from the run loop after every event.  Idempotent: a cluster is
-        fed exactly once, by the first call after its leader decided locally.
+        Called from the run loop after every event, so it returns at once
+        unless a leader decided locally since the last call.  Idempotent: a
+        cluster is fed exactly once, by the first call after its leader
+        decided locally.
         """
+        if not self._unfed:
+            return
+        self._unfed = 0
         for entry in [entry for entry in self._pending if entry[2].decided]:
             self._pending.remove(entry)
             cluster_index, leader_id, local = entry
@@ -722,8 +780,7 @@ class MultiHopEpoch:
 
     def done(self) -> bool:
         """Whether every hosted honest leader has decided globally."""
-        return all(self.global_protocols[leader].decided
-                   for leader in self.honest_leaders)
+        return self._global_decisions.done()
 
     def report(self) -> dict[str, Any]:
         """The picklable witness of this epoch on this deployment (what a
@@ -862,7 +919,7 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
                                   crypto_schemes=schemes)
     factory = _BROADCAST_FACTORIES[component]
     tag = ("bcast", component)
-    completions: dict[int, set[int]] = {node_id: set() for node_id in deployment.nodes}
+    latch = _CompletionLatch(deployment.honest_ids(), parallelism)
 
     proposal_bytes = max(16, proposal_packets * scenario.radio.max_payload_bytes - 60)
     proposal_rng = random.Random(seed ^ 0xFACE)
@@ -871,7 +928,8 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
         for instance in range(parallelism):
             proposer = instance % runtime.ctx.num_nodes
             comp = factory(runtime.ctx, instance, tag=tag, proposer=proposer)
-            comp.on_output = (lambda nid: lambda inst, _out: completions[nid].add(inst))(node_id)
+            comp.on_output = \
+                lambda inst, _out, node_id=node_id: latch.mark(node_id, inst)
             runtime.router.register(comp)
             runtime.components.append(comp)
 
@@ -885,19 +943,14 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
                 value = 1 if component == "rbc-small" else list(
                     range(runtime.ctx.quorum))
             else:
-                value = bytes(proposal_rng.randrange(256)
-                              for _ in range(proposal_bytes))
+                value = random_bytes(proposal_rng, proposal_bytes)
             deployment.nodes[node_id].run_task(
                 lambda c=comp, v=value: c.start(v))
 
-    honest = deployment.honest_ids()
-    target = set(range(parallelism))
-    finished = deployment.sim.run_until(
-        lambda: all(completions[node_id] >= target for node_id in honest),
-        timeout=scenario.timeout_s)
+    finished = deployment.sim.run_until(latch.done, timeout=scenario.timeout_s)
     deployment.shutdown()
     return ComponentRunResult(
-        component=component, batched=batched, num_nodes=num_nodes,
+        component=component, batched=batched, num_nodes=scenario.num_nodes,
         parallelism=parallelism, completed=finished,
         latency_s=deployment.sim.now if finished else float("nan"),
         proposal_packets=proposal_packets,
@@ -949,7 +1002,8 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
     tag = ("aba-exp", kind)
     serial_mode = serial_instances > 0
     total_instances = serial_instances if serial_mode else parallel_instances
-    completions: dict[int, set[int]] = {node_id: set() for node_id in deployment.nodes}
+    honest = deployment.honest_ids()
+    latch = _CompletionLatch(honest, total_instances)
     decisions: dict[int, dict[int, int]] = {node_id: {} for node_id in deployment.nodes}
     rounds: dict[int, int] = {}
 
@@ -974,7 +1028,7 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
 
             def on_output(nid=node_id, inst=instance):
                 def callback(_instance, decision):
-                    completions[nid].add(inst)
+                    latch.mark(nid, inst)
                     decisions[nid][inst] = decision
                     rounds[nid] = rounds.get(nid, 0) + 1
                     if serial_mode:
@@ -1010,11 +1064,7 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
                 node.run_task(lambda a=aba, n=node_id, i=instance:
                               a.start(input_for(n, i)))
 
-    honest = deployment.honest_ids()
-    target = set(range(total_instances))
-    finished = deployment.sim.run_until(
-        lambda: all(completions[node_id] >= target for node_id in honest),
-        timeout=scenario.timeout_s)
+    finished = deployment.sim.run_until(latch.done, timeout=scenario.timeout_s)
     deployment.shutdown()
 
     # agreement check across honest nodes
@@ -1029,7 +1079,8 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
         getattr(aba, "rounds_executed", 0)
         for abas in per_node_abas.values() for aba in abas)
     return ComponentRunResult(
-        component=f"aba-{kind}", batched=batched, num_nodes=num_nodes,
+        component=f"aba-{kind}", batched=batched,
+        num_nodes=scenario.num_nodes,
         parallelism=parallel_instances if not serial_mode else 1,
         completed=finished,
         latency_s=deployment.sim.now if finished else float("nan"),

@@ -1,7 +1,9 @@
 """Tests for the ConsensusBatcher transport and the baseline transport."""
 
+import random
+
 from repro.core.batcher import ConsensusBatcherTransport, BaselineTransport
-from repro.core.packet import ComponentMessage
+from repro.core.packet import ComponentMessage, Packet, tag_scope_chain
 from repro.crypto.digital_sig import Signature
 
 from tests.helpers import build_cluster, make_message, run_until
@@ -220,6 +222,68 @@ class TestBaselineTransport:
                   lambda: any(m.phase == "finish" for m in received[0]), timeout=60)
         deployment.shutdown()
         assert any(m.sender == 2 for m in received[0])
+
+
+def per_message_handle_frame(transport, payload):
+    """The receive loop as it was before family bookkeeping was hoisted out
+    of it: everything re-derived for every message (the reference)."""
+    for message in payload.messages:
+        if message.kind == transport.NACK_KIND:
+            transport._on_nack_request(message)
+            continue
+        if not transport._released_tags or not any(
+                root in transport._released_tags
+                for root in tag_scope_chain(message.tag)):
+            transport._family_last_rx[(message.kind, message.tag)] = \
+                transport.node.sim.now
+        transport.trace.record_logical_receive(transport.node.node_id)
+        transport._receiver(message)
+
+
+class TestReceiveLoop:
+    def test_release_from_a_receiver_callback_matches_the_per_message_loop(self):
+        """Multi-family packets whose receiver calls ``release_tag`` mid-packet
+        (as a checkpoint triggered by a delivered message does)."""
+        rng = random.Random(31)
+        roots = [("e", 0), ("e", 1), "plain"]
+        tags = roots + [(("e", 0), "aba"), ((("e", 1), "aba"), 3)]
+        delivered = 0
+        for _ in range(60):
+            deployment = build_cluster(batched=True, seed=11)
+            fast, slow = (deployment.runtimes[node].transport for node in (1, 2))
+            deployment.sim.run(until=rng.uniform(0.0, 2.0))  # a nonzero clock
+            messages = []
+            while len(messages) < 12:  # runs of one family, as batching makes
+                kind = rng.choice(["rbc", "aba_sc", "nack"])
+                tag = rng.choice(tags)
+                messages += [make_message(kind, index, "echo", 0, None, tag=tag)
+                             for index in range(rng.randrange(1, 4))]
+            releases = {rng.randrange(12): rng.choice(roots) for _ in range(2)}
+            packet = Packet(sender=0, messages=messages, group=("g",),
+                            signed=False)
+            seen = {}
+            for transport in (fast, slow):
+                seen[transport] = []
+
+                def receiver(message, transport=transport):
+                    index = len(seen[transport])
+                    seen[transport].append(message)
+                    if index in releases:
+                        transport.release_tag(releases[index])
+
+                transport.register_receiver(receiver)
+                transport.release_tag(("e", 9))  # an already-released scope
+            fast.handle_frame(0, packet)
+            per_message_handle_frame(slow, packet)
+            deployment.shutdown()
+            assert fast._family_last_rx == slow._family_last_rx
+            assert fast._released_tags == slow._released_tags
+            assert seen[fast] == seen[slow]
+            received = [deployment.trace.nodes[node].logical_messages_received
+                        for node in (1, 2)]
+            assert received[0] == received[1] == len(seen[fast])
+            delivered += len(seen[fast])
+        assert delivered > 300  # the packets were not rejected wholesale
 
 
 class TestActivationBookkeeping:

@@ -125,6 +125,16 @@ class TestInterfaces:
         assert [p for _t, _s, p in stack_a.processed] == ["a"]
         assert [p for _t, _s, p in stack_b.processed] == ["b"]
 
+    def test_a_mac_cannot_move_between_nodes(self):
+        # the channel binds mac.node.deliver_frame when it schedules a
+        # delivery; a MAC re-homed mid-run would strand frames in flight
+        sim, trace, channel, node = build_node()
+        mac = node.interfaces["radio0"]
+        node.add_interface("radio1", mac)  # same node: allowed
+        with pytest.raises(ValueError, match="cannot move"):
+            NetworkNode(sim, 1, trace).add_interface("radio0", mac)
+        assert mac.node is node
+
     def test_default_stack_receives_unmapped_channels(self):
         sim, trace, channel, node = build_node()
         stack = BusyStack(node)

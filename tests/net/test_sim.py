@@ -1,5 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.net.sim import PeriodicTimer, SimulationError, Simulator, Timer
@@ -89,6 +91,62 @@ class TestSimulator:
         satisfied = sim.run_until(lambda: False, timeout=10.0)
         assert not satisfied
         assert sim.now == 10.0
+
+    def test_run_until_a_past_time_cannot_rewind_the_clock(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(9.0, lambda: None)  # still queued: run() used to peek it
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError, match="already at 2.0"):
+            sim.run(until=1.0)
+        assert sim.now == 2.0
+        assert sim.run(until=2.0) == 2.0  # the present is not the past
+
+    def test_negative_timeout_cannot_rewind_the_clock(self):
+        sim = Simulator()
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(9.0, lambda: None)
+        sim.run(until=2.0)
+        with pytest.raises(SimulationError, match="non-negative"):
+            sim.run_until(lambda: False, timeout=-1.0)
+        assert sim.now == 2.0
+
+    def test_nan_timeout_is_rejected_instead_of_never_expiring(self):
+        sim = Simulator()
+        # a periodic timer re-arms forever, as the transports' resend timers
+        # do: with a NaN deadline no event time ever exceeds it
+        PeriodicTimer(sim, 1.0, lambda: None).start()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run_until(lambda: False, timeout=float("nan"))
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run_window(float("nan"))
+        assert sim.now == 0.0 and sim.events_processed == 0
+
+    def test_now_is_monotone_over_any_sequence_of_run_calls(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            sim = Simulator()
+            for _ in range(20):
+                sim.schedule(rng.uniform(0.0, 10.0), lambda: None)
+            seen = [sim.now]
+            for _ in range(12):
+                horizon = rng.choice([sim.now + rng.uniform(0.0, 3.0),
+                                      rng.uniform(0.0, 10.0), float("nan")])
+                call = rng.choice(["run", "run_window", "run_until"])
+                try:
+                    if call == "run":
+                        sim.run(until=horizon)
+                    elif call == "run_window":
+                        sim.run_window(horizon)
+                    else:
+                        sim.run_until(lambda: rng.random() < 0.2,
+                                      timeout=horizon - sim.now)
+                except SimulationError:
+                    pass  # rejected calls must leave the clock alone too
+                seen.append(sim.now)
+            assert seen == sorted(seen)
 
     def test_deterministic_rng(self):
         values_a = [Simulator(seed=42).rng.random() for _ in range(1)]

@@ -264,3 +264,45 @@ def test_feed_proposes_each_cluster_contribution_once():
     report = epoch.report()
     assert report["local_latencies"] == epoch.local_latencies
     assert [leader for leader, *_ in report["global_witnesses"]] == leaders
+
+
+def test_feed_when_two_leaders_decide_in_one_event():
+    """``feed`` is driven by the local instances' ``on_decide`` hook: one
+    event deciding two leaders must feed both clusters, once, in cluster
+    order -- and later calls with no new decision must do nothing."""
+    scenario = Scenario.scale_multi_hop(2, 4)
+    protocol = "honeybadger-sc"
+    deployment = build_deployment(
+        scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
+    epoch = MultiHopEpoch(deployment, protocol)
+    leaders = list(deployment.epoch_leaders.values())
+
+    proposed = []
+    for leader, instance in epoch.global_protocols.items():
+        def counting(batch, leader=leader, propose=instance.propose):
+            proposed.append(leader)
+            return propose(batch)
+        instance.propose = counting
+
+    def decide_both():
+        for leader in leaders:
+            epoch.local_protocols[leader]._finish([b"block-%d" % leader])
+
+    deployment.sim.schedule(1.0, decide_both)
+    polls_without_news = []
+
+    def poll():
+        before = len(epoch.local_latencies)
+        epoch.feed()
+        polls_without_news.append(len(epoch.local_latencies) == before)
+        return epoch.done()
+
+    assert not epoch.done()
+    assert deployment.sim.run_until(poll, timeout=scenario.timeout_s)
+    deployment.shutdown()
+    epoch.feed()
+    assert proposed == leaders  # each once, in cluster order
+    assert epoch.local_latencies == {0: 1.0, 1: 1.0}
+    # exactly one poll (the one after the deciding event) fed anything
+    assert polls_without_news.count(False) == 1
+    assert epoch.done()

@@ -1,10 +1,14 @@
 """Integration tests: component experiments on the simulated wireless testbed."""
 
+import random
+
 import pytest
 
 from repro.core.overhead import MessageOverheadModel
+from repro.testbed import harness
 from repro.testbed.harness import (
     DeploymentError,
+    _CompletionLatch,
     build_deployment,
     run_aba_experiment,
     run_broadcast_experiment,
@@ -104,6 +108,91 @@ class TestAbaExperiments:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DeploymentError):
             run_aba_experiment("xyz")
+
+
+class TestReportedDeploymentSize:
+    def test_num_nodes_is_the_scenarios_not_the_default_argument(self):
+        scenario = Scenario.single_hop(7)
+        assert run_broadcast_experiment(
+            "rbc-small", scenario=scenario, seed=1).num_nodes == 7
+        assert run_aba_experiment("lc", scenario=scenario, seed=1).num_nodes == 7
+
+
+#: (latency repr, channel accesses, bytes, collisions, ABA rounds, sim events)
+#: recorded on the commit before the per-event fast paths (PR 17's parent).
+#: Every figure is a pure function of the arguments: a fast path that moves
+#: an event, an RNG draw or a virtual-time value moves one of these.
+PINNED_RUNS = {
+    ("rbc", True, 7, 1): ("12.461316061218483", 45, 7025, 0, 0, 675),
+    ("rbc", False, 7, 1): ("21.125465438782214", 108, 10941, 0, 0, 1906),
+    ("aba-sc", True, 7, 1): ("5.608759317474717", 35, 2513, 0, 77, 693),
+    ("rbc", True, 7, 2): ("12.569110895311155", 48, 6975, 0, 0, 678),
+    ("rbc", False, 7, 2): ("19.928539939033357", 102, 10437, 0, 0, 1822),
+    ("aba-sc", True, 7, 2): ("5.908413473189428", 36, 2617, 0, 77, 723),
+    ("rbc", True, 32, 1): ("0.9836489980439864", 178, 99400, 0, 0, 10491),
+    ("rbc", False, 32, 1): ("1.7413288716474493", 759, 133785, 0, 0, 55554),
+    ("aba-sc", True, 32, 1): ("0.2984227498604654", 180, 14236, 0, 576, 13950),
+    ("rbc", True, 32, 2): ("1.0076137156703264", 198, 100851, 0, 0, 11945),
+    ("rbc", False, 32, 2): ("1.7197031804229002", 763, 134133, 0, 0, 55900),
+    ("aba-sc", True, 32, 2): ("0.2988277891435055", 184, 14455, 0, 576, 14254),
+}
+
+
+class TestPinnedIdentity:
+    """The ledger's bit-identity contract, in tier-1: n=7 on the paper's
+    radio and the ledger's own ``components-n32`` cells."""
+
+    @pytest.mark.parametrize("component,batched,size,seed", sorted(PINNED_RUNS))
+    def test_run_reproduces_the_recorded_figures(self, monkeypatch, component,
+                                                 batched, size, seed):
+        built = []
+        original = harness.build_deployment
+
+        def capture(*args, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "build_deployment", capture)
+        scenario, parallel, packets = (Scenario.single_hop(7), 7, 2) \
+            if size == 7 else (Scenario.scale_single_hop(32), 12, 4)
+        if component == "rbc":
+            result = run_broadcast_experiment(
+                "rbc", parallelism=parallel, proposal_packets=packets,
+                num_nodes=size, batched=batched, seed=seed, scenario=scenario)
+        else:
+            result = run_aba_experiment(
+                "sc", parallel_instances=parallel, num_nodes=size, seed=seed,
+                scenario=scenario)
+        (deployment,) = built
+        assert (repr(result.latency_s), result.channel_accesses,
+                result.bytes_sent, result.collisions, result.rounds_executed,
+                deployment.sim.events_processed) \
+            == PINNED_RUNS[component, batched, size, seed]
+
+
+class TestCompletionLatch:
+    def test_agrees_with_the_scan_it_replaced_after_every_step(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            nodes = list(range(rng.randrange(1, 7)))
+            honest = [node for node in nodes if rng.random() < 0.7]
+            instances = rng.randrange(0, 4)
+            latch = _CompletionLatch(honest, instances)
+            completions = {node: set() for node in nodes}
+            target = set(range(instances))
+
+            def scan():
+                return all(completions[node] >= target for node in honest)
+
+            assert latch.done() == scan()
+            for _ in range(40):
+                # Byzantine (non-honest) nodes, repeated outputs and
+                # instances outside the target range all occur
+                node = rng.choice(nodes)
+                instance = rng.randrange(-1, instances + 2)
+                completions[node].add(instance)
+                latch.mark(node, instance)
+                assert latch.done() == scan()
 
 
 class TestDeploymentConstruction:
