@@ -36,6 +36,7 @@ from repro.net.topology import faults_tolerated
 from repro.protocols.multihop import select_leader
 from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.harness import (
+    DeploymentError,
     run_consensus,
     run_multihop_consensus,
     stable_seed,
@@ -53,7 +54,11 @@ from repro.testbed.invariants import (
 )
 from repro.testbed.scenario_packs import available_packs, load_pack
 from repro.testbed.scenarios import Scenario
-from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.streaming import (
+    StreamingSpec,
+    reject_unsupported_membership,
+    run_streaming_consensus,
+)
 from repro.testbed.workload import ArrivalSpec, ChurnSpec, WorkloadSpec
 
 #: protocols swept by the default campaigns (one per family)
@@ -310,6 +315,9 @@ FAULT_MODELS: dict[str, FaultModel] = {
     )
 }
 
+#: the fault models that put a cell under a membership schedule
+CHURN_FAULTS = ("node-churn-rate", "permanent-crash-with-replacement")
+
 
 # ---------------------------------------------------------------------------
 # cells
@@ -334,7 +342,11 @@ class CampaignCell:
     admission gate) in front of a streaming cell; ingress cells run at
     :data:`INGRESS_STREAM_RATE_TPS` offered load, additionally gate on the
     transaction-conservation invariant and record per-class dispositions
-    in their outcome.
+    in their outcome.  Scenario packs, churn faults, ingress profiles and
+    multi-hop topologies compose freely, with one exception: a churn fault
+    needs a single-hop topology
+    (:func:`repro.testbed.streaming.reject_unsupported_membership`; the
+    cell is refused here, not inside a campaign worker).
     """
 
     protocol: str
@@ -372,15 +384,14 @@ class CampaignCell:
                 raise ValueError(
                     f"unknown ingress profile {self.ingress!r}; "
                     f"known: {sorted(INGRESS_PROFILES)}")
-            if self.topology.is_multi_hop:
+        if self.fault in CHURN_FAULTS:
+            try:
+                # cells stream unpipelined (run_cell builds the StreamingSpec)
+                reject_unsupported_membership(self.topology.is_multi_hop,
+                                              pipeline_depth=0)
+            except DeploymentError as error:
                 raise ValueError(
-                    "ingress gateways front the single-hop committee; "
-                    "multi-hop ingress cells are not supported")
-            if self.fault in ("node-churn-rate",
-                              "permanent-crash-with-replacement"):
-                raise ValueError(
-                    f"fault model {self.fault!r} reconfigures the committee; "
-                    f"membership and ingress cannot be combined yet")
+                    f"fault model {self.fault!r}: {error}") from error
 
     @property
     def cell_id(self) -> str:
@@ -529,12 +540,22 @@ CHURN_QUICK_CELLS = (
 #: (class-marked arrivals, priority mempools, admission gate) at an offered
 #: load past the scale profile's saturation point, each additionally gated
 #: on the transaction-conservation invariant
-#: (:func:`check_ingress_conservation`)
+#: (:func:`check_ingress_conservation`).  The last three compose the ingress
+#: with a multi-hop topology and with both churn faults (a departed
+#: gateway's pooled transactions move to the survivors with their class and
+#: fee marks); the churn ones gate on the reconfiguration invariants too.
 INGRESS_QUICK_CELLS = (
     ("honeybadger-sc", TopologySpec.single(4, profile="scale"), "none",
      "uniform", 8, "three-class-shed"),
     ("beat", TopologySpec.single(4, profile="scale"), "stream-crash-epoch",
      "uniform", 8, "three-class-defer"),
+    ("honeybadger-sc", TopologySpec.multi(4, 4), "none",
+     "uniform", 3, "three-class-shed"),
+    # paper profile: the scale profile's 8 epochs end before the crash fires
+    ("beat", TopologySpec.single(5), "permanent-crash-with-replacement",
+     "uniform", 8, "three-class-defer"),
+    ("honeybadger-sc", TopologySpec.single(6), "node-churn-rate",
+     "uniform", 10, "three-class-shed"),
 )
 
 
@@ -551,9 +572,10 @@ def default_cells(quick: bool = True, base_seed: int = 0) -> list[CampaignCell]:
     scenario-pack cells of :data:`SCENARIO_QUICK_CELLS` (time-varying
     degradation with recovery gates), the two membership-churn cells of
     :data:`CHURN_QUICK_CELLS` (join/leave churn, permanent crash with
-    replacement) and the two ingress cells of :data:`INGRESS_QUICK_CELLS`
+    replacement) and the five ingress cells of :data:`INGRESS_QUICK_CELLS`
     (priority mempool + admission gate at a saturating offered load, gated
-    on transaction conservation).  Full mode adds
+    on transaction conservation; alone, on a multi-hop topology and under
+    both churn faults).  Full mode adds
     larger single-hop deployments (n=7, n=10) and a second seed per cell at
     uniform flavor on the fault models that scale with n, and a large-n
     sweep (scale profile, n=64 single-hop and 8x8 / 16x4 clustered) over

@@ -18,13 +18,13 @@ goes through these entry points:
 * :func:`repro.testbed.streaming.run_streaming_consensus` -- E back-to-back
   epochs under an open-loop arrival process (sustained load).
 
-The single-epoch machinery (:func:`install_epoch_protocols`,
-:func:`propose_epoch`) is shared between the one-epoch entry points and the
-streaming runner, which replays it once per epoch on one long-lived
-deployment.  Likewise there is one deployment assembler (:func:`_assemble`
-over :func:`_build_stack`; the sharded builder and the membership rebind
-call the same two) and one two-phase epoch driver (:class:`MultiHopEpoch`)
-behind the classic, sharded and streaming multi-hop runs.
+There is one epoch driver, :class:`Epoch` (install instances, propose, feed
+local decisions upward, wait, harvest witnesses, release): the one-epoch
+entry points drive one, every shard runner one on its slice, the streaming
+runner one per in-flight epoch on one long-lived deployment; on a single-hop
+deployment its global tier is simply empty.  Likewise there is one
+deployment assembler (:func:`_assemble` over :func:`_build_stack`; the
+sharded builder and the membership rebind call the same two).
 """
 
 from __future__ import annotations
@@ -56,13 +56,17 @@ from repro.net.csma import CsmaMac
 from repro.net.node import NetworkNode
 from repro.net.routing import InterClusterRouting
 from repro.net.sim import Simulator
-from repro.net.topology import Cluster
+from repro.net.topology import Cluster, Topology
 from repro.net.trace import NetworkTrace
 from repro.protocols.base import ConsensusConfig, ConsensusProtocol, ProtocolName
 from repro.protocols.beat import Beat
 from repro.protocols.dumbo import Dumbo
 from repro.protocols.honeybadger import HoneyBadger
-from repro.protocols.multihop import LeaderSchedule, encode_cluster_contribution
+from repro.protocols.multihop import (
+    LeaderSchedule,
+    contribution_transactions,
+    encode_cluster_contribution,
+)
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
     SCHEME_COIN_FLIP,
@@ -553,88 +557,47 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
         workload_spec or WorkloadSpec(batch_size=batch_size,
                                       transaction_bytes=transaction_bytes),
         seed=seed)
-    protocols = install_epoch_protocols(deployment, protocol,
-                                        deployment.runtimes, config)
-    propose_epoch(deployment, deployment.runtimes, workload, observer=observer)
-
-    honest = deployment.honest_ids()
-    latch = _CompletionLatch([node_id for node_id in honest
-                              if node_id in protocols])
-    latch.watch(protocols)
-    decided = deployment.sim.run_until(latch.done, timeout=scenario.timeout_s)
+    epoch = Epoch(deployment, protocol, config)
+    epoch.propose(workload, observer=observer)
+    decided = deployment.sim.run_until(epoch.done, timeout=scenario.timeout_s)
     deployment.shutdown()
-    return _consensus_result(protocol, deployment, protocols, honest, decided,
-                             batched, seed, observer=observer)
+    decide_times, digests, digest, committed = fold_decisions(
+        epoch.decisions(), epoch.transactions, observer)
+    crypto_seconds = sum(runtime.ctx.suite.ledger.total_seconds
+                         for runtime in deployment.runtimes.values())
+    return ConsensusRunResult(
+        protocol=protocol, batched=batched,
+        num_nodes=deployment.scenario.num_nodes,
+        decided=decided,
+        latency_s=max(decide_times.values(), default=float("nan")),
+        per_node_latency_s=decide_times,
+        committed_transactions=len(committed), block_digest=digest,
+        per_node_digest=digests,
+        channel_accesses=deployment.trace.total_channel_accesses,
+        frames_sent=deployment.trace.total_frames_sent,
+        bytes_sent=deployment.trace.total_bytes_sent,
+        collisions=deployment.trace.total_collisions,
+        crypto_seconds=crypto_seconds,
+        sim_events=deployment.sim.events_processed,
+        seed=seed)
 
 
-def install_epoch_protocols(deployment: Deployment, protocol: str,
-                            runtimes: dict[int, DomainRuntime],
-                            config: Optional[ConsensusConfig]) -> dict[int, ConsensusProtocol]:
-    """Instantiate one protocol instance per runtime for one epoch.
+# ---------------------------------------------------------------------------
+# the epoch driver
+# ---------------------------------------------------------------------------
 
-    The reusable half of the single-epoch core: the one-epoch entry points
-    call it once, the streaming runner once per epoch with a per-epoch
-    ``config.epoch`` tag (instances of different epochs coexist on the same
-    router/transport because every component message carries the tag).
-    """
+def _install_protocols(protocol: str, runtimes: dict[int, DomainRuntime],
+                       config: Optional[ConsensusConfig]
+                       ) -> dict[int, ConsensusProtocol]:
+    """One protocol instance per runtime, tagged ``config.epoch`` (instances
+    of different epochs coexist on one router/transport because every
+    component message carries the tag)."""
     protocols: dict[int, ConsensusProtocol] = {}
     for node_id, runtime in runtimes.items():
         instance = make_protocol(protocol, runtime, config)
         runtime.protocol = instance
         protocols[node_id] = instance
     return protocols
-
-
-def propose_epoch(deployment: Deployment, runtimes: dict[int, DomainRuntime],
-                  workload: TransactionWorkload,
-                  observer: Optional[RunObserver] = None,
-                  domain_of: Optional[Callable[[int], Any]] = None,
-                  batch_for: Optional[Callable[[int, DomainRuntime], list]] = None,
-                  equivocation_epoch: Any = EQUIVOCATION_EPOCH) -> None:
-    """Submit every eligible node's proposal for one epoch.
-
-    The other half of the single-epoch core.  Byzantine proposal strategies
-    (crash / mute / garbage / equivocation) are applied here so every entry
-    point -- including the streaming runner -- exercises the same fault
-    surface.  ``batch_for(node_id, runtime)`` overrides where honest batches
-    come from (default: ``workload.batch_for(local_id)``; the streaming
-    runner drains per-node mempools instead); ``equivocation_epoch`` is the
-    workload tag the conflicting batch of an equivocating proposer is derived
-    from, which streaming varies per epoch so conflicting batches stay
-    disjoint from every honest batch of the stream.
-    """
-    spec = deployment.scenario.byzantine
-    proposal_rng = random.Random(deployment.sim.seed ^ 0xBAD)
-    domain_of = domain_of or (lambda _node_id: 0)
-    for node_id, runtime in runtimes.items():
-        if not spec.proposes(node_id) and spec.is_byzantine(node_id):
-            continue
-        node = deployment.nodes[node_id]
-        if node.crashed:
-            continue
-        if spec.proposal_is_garbage(node_id):
-            batch = [random_bytes(proposal_rng, 40)]
-            if observer is not None:
-                observer.record_proposal(node_id, batch, domain_of(node_id),
-                                         kind="garbage")
-            node.run_task(lambda p=runtime.protocol, b=batch: p.propose(b))
-            continue
-        if batch_for is not None:
-            batch = batch_for(node_id, runtime)
-        else:
-            batch = workload.batch_for(runtime.local_id)
-        if observer is not None:
-            observer.record_proposal(node_id, batch, domain_of(node_id))
-        node.run_task(lambda p=runtime.protocol, b=batch: p.propose(b))
-        if spec.equivocates(node_id):
-            conflicting = workload.batch_for(runtime.local_id,
-                                             epoch=equivocation_epoch)
-            if observer is not None:
-                observer.record_proposal(node_id, conflicting,
-                                         domain_of(node_id),
-                                         kind="equivocation")
-            node.run_task(lambda p=runtime.protocol, b=conflicting:
-                          _inject_equivocation(p, b))
 
 
 def _inject_equivocation(protocol: ConsensusProtocol,
@@ -651,80 +614,70 @@ def _inject_equivocation(protocol: ConsensusProtocol,
             f"attack; the equivocating-proposer strategy cannot be exercised")
 
 
-def _consensus_result(protocol: str, deployment: Deployment,
-                      protocols: dict[int, ConsensusProtocol],
-                      honest: list[int], decided: bool, batched: bool,
-                      seed: int,
-                      observer: Optional[RunObserver] = None) -> ConsensusRunResult:
-    per_node_latency = {
-        node_id: protocols[node_id].decide_time
-        for node_id in honest
-        if node_id in protocols and protocols[node_id].decide_time is not None}
-    latency = max(per_node_latency.values()) if per_node_latency else float("nan")
-    committed = 0
-    digest = ""
-    per_node_digest: dict[int, str] = {}
-    for node_id in honest:
-        instance = protocols.get(node_id)
-        if instance is None:
-            continue
+def _decided(instances) -> list[tuple]:
+    """``(node id, block, decide time, digest)`` of every instance of
+    ``instances`` (``(node id, instance)`` pairs) that has decided --
+    picklable, so a shard worker can send them home."""
+    witnesses = []
+    for node_id, instance in instances:
         witness = instance.witness()
-        if witness.digest is None:
-            continue
-        per_node_digest[node_id] = witness.digest
-        if not digest:
-            committed = len(witness.block)
-            digest = witness.digest
-        if observer is not None:
-            observer.record_decision(node_id, list(witness.block),
-                                     witness.decide_time,
-                                     digest=witness.digest)
-    crypto_seconds = sum(runtime.ctx.suite.ledger.total_seconds
-                         for runtime in deployment.runtimes.values())
-    return ConsensusRunResult(
-        protocol=protocol, batched=batched,
-        num_nodes=deployment.scenario.num_nodes,
-        decided=decided, latency_s=latency,
-        per_node_latency_s=per_node_latency,
-        committed_transactions=committed, block_digest=digest,
-        per_node_digest=per_node_digest,
-        channel_accesses=deployment.trace.total_channel_accesses,
-        frames_sent=deployment.trace.total_frames_sent,
-        bytes_sent=deployment.trace.total_bytes_sent,
-        collisions=deployment.trace.total_collisions,
-        crypto_seconds=crypto_seconds,
-        sim_events=deployment.sim.events_processed,
-        seed=seed)
+        if witness.digest is not None:
+            witnesses.append((node_id, list(witness.block),
+                              witness.decide_time, witness.digest))
+    return witnesses
 
 
-# ---------------------------------------------------------------------------
-# multi-hop consensus
-# ---------------------------------------------------------------------------
+def global_block_transactions(block: list[bytes]) -> list[bytes]:
+    """The flat transaction list a globally decided block commits."""
+    return [transaction for item in block
+            for transaction in contribution_transactions(item)]
 
-class MultiHopEpoch:
-    """One two-phase epoch on the clusters a deployment hosts.
 
-    The single owner of the multi-hop coupling -- install the cluster-local
-    and the leaders' global protocol instances, propose, and carry every
-    cluster's locally decided block into the global instance.  The classic
-    run drives one of these on the whole topology, every shard runner one on
-    its slice, the streaming runner one per epoch.
+class Epoch:
+    """One consensus epoch on the clusters a deployment hosts.
+
+    The single driver of an epoch -- install the protocol instances,
+    propose, carry every cluster's locally decided block into the leaders'
+    global instance, wait, harvest the witnesses, release.  On a single-hop
+    deployment the global tier is simply empty: there is no leader to feed
+    and the honest local instances are the :attr:`deciders`.
+    ``run_consensus`` and the classic multi-hop run drive one of these on
+    the whole topology, every shard runner one on its slice, the streaming
+    runner one per in-flight epoch.
     """
 
     def __init__(self, deployment: Deployment, protocol: str,
                  config: Optional[ConsensusConfig] = None) -> None:
         self.deployment = deployment
-        self.local_protocols = install_epoch_protocols(
-            deployment, protocol, deployment.runtimes, config)
-        self.global_protocols = install_epoch_protocols(
-            deployment, protocol, deployment.global_runtimes,
-            global_epoch_config(config))
+        self.local_protocols = _install_protocols(
+            protocol, deployment.runtimes, config)
+        self.global_protocols = _install_protocols(
+            protocol, deployment.global_runtimes, global_epoch_config(config))
+        #: whether leaders carry cluster blocks into a global instance
+        self.two_phase = bool(deployment.epoch_leaders)
         byzantine = deployment.scenario.byzantine.byzantine_ids
-        #: hosted leaders whose global decision the epoch waits for
-        self.honest_leaders = [leader for leader in deployment.global_runtimes
-                               if leader not in byzantine]
-        self._global_decisions = _CompletionLatch(self.honest_leaders)
-        self._global_decisions.watch(self.global_protocols)
+        self._honest_locals = {
+            node_id: instance
+            for node_id, instance in self.local_protocols.items()
+            if node_id not in byzantine}
+        # Resolved once, as (node, instance): settled() reads the crash flag
+        # and the decision of every honest local after every event.
+        self._settling = [(deployment.nodes[node_id], instance)
+                          for node_id, instance in self._honest_locals.items()]
+        #: the honest instances whose decision *is* the epoch's decision:
+        #: the hosted honest leaders' global instances on a multi-hop
+        #: deployment, the honest local instances otherwise
+        self.deciders: dict[int, ConsensusProtocol] = {
+            leader: self.global_protocols[leader]
+            for leader in deployment.global_runtimes
+            if leader not in byzantine
+        } if self.two_phase else self._honest_locals
+        latch = _CompletionLatch(list(self.deciders))
+        latch.watch(self.deciders)
+        #: ``done()``: whether every one of the :attr:`deciders` has decided.
+        #: The latch's own method, not a wrapper: it is the stop predicate
+        #: the run loops evaluate after every event.
+        self.done = latch.done
         #: per fed cluster, the virtual time its leader decided locally
         self.local_latencies: dict[int, float] = {}
         # Hosted clusters not yet fed, as (cluster, leader, local instance);
@@ -741,29 +694,79 @@ class MultiHopEpoch:
     def _note_local_decision(self, _block: list[bytes]) -> None:
         self._unfed += 1
 
-    def _cluster_index(self, node_id: int) -> int:
-        return self.deployment.scenario.topology.cluster_of(node_id).index
+    def _proposal_domain(self, domain_prefix: tuple, node_id: int) -> Any:
+        if not self.two_phase:
+            return domain_prefix or 0
+        cluster = self.deployment.scenario.topology.cluster_of(node_id)
+        return domain_prefix + ("cluster", cluster.index)
+
+    def decision_domain(self, domain_prefix: tuple = ()) -> Any:
+        """The observer domain the :attr:`deciders`' decisions belong to
+        (cluster-local ones go to ``domain_prefix + ("cluster", index)``)."""
+        if not self.two_phase:
+            return domain_prefix or 0
+        return domain_prefix + ("global",) if domain_prefix else "global"
 
     def propose(self, workload: TransactionWorkload,
                 observer: Optional[RunObserver] = None,
-                domain_prefix: tuple = (), **batch_source: Any) -> None:
-        """Submit every hosted node's local proposal (see
-        :func:`propose_epoch`, which takes ``batch_source``); the observer
-        sees the domain ``domain_prefix + ("cluster", index)``."""
-        propose_epoch(
-            self.deployment, self.deployment.runtimes, workload,
-            observer=observer,
-            domain_of=lambda node_id: domain_prefix + (
-                "cluster", self._cluster_index(node_id)),
-            **batch_source)
+                domain_prefix: tuple = (),
+                batch_for: Optional[Callable[[int, DomainRuntime], list]] = None,
+                equivocation_epoch: Any = EQUIVOCATION_EPOCH) -> None:
+        """Submit every hosted, eligible node's local proposal.
+
+        Byzantine proposal strategies (crash / mute / garbage /
+        equivocation) are applied here so every entry point -- including the
+        streaming runner -- exercises the same fault surface.
+        ``batch_for(node_id, runtime)`` overrides where honest batches come
+        from (default: ``workload.batch_for(local_id)``; the streaming
+        runner drains per-node mempools instead); ``equivocation_epoch`` is
+        the workload tag the conflicting batch of an equivocating proposer
+        is derived from, which streaming varies per epoch so conflicting
+        batches stay disjoint from every honest batch of the stream.  The
+        observer sees the domain ``domain_prefix + ("cluster", index)`` on a
+        multi-hop deployment and ``domain_prefix or 0`` on a single-hop one.
+        """
+        deployment = self.deployment
+        spec = deployment.scenario.byzantine
+        proposal_rng = random.Random(deployment.sim.seed ^ 0xBAD)
+        for node_id, runtime in deployment.runtimes.items():
+            if not spec.proposes(node_id) and spec.is_byzantine(node_id):
+                continue
+            node = deployment.nodes[node_id]
+            if node.crashed:
+                continue
+            domain = self._proposal_domain(domain_prefix, node_id) \
+                if observer is not None else None
+            if spec.proposal_is_garbage(node_id):
+                batch = [random_bytes(proposal_rng, 40)]
+                if observer is not None:
+                    observer.record_proposal(node_id, batch, domain,
+                                             kind="garbage")
+                node.run_task(lambda p=runtime.protocol, b=batch: p.propose(b))
+                continue
+            if batch_for is not None:
+                batch = batch_for(node_id, runtime)
+            else:
+                batch = workload.batch_for(runtime.local_id)
+            if observer is not None:
+                observer.record_proposal(node_id, batch, domain)
+            node.run_task(lambda p=runtime.protocol, b=batch: p.propose(b))
+            if spec.equivocates(node_id):
+                conflicting = workload.batch_for(runtime.local_id,
+                                                 epoch=equivocation_epoch)
+                if observer is not None:
+                    observer.record_proposal(node_id, conflicting, domain,
+                                             kind="equivocation")
+                node.run_task(lambda p=runtime.protocol, b=conflicting:
+                              _inject_equivocation(p, b))
 
     def feed(self) -> None:
         """Propose newly decided cluster blocks into the global instance.
 
         Called from the run loop after every event, so it returns at once
-        unless a leader decided locally since the last call.  Idempotent: a
-        cluster is fed exactly once, by the first call after its leader
-        decided locally.
+        unless a leader decided locally since the last call (never, on a
+        single-hop deployment).  Idempotent: a cluster is fed exactly once,
+        by the first call after its leader decided locally.
         """
         if not self._unfed:
             return
@@ -778,37 +781,122 @@ class MultiHopEpoch:
             self.deployment.nodes[leader_id].run_task(
                 lambda p=global_instance, c=contribution: p.propose([c]))
 
-    def done(self) -> bool:
-        """Whether every hosted honest leader has decided globally."""
-        return self._global_decisions.done()
+    def settled(self) -> bool:
+        """Whether the epoch can be checkpointed and released.
+
+        Every honest local instance that can still decide has decided, and
+        so has every honest leader's global instance: ``release()`` is only
+        sound once no honest instance is still in flight (see
+        :meth:`ConsensusProtocol.release`).  A crashed node is permanently
+        silent and must not stall the stream (absent membership churn no
+        honest node ever crashes, so the filter is inert); if churn crashes
+        *every* honest member the epoch never settles and the stream times
+        out -- the correct failure for churn beyond the f-bound.
+        """
+        live = False
+        for node, instance in self._settling:
+            if node.crashed:
+                continue
+            if not instance.decided:
+                return False
+            live = True
+        return live and (not self.two_phase or self.done())
+
+    def content_locked(self) -> bool:
+        """Whether nothing that starts now can change what the epoch decides.
+
+        Single-hop: every decider reports ``pipeline_ready`` -- its decided
+        content is frozen (for HoneyBadger/BEAT the common subset is locked;
+        only content-deterministic decryption remains).  Two-phase epochs
+        conservatively wait until :meth:`settled`: the global block depends
+        on which local blocks get fed, so its content freezes no earlier.
+        """
+        if self.two_phase:
+            return self.settled()
+        return all(instance.pipeline_ready
+                   for instance in self.deciders.values())
+
+    def transactions(self, block: list[bytes]) -> list[bytes]:
+        """The flat transaction list a decider's ``block`` commits (a
+        two-phase block is a list of cluster contributions)."""
+        return global_block_transactions(block) if self.two_phase else block
+
+    def decisions(self) -> list[tuple]:
+        """``(node, block, decide time, digest)`` per decider that decided."""
+        return _decided(self.deciders.items())
+
+    def cluster_decisions(self) -> list[tuple]:
+        """The same for the cluster tier of a two-phase epoch: every honest
+        local instance that decided (empty on a single-hop deployment,
+        whose local instances are the deciders)."""
+        if not self.two_phase:
+            return []
+        return _decided(self._honest_locals.items())
+
+    def release(self) -> None:
+        """Drop the router and transport state of every instance of the
+        epoch, both tiers (sound once :meth:`settled`)."""
+        for instance in (*self.local_protocols.values(),
+                         *self.global_protocols.values()):
+            instance.release()
 
     def report(self) -> dict[str, Any]:
         """The picklable witness of this epoch on this deployment (what a
         shard worker sends home; ``merge_multihop_reports`` folds them)."""
-        byzantine = self.deployment.scenario.byzantine.byzantine_ids
-        local_witnesses = []
-        for node_id, instance in self.local_protocols.items():
-            if node_id in byzantine:
-                continue
-            witness = instance.witness()
-            if witness.block is None:
-                continue
-            local_witnesses.append((node_id, self._cluster_index(node_id),
-                                    list(witness.block), witness.decide_time,
-                                    witness.digest))
-        global_witnesses = []
-        for leader in self.honest_leaders:
-            witness = self.global_protocols[leader].witness()
-            global_witnesses.append((leader, list(witness.block or []),
-                                     witness.decide_time, witness.digest))
         return {
             "events": self.deployment.sim.events_processed,
             "trace": self.deployment.trace,
             "local_latencies": self.local_latencies,
-            "local_witnesses": local_witnesses,
-            "global_witnesses": global_witnesses,
+            "cluster_decisions": self.cluster_decisions(),
+            "decisions": self.decisions(),
         }
 
+
+def fold_decisions(witnesses: Sequence[tuple],
+                   transactions_of: Callable[[list], list],
+                   observer: Optional[RunObserver] = None,
+                   domain: Any = 0) -> tuple[dict, dict, str, list]:
+    """Fold :meth:`Epoch.decisions` witnesses into one epoch's outcome.
+
+    The one witness walk behind the one-epoch results, the sharded merge and
+    the streaming checkpoint.  Returns per-decider decide times, per-decider
+    digests, and the first decider's digest and committed transactions (the
+    epoch's, under agreement); every decision is replayed into ``observer``
+    under ``domain``.
+    """
+    decide_times: dict[int, float] = {}
+    digests: dict[int, str] = {}
+    digest = ""
+    committed: list = []
+    for node_id, block, decide_time, block_digest in witnesses:
+        decide_times[node_id] = decide_time
+        digests[node_id] = block_digest
+        transactions = transactions_of(block)
+        if not digest:
+            digest, committed = block_digest, transactions
+        if observer is not None:
+            observer.record_decision(node_id, block, decide_time,
+                                     domain=domain, transactions=transactions,
+                                     digest=block_digest)
+    return decide_times, digests, digest, committed
+
+
+def replay_cluster_decisions(observer: RunObserver, topology: Topology,
+                             witnesses: Sequence[tuple],
+                             domain_prefix: tuple = ()) -> None:
+    """Replay :meth:`Epoch.cluster_decisions` witnesses into ``observer``
+    under ``domain_prefix + ("cluster", index)``."""
+    for node_id, block, decide_time, block_digest in witnesses:
+        observer.record_decision(
+            node_id, block, decide_time,
+            domain=domain_prefix + ("cluster",
+                                    topology.cluster_of(node_id).index),
+            digest=block_digest)
+
+
+# ---------------------------------------------------------------------------
+# consensus runs (multi-hop)
+# ---------------------------------------------------------------------------
 
 def run_multihop_consensus(protocol: str, scenario: Scenario,
                            batch_size: int = 8, transaction_bytes: int = 64,
@@ -860,7 +948,7 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
         workload_spec or WorkloadSpec(batch_size=batch_size,
                                       transaction_bytes=transaction_bytes),
         seed=seed)
-    epoch = MultiHopEpoch(deployment, protocol, config)
+    epoch = Epoch(deployment, protocol, config)
     epoch.propose(workload, observer=observer)
 
     def poll() -> bool:

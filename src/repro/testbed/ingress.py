@@ -462,9 +462,13 @@ class PriorityMempool:
         """Hand over every pooled transaction (arrival order) and forget it.
 
         Mirrors the FIFO pool's drain contract (committee departure):
-        in-flight state is cleared too.
+        in-flight state is cleared too, and each entry is the argument
+        tuple of a survivor's :meth:`admit` -- ``(transaction, class_index,
+        fee)``, so the marks travel with the transaction.
         """
-        drained = list(self._meta)
+        drained = [(transaction, class_index, fee)
+                   for transaction, (class_index, fee, _seq)
+                   in self._meta.items()]
         self._meta.clear()
         self._in_flight.clear()
         self._heaps = [[] for _ in self._quantum]

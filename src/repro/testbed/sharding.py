@@ -46,13 +46,15 @@ from repro.net.shard import (
 from repro.net.sim import Simulator
 from repro.net.trace import NetworkTrace
 from repro.protocols.base import ConsensusConfig
-from repro.protocols.multihop import contribution_transactions
 from repro.testbed.dealer_cache import DealerCache, stable_seed
 from repro.testbed.harness import (
     Deployment,
-    MultiHopEpoch,
+    Epoch,
     _assemble,
+    fold_decisions,
+    global_block_transactions,
     multihop_crypto_schemes,
+    replay_cluster_decisions,
 )
 from repro.testbed.invariants import RunObserver
 from repro.testbed.metrics import MultiHopRunResult
@@ -141,7 +143,7 @@ def build_shard_deployment(scenario: Scenario, shard_index: int,
 class _MultiHopShardRunner(ShardRunner):
     """One shard of a multi-hop consensus run.
 
-    Drives one :class:`~repro.testbed.harness.MultiHopEpoch` on the shard's
+    Drives one :class:`~repro.testbed.harness.Epoch` on the shard's
     deployment: its ``feed`` is the per-event ``poll`` hook, its ``done`` the
     shard-local stop condition, and ``finish()`` sends its report home.
     """
@@ -153,7 +155,7 @@ class _MultiHopShardRunner(ShardRunner):
         self.deployment, backbone, backbone_macs = build_shard_deployment(
             scenario, shard_index, cluster_indices, batched, seed,
             **multihop_crypto_schemes(protocol, config))
-        self.epoch = MultiHopEpoch(self.deployment, protocol, config)
+        self.epoch = Epoch(self.deployment, protocol, config)
         # The caller's observer lives in the coordinating process; proposals
         # are recorded here (picklable records) and replayed there.
         self.recorder = RunObserver()
@@ -231,51 +233,27 @@ def merge_multihop_reports(reports: Sequence[dict[str, Any]], protocol: str,
                            decided: bool,
                            observer: Optional[RunObserver] = None
                            ) -> MultiHopRunResult:
-    """Fold :meth:`~repro.testbed.harness.MultiHopEpoch.report` dicts (one
-    for a classic run, one per shard in shard order otherwise) into the run
+    """Fold :meth:`~repro.testbed.harness.Epoch.report` dicts (one for a
+    classic run, one per shard in shard order otherwise) into the run
     result, replaying every decision into ``observer``."""
     trace = merge_traces([report["trace"] for report in reports])
     local_latencies: dict[int, float] = {}
     for report in reports:
         local_latencies.update(report["local_latencies"])
-    if observer is not None:
-        for report in reports:
-            for node_id, cluster_index, block, decide_time, digest \
-                    in report["local_witnesses"]:
-                observer.record_decision(node_id, block, decide_time,
-                                         domain=("cluster", cluster_index),
-                                         digest=digest)
-
-    global_witnesses = [witness for report in reports
-                        for witness in report["global_witnesses"]]
-    global_decide_times = [decide_time
-                           for _leader, _block, decide_time, _digest
-                           in global_witnesses if decide_time is not None]
-    committed = 0
-    digest = ""
-    per_leader_digest: dict[int, str] = {}
-    for leader, block, decide_time, leader_digest in global_witnesses:
-        if not block:
-            continue
-        per_leader_digest[leader] = leader_digest
-        transactions = [transaction for item in block
-                        for transaction in contribution_transactions(item)]
-        if not digest:
-            committed = len(transactions)
-            digest = leader_digest
         if observer is not None:
-            observer.record_decision(leader, block, decide_time,
-                                     domain="global",
-                                     transactions=transactions,
-                                     digest=leader_digest)
+            replay_cluster_decisions(observer, scenario.topology,
+                                     report["cluster_decisions"])
+    decide_times, per_leader_digest, digest, committed = fold_decisions(
+        [witness for report in reports for witness in report["decisions"]],
+        global_block_transactions, observer, domain="global")
     return MultiHopRunResult(
         protocol=protocol, batched=batched,
         num_clusters=scenario.topology.num_clusters,
         nodes_per_cluster=scenario.topology.clusters[0].size,
         decided=decided,
-        latency_s=max(global_decide_times, default=float("nan")),
+        latency_s=max(decide_times.values(), default=float("nan")),
         local_latencies_s=local_latencies,
-        committed_transactions=committed,
+        committed_transactions=len(committed),
         block_digest=digest,
         per_leader_digest=per_leader_digest,
         channel_accesses=trace.total_channel_accesses,

@@ -20,14 +20,16 @@ Shape of a streaming run
   ``e`` on the deployment's existing routers/transports (dealt keys are
   reused; only the per-epoch tags change), every eligible node proposes up
   to ``batch_size`` transactions drained from its mempool, and the epoch is
-  *complete* once every honest node (every honest leader, multi-hop) has
-  decided it.
+  *settled* once every honest node (and every honest leader, multi-hop) has
+  decided it.  One :class:`~repro.testbed.harness.Epoch` drives each epoch
+  on either hop count; the runner keeps one ``in_flight`` record per
+  started, not yet checkpointed epoch.
 * **Pipelining** -- ``pipeline_depth`` extra epochs may be in flight at
   once: with depth ``d``, epoch ``e`` starts as soon as epoch ``e - 1 - d``
   has completed, so at depth 1 the RBC dissemination of epoch ``e + 1``
   overlaps the ABA/decryption tail of epoch ``e`` on the shared channel.
   Tags keep the message streams of concurrent epochs apart.
-* **Checkpoint/GC** -- when the oldest in-flight epoch completes it is
+* **Checkpoint/GC** -- when the oldest in-flight epoch settles it is
   checkpointed: its committed transactions are folded into the running
   ledger digest, its metrics are recorded, and (with ``gc`` enabled, the
   default) every protocol instance of the epoch releases its router and
@@ -61,15 +63,14 @@ import statistics
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-from repro.protocols.base import ConsensusConfig, ConsensusProtocol
-from repro.protocols.multihop import contribution_transactions
+from repro.protocols.base import ConsensusConfig
 from repro.testbed.harness import (
     DeploymentError,
-    MultiHopEpoch,
+    Epoch,
     build_deployment,
-    install_epoch_protocols,
+    fold_decisions,
     multihop_crypto_schemes,
-    propose_epoch,
+    replay_cluster_decisions,
 )
 from repro.testbed.ingress import ClassedArrivals, IngressGateway, IngressSpec
 from repro.testbed.invariants import RunObserver
@@ -227,14 +228,52 @@ class Mempool:
         """Hand over every pooled transaction (FIFO) and forget it.
 
         Called when this node departs the committee: its uncommitted backlog
-        is redistributed to the survivors (clients fail over).  In-flight
-        state is cleared too -- at an epoch boundary it is empty anyway
-        (every taken batch was committed or requeued at checkpoint time).
+        is redistributed to the survivors (clients fail over).  Each entry
+        is the argument tuple of a survivor's :meth:`admit` -- here just
+        ``(transaction,)``; the priority pool's entries carry the class and
+        fee marks too.  In-flight state is cleared too -- at an epoch
+        boundary it is empty anyway (every taken batch was committed or
+        requeued at checkpoint time).
         """
-        drained = list(self._pool)
+        drained = [(transaction,) for transaction in self._pool]
         self._pool.clear()
         self._in_flight.clear()
         return drained
+
+
+def reject_unsupported_membership(multi_hop: bool,
+                                  pipeline_depth: int) -> None:
+    """The two compositions a membership schedule cannot enter yet.
+
+    The one statement of the rule: :class:`StreamingRun` calls it for every
+    stream under a schedule, :class:`repro.testbed.campaign.CampaignCell`
+    for every cell under a churn fault, so a sweep is refused when it is
+    built rather than inside a worker.
+    """
+    if multi_hop:
+        # Multi-hop reconfiguration would re-elect leaders and re-route the
+        # backbone mid-stream -- the documented extension point
+        # (membership.rebind_leader_schedules).
+        raise DeploymentError(
+            "membership schedules reconfigure the single-hop "
+            "committee; multi-hop reconfiguration is not supported")
+    if pipeline_depth > 0:
+        raise ValueError(
+            f"pipeline_depth must be 0 under a membership schedule "
+            f"(reconfiguration needs a quiescent epoch boundary), "
+            f"got {pipeline_depth}")
+
+
+@dataclass
+class _InFlightEpoch:
+    """What the stream keeps per started, not yet checkpointed epoch."""
+
+    driver: Epoch
+    start_s: float
+    #: the proposers' mempool backlogs when the epoch started
+    backlogs: list
+    #: per proposer, the batch it drained for this epoch
+    batches: dict[int, list] = field(default_factory=dict)
 
 
 class StreamingRun:
@@ -250,8 +289,6 @@ class StreamingRun:
                  ingress: Optional[IngressSpec] = None) -> None:
         self.protocol = protocol
         self.scenario = scenario
-        #: resolved once: the run_until predicate reads it twice per event
-        self.multi_hop = scenario.is_multi_hop
         self.spec = spec
         self.batched = batched
         self.seed = seed
@@ -259,14 +296,6 @@ class StreamingRun:
         self.observer = observer
         self.pack = pack
         self.ingress = ingress
-        if ingress is not None and self.multi_hop:
-            # Gateways front the single-hop committee; a multi-hop ingress
-            # would need per-cluster gateway placement and cross-cluster
-            # class routing -- a documented extension point, not a silent
-            # misconfiguration.
-            raise DeploymentError(
-                "ingress gateways front the single-hop committee; "
-                "multi-hop ingress is not supported")
         byzantine = scenario.byzantine
         if (byzantine.nodes_with("epoch-crash")
                 and byzantine.crash_at_epoch >= spec.epochs):
@@ -288,26 +317,8 @@ class StreamingRun:
             schedule = MembershipSchedule.from_churn(
                 scenario.membership, scenario.num_nodes, seed=seed)
         if schedule is not None:
-            if ingress is not None:
-                # Redistributing a departed gateway's pooled transactions
-                # would need their class/fee marks to survive the move; the
-                # drain/admit seam loses them today.
-                raise DeploymentError(
-                    "membership schedules and ingress gateways cannot be "
-                    "combined yet (departed-gateway redistribution would "
-                    "drop class marks)")
-            if self.multi_hop:
-                # Multi-hop reconfiguration would re-elect leaders and
-                # re-route the backbone mid-stream -- the documented
-                # extension point (membership.rebind_leader_schedules).
-                raise DeploymentError(
-                    "membership schedules reconfigure the single-hop "
-                    "committee; multi-hop reconfiguration is not supported")
-            if spec.pipeline_depth > 0:
-                raise ValueError(
-                    f"pipeline_depth must be 0 under a membership schedule "
-                    f"(reconfiguration needs a quiescent epoch boundary), "
-                    f"got {spec.pipeline_depth}")
+            reject_unsupported_membership(scenario.is_multi_hop,
+                                          spec.pipeline_depth)
             if len(schedule.universe) != scenario.num_nodes:
                 raise ValueError(
                     f"universe: the schedule covers {len(schedule.universe)} "
@@ -317,18 +328,22 @@ class StreamingRun:
             base_config=self.base_config, seed=seed) \
             if schedule is not None else None
         self.committees: list[CommitteeRecord] = []
+        #: committed-latency bookkeeping of ingress runs: pooled tx ->
+        #: (class, submit_s), shared by every gateway, popped at checkpoint
+        #: time
+        self.tx_meta: dict = {}
         if ingress is not None:
             self.arrivals: Any = ClassedArrivals(
                 ingress, spec.arrival, scenario.num_nodes, seed=seed)
-            #: committed-latency bookkeeping: pooled tx -> (class, submit_s),
-            #: shared by every gateway, popped at checkpoint time
-            self.tx_meta: dict = {}
             self.gateways = {
                 node_id: IngressGateway(ingress, spec.arrival.max_mempool,
                                         meta=self.tx_meta)
                 for node_id in self.deployment.nodes}
             self.mempools = {node_id: gateway.pool
                              for node_id, gateway in self.gateways.items()}
+            #: per node, where an arrival ``(now, transaction, *marks)`` goes
+            self.submit = {node_id: gateway.submit
+                           for node_id, gateway in self.gateways.items()}
             self.class_latencies: list[list] = [
                 [] for _ in ingress.classes]
             self.class_committed = [0] * len(ingress.classes)
@@ -337,19 +352,18 @@ class StreamingRun:
                                              seed=seed)
             self.mempools = {node_id: Mempool(spec.arrival.max_mempool)
                              for node_id in self.deployment.nodes}
+            # the FIFO pool has no gate, hence no use for the clock
+            self.submit = {
+                node_id: (lambda _now, transaction, admit=pool.admit:
+                          admit(transaction))
+                for node_id, pool in self.mempools.items()}
         #: conflicting-batch source for equivocating proposers (per epoch)
         self.workload = TransactionWorkload(
             WorkloadSpec(batch_size=spec.batch_size,
                          transaction_bytes=spec.arrival.transaction_bytes,
                          flavor=spec.arrival.flavor), seed=seed)
-        self.honest = self.deployment.honest_ids()
-        # per-epoch state, dropped at checkpoint time
-        self.epoch_batches: dict[int, dict[int, list]] = {}
-        self.local_instances: dict[int, dict[int, ConsensusProtocol]] = {}
-        #: multi-hop only: the in-flight epochs' two-phase drivers
-        self.multihop_epochs: dict[int, MultiHopEpoch] = {}
-        self.epoch_start_s: dict[int, float] = {}
-        self.epoch_backlogs: dict[int, list] = {}
+        #: started, not yet checkpointed epochs (at most the pipeline window)
+        self.in_flight: dict[int, _InFlightEpoch] = {}
         # stream progress
         self.next_epoch = 0
         self.checkpoint_cursor = 0
@@ -361,28 +375,13 @@ class StreamingRun:
     # ----------------------------------------------------------- arrival pump
     def _pump(self, node_id: int) -> None:
         """Schedule node ``node_id``'s next arrival as a simulator event."""
-        if self.ingress is not None:
-            when, transaction, class_index, fee = \
-                self.arrivals.next_arrival(node_id)
-            self.deployment.sim.schedule_at(
-                when,
-                lambda: self._arrive_ingress(node_id, transaction,
-                                             class_index, fee),
-                label=f"arrival:{node_id}")
-            return
-        when, transaction = self.arrivals.next_arrival(node_id)
+        when, *offer = self.arrivals.next_arrival(node_id)
         self.deployment.sim.schedule_at(
-            when, lambda: self._arrive(node_id, transaction),
+            when, lambda: self._arrive(node_id, offer),
             label=f"arrival:{node_id}")
 
-    def _arrive(self, node_id: int, transaction: bytes) -> None:
-        self.mempools[node_id].admit(transaction)
-        self._pump(node_id)
-
-    def _arrive_ingress(self, node_id: int, transaction: bytes,
-                        class_index: int, fee: float) -> None:
-        self.gateways[node_id].submit(self.deployment.sim.now, transaction,
-                                      class_index, fee)
+    def _arrive(self, node_id: int, offer: list) -> None:
+        self.submit[node_id](self.deployment.sim.now, *offer)
         self._pump(node_id)
 
     # ------------------------------------------------------------ epoch starts
@@ -402,9 +401,10 @@ class StreamingRun:
         Runs while the stream is quiescent (membership forces depth 0, so
         every earlier epoch is checkpointed).  Departed nodes' pooled
         transactions are round-robined into the survivors' mempools in FIFO
-        order (admission dedups and counts as usual), then the controller
-        re-deals and rebinds the committee with every checkpointed epoch's
-        tag pre-released.
+        order -- a transfer between pools, class and fee marks included, not
+        a new offer: admission dedups and counts as usual, no gateway
+        counter moves -- then the controller re-deals and rebinds the
+        committee with every checkpointed epoch's tag pre-released.
         """
         controller = self.membership
         outcome = controller.advance(self.deployment.sim.now)
@@ -414,10 +414,14 @@ class StreamingRun:
             moved: list = []
             for node_id in removed:
                 moved.extend(self.mempools[node_id].drain())
-            for index, transaction in enumerate(moved):
+            for index, entry in enumerate(moved):
                 if self.mempools[survivors[index % len(survivors)]].admit(
-                        transaction):
+                        *entry):
                     controller.redistributed += 1
+                else:
+                    # refused by the survivor's pool: it will never commit,
+                    # so its latency mark must not outlive it
+                    self.tx_meta.pop(entry[0], None)
             rebind_leader_schedules(self.deployment, removed, epoch=epoch)
             controller.reconfigure(released_roots=tuple(
                 ("epoch", done) for done in range(self.checkpoint_cursor)))
@@ -430,151 +434,64 @@ class StreamingRun:
         deployment = self.deployment
         self._crash_epoch_victims(epoch)
         if self.membership is not None:
+            # before the driver: the boundary rebuilds deployment.runtimes
             self.committees.append(self._membership_boundary(epoch))
-            byzantine = self.scenario.byzantine.byzantine_ids
-            proposers = [node_id for node_id in sorted(deployment.runtimes)
-                         if node_id not in byzantine]
-        else:
-            proposers = self.honest
-        self.epoch_start_s[epoch] = deployment.sim.now
-        honest_backlogs = [self.mempools[node_id].backlog
-                           for node_id in proposers]
-        self.epoch_backlogs[epoch] = honest_backlogs
-        config = replace(self.base_config, epoch=epoch)
-        batches: dict[int, list] = {}
-        self.epoch_batches[epoch] = batches
+        byzantine = self.scenario.byzantine.byzantine_ids
+        driver = Epoch(deployment, self.protocol,
+                       replace(self.base_config, epoch=epoch))
+        record = self.in_flight[epoch] = _InFlightEpoch(
+            driver, start_s=deployment.sim.now,
+            backlogs=[self.mempools[node_id].backlog
+                      for node_id in sorted(deployment.runtimes)
+                      if node_id not in byzantine])
 
         def drain(node_id: int, _runtime) -> list:
             batch = self.mempools[node_id].take(self.spec.batch_size)
-            batches[node_id] = batch
+            record.batches[node_id] = batch
             return batch
 
-        batch_source = {"batch_for": drain,
-                        "equivocation_epoch": ("equiv", epoch)}
-        if self.multi_hop:
-            driver = MultiHopEpoch(deployment, self.protocol, config)
-            self.multihop_epochs[epoch] = driver
-            self.local_instances[epoch] = driver.local_protocols
-            driver.propose(self.workload, observer=self.observer,
-                           domain_prefix=("epoch", epoch), **batch_source)
-        else:
-            self.local_instances[epoch] = install_epoch_protocols(
-                deployment, self.protocol, deployment.runtimes, config)
-            propose_epoch(
-                deployment, deployment.runtimes, self.workload,
-                observer=self.observer,
-                domain_of=lambda _node_id: ("epoch", epoch), **batch_source)
+        driver.propose(self.workload, observer=self.observer,
+                       domain_prefix=("epoch", epoch), batch_for=drain,
+                       equivocation_epoch=("equiv", epoch))
         self.next_epoch = epoch + 1
 
     # -------------------------------------------------------------- lifecycle
     def _epoch_ready(self, epoch: int) -> bool:
-        """Whether epoch ``epoch`` allows the next epoch to start (depth > 0).
-
-        Single-hop: every honest node's instance reports ``pipeline_ready``
-        -- its decided content is frozen (for HoneyBadger/BEAT, the common
-        subset is locked; only content-deterministic decryption remains), so
-        the next epoch's dissemination can no longer change epoch ``epoch``'s
-        block.  Multi-hop conservatively requires the epoch to be complete
-        (the global block depends on which local blocks get fed, so there is
-        no earlier point at which its content is frozen).
-        """
+        """Whether epoch ``epoch`` allows the next epoch to start (depth > 0):
+        its content is locked (:meth:`Epoch.content_locked`), so the next
+        epoch's dissemination can no longer change its block."""
         if epoch < 0 or self.spec.pipeline_gate == "eager":
             return True
-        if epoch < self.checkpoint_cursor:  # already checkpointed
-            return True
-        if self.multi_hop:
-            return self._epoch_complete(epoch)
-        instances = self.local_instances.get(epoch)
-        if instances is None:  # already checkpointed
-            return True
-        return all(instances[node_id].pipeline_ready
-                   for node_id in self.honest if node_id in instances)
-
-    def _epoch_complete(self, epoch: int) -> bool:
-        # Completion waits on honest members that can still decide: a
-        # membership-crashed node is permanently silent and must not stall
-        # the boundary (absent a schedule no honest node ever crashes, so
-        # the filter is inert).  If churn crashes *every* eligible member
-        # the epoch can never complete and the stream times out -- the
-        # correct failure for churn beyond the f-bound.
-        eligible = [
-            instance
-            for node_id, instance in self.local_instances[epoch].items()
-            if node_id in self.honest
-            and not self.deployment.nodes[node_id].crashed]
-        if not eligible:
-            return False
-        locals_done = all(instance.decided for instance in eligible)
-        if not self.multi_hop:
-            return locals_done
-        # Multi-hop: every honest *local* instance must decide too (not just
-        # the leaders' global instances) -- checkpointing releases the whole
-        # epoch, and release() is only sound once no honest instance is
-        # still in flight (see ConsensusProtocol.release).
-        return locals_done and self.multihop_epochs[epoch].done()
+        record = self.in_flight.get(epoch)  # None: already checkpointed
+        return record is None or record.driver.content_locked()
 
     def _checkpoint(self, epoch: int) -> None:
-        """Record, commit and (optionally) GC one completed epoch."""
-        if self.multi_hop:
-            driver = self.multihop_epochs[epoch]
-            deciders = {leader: driver.global_protocols[leader]
-                        for leader in driver.honest_leaders}
-        else:
-            # Iterate the epoch's instances (the committee that ran it, under
-            # membership), not the deployment-wide honest list: standby nodes
-            # have no instance, and a member crashed mid-epoch contributes
-            # only if it decided before going silent.
-            deciders = {node_id: instance
-                        for node_id, instance
-                        in self.local_instances[epoch].items()
-                        if node_id in self.honest and instance.decided}
-        decide_times = [instance.decide_time
-                        for instance in deciders.values()
-                        if instance.decide_time is not None]
-        decide_s = max(decide_times)
-        digest = ""
-        committed: list = []
-        for node_id, instance in deciders.items():
-            witness = instance.witness()
-            if witness.digest is None:
-                continue
-            if not digest:
-                digest = witness.digest
-                committed = self._committed_transactions(list(witness.block))
-            if self.observer is not None:
-                domain = ("epoch", epoch, "global") \
-                    if self.multi_hop else ("epoch", epoch)
-                self.observer.record_decision(
-                    node_id, list(witness.block), witness.decide_time,
-                    domain=domain, digest=witness.digest,
-                    transactions=committed if self.multi_hop else None)
-        if self.observer is not None and self.multi_hop:
-            for node_id, instance in self.local_instances[epoch].items():
-                if node_id not in self.honest:
-                    continue
-                witness = instance.witness()
-                if witness.block is None:
-                    continue
-                self.observer.record_decision(
-                    node_id, list(witness.block), witness.decide_time,
-                    domain=("epoch", epoch, "cluster",
-                            self.scenario.topology.cluster_of(node_id).index),
-                    digest=witness.digest)
+        """Record, commit and (optionally) GC one settled epoch."""
+        record = self.in_flight.pop(epoch)
+        driver = record.driver
+        domain_prefix = ("epoch", epoch)
+        decide_times, _digests, digest, committed = fold_decisions(
+            driver.decisions(), driver.transactions, self.observer,
+            driver.decision_domain(domain_prefix))
+        if self.observer is not None:
+            replay_cluster_decisions(
+                self.observer, self.scenario.topology,
+                driver.cluster_decisions(), domain_prefix)
+        decide_s = max(decide_times.values())
         committed_set = set(committed)
         for mempool in self.mempools.values():
             mempool.commit(committed)
         # Proposed-but-uncommitted batches (proposer excluded from the common
         # subset) go back to the front of their mempool for a later epoch.
-        for node_id, batch in self.epoch_batches.pop(epoch, {}).items():
+        for node_id, batch in record.batches.items():
             leftovers = [transaction for transaction in batch
                          if transaction not in committed_set]
             if leftovers:
                 self.mempools[node_id].requeue(leftovers)
-        backlogs = self.epoch_backlogs.pop(epoch)
-        start_s = self.epoch_start_s.pop(epoch)
+        backlogs = record.backlogs
         self.records.append(EpochRecord(
-            epoch=epoch, start_s=start_s, decide_s=decide_s,
-            latency_s=decide_s - start_s,
+            epoch=epoch, start_s=record.start_s, decide_s=decide_s,
+            latency_s=decide_s - record.start_s,
             committed_transactions=len(committed),
             block_digest=digest,
             backlog_max=max(backlogs) if backlogs else 0,
@@ -598,32 +515,17 @@ class StreamingRun:
             for node_id in sorted(self.gateways):
                 self.gateways[node_id].release_deferred(now)
         if self.spec.gc:
-            self._release_epoch(epoch)
-        self.local_instances.pop(epoch, None)
-        self.multihop_epochs.pop(epoch, None)
+            driver.release()
         self.checkpoint_cursor = epoch + 1
-
-    def _committed_transactions(self, block: list) -> list:
-        if not self.multi_hop:
-            return block
-        return [transaction for item in block
-                for transaction in contribution_transactions(item)]
-
-    def _release_epoch(self, epoch: int) -> None:
-        instances = list(self.local_instances[epoch].values())
-        if self.multi_hop:
-            instances += self.multihop_epochs[epoch].global_protocols.values()
-        for instance in instances:
-            instance.release()
 
     # ------------------------------------------------------------------- run
     def _poll(self) -> bool:
-        """Advance the stream: checkpoint completed epochs, feed global
+        """Advance the stream: checkpoint settled epochs, feed global
         instances, start eligible epochs.  True once every epoch is
         checkpointed.
 
         Checkpointing runs *before* starts within one pass so that, when an
-        epoch completes and its successor becomes eligible at the same
+        epoch settles and its successor becomes eligible at the same
         simulated instant, commits and requeues land in the mempools before
         the successor drains them -- regardless of pipeline depth (part of
         the depth-0-vs-depth-1 identity contract).
@@ -633,11 +535,11 @@ class StreamingRun:
         while progressed:
             progressed = False
             while (self.checkpoint_cursor < self.next_epoch
-                   and self._epoch_complete(self.checkpoint_cursor)):
+                   and self.in_flight[self.checkpoint_cursor].driver.settled()):
                 self._checkpoint(self.checkpoint_cursor)
                 progressed = True
-            for driver in self.multihop_epochs.values():
-                driver.feed()
+            for record in self.in_flight.values():
+                record.driver.feed()
             if (self.next_epoch < self.spec.epochs
                     and self.next_epoch - self.checkpoint_cursor < window
                     and self._epoch_ready(self.next_epoch - 1)):
@@ -654,18 +556,12 @@ class StreamingRun:
             self.controller.install()
         for node_id in sorted(self.mempools):
             # Warmup: the first `warmup` arrivals of each stream are already
-            # buffered when the stream starts (clients queued offline).
+            # buffered when the stream starts (clients queued offline): they
+            # all present at t=0, so an admission gate judges them like any
+            # t=0 burst.
             for _ in range(self.spec.warmup):
-                if self.ingress is not None:
-                    _when, transaction, class_index, fee = \
-                        self.arrivals.next_arrival(node_id)
-                    # queued while offline: they all present at t=0, so the
-                    # admission gate judges them like any t=0 burst
-                    self.gateways[node_id].submit(0.0, transaction,
-                                                  class_index, fee)
-                else:
-                    _when, transaction = self.arrivals.next_arrival(node_id)
-                    self.mempools[node_id].admit(transaction)
+                _when, *offer = self.arrivals.next_arrival(node_id)
+                self.submit[node_id](0.0, *offer)
             self._pump(node_id)
         finished = deployment.sim.run_until(self._poll,
                                             timeout=self.scenario.timeout_s)
@@ -764,15 +660,19 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
             :class:`~repro.testbed.membership.MembershipSchedule` of node
             join/leave/permanent-crash events, applied at epoch boundaries
             by a :class:`~repro.testbed.membership.MembershipController`
-            (single-hop, ``pipeline_depth == 0`` only); overrides the
+            (single-hop, ``pipeline_depth == 0`` only:
+            :func:`reject_unsupported_membership`); overrides the
             schedule ``scenario.membership`` would expand to.  The result
             then carries one :class:`~repro.testbed.metrics.CommitteeRecord`
             per epoch in ``committees``.
         ingress: an optional :class:`~repro.testbed.ingress.IngressSpec`
             putting a client-facing ingress in front of every node:
             class-marked aggregated arrivals, a priority mempool per
-            gateway, and an admission gate (single-hop, no membership
-            schedule).  The result then carries one
+            gateway, and an admission gate.  Composes with multi-hop
+            scenarios (a gateway per node of every cluster), packs and
+            membership schedules (a departed gateway's pooled transactions
+            move to the survivors' pools with their class and fee marks).
+            The result then carries one
             :class:`~repro.testbed.metrics.ClassRecord` per transaction
             class in ``classes`` (per-class dispositions + client-observed
             submit->commit latency percentiles).  ``None`` (the default)

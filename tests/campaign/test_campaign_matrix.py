@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.testbed.campaign import (
+    CHURN_FAULTS,
     CampaignCell,
     TopologySpec,
     campaign_report,
@@ -24,7 +25,6 @@ from repro.testbed.harness import stable_seed
 
 CELLS = default_cells(quick=True)
 
-CHURN_FAULTS = ("node-churn-rate", "permanent-crash-with-replacement")
 #: the churn sweep: both churn fault models across both protocol families
 #: that the reconfiguration layer supports
 CHURN_SWEEP = tuple(
@@ -108,7 +108,9 @@ def test_churn_cells_byte_stable_across_worker_counts():
     # identical CAMPAIGN.json fragment whether the matrix runs serially or
     # across worker processes.
     cells = [cell for cell in CELLS if cell.fault in CHURN_FAULTS]
-    assert len(cells) == 2, [cell.cell_id for cell in cells]
+    # the two plain churn cells plus the two behind an ingress
+    assert len(cells) == 4, [cell.cell_id for cell in cells]
+    assert sum(1 for cell in cells if cell.ingress) == 2
     serial = run_matrix(cells, quick=True, workers=1)
     parallel = run_matrix(cells, quick=True, workers=3)
     serial_doc = json.dumps(campaign_report(serial, base_seed=0, quick=True),

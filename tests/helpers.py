@@ -13,6 +13,7 @@ Two complementary ways of exercising consensus components:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -174,3 +175,15 @@ def run_until(deployment: Deployment, predicate: Callable[[], bool],
               timeout: float = 600.0) -> bool:
     """Run the deployment's simulator until ``predicate`` or ``timeout``."""
     return deployment.sim.run_until(predicate, timeout=timeout)
+
+
+def observer_digest(observer) -> str:
+    """SHA-256 over a :class:`~repro.testbed.invariants.RunObserver`'s
+    ``(kind, node, domain, digest)`` records -- proposals, then decisions,
+    each in recording order -- for the pinned-identity tests."""
+    records = [(proposal.kind, proposal.node_id, proposal.domain,
+                hashlib.sha256(b"".join(proposal.transactions)).hexdigest())
+               for proposal in observer.proposals]
+    records += [("decision", decision.node_id, decision.domain,
+                 decision.digest) for decision in observer.decisions]
+    return hashlib.sha256(repr(records).encode()).hexdigest()

@@ -9,6 +9,7 @@ from repro.net.topology import faults_tolerated
 from repro.protocols.multihop import select_leader
 from repro.testbed.campaign import (
     CAMPAIGN_PROTOCOLS,
+    CHURN_FAULTS,
     FAULT_MODELS,
     CampaignCell,
     CampaignSpec,
@@ -116,6 +117,21 @@ class TestCells:
 
     def test_full_matrix_extends_quick(self):
         assert len(default_cells(quick=False)) > len(default_cells(quick=True))
+
+    @pytest.mark.parametrize("fault", CHURN_FAULTS)
+    def test_churn_on_a_multihop_topology_is_refused_at_construction(
+            self, fault):
+        # the streaming runner's own rule, stated once: a sweep of churn
+        # faults over both topologies must be refused when it is built, not
+        # die with a DeploymentError inside a campaign worker
+        for ingress in ("", "three-class-shed"):
+            with pytest.raises(ValueError, match="single-hop"):
+                CampaignCell(protocol="honeybadger-sc",
+                             topology=TopologySpec.multi(2, 4), fault=fault,
+                             stream_epochs=4, ingress=ingress)
+        CampaignCell(protocol="honeybadger-sc",
+                     topology=TopologySpec.single(6), fault=fault,
+                     stream_epochs=4)
 
     def test_campaign_spec_cartesian(self):
         spec = CampaignSpec(protocols=("beat",),

@@ -6,7 +6,7 @@
 node gets the same identity -- keys, domain-local ids, transport config and
 RNG streams -- whichever layout hosts it.  The end-to-end digests only imply
 that; these tests pin it per node, plus the construction-order invariant and
-the ``MultiHopEpoch.feed`` idempotence the three run loops rely on.
+the ``Epoch.feed`` idempotence the run loops rely on.
 """
 
 import dataclasses
@@ -19,17 +19,22 @@ from repro.core.batcher import TransportConfig
 from repro.net.reliability import ReliabilityMode
 from repro.protocols.multihop import decode_cluster_contribution
 from repro.testbed import harness
+from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.dealer_cache import deal_crypto_domain, stable_seed
 from repro.testbed.harness import (
-    MultiHopEpoch,
+    Epoch,
     build_deployment,
     crypto_schemes_for_protocol,
     multihop_crypto_schemes,
+    run_consensus,
+    run_multihop_consensus,
 )
+from repro.testbed.invariants import RunObserver
 from repro.testbed.membership import MembershipController, MembershipSchedule
 from repro.testbed.scenarios import Scenario
 from repro.testbed.sharding import build_shard_deployment, partition_clusters
 from repro.testbed.workload import TransactionWorkload, WorkloadSpec
+from tests.helpers import observer_digest
 
 SEED = 11
 SCHEME_ATTRIBUTES = ("threshold_sig", "threshold_coin", "coin_flip",
@@ -229,7 +234,7 @@ def test_feed_proposes_each_cluster_contribution_once():
     protocol = "honeybadger-sc"
     deployment = build_deployment(
         scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
-    epoch = MultiHopEpoch(deployment, protocol)
+    epoch = Epoch(deployment, protocol)
     epoch.propose(TransactionWorkload(WorkloadSpec(batch_size=2), seed=SEED))
 
     proposed = []
@@ -263,7 +268,7 @@ def test_feed_proposes_each_cluster_contribution_once():
     assert sorted(epoch.local_latencies) == contributed
     report = epoch.report()
     assert report["local_latencies"] == epoch.local_latencies
-    assert [leader for leader, *_ in report["global_witnesses"]] == leaders
+    assert [leader for leader, *_ in report["decisions"]] == leaders
 
 
 def test_feed_when_two_leaders_decide_in_one_event():
@@ -274,7 +279,7 @@ def test_feed_when_two_leaders_decide_in_one_event():
     protocol = "honeybadger-sc"
     deployment = build_deployment(
         scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
-    epoch = MultiHopEpoch(deployment, protocol)
+    epoch = Epoch(deployment, protocol)
     leaders = list(deployment.epoch_leaders.values())
 
     proposed = []
@@ -306,3 +311,120 @@ def test_feed_when_two_leaders_decide_in_one_event():
     # exactly one poll (the one after the deciding event) fed anything
     assert polls_without_news.count(False) == 1
     assert epoch.done()
+
+
+def _scan_settled(deployment, epoch):
+    """``StreamingRun._epoch_complete`` as it scanned before ``Epoch``."""
+    honest = deployment.honest_ids()
+    eligible = [instance
+                for node_id, instance in epoch.local_protocols.items()
+                if node_id in honest and not deployment.nodes[node_id].crashed]
+    if not eligible:
+        return False
+    locals_done = all(instance.decided for instance in eligible)
+    if not deployment.scenario.is_multi_hop:
+        return locals_done
+    return locals_done and all(
+        epoch.global_protocols[leader].decided
+        for leader in deployment.global_runtimes if leader in honest)
+
+
+def _scan_content_locked(deployment, epoch):
+    """The body of ``StreamingRun._epoch_ready`` before ``Epoch``."""
+    if deployment.scenario.is_multi_hop:
+        return _scan_settled(deployment, epoch)
+    return all(epoch.local_protocols[node_id].pipeline_ready
+               for node_id in deployment.honest_ids()
+               if node_id in epoch.local_protocols)
+
+
+def test_settled_and_content_locked_agree_with_the_scans_they_replaced():
+    """Differential, after every step of random decide / lock / crash
+    sequences over honest, crashed and Byzantine nodes of both hop counts:
+    the driver's two per-event answers equal the parent's scans, and on a
+    single-hop deployment ``done()`` is the local deciders' latch (hazard:
+    a driver watching only the global tier would be done at once)."""
+    rng = random.Random(29)
+    protocol = "honeybadger-sc"
+    for trial in range(16):
+        multi_hop = trial % 2 == 1
+        scenario = Scenario.scale_multi_hop(2, 4) if multi_hop \
+            else Scenario.scale_single_hop(rng.randrange(4, 8))
+        node_ids = scenario.topology.all_node_ids()
+        leaders = {cluster.node_ids[0] for cluster in scenario.topology.clusters}
+        byzantine = {node_id: rng.choice(("crash", "garbage-proposer",
+                                          "mute-proposer"))
+                     for node_id in node_ids
+                     if rng.random() < 0.25
+                     and not (multi_hop and node_id in leaders)}
+        scenario = scenario.with_byzantine(ByzantineSpec(assignments=byzantine))
+        deployment = build_deployment(
+            scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
+        epoch = Epoch(deployment, protocol)
+        instances = list(epoch.local_protocols.items()) \
+            + list(epoch.global_protocols.items())
+        assert not epoch.done() and not epoch.settled()
+        for _ in range(60):
+            node_id, instance = rng.choice(instances)
+            step = rng.random()
+            if step < 0.6:
+                instance._finish([b"block"])
+            elif step < 0.8:
+                instance._acs_output = {}  # content locked, not yet decided
+            else:
+                deployment.nodes[node_id].crash()
+            assert epoch.settled() == _scan_settled(deployment, epoch)
+            assert epoch.content_locked() \
+                == _scan_content_locked(deployment, epoch)
+            assert epoch.done() == all(
+                instance.decided for instance in epoch.deciders.values())
+        deployment.shutdown()
+
+
+#: (block digest, sim events, repr(latency_s), committed transactions, bytes
+#: sent, observer digest) of the one-epoch cells of
+#: ``test_seed_determinism.py``, recorded on the commit before
+#: ``run_consensus`` moved onto ``Epoch`` (PR 19's parent); the sharded row
+#: shares its observer digest with the classic one (same decisions, same
+#: replay order).
+PINNED_EPOCHS = {
+    ("honeybadger-sc", None): (
+        "d16b9c5e4e63a033b0b469edbd473f05fa9a2a78e624886f52713ef6cc3f6368",
+        549, "10.134175226226914", 9, 5122,
+        "6c4f5a1d4572e344aedf0944b60092b287f3912ffc1f4c92e335f128df25ea6c"),
+    ("beat", None): (
+        "d16b9c5e4e63a033b0b469edbd473f05fa9a2a78e624886f52713ef6cc3f6368",
+        366, "6.89850187433052", 9, 3586,
+        "6c4f5a1d4572e344aedf0944b60092b287f3912ffc1f4c92e335f128df25ea6c"),
+    ("dumbo-sc", None): (
+        "d16b9c5e4e63a033b0b469edbd473f05fa9a2a78e624886f52713ef6cc3f6368",
+        957, "28.41729308355583", 9, 16107,
+        "6c4f5a1d4572e344aedf0944b60092b287f3912ffc1f4c92e335f128df25ea6c"),
+    ("beat", 0): (
+        "2a7c1c3ffb72072ef726d8c94606589ba82a4dd526e0e7cd18a7e83eac029336",
+        3784, "21.321600150283082", 27, 34830,
+        "c3f900f7db64ae72272021cb4c826108ecf8cc451087c16c1e2bfab0f87a1f26"),
+    ("beat", 2): (
+        "2a7c1c3ffb72072ef726d8c94606589ba82a4dd526e0e7cd18a7e83eac029336",
+        3977, "20.74849563327681", 27, 35222,
+        "c3f900f7db64ae72272021cb4c826108ecf8cc451087c16c1e2bfab0f87a1f26"),
+}
+
+
+@pytest.mark.parametrize("protocol,shards", PINNED_EPOCHS)
+def test_one_epoch_runs_through_the_driver_reproduce_the_recorded_figures(
+        protocol, shards):
+    """``shards`` None = ``run_consensus`` on 4 nodes (seed 31), 0 = the
+    classic 4x4 multi-hop run (seed 32), 2 = the same run on two shards."""
+    observer = RunObserver()
+    small = dict(batch_size=3, transaction_bytes=32, observer=observer)
+    if shards is None:
+        result = run_consensus(protocol, Scenario.single_hop(4), seed=31,
+                               **small)
+    else:
+        result = run_multihop_consensus(protocol, Scenario.multi_hop(4, 4),
+                                        seed=32, shards=shards or None,
+                                        **small)
+    assert (result.block_digest, result.sim_events, repr(result.latency_s),
+            result.committed_transactions, result.bytes_sent,
+            observer_digest(observer)) == PINNED_EPOCHS[protocol, shards]

@@ -27,7 +27,6 @@ import pytest
 
 from repro.testbed.campaign import INGRESS_QUICK_CELLS, CampaignCell, \
     TopologySpec, run_cell
-from repro.testbed.harness import DeploymentError
 from repro.testbed.ingress import (
     INGRESS_PROFILES,
     AdmissionPolicy,
@@ -38,16 +37,23 @@ from repro.testbed.ingress import (
     TxClassSpec,
     ingress_profile,
 )
-from repro.testbed.invariants import check_ingress_conservation
+from repro.testbed.invariants import (
+    RunObserver,
+    check_all,
+    check_ingress_conservation,
+    check_ledger_continuity_across_reconfig,
+    check_liveness_under_bounded_churn,
+)
 from repro.testbed.membership import MembershipSchedule
 from repro.testbed.metrics import ClassRecord
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import (
     Mempool,
+    StreamingRun,
     StreamingSpec,
     run_streaming_consensus,
 )
-from repro.testbed.workload import ArrivalSpec, OpenLoopArrivals
+from repro.testbed.workload import ArrivalSpec, ChurnSpec, OpenLoopArrivals
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
 THREE_OPEN = ingress_profile("three-class-open")
@@ -259,10 +265,34 @@ class TestPriorityMempool:
         pool.admit(b"a", 2, 0.5)
         pool.admit(b"b", 0, 9.0)
         pool.admit(b"c", 1, 4.0)
-        assert pool.drain() == [b"a", b"b", b"c"]
+        assert pool.drain() == [(b"a", 2, 0.5), (b"b", 0, 9.0), (b"c", 1, 4.0)]
         assert pool.backlog == 0
         assert pool.take(3) == []
         assert pool.admit(b"a", 0, 1.0)  # drained = forgotten
+
+    def test_drained_entries_keep_class_and_fee_in_the_next_pool(self):
+        """A departed gateway's backlog moves as ``admit(*entry)``: every
+        transaction lands in the survivor's pool under its original class
+        and fee, not as class 0 at ``fee_min``."""
+        departed = PriorityMempool(THREE_OPEN, capacity=8)
+        departed.admit(b"cheap", 1, 2.5)
+        departed.admit(b"best", 2, 0.7)
+        departed.admit(b"dear", 1, 5.5)
+        survivor = PriorityMempool(THREE_OPEN, capacity=8)
+        survivor.admit(b"own", 1, 4.0)
+        for entry in departed.drain():
+            assert survivor.admit(*entry)
+        assert [survivor.class_backlog(index) for index in range(3)] \
+            == [0, 3, 1]
+        # fee order within the class: the transferred 5.5 overtakes the
+        # survivor's own 4.0, the transferred 2.5 queues behind it
+        taken = survivor.take(4)
+        assert [tx for tx in taken if tx != b"best"] \
+            == [b"dear", b"own", b"cheap"]
+        # the FIFO pool's entries are bare transactions for the same call
+        fifo = Mempool(capacity=4)
+        fifo.admit(b"x")
+        assert fifo.drain() == [(b"x",)] and fifo.backlog == 0
 
     def test_class_backlog_counts(self):
         pool = PriorityMempool(THREE_OPEN, capacity=8)
@@ -579,19 +609,84 @@ class TestStreamingIngress:
             ingress=ingress_profile("three-class-shed"))
         assert a != b
 
-    def test_multihop_ingress_is_rejected(self):
-        with pytest.raises(DeploymentError):
-            run_streaming_consensus(
-                "honeybadger-sc", Scenario.multi_hop(4, 4), small_spec(),
-                seed=1, ingress=IngressSpec())
+    def test_multihop_ingress_stream_conforms(self):
+        """Gateways in front of every node of a clustered deployment: the
+        stream decides, conforms and conserves, and the degenerate spec is
+        the no-ingress multi-hop stream bit for bit."""
+        scenario = Scenario.multi_hop(2, 4)
+        spec = small_spec(epochs=2)
+        observer = RunObserver()
+        result = run_streaming_consensus(
+            "honeybadger-sc", scenario, spec, seed=1, observer=observer,
+            ingress=ingress_profile("three-class-shed"))
+        assert result.decided and result.epochs_completed == 2
+        verdicts = check_all(observer, result.decided, True,
+                             scenario.timeout_s)
+        assert [verdict.name for verdict in verdicts if not verdict.ok] == []
+        assert len(verdicts) == 4
+        verdict = check_ingress_conservation(result.classes)
+        assert verdict.ok, verdict.detail
+        baseline = run_streaming_consensus("honeybadger-sc", scenario, spec,
+                                           seed=1)
+        mirrored = run_streaming_consensus(
+            "honeybadger-sc", scenario, spec, seed=1,
+            ingress=IngressSpec.fifo_equivalent(spec.arrival))
+        assert mirrored.ledger_digest == baseline.ledger_digest
+        assert mirrored.sim_events == baseline.sim_events
 
-    def test_membership_plus_ingress_is_rejected(self):
-        schedule = MembershipSchedule(universe=(0, 1, 2, 3),
-                                      initial=(0, 1, 2, 3))
-        with pytest.raises(DeploymentError):
-            run_streaming_consensus(
-                "honeybadger-sc", Scenario.single_hop(4), small_spec(),
-                seed=1, membership=schedule, ingress=IngressSpec())
+    def test_membership_plus_ingress_redistributes_with_marks(self):
+        """A crashed member's gateway backlog moves to the survivors at the
+        boundary -- a transfer between pools, so conservation holds -- and
+        the degenerate spec is the no-ingress stream under the same churn."""
+        churn = ChurnSpec(initial_size=4, crash_times=(40.0,),
+                          replace_crashed=True, horizon_s=100.0)
+        scenario = Scenario.single_hop(5).with_membership(churn)
+        spec = small_spec(epochs=5)
+        result = run_streaming_consensus(
+            "honeybadger-sc", scenario, spec, seed=7, ingress=THREE_OPEN)
+        assert result.decided and result.reconfigurations >= 1
+        verdict = check_ingress_conservation(result.classes)
+        assert verdict.ok, verdict.detail
+        assert all(verdict.ok for verdict in (
+            check_ledger_continuity_across_reconfig(
+                result.per_epoch, result.committees, result.ledger_digest),
+            check_liveness_under_bounded_churn(
+                result.per_epoch, result.committees, result.decided, 5)))
+        baseline = run_streaming_consensus("honeybadger-sc", scenario, spec,
+                                           seed=7)
+        mirrored = run_streaming_consensus(
+            "honeybadger-sc", scenario, spec, seed=7,
+            ingress=IngressSpec.fifo_equivalent(spec.arrival))
+        assert mirrored.ledger_digest == baseline.ledger_digest
+        assert mirrored.sim_events == baseline.sim_events
+        assert mirrored.committees == baseline.committees
+
+    def test_boundary_transfer_moves_no_gateway_counter(self):
+        """Redistribution re-admits into the survivors' *pools*: offered /
+        admitted stay where the client submitted, the marks arrive intact,
+        and a transfer the survivor refuses forgets its latency mark."""
+        schedule = MembershipSchedule(range(5), range(5),
+                                      [(1.0, "leave", 4)])
+        run = StreamingRun("honeybadger-sc", Scenario.single_hop(5),
+                           small_spec(epochs=1, warmup=0,
+                                      arrival=replace(FAST, max_mempool=2)),
+                           membership=schedule, ingress=THREE_OPEN)
+        run.membership.install()
+        leaver, heir = run.gateways[4], run.gateways[0]
+        leaver.submit(0.0, b"moved", 1, 5.5)
+        leaver.submit(0.0, b"refused", 2, 0.7)
+        for filler in (b"f1", b"f2"):  # gateways 1-3 are full: they refuse
+            for node_id in (1, 2, 3):
+                run.gateways[node_id].submit(0.0, filler + bytes([node_id]),
+                                             0, 9.0)
+        run.deployment.sim.now = 2.0
+        record = run._membership_boundary(0)
+        assert record.departed == (4,) and run.membership.redistributed == 1
+        assert leaver.pool.backlog == 0 and sum(leaver.admitted) == 2
+        assert sum(heir.offered) == 0 and sum(heir.admitted) == 0
+        assert heir.pool.class_backlog(1) == 1
+        assert heir.pool.drain() == [(b"moved", 1, 5.5)]
+        assert b"moved" in run.tx_meta and b"refused" not in run.tx_meta
 
 
 class TestCampaignIngressCells:
@@ -603,12 +698,11 @@ class TestCampaignIngressCells:
         with pytest.raises(ValueError):  # needs a streaming cell
             CampaignCell("beat", single, "none",
                          ingress="three-class-shed")
-        with pytest.raises(ValueError):  # single-hop gateways only
-            CampaignCell("beat", TopologySpec.multi(4, 4), "none",
-                         stream_epochs=4, ingress="three-class-shed")
-        with pytest.raises(ValueError):  # churn redistributes gateways
-            CampaignCell("beat", TopologySpec.single(6), "node-churn-rate",
-                         stream_epochs=4, ingress="three-class-shed")
+        # ingress composes with multi-hop topologies and with churn faults
+        CampaignCell("beat", TopologySpec.multi(4, 4), "none",
+                     stream_epochs=4, ingress="three-class-shed")
+        CampaignCell("beat", TopologySpec.single(6), "node-churn-rate",
+                     stream_epochs=4, ingress="three-class-shed")
 
     def test_cell_id_carries_ingress_suffix(self):
         cell = CampaignCell("beat", TopologySpec.single(4, profile="scale"),

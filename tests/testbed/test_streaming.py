@@ -19,9 +19,11 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.protocols.base import ConsensusConfig
+from repro.testbed.ingress import ingress_profile
 from repro.testbed.metrics import percentile
 from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.byzantine import ByzantineSpec
+from repro.testbed.scenario_packs import load_pack
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import (
     Mempool,
@@ -29,7 +31,8 @@ from repro.testbed.streaming import (
     StreamingSpec,
     run_streaming_consensus,
 )
-from repro.testbed.workload import ArrivalSpec, OpenLoopArrivals
+from repro.testbed.workload import ArrivalSpec, ChurnSpec, OpenLoopArrivals
+from tests.helpers import observer_digest
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
 PLAIN = ConsensusConfig(use_threshold_encryption=False)
@@ -319,3 +322,123 @@ class TestCheckpointGc:
                        for slots in runtime.transport._groups.values())
 
         assert batching_slots(freed) < batching_slots(kept)
+
+
+def pinned_stream(name: str) -> dict:
+    """The arguments of one pinned stream (everything but the seed)."""
+    args = dict(protocol="honeybadger-sc", scenario=Scenario.single_hop(4),
+                spec=small_spec())
+    if name == "sh4-depth1":
+        args["spec"] = small_spec(pipeline_depth=1)
+    elif name.startswith("mh2x4"):
+        args["scenario"] = Scenario.multi_hop(2, 4)
+        args["spec"] = small_spec(
+            epochs=2, pipeline_depth=int(name.endswith("depth1")))
+    elif name == "crash-replace":
+        args["scenario"] = Scenario.single_hop(5).with_membership(ChurnSpec(
+            initial_size=4, crash_times=(40.0,), replace_crashed=True,
+            horizon_s=100.0))
+        args["spec"] = small_spec(epochs=5)
+    elif name == "pack":
+        args.update(protocol="beat", pack=load_pack("burst-loss"))
+    elif name == "ingress-shed":
+        args.update(
+            scenario=Scenario.scale_single_hop(4),
+            spec=StreamingSpec(epochs=4, batch_size=4, arrival=ArrivalSpec(
+                rate_tps=120.0, transaction_bytes=48, max_mempool=256)),
+            ingress=ingress_profile("three-class-shed"))
+    elif name == "epoch-crash":
+        args["scenario"] = Scenario.single_hop(4).with_byzantine(ByzantineSpec(
+            assignments={3: "epoch-crash"}, crash_at_epoch=1))
+    return args
+
+
+#: (ledger digest, sim events, repr(duration_s), committed transactions,
+#: observer digest) recorded on the commit before ``StreamingRun`` moved onto
+#: ``harness.Epoch`` (PR 19's parent).  Every figure is a pure function of
+#: the arguments: a driver that installs, proposes, feeds, checkpoints or
+#: releases in another order -- or replays decisions into the observer in
+#: another order or under another domain -- moves one of these.  (A
+#: two-phase epoch's content locks when it settles, so the two multi-hop
+#: depths pin the same figures.)
+PINNED_STREAMS = {
+    ("sh4-depth0", 3): (
+        "e289185619dbb8778c4c7cbc48852ac4013fbcce2d64e2b8cd1c1900e820a409",
+        2474, "41.545600391268636", 24,
+        "dcb194cfe2ba24a64422f79496ee4bf1b3b201acf40fb30f549929d30cfad118"),
+    ("sh4-depth0", 11): (
+        "3da62148e8ea2676a1f9b36fcc08ed3ba58b06ec3121a35bddec6268037223be",
+        2251, "38.13072856862611", 27,
+        "a5937f1afc5b9762318f16003720b341a284d2714985bc6421c765df67f6ec18"),
+    ("sh4-depth1", 3): (
+        "8fed36bdd4a6845ad304ce6b3e5fc40f9c07b9a30c05c643d553c65cdd3fbcd1",
+        2158, "36.622376918460276", 27,
+        "939dabe747f6022f0c5a2b1573143021cd4dbe823737d7f76ff1045a3f7b81ed"),
+    ("sh4-depth1", 11): (
+        "4b3be04e31d01ad79bb38deb61dacf09488bd18f7116d8b847e9d5298c72d41a",
+        2517, "42.155130673039956", 27,
+        "dceb860c6d2f311d1b4f5ccd512b7efcd9a6adace0489cbce0f363206f3b936a"),
+    ("mh2x4-depth0", 3): (
+        "84915bb1404f10b67a740c791116fe41f437c8d43b0fafaae49a7870d3ed7e65",
+        3145, "29.32932851380027", 27,
+        "3f9b2c0e8ec87780d19f8c42cb56cac3499e6ea90a37c9a381b80f4200ec8531"),
+    ("mh2x4-depth0", 11): (
+        "a8bb804390d47b84bdacbf620bf7b1b93af20785db192728c38ab8f613689a7c",
+        3439, "31.07552589203478", 18,
+        "a165e16f6fe5940a057e16f2ac0d09df62308ac66ec15a3e7cf196cb11cf81c0"),
+    ("mh2x4-depth1", 3): (
+        "84915bb1404f10b67a740c791116fe41f437c8d43b0fafaae49a7870d3ed7e65",
+        3145, "29.32932851380027", 27,
+        "3f9b2c0e8ec87780d19f8c42cb56cac3499e6ea90a37c9a381b80f4200ec8531"),
+    ("mh2x4-depth1", 11): (
+        "a8bb804390d47b84bdacbf620bf7b1b93af20785db192728c38ab8f613689a7c",
+        3439, "31.07552589203478", 18,
+        "a165e16f6fe5940a057e16f2ac0d09df62308ac66ec15a3e7cf196cb11cf81c0"),
+    ("crash-replace", 3): (
+        "67ade31958d66cc59bfa33f936504010f07b9b469dbeb15b9383d45db53ffd11",
+        3484, "53.32969706549585", 45,
+        "50b663e7278e9d47361b65081e2bb43c43b978f8fad901c2538c723dc37954a1"),
+    ("crash-replace", 11): (
+        "605186bdc4e8cef1ecc646a910b312b6a5481ec50774878c346810c6a5b988d8",
+        4421, "64.6281612733165", 45,
+        "622cdacf2ecfedd55e753ce4bd87717ab1382faf597cc9615a4f03244b592e44"),
+    ("pack", 3): (
+        "c7351b3bb92275f9c878814d202044d208b3dde43722bff1e6550e8149c4df4e",
+        2560, "54.594352231796805", 27,
+        "5edb7dffa63680ad40916ea7649b03302c868d8b5d530b12a29d8227f540bc12"),
+    ("pack", 11): (
+        "945d35da644fbfa3b2784a6aacb1dafe0d788f5a68d38b84d79de93ad88e6180",
+        2569, "54.90329842880867", 27,
+        "33155065a01ec5ffe76f3be3d6403f705fa2d72f6c02c303ea23dfb88679f01e"),
+    ("ingress-shed", 3): (
+        "376c596004cdc7b45e18367274daf27d794b356dbba9a95d9f40feffd9093584",
+        2917, "1.007502996551723", 36,
+        "43bdd2b341fc5975900c39c475da596447054b5d6d9fe99078ec06ce076ff737"),
+    ("ingress-shed", 11): (
+        "959f59b0ed76cea2cc1998696020d899a58b90c618cc7d5f356128ad895330f7",
+        2861, "0.9733727283080564", 36,
+        "a6e5c6109e61dc987a2cdac673df712586d3afb4fb6092ea8dc6d315e52f5805"),
+    ("epoch-crash", 3): (
+        "a7736c63e1bc068bcea092315206623f1bf424867113ffef22378403417f6f8a",
+        1667, "32.2940467325195", 27,
+        "140f2d0f7e30382982fcd77f6b123bfa6ef57dc3a355bd89fe5d058aa96de7a6"),
+    ("epoch-crash", 11): (
+        "1c4204cf493082fe1c0a0a231d5afbc0ddb3e8f01486f0d45d32d854f915faf1",
+        1891, "37.27952326339575", 27,
+        "25fa5abeae5ba3a8b03796a0bfd5f8bcc38869ee2e771803756595bed7d135f0"),
+}
+
+
+class TestPinnedIdentity:
+    """The bit-identity contract of the streaming runner, in tier-1: both
+    hop counts at both pipeline depths, churn, a scenario pack, a gated
+    ingress and a mid-stream crash, two seeds each."""
+
+    @pytest.mark.parametrize("name,seed", sorted(PINNED_STREAMS))
+    def test_stream_reproduces_the_recorded_figures(self, name, seed):
+        observer = RunObserver()
+        result = run_streaming_consensus(seed=seed, observer=observer,
+                                         **pinned_stream(name))
+        assert (result.ledger_digest, result.sim_events,
+                repr(result.duration_s), result.committed_transactions,
+                observer_digest(observer)) == PINNED_STREAMS[name, seed]
