@@ -9,7 +9,6 @@ with short budgets and checks *same-run ratio invariants* only:
 * steady-state ``Group.exp`` on a recurring base >= 3x builtin ``pow`` (the
   pure tier's fixed-base promotion -- a refactor that silently sends hot
   bases back to ``pow`` lands at ~1x);
-* batched share verification >= 3x the seed per-share path (n=16/t=5);
 * verifying a signature or share minted in this process >= 10x verifying an
   unstamped copy, under the pure tier and under the best available one (a
   refactor that loses the provenance stamp lands at ~1x and would otherwise
@@ -82,7 +81,6 @@ GATED_METRICS = (
     "schnorr_verify",
     "share_sign",
     "share_verify_single",
-    "share_verify_batch",
     "share_combine",
     "share_combine_native",
     "erasure_encode_k32",
@@ -101,7 +99,6 @@ MAX_REGRESSION = 2.0
 
 # Same-run ratio invariants (both modes, baseline-independent).
 MIN_RECURRING_BASE_VS_POW = 3.0
-MIN_BATCH_VS_SEED = 3.0
 MIN_MINTED_VS_LONG_ROAD = 10.0
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
@@ -113,7 +110,6 @@ MIN_DECODE_NATIVE_VS_PURE = 5.0
 # ops/s, so they are specific to the machine the baseline history was
 # recorded on -- like the baseline file itself.
 PRE_BACKEND_RATES = {
-    "share_combine_native": 457.44,     # pure share_combine, pre-backend
     "erasure_decode_native_k32": 225.71,  # pure erasure_decode_k32
 }
 MIN_NATIVE_VS_PRE_BACKEND = 5.0
@@ -140,11 +136,6 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"{speedups['group_exp_recurring_base_vs_pow']:.2f}x builtin pow "
             f"(need >= {MIN_RECURRING_BASE_VS_POW}x): hot bases are not "
             f"reaching the pure tier's fixed-base tables")
-    if speedups["share_verify_batch_vs_seed"] < MIN_BATCH_VS_SEED:
-        failures.append(
-            f"batched share verification only "
-            f"{speedups['share_verify_batch_vs_seed']:.2f}x the seed per-share "
-            f"path (need >= {MIN_BATCH_VS_SEED}x)")
     for name in ("schnorr_verify_minted_vs_long_road",
                  "schnorr_verify_minted_vs_long_road_native",
                  "share_verify_minted_vs_long_road"):

@@ -7,8 +7,8 @@ primitive, between the always-available pure fastpath and an optional
 native path:
 
 * big integers -- ``gmpy2`` when installed (``pip install .[native]``),
-  otherwise the system ``libgmp`` through a small compiled shim or raw
-  ctypes ABI calls (:mod:`repro.crypto.backend.gmp`);
+  otherwise the system ``libgmp`` through a small compiled shim
+  (:mod:`repro.crypto.backend.gmp`);
 * modular matrix products (erasure encode/decode) -- numpy int64 with
   16-bit limb splitting (:mod:`repro.crypto.backend.matrix`).
 
@@ -42,11 +42,9 @@ __all__ = [
     "current_mode",
     "has_native_bigint",
     "jacobi",
-    "jacobi_many",
     "matrix_engine",
     "multi_powm",
     "powm",
-    "powm_many",
     "use",
 ]
 
@@ -56,7 +54,8 @@ _UNPROBED = object()
 
 
 class BackendUnavailableError(RuntimeError):
-    """``native`` was forced but no native tier could be loaded."""
+    """A native tier did not load (the message says why), or ``native`` was
+    forced and none did."""
 
 
 _PURE_BIGINT = PureBigint()
@@ -64,6 +63,8 @@ _PURE_BIGINT = PureBigint()
 #: probe results, memoised per process (compiling the shim is not free)
 _native_bigint = _UNPROBED
 _native_matrix = _UNPROBED
+#: tier name -> why the probe passed it over
+_bigint_probe_failures: dict[str, str] = {}
 
 #: active selection
 _mode = "pure"
@@ -76,7 +77,14 @@ def _probe_native_bigint():
     if _native_bigint is _UNPROBED:
         from repro.crypto.backend.gmp import load_gmp_bigint
         from repro.crypto.backend.gmpy2_backend import load_gmpy2_bigint
-        _native_bigint = load_gmpy2_bigint() or load_gmp_bigint()
+        _native_bigint = None
+        for name, load in (("gmpy2", load_gmpy2_bigint),
+                           ("gmp-shim", load_gmp_bigint)):
+            try:
+                _native_bigint = load()
+                break
+            except BackendUnavailableError as why:
+                _bigint_probe_failures[name] = str(why)
     return _native_bigint
 
 
@@ -110,12 +118,14 @@ def activate(mode: str) -> None:
     native = _probe_native_bigint()
     matrix = _probe_native_matrix()
     if mode == "native" and native is None:
+        reasons = "; ".join(f"{name}: {why}" for name, why
+                            in _bigint_probe_failures.items())
         raise BackendUnavailableError(
             "REPRO_CRYPTO_BACKEND=native but no native big-integer tier "
-            "loaded: gmpy2 is not installed and the libgmp tiers failed to "
-            "probe (need the gmp shared library, plus a C compiler for the "
-            "shim tier). Install the 'native' extra (pip install .[native]) "
-            "or unset the variable to run pure Python.")
+            f"loaded ({reasons}). The shim tier needs the "
+            "gmp shared library and headers plus a C compiler; otherwise "
+            "install the 'native' extra (pip install .[native]) or unset "
+            "the variable to run pure Python.")
     _mode = mode
     _bigint = native if native is not None else _PURE_BIGINT
     _matrix = matrix
@@ -163,6 +173,7 @@ def backend_info() -> dict:
         "matrix": _matrix.name if _matrix is not None else "pure",
         "native_bigint_available": native.name if native else None,
         "native_matrix_available": matrix.name if matrix else None,
+        "native_bigint_probe_failures": dict(_bigint_probe_failures),
     }
 
 
@@ -177,19 +188,9 @@ def multi_powm(pairs: Sequence[tuple[int, int]], modulus: int) -> int:
     return _bigint.multi_powm(pairs, modulus)
 
 
-def powm_many(pairs: Sequence[tuple[int, int]], modulus: int) -> list[int]:
-    """``[base_i ** exponent_i mod modulus, ...]`` in one batched call."""
-    return _bigint.powm_many(pairs, modulus)
-
-
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol ``(a | n)`` for odd positive ``n``."""
     return _bigint.jacobi(a, n)
-
-
-def jacobi_many(values: Sequence[int], n: int) -> list[int]:
-    """Jacobi symbols for many values against one modulus."""
-    return _bigint.jacobi_many(values, n)
 
 
 # Honour the environment at import time; an invalid value fails loudly here

@@ -1,44 +1,45 @@
-"""Native big-integer tiers backed by the system libgmp.
+"""The native big-integer tier backed by the system libgmp.
 
-Two tiers, probed in order by :func:`load_gmp_bigint`:
+``gmp-shim`` is a small C helper (``_gmp_shim.c``, shipped as package data)
+compiled on demand with the system C compiler and loaded via ctypes.  One
+foreign call performs a whole operation (an entire multi-exponentiation),
+so the Python-side marshalling cost is one fixed-width ``int.to_bytes`` per
+operand.
 
-* ``gmp-shim`` -- a small C helper (``_gmp_shim.c``, shipped as package
-  data) compiled on demand with the system C compiler and loaded via
-  ctypes.  One foreign call performs a whole batched operation (an entire
-  multi-exponentiation or an array of Jacobi symbols), so the Python-side
-  marshalling cost is one fixed-width ``int.to_bytes`` per operand.
-* ``gmp-abi`` -- direct ``__gmpz_*`` calls into ``libgmp.so.10`` via
-  ctypes, no compiler needed.  One foreign call per term; slower than the
-  shim but still several times faster than pure-Python exponentiation.
-
-Both tiers validate arguments exactly like
-:mod:`repro.crypto.backend.pure` and return bit-identical results: GMP's
-``mpz_powm``/``mpz_jacobi`` agree with CPython's ``pow`` and the binary
-Jacobi algorithm on every input the wrappers admit.
+The tier validates arguments exactly like :mod:`repro.crypto.backend.pure`
+and returns bit-identical results: GMP's ``mpz_powm``/``mpz_jacobi`` agree
+with CPython's ``pow`` and the binary Jacobi algorithm on every input the
+wrappers admit.
 
 The compiled shim lives in a content-addressed directory under the system
 temp dir (keyed by the source hash), so rebuilds only happen when the C
 source changes and concurrent processes race benignly via ``os.replace``.
-Every failure path (no compiler, no libgmp, compile error) returns ``None``
-and the caller falls back to the next tier -- native acceleration is always
+That directory is shared with every other user of the machine and its name
+is a function of a public file, so it is created mode 0700 and nothing is
+loaded from it unless directory and library are owned by this user and
+writable by nobody else.  Every failure path (no compiler, no libgmp,
+compile error, directory not private) raises
+:class:`~repro.crypto.backend.BackendUnavailableError` with the reason and
+the caller falls back to pure Python -- native acceleration is always
 optional.
 """
 
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import hashlib
 import os
 import shutil
+import stat
 import subprocess
 import tempfile
-from typing import Optional, Sequence
+from typing import Sequence
+
+from repro.crypto.backend import BackendUnavailableError
 
 _SHIM_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "_gmp_shim.c")
 _SHIM_LIBNAME = "librepro_gmp.so"
-_GMP_CANDIDATES = ("libgmp.so.10", "libgmp.so", "gmp")
 
 
 def _nbytes(value: int) -> int:
@@ -50,7 +51,7 @@ def _pack(values: Sequence[int], size: int) -> bytes:
 
 
 class _ShimBigint:
-    """Batched GMP operations through the compiled ``_gmp_shim.c``."""
+    """GMP operations through the compiled ``_gmp_shim.c``."""
 
     name = "gmp-shim"
 
@@ -106,224 +107,79 @@ class _ShimBigint:
             modulus.to_bytes(size, "big"), out)
         return int.from_bytes(out.raw, "big")
 
-    def powm_many(self, pairs: Sequence[tuple[int, int]],
-                  modulus: int) -> list[int]:
-        if modulus <= 0:
-            raise ValueError("powm_many requires a positive modulus")
-        if not pairs:
-            return []
-        bases = []
-        exponents = []
-        bits = 0
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("powm_many requires non-negative exponents")
-            bases.append(base % modulus)
-            exponents.append(exponent)
-            exponent_bits = exponent.bit_length()
-            if exponent_bits > bits:
-                bits = exponent_bits
-        size = max(_nbytes(modulus), (bits + 7) // 8)
-        out = ctypes.create_string_buffer(len(pairs) * size)
-        self._lib.repro_powm_array(
-            len(pairs), size, _pack(bases, size), _pack(exponents, size),
-            modulus.to_bytes(size, "big"), out)
-        raw = out.raw
-        return [int.from_bytes(raw[i * size:(i + 1) * size], "big")
-                for i in range(len(pairs))]
-
     def jacobi(self, a: int, n: int) -> int:
-        return self.jacobi_many((a,), n)[0]
-
-    def jacobi_many(self, values: Sequence[int], n: int) -> list[int]:
         if n <= 0 or n % 2 == 0:
             raise ValueError("jacobi symbol requires odd positive n")
-        reduced = [value % n for value in values]
         size = _nbytes(n)
-        out = ctypes.create_string_buffer(len(reduced))
+        out = ctypes.create_string_buffer(1)
         self._lib.repro_jacobi_array(
-            len(reduced), size, _pack(reduced, size),
-            n.to_bytes(size, "big"), out)
-        return [value - 256 if value > 127 else value for value in out.raw]
+            1, size, (a % n).to_bytes(size, "big"), n.to_bytes(size, "big"),
+            out)
+        return int.from_bytes(out.raw, "big", signed=True)
 
 
-class _Mpz(ctypes.Structure):
-    _fields_ = [("_mp_alloc", ctypes.c_int), ("_mp_size", ctypes.c_int),
-                ("_mp_d", ctypes.c_void_p)]
+def _require_private(path: str, is_kind) -> None:
+    """Refuse a cache entry that another user could have planted or can
+    still replace: whoever creates the directory first would otherwise choose
+    the code this process loads.  ``lstat``, so a symlink is never private."""
+    if not hasattr(os, "getuid"):
+        raise BackendUnavailableError(
+            "directory not private: no POSIX ownership to check here")
+    status = os.lstat(path)
+    if not (is_kind(status.st_mode) and status.st_uid == os.getuid()
+            and not status.st_mode & (stat.S_IWGRP | stat.S_IWOTH)):
+        raise BackendUnavailableError(
+            f"directory not private: {path} must be owned by uid "
+            f"{os.getuid()} and writable by nobody else")
 
 
-class _AbiBigint:
-    """Direct ``__gmpz_*`` calls into libgmp (no compiler required).
-
-    The scratch mpz variables are reused across calls, which is safe in this
-    single-threaded simulator and avoids per-call allocator churn.
-    """
-
-    name = "gmp-abi"
-
-    def __init__(self, lib: ctypes.CDLL) -> None:
-        self._lib = lib
-        mpz_p = ctypes.POINTER(_Mpz)
-        lib.__gmpz_init.argtypes = [mpz_p]
-        lib.__gmpz_import.argtypes = [mpz_p, ctypes.c_size_t, ctypes.c_int,
-                                      ctypes.c_size_t, ctypes.c_int,
-                                      ctypes.c_size_t, ctypes.c_char_p]
-        lib.__gmpz_export.argtypes = [ctypes.c_char_p,
-                                      ctypes.POINTER(ctypes.c_size_t),
-                                      ctypes.c_int, ctypes.c_size_t,
-                                      ctypes.c_int, ctypes.c_size_t, mpz_p]
-        lib.__gmpz_export.restype = ctypes.c_void_p
-        lib.__gmpz_powm.argtypes = [mpz_p] * 4
-        lib.__gmpz_jacobi.argtypes = [mpz_p, mpz_p]
-        lib.__gmpz_jacobi.restype = ctypes.c_int
-        lib.__gmpz_mul.argtypes = [mpz_p] * 3
-        lib.__gmpz_tdiv_r.argtypes = [mpz_p] * 3
-        self._scratch = [self._new() for _ in range(6)]
-
-    def _new(self) -> _Mpz:
-        z = _Mpz()
-        self._lib.__gmpz_init(ctypes.byref(z))
-        return z
-
-    def _set(self, z: _Mpz, value: int) -> None:
-        raw = value.to_bytes(_nbytes(value), "big")
-        self._lib.__gmpz_import(ctypes.byref(z), len(raw), 1, 1, 1, 0, raw)
-
-    def _get(self, z: _Mpz, size: int) -> int:
-        buffer = ctypes.create_string_buffer(size)
-        count = ctypes.c_size_t(0)
-        self._lib.__gmpz_export(buffer, ctypes.byref(count), 1, 1, 1, 0,
-                                ctypes.byref(z))
-        return int.from_bytes(buffer.raw[:count.value], "big")
-
-    def powm(self, base: int, exponent: int, modulus: int) -> int:
-        if exponent < 0:
-            raise ValueError("powm requires a non-negative exponent")
-        if modulus <= 0:
-            return pow(base, exponent, modulus)
-        base %= modulus
-        mod_z, base_z, exp_z, out_z = self._scratch[:4]
-        self._set(mod_z, modulus)
-        self._set(base_z, base)
-        self._set(exp_z, exponent)
-        self._lib.__gmpz_powm(ctypes.byref(out_z), ctypes.byref(base_z),
-                              ctypes.byref(exp_z), ctypes.byref(mod_z))
-        return self._get(out_z, _nbytes(modulus))
-
-    def multi_powm(self, pairs: Sequence[tuple[int, int]],
-                   modulus: int) -> int:
-        if modulus <= 0:
-            raise ValueError("multi_powm requires a positive modulus")
-        if not pairs:
-            return 1 % modulus
-        mod_z, base_z, exp_z, term_z, acc_z = self._scratch[:5]
-        self._set(mod_z, modulus)
-        self._set(acc_z, 1 % modulus)
-        byref = ctypes.byref
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("multi_exp requires non-negative exponents")
-            self._set(base_z, base % modulus)
-            self._set(exp_z, exponent)
-            self._lib.__gmpz_powm(byref(term_z), byref(base_z), byref(exp_z),
-                                  byref(mod_z))
-            self._lib.__gmpz_mul(byref(acc_z), byref(acc_z), byref(term_z))
-            self._lib.__gmpz_tdiv_r(byref(acc_z), byref(acc_z), byref(mod_z))
-        return self._get(acc_z, _nbytes(modulus))
-
-    def powm_many(self, pairs: Sequence[tuple[int, int]],
-                  modulus: int) -> list[int]:
-        if modulus <= 0:
-            raise ValueError("powm_many requires a positive modulus")
-        mod_z, base_z, exp_z, out_z = self._scratch[:4]
-        self._set(mod_z, modulus)
-        byref = ctypes.byref
-        size = _nbytes(modulus)
-        results = []
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("powm_many requires non-negative exponents")
-            self._set(base_z, base % modulus)
-            self._set(exp_z, exponent)
-            self._lib.__gmpz_powm(byref(out_z), byref(base_z), byref(exp_z),
-                                  byref(mod_z))
-            results.append(self._get(out_z, size))
-        return results
-
-    def jacobi(self, a: int, n: int) -> int:
-        if n <= 0 or n % 2 == 0:
-            raise ValueError("jacobi symbol requires odd positive n")
-        mod_z, value_z = self._scratch[:2]
-        self._set(mod_z, n)
-        self._set(value_z, a % n)
-        return self._lib.__gmpz_jacobi(ctypes.byref(value_z),
-                                       ctypes.byref(mod_z))
-
-    def jacobi_many(self, values: Sequence[int], n: int) -> list[int]:
-        return [self.jacobi(value, n) for value in values]
+def _shim_directory() -> str:
+    """The build directory: one per revision of the C source."""
+    with open(_SHIM_SOURCE, "rb") as handle:
+        digest = hashlib.sha256(handle.read()).hexdigest()[:16]
+    return os.path.join(tempfile.gettempdir(), f"repro-gmp-{digest}")
 
 
-def _shim_library_path() -> Optional[str]:
-    """Compile (once, content-addressed) and return the shim path, or None."""
-    try:
-        with open(_SHIM_SOURCE, "rb") as handle:
-            source_blob = handle.read()
-    except OSError:
-        return None
-    digest = hashlib.sha256(source_blob).hexdigest()[:16]
-    libdir = os.path.join(tempfile.gettempdir(), f"repro-gmp-{digest}")
+def _shim_library_path() -> str:
+    """Compile (once, content-addressed) and return the shim path."""
+    libdir = _shim_directory()
     libpath = os.path.join(libdir, _SHIM_LIBNAME)
-    if os.path.exists(libpath):
+    try:
+        os.mkdir(libdir, 0o700)
+    except FileExistsError:
+        pass
+    _require_private(libdir, stat.S_ISDIR)
+    if os.path.lexists(libpath):
+        _require_private(libpath, stat.S_ISREG)
         return libpath
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
-        return None
-    try:
-        os.makedirs(libdir, exist_ok=True)
-        staging = os.path.join(libdir, f".{_SHIM_LIBNAME}.{os.getpid()}")
-        result = subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", staging,
-             _SHIM_SOURCE, "-lgmp"],
-            capture_output=True, timeout=120)
-        if result.returncode != 0 or not os.path.exists(staging):
-            return None
-        os.replace(staging, libpath)
-    except (OSError, subprocess.SubprocessError):
-        return None
+        raise BackendUnavailableError("no C compiler")
+    staging = os.path.join(libdir, f".{_SHIM_LIBNAME}.{os.getpid()}")
+    result = subprocess.run(
+        [compiler, "-O2", "-shared", "-fPIC", "-o", staging,
+         _SHIM_SOURCE, "-lgmp"],
+        capture_output=True, timeout=120)
+    if result.returncode != 0 or not os.path.exists(staging):
+        last_line = result.stderr.decode(errors="replace").strip() \
+            .rpartition("\n")[2]
+        raise BackendUnavailableError(f"compile failed: {last_line}")
+    # whatever the umask, the next process must find the library private
+    os.chmod(staging, 0o700)
+    os.replace(staging, libpath)
     return libpath
 
 
-def _load_gmp_library() -> Optional[ctypes.CDLL]:
-    candidates = list(_GMP_CANDIDATES)
-    found = ctypes.util.find_library("gmp")
-    if found:
-        candidates.insert(0, found)
-    for candidate in candidates:
-        try:
-            return ctypes.CDLL(candidate)
-        except OSError:
-            continue
-    return None
-
-
-def load_gmp_bigint():
-    """Best available libgmp tier (shim, then ABI), or ``None``."""
-    libpath = _shim_library_path()
-    if libpath is not None:
-        try:
-            shim = _ShimBigint(ctypes.CDLL(libpath))
-            # One self-check call: a broken toolchain should demote the
-            # tier at probe time, not corrupt crypto results later.
-            if shim.powm(7, 5, 11) == pow(7, 5, 11):
-                return shim
-        except (OSError, AttributeError):
-            pass
-    lib = _load_gmp_library()
-    if lib is not None:
-        try:
-            abi = _AbiBigint(lib)
-            if abi.powm(7, 5, 11) == pow(7, 5, 11):
-                return abi
-        except (OSError, AttributeError):
-            pass
-    return None
+def load_gmp_bigint() -> _ShimBigint:
+    """The ``gmp-shim`` tier, or :class:`BackendUnavailableError` saying why
+    it did not load."""
+    try:
+        shim = _ShimBigint(ctypes.CDLL(_shim_library_path()))
+    except (OSError, AttributeError, subprocess.SubprocessError) as error:
+        raise BackendUnavailableError(
+            f"{type(error).__name__}: {error}") from error
+    # One self-check call: a broken toolchain should demote the tier at
+    # probe time, not corrupt crypto results later.
+    if shim.powm(7, 5, 11) != pow(7, 5, 11):
+        raise BackendUnavailableError("self-check failed")
+    return shim

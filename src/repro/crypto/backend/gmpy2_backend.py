@@ -1,13 +1,16 @@
 """gmpy2-backed big-integer tier (the preferred native tier when installed).
 
 gmpy2 wraps libgmp with near-zero per-call overhead, so when the optional
-``repro[native]`` extra is installed this tier beats both ctypes-based GMP
-tiers.  It is probed first and skipped silently when the import fails.
+``repro[native]`` extra is installed this tier beats the ctypes-based GMP
+tier.  It is probed first; a failed import is recorded as the reason the
+tier is unavailable.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
+
+from repro.crypto.backend import BackendUnavailableError
 
 
 class Gmpy2Bigint:
@@ -44,39 +47,25 @@ class Gmpy2Bigint:
             acc = acc * powmod(mpz(base), exponent, mod) % mod
         return int(acc)
 
-    def powm_many(self, pairs: Sequence[tuple[int, int]],
-                  modulus: int) -> list[int]:
-        if modulus <= 0:
-            raise ValueError("powm_many requires a positive modulus")
-        mpz = self._mpz
-        powmod = self._powmod
-        mod = mpz(modulus)
-        results = []
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("powm_many requires non-negative exponents")
-            results.append(int(powmod(mpz(base), exponent, mod)))
-        return results
-
     def jacobi(self, a: int, n: int) -> int:
         if n <= 0 or n % 2 == 0:
             raise ValueError("jacobi symbol requires odd positive n")
         return int(self._jacobi(self._mpz(a), self._mpz(n)))
 
-    def jacobi_many(self, values: Sequence[int], n: int) -> list[int]:
-        return [self.jacobi(value, n) for value in values]
 
-
-def load_gmpy2_bigint() -> Optional[Gmpy2Bigint]:
-    """The gmpy2 tier when importable, else ``None``."""
+def load_gmpy2_bigint() -> Gmpy2Bigint:
+    """The gmpy2 tier, or :class:`BackendUnavailableError` saying why it did
+    not load."""
     try:
         import gmpy2
-    except ImportError:
-        return None
+    except ImportError as error:
+        raise BackendUnavailableError(f"ImportError: {error}") from error
     try:
         tier = Gmpy2Bigint(gmpy2)
-        if tier.powm(7, 5, 11) != pow(7, 5, 11):
-            return None
-    except (AttributeError, TypeError, ValueError):
-        return None
+        checked = tier.powm(7, 5, 11) == pow(7, 5, 11)
+    except (AttributeError, TypeError, ValueError) as error:
+        raise BackendUnavailableError(
+            f"{type(error).__name__}: {error}") from error
+    if not checked:
+        raise BackendUnavailableError("self-check failed")
     return tier

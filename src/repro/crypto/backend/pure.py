@@ -93,21 +93,5 @@ class PureBigint:
         return fastpath.multi_exp(pairs, modulus)
 
     @staticmethod
-    def powm_many(pairs: Sequence[tuple[int, int]],
-                  modulus: int) -> list[int]:
-        if modulus <= 0:
-            raise ValueError("powm_many requires a positive modulus")
-        results = []
-        for base, exponent in pairs:
-            if exponent < 0:
-                raise ValueError("powm_many requires non-negative exponents")
-            results.append(pow(base, exponent, modulus))
-        return results
-
-    @staticmethod
     def jacobi(a: int, n: int) -> int:
         return fastpath.jacobi(a, n)
-
-    @staticmethod
-    def jacobi_many(values: Sequence[int], n: int) -> list[int]:
-        return [fastpath.jacobi(value, n) for value in values]

@@ -21,27 +21,12 @@ naive code they replace:
   the defining test ``a^q == 1 mod P`` and exactly equivalent.
 * :func:`multi_exp` -- interleaved windowed multi-exponentiation
   ``prod base_i^{e_i} mod p`` sharing one squaring chain across all terms.
-* :func:`batch_verify_dlog_equality` -- small-exponent random-linear-
-  combination batching (Bellare-Garay-Rabin style) of Chaum-Pedersen
-  discrete-log-equality proofs that all share the same secondary base, so a
-  combiner checks ``t+1`` shares with two fixed-base exponentiations and one
-  multi-exponentiation instead of ``4(t+1)`` full ``pow()`` calls.
-
-The randomizers for batching are derived deterministically from the proof
-transcripts (Fiat-Shamir style), which keeps every simulation run
-reproducible: the same shares always batch-verify through the identical
-sequence of group operations.
 """
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from typing import Sequence
-
-# Soundness parameter for small-exponent batch verification: a batch that
-# contains an invalid proof passes with probability at most 2^-_RANDOMIZER_BITS.
-_RANDOMIZER_BITS = 64
 
 
 # --------------------------------------------------------------------- tables
@@ -230,25 +215,3 @@ def multi_exp(pairs: Sequence[tuple[int, int]], modulus: int,
         for factor in factors:
             result = result * factor % modulus
     return result
-
-
-# ------------------------------------------------------------- batch verification
-def derive_batch_randomizers(seed_parts: Sequence[bytes], count: int,
-                             bits: int = _RANDOMIZER_BITS) -> list[int]:
-    """Deterministic non-zero randomizers for small-exponent batching.
-
-    Derived Fiat-Shamir style from the proof transcripts so batch
-    verification stays reproducible run-to-run (no ambient RNG draws).
-    """
-    seed = hashlib.sha512(b"\x00".join(seed_parts)).digest()
-    randomizers: list[int] = []
-    counter = 0
-    while len(randomizers) < count:
-        digest = hashlib.sha512(seed + counter.to_bytes(4, "big")).digest()
-        counter += 1
-        for offset in range(0, len(digest) - bits // 8 + 1, bits // 8):
-            value = int.from_bytes(digest[offset:offset + bits // 8], "big")
-            randomizers.append(value | 1)  # force non-zero (and odd)
-            if len(randomizers) == count:
-                break
-    return randomizers

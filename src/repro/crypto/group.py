@@ -26,12 +26,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro.crypto import backend as crypto_backend
-from repro.crypto.fastpath import (
-    FixedBaseTable,
-    derive_batch_randomizers,
-    multi_exp,
-)
-from repro.crypto.field import PrimeField
+from repro.crypto.fastpath import FixedBaseTable
+from repro.crypto.field import PrimeField, lagrange_coefficients_at_zero
 
 # 256-bit safe prime P = 2q + 1 generated once with a fixed seed (see DESIGN.md).
 _SAFE_PRIME_P = 105216956437749856470442369914846542332764088290024751311797079457000279170143
@@ -273,10 +269,8 @@ def _challenge(group: Group, context: bytes, base_h: int, value_g: int,
                value_h: int, commitment_g: int, commitment_h: int) -> int:
     """The Fiat-Shamir challenge for a Chaum-Pedersen transcript.
 
-    The single definition shared by the prover, both verifiers and the batch
-    verifier -- if the transcript format ever changes, it changes everywhere
-    at once (a silent mismatch would push every combine onto the per-share
-    fallback path and quietly lose the batching speedup).
+    The single definition shared by the prover and both verifiers -- if the
+    transcript format ever changes, it changes everywhere at once.
     """
     return group.hash_to_scalar(
         b"chaum-pedersen", context,
@@ -375,222 +369,27 @@ def verify_dlog_equality_reference(group: Group, proof: ChaumPedersenProof,
     return lhs_h == rhs_h
 
 
-#: FIFO memos for batched native membership tests, one flat dict per group
-#: modulus so the hot lookups hash a bare element instead of a ``(p, a)``
-#: tuple.  Semantics mirror ``_is_member_cached`` (results are identical;
-#: only call batching differs).
-_NATIVE_MEMBER_MEMOS: dict[int, dict[int, bool]] = {}
-_NATIVE_MEMBER_MEMO_MAX = 16384
+def combine_in_exponent(group: Group, shares, threshold: int, too_few,
+                        accept=None) -> int:
+    """Lagrange-combine signer-keyed shares into ``base^s``.
 
-
-def _batch_members_ok(group: Group, elements: Sequence[int]) -> bool:
-    """Subgroup membership for many elements at once.
-
-    On the pure path this is the memoised per-element Jacobi test.  With a
-    native big-integer tier active (and a safe-prime group) the uncached
-    elements go through one batched ``jacobi_many`` foreign call, which
-    turns ~4 Python-level Jacobi evaluations per statement into a single
-    libgmp sweep.
-    """
-    p, q = group.p, group.q
-    if not (crypto_backend.has_native_bigint() and p == 2 * q + 1):
-        return all(_is_member_cached(p, q, a) for a in elements)
-    memo = _NATIVE_MEMBER_MEMOS.get(p)
-    if memo is None:
-        memo = _NATIVE_MEMBER_MEMOS[p] = {}
-    # Verdicts are tracked locally rather than re-read from the memo at the
-    # end: the eviction below may push out entries cached by *earlier* calls
-    # that this batch still references (regression: KeyError once the memo
-    # wrapped around its size bound mid-batch).
-    lookup = memo.get
-    verdict = True
-    fresh: list[int] = []
-    seen_fresh: set[int] = set()
-    for element in elements:
-        known = lookup(element)
-        if known is None:
-            if element not in seen_fresh:
-                seen_fresh.add(element)
-                fresh.append(element)
-        elif not known:
-            verdict = False
-    if fresh:
-        # only in-range elements ever enter the memo, so anything cached is
-        # already validated and the range check runs on the misses alone
-        for element in fresh:
-            if not 1 <= element < p:
-                return False
-        symbols = crypto_backend.jacobi_many(fresh, p)
-        # Amortised eviction: rebuild with the newest half instead of
-        # popping entries one by one (``next(iter(dict))`` walks the dead
-        # prefix left by earlier pops, turning per-call eviction quadratic
-        # at steady state).  Long-lived keys -- verify keys, hashed message
-        # points -- sit in the newest half or get re-probed in one batched
-        # jacobi call, so the occasional rebuild costs ~nothing.
-        if len(memo) + len(fresh) > _NATIVE_MEMBER_MEMO_MAX:
-            survivors = list(memo.items())[-(_NATIVE_MEMBER_MEMO_MAX // 2):]
-            memo.clear()
-            memo.update(survivors)
-        for element, symbol in zip(fresh, symbols):
-            member = symbol == 1
-            memo[element] = member
-            if not member:
-                verdict = False
-    return verdict
-
-
-def batch_verify_dlog_equality(group: Group, base_h: int,
-                               statements: Sequence[tuple[ChaumPedersenProof, int, int]],
-                               context: bytes = b"") -> bool:
-    """Batch-verify Chaum-Pedersen proofs that share the secondary base.
-
-    ``statements`` is a sequence of ``(proof, value_g, value_h)`` claiming
-    ``value_g = g^s`` and ``value_h = base_h^s``.  The check folds all
-    ``2n`` proof equations into one product via independent small random
-    exponents (derived deterministically from the transcripts, so runs stay
-    reproducible): with a 64-bit ``r_i`` weighting statement ``i``'s g-side
-    equation and an independent 64-bit ``s_i`` weighting its h-side,
-
-        prod a_i^{r_i} * b_i^{s_i} * v_i^{r_i c_i} * u_i^{s_i c_i}
-            * h^{-sum s_i z_i}  ==  g^{sum r_i z_i}
-
-    A batch containing any invalid proof passes with probability at most
-    ``2^-63``; callers that need the culprit fall back to per-share
-    verification (see ``ThresholdSigPublicKey.verify_shares``).
-
-    Subgroup membership of every ``value_g`` / ``value_h`` *and of both
-    proof commitments* is checked exactly (memoised Jacobi test) before
-    batching, matching the per-proof verifier's semantics.  The commitment
-    checks are load-bearing for soundness, not just hygiene: without them a
-    proof with both commitments negated (order-2q elements in the safe-prime
-    group) would satisfy the combined product -- the two (-1) components
-    cancel for any odd randomizer -- even though the per-share verifier
-    rejects it.  With every element confined to the order-q subgroup the
-    standard small-exponent batching bound applies.  A per-share-valid proof
-    can only trip these checks if ``base_h`` itself is outside the subgroup
-    (adversarially crafted ciphertext ephemeral); the batch then fails and
-    the caller's per-share fallback still yields the exact seed result.
-    """
-    if not statements:
-        return True
-    q = group.q
-    if not isinstance(base_h, int):
-        return False
-    elements: list[int] = []
-    for proof, value_g, value_h in statements:
-        # a malformed statement fails the batch; the caller's per-share
-        # fallback then names the culprit
-        if not (isinstance(proof, ChaumPedersenProof)
-                and _all_ints(value_g, value_h, proof.commitment_g,
-                              proof.commitment_h, proof.response)):
-            return False
-        elements.extend((value_g, value_h, proof.commitment_g,
-                         proof.commitment_h))
-    if not _batch_members_ok(group, elements):
-        return False
-    transcripts: list[bytes] = [context, group.element_to_bytes(base_h)]
-    challenges = []
-    for proof, value_g, value_h in statements:
-        challenge = _challenge(group, context, base_h, value_g, value_h,
-                               proof.commitment_g, proof.commitment_h)
-        challenges.append(challenge)
-        transcripts.extend((
-            group.element_to_bytes(value_g),
-            group.element_to_bytes(value_h),
-            group.element_to_bytes(proof.commitment_g),
-            group.element_to_bytes(proof.commitment_h),
-            group.scalar_to_bytes(proof.response),
-        ))
-    randomizers = derive_batch_randomizers(transcripts, 2 * len(statements))
-    p = group.p
-    native = crypto_backend.has_native_bigint()
-    if native:
-        # Native restructuring of the same product: every per-statement
-        # term is first raised to its 64-bit randomizer weight only --
-        # a_i^{r_i}, b_i^{s_i}, v_i^{r_i}, u_i^{s_i} in one batched
-        # foreign call of *short*-exponent powms -- and the full-width
-        # challenge is applied once per statement via
-        # ``v^{r c} u^{s c} == (v^r u^s)^c``.  That swaps 2n full-width
-        # exponentiations for n, which dominates the verify cost.
-        response_sum_g = 0
-        response_sum_h = 0
-        weighted: list[tuple[int, int]] = []
-        for index, (proof, value_g, value_h) in enumerate(statements):
-            weight_g = randomizers[2 * index]
-            weight_h = randomizers[2 * index + 1]
-            response_sum_g = (response_sum_g + weight_g * proof.response) % q
-            response_sum_h = (response_sum_h + weight_h * proof.response) % q
-            weighted.append((proof.commitment_g, weight_g))
-            weighted.append((proof.commitment_h, weight_h))
-            weighted.append((value_g, weight_g))
-            weighted.append((value_h, weight_h))
-        powers = crypto_backend.powm_many(weighted, p)
-        prefold = 1
-        pairs = []
-        for index, challenge in enumerate(challenges):
-            a_r, b_s, v_r, u_s = powers[4 * index:4 * index + 4]
-            prefold = prefold * a_r % p * b_s % p
-            pairs.append((v_r * u_s % p, challenge))
-        # Negated exponents fold the expected values into the product too
-        # (x^-e == x^(q - e) for subgroup members), so the whole check is
-        # one multi-exponentiation compared against 1.
-        pairs.append((base_h, (q - response_sum_h) % q))
-        pairs.append((group.g, (q - response_sum_g) % q))
-        pairs.append((prefold, 1))
-        return crypto_backend.multi_powm(pairs, p) == 1
-    else:
-        pairs = []
-        verify_key_product = 1
-        response_sum_g = 0
-        response_sum_h = 0
-        for index, ((proof, value_g, value_h), challenge) in enumerate(
-                zip(statements, challenges)):
-            weight_g = randomizers[2 * index]
-            weight_h = randomizers[2 * index + 1]
-            response_sum_g = (response_sum_g + weight_g * proof.response) % q
-            response_sum_h = (response_sum_h + weight_h * proof.response) % q
-            pairs.append((proof.commitment_g, weight_g))
-            pairs.append((proof.commitment_h, weight_h))
-            # value_g is a long-lived public verify key: a recurring base,
-            # which ``group.exp`` answers from a fixed-base table, so it is
-            # kept out of the shared multi-exp.
-            verify_key_product = verify_key_product * group.exp(
-                value_g, weight_g * challenge) % p
-            pairs.append((value_h, weight_h * challenge % q))
-        # Negated exponent folded into the one product: x^-e == x^(q - e)
-        # for subgroup members (g's term stays on the cheap fixed-base
-        # table as the expected value).
-        pairs.append((base_h, (q - response_sum_h) % q))
-        return multi_exp(pairs, p) * verify_key_product % p == \
-            group.power_of_g(response_sum_g)
-
-
-def select_shares_batched(group: Group, base_h: int, shares, context: bytes,
-                          structural_ok, statement_of, verify_one) -> dict:
-    """Deduplicate signer-keyed shares with batch verification.
-
-    The shared happy/fallback skeleton of every threshold combiner
-    (signatures, coins, decryption): deduplicate the structurally plausible
-    shares by signer, batch-verify their proofs in one shot, and -- if the
-    batch fails because any share is corrupt -- replay the seed's
-    verify-as-you-deduplicate loop so the selected share set is identical
-    to the unbatched implementation in every case.
-
-    ``structural_ok`` filters candidates (type/signer-range/tag checks that
-    the per-share verifier would fail cheaply), ``statement_of`` maps a
-    share to its ``(proof, value_g, value_h)`` batch statement, and
-    ``verify_one`` is the exact per-share verifier used on fallback.
-    Returns the ``{signer: share}`` selection.
+    The one tail of every threshold combiner (signatures, coins,
+    decryption): keep the first share per signer, in input order, that
+    ``accept`` admits -- the scheme's own ``verify_share``, or every share
+    when the caller verified each on arrival and passes ``None`` -- then
+    interpolate the ``threshold`` lowest signers in the exponent.  With
+    fewer distinct signers than that it raises ``too_few(count)``, the
+    scheme's own exception.
     """
     distinct: dict = {}
     for share in shares:
-        if structural_ok(share):
+        if accept is None or accept(share):
             distinct.setdefault(share.signer, share)
-    statements = [statement_of(share) for share in distinct.values()]
-    if batch_verify_dlog_equality(group, base_h, statements, context=context):
-        return distinct
-    distinct = {}
-    for share in shares:
-        if verify_one(share):
-            distinct.setdefault(share.signer, share)
-    return distinct
+    if len(distinct) < threshold:
+        raise too_few(len(distinct))
+    selected = sorted(distinct.values(), key=lambda s: s.signer)[:threshold]
+    coefficients = lagrange_coefficients_at_zero(
+        group.scalar_field, [share.signer for share in selected])
+    return crypto_backend.multi_powm(
+        [(share.value, coefficient)
+         for coefficient, share in zip(coefficients, selected)], group.p)

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
-from repro.crypto import backend as crypto_backend
-from repro.crypto.field import lagrange_coefficients_at_zero
 from repro.crypto.group import (
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
     Stamped,
+    combine_in_exponent,
     holds_published_share,
     mint,
     prove_dlog_equality,
-    select_shares_batched,
     verify_dlog_equality,
 )
 from repro.crypto.shamir import ShamirDealer
@@ -92,38 +90,17 @@ class ThresholdCoinPublicKey:
 
     def _combine_element(self, tag: bytes, shares: Sequence[CoinShare],
                          verify: bool) -> int:
-        """Deduplicate, verify and Lagrange-combine shares into ``H(tag)^s``.
+        """Lagrange-combine shares into ``H(tag)^s``.
 
-        Verification batches every proof into one check (see
-        :func:`repro.crypto.group.batch_verify_dlog_equality`); a failed
-        batch falls back to the seed's verify-as-you-deduplicate loop, so
-        the combined element is identical to the unbatched implementation.
+        With ``verify`` the first share per signer that :meth:`verify_share`
+        accepts is kept; a caller that verified every share on arrival
+        passes ``verify=False``.
         """
-        if verify:
-            point = self.tag_point(tag)
-            distinct = select_shares_batched(
-                self.group, point, shares, b"tcoin-share",
-                structural_ok=lambda s: (
-                    isinstance(s, CoinShare)
-                    and isinstance(s.signer, int)
-                    and 1 <= s.signer <= self.num_parties
-                    and s.tag == tag),
-                statement_of=lambda s: (
-                    s.proof, self.share_verify_keys[s.signer - 1], s.value),
-                verify_one=lambda s: self.verify_share(tag, s))
-        else:
-            distinct = {}
-            for share in shares:
-                distinct.setdefault(share.signer, share)
-        if len(distinct) < self.threshold:
-            raise ThresholdCoinError(
-                f"need {self.threshold} valid coin shares, have {len(distinct)}")
-        selected = sorted(distinct.values(), key=lambda s: s.signer)[: self.threshold]
-        indices = [share.signer for share in selected]
-        coefficients = lagrange_coefficients_at_zero(self.group.scalar_field, indices)
-        return crypto_backend.multi_powm(
-            [(share.value, coefficient)
-             for coefficient, share in zip(coefficients, selected)], self.group.p)
+        return combine_in_exponent(
+            self.group, shares, self.threshold,
+            too_few=lambda count: ThresholdCoinError(
+                f"need {self.threshold} valid coin shares, have {count}"),
+            accept=partial(self.verify_share, tag) if verify else None)
 
     def combine(self, tag: bytes, shares: Sequence[CoinShare],
                 verify: bool = True) -> int:

@@ -18,20 +18,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
-from repro.crypto import backend as crypto_backend
-from repro.crypto.field import lagrange_coefficients_at_zero
 from repro.crypto.group import (
     ChaumPedersenProof,
     DEFAULT_GROUP,
     Group,
     Stamped,
+    combine_in_exponent,
     holds_published_share,
     mint,
     prove_dlog_equality,
-    select_shares_batched,
     verify_dlog_equality,
 )
 from repro.crypto.shamir import ShamirDealer
@@ -146,30 +144,17 @@ class ThresholdEncPublicKey:
 
     def combine(self, ciphertext: Ciphertext,
                 shares: Sequence[DecryptionShare], verify: bool = True) -> bytes:
-        """Combine ``threshold`` valid decryption shares and recover the plaintext."""
-        if verify:
-            distinct = select_shares_batched(
-                self.group, ciphertext.ephemeral, shares, b"tenc-share",
-                structural_ok=lambda s: (
-                    isinstance(s, DecryptionShare)
-                    and isinstance(s.signer, int)
-                    and 1 <= s.signer <= self.num_parties),
-                statement_of=lambda s: (
-                    s.proof, self.share_verify_keys[s.signer - 1], s.value),
-                verify_one=lambda s: self.verify_share(ciphertext, s))
-        else:
-            distinct = {}
-            for share in shares:
-                distinct.setdefault(share.signer, share)
-        if len(distinct) < self.threshold:
-            raise ThresholdEncError(
-                f"need {self.threshold} valid decryption shares, have {len(distinct)}")
-        selected = sorted(distinct.values(), key=lambda s: s.signer)[: self.threshold]
-        indices = [share.signer for share in selected]
-        coefficients = lagrange_coefficients_at_zero(self.group.scalar_field, indices)
-        shared = crypto_backend.multi_powm(
-            [(share.value, coefficient)
-             for coefficient, share in zip(coefficients, selected)], self.group.p)
+        """Combine ``threshold`` valid decryption shares and recover the plaintext.
+
+        With ``verify`` the first share per signer that :meth:`verify_share`
+        accepts is kept; a caller that verified every share on arrival
+        passes ``verify=False``.
+        """
+        shared = combine_in_exponent(
+            self.group, shares, self.threshold,
+            too_few=lambda count: ThresholdEncError(
+                f"need {self.threshold} valid decryption shares, have {count}"),
+            accept=partial(self.verify_share, ciphertext) if verify else None)
         key_material = hashlib.sha256(
             b"tenc" + self.group.element_to_bytes(shared) + ciphertext.label).digest()
         return bytes(a ^ b for a, b in

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from repro.crypto import backend as crypto_backend
 from repro.crypto.field import lagrange_coefficients_at_zero
@@ -28,11 +28,10 @@ from repro.crypto.group import (
     DEFAULT_GROUP,
     Group,
     Stamped,
-    batch_verify_dlog_equality,
+    combine_in_exponent,
     holds_published_share,
     mint,
     prove_dlog_equality,
-    select_shares_batched,
     verify_dlog_equality,
 )
 from repro.crypto.shamir import ShamirDealer
@@ -101,78 +100,20 @@ class ThresholdSigPublicKey:
                                     value_g=verify_key, value_h=share.value,
                                     context=b"tsig-share")
 
-    def verify_shares(self, message: bytes,
-                      shares: Sequence[ThresholdSigShare]
-                      ) -> tuple[list[ThresholdSigShare], list[ThresholdSigShare]]:
-        """Batch-verify many shares at once; returns ``(valid, invalid)``.
-
-        The happy path checks all proofs with one random-linear-combination
-        batch (two fixed-base exponentiations plus a single
-        multi-exponentiation) instead of four ``pow()`` calls per share.  If
-        the batch fails -- any corrupted share makes it fail with
-        overwhelming probability -- it falls back to per-share verification
-        to identify the culprits, so the result is always exact.
-        """
-        point = self.hash_message(message)
-        structural_bad: list[ThresholdSigShare] = []
-        candidates: list[ThresholdSigShare] = []
-        for share in shares:
-            if (not isinstance(share, ThresholdSigShare)
-                    or not isinstance(share.signer, int)
-                    or not 1 <= share.signer <= self.num_parties
-                    or share.message_point != point):
-                structural_bad.append(share)
-            else:
-                candidates.append(share)
-        statements = [(share.proof, self.share_verify_keys[share.signer - 1],
-                       share.value) for share in candidates]
-        if batch_verify_dlog_equality(self.group, point, statements,
-                                      context=b"tsig-share"):
-            return candidates, structural_bad
-        valid: list[ThresholdSigShare] = []
-        invalid = structural_bad
-        for share in candidates:
-            if self.verify_share(message, share):
-                valid.append(share)
-            else:
-                invalid.append(share)
-        return valid, invalid
-
     def combine(self, message: bytes,
                 shares: Sequence[ThresholdSigShare],
                 verify: bool = True) -> ThresholdSignature:
         """Combine ``threshold`` valid shares into the threshold signature.
 
-        Verification uses the batch fast path; if it fails the seed's
-        verify-as-you-deduplicate loop runs instead, so the selected share
-        set (and the combined signature) is identical to the unbatched
-        implementation in every case.
+        With ``verify`` the first share per signer that :meth:`verify_share`
+        accepts is kept; a caller that verified every share on arrival
+        passes ``verify=False``.
         """
-        if verify:
-            point = self.hash_message(message)
-            distinct = select_shares_batched(
-                self.group, point, shares, b"tsig-share",
-                structural_ok=lambda s: (
-                    isinstance(s, ThresholdSigShare)
-                    and isinstance(s.signer, int)
-                    and 1 <= s.signer <= self.num_parties
-                    and s.message_point == point),
-                statement_of=lambda s: (
-                    s.proof, self.share_verify_keys[s.signer - 1], s.value),
-                verify_one=lambda s: self.verify_share(message, s))
-        else:
-            distinct = {}
-            for share in shares:
-                distinct.setdefault(share.signer, share)
-        if len(distinct) < self.threshold:
-            raise ThresholdSigError(
-                f"need {self.threshold} valid shares, have {len(distinct)}")
-        selected = sorted(distinct.values(), key=lambda s: s.signer)[: self.threshold]
-        indices = [share.signer for share in selected]
-        coefficients = lagrange_coefficients_at_zero(self.group.scalar_field, indices)
-        combined = crypto_backend.multi_powm(
-            [(share.value, coefficient)
-             for coefficient, share in zip(coefficients, selected)], self.group.p)
+        combined = combine_in_exponent(
+            self.group, shares, self.threshold,
+            too_few=lambda count: ThresholdSigError(
+                f"need {self.threshold} valid shares, have {count}"),
+            accept=partial(self.verify_share, message) if verify else None)
         return ThresholdSignature(message_point=self.hash_message(message),
                                   value=combined)
 

@@ -14,19 +14,44 @@ the cross-checks degenerate to pure-vs-pure and still pass.
 """
 
 import hashlib
+import os
 import random
+import shutil
+import stat
+import sys
+import tempfile
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import backend
-from repro.crypto.backend import BackendUnavailableError
+from repro.crypto import backend, fastpath
+from repro.crypto.backend import BackendUnavailableError, gmp
+from repro.crypto.backend.gmp import load_gmp_bigint
+from repro.crypto.backend.gmpy2_backend import load_gmpy2_bigint
 from repro.crypto.backend.pure import PureBigint
 from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.threshold_sig import deal_threshold_sig
 
 P = DEFAULT_GROUP.p
 PURE = PureBigint()
+#: every big-integer tier ``repro.crypto.backend`` can select, by ``name``
+TIER_LOADERS = {"pure": PureBigint, "gmpy2": load_gmpy2_bigint,
+                "gmp-shim": load_gmp_bigint}
+#: reasons that describe the tier's own code, not the machine it is on
+BROKEN = ("AttributeError:", "TypeError:", "ValueError:", "self-check failed")
+
+
+def load_or_skip(name: str):
+    """The tier, or a skip carrying the probe's stated reason -- unless the
+    reason is about the tier itself: then it is present but broken, and the
+    test fails."""
+    try:
+        return TIER_LOADERS[name]()
+    except BackendUnavailableError as why:
+        if str(why).startswith(BROKEN):
+            raise
+        pytest.skip(f"{name}: {why}")
 
 
 # --------------------------------------------------------------- mode probe
@@ -65,7 +90,13 @@ class TestModeSelection:
 
     def test_native_mode_requires_a_bigint_tier(self, monkeypatch):
         monkeypatch.setattr(backend, "_native_bigint", None)
-        with pytest.raises(BackendUnavailableError, match="native"):
+        monkeypatch.setattr(backend, "_bigint_probe_failures", {
+            "gmpy2": "ImportError: No module named 'gmpy2'",
+            "gmp-shim": "no C compiler"})
+        # the error carries the probe outcome, tier by tier
+        with pytest.raises(BackendUnavailableError, match=(
+                "native.*gmpy2: ImportError: No module named 'gmpy2'; "
+                "gmp-shim: no C compiler")):
             backend.activate("native")
         # the failed activation must not leave a half-selected backend
         backend.activate("pure")
@@ -75,8 +106,111 @@ class TestModeSelection:
         info = backend.backend_info()
         assert set(info) == {"mode", "bigint", "matrix",
                              "native_bigint_available",
-                             "native_matrix_available"}
+                             "native_matrix_available",
+                             "native_bigint_probe_failures"}
         assert info["mode"] in ("pure", "auto", "native")
+        # every tier the probe tried either loaded or left its reason
+        failures = info["native_bigint_probe_failures"]
+        assert set(failures) <= set(TIER_LOADERS)
+        assert all(isinstance(why, str) and why for why in failures.values())
+        if info["native_bigint_available"] is None:
+            assert set(failures) == set(TIER_LOADERS) - {"pure"}
+        else:
+            assert info["native_bigint_available"] in TIER_LOADERS
+            assert info["native_bigint_available"] not in failures
+
+
+# ------------------------------------------------------------ no dead tier
+class TestNoDeadTier:
+    @pytest.mark.parametrize("name", TIER_LOADERS)
+    def test_tier_loads_and_agrees_or_says_why_not(self, name):
+        """A tier that is installed but cannot be instantiated, or answers
+        wrongly, fails here instead of reading as "unavailable"."""
+        tier = load_or_skip(name)
+        assert tier.name == name
+        rnd = random.Random(5)
+        pairs = [(rnd.randrange(2 * P), rnd.randrange(DEFAULT_GROUP.q))
+                 for _ in range(12)]
+        for base, exponent in pairs:
+            assert tier.powm(base, exponent, P) == pow(base, exponent, P)
+            assert tier.jacobi(base, P) == fastpath.jacobi(base, P)
+        assert tier.multi_powm(pairs, P) == fastpath.multi_exp(pairs, P)
+
+    def test_gmpy2_loader_reports_import_and_self_check(self, monkeypatch):
+        # a stand-in with gmpy2's three entry points on Python integers
+        stand_in = types.SimpleNamespace(mpz=int, powmod=pow,
+                                         jacobi=fastpath.jacobi)
+        monkeypatch.setitem(sys.modules, "gmpy2", stand_in)
+        tier = load_gmpy2_bigint()
+        pairs = [(3, 5), (P - 2, DEFAULT_GROUP.q - 1)]
+        assert tier.multi_powm(pairs, P) == fastpath.multi_exp(pairs, P)
+        stand_in.powmod = lambda base, exponent, modulus: 0
+        with pytest.raises(BackendUnavailableError, match="self-check failed"):
+            load_gmpy2_bigint()
+        monkeypatch.setitem(sys.modules, "gmpy2", None)
+        with pytest.raises(BackendUnavailableError, match="^ImportError: "):
+            load_gmpy2_bigint()
+
+
+# ------------------------------------------------- shim build directory
+class TestShimDirectoryIsPrivate:
+    """The shim is cached under the shared temp dir at a path anyone can
+    compute, so nothing is loaded from there unless it is ours alone."""
+
+    @pytest.fixture()
+    def libdir(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+        libdir = gmp._shim_directory()
+        assert os.path.dirname(libdir) == str(tmp_path)
+        return libdir
+
+    @staticmethod
+    def _plant_library(libdir) -> str:
+        libpath = os.path.join(libdir, gmp._SHIM_LIBNAME)
+        with open(libpath, "wb") as handle:
+            handle.write(b"whatever the first comer put here")
+        return libpath
+
+    def test_fresh_directory_is_created_0700(self, libdir, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        with pytest.raises(BackendUnavailableError, match="^no C compiler$"):
+            load_gmp_bigint()
+        assert stat.S_IMODE(os.stat(libdir).st_mode) == 0o700
+
+    def test_fresh_build_is_private_whatever_the_umask(self, libdir):
+        previous = os.umask(0o002)
+        try:
+            load_or_skip("gmp-shim")  # compiles into the patched temp dir
+        finally:
+            os.umask(previous)
+        libpath = os.path.join(libdir, gmp._SHIM_LIBNAME)
+        assert not stat.S_IMODE(os.stat(libpath).st_mode) & 0o022
+        # the next process finds it acceptable and loads it
+        assert load_gmp_bigint().powm(2, 10, 1000) == 24
+
+    def test_world_writable_directory_is_refused(self, libdir):
+        os.mkdir(libdir)
+        os.chmod(libdir, 0o777)
+        self._plant_library(libdir)
+        with pytest.raises(BackendUnavailableError,
+                           match="^directory not private"):
+            load_gmp_bigint()
+
+    def test_world_writable_library_is_refused(self, libdir):
+        os.mkdir(libdir, 0o700)
+        os.chmod(self._plant_library(libdir), 0o666)
+        with pytest.raises(BackendUnavailableError,
+                           match="^directory not private"):
+            load_gmp_bigint()
+
+    def test_symlinked_directory_is_refused(self, libdir, tmp_path):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir(mode=0o700)
+        self._plant_library(str(elsewhere))
+        os.symlink(str(elsewhere), libdir)
+        with pytest.raises(BackendUnavailableError,
+                           match="^directory not private"):
+            load_gmp_bigint()
 
 
 # --------------------------------------------------------- bigint identity
@@ -144,14 +278,6 @@ class TestBigintBitIdentity:
     def test_jacobi_matches_pure(self, value, seed):
         native = _native_bigint_or_none() or PURE
         assert native.jacobi(value, P) == PURE.jacobi(value, P)
-
-    def test_jacobi_many_matches_scalar(self):
-        rnd = random.Random(11)
-        values = [0, 1, P - 1, P, P + 1] + [rnd.randrange(P) for _ in range(20)]
-        native = _native_bigint_or_none() or PURE
-        expected = [PURE.jacobi(value, P) for value in values]
-        assert native.jacobi_many(values, P) == expected
-        assert PURE.jacobi_many(values, P) == expected
 
     def test_jacobi_even_modulus_rejected(self):
         native = _native_bigint_or_none() or PURE
@@ -266,31 +392,3 @@ class TestThresholdBitIdentity:
             auto_digest = self._transcript()
         assert pure_digest == auto_digest
 
-
-# ------------------------------------------------------ membership memo
-class TestMembershipMemoEviction:
-    @needs_native
-    def test_eviction_mid_batch_does_not_lose_verdicts(self, monkeypatch):
-        # Regression: _batch_members_ok re-read verdicts from the shared memo
-        # after inserting fresh entries, but the size-bound eviction can push
-        # out entries cached by earlier calls that the *current* batch still
-        # references -- a KeyError after ~16k distinct elements in a run.
-        from repro.crypto import group as group_module
-
-        monkeypatch.setattr(group_module, "_NATIVE_MEMBER_MEMOS", {})
-        monkeypatch.setattr(group_module, "_NATIVE_MEMBER_MEMO_MAX", 4)
-        group = DEFAULT_GROUP
-        members = [pow(group.g, exponent, P) for exponent in range(2, 10)]
-        with backend.use("auto"):
-            assert group_module._batch_members_ok(group, members[:2])
-            # 2 cached + 5 fresh > max evicts the 2 cached mid-call
-            assert group_module._batch_members_ok(group, members[:7])
-
-    def test_duplicate_elements_single_probe(self, monkeypatch):
-        from repro.crypto import group as group_module
-
-        monkeypatch.setattr(group_module, "_NATIVE_MEMBER_MEMOS", {})
-        element = pow(DEFAULT_GROUP.g, 5, P)
-        with backend.use("auto"):
-            assert group_module._batch_members_ok(
-                DEFAULT_GROUP, [element, element, element])

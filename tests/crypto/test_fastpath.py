@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.fastpath import (
     FixedBaseTable,
-    derive_batch_randomizers,
     jacobi,
     multi_exp,
 )
@@ -145,12 +144,3 @@ class TestLagrangeCache:
         # Any t-subset combines to the same H(m)^s.
         assert combined == group.exp(
             public_key.hash_message(message), 424242)
-
-
-class TestBatchRandomizers:
-    def test_deterministic_and_nonzero(self):
-        first = derive_batch_randomizers([b"a", b"b"], 10)
-        second = derive_batch_randomizers([b"a", b"b"], 10)
-        assert first == second
-        assert all(randomizer > 0 for randomizer in first)
-        assert derive_batch_randomizers([b"a", b"c"], 10) != first

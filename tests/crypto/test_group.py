@@ -3,9 +3,12 @@
 import random
 
 from repro.crypto.group import (
+    ChaumPedersenProof,
     DEFAULT_GROUP,
+    _challenge,
     prove_dlog_equality,
     verify_dlog_equality,
+    verify_dlog_equality_reference,
 )
 
 
@@ -94,6 +97,25 @@ class TestChaumPedersen:
         g, rng, secret, base_h, value_g, value_h = self._setup()
         proof = prove_dlog_equality(g, secret, base_h, value_g, value_h, rng)
         assert not verify_dlog_equality(g, proof, base_h, value_g, 0)
+
+    def test_negated_commitments_rejected(self):
+        # Both commitments negated (order-2q elements) with the response
+        # recomputed for the resulting challenge: each proof equation is off
+        # by exactly -1, so any check that multiplies the two equations
+        # together accepts the forgery.  The verifier checks them one by one.
+        g, rng, secret, base_h, value_g, value_h = self._setup(seed=6)
+        nonce = g.random_scalar(rng)
+        commitment_g = g.p - g.power_of_g(nonce)
+        commitment_h = g.p - g.exp(base_h, nonce)
+        challenge = _challenge(g, b"ctx", base_h, value_g, value_h,
+                               commitment_g, commitment_h)
+        forged = ChaumPedersenProof(
+            commitment_g=commitment_g, commitment_h=commitment_h,
+            response=(nonce + challenge * secret) % g.q)
+        assert not verify_dlog_equality(g, forged, base_h, value_g, value_h,
+                                        context=b"ctx")
+        assert not verify_dlog_equality_reference(
+            g, forged, base_h, value_g, value_h, context=b"ctx")
 
     def test_proof_size(self):
         g, rng, secret, base_h, value_g, value_h = self._setup()

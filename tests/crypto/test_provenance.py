@@ -292,13 +292,10 @@ def test_wrong_typed_shares_are_rejected_not_raised(family):
     for about in (None, "statement", 7):
         assert schemes[1].verify_share(about, good) is False
         assert schemes[1].verify_share(about, unstamped(good)) is False
-    # the combiners' batch path rejects the same shares instead of raising
+    # the combiners reject the same shares instead of raising
     honest = [family.mint(scheme, statement, rng) for scheme in schemes[1:3]]
     for share in malformed[3:]:
         schemes[3].combine(statement, [share] + honest)
-        if family is _Tsig:
-            assert schemes[3].public_key.verify_shares(
-                statement, [share] + honest) == (honest, [share])
 
 
 class TestProofsAreNeverStamped:
