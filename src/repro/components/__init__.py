@@ -23,6 +23,11 @@ Asynchronous Byzantine agreement:
 * :class:`~repro.components.aba_coinflip.CoinFlipAba` -- BEAT's ABA (ABA-CP)
   using threshold coin flipping.
 
+The ECHO / READY rule of every Bracha-style broadcast above is
+:class:`~repro.components.votes.BrachaVotes`; input, round advance and
+DECIDED termination of every ABA are
+:class:`~repro.components.aba_base.RoundBasedAba`.
+
 All components run on top of either transport from :mod:`repro.core.batcher`,
 so the same protocol logic executes batched (ConsensusBatcher) or unbatched
 (baseline), as the paper's safety argument requires.

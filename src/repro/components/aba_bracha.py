@@ -18,7 +18,7 @@ mini-RBC delivers (``2f + 1`` readies).  The round logic follows Bracha's
 
 Nodes that decide broadcast a DECIDED notice; ``f + 1`` matching notices let
 lagging nodes decide too, which keeps every honest node live without running
-rounds forever.
+rounds forever (:class:`~repro.components.aba_base.RoundBasedAba`).
 
 Agreement and validity hold for up to ``f`` Byzantine nodes; termination is
 probabilistic (expected constant rounds when inputs already agree, which is
@@ -27,28 +27,16 @@ the common case inside ACS).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any
 
-from repro.components.base import Component, ComponentContext, OutputCallback
+from repro.components.aba_base import RoundBasedAba
+from repro.components.votes import NOTHING, BrachaVotes
 from repro.core.packet import ComponentMessage
 
 #: marker for the "undetermined" phase-2/3 value
 UNDETERMINED = "?"
-
-
-@dataclass
-class _MiniRbcState:
-    """Reliable-broadcast state for one voter's vote in one phase."""
-
-    value: Any = None
-    echoes: dict[Any, set[int]] = field(default_factory=dict)
-    readies: dict[Any, set[int]] = field(default_factory=dict)
-    echo_sent: bool = False
-    ready_sent: bool = False
-    accepted: bool = False
-    accepted_value: Any = None
 
 
 @dataclass
@@ -57,41 +45,19 @@ class _RoundState:
 
     started_phases: set[int] = field(default_factory=set)
     completed_phases: set[int] = field(default_factory=set)
-    mini: dict[tuple[int, int], _MiniRbcState] = field(default_factory=dict)
+    #: one mini-RBC per ``(phase, voter)``, keyed by the vote's value; a vote
+    #: is accepted once its tally has a deliverable value
+    mini: dict[tuple[int, int], BrachaVotes] = field(default_factory=dict)
+    #: the ``(phase, voter)`` INITIALs this node has echoed
+    echoed: set[tuple[int, int]] = field(default_factory=set)
     my_votes: dict[int, Any] = field(default_factory=dict)
 
 
-class BrachaAba(Component):
+class BrachaAba(RoundBasedAba):
     """One Bracha ABA instance deciding a single bit."""
 
     kind = "aba_lc"
-
-    def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
-                 on_output: Optional[OutputCallback] = None,
-                 max_rounds: int = 64) -> None:
-        super().__init__(ctx, instance, tag, on_output)
-        self.max_rounds = max_rounds
-        self.estimate: Optional[int] = None
-        self.round = 0
-        self.decided_value: Optional[int] = None
-        # created on first lookup (messages for a round can arrive early)
-        self._rounds: dict[int, _RoundState] = defaultdict(_RoundState)
-        self._decided_notices: dict[int, set[int]] = {}
-        self._decided_sent = False
-        self._started = False
-        self._halted = False
-        self.rounds_executed = 0
-
-    # ------------------------------------------------------------------ start
-    def start(self, value: int) -> None:
-        """Provide this node's binary input and start round 0."""
-        if self._started:
-            return
-        if value not in (0, 1):
-            raise ValueError(f"ABA input must be 0 or 1, got {value!r}")
-        self._started = True
-        self.estimate = value
-        self._start_phase(self.round, 1)
+    round_state = _RoundState
 
     # ----------------------------------------------------------------- handle
     def handle(self, message: ComponentMessage) -> None:
@@ -103,72 +69,49 @@ class BrachaAba(Component):
         if len(parts) != 2 or not parts[0].startswith("p"):
             return
         try:
-            phase_number = int(parts[0][1:])
+            phase = int(parts[0][1:])
         except ValueError:
             return
         kind = parts[1]
         round_number = message.round
         state = self._rounds[round_number]
         if kind == "initial":
-            self._on_vote_initial(state, round_number, phase_number, message)
-        elif kind == "echo":
-            self._on_vote_echo(state, round_number, phase_number, message)
-        elif kind == "ready":
-            self._on_vote_ready(state, round_number, phase_number, message)
+            voter = message.sender
+            # nothing to count yet, but tallies are walked in creation order
+            # when votes are counted (it breaks the phase-1 majority tie)
+            self._mini(state, round_number, phase, voter)
+            if (phase, voter) not in state.echoed:
+                state.echoed.add((phase, voter))
+                self.send(f"p{phase}_echo",
+                          {"voter": voter, "value": message.payload.get("value")},
+                          round_number=round_number, slot=voter)
+        elif kind == "echo" or kind == "ready":
+            voter = message.payload.get("voter")
+            if voter is None:
+                return
+            votes = self._mini(state, round_number, phase, voter)
+            if kind == "echo":
+                votes.echo(message.payload.get("value"), message.sender)
+            else:
+                votes.ready(message.payload.get("value"), message.sender)
+        else:
+            return
+        self._check_phase_completion(state, round_number, phase)
 
     # ------------------------------------------------------- mini-RBC machinery
-    def _mini(self, state: _RoundState, phase: int, voter: int) -> _MiniRbcState:
-        return state.mini.setdefault((phase, voter), _MiniRbcState())
+    def _mini(self, state: _RoundState, round_number: int, phase: int,
+              voter: int) -> BrachaVotes:
+        votes = state.mini.get((phase, voter))
+        if votes is None:
+            votes = state.mini[phase, voter] = BrachaVotes(
+                self.ctx.quorum, self.ctx.small_quorum,
+                partial(self._send_vote_ready, round_number, phase, voter))
+        return votes
 
-    def _on_vote_initial(self, state: _RoundState, round_number: int,
-                         phase: int, message: ComponentMessage) -> None:
-        voter = message.sender
-        mini = self._mini(state, phase, voter)
-        if mini.value is None:
-            mini.value = message.payload.get("value")
-            if not mini.echo_sent:
-                mini.echo_sent = True
-                self.send(f"p{phase}_echo", {"voter": voter, "value": mini.value},
-                          round_number=round_number, slot=voter)
-        self._check_mini(state, round_number, phase, voter)
-
-    def _on_vote_echo(self, state: _RoundState, round_number: int,
-                      phase: int, message: ComponentMessage) -> None:
-        voter = message.payload.get("voter")
-        value = message.payload.get("value")
-        if voter is None:
-            return
-        mini = self._mini(state, phase, voter)
-        mini.echoes.setdefault(value, set()).add(message.sender)
-        self._check_mini(state, round_number, phase, voter)
-
-    def _on_vote_ready(self, state: _RoundState, round_number: int,
-                       phase: int, message: ComponentMessage) -> None:
-        voter = message.payload.get("voter")
-        value = message.payload.get("value")
-        if voter is None:
-            return
-        mini = self._mini(state, phase, voter)
-        mini.readies.setdefault(value, set()).add(message.sender)
-        self._check_mini(state, round_number, phase, voter)
-
-    def _check_mini(self, state: _RoundState, round_number: int, phase: int,
-                    voter: int) -> None:
-        mini = self._mini(state, phase, voter)
-        for value, echoers in mini.echoes.items():
-            if len(echoers) >= self.ctx.quorum and not mini.ready_sent:
-                mini.ready_sent = True
-                self.send(f"p{phase}_ready", {"voter": voter, "value": value},
-                          round_number=round_number, slot=voter)
-        for value, readiers in mini.readies.items():
-            if len(readiers) >= self.ctx.small_quorum and not mini.ready_sent:
-                mini.ready_sent = True
-                self.send(f"p{phase}_ready", {"voter": voter, "value": value},
-                          round_number=round_number, slot=voter)
-            if len(readiers) >= self.ctx.quorum and not mini.accepted:
-                mini.accepted = True
-                mini.accepted_value = value
-        self._check_phase_completion(state, round_number, phase)
+    def _send_vote_ready(self, round_number: int, phase: int, voter: int,
+                         value: Any) -> None:
+        self.send(f"p{phase}_ready", {"voter": voter, "value": value},
+                  round_number=round_number, slot=voter)
 
     # ----------------------------------------------------------- round logic
     def _start_phase(self, round_number: int, phase: int) -> None:
@@ -176,21 +119,15 @@ class BrachaAba(Component):
         if phase in state.started_phases:
             return
         state.started_phases.add(phase)
-        vote = self._phase_input(round_number, phase)
-        state.my_votes[phase] = vote
+        # phases 2 and 3 vote what the phase before them left in my_votes
+        vote = state.my_votes.setdefault(phase, self.estimate)
         self.send(f"p{phase}_initial", {"value": vote},
                   round_number=round_number, payload_bytes=1)
 
-    def _phase_input(self, round_number: int, phase: int) -> Any:
-        state = self._rounds[round_number]
-        if phase == 1:
-            return self.estimate
-        return state.my_votes.get(phase, self.estimate)
-
     def _accepted_votes(self, state: _RoundState, phase: int) -> dict[int, Any]:
-        return {voter: mini.accepted_value
-                for (mini_phase, voter), mini in state.mini.items()
-                if mini_phase == phase and mini.accepted}
+        return {voter: votes.deliverable
+                for (mini_phase, voter), votes in state.mini.items()
+                if mini_phase == phase and votes.deliverable is not NOTHING}
 
     def _check_phase_completion(self, state: _RoundState, round_number: int,
                                 phase: int) -> None:
@@ -238,55 +175,11 @@ class BrachaAba(Component):
         else:
             self.estimate = self.ctx.rng.randrange(2)
         # Keep participating until enough DECIDED notices exist that every
-        # honest node is guaranteed to see f + 1 of them (standard termination
-        # helper for round-based ABA).
-        if not self._halted:
-            self._advance_round(round_number + 1)
+        # honest node is guaranteed to see f + 1 of them.
+        self._next_round(round_number)
 
-    def _advance_round(self, next_round: int) -> None:
-        if self._halted:
-            return
-        if next_round >= self.max_rounds:
-            # Safety net against pathological schedules in bounded experiments.
-            self._decide(self.estimate if self.estimate in (0, 1) else 0)
-            self._halted = True
-            return
-        self.round = next_round
-        # Slots of earlier rounds are intentionally kept in the transport so
-        # that NACK repair can still serve laggards that are stuck in an older
-        # round; dirty-only packet building keeps them off the air otherwise.
-        self._start_phase(next_round, 1)
-        # Re-examine any votes that arrived for this round before we entered it.
-        state = self._rounds[next_round]
+    def _enter_round(self, round_number: int) -> None:
+        self._start_phase(round_number, 1)
+        state = self._rounds[round_number]
         for phase in (1, 2, 3):
-            self._check_phase_completion(state, next_round, phase)
-
-    # ----------------------------------------------------------------- decide
-    def _decide(self, value: int) -> None:
-        if self.decided_value is None:
-            self.decided_value = value
-        if not self._decided_sent:
-            self._decided_sent = True
-            self._decided_notices.setdefault(value, set()).add(self.ctx.node_id)
-            self.send("decided", {"value": value}, payload_bytes=1)
-        self.complete(value)
-        self._maybe_halt()
-
-    def _on_decided(self, message: ComponentMessage) -> None:
-        value = message.payload.get("value")
-        if value not in (0, 1):
-            return
-        self._decided_notices.setdefault(value, set()).add(message.sender)
-        if (len(self._decided_notices[value]) >= self.ctx.small_quorum
-                and not self.completed):
-            self.estimate = value
-            self._decide(value)
-        self._maybe_halt()
-
-    def _maybe_halt(self) -> None:
-        """Stop running rounds once enough nodes are known to have decided."""
-        if self.decided_value is None:
-            return
-        notices = len(self._decided_notices.get(self.decided_value, set()))
-        if notices >= self.ctx.quorum:
-            self._halted = True
+            self._check_phase_completion(state, round_number, phase)

@@ -23,8 +23,8 @@ through a single :class:`~repro.components.common_coin.CommonCoinManager`
 serial instances (Dumbo) use per-instance managers so coins are never
 revealed prematurely.
 
-The DECIDED-notice termination helper mirrors the one in
-:class:`~repro.components.aba_bracha.BrachaAba`.
+Input, round advance and DECIDED-notice termination are
+:class:`~repro.components.aba_base.RoundBasedAba`'s.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.components.base import Component, ComponentContext, OutputCallback
+from repro.components.aba_base import RoundBasedAba
+from repro.components.base import ComponentContext, OutputCallback
 from repro.components.common_coin import CommonCoinManager
 from repro.core.packet import ComponentMessage
 
@@ -57,40 +58,19 @@ class _RoundState:
     finished: bool = False
 
 
-class CachinAba(Component):
+class CachinAba(RoundBasedAba):
     """One shared-coin ABA instance deciding a single bit."""
 
     kind = "aba_sc"
     coin_flavor = "tsig"
+    round_state = _RoundState
 
     def __init__(self, ctx: ComponentContext, instance: int,
                  coin: CommonCoinManager, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,
                  max_rounds: int = 64) -> None:
-        super().__init__(ctx, instance, tag, on_output)
+        super().__init__(ctx, instance, tag, on_output, max_rounds)
         self.coin = coin
-        self.max_rounds = max_rounds
-        self.estimate: Optional[int] = None
-        self.round = 0
-        self.decided_value: Optional[int] = None
-        self.rounds_executed = 0
-        # created on first lookup (messages for a round can arrive early)
-        self._rounds: dict[int, _RoundState] = defaultdict(_RoundState)
-        self._decided_notices: dict[int, set[int]] = {}
-        self._decided_sent = False
-        self._started = False
-        self._halted = False
-
-    # ------------------------------------------------------------------ start
-    def start(self, value: int) -> None:
-        """Provide this node's binary input and start round 0."""
-        if self._started:
-            return
-        if value not in (0, 1):
-            raise ValueError(f"ABA input must be 0 or 1, got {value!r}")
-        self._started = True
-        self.estimate = value
-        self._broadcast_bval(self.round, value)
 
     # ----------------------------------------------------------------- handle
     def handle(self, message: ComponentMessage) -> None:
@@ -177,12 +157,6 @@ class CachinAba(Component):
             state.support_count += 1
 
     # ------------------------------------------------------------------ coin
-    def _aux_support(self, state: _RoundState) -> tuple[int, set[int]]:
-        """Count AUX senders whose value is in bin_values; return their values."""
-        values = {value for value in state.aux_received.values()
-                  if value in state.bin_values}
-        return state.support_count, values
-
     def _maybe_reveal_coin(self, round_number: int, state: _RoundState) -> None:
         if self._halted or round_number != self.round or state.finished:
             return
@@ -191,11 +165,8 @@ class CachinAba(Component):
         if state.support_count < self.ctx.num_nodes - self.ctx.faults:
             return
         state.coin_requested = True
-        self.coin.request(self._coin_round_id(round_number),
+        self.coin.request(round_number,
                           lambda _rid, coin: self._on_coin(round_number, coin))
-
-    def _coin_round_id(self, round_number: int) -> int:
-        return round_number
 
     def _on_coin(self, round_number: int, coin_value: int) -> None:
         state = self._rounds[round_number]
@@ -206,12 +177,14 @@ class CachinAba(Component):
     def _finish_round(self, round_number: int, state: _RoundState) -> None:
         if state.finished or round_number != self.round or self._halted:
             return
-        support, values = self._aux_support(state)
-        if support < self.ctx.num_nodes - self.ctx.faults or state.coin_value is None:
+        if (state.support_count < self.ctx.num_nodes - self.ctx.faults
+                or state.coin_value is None):
             return
         state.finished = True
         self.rounds_executed += 1
         coin = state.coin_value
+        values = {value for value in state.aux_received.values()
+                  if value in state.bin_values}
         if len(values) == 1:
             value = next(iter(values))
             self.estimate = value
@@ -219,48 +192,10 @@ class CachinAba(Component):
                 self._decide(value)
         else:
             self.estimate = coin if self.decided_value is None else self.decided_value
-        if self._halted:
-            return
-        next_round = round_number + 1
-        if next_round >= self.max_rounds:
-            self._decide(self.estimate if self.estimate in (0, 1) else 0)
-            self._halted = True
-            return
-        self.round = next_round
-        # Slots of earlier rounds are intentionally kept in the transport so
-        # that NACK repair can still serve laggards that are stuck in an older
-        # round; dirty-only packet building keeps them off the air otherwise.
-        self._broadcast_bval(next_round, self.estimate)
-        # Messages for the new round may have arrived early; re-evaluate them.
-        new_state = self._rounds[next_round]
-        self._maybe_send_aux(next_round, new_state)
-        self._maybe_reveal_coin(next_round, new_state)
+        self._next_round(round_number)
 
-    # ----------------------------------------------------------------- decide
-    def _decide(self, value: int) -> None:
-        if self.decided_value is None:
-            self.decided_value = value
-        if not self._decided_sent:
-            self._decided_sent = True
-            self._decided_notices.setdefault(value, set()).add(self.ctx.node_id)
-            self.send("decided", {"value": value}, payload_bytes=1)
-        self.complete(value)
-        self._maybe_halt()
-
-    def _on_decided(self, message: ComponentMessage) -> None:
-        value = message.payload.get("value")
-        if value not in (0, 1):
-            return
-        self._decided_notices.setdefault(value, set()).add(message.sender)
-        if (len(self._decided_notices[value]) >= self.ctx.small_quorum
-                and not self.completed):
-            self.estimate = value
-            self._decide(value)
-        self._maybe_halt()
-
-    def _maybe_halt(self) -> None:
-        if self.decided_value is None:
-            return
-        notices = len(self._decided_notices.get(self.decided_value, set()))
-        if notices >= self.ctx.quorum:
-            self._halted = True
+    def _enter_round(self, round_number: int) -> None:
+        self._broadcast_bval(round_number, self.estimate)
+        state = self._rounds[round_number]
+        self._maybe_send_aux(round_number, state)
+        self._maybe_reveal_coin(round_number, state)

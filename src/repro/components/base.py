@@ -58,10 +58,6 @@ class ComponentContext:
         self.quorum = 2 * self.faults + 1
         self.small_quorum = self.faults + 1
 
-    def byzantine_quorum_reached(self, count: int) -> bool:
-        """True when ``count`` distinct contributions reach 2f + 1."""
-        return count >= self.quorum
-
 
 class Component:
     """Base class for consensus component instances."""

@@ -13,45 +13,28 @@ signature (or ``None`` until it is available).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Optional
 
-from repro.components.base import Component, ComponentContext, OutputCallback, sha256_hex
+from repro.components.base import ComponentContext, OutputCallback
+from repro.components.rbc import BrachaRbc
 from repro.core.packet import ComponentMessage
 from repro.crypto.threshold_sig import ThresholdSigError
 
 
-class Prbc(Component):
-    """One PRBC instance (RBC + DONE proof)."""
+class Prbc(BrachaRbc):
+    """One PRBC instance: Bracha's RBC whose delivery opens the DONE phase."""
 
     kind = "prbc"
 
     def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,
                  proposer: Optional[int] = None) -> None:
-        super().__init__(ctx, instance, tag, on_output)
-        self.proposer = instance if proposer is None else proposer
-        self.value: Optional[bytes] = None
-        self.value_hash: Optional[str] = None
+        super().__init__(ctx, instance, tag, on_output, proposer)
         self.proof: Any = None
-        self._echoes: dict[str, set[int]] = defaultdict(set)
-        self._readies: dict[str, set[int]] = defaultdict(set)
-        self._echo_sent = False
-        self._ready_sent = False
-        self._done_sent = False
-        self._pending_deliver_hash: Optional[str] = None
         self._rbc_delivered = False
         self._done_shares: dict[int, Any] = {}
         #: shares whose proof checked out (each verified at most once)
         self._valid_done_shares: dict[int, Any] = {}
-
-    # ------------------------------------------------------------------ start
-    def start(self, value: bytes) -> None:
-        """Proposer entry point: broadcast the proposal."""
-        if self.ctx.node_id != self.proposer:
-            raise ValueError(
-                f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
-        self.send("initial", {"value": value}, payload_bytes=len(value))
 
     # ----------------------------------------------------------------- handle
     def handle(self, message: ComponentMessage) -> None:
@@ -65,71 +48,19 @@ class Prbc(Component):
         elif message.phase == "done":
             self._on_done(message)
 
-    # ------------------------------------------------------------ RBC phases
-    def _on_initial(self, message: ComponentMessage) -> None:
-        if message.sender != self.proposer:
-            return
-        value = message.payload.get("value")
-        if value is None or self.value is not None:
-            self._check_quorums()
-            return
-        self.value = value
-        self.value_hash = sha256_hex(value)
-        if not self._echo_sent:
-            self._echo_sent = True
-            self.send("echo", {"hash": self.value_hash})
-        self._check_quorums()
-
-    def _on_echo(self, message: ComponentMessage) -> None:
-        value_hash = message.payload.get("hash")
-        if value_hash is None:
-            return
-        self._echoes[value_hash].add(message.sender)
-        if not self._ready_sent:  # echoes only ever trigger READY
-            self._check_quorums()
-
-    def _on_ready(self, message: ComponentMessage) -> None:
-        value_hash = message.payload.get("hash")
-        if value_hash is None:
-            return
-        self._readies[value_hash].add(message.sender)
-        if not self._rbc_delivered:  # delivered implies READY sent
-            self._check_quorums()
-
-    def _check_quorums(self) -> None:
-        quorum = self.ctx.quorum
-        if not self._ready_sent:
-            for value_hash, echoers in self._echoes.items():
-                if len(echoers) >= quorum and not self._ready_sent:
-                    self._send_ready(value_hash)
-        for value_hash, readiers in self._readies.items():
-            if len(readiers) >= self.ctx.small_quorum and not self._ready_sent:
-                self._send_ready(value_hash)
-            if len(readiers) >= quorum:
-                self._pending_deliver_hash = value_hash
-        if self._pending_deliver_hash is not None:
-            self._maybe_rbc_deliver()
-
-    def _send_ready(self, value_hash: str) -> None:
-        self._ready_sent = True
-        self.send("ready", {"hash": value_hash})
-
     # ------------------------------------------------------------- DONE phase
     def _proof_message(self) -> bytes:
         return f"prbc|{self.tag}|{self.instance}|{self.value_hash}".encode()
 
-    def _maybe_rbc_deliver(self) -> None:
-        if self._rbc_delivered or self._pending_deliver_hash is None:
-            return
-        if self.value is None or self.value_hash != self._pending_deliver_hash:
+    def _try_deliver(self) -> None:
+        """RBC delivery: broadcast our DONE share instead of completing."""
+        if self._rbc_delivered or self.value_hash != self._votes.deliverable:
             return
         self._rbc_delivered = True
-        if not self._done_sent:
-            self._done_sent = True
-            share = self.ctx.suite.tsig_share(self._proof_message())
-            self._done_shares[self.ctx.node_id] = share
-            self.send("done", {"share": share, "hash": self.value_hash},
-                      share_bytes=self.ctx.suite.threshold_share_bytes)
+        share = self.ctx.suite.tsig_share(self._proof_message())
+        self._done_shares[self.ctx.node_id] = share
+        self.send("done", {"share": share, "hash": self.value_hash},
+                  share_bytes=self.ctx.suite.threshold_share_bytes)
         # Shares buffered before RBC delivery could not be verified (their
         # proof message depends on the delivered value hash); ingest them now.
         for sender, share in list(self._done_shares.items()):

@@ -18,15 +18,20 @@ Guarantees (with ``N = 3f + 1`` and at most ``f`` Byzantine nodes):
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Optional
 
 from repro.components.base import Component, ComponentContext, OutputCallback, sha256_hex
+from repro.components.votes import BrachaVotes
 from repro.core.packet import ComponentMessage
 
 
 class BrachaRbc(Component):
-    """One RBC instance; ``instance`` doubles as the proposer's node id."""
+    """One RBC instance; ``instance`` doubles as the proposer's node id.
+
+    The ECHO / READY rule lives in :class:`~repro.components.votes.BrachaVotes`
+    (keyed by proposal hash); what is RBC's own is that delivery also needs
+    the INITIAL whose hash matches the deliverable one.
+    """
 
     kind = "rbc"
 
@@ -37,11 +42,7 @@ class BrachaRbc(Component):
         self.proposer = instance if proposer is None else proposer
         self.value: Optional[bytes] = None
         self.value_hash: Optional[str] = None
-        self._echoes: dict[str, set[int]] = defaultdict(set)
-        self._readies: dict[str, set[int]] = defaultdict(set)
-        self._echo_sent = False
-        self._ready_sent = False
-        self._pending_deliver_hash: Optional[str] = None
+        self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
     # ------------------------------------------------------------------ start
     def start(self, value: bytes) -> None:
@@ -66,54 +67,29 @@ class BrachaRbc(Component):
         if message.sender != self.proposer:
             return  # only the proposer may open the instance
         value = message.payload.get("value")
-        if value is None or self.value is not None:
-            self._try_deliver()
-            return
-        self.value = value
-        self.value_hash = sha256_hex(value)
-        if not self._echo_sent:
-            self._echo_sent = True
+        if value is not None and self.value is None:
+            self.value = value
+            self.value_hash = sha256_hex(value)
             self.send("echo", {"hash": self.value_hash})
-        self._check_quorums()
         self._try_deliver()
 
     def _on_echo(self, message: ComponentMessage) -> None:
         value_hash = message.payload.get("hash")
-        if value_hash is None:
-            return
-        self._echoes[value_hash].add(message.sender)
-        if not self._ready_sent:  # echoes only ever trigger READY
-            self._check_quorums()
+        if value_hash is not None:
+            self._votes.echo(value_hash, message.sender)
 
     def _on_ready(self, message: ComponentMessage) -> None:
         value_hash = message.payload.get("hash")
         if value_hash is None:
             return
-        self._readies[value_hash].add(message.sender)
-        if not self.completed:  # delivered implies READY sent: nothing left
-            self._check_quorums()
+        self._votes.ready(value_hash, message.sender)
+        self._try_deliver()
 
     # ----------------------------------------------------------- state rules
-    def _check_quorums(self) -> None:
-        quorum = self.ctx.quorum
-        if not self._ready_sent:
-            for value_hash, echoers in self._echoes.items():
-                if len(echoers) >= quorum and not self._ready_sent:
-                    self._send_ready(value_hash)
-        for value_hash, readiers in self._readies.items():
-            if len(readiers) >= self.ctx.small_quorum and not self._ready_sent:
-                self._send_ready(value_hash)
-            if len(readiers) >= quorum:
-                self._pending_deliver_hash = value_hash
-        if self._pending_deliver_hash is not None:
-            self._try_deliver()
-
     def _send_ready(self, value_hash: str) -> None:
-        self._ready_sent = True
         self.send("ready", {"hash": value_hash})
 
     def _try_deliver(self) -> None:
-        if self.completed or self._pending_deliver_hash is None:
-            return
-        if self.value is not None and self.value_hash == self._pending_deliver_hash:
+        # no INITIAL yet: value_hash is None, which no deliverable key equals
+        if not self.completed and self.value_hash == self._votes.deliverable:
             self.complete(self.value)

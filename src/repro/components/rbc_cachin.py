@@ -17,11 +17,23 @@ from typing import Any, Optional
 
 from repro.components.base import Component, ComponentContext, OutputCallback
 from repro.components.erasure import ErasureBlock, ErasureError, decode_blocks, encode_blocks
+from repro.components.votes import NOTHING, BrachaVotes
 from repro.core.packet import ComponentMessage
 
 
 class CachinRbc(Component):
-    """One erasure-coded RBC instance."""
+    """One erasure-coded RBC instance.
+
+    The ECHO / READY rule lives in :class:`~repro.components.votes.BrachaVotes`
+    (keyed by dispersal root); delivery also needs ``f + 1`` blocks of the
+    deliverable root that decode to a value whose own encoding has that root.
+    A block is accepted only at the point dealt to its sender, so a faulty
+    echoer can spoil its own block and nobody else's.  Blocks carry no
+    per-block proof, so a spoiled block among the ones decoded is detected
+    (the instance stays undelivered rather than deliver a wrong value) but
+    not told apart from the good ones: liveness under a corrupted block is
+    out of scope.
+    """
 
     kind = "rbc"
 
@@ -33,12 +45,7 @@ class CachinRbc(Component):
         self.root: Optional[str] = None
         self.my_block: Optional[ErasureBlock] = None
         self._blocks: dict[str, dict[int, ErasureBlock]] = {}
-        self._echoers: dict[str, set[int]] = {}
-        self._readies: dict[str, set[int]] = {}
-        self._echo_sent = False
-        self._ready_sent = False
-        self._value: Optional[bytes] = None
-        self._deliverable_root: Optional[str] = None
+        self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
     # ------------------------------------------------------------------ start
     def start(self, value: bytes) -> None:
@@ -48,14 +55,13 @@ class CachinRbc(Component):
                 f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
         blocks = encode_blocks(value, self.ctx.small_quorum, self.ctx.num_nodes)
         root = self._root_of(blocks)
-        self._value = value
         self.root = root
         # One INITIAL per recipient: the N-1 transmissions the paper points to.
         for recipient in range(self.ctx.num_nodes):
             block = blocks[recipient]
             if recipient == self.ctx.node_id:
                 self.my_block = block
-                self._record_block(root, block)
+                self._record_block(root, recipient, block)
                 continue
             self.send("initial", {"root": root, "recipient": recipient,
                                   "block": block},
@@ -86,60 +92,55 @@ class CachinRbc(Component):
             return
         if self.my_block is not None:
             return
-        self.root = message.payload.get("root")
-        self.my_block = message.payload.get("block")
-        if self.my_block is not None:
-            self._record_block(self.root, self.my_block)
+        root = message.payload.get("root")
+        block = message.payload.get("block")
+        if root is None or not self._record_block(root, self.ctx.node_id, block):
+            return
+        self.root = root
+        self.my_block = block
         self._send_echo()
 
     def _send_echo(self) -> None:
-        if self._echo_sent or self.my_block is None or self.root is None:
-            return
-        self._echo_sent = True
         self.send("echo", {"root": self.root, "block": self.my_block},
                   payload_bytes=self.my_block.size_bytes())
 
     def _on_echo(self, message: ComponentMessage) -> None:
         root = message.payload.get("root")
-        block = message.payload.get("block")
-        if root is None or block is None:
+        if root is None or not self._record_block(
+                root, message.sender, message.payload.get("block")):
             return
-        self._echoers.setdefault(root, set()).add(message.sender)
-        self._record_block(root, block)
-        self._check_quorums()
+        self._votes.echo(root, message.sender)
+        self._try_deliver()
 
     def _on_ready(self, message: ComponentMessage) -> None:
         root = message.payload.get("root")
         if root is None:
             return
-        self._readies.setdefault(root, set()).add(message.sender)
-        self._check_quorums()
-
-    # ----------------------------------------------------------- state rules
-    def _record_block(self, root: str, block: ErasureBlock) -> None:
-        self._blocks.setdefault(root, {})[block.point] = block
-
-    def _check_quorums(self) -> None:
-        for root, echoers in self._echoers.items():
-            if len(echoers) >= self.ctx.quorum and not self._ready_sent:
-                self._ready_sent = True
-                self.send("ready", {"root": root})
-        for root, readiers in self._readies.items():
-            if len(readiers) >= self.ctx.small_quorum and not self._ready_sent:
-                self._ready_sent = True
-                self.send("ready", {"root": root})
-            if len(readiers) >= self.ctx.quorum:
-                self._deliverable_root = root
+        self._votes.ready(root, message.sender)
         self._try_deliver()
 
+    # ----------------------------------------------------------- state rules
+    def _record_block(self, root: str, holder: int, block: Any) -> bool:
+        """Keep ``block`` if it sits at the point dealt to node ``holder``."""
+        if not isinstance(block, ErasureBlock) or block.point != holder + 1:
+            return False
+        self._blocks.setdefault(root, {})[block.point] = block
+        return True
+
+    def _send_ready(self, root: str) -> None:
+        self.send("ready", {"root": root})
+
     def _try_deliver(self) -> None:
-        if self.completed or self._deliverable_root is None:
+        root = self._votes.deliverable
+        if self.completed or root is NOTHING:
             return
-        blocks = list(self._blocks.get(self._deliverable_root, {}).values())
+        blocks = list(self._blocks.get(root, {}).values())
         if len(blocks) < self.ctx.small_quorum:
             return
         try:
             value = decode_blocks(blocks)
         except ErasureError:
             return
-        self.complete(value)
+        if self._root_of(encode_blocks(value, self.ctx.small_quorum,
+                                       self.ctx.num_nodes)) == root:
+            self.complete(value)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.components.base import Component, ComponentContext, OutputCallback
+from repro.components.votes import NOTHING, BrachaVotes
 from repro.core.packet import ComponentMessage
 
 #: the "bottom" proposal (no value)
@@ -21,7 +22,11 @@ BOT = None
 
 
 class RbcSmall(Component):
-    """One RBC-small instance broadcasting a value from a tiny domain."""
+    """One RBC-small instance broadcasting a value from a tiny domain.
+
+    Votes are keyed by the value itself (:data:`BOT` included), so delivery
+    needs nothing beyond the READY quorum -- not even the INITIAL.
+    """
 
     kind = "rbc_small"
 
@@ -32,12 +37,7 @@ class RbcSmall(Component):
         self.proposer = instance if proposer is None else proposer
         self.value: Any = BOT
         self._have_value = False
-        self._echoes: dict[Any, set[int]] = {}
-        self._readies: dict[Any, set[int]] = {}
-        self._echo_sent = False
-        self._ready_sent = False
-        self._deliverable: Any = None
-        self._deliverable_ready = False
+        self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
     # ------------------------------------------------------------------ start
     def start(self, value: Any) -> None:
@@ -53,46 +53,22 @@ class RbcSmall(Component):
         if message.phase == "initial":
             self._on_initial(message)
         elif message.phase == "echo":
-            self._on_vote(self._echoes, message)
+            self._votes.echo(message.payload.get("value"), message.sender)
         elif message.phase == "ready":
-            self._on_vote(self._readies, message)
+            self._votes.ready(message.payload.get("value"), message.sender)
+            self._try_deliver()
 
     def _on_initial(self, message: ComponentMessage) -> None:
-        if message.sender != self.proposer or self._have_value:
-            self._try_deliver()
-            return
-        self.value = message.payload.get("value")
-        self._have_value = True
-        if not self._echo_sent:
-            self._echo_sent = True
+        if message.sender == self.proposer and not self._have_value:
+            self.value = message.payload.get("value")
+            self._have_value = True
             self.send("echo", {"value": self.value})
-        self._check_quorums()
-
-    def _on_vote(self, votes: dict[Any, set[int]],
-                 message: ComponentMessage) -> None:
-        value = message.payload.get("value")
-        votes.setdefault(value, set()).add(message.sender)
-        self._check_quorums()
 
     # ----------------------------------------------------------- state rules
-    def _check_quorums(self) -> None:
-        for value, echoers in self._echoes.items():
-            if len(echoers) >= self.ctx.quorum and not self._ready_sent:
-                self._send_ready(value)
-        for value, readiers in self._readies.items():
-            if len(readiers) >= self.ctx.small_quorum and not self._ready_sent:
-                self._send_ready(value)
-            if len(readiers) >= self.ctx.quorum:
-                self._deliverable = value
-                self._deliverable_ready = True
-        self._try_deliver()
-
     def _send_ready(self, value: Any) -> None:
-        self._ready_sent = True
         self.send("ready", {"value": value})
 
     def _try_deliver(self) -> None:
-        if self.completed or not self._deliverable_ready:
-            return
-        # Small values are self-contained: delivery does not need the INITIAL.
-        self.complete(self._deliverable)
+        deliverable = self._votes.deliverable
+        if not self.completed and deliverable is not NOTHING:
+            self.complete(deliverable)

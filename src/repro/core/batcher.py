@@ -19,8 +19,8 @@ The difference is how logical messages map onto packets and channel accesses:
 * :class:`ConsensusBatcherTransport` -- messages are written into slots,
   grouped per the packet formats of Figures 4-6 (vertical batching across
   instances, horizontal batching across phases), and each group is flushed as
-  a single packet after a short aggregation window.  One channel access per
-  flush serves every batched instance.
+  a single packet whose content binds when the node wins the channel.  One
+  channel access per flush serves every batched instance.
 
 Reliability is NACK-style (Section IV-B.1): there are no per-frame ACKs; a
 node that detects a stall (no frames received for a while, while some of its
@@ -43,7 +43,6 @@ from repro.core.packet import (
     tag_scope_chain,
 )
 from repro.crypto.timing import CryptoSuite
-from repro.net.reliability import ReliabilityMode
 from repro.net.sim import PeriodicTimer
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid a cycle with repro.net
@@ -60,8 +59,6 @@ SMALL_VALUE_KINDS = frozenset({"rbc_small", "cbc_small", "aba_lc", "aba_sc", "ab
 class TransportConfig:
     """Tuning knobs shared by both transports."""
 
-    #: how long a batched group waits for more messages before flushing
-    aggregation_window_s: float = 0.05
     #: how often the stall detector looks for missing progress
     resend_interval_s: float = 4.0
     #: jitter fraction applied to the resend interval (desynchronises nodes)
@@ -69,8 +66,6 @@ class TransportConfig:
     #: a node re-broadcasts its state if it has not received any frame for
     #: this long while unfinished instances remain
     stall_threshold_s: float = 3.0
-    #: NACK (the paper's choice) or ACK reliability
-    reliability: ReliabilityMode = ReliabilityMode.NACK
     #: whether packets carry a public-key digital signature
     sign_packets: bool = True
     #: interface name to broadcast on
@@ -272,7 +267,7 @@ class BaseTransport:
     def _repair(self, quiet_families: dict[tuple, set[int]]) -> None:
         """Re-broadcast our state and ask peers for what we are missing."""
         for family, instances in quiet_families.items():
-            self._resend_family(family, instances)
+            self._rebroadcast(*family, instances)
             self._send_nack_request(family, instances)
 
     def _send_nack_request(self, family: tuple, instances: set[int]) -> None:
@@ -298,13 +293,11 @@ class BaseTransport:
         if kind is None:
             return
         self.nack_responses_sent += 1
-        self._respond_to_nack(kind, tag, instances)
+        self._rebroadcast(kind, tag, instances)
 
-    # ------------------------------------------------- subclass responsibilities
-    def _resend_family(self, family: tuple, instances: set[int]) -> None:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _respond_to_nack(self, kind: str, tag: Any, instances: set[int]) -> None:
+    def _rebroadcast(self, kind: str, tag: Any, instances: set[int]) -> None:
+        """Put this node's state for the family's ``instances`` back on the
+        air: our own repair and the answer to a peer's NACK request alike."""
         raise NotImplementedError  # pragma: no cover - abstract
 
 
@@ -325,19 +318,11 @@ class BaselineTransport(BaseTransport):
         self._finalize_packet(packet)
         self.node.broadcast(packet, packet.size_bytes, self.config.interface)
 
-    def _matching_messages(self, kind: str, tag: Any,
-                           instances: set[int]) -> list[ComponentMessage]:
-        return [message for slot_key, message in self._latest.items()
-                if slot_key[0] == kind and slot_key[1] == tag
-                and slot_key[2] in instances]
-
-    def _resend_family(self, family: tuple, instances: set[int]) -> None:
-        kind, tag = family
-        for message in self._matching_messages(kind, tag, instances):
-            self._broadcast_single(message)
-
-    def _respond_to_nack(self, kind: str, tag: Any, instances: set[int]) -> None:
-        for message in self._matching_messages(kind, tag, instances):
+    def _rebroadcast(self, kind: str, tag: Any, instances: set[int]) -> None:
+        matching = [message for slot_key, message in self._latest.items()
+                    if slot_key[0] == kind and slot_key[1] == tag
+                    and slot_key[2] in instances]
+        for message in matching:
             self._broadcast_single(message)
 
 
@@ -453,19 +438,7 @@ class ConsensusBatcherTransport(BaseTransport):
             # deferred builder is harmless; just forget the queued marker.
             self._queued_groups.discard(group)
 
-    def retire_rounds_before(self, kind: str, tag: Any, instance: int,
-                             round_number: int) -> None:
-        """Drop slots of earlier ABA rounds once an instance has advanced."""
-        for group, slots in self._groups.items():
-            stale = [key for key, message in slots.items()
-                     if message.kind == kind and message.tag == tag
-                     and message.instance == instance
-                     and message.round < round_number]
-            for key in stale:
-                del slots[key]
-                self._dirty.get(group, set()).discard(key)
-
-    def _mark_family_dirty(self, kind: str, tag: Any, instances: set[int]) -> None:
+    def _rebroadcast(self, kind: str, tag: Any, instances: set[int]) -> None:
         for group, slots in self._groups.items():
             matching = {key for key, message in slots.items()
                         if message.kind == kind and message.tag == tag
@@ -473,10 +446,3 @@ class ConsensusBatcherTransport(BaseTransport):
             if matching:
                 self._dirty.setdefault(group, set()).update(matching)
                 self._ensure_queued(group)
-
-    def _resend_family(self, family: tuple, instances: set[int]) -> None:
-        kind, tag = family
-        self._mark_family_dirty(kind, tag, instances)
-
-    def _respond_to_nack(self, kind: str, tag: Any, instances: set[int]) -> None:
-        self._mark_family_dirty(kind, tag, instances)

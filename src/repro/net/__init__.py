@@ -9,7 +9,6 @@ simulator with
 * a radio airtime model parameterised by bitrate (:mod:`~repro.net.radio`),
 * a node runtime with a CPU busy-time model so cryptographic computation
   delays flow into consensus latency (:mod:`~repro.net.node`),
-* NACK / ACK reliability mechanisms (:mod:`~repro.net.reliability`),
 * single-hop and clustered multi-hop topologies plus inter-cluster routing
   (:mod:`~repro.net.topology`, :mod:`~repro.net.routing`),
 * an asynchronous adversary able to delay and reorder messages and to control
@@ -26,8 +25,6 @@ from repro.net.node import NetworkNode, CpuConfig
 from repro.net.topology import Topology, SingleHopTopology, MultiHopTopology, Cluster
 from repro.net.trace import NetworkTrace, ChannelStats
 from repro.net.adversary import AsyncAdversary, DelayModel
-from repro.net.reliability import NackState, AckState, ReliabilityMode
-from repro.net.wired import WiredNetworkModel
 
 __all__ = [
     "Simulator",
@@ -51,8 +48,4 @@ __all__ = [
     "ChannelStats",
     "AsyncAdversary",
     "DelayModel",
-    "NackState",
-    "AckState",
-    "ReliabilityMode",
-    "WiredNetworkModel",
 ]

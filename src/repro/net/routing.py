@@ -12,19 +12,9 @@ only has to provide hop counts, not defend against routing attacks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping
 
 from repro.net.topology import Topology, TopologyError
-
-
-@dataclass(frozen=True)
-class RouteInfo:
-    """Hop count between two clusters over the backbone."""
-
-    source_cluster: int
-    target_cluster: int
-    hops: int
 
 
 class InterClusterRouting:

@@ -97,6 +97,17 @@ def decode_batch(payload: bytes) -> list[bytes]:
     return transactions
 
 
+def dedupe(transactions: list[bytes]) -> list[bytes]:
+    """The canonical block order: sorted, duplicates dropped."""
+    seen: set[bytes] = set()
+    unique = []
+    for transaction in sorted(transactions):
+        if transaction not in seen:
+            seen.add(transaction)
+            unique.append(transaction)
+    return unique
+
+
 def block_digest(block: list[bytes]) -> str:
     """Canonical digest of a decided block (for agreement checks)."""
     digest = hashlib.sha256()

@@ -45,6 +45,7 @@ from repro.protocols.base import (
     ConsensusProtocol,
     DecideCallback,
     decode_batch,
+    dedupe,
     encode_batch,
 )
 
@@ -247,15 +248,4 @@ class Dumbo(ConsensusProtocol):
         block: list[bytes] = []
         for index in sorted(indices):
             block.extend(decode_batch(self.prbc_values[index]))
-        self._finish(_dedupe(block))
-
-
-def _dedupe(transactions: list[bytes]) -> list[bytes]:
-    """Drop duplicate transactions while keeping the canonical order."""
-    seen: set[bytes] = set()
-    unique = []
-    for transaction in sorted(transactions):
-        if transaction not in seen:
-            seen.add(transaction)
-            unique.append(transaction)
-    return unique
+        self._finish(dedupe(block))

@@ -37,6 +37,7 @@ from repro.protocols.base import (
     ConsensusProtocol,
     DecideCallback,
     decode_batch,
+    dedupe,
     encode_batch,
 )
 
@@ -154,7 +155,7 @@ class HoneyBadger(ConsensusProtocol):
         block: list[bytes] = []
         for index in sorted(output):
             block.extend(decode_batch(output[index]))
-        self._finish(_dedupe(block))
+        self._finish(dedupe(block))
 
     # ------------------------------------------------------ threshold decrypt
     def _broadcast_dec_shares(self) -> None:
@@ -231,15 +232,4 @@ class HoneyBadger(ConsensusProtocol):
             block: list[bytes] = []
             for index in sorted(self._decrypted):
                 block.extend(self._decrypted[index])
-            self._finish(_dedupe(block))
-
-
-def _dedupe(transactions: list[bytes]) -> list[bytes]:
-    """Drop duplicate transactions while keeping the canonical order."""
-    seen: set[bytes] = set()
-    unique = []
-    for transaction in sorted(transactions):
-        if transaction not in seen:
-            seen.add(transaction)
-            unique.append(transaction)
-    return unique
+            self._finish(dedupe(block))

@@ -200,10 +200,6 @@ class MembershipSchedule:
         process = ChurnProcess(spec, num_nodes, seed=seed)
         return cls(tuple(range(num_nodes)), process.initial, process.events)
 
-    @property
-    def has_events(self) -> bool:
-        return bool(self.events)
-
     def crash_events(self) -> tuple:
         return tuple(event for event in self.events
                      if event.action == "crash")

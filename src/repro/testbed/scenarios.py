@@ -40,12 +40,9 @@ GATEWAY_CPU = CpuConfig(frame_processing_s=0.0002, task_processing_s=0.0001)
 #: 216 MHz STM32F767 (~50x faster; same relative costs between curves/ops)
 GATEWAY_CRYPTO_SCALE = 0.02
 
-#: transport tuning for large-n deployments: wider aggregation windows batch
-#: more of the O(n^2) message load per channel access, and gentler NACK
-#: timers stop the stall detector from amplifying CPU backlog into resend
-#: storms
-SCALE_TRANSPORT = TransportConfig(aggregation_window_s=0.1,
-                                  resend_interval_s=12.0,
+#: transport tuning for large-n deployments: gentler NACK timers stop the
+#: stall detector from amplifying CPU backlog into resend storms
+SCALE_TRANSPORT = TransportConfig(resend_interval_s=12.0,
                                   stall_threshold_s=8.0)
 
 

@@ -15,7 +15,7 @@ from repro.components.aba_cachin import CachinAba
 from repro.components.aba_coinflip import CoinFlipAba
 from repro.components.common_coin import CommonCoinManager
 
-from tests.helpers import InMemoryNetwork
+from tests.helpers import InMemoryNetwork, make_message
 
 
 def install_abas(network, kind, instance=0, tag="aba-test", shared_coin=None):
@@ -184,3 +184,39 @@ class TestCachinAbaInternals:
         assert abas_sc[0].kind == "aba_sc"
         assert abas_cp[0].kind == "aba_cp"
         assert abas_cp[0].coin_flavor == "flip"
+
+
+@pytest.mark.parametrize("kind", ["lc", "sc"])
+class TestDecidedTermination:
+    """The DECIDED path of the shared base, driven once per agreement."""
+
+    def _notice(self, kind, sender, value=1):
+        return make_message(f"aba_{kind}", 0, "decided", sender=sender,
+                            payload={"value": value}, tag="aba-test")
+
+    def test_notices_decide_a_laggard_then_halt_it(self, kind):
+        network = InMemoryNetwork(7)  # f = 2
+        abas, decisions = install_abas(network, kind)
+        laggard, sent = abas[0], network.nodes[0].transport.sent
+        for sender in (1, 2):
+            laggard.handle(self._notice(kind, sender))
+        laggard.handle(self._notice(kind, 3, value=0))  # a lone dissenter
+        laggard.handle(self._notice(kind, 1))  # a repeat is not a third notice
+        assert 0 not in decisions and not sent
+        laggard.handle(self._notice(kind, 4))  # f + 1 matching notices
+        assert decisions[0] == 1 and laggard.decided_value == 1
+        assert [m.payload for m in sent if m.phase == "decided"] == [{"value": 1}]
+        # its own notice is the fourth; 2f + 1 = 5 halt it
+        assert not laggard._halted
+        laggard.handle(self._notice(kind, 5))
+        assert laggard._halted
+        assert len([m for m in sent if m.phase == "decided"]) == 1
+
+    def test_max_rounds_forces_a_decision_when_a_round_ends_undecided(self, kind):
+        network = InMemoryNetwork(4)
+        abas, decisions = install_abas(network, kind)
+        lone = abas[0]
+        lone.start(1)  # nobody else starts: round 0 cannot end on its own
+        assert 0 not in decisions
+        lone._next_round(lone.max_rounds - 1)
+        assert decisions[0] == 1 and lone._halted and lone.round == 0

@@ -1,7 +1,10 @@
 """Tests for Bracha's RBC, RBC-small and Cachin's erasure-coded RBC."""
 
+import dataclasses
+
 import pytest
 
+from repro.components.erasure import encode_blocks
 from repro.components.rbc import BrachaRbc
 from repro.components.rbc_cachin import CachinRbc
 from repro.components.rbc_small import RbcSmall
@@ -153,3 +156,39 @@ class TestCachinRbc:
         components, _ = install(network, CachinRbc, instance=1)
         with pytest.raises(ValueError):
             components[2].start(b"nope")
+
+    # --- a faulty echoer must not be able to make an honest node deliver
+    # --- bytes that are not the proposal
+    def _hand_fed(self, payload=b"the proposal every honest node must agree on"):
+        network = InMemoryNetwork(4)
+        components, outputs = install(network, CachinRbc, instance=3)
+        blocks = encode_blocks(payload, 2, 4)
+        root = CachinRbc._root_of(blocks)
+
+        def feed(phase, sender, **fields):
+            components[0].handle(make_message(
+                "rbc", 3, phase, sender, {"root": root, **fields}, tag="t"))
+
+        def spoiled(block):
+            return dataclasses.replace(
+                block, values=tuple(value ^ 1 for value in block.values))
+
+        feed("initial", 3, recipient=0, block=blocks[0])
+        return payload, blocks, outputs, feed, spoiled
+
+    def test_echo_carrying_another_nodes_block_is_not_stored(self):
+        payload, blocks, outputs, feed, spoiled = self._hand_fed()
+        feed("echo", 1, block=blocks[1])
+        feed("echo", 2, block=blocks[2])
+        feed("echo", 3, block=spoiled(blocks[1]))  # node 1's point, not its own
+        feed("ready", 1)
+        feed("ready", 2)
+        assert outputs == {0: payload}
+
+    def test_spoiled_own_block_leaves_the_instance_undelivered(self):
+        _payload, blocks, outputs, feed, spoiled = self._hand_fed()
+        feed("echo", 1, block=spoiled(blocks[1]))  # decoded with block 0
+        feed("echo", 2, block=blocks[2])
+        feed("ready", 1)
+        feed("ready", 2)
+        assert outputs == {}  # not the proposal, so nothing: never wrong bytes

@@ -1,13 +1,11 @@
-"""Tests for the asynchronous adversary, traces, reliability helpers and wired model."""
+"""Tests for the asynchronous adversary and traces."""
 
 import random
 
 import pytest
 
 from repro.net.adversary import AsyncAdversary, DelayModel
-from repro.net.reliability import AckState, NackState, ReliabilityMode
 from repro.net.trace import NetworkTrace
-from repro.net.wired import WiredNetworkModel
 
 
 class TestDelayModel:
@@ -68,44 +66,3 @@ class TestNetworkTrace:
         trace.record_transmission("ch0", 10, 0.1)
         trace.record_collision("ch0")
         assert trace.channels["ch0"].collision_rate == pytest.approx(0.5)
-
-
-class TestReliabilityHelpers:
-    def test_nack_state_tracks_quorum(self):
-        state = NackState(num_instances=4, expected_senders=frozenset({0, 1, 2, 3}),
-                          quorum=3)
-        state.record(0, "echo", 0)
-        state.record(0, "echo", 1)
-        assert not state.satisfied(0, "echo")
-        state.record(0, "echo", 2)
-        assert state.satisfied(0, "echo")
-        assert state.nack_bitmap("echo") == [False, True, True, True]
-        assert state.missing_senders(0, "echo") == {3}
-
-    def test_ack_state(self):
-        state = AckState(expected_receivers=frozenset({1, 2, 3}))
-        state.record_ack(7, 1)
-        state.record_ack(7, 2)
-        assert not state.fully_acked(7)
-        assert state.pending(7) == {3}
-        state.record_ack(7, 3)
-        assert state.fully_acked(7)
-        # paper: ACK-based reliable broadcast costs at least N + 1 messages
-        assert state.messages_required(4) == 5
-
-    def test_reliability_modes(self):
-        assert ReliabilityMode.NACK.value == "nack"
-        assert ReliabilityMode.ACK.value == "ack"
-
-
-class TestWiredModel:
-    def test_broadcast_message_count(self):
-        model = WiredNetworkModel()
-        assert model.broadcast_messages(4) == 3
-        assert model.broadcast_messages(1) == 0
-
-    def test_times(self):
-        model = WiredNetworkModel(link_latency_s=0.001, bandwidth_bps=1e6)
-        assert model.unicast_time(1000) == pytest.approx(0.001 + 0.008)
-        assert model.broadcast_time(4, 1000) == pytest.approx(model.unicast_time(1000))
-        assert model.broadcast_time(1, 1000) == 0.0

@@ -16,7 +16,6 @@ from collections import Counter
 import pytest
 
 from repro.core.batcher import TransportConfig
-from repro.net.reliability import ReliabilityMode
 from repro.protocols.multihop import decode_cluster_contribution
 from repro.testbed import harness
 from repro.testbed.byzantine import ByzantineSpec
@@ -157,8 +156,7 @@ def test_backbone_transport_config_copies_every_field():
     with only the interface overridden -- field by field, so a new
     ``TransportConfig`` field cannot be dropped on the backbone alone."""
     custom = TransportConfig(
-        aggregation_window_s=0.123, resend_interval_s=7.5, resend_jitter=0.25,
-        stall_threshold_s=5.5, reliability=ReliabilityMode.ACK,
+        resend_interval_s=7.5, resend_jitter=0.25, stall_threshold_s=5.5,
         sign_packets=False)
     defaults = TransportConfig()
     overridden = {"interface"}
@@ -180,6 +178,14 @@ def test_backbone_transport_config_copies_every_field():
                     getattr(custom, config_field.name), config_field.name
     for runtime in deployment.runtimes.values():
         assert runtime.transport.config == custom
+
+
+@pytest.mark.parametrize("knob", ["reliability", "aggregation_window_s"])
+def test_transport_config_refuses_the_knobs_the_transport_never_read(knob):
+    """Setting either used to be accepted and change nothing (``ACK`` ran
+    NACK; the batcher has no window: content binds at channel access)."""
+    with pytest.raises(TypeError):
+        TransportConfig(**{knob: 0.1})
 
 
 def test_reconfigure_with_unchanged_committee_rebuilds_the_same_stacks():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.overhead import MessageOverheadModel
 from repro.testbed import harness
+from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.harness import (
     DeploymentError,
     _CompletionLatch,
@@ -138,21 +139,93 @@ PINNED_RUNS = {
 }
 
 
+#: the same six figures for every component the vote machine, the ABA base
+#: and the one NACK rebroadcast hook serve (plus ``cbc`` / ``cbc-small``,
+#: which none of them touches, as the control), keyed by (component, batched,
+#: serial instances, lossy links, seed) and recorded on the commit before
+#: they existed (PR 21's parent).  Broadcasts: n=7, 7 instances, 2-packet
+#: proposals; ABA: 4 instances in parallel or 3 back to back at n=4.  The
+#: lossy rows give node 3 of seven dropping, duplicating and reordering
+#: links, so NACK repair runs and duplicates cross the tallies.
+PINNED_COMPONENT_RUNS = {
+    ('rbc-small', True, 0, False, 1): ('4.32510236541015', 29, 1604, 0, 0, 505),
+    ('rbc-small', True, 0, False, 2): ('3.5093266907524567', 25, 1389, 0, 0, 452),
+    ('rbc-small', False, 0, False, 1): ('16.012471439187692', 97, 7924, 0, 0, 1855),
+    ('rbc-small', False, 0, False, 2): ('16.740266862802002', 100, 8176, 0, 0, 1926),
+    ('prbc', True, 0, False, 1): ('18.35033804040076', 71, 10606, 0, 0, 1030),
+    ('prbc', True, 0, False, 2): ('18.44685512849396', 71, 10317, 0, 0, 995),
+    ('prbc', False, 0, False, 1): ('30.895170177753382', 158, 16101, 0, 0, 2855),
+    ('prbc', False, 0, False, 2): ('28.70895961670997', 149, 15205, 0, 0, 2718),
+    ('cbc', True, 0, False, 1): ('11.918011617064533', 39, 6866, 0, 0, 518),
+    ('cbc', True, 0, False, 2): ('12.1127111276378', 40, 7025, 0, 0, 539),
+    ('cbc', False, 0, False, 1): ('16.222164476253948', 69, 8765, 0, 0, 1157),
+    ('cbc', False, 0, False, 2): ('16.527207958555795', 70, 8869, 0, 0, 1197),
+    ('cbc-small', True, 0, False, 1): ('4.864393276557206', 22, 2416, 0, 0, 392),
+    ('cbc-small', True, 0, False, 2): ('4.684787261918095', 20, 2314, 0, 0, 366),
+    ('cbc-small', False, 0, False, 1): ('12.657941441519029', 63, 6286, 0, 0, 1191),
+    ('cbc-small', False, 0, False, 2): ('12.442411949427287', 63, 6286, 0, 0, 1185),
+    ('aba-lc', True, 0, False, 1): ('3.1116918742405986', 22, 1215, 0, 16, 244),
+    ('aba-lc', True, 0, False, 2): ('2.763445539080493', 20, 1107, 0, 16, 222),
+    ('aba-lc', False, 0, False, 1): ('186.05092995887154', 1087, 90221, 0, 36, 12173),
+    ('aba-lc', False, 0, False, 2): ('124.97891910713417', 729, 60507, 0, 24, 8153),
+    ('aba-lc', True, 3, False, 1): ('11.322061245595311', 83, 4440, 0, 12, 883),
+    ('aba-lc', True, 3, False, 2): ('11.567508279764', 85, 4546, 0, 12, 892),
+    ('aba-lc', False, 3, False, 1): ('68.63275293129215', 395, 32785, 0, 12, 4383),
+    ('aba-lc', False, 3, False, 2): ('105.66674921742695', 604, 50132, 0, 20, 6652),
+    ('aba-sc', True, 0, False, 1): ('6.732550485158502', 41, 2921, 0, 48, 457),
+    ('aba-sc', True, 0, False, 2): ('4.9158214639232', 31, 2236, 0, 40, 344),
+    ('aba-sc', False, 0, False, 1): ('14.613900535700115', 83, 7183, 0, 24, 971),
+    ('aba-sc', False, 0, False, 2): ('21.30137152073728', 119, 10263, 0, 28, 1333),
+    ('aba-sc', True, 3, False, 1): ('12.15731241820522', 82, 5170, 0, 36, 868),
+    ('aba-sc', True, 3, False, 2): ('6.513986339826363', 45, 2817, 0, 20, 495),
+    ('aba-sc', False, 3, False, 1): ('23.42005808512746', 127, 10980, 0, 40, 1367),
+    ('aba-sc', False, 3, False, 2): ('16.899669011688708', 95, 8212, 0, 24, 1011),
+    ('aba-cp', True, 0, False, 1): ('5.088415276258464', 32, 2281, 0, 40, 354),
+    ('aba-cp', True, 0, False, 2): ('6.631553960516664', 42, 3031, 0, 48, 462),
+    ('aba-cp', False, 0, False, 1): ('23.49102287266634', 131, 11513, 0, 32, 1473),
+    ('aba-cp', False, 0, False, 2): ('23.865763155732115', 133, 11519, 0, 32, 1472),
+    ('aba-cp', True, 3, False, 1): ('6.852980392569556', 47, 2917, 0, 20, 508),
+    ('aba-cp', True, 3, False, 2): ('6.513986339826363', 45, 2817, 0, 20, 495),
+    ('aba-cp', False, 3, False, 1): ('18.765306827013703', 103, 8884, 0, 28, 1113),
+    ('aba-cp', False, 3, False, 2): ('16.83226816905596', 93, 8124, 0, 24, 1002),
+    ('rbc', True, 0, True, 1): ('23.226595380985543', 63, 8653, 0, 0, 975),
+    ('rbc', False, 0, True, 1): ('27.346700617789313', 119, 12131, 0, 0, 2050),
+    ('rbc-small', True, 0, True, 1): ('2.5351543169863042', 18, 1035, 0, 0, 327),
+    ('rbc-small', False, 0, True, 1): ('16.04895967469555', 96, 7840, 0, 0, 1809),
+    ('prbc', True, 0, True, 1): ('27.87575848001285', 82, 11798, 0, 0, 1207),
+    ('prbc', False, 0, True, 1): ('47.96492636580526', 195, 19881, 0, 0, 3490),
+    ('aba-lc', True, 0, True, 1): ('6.895117688933463', 55, 2994, 0, 28, 1001),
+    ('aba-sc', True, 0, True, 1): ('5.626740713785939', 37, 2568, 0, 42, 719),
+}
+
+
 class TestPinnedIdentity:
     """The ledger's bit-identity contract, in tier-1: n=7 on the paper's
-    radio and the ledger's own ``components-n32`` cells."""
+    radio and the ledger's own ``components-n32`` cells, then every
+    component kind, serial and parallel, on clean and lossy links."""
 
-    @pytest.mark.parametrize("component,batched,size,seed", sorted(PINNED_RUNS))
-    def test_run_reproduces_the_recorded_figures(self, monkeypatch, component,
-                                                 batched, size, seed):
-        built = []
+    @pytest.fixture
+    def built(self, monkeypatch):
+        deployments = []
         original = harness.build_deployment
 
         def capture(*args, **kwargs):
-            built.append(original(*args, **kwargs))
-            return built[-1]
+            deployments.append(original(*args, **kwargs))
+            return deployments[-1]
 
         monkeypatch.setattr(harness, "build_deployment", capture)
+        return deployments
+
+    @staticmethod
+    def _figures(result, built):
+        (deployment,) = built
+        return (repr(result.latency_s), result.channel_accesses,
+                result.bytes_sent, result.collisions, result.rounds_executed,
+                deployment.sim.events_processed)
+
+    @pytest.mark.parametrize("component,batched,size,seed", sorted(PINNED_RUNS))
+    def test_run_reproduces_the_recorded_figures(self, built, component,
+                                                 batched, size, seed):
         scenario, parallel, packets = (Scenario.single_hop(7), 7, 2) \
             if size == 7 else (Scenario.scale_single_hop(32), 12, 4)
         if component == "rbc":
@@ -163,11 +236,28 @@ class TestPinnedIdentity:
             result = run_aba_experiment(
                 "sc", parallel_instances=parallel, num_nodes=size, seed=seed,
                 scenario=scenario)
-        (deployment,) = built
-        assert (repr(result.latency_s), result.channel_accesses,
-                result.bytes_sent, result.collisions, result.rounds_executed,
-                deployment.sim.events_processed) \
+        assert self._figures(result, built) \
             == PINNED_RUNS[component, batched, size, seed]
+
+    @pytest.mark.parametrize("component,batched,serial,lossy,seed",
+                             sorted(PINNED_COMPONENT_RUNS))
+    def test_every_component_reproduces_the_recorded_figures(
+            self, built, component, batched, serial, lossy, seed):
+        scenario = None
+        if lossy:
+            scenario = Scenario.single_hop(7).with_byzantine(
+                ByzantineSpec(assignments={3: "lossy-links"}))
+        if component.startswith("aba-"):
+            result = run_aba_experiment(
+                component[4:], parallel_instances=4, serial_instances=serial,
+                num_nodes=4, batched=batched, seed=seed, scenario=scenario)
+        else:
+            result = run_broadcast_experiment(
+                component, parallelism=7, proposal_packets=2, num_nodes=7,
+                batched=batched, seed=seed, scenario=scenario)
+        assert result.completed
+        assert self._figures(result, built) \
+            == PINNED_COMPONENT_RUNS[component, batched, serial, lossy, seed]
 
 
 class TestCompletionLatch:
