@@ -27,6 +27,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field
+from itertools import combinations
 from typing import Callable
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
@@ -74,6 +75,7 @@ ERASURE_N = 48
 ERASURE_PAYLOAD = 3000  # bytes -> 1000 chunks -> 32 polynomials at k=32
 FANOUT_NODES = 32  # one sender, 31 receivers: the components-n32 fan-out
 FANOUT_FRAMES = 200  # per storm; below the MAC queue limit of 256
+COMBINE_ROUNDS = 20  # combines per timed slice, so a slice outlasts the timer
 
 
 def _rate(operation: Callable[[], int], min_seconds: float) -> float:
@@ -257,23 +259,80 @@ def bench_threshold_shares(budget: float) -> dict[str, float]:
             assert public_key.verify_share(message, share)
         return len(shares)
 
-    combine_message, combine_shares = make_minted_batch()
-
-    def combine_op() -> int:
-        # verify=False is the only form any run calls: every component
-        # verifies a share when it arrives and combines at quorum.  Nothing
-        # on this path is memoised per share, so one batch serves every pass.
-        public_key.combine(combine_message, combine_shares, verify=False)
-        return 1
-
     return {
         "share_sign": _rate(sign_op, budget),
         "share_verify_seed": _rate_prepared(make_batch, verify_seed, budget),
         "share_verify_single": _rate_prepared(make_batch, verify_single, budget),
         "share_verify_minted": _rate_prepared(make_minted_batch, verify_single,
                                               budget),
-        "share_combine": _rate(combine_op, budget),
     }
+
+
+def _rate_pure_and_native(work: Callable[[], int],
+                          budget: float) -> tuple[float, float]:
+    """Ops/second of ``work`` (which returns how many ops it performed) on
+    the pure tier and on the best available one, in alternating slices."""
+    def under(mode: str) -> Callable[[], int]:
+        def operation() -> int:
+            with crypto_backend.use(mode):
+                return sum(work() for _ in range(COMBINE_ROUNDS))
+        return operation
+
+    return _rate_pair(under("pure"), under("auto"), budget)
+
+
+def bench_share_combine(budget: float) -> dict[str, float]:
+    """``combine(..., verify=False)`` -- the only form any run calls: every
+    component verifies a share when it arrives and combines at quorum -- on
+    the pure tier and the best available one.
+
+    Two shapes.  ``share_combine`` keeps the trajectory's row: the six lowest
+    signers of 16, whose integer Lagrange weights are 5 bits under no root.
+    ``share_combine_n4_t2`` is what every combine of ``stream-n4`` and
+    ``ingress-n4`` looks like: all six pairs of four signers in turn (two of
+    them need the shared root).  Nothing on this path is memoised per share,
+    so one batch of shares serves every pass.
+    """
+    results = {}
+    for suffix, num_parties, threshold, every_subset in (
+            ("", NUM_PARTIES, THRESHOLD, False), ("_n4_t2", 4, 2, True)):
+        rng = random.Random(2002)
+        schemes = deal_threshold_sig(num_parties, threshold, rng)
+        public_key = schemes[0].public_key
+        message = b"hotpath-combine"
+        shares = [scheme.sign_share(message, rng) for scheme in schemes]
+        subsets = list(combinations(shares, threshold)) if every_subset \
+            else [shares[:threshold]]
+
+        def combine_all() -> list:
+            return [public_key.combine(message, subset, verify=False)
+                    for subset in subsets]
+
+        with crypto_backend.use("pure"):
+            expected = combine_all()
+        with crypto_backend.use("auto"):
+            # backend switches must never change results
+            assert combine_all() == expected
+        (results[f"share_combine{suffix}"],
+         results[f"share_combine{suffix}_native"]) = _rate_pure_and_native(
+            lambda: len(combine_all()), budget)
+
+    # What the native tier is for, whatever a combine's algebra: a product of
+    # full-width powers (the wide road of a combine).  The pure tier cannot
+    # catch up here as it has on the combine rows, so this pair tells a
+    # loaded native tier from a missing one.
+    group = DEFAULT_GROUP
+    rng = random.Random(2003)
+    pairs = [(group.power_of_g(rng.randrange(1, group.q)),
+              rng.randrange(1, group.q)) for _ in range(THRESHOLD)]
+
+    def multi_powm_once() -> int:
+        crypto_backend.multi_powm(pairs, group.p)
+        return 1
+
+    results["multi_powm_wide"], results["multi_powm_wide_native"] = \
+        _rate_pure_and_native(multi_powm_once, budget)
+    return results
 
 
 # --------------------------------------------------------------------- erasure
@@ -317,7 +376,7 @@ def bench_erasure(budget: float) -> dict[str, float]:
 
 # -------------------------------------------------------------- native backend
 def bench_native_backend(budget: float) -> dict[str, float]:
-    """The same combine/erasure/streaming work under the native backend.
+    """The same erasure/streaming work under the native backend.
 
     Runs with ``repro.crypto.backend`` forced to ``auto`` (best available
     tier): with gmpy2 or the libgmp shim plus numpy present these entries
@@ -326,30 +385,16 @@ def bench_native_backend(budget: float) -> dict[str, float]:
     honestly report ~1x rather than being silently omitted.  Results are
     asserted bit-identical to the pure path before timing starts.
     """
-    rng = random.Random(2002)
-    schemes = deal_threshold_sig(NUM_PARTIES, THRESHOLD, rng)
-    public_key = schemes[0].public_key
-    message = b"hotpath-native"
-    shares = [scheme.sign_share(message, rng)
-              for scheme in schemes[:THRESHOLD]]
-
-    def combine_op() -> int:
-        # as in ``bench_threshold_shares``: the tiers' ``multi_powm`` compared
-        public_key.combine(message, shares, verify=False)
-        return 1
-
     payload_rng = random.Random(3003)
     payload = bytes(payload_rng.randrange(256) for _ in range(ERASURE_PAYLOAD))
 
     with crypto_backend.use("pure"):
-        pure_signature = public_key.combine(message, shares)
         pure_blocks = erasure.encode_blocks(payload, ERASURE_K, ERASURE_N)
         pure_payload = erasure.decode_blocks(pure_blocks[8:8 + ERASURE_K])
 
     with crypto_backend.use("auto"):
         # backend switches must never change results -- pinned by
         # tests/crypto/test_backend.py, double-checked here off the clock.
-        assert public_key.combine(message, shares) == pure_signature
         blocks = erasure.encode_blocks(payload, ERASURE_K, ERASURE_N)
         selection = blocks[8:8 + ERASURE_K]
         assert [b.values for b in blocks] == [b.values for b in pure_blocks]
@@ -364,7 +409,6 @@ def bench_native_backend(budget: float) -> dict[str, float]:
             return 1
 
         results = {
-            "share_combine_native": _rate(combine_op, budget),
             "erasure_encode_native_k32": _rate(encode_op, budget),
             "erasure_decode_native_k32": _rate(decode_op, budget),
         }
@@ -496,6 +540,8 @@ def run_benchmarks(quick: bool = False) -> dict:
                         bench_streaming, bench_ingress, bench_scenario,
                         bench_shard):
             results.update(section(budget))
+    # sets the tier itself, slice by slice
+    results.update(bench_share_combine(budget))
     results.update(bench_native_backend(budget))
     speedups = dealer_speedups(results)
     speedups |= shard_speedups(results)
@@ -520,6 +566,11 @@ def run_benchmarks(quick: bool = False) -> dict:
             results["sim_events"] / results["sim_events_seed"],
         "share_combine_native_vs_pure":
             results["share_combine_native"] / results["share_combine"],
+        "share_combine_n4_t2_native_vs_pure":
+            results["share_combine_n4_t2_native"] /
+            results["share_combine_n4_t2"],
+        "multi_powm_wide_native_vs_pure":
+            results["multi_powm_wide_native"] / results["multi_powm_wide"],
         "erasure_encode_native_vs_pure":
             results["erasure_encode_native_k32"] / results["erasure_encode_k32"],
         "erasure_decode_native_vs_pure":

@@ -15,8 +15,12 @@ with short budgets and checks *same-run ratio invariants* only:
   quietly cost a third of every run);
 * erasure decode >= 5x the seed implementation (k=32);
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
-* with a native backend tier available, the native share combine >= 3x and
-  the native erasure decode >= 5x their same-run pure rates.
+* with a native backend tier available, a six-term product of full-width
+  powers (``multi_powm``) >= 2.3x and the erasure decode >= 5x their same-run
+  pure rates.  Neither is a speed target: they tell a native tier that
+  loaded and is dispatched to from one that silently is not (~1x).  The
+  share *combine* is no longer that witness -- in small integers the pure
+  tier combines the lowest six signers of 16 as fast as the native one.
 
 Quick-mode timings are never compared against the recorded baseline:
 ``BENCH_hotpath.json`` is recorded with full budgets, and comparing a
@@ -28,8 +32,8 @@ baseline was recorded with, so absolute comparisons are meaningful.  It
 applies every quick-mode invariant plus
 
 * no gated metric more than 2x slower than ``BENCH_hotpath.json``,
-* the native-backend acceptance floors: share combine >= 5x and erasure
-  decode >= 5x the pre-backend recorded rates (only enforced when a native
+* the native-backend acceptance floor: erasure decode >= 5x the
+  pre-backend recorded rate (only enforced when a native
   tier is available -- a pure-only environment cannot hit them and is not
   expected to), and
 * the sharded-simulator gates: a machine-aware ``shard_speedup`` floor
@@ -83,6 +87,7 @@ GATED_METRICS = (
     "share_verify_single",
     "share_combine",
     "share_combine_native",
+    "share_combine_n4_t2",
     "erasure_encode_k32",
     "erasure_decode_k32",
     "erasure_decode_native_k32",
@@ -102,7 +107,13 @@ MIN_RECURRING_BASE_VS_POW = 3.0
 MIN_MINTED_VS_LONG_ROAD = 10.0
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
-MIN_COMBINE_NATIVE_VS_PURE = 3.0
+# Guards the native big-integer tier silently not loading, or ``multi_powm``
+# no longer dispatching to it (either reads ~1x) -- not a speed.  Recorded
+# 5.75x; the floor keeps the 2.5x headroom the combine gate it replaces had
+# (7.5x against 3.0).  Measured on a product of full-width powers because a
+# share combine cannot tell any more: its weights are small integers, and on
+# the recorded signer set the pure tier is level with the native one (0.97x).
+MIN_MULTI_POWM_NATIVE_VS_PURE = 2.3
 MIN_DECODE_NATIVE_VS_PURE = 5.0
 
 # Native acceptance floors (full mode): >= 5x the hot-path rates recorded in
@@ -155,12 +166,13 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"a fresh n=64 domain deal (need >= {MIN_DEALER_CACHE}x)")
 
     if backend_info.get("native_bigint_available"):
-        if speedups["share_combine_native_vs_pure"] < \
-                MIN_COMBINE_NATIVE_VS_PURE:
+        if speedups["multi_powm_wide_native_vs_pure"] < \
+                MIN_MULTI_POWM_NATIVE_VS_PURE:
             failures.append(
-                f"native share combine only "
-                f"{speedups['share_combine_native_vs_pure']:.2f}x the pure "
-                f"path (need >= {MIN_COMBINE_NATIVE_VS_PURE}x)")
+                f"native multi_powm only "
+                f"{speedups['multi_powm_wide_native_vs_pure']:.2f}x the pure "
+                f"path (need >= {MIN_MULTI_POWM_NATIVE_VS_PURE}x): the "
+                f"native big-integer tier is not loaded or not dispatched to")
     if backend_info.get("native_matrix_available"):
         if speedups["erasure_decode_native_vs_pure"] < \
                 MIN_DECODE_NATIVE_VS_PURE:

@@ -171,6 +171,12 @@ def jacobi(a: int, n: int) -> int:
 
 
 # -------------------------------------------------------------------- multi-exp
+#: Exponents up to this many bits go to builtin ``pow``: the interleaved
+#: method builds a ``2^window``-entry table per base before it looks at the
+#: exponent, and for a short exponent that table is most of the work.
+SHORT_EXPONENT_BITS = 16
+
+
 def multi_exp(pairs: Sequence[tuple[int, int]], modulus: int,
               window: int = 4) -> int:
     """Compute ``prod base^exponent mod modulus`` with shared squarings.
@@ -179,18 +185,35 @@ def multi_exp(pairs: Sequence[tuple[int, int]], modulus: int,
     exponents.  The interleaved windowed method performs one squaring chain
     over the longest exponent and one table multiplication per non-zero
     digit of each exponent, which beats independent ``pow()`` calls once the
-    product has a handful of terms.
+    product has a handful of long terms.  Terms that cannot gain from the
+    shared chain -- a short exponent, or the only long one -- are builtin
+    ``pow`` calls multiplied in at the end: the same integer either way.
     """
-    if not pairs:
-        return 1 % modulus
+    result = 1 % modulus
+    long_terms = []
+    for base, exponent in pairs:
+        if exponent < 0:
+            raise ValueError("multi_exp requires non-negative exponents")
+        if exponent.bit_length() <= SHORT_EXPONENT_BITS:
+            result = result * pow(base, exponent, modulus) % modulus
+        else:
+            long_terms.append((base, exponent))
+    if len(long_terms) == 1:
+        base, exponent = long_terms[0]
+        return result * pow(base, exponent, modulus) % modulus
+    if long_terms:
+        result = result * _interleaved(long_terms, modulus, window) % modulus
+    return result
+
+
+def _interleaved(pairs: Sequence[tuple[int, int]], modulus: int,
+                 window: int) -> int:
     mask = (1 << window) - 1
     # factors_at[p] collects the table entries to multiply in at digit
     # position p, so the main loop touches only non-zero digits instead of
     # probing every (term, position) pair.
     factors_at: list[list[int]] = []
     for base, exponent in pairs:
-        if exponent < 0:
-            raise ValueError("multi_exp requires non-negative exponents")
         base %= modulus
         # Per-term table of base^0 .. base^(2^w - 1).
         table = [1] * (1 << window)

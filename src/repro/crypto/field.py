@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -121,23 +122,57 @@ class Polynomial:
         return [self.evaluate(x) for x in xs]
 
 
-def lagrange_coefficients_at_zero(field: PrimeField,
-                                  xs: Sequence[int]) -> list[int]:
-    """Lagrange coefficients ``λ_i`` such that ``f(0) = Σ λ_i · f(x_i)``.
-
-    ``xs`` must be distinct and non-zero modulo ``q``.  This is the combining
-    step for Shamir shares and for threshold signature/coin shares (where the
-    combination happens in the exponent).  Every combiner re-derives the
-    coefficients for the same few signer sets over and over, so the result is
-    memoised on the (modulus, point tuple) pair; the cached path is
-    bit-identical to :func:`lagrange_coefficients_at_zero_reference`.
-    """
+def _share_points(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:
+    """``xs`` reduced into ``[1, q)``; duplicates and zero are refused."""
     points = tuple(field.reduce(x) for x in xs)
     if len(set(points)) != len(points):
         raise FieldError(f"duplicate share indices in {list(xs)}")
     if any(p == 0 for p in points):
         raise FieldError("share index 0 is reserved for the secret")
-    return list(_lagrange_at_zero_cached(field.q, points))
+    return points
+
+
+def lagrange_coefficients_at_zero(field: PrimeField,
+                                  xs: Sequence[int]) -> list[int]:
+    """Lagrange coefficients ``λ_i`` such that ``f(0) = Σ λ_i · f(x_i)``.
+
+    ``xs`` must be distinct and non-zero modulo ``q``.  This is the combining
+    step for Shamir shares (threshold shares combine in the exponent, with
+    :func:`lagrange_ratios_at_zero`).  Every combiner re-derives the
+    coefficients for the same few signer sets over and over, so the result
+    is memoised on the (modulus, point tuple) pair; the cached path is
+    bit-identical to :func:`lagrange_coefficients_at_zero_reference`.
+    """
+    return list(_lagrange_at_zero_cached(field.q, _share_points(field, xs)))
+
+
+def lagrange_ratios_at_zero(field: PrimeField, xs: Sequence[int]
+                            ) -> tuple[tuple[int, ...], int]:
+    """The same coefficients as integer ratios: ``(a, D)`` with
+    ``λ_i = a_i / D`` in lowest terms (``D > 0``).
+
+    For share indices ``1..n`` the ``a_i`` are small signed integers (2 and
+    -1 for signers ``{1, 2}``; some 40 bits at 11-of-32) where the residues
+    of ``λ_i`` modulo ``q`` are full-width, which is what makes combining in
+    the exponent cheap.  Raises :class:`FieldError` for exactly the inputs
+    :func:`lagrange_coefficients_at_zero` does.
+    """
+    return _lagrange_ratios_cached(_share_points(field, xs))
+
+
+@lru_cache(maxsize=4096)
+def _lagrange_ratios_cached(points: tuple[int, ...]
+                            ) -> tuple[tuple[int, ...], int]:
+    numerators = [prod(x_j for x_j in points if x_j != x_i)
+                  for x_i in points]
+    denominators = [prod(x_j - x_i for x_j in points if x_j != x_i)
+                    for x_i in points]
+    common = lcm(*denominators)
+    weights = [numerator * (common // denominator) for numerator, denominator
+               in zip(numerators, denominators)]
+    # lowest terms: {2, 4} is 2 and -1 over 1, not 4 and -2 over 2
+    shared = gcd(common, *weights)
+    return tuple(weight // shared for weight in weights), common // shared
 
 
 @lru_cache(maxsize=4096)
@@ -159,11 +194,7 @@ def _lagrange_at_zero_cached(q: int, points: tuple[int, ...]) -> tuple[int, ...]
 def lagrange_coefficients_at_zero_reference(field: PrimeField,
                                             xs: Sequence[int]) -> list[int]:
     """Uncached Lagrange coefficients (the seed implementation)."""
-    points = [field.reduce(x) for x in xs]
-    if len(set(points)) != len(points):
-        raise FieldError(f"duplicate share indices in {list(xs)}")
-    if any(p == 0 for p in points):
-        raise FieldError("share index 0 is reserved for the secret")
+    points = _share_points(field, xs)
     coefficients = []
     for i, x_i in enumerate(points):
         numerator = 1

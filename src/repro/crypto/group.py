@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro.crypto import backend as crypto_backend
 from repro.crypto.fastpath import FixedBaseTable
-from repro.crypto.field import PrimeField, lagrange_coefficients_at_zero
+from repro.crypto.field import PrimeField, lagrange_ratios_at_zero
 
 # 256-bit safe prime P = 2q + 1 generated once with a fixed seed (see DESIGN.md).
 _SAFE_PRIME_P = 105216956437749856470442369914846542332764088290024751311797079457000279170143
@@ -196,7 +196,12 @@ DEFAULT_GROUP = Group(p=_SAFE_PRIME_P, q=_SUBGROUP_ORDER_Q, g=_GENERATOR)
 #    stamp.  ``prove_dlog_equality`` proves whatever statement it is handed,
 #    true or not, so it never does.
 # 2. A handle stamps only if its private share matches the dealer-published
-#    verify key (``holds_published_share``).
+#    verify key (``holds_published_share``), and a stamp is minted only on a
+#    power of a group member: signature and coin bases are hashed into the
+#    group, and ``decryption_share`` refuses an ephemeral that is not in it
+#    (``(P - U)^secret`` for an odd secret is no member and fails the long
+#    road, so a stamp on it would answer ``True`` where the verifier says
+#    ``False``).
 # 3. The stamp is an ``init=False, compare=False, repr=False`` field of the
 #    frozen dataclasses (``Stamped``): ``dataclasses.replace`` and a
 #    field-by-field rebuild drop it; equality, hashing and every
@@ -369,8 +374,19 @@ def verify_dlog_equality_reference(group: Group, proof: ChaumPedersenProof,
     return lhs_h == rhs_h
 
 
-def combine_in_exponent(group: Group, shares, threshold: int, too_few,
-                        accept=None) -> int:
+@lru_cache(maxsize=4096)
+def _combine_weights(q: int, signers: tuple) -> tuple:
+    """``(weights, root)`` for interpolating ``signers`` in the exponent:
+    ``base^s = (prod value_i^weight_i)^root`` with signed integer weights
+    and ``root`` the inverse modulo ``q`` of their common denominator,
+    ``None`` when that is 1.
+    """
+    weights, denominator = lagrange_ratios_at_zero(PrimeField(q), signers)
+    return weights, None if denominator == 1 else pow(denominator, -1, q)
+
+
+def combine_in_exponent(group: Group, shares, threshold: int, error,
+                        noun: str, accept=None) -> int:
     """Lagrange-combine signer-keyed shares into ``base^s``.
 
     The one tail of every threshold combiner (signatures, coins,
@@ -378,18 +394,44 @@ def combine_in_exponent(group: Group, shares, threshold: int, too_few,
     ``accept`` admits -- the scheme's own ``verify_share``, or every share
     when the caller verified each on arrival and passes ``None`` -- then
     interpolate the ``threshold`` lowest signers in the exponent.  With
-    fewer distinct signers than that it raises ``too_few(count)``, the
-    scheme's own exception.
+    fewer distinct signers than that it raises ``error``, the scheme's own
+    exception class, counting them as ``noun``.
+
+    Domain: every admitted ``share.value`` is a member of the order-``q``
+    subgroup.  There the signed integer weights under one shared root (see
+    :func:`_combine_weights`) give exactly what the residues ``λ_i mod q``
+    give; on an order-``2q`` value the two differ by a sign.  The long road
+    of ``verify_share`` tests membership of the value; a stamp vouches for
+    ``base^secret``, and is minted only when ``base`` is a member (own coin
+    and signature bases are hashed into the group, a ciphertext's ephemeral
+    is tested by ``decryption_share`` and ``verify_share``).  No membership
+    test runs here; a value that is a multiple of ``P`` has no inverse and
+    is in no group, and raises ``error`` whichever weight it meets.
     """
     distinct: dict = {}
     for share in shares:
         if accept is None or accept(share):
             distinct.setdefault(share.signer, share)
     if len(distinct) < threshold:
-        raise too_few(len(distinct))
-    selected = sorted(distinct.values(), key=lambda s: s.signer)[:threshold]
-    coefficients = lagrange_coefficients_at_zero(
-        group.scalar_field, [share.signer for share in selected])
-    return crypto_backend.multi_powm(
-        [(share.value, coefficient)
-         for coefficient, share in zip(coefficients, selected)], group.p)
+        raise error(f"need {threshold} valid {noun}, have {len(distinct)}")
+    signers = tuple(sorted(distinct)[:threshold])
+    weights, root = _combine_weights(group.q, signers)
+    over, under = [], []
+    for signer, weight in zip(signers, weights):
+        if weight > 0:
+            over.append((distinct[signer].value, weight))
+        else:
+            under.append((distinct[signer].value, -weight))
+    modulus = group.p
+    numerator = crypto_backend.multi_powm(over, modulus)
+    denominator = crypto_backend.multi_powm(under, modulus)
+    if not (numerator and denominator):
+        # some value was a multiple of P, which is in no group
+        raise error("a share value is not a group element")
+    # one inversion for all negative weights together
+    combined = numerator * pow(denominator, -1, modulus) % modulus
+    if root is None:
+        return combined
+    # a one-term product, not ``powm``: this base never recurs, and ``powm``
+    # on the pure tier remembers every base it is shown
+    return crypto_backend.multi_powm([(combined, root)], modulus)

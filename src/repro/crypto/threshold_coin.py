@@ -97,9 +97,8 @@ class ThresholdCoinPublicKey:
         passes ``verify=False``.
         """
         return combine_in_exponent(
-            self.group, shares, self.threshold,
-            too_few=lambda count: ThresholdCoinError(
-                f"need {self.threshold} valid coin shares, have {count}"),
+            self.group, shares, self.threshold, ThresholdCoinError,
+            "coin shares",
             accept=partial(self.verify_share, tag) if verify else None)
 
     def combine(self, tag: bytes, shares: Sequence[CoinShare],

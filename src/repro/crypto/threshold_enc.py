@@ -39,14 +39,18 @@ class ThresholdEncError(ValueError):
     """Raised on malformed ciphertexts, shares or insufficient share sets."""
 
 
-def _keystream(key_material: bytes, length: int) -> bytes:
-    """Derive a keystream of ``length`` bytes from ``key_material`` (SHA-256 CTR)."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key_material + counter.to_bytes(4, "big")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+def _mask(data: bytes, group: Group, shared: int, label: bytes) -> bytes:
+    """``data`` XOR the SHA-256-CTR keystream keyed by the ElGamal secret
+    ``shared`` and the label: encryption and decryption are the same map."""
+    key_material = hashlib.sha256(
+        b"tenc" + group.element_to_bytes(shared) + label).digest()
+    length = len(data)
+    keystream = b"".join(
+        hashlib.sha256(key_material + counter.to_bytes(4, "big")).digest()
+        for counter in range((length + 31) // 32))[:length]
+    # one big-integer XOR, not a Python-level step per byte
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(keystream, "big")).to_bytes(length, "big")
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,8 @@ class ThresholdEncPublicKey:
         nonce = self.group.random_scalar(rng)
         ephemeral = self.group.power_of_g(nonce)
         shared = self.group.exp(self.encryption_key, nonce)
-        key_material = hashlib.sha256(
-            b"tenc" + self.group.element_to_bytes(shared) + label).digest()
-        masked = bytes(a ^ b for a, b in
-                       zip(plaintext, _keystream(key_material, len(plaintext))))
-        return Ciphertext(ephemeral=ephemeral, payload=masked, label=label)
+        return Ciphertext(ephemeral=ephemeral, label=label,
+                          payload=_mask(plaintext, self.group, shared, label))
 
     def verify_share(self, ciphertext: Ciphertext, share: DecryptionShare) -> bool:
         """Check a decryption share's correctness proof.
@@ -126,7 +127,10 @@ class ThresholdEncPublicKey:
         A share still carrying the stamp of the handle that made it, for
         this key and this ciphertext's ephemeral, is valid by construction;
         anything else has its proof verified.  Wrong-typed input is an
-        invalid share.
+        invalid share, and so is every share of a ciphertext whose ephemeral
+        is not in the group: its ``f + 1`` subsets would combine to
+        different plaintexts (no stamp exists for one, see
+        ``decryption_share``).
         """
         if not (isinstance(share, DecryptionShare)
                 and isinstance(share.signer, int)
@@ -134,7 +138,9 @@ class ThresholdEncPublicKey:
             return False
         if share._minted_for == (self, ciphertext.ephemeral):
             return True
-        if not 1 <= share.signer <= self.num_parties:
+        if not (1 <= share.signer <= self.num_parties
+                and isinstance(ciphertext.ephemeral, int)
+                and self.group.is_member(ciphertext.ephemeral)):
             return False
         verify_key = self.share_verify_keys[share.signer - 1]
         return verify_dlog_equality(self.group, share.proof,
@@ -151,15 +157,10 @@ class ThresholdEncPublicKey:
         passes ``verify=False``.
         """
         shared = combine_in_exponent(
-            self.group, shares, self.threshold,
-            too_few=lambda count: ThresholdEncError(
-                f"need {self.threshold} valid decryption shares, have {count}"),
+            self.group, shares, self.threshold, ThresholdEncError,
+            "decryption shares",
             accept=partial(self.verify_share, ciphertext) if verify else None)
-        key_material = hashlib.sha256(
-            b"tenc" + self.group.element_to_bytes(shared) + ciphertext.label).digest()
-        return bytes(a ^ b for a, b in
-                     zip(ciphertext.payload,
-                         _keystream(key_material, len(ciphertext.payload))))
+        return _mask(ciphertext.payload, self.group, shared, ciphertext.label)
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,14 @@ class ThresholdEncScheme:
         return self.public_key.encrypt(plaintext, label, rng)
 
     def decryption_share(self, ciphertext: Ciphertext, rng) -> DecryptionShare:
-        """Produce this node's decryption share for ``ciphertext``."""
+        """Produce this node's decryption share for ``ciphertext``.
+
+        Refuses an ephemeral outside the group: ``base^secret`` for such a
+        base is not a share of anything, and must never carry a stamp.
+        """
+        if not self.group.is_member(ciphertext.ephemeral):
+            raise ThresholdEncError(
+                "ciphertext ephemeral is not a group element")
         value = self.group.exp(ciphertext.ephemeral, self.private_share.secret)
         # The dealer already published g^{s_i} as this node's verify key.
         proof = prove_dlog_equality(

@@ -110,9 +110,7 @@ class ThresholdSigPublicKey:
         passes ``verify=False``.
         """
         combined = combine_in_exponent(
-            self.group, shares, self.threshold,
-            too_few=lambda count: ThresholdSigError(
-                f"need {self.threshold} valid shares, have {count}"),
+            self.group, shares, self.threshold, ThresholdSigError, "shares",
             accept=partial(self.verify_share, message) if verify else None)
         return ThresholdSignature(message_point=self.hash_message(message),
                                   value=combined)

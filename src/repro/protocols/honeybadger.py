@@ -30,7 +30,11 @@ from repro.components.base import ComponentContext, ComponentRouter
 from repro.components.common_coin import CommonCoinManager
 from repro.components.rbc import BrachaRbc
 from repro.core.packet import ComponentMessage
-from repro.crypto.threshold_enc import ciphertext_from_bytes, ciphertext_to_bytes
+from repro.crypto.threshold_enc import (
+    ThresholdEncError,
+    ciphertext_from_bytes,
+    ciphertext_to_bytes,
+)
 from repro.protocols.acs import CommonSubset
 from repro.protocols.base import (
     ConsensusConfig,
@@ -142,7 +146,12 @@ class HoneyBadger(ConsensusProtocol):
             self._assemble_plain_block(output)
             return
         for index, value in output.items():
-            self._ciphertexts[index] = ciphertext_from_bytes(value)
+            ciphertext = self._admit_ciphertext(value)
+            if ciphertext is None:
+                # A Byzantine proposer contributed garbage; include nothing.
+                self._decrypted[index] = []
+            else:
+                self._ciphertexts[index] = ciphertext
         self._broadcast_dec_shares()
         # Verify the shares buffered before the ACS output arrived (their
         # ciphertexts were unknown until now), in arrival order.
@@ -150,6 +159,23 @@ class HoneyBadger(ConsensusProtocol):
             for sender, share in list(self._dec_shares.get(index, {}).items()):
                 self._ingest_dec_share(index, sender, share)
         self._maybe_assemble_block()
+
+    def _admit_ciphertext(self, value: bytes):
+        """The agreed bytes as a ciphertext, or ``None`` when they are not one.
+
+        This is where a peer-controlled group element enters the threshold
+        layer: the ephemeral becomes the base of every decryption share, and
+        shares combine to one plaintext only over the order-``q`` subgroup
+        (on ``P - U`` different ``f + 1`` subsets decrypt differently).  The
+        verdict is a function of the agreed bytes alone, so every honest
+        node reaches it alike; it charges no modelled CPU and draws no RNG.
+        """
+        try:
+            ciphertext = ciphertext_from_bytes(value)
+        except ThresholdEncError:
+            return None
+        group = self.ctx.suite.threshold_enc.group
+        return ciphertext if group.is_member(ciphertext.ephemeral) else None
 
     def _assemble_plain_block(self, output: dict[int, bytes]) -> None:
         block: list[bytes] = []
@@ -228,7 +254,7 @@ class HoneyBadger(ConsensusProtocol):
     def _maybe_assemble_block(self) -> None:
         if self.decided or self._acs_output is None:
             return
-        if len(self._decrypted) == len(self._ciphertexts):
+        if len(self._decrypted) == len(self._acs_output):
             block: list[bytes] = []
             for index in sorted(self._decrypted):
                 block.extend(self._decrypted[index])

@@ -5,22 +5,34 @@ that the scheme's own ``verify_share`` accepts, then interpolates the
 ``threshold`` lowest signers; ``verify=False`` does the same with every share
 admitted.  Both are compared here against that loop written out by hand, over
 share lists drawn from a pool of valid, corrupted, misdirected and malformed
-shares.  (What the interpolation itself computes is pinned against a by-hand
-Lagrange product in ``test_fastpath.py``.)
+shares.
+
+What the interpolation computes -- signed integer Lagrange weights under one
+shared root -- is compared against the formula it replaced, written out here:
+the coefficients' residues modulo ``q`` into one interleaved
+multi-exponentiation, then each scheme's own tail.
 """
 
 import functools
+import hashlib
 import random
 import re
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.group import unstamped
+from repro.crypto.fastpath import SHORT_EXPONENT_BITS, multi_exp
+from repro.crypto.field import lagrange_coefficients_at_zero
+from repro.crypto.group import DEFAULT_GROUP, Group, unstamped
 from repro.crypto.threshold_coin import ThresholdCoinError, deal_threshold_coin
 from repro.crypto.threshold_enc import ThresholdEncError, deal_threshold_enc
-from repro.crypto.threshold_sig import ThresholdSigError, deal_threshold_sig
+from repro.crypto.threshold_sig import (
+    ThresholdSigError,
+    ThresholdSignature,
+    deal_threshold_sig,
+)
 
 NUM_PARTIES = 5
 THRESHOLD = 3
@@ -44,6 +56,11 @@ class _Tsig:
     def combine(public_key, statement, shares, verify):
         return public_key.combine(statement, shares, verify=verify)
 
+    @staticmethod
+    def from_element(public_key, statement, element):
+        return ThresholdSignature(
+            message_point=public_key.hash_message(statement), value=element)
+
 
 class _Coin:
     deal = staticmethod(deal_threshold_coin)
@@ -64,6 +81,13 @@ class _Coin:
                 public_key.combine_value(statement, shares, 1 << 64,
                                          verify=verify))
 
+    @staticmethod
+    def from_element(public_key, statement, element):
+        encoded = public_key.group.element_to_bytes(element)
+        wide = hashlib.sha256(b"coin-wide" + encoded).digest()
+        return (hashlib.sha256(b"coin-out" + encoded).digest()[0] & 1,
+                int.from_bytes(wide, "big") % (1 << 64))
+
 
 class _Tenc:
     deal = staticmethod(deal_threshold_enc)
@@ -80,6 +104,25 @@ class _Tenc:
     @staticmethod
     def combine(public_key, statement, shares, verify):
         return public_key.combine(statement, shares, verify=verify)
+
+    @staticmethod
+    def from_element(public_key, statement, element):
+        return masked_byte_by_byte(statement.payload, public_key.group,
+                                   element, statement.label)
+
+
+def masked_byte_by_byte(data: bytes, group, shared: int, label: bytes) -> bytes:
+    """The XOR tail as it was: SHA-256-CTR blocks until long enough, then one
+    generator step per byte."""
+    key_material = hashlib.sha256(
+        b"tenc" + group.element_to_bytes(shared) + label).digest()
+    blocks = []
+    counter = 0
+    while sum(len(block) for block in blocks) < len(data):
+        blocks.append(hashlib.sha256(
+            key_material + counter.to_bytes(4, "big")).digest())
+        counter += 1
+    return bytes(a ^ b for a, b in zip(data, b"".join(blocks)[:len(data)]))
 
 
 FAMILIES = [_Tsig, _Coin, _Tenc]
@@ -195,6 +238,23 @@ class TestCombineEqualsTheLoop:
             world.combine(shares, verify=True)
         world.check_against_the_loop(shares, verify=True)
 
+    def test_a_value_in_no_group_raises_the_schemes_own_error(self, family):
+        world = world_of(family)
+        # signers 1, 2, 3 weigh 3, -3 and 1: a multiple of P must be named
+        # under a positive weight (the product is 0) and under a negative one
+        # (where ``pow(0, -1, P)`` is a bare ValueError)
+        lowest = [variants[GOOD] for variants in world.by_signer[:THRESHOLD]]
+        modulus = world.public_key.group.p
+        for position in range(THRESHOLD):
+            for value in (0, modulus, 2 * modulus):
+                shares = list(lowest)
+                shares[position] = replace(shares[position], value=value)
+                with pytest.raises(family.error, match="not a group element"):
+                    world.combine(shares, verify=False)
+                # verified, the share is dropped and there are too few
+                with pytest.raises(family.error, match="have 2$"):
+                    world.combine(shares, verify=True)
+
     def test_duplicated_signer_bad_copy_first_and_second(self, family):
         world = world_of(family)
         good, bad = (world.by_signer[0][kind] for kind in (GOOD, BAD_VALUE))
@@ -215,3 +275,113 @@ class TestCombineEqualsTheLoop:
             assert not world.accepts(stray)
             assert world.combine([stray] + honest + [stray],
                                  verify=True) == world.clean
+
+
+# ------------------------------------------------- what the combine computes
+#: every ``t``-subset of these shapes
+EVERY_SUBSET = [(4, 2), (4, 3), (5, 3), (7, 3), (10, 4)]
+#: seeded subsets of these, shape -> how many
+SAMPLED = {(16, 6): 50, (32, 11): 50, (64, 22): 50}
+#: a second safe-prime group, so small that 4-of-10 weights outgrow ``q``:
+#: the integer form holds at any width
+TOY_GROUP = Group(p=2039, q=1019, g=4)
+
+
+def signer_sets(num_parties: int, threshold: int):
+    if (num_parties, threshold) in EVERY_SUBSET:
+        return list(combinations(range(1, num_parties + 1), threshold))
+    rng = random.Random(num_parties * 1000 + threshold)
+    return [tuple(sorted(rng.sample(range(1, num_parties + 1), threshold)))
+            for _ in range(SAMPLED[num_parties, threshold])]
+
+
+def residue_form(group, selected) -> int:
+    """The combine this one replaced: ``prod value_i^(λ_i mod q)``."""
+    coefficients = lagrange_coefficients_at_zero(
+        group.scalar_field, [share.signer for share in selected])
+    return multi_exp([(share.value, coefficient) for coefficient, share
+                      in zip(coefficients, selected)], group.p)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=family_ids)
+@pytest.mark.parametrize(
+    "group, shape",
+    [(DEFAULT_GROUP, shape) for shape in EVERY_SUBSET + list(SAMPLED)]
+    + [(TOY_GROUP, shape) for shape in EVERY_SUBSET],
+    ids=lambda value: "toy" if value is TOY_GROUP else "default"
+    if value is DEFAULT_GROUP else "%d-of-%d" % value[::-1])
+def test_integer_weights_equal_the_residue_form(family, group, shape):
+    num_parties, threshold = shape
+    rng = random.Random(num_parties * 1000 + threshold)
+    schemes = family.deal(num_parties, threshold, rng, group=group)
+    public_key = schemes[0].public_key
+    statement = family.statement(schemes, rng, b"differential")
+    good = [family.share(scheme, statement, rng) for scheme in schemes]
+    # still members of the group, no longer shares of the secret
+    bad = [replace(share, value=group.mul(share.value, group.g))
+           for share in good]
+    clean = family.combine(public_key, statement, good[:threshold],
+                           verify=True)
+    for signers in signer_sets(num_parties, threshold):
+        for pool in (good, bad):
+            selected = [pool[signer - 1] for signer in signers]
+            expected = family.from_element(
+                public_key, statement, residue_form(group, selected))
+            assert family.combine(public_key, statement, selected,
+                                  verify=False) == expected
+            if pool is good:
+                assert expected == clean
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1000])
+def test_the_xor_tail_equals_the_byte_generator(length):
+    """``encrypt`` and ``combine`` mask with one big-integer XOR; the bytes
+    are those of the per-byte generator over the same keystream."""
+    rng = random.Random(length)
+    schemes = deal_threshold_enc(4, 2, rng)
+    public_key = schemes[0].public_key
+    plaintext = rng.randbytes(length)
+    ciphertext = public_key.encrypt(plaintext, b"tail", rng)
+    shares = [scheme.decryption_share(ciphertext, rng)
+              for scheme in schemes[1:3]]
+    shared = residue_form(public_key.group, shares)
+    assert len(ciphertext.payload) == length
+    assert ciphertext.payload == masked_byte_by_byte(
+        plaintext, public_key.group, shared, b"tail")
+    assert public_key.combine(ciphertext, shares) == plaintext \
+        == masked_byte_by_byte(ciphertext.payload, public_key.group, shared,
+                               b"tail")
+
+
+class TestMultiExpShortAndSingleTerms:
+    """``multi_exp`` answers a short exponent and a lone long term with
+    builtin ``pow``; whatever the mix, the product is the product."""
+
+    @given(pairs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**256),
+                  st.one_of(
+                      st.just(0),
+                      st.integers(min_value=0, max_value=15),
+                      st.integers(min_value=0,
+                                  max_value=2 << SHORT_EXPONENT_BITS),
+                      st.integers(min_value=0, max_value=2**256))),
+        max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_mixed_widths_match_product_of_pows(self, pairs):
+        p = DEFAULT_GROUP.p
+        expected = 1
+        for base, exponent in pairs:
+            expected = expected * pow(base, exponent, p) % p
+        assert multi_exp(pairs, p) == expected
+
+    def test_one_term_and_edges(self):
+        p, q = DEFAULT_GROUP.p, DEFAULT_GROUP.q
+        for base in (0, 1, 7, p - 1, p, p + 7):
+            for exponent in (0, 1, 15, 16, (1 << SHORT_EXPONENT_BITS) - 1,
+                             1 << SHORT_EXPONENT_BITS, q - 1, q):
+                assert multi_exp([(base, exponent)], p) == pow(base, exponent, p)
+                assert multi_exp([(base, exponent), (3, q - 2)], p) == \
+                    pow(base, exponent, p) * pow(3, q - 2, p) % p
+        assert multi_exp([(5, 3)], 1) == 0
+        with pytest.raises(ValueError):
+            multi_exp([(5, -3)], p)

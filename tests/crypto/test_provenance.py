@@ -298,6 +298,57 @@ def test_wrong_typed_shares_are_rejected_not_raised(family):
         schemes[3].combine(statement, [share] + honest)
 
 
+class TestStampsOnlyOnPowersOfGroupMembers:
+    """Rule 2, second half.  The one peer-controlled base is a ciphertext's
+    ephemeral; on ``P - U`` (order ``2q``) the share ``base^secret`` of an odd
+    secret is no group member and fails the long road, so a stamp on it would
+    be "stamped ``True``, long road ``False``"."""
+
+    def test_no_share_of_a_non_member_ephemeral_is_made(self):
+        rng = random.Random(41)
+        schemes = deal_threshold_enc(4, 2, rng)
+        group = schemes[0].group
+        honest = schemes[0].encrypt(b"payload", b"label", rng)
+        outside = [group.p - honest.ephemeral, 0, group.p,
+                   group.p + honest.ephemeral]
+        for ephemeral in outside:
+            twisted = dataclasses.replace(honest, ephemeral=ephemeral)
+            for scheme in schemes:
+                with pytest.raises(threshold_enc.ThresholdEncError,
+                                   match="not a group element"):
+                    scheme.decryption_share(twisted, rng)
+
+    def test_what_such_a_stamp_would_have_vouched_for(self):
+        """The share the handle used to make, built by hand: no group member
+        whenever the secret is odd, and ``verify_share`` refuses every share
+        of such a ciphertext, so none of them combines."""
+        rng = random.Random(42)
+        schemes = deal_threshold_enc(4, 2, rng)
+        group, public_key = schemes[0].group, schemes[0].public_key
+        honest = schemes[0].encrypt(b"payload", b"label", rng)
+        twisted = dataclasses.replace(
+            honest, ephemeral=group.p - honest.ephemeral)
+        odd_secrets, shares = 0, []
+        for scheme in schemes:
+            secret = scheme.private_share.secret
+            value = pow(twisted.ephemeral, secret, group.p)
+            share = threshold_enc.DecryptionShare(
+                signer=scheme.private_share.index, value=value,
+                proof=prove_dlog_equality(
+                    group, secret=secret, base_h=twisted.ephemeral,
+                    value_g=public_key.share_verify_keys[
+                        scheme.private_share.index - 1],
+                    value_h=value, rng=rng, context=b"tenc-share"))
+            shares.append(share)
+            assert not public_key.verify_share(twisted, share)
+            if secret % 2:
+                odd_secrets += 1
+                assert not group.is_member(value)
+        assert odd_secrets == 3  # of the four that seed 42 deals
+        with pytest.raises(threshold_enc.ThresholdEncError, match="have 0$"):
+            public_key.combine(twisted, shares)
+
+
 class TestProofsAreNeverStamped:
     def test_prove_dlog_equality_proves_false_statements_unstamped(self):
         """Rule 1: the prover signs whatever it is handed, so its output has
