@@ -26,7 +26,9 @@ Asynchronous Byzantine agreement:
 The ECHO / READY rule of every Bracha-style broadcast above is
 :class:`~repro.components.votes.BrachaVotes`; input, round advance and
 DECIDED termination of every ABA are
-:class:`~repro.components.aba_base.RoundBasedAba`.
+:class:`~repro.components.aba_base.RoundBasedAba`; which ABA a coin kind
+(``lc`` / ``sc`` / ``cp``) means, with which coin manager, is
+:func:`~repro.components.aba_factory.aba_factory`.
 
 All components run on top of either transport from :mod:`repro.core.batcher`,
 so the same protocol logic executes batched (ConsensusBatcher) or unbatched
@@ -45,6 +47,7 @@ from repro.components.cbc_small import CbcSmall
 from repro.components.aba_bracha import BrachaAba
 from repro.components.aba_cachin import CachinAba
 from repro.components.aba_coinflip import CoinFlipAba
+from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
 
 __all__ = [
     "ComponentContext",
@@ -63,4 +66,7 @@ __all__ = [
     "BrachaAba",
     "CachinAba",
     "CoinFlipAba",
+    "ABA_BY_COIN",
+    "aba_factory",
+    "coin_schemes",
 ]

@@ -30,6 +30,8 @@ class RoundBasedAba(Component):
     """
 
     round_state: type
+    #: the :class:`CommonCoinManager` flavor the rounds draw on, if any
+    coin_flavor: Optional[str] = None
 
     def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,

@@ -25,6 +25,7 @@ from typing import Any, Callable, Optional
 
 from repro.components.base import ComponentContext
 from repro.core.packet import ComponentMessage
+from repro.crypto.timing import COIN_FLAVORS
 
 CoinCallback = Callable[[int, int], None]  # (round, coin_value)
 
@@ -45,7 +46,7 @@ class CommonCoinManager:
 
     def __init__(self, ctx: ComponentContext, tag: Any, flavor: str = "tsig",
                  coin_name: str = "aba") -> None:
-        if flavor not in ("tsig", "flip"):
+        if flavor not in COIN_FLAVORS:
             raise ValueError(f"unknown coin flavor {flavor!r}")
         self.ctx = ctx
         self.tag = tag

@@ -16,21 +16,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
-from repro.crypto.group import (
-    ChaumPedersenProof,
-    DEFAULT_GROUP,
-    Group,
-    Stamped,
-    combine_in_exponent,
-    holds_published_share,
-    mint,
-    prove_dlog_equality,
-    verify_dlog_equality,
+from repro.crypto.group import ChaumPedersenProof, DEFAULT_GROUP, Group
+from repro.crypto.threshold import (
+    PrivateShare,
+    Share,
+    ShareHolder,
+    SharePublicKey,
+    deal,
 )
-from repro.crypto.shamir import ShamirDealer
 
 
 class ThresholdCoinError(ValueError):
@@ -38,7 +33,7 @@ class ThresholdCoinError(ValueError):
 
 
 @dataclass(frozen=True)
-class CoinShare(Stamped):
+class CoinShare(Share):
     """One node's contribution to the coin for a given tag."""
 
     signer: int
@@ -46,68 +41,40 @@ class CoinShare(Stamped):
     value: int
     proof: ChaumPedersenProof
 
-    def size_bytes(self) -> int:
-        """Nominal wire size of the coin share."""
-        return 32 + self.proof.size_bytes()
-
 
 @dataclass(frozen=True)
-class ThresholdCoinPublicKey:
+class ThresholdCoinPublicKey(SharePublicKey):
     """Public material for the coin: per-node verification keys."""
 
-    group: Group
-    num_parties: int
-    threshold: int
     master_verify_key: int
-    share_verify_keys: tuple[int, ...]
+
+    share_type = CoinShare
+    about_type = bytes
+    share_context = b"tcoin-share"
+    error = ThresholdCoinError
+    share_noun = "coin shares"
 
     def tag_point(self, tag: bytes) -> int:
         """Hash the coin tag to a group element."""
         return self.group.hash_to_group(b"tcoin", tag)
 
-    def verify_share(self, tag: bytes, share: CoinShare) -> bool:
-        """Check a coin share's correctness proof.
+    def _statement(self, tag):
+        return tag
 
-        A share still carrying the stamp of the handle that made it, for
-        this key and this tag, is valid by construction; anything else has
-        its proof verified.  Wrong-typed input is an invalid share.
-        """
-        if not (isinstance(share, CoinShare)
-                and isinstance(share.signer, int)
-                and isinstance(tag, bytes)):
-            return False
-        if share._minted_for == (self, tag):
-            return True
-        if not 1 <= share.signer <= self.num_parties:
-            return False
-        if share.tag != tag:
-            return False
-        point = self.tag_point(tag)
-        verify_key = self.share_verify_keys[share.signer - 1]
-        return verify_dlog_equality(self.group, share.proof, base_h=point,
-                                    value_g=verify_key, value_h=share.value,
-                                    context=b"tcoin-share")
+    def _base(self, tag, _statement, share):
+        return self.tag_point(tag) if share.tag == tag else None
 
-    def _combine_element(self, tag: bytes, shares: Sequence[CoinShare],
-                         verify: bool) -> int:
-        """Lagrange-combine shares into ``H(tag)^s``.
-
-        With ``verify`` the first share per signer that :meth:`verify_share`
-        accepts is kept; a caller that verified every share on arrival
-        passes ``verify=False``.
-        """
-        return combine_in_exponent(
-            self.group, shares, self.threshold, ThresholdCoinError,
-            "coin shares",
-            accept=partial(self.verify_share, tag) if verify else None)
+    def _coin_digest(self, prefix: bytes, tag: bytes,
+                     shares: Sequence[CoinShare], verify: bool) -> bytes:
+        """SHA-256 of ``H(tag)^s`` under an output-domain ``prefix``."""
+        combined = self._combine_element(tag, shares, verify)
+        return hashlib.sha256(
+            prefix + self.group.element_to_bytes(combined)).digest()
 
     def combine(self, tag: bytes, shares: Sequence[CoinShare],
                 verify: bool = True) -> int:
         """Combine shares into the coin value for ``tag`` (0 or 1)."""
-        combined = self._combine_element(tag, shares, verify)
-        digest = hashlib.sha256(
-            b"coin-out" + self.group.element_to_bytes(combined)).digest()
-        return digest[0] & 1
+        return self._coin_digest(b"coin-out", tag, shares, verify)[0] & 1
 
     def combine_value(self, tag: bytes, shares: Sequence[CoinShare],
                       modulus: int, verify: bool = True) -> int:
@@ -116,21 +83,14 @@ class ThresholdCoinPublicKey:
         Dumbo uses the coin output as a pseudorandom permutation seed (the
         global string pi); this helper exposes a wider output range.
         """
-        combined = self._combine_element(tag, shares, verify)
-        digest = hashlib.sha256(
-            b"coin-wide" + self.group.element_to_bytes(combined)).digest()
+        digest = self._coin_digest(b"coin-wide", tag, shares, verify)
         return int.from_bytes(digest, "big") % modulus
 
 
-@dataclass(frozen=True)
-class ThresholdCoinPrivateShare:
-    """Node ``index``'s private coin key share."""
-
-    index: int
-    secret: int
+ThresholdCoinPrivateShare = PrivateShare
 
 
-class ThresholdCoinScheme:
+class ThresholdCoinScheme(ShareHolder):
     """Per-node handle for producing and combining coin shares.
 
     ``flavor`` distinguishes the threshold-signature-based coin (``"tsig"``,
@@ -140,48 +100,17 @@ class ThresholdCoinScheme:
     """
 
     def __init__(self, public_key: ThresholdCoinPublicKey,
-                 private_share: ThresholdCoinPrivateShare,
+                 private_share: PrivateShare,
                  flavor: str = "tsig") -> None:
         if flavor not in ("tsig", "flip"):
             raise ThresholdCoinError(f"unknown coin flavor {flavor!r}")
-        self.public_key = public_key
-        self.private_share = private_share
-        self.group = public_key.group
+        super().__init__(public_key, private_share)
         self.flavor = flavor
-
-    @property
-    def threshold(self) -> int:
-        """Number of shares needed to reveal the coin."""
-        return self.public_key.threshold
-
-    @cached_property
-    def _holds_published_share(self) -> bool:
-        return holds_published_share(self.group, self.private_share,
-                                     self.public_key.share_verify_keys)
 
     def coin_share(self, tag: bytes, rng) -> CoinShare:
         """Produce this node's coin share for ``tag``."""
-        point = self.public_key.tag_point(tag)
-        value = self.group.exp(point, self.private_share.secret)
-        # The dealer already published g^{s_i} as this node's verify key.
-        proof = prove_dlog_equality(
-            self.group, secret=self.private_share.secret, base_h=point,
-            value_g=self.public_key.share_verify_keys[self.private_share.index - 1],
-            value_h=value, rng=rng, context=b"tcoin-share")
-        share = CoinShare(signer=self.private_share.index, tag=tag,
-                          value=value, proof=proof)
-        if self._holds_published_share:
-            mint(share, self.public_key, tag)
-        return share
-
-    def verify_share(self, tag: bytes, share: CoinShare) -> bool:
-        """Verify another node's coin share."""
-        return self.public_key.verify_share(tag, share)
-
-    def combine(self, tag: bytes, shares: Iterable[CoinShare],
-                verify: bool = True) -> int:
-        """Reveal the coin bit for ``tag``."""
-        return self.public_key.combine(tag, list(shares), verify=verify)
+        return self._make_share(self.public_key.tag_point(tag), tag, rng,
+                                tag=tag)
 
     def combine_value(self, tag: bytes, shares: Iterable[CoinShare],
                       modulus: int, verify: bool = True) -> int:
@@ -194,21 +123,9 @@ def deal_threshold_coin(num_parties: int, threshold: int, rng,
                         group: Group = DEFAULT_GROUP, flavor: str = "tsig",
                         master_secret: Optional[int] = None) -> list[ThresholdCoinScheme]:
     """Trusted-dealer setup for the threshold coin; one scheme per node."""
-    if threshold < 1 or threshold > num_parties:
-        raise ThresholdCoinError(
-            f"threshold must be in [1, {num_parties}], got {threshold}")
-    field = group.scalar_field
-    secret = master_secret if master_secret is not None else group.random_scalar(rng)
-    dealer = ShamirDealer(field, num_parties, threshold)
-    shares = dealer.deal(secret, rng)
-    public_key = ThresholdCoinPublicKey(
-        group=group,
-        num_parties=num_parties,
-        threshold=threshold,
-        master_verify_key=group.power_of_g(secret),
-        share_verify_keys=tuple(group.power_of_g(s.value) for s in shares),
-    )
-    return [ThresholdCoinScheme(public_key,
-                                ThresholdCoinPrivateShare(index=s.index, secret=s.value),
-                                flavor=flavor)
-            for s in shares]
+    master_key, key_fields, private_shares = deal(
+        num_parties, threshold, rng, group, master_secret, ThresholdCoinError)
+    public_key = ThresholdCoinPublicKey(master_verify_key=master_key,
+                                        **key_fields)
+    return [ThresholdCoinScheme(public_key, private, flavor=flavor)
+            for private in private_shares]

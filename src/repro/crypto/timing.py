@@ -17,7 +17,7 @@ configured ``cost_sink`` (normally the owning
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.crypto.curves import (
     CurveProfile,
@@ -37,6 +37,35 @@ from repro.crypto.threshold_sig import (
 )
 
 CostSink = Callable[[float], None]
+
+
+class CoinFlavor(NamedTuple):
+    """What one coin kind pays for: the :class:`CryptoSuite` handle it uses
+    (also its dealer scheme name) and, per operation, the ledger name it is
+    recorded under and the :class:`ThresholdCurveProfile` row it is charged."""
+
+    handle: str
+    description: str
+    sign: tuple[str, str]
+    verify: tuple[str, str]
+    combine: tuple[str, str]
+
+
+#: The one place a coin flavor is given meaning.  ABA-SC's coin is a
+#: threshold signature on the round tag (Fig. 10a rows); ABA-CP's is BEAT's
+#: cheaper threshold coin flipping (Fig. 10b rows); ABA-LC has no coin.
+COIN_FLAVORS: dict[str, CoinFlavor] = {
+    "tsig": CoinFlavor(
+        "threshold_coin", "threshold coin scheme",
+        sign=("tsig_sign", "sign_share_ms"),
+        verify=("tsig_verify_share", "verify_share_ms"),
+        combine=("tsig_combine", "combine_share_ms")),
+    "flip": CoinFlavor(
+        "coin_flip", "threshold coin-flipping scheme",
+        sign=("coinflip_sign", "coin_sign_ms"),
+        verify=("coinflip_verify_share", "coin_verify_share_ms"),
+        combine=("coinflip_combine", "coin_combine_ms")),
+}
 
 
 class CostLedger:
@@ -195,54 +224,41 @@ class CryptoSuite:
         return self.threshold_sig.verify_signature(message, signature)
 
     # --------------------------------------------------------- common coin
-    def _coin_scheme(self, flavor: str) -> ThresholdCoinScheme:
-        if flavor == "flip":
-            self._require(self.coin_flip, "threshold coin-flipping scheme")
-            return self.coin_flip
-        self._require(self.threshold_coin, "threshold coin scheme")
-        return self.threshold_coin
+    def _coin(self, flavor: str, operation: str) -> ThresholdCoinScheme:
+        """The handle of the ``flavor`` coin, charged for one ``operation``."""
+        try:
+            coin = COIN_FLAVORS[flavor]
+        except KeyError:
+            raise ValueError(f"unknown coin flavor {flavor!r}; "
+                             f"known: {sorted(COIN_FLAVORS)}") from None
+        scheme = getattr(self, coin.handle)
+        self._require(scheme, coin.description)
+        ledger_name, cost_row = getattr(coin, operation)
+        self._charge(ledger_name, getattr(self.threshold_profile, cost_row))
+        return scheme
 
     def coin_share(self, tag: bytes, flavor: str = "tsig") -> CoinShare:
         """Produce a coin share for the round tag."""
-        scheme = self._coin_scheme(flavor)
-        if flavor == "flip":
-            self._charge("coinflip_sign", self.threshold_profile.coin_sign_ms)
-        else:
-            self._charge("tsig_sign", self.threshold_profile.sign_share_ms)
-        return scheme.coin_share(tag, self.rng)
+        return self._coin(flavor, "sign").coin_share(tag, self.rng)
 
     def coin_verify_share(self, tag: bytes, share: CoinShare,
                           flavor: str = "tsig") -> bool:
         """Verify a coin share."""
-        scheme = self._coin_scheme(flavor)
-        if flavor == "flip":
-            self._charge("coinflip_verify_share",
-                         self.threshold_profile.coin_verify_share_ms)
-        else:
-            self._charge("tsig_verify_share", self.threshold_profile.verify_share_ms)
-        return scheme.verify_share(tag, share)
+        return self._coin(flavor, "verify").verify_share(tag, share)
 
     def coin_combine(self, tag: bytes, shares: Iterable[CoinShare],
                      flavor: str = "tsig", verify: bool = True) -> int:
         """Reveal the coin bit (``verify=False`` when every share was
         already verified individually on receipt)."""
-        scheme = self._coin_scheme(flavor)
-        if flavor == "flip":
-            self._charge("coinflip_combine", self.threshold_profile.coin_combine_ms)
-        else:
-            self._charge("tsig_combine", self.threshold_profile.combine_share_ms)
-        return scheme.combine(tag, shares, verify=verify)
+        return self._coin(flavor, "combine").combine(tag, shares,
+                                                     verify=verify)
 
     def coin_combine_value(self, tag: bytes, shares: Iterable[CoinShare],
                            modulus: int, flavor: str = "tsig",
                            verify: bool = True) -> int:
         """Reveal a wide pseudorandom value (used for Dumbo's global pi)."""
-        scheme = self._coin_scheme(flavor)
-        if flavor == "flip":
-            self._charge("coinflip_combine", self.threshold_profile.coin_combine_ms)
-        else:
-            self._charge("tsig_combine", self.threshold_profile.combine_share_ms)
-        return scheme.combine_value(tag, shares, modulus, verify=verify)
+        return self._coin(flavor, "combine").combine_value(
+            tag, shares, modulus, verify=verify)
 
     # -------------------------------------------------- threshold encryption
     def encrypt(self, plaintext: bytes, label: bytes) -> Ciphertext:

@@ -32,8 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Optional
 
-from repro.components.aba_bracha import BrachaAba
-from repro.components.aba_cachin import CachinAba
+from repro.components.aba_factory import aba_factory
 from repro.components.base import ComponentContext, ComponentRouter
 from repro.components.cbc import Cbc
 from repro.components.cbc_small import CbcSmall
@@ -210,15 +209,12 @@ class Dumbo(ConsensusProtocol):
         aba.start(vote)
 
     def _make_serial_aba(self, slot: int):
-        if self.coin_type == "lc":
-            return BrachaAba(self.ctx, slot, tag=(self.tag, "aba"),
-                             max_rounds=self.config.max_aba_rounds)
-        coin = CommonCoinManager(self.ctx, tag=(self.tag, "aba", slot),
-                                 flavor="tsig", coin_name=f"serial{slot}")
-        self.router.register_kind_handler("coin", (self.tag, "aba", slot),
-                                          coin.handle)
-        return CachinAba(self.ctx, slot, coin=coin, tag=(self.tag, "aba"),
-                         max_rounds=self.config.max_aba_rounds)
+        # serial ABAs each get their own coin (no premature share release)
+        make_aba = aba_factory(self.coin_type, self.ctx, self.router,
+                               coin_tag=(self.tag, "aba", slot),
+                               coin_name=f"serial{slot}")
+        return make_aba(slot, tag=(self.tag, "aba"),
+                        max_rounds=self.config.max_aba_rounds)
 
     def _on_aba_output(self, slot: int, decision: int) -> None:
         if slot in self._aba_decisions:

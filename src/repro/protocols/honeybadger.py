@@ -23,11 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.components.aba_bracha import BrachaAba
-from repro.components.aba_cachin import CachinAba
-from repro.components.aba_coinflip import CoinFlipAba
+from repro.components.aba_factory import ABA_BY_COIN, aba_factory
 from repro.components.base import ComponentContext, ComponentRouter
-from repro.components.common_coin import CommonCoinManager
 from repro.components.rbc import BrachaRbc
 from repro.core.packet import ComponentMessage
 from repro.crypto.threshold_enc import (
@@ -57,21 +54,19 @@ class HoneyBadger(ConsensusProtocol):
                  config: Optional[ConsensusConfig] = None,
                  on_decide: Optional[DecideCallback] = None) -> None:
         super().__init__(ctx, router, config, on_decide)
-        if coin not in ("sc", "lc", "cp"):
+        if coin not in ABA_BY_COIN:
             raise ValueError(f"unknown coin type {coin!r}; expected sc, lc or cp")
         self.coin_type = coin
         self.tag = ("hb", self.config.epoch)
-        self.coin_manager: Optional[CommonCoinManager] = None
-        if coin in ("sc", "cp"):
-            flavor = "tsig" if coin == "sc" else "flip"
-            self.coin_manager = CommonCoinManager(ctx, tag=self.tag,
-                                                  flavor=flavor, coin_name="hb")
-            router.register_kind_handler("coin", self.tag, self.coin_manager.handle)
+        # all parallel ABAs of the epoch share one round coin
+        make_aba = aba_factory(coin, ctx, router, coin_tag=self.tag,
+                               coin_name="hb")
         router.register_kind_handler(self.DEC_KIND, self.tag, self._on_dec_share)
         self.acs = CommonSubset(
             ctx, router, self.tag,
             rbc_factory=lambda index: BrachaRbc(ctx, index, tag=self.tag),
-            aba_factory=self._make_aba,
+            aba_factory=lambda index: make_aba(
+                index, tag=self.tag, max_rounds=self.config.max_aba_rounds),
             on_output=self._on_acs_output)
         self._acs_output: Optional[dict[int, bytes]] = None
         self._dec_shares: dict[int, dict[int, Any]] = {}
@@ -81,15 +76,6 @@ class HoneyBadger(ConsensusProtocol):
         self._ciphertexts: dict[int, Any] = {}
         self._decrypted: dict[int, list[bytes]] = {}
         self._dec_share_sent = False
-
-    # ------------------------------------------------------------- components
-    def _make_aba(self, index: int):
-        if self.coin_type == "lc":
-            return BrachaAba(self.ctx, index, tag=self.tag,
-                             max_rounds=self.config.max_aba_rounds)
-        aba_class = CachinAba if self.coin_type == "sc" else CoinFlipAba
-        return aba_class(self.ctx, index, coin=self.coin_manager, tag=self.tag,
-                         max_rounds=self.config.max_aba_rounds)
 
     # ------------------------------------------------------------------- API
     def propose(self, transactions: list[bytes]) -> None:

@@ -110,6 +110,17 @@ def _scheme_rng(domain_seed: int, scheme: str,
     return random.Random(stable_seed("dealer-v1", domain_seed, scheme))
 
 
+#: threshold scheme -> (dealer, k of its ``k * f + 1`` threshold, options),
+#: in CryptoDomain order; a coin scheme is named after the CryptoSuite handle
+#: of its flavor (``repro.crypto.timing.COIN_FLAVORS``)
+_THRESHOLD_DEALERS = {
+    SCHEME_THRESHOLD_SIG: (deal_threshold_sig, 2, {}),
+    SCHEME_THRESHOLD_COIN: (deal_threshold_coin, 1, {"flavor": "tsig"}),
+    SCHEME_COIN_FLIP: (deal_threshold_coin, 1, {"flavor": "flip"}),
+    SCHEME_THRESHOLD_ENC: (deal_threshold_enc, 1, {}),
+}
+
+
 def deal_scheme(scheme: str, num_nodes: int, domain_seed: int,
                 domain: tuple = ()):
     """Deal one scheme for a domain, from its own deterministic stream.
@@ -117,19 +128,14 @@ def deal_scheme(scheme: str, num_nodes: int, domain_seed: int,
     Returns ``(signing_keys, verify_keys)`` for the keyring and a list of
     per-node scheme handles for the threshold schemes.
     """
-    faults = faults_tolerated(num_nodes)
     rng = _scheme_rng(domain_seed, scheme, domain)
     if scheme == SCHEME_KEYRING:
         return generate_keyring(num_nodes, rng)
-    if scheme == SCHEME_THRESHOLD_SIG:
-        return deal_threshold_sig(num_nodes, 2 * faults + 1, rng)
-    if scheme == SCHEME_THRESHOLD_COIN:
-        return deal_threshold_coin(num_nodes, faults + 1, rng, flavor="tsig")
-    if scheme == SCHEME_COIN_FLIP:
-        return deal_threshold_coin(num_nodes, faults + 1, rng, flavor="flip")
-    if scheme == SCHEME_THRESHOLD_ENC:
-        return deal_threshold_enc(num_nodes, faults + 1, rng)
-    raise ValueError(f"unknown scheme {scheme!r}; known: {ALL_SCHEMES}")
+    if scheme not in _THRESHOLD_DEALERS:
+        raise ValueError(f"unknown scheme {scheme!r}; known: {ALL_SCHEMES}")
+    dealer, quorums, options = _THRESHOLD_DEALERS[scheme]
+    return dealer(num_nodes, quorums * faults_tolerated(num_nodes) + 1, rng,
+                  **options)
 
 
 def _crypto_fingerprint() -> str:
@@ -285,8 +291,7 @@ class DealerCache:
             signing_keys=list(signing_keys),
             verify_keys=list(verify_keys),
         )
-        for scheme in (SCHEME_THRESHOLD_SIG, SCHEME_THRESHOLD_COIN,
-                       SCHEME_COIN_FLIP, SCHEME_THRESHOLD_ENC):
+        for scheme in _THRESHOLD_DEALERS:
             if scheme in wanted:
                 # Copy the list (like the keyring above): a caller mutating
                 # its domain must not poison the shared process cache.

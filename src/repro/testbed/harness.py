@@ -33,13 +33,10 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
-from repro.components.aba_bracha import BrachaAba
-from repro.components.aba_cachin import CachinAba
-from repro.components.aba_coinflip import CoinFlipAba
+from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
 from repro.components.base import Component, ComponentContext, ComponentRouter
 from repro.components.cbc import Cbc
 from repro.components.cbc_small import CbcSmall
-from repro.components.common_coin import CommonCoinManager
 from repro.components.prbc import Prbc
 from repro.components.rbc import BrachaRbc
 from repro.components.rbc_small import RbcSmall
@@ -131,10 +128,7 @@ def crypto_schemes_for_protocol(protocol: str,
     else:  # honeybadger / beat share the HoneyBadger structure
         if config.use_threshold_encryption:
             needed.add(SCHEME_THRESHOLD_ENC)
-    if coin == "sc":
-        needed.add(SCHEME_THRESHOLD_COIN)
-    elif coin == "cp":
-        needed.add(SCHEME_COIN_FLIP)
+    needed.update(coin_schemes(coin))
     return tuple(scheme for scheme in ALL_SCHEMES if scheme in needed)
 
 
@@ -1079,14 +1073,12 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
     instance is asserted before returning.  Deterministic in all arguments
     for a fixed ``seed``.
     """
-    if kind not in ("lc", "sc", "cp"):
+    if kind not in ABA_BY_COIN:
         raise DeploymentError(f"unknown ABA kind {kind!r}; expected lc, sc or cp")
     scenario = scenario or Scenario.single_hop(num_nodes)
-    schemes = {"lc": (SCHEME_KEYRING,),
-               "sc": (SCHEME_KEYRING, SCHEME_THRESHOLD_COIN),
-               "cp": (SCHEME_KEYRING, SCHEME_COIN_FLIP)}[kind]
-    deployment = build_deployment(scenario, batched=batched, seed=seed,
-                                  crypto_schemes=schemes)
+    deployment = build_deployment(
+        scenario, batched=batched, seed=seed,
+        crypto_schemes=(SCHEME_KEYRING, *coin_schemes(kind)))
     tag = ("aba-exp", kind)
     serial_mode = serial_instances > 0
     total_instances = serial_instances if serial_mode else parallel_instances
@@ -1095,24 +1087,13 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
     decisions: dict[int, dict[int, int]] = {node_id: {} for node_id in deployment.nodes}
     rounds: dict[int, int] = {}
 
-    def make_aba(runtime: DomainRuntime, instance: int,
-                 coin: Optional[CommonCoinManager]) -> Component:
-        if kind == "lc":
-            return BrachaAba(runtime.ctx, instance, tag=tag)
-        aba_class = CachinAba if kind == "sc" else CoinFlipAba
-        return aba_class(runtime.ctx, instance, coin=coin, tag=tag)
-
     per_node_abas: dict[int, list[Component]] = {}
     for node_id, runtime in deployment.runtimes.items():
-        coin = None
-        if kind in ("sc", "cp"):
-            coin = CommonCoinManager(runtime.ctx, tag=tag,
-                                     flavor="tsig" if kind == "sc" else "flip",
-                                     coin_name="aba-exp")
-            runtime.router.register_kind_handler("coin", tag, coin.handle)
+        make_aba = aba_factory(kind, runtime.ctx, runtime.router,
+                               coin_tag=tag, coin_name="aba-exp")
         abas = []
         for instance in range(total_instances):
-            aba = make_aba(runtime, instance, coin)
+            aba = make_aba(instance, tag=tag)
 
             def on_output(nid=node_id, inst=instance):
                 def callback(_instance, decision):

@@ -13,7 +13,9 @@ import pytest
 from repro.components.aba_bracha import BrachaAba
 from repro.components.aba_cachin import CachinAba
 from repro.components.aba_coinflip import CoinFlipAba
+from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
 from repro.components.common_coin import CommonCoinManager
+from repro.crypto.timing import COIN_FLAVORS
 
 from tests.helpers import InMemoryNetwork, make_message
 
@@ -184,6 +186,45 @@ class TestCachinAbaInternals:
         assert abas_sc[0].kind == "aba_sc"
         assert abas_cp[0].kind == "aba_cp"
         assert abas_cp[0].coin_flavor == "flip"
+
+
+class TestAbaFactory:
+    """The one place a coin kind becomes an ABA class, a coin manager of the
+    class's own flavor, and a dealt scheme."""
+
+    def test_kinds_classes_flavors_and_schemes(self):
+        assert ABA_BY_COIN == {"lc": BrachaAba, "sc": CachinAba,
+                               "cp": CoinFlipAba}
+        assert [ABA_BY_COIN[kind].coin_flavor for kind in ("lc", "sc", "cp")] \
+            == [None, "tsig", "flip"]
+        assert coin_schemes("lc") == ()
+        assert coin_schemes("sc") == ("threshold_coin",)
+        assert coin_schemes("cp") == ("coin_flip",)
+        assert {aba_class.coin_flavor for aba_class in ABA_BY_COIN.values()} \
+            == {None, *COIN_FLAVORS}
+        with pytest.raises(KeyError):
+            coin_schemes("xx")
+
+    @pytest.mark.parametrize("kind", ["lc", "sc", "cp"])
+    def test_the_manager_has_the_flavor_of_the_aba_class(self, kind):
+        network = InMemoryNetwork(4)
+        node = network.nodes[0]
+        make_aba = aba_factory(kind, node.ctx, node.router,
+                               coin_tag=("t", "coin"), coin_name="test")
+        first = make_aba(0, tag="t", max_rounds=7)
+        second = make_aba(1, tag="t")
+        assert type(first) is ABA_BY_COIN[kind]
+        assert (first.instance, first.tag, first.max_rounds) == (0, "t", 7)
+        assert second.max_rounds == 64
+        handler = node.router._extra_handlers.get(("coin", ("t", "coin")))
+        if kind == "lc":
+            assert handler is None and not hasattr(first, "coin")
+        else:
+            assert first.coin is second.coin
+            assert first.coin.flavor == first.coin_flavor
+            assert (first.coin.tag, first.coin.coin_name) == \
+                (("t", "coin"), "test")
+            assert handler == first.coin.handle
 
 
 @pytest.mark.parametrize("kind", ["lc", "sc"])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import digital_sig, group as group_module
-from repro.crypto import threshold_coin, threshold_enc, threshold_sig
+from repro.crypto import threshold, threshold_enc
 from repro.crypto.digital_sig import _verify_schnorr_cached, generate_keypair
 from repro.crypto.group import (
     ChaumPedersenProof,
@@ -26,24 +26,12 @@ from repro.crypto.group import (
     prove_dlog_equality,
     unstamped,
 )
-from repro.crypto.threshold_coin import (
-    ThresholdCoinPrivateShare,
-    ThresholdCoinScheme,
-    deal_threshold_coin,
-)
-from repro.crypto.threshold_enc import (
-    ThresholdEncPrivateShare,
-    ThresholdEncScheme,
-    deal_threshold_enc,
-)
-from repro.crypto.threshold_sig import (
-    ThresholdSigPrivateShare,
-    ThresholdSigScheme,
-    deal_threshold_sig,
-)
+from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.testbed.harness import run_consensus
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+
+from tests.crypto.families import FAMILIES, family_ids
 
 
 def real_verifications(cached, check):
@@ -74,51 +62,6 @@ def stampless_copies(artefact):
             pickle.loads(pickle.dumps(artefact, protocol=2)),
             copy.copy(artefact), copy.deepcopy(artefact),
             *field_replacements(artefact)]
-
-
-# The three share families behind one shape; a ``statement`` is what a share
-# is about: a message, a coin tag, a ciphertext.
-class _Tsig:
-    handle_type, private_type = ThresholdSigScheme, ThresholdSigPrivateShare
-    deal = staticmethod(deal_threshold_sig)
-
-    @staticmethod
-    def statement(schemes, rng, label: bytes):
-        return b"tsig|" + label
-
-    @staticmethod
-    def mint(scheme, statement, rng):
-        return scheme.sign_share(statement, rng)
-
-
-class _Coin:
-    handle_type, private_type = ThresholdCoinScheme, ThresholdCoinPrivateShare
-    deal = staticmethod(deal_threshold_coin)
-
-    @staticmethod
-    def statement(schemes, rng, label: bytes):
-        return b"coin|" + label
-
-    @staticmethod
-    def mint(scheme, statement, rng):
-        return scheme.coin_share(statement, rng)
-
-
-class _Tenc:
-    handle_type, private_type = ThresholdEncScheme, ThresholdEncPrivateShare
-    deal = staticmethod(deal_threshold_enc)
-
-    @staticmethod
-    def statement(schemes, rng, label: bytes):
-        return schemes[0].encrypt(b"payload " + label, label, rng)
-
-    @staticmethod
-    def mint(scheme, statement, rng):
-        return scheme.decryption_share(statement, rng)
-
-
-FAMILIES = [_Tsig, _Coin, _Tenc]
-family_ids = [family.__name__.strip("_").lower() for family in FAMILIES]
 
 
 class TestSignatureProvenance:
@@ -375,8 +318,7 @@ class TestStampingOffChangesNothing:
 
     @staticmethod
     def _without_stamps(monkeypatch):
-        for module in (digital_sig, threshold_sig, threshold_coin,
-                       threshold_enc):
+        for module in (digital_sig, threshold):
             monkeypatch.setattr(module, "mint",
                                 lambda artefact, *minted_for: artefact)
 

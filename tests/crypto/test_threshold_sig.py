@@ -9,6 +9,7 @@ from repro.crypto.group import unstamped
 from repro.crypto.threshold_sig import (
     ThresholdSigError,
     ThresholdSigShare,
+    ThresholdSignature,
     deal_threshold_sig,
 )
 
@@ -96,6 +97,36 @@ class TestThresholdSignatures:
         shares = [scheme.sign_share(message, rng) for scheme in schemes[:3]]
         signature = schemes[0].combine(message, shares)
         assert not schemes[0].verify_signature(b"other message", signature)
+
+    def test_verify_signature_checks_form(self):
+        """What the pairing-free check does establish (see its docstring)."""
+        schemes, rng = _deal()
+        message = b"finish"
+        key, group = schemes[0].public_key, schemes[0].group
+        point = key.hash_message(message)
+        outside = group.p - group.exp(point, 12345)  # order 2q: no member
+        assert not key.verify_signature(
+            message, ThresholdSignature(message_point=point, value=outside))
+        assert not key.verify_signature(
+            message, ThresholdSignature(message_point=point + 1,
+                                        value=group.exp(point, 12345)))
+        assert not key.verify_signature(message, (point, 12345))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "verify_signature accepts any subgroup element for the right "
+        "message: a pairing-free certificate has to carry its share set "
+        "(ROADMAP, active adversaries: forged-certificate)"))
+    def test_verify_signature_rejects_a_random_subgroup_element(self):
+        schemes, rng = _deal()
+        message = b"cbc|finish|forged"
+        key, group = schemes[0].public_key, schemes[0].group
+        genuine = schemes[0].combine(
+            message, [scheme.sign_share(message, rng) for scheme in schemes[:3]])
+        forged = ThresholdSignature(message_point=key.hash_message(message),
+                                    value=group.power_of_g(12345))
+        assert forged.value != genuine.value
+        assert key.verify_signature(message, genuine)
+        assert not key.verify_signature(message, forged)
 
     @given(n=st.integers(min_value=4, max_value=10))
     @settings(max_examples=5, deadline=None)

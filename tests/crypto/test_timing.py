@@ -8,7 +8,7 @@ from repro.crypto.digital_sig import generate_keyring
 from repro.crypto.threshold_coin import deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
-from repro.crypto.timing import CostLedger, CryptoSuite
+from repro.crypto.timing import COIN_FLAVORS, CostLedger, CryptoSuite
 
 
 def build_suites(n=4, ec_curve="secp160r1", threshold_curve="BN158", seed=1):
@@ -65,6 +65,33 @@ class TestCryptoSuite:
             shares = [suite.coin_share(tag, flavor=flavor) for suite in suites[:2]]
             assert suites[2].coin_verify_share(tag, shares[0], flavor=flavor)
             assert suites[3].coin_combine(tag, shares, flavor=flavor) in (0, 1)
+
+    def test_unknown_coin_flavor_is_a_named_error(self):
+        """A mistyped flavor used to sign with the threshold-sig coin key and
+        charge ``tsig_sign``; it must name the flavors and charge nothing."""
+        suites, costs = build_suites()
+        suite = suites[0]
+        share = suite.coin_share(b"tag", flavor="flip")
+        before = (costs[0], suite.ledger.total_seconds)
+        for call in (lambda: suite.coin_share(b"tag", flavor="flp"),
+                     lambda: suite.coin_verify_share(b"tag", share,
+                                                     flavor="flp"),
+                     lambda: suite.coin_combine(b"tag", [share], flavor=""),
+                     lambda: suite.coin_combine_value(b"tag", [share], 4,
+                                                      flavor=None)):
+            with pytest.raises(ValueError, match=r"known: \['flip', 'tsig'\]"):
+                call()
+        assert (costs[0], suite.ledger.total_seconds) == before
+
+    def test_coin_table_names_the_suite_handles_and_cost_rows(self):
+        suites, _ = build_suites()
+        suite = suites[0]
+        assert set(COIN_FLAVORS) == {"tsig", "flip"}
+        for flavor, coin in COIN_FLAVORS.items():
+            assert getattr(suite, coin.handle).flavor == flavor
+            for ledger_name, cost_row in (coin.sign, coin.verify, coin.combine):
+                assert getattr(suite.threshold_profile, cost_row) > 0
+                assert suite.ledger.count(ledger_name) == 0
 
     def test_coin_flip_cheaper_than_tsig_coin(self):
         suites, _ = build_suites()

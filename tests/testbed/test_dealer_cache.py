@@ -135,6 +135,13 @@ class TestLazySubsets:
         assert lazy.node_scheme(SCHEME_COIN_FLIP, 0) is None
         assert lazy.node_scheme(SCHEME_THRESHOLD_SIG, 2) is None
 
+    def test_a_coin_scheme_is_dealt_in_the_flavor_its_suite_handle_serves(self):
+        from repro.crypto.timing import COIN_FLAVORS
+
+        for flavor, coin in COIN_FLAVORS.items():
+            assert {scheme.flavor for scheme in deal_scheme(coin.handle, 4, 3)} \
+                == {flavor}
+
     def test_unknown_scheme_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             DealerCache(directory=str(tmp_path)).domain(4, 0, schemes=("bogus",))
