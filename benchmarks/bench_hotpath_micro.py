@@ -4,9 +4,9 @@ Every consensus experiment funnels through three pure-Python hot paths:
 group exponentiation in :mod:`repro.crypto`, Reed-Solomon interpolation in
 :mod:`repro.components.erasure`, and the event heap in :mod:`repro.net.sim`.
 This module measures each of them -- both the optimised implementation and a
-seed-equivalent reference path kept in the library for bit-identity tests --
-and writes a machine-readable ``BENCH_hotpath.json`` at the repo root so the
-performance trajectory is recorded from PR 1 onward.
+seed-equivalent reference path kept in ``tests/reference.py`` for the
+bit-identity tests -- and writes a machine-readable ``BENCH_hotpath.json`` at
+the repo root so the performance trajectory is recorded from PR 1 onward.
 
 Run directly (writes the JSON)::
 
@@ -32,9 +32,9 @@ from typing import Callable
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(_HERE)
-_SRC = os.path.join(_ROOT, "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from bench_scale_setup import (  # noqa: E402
     DEALER_NUM_NODES,
@@ -53,16 +53,17 @@ from repro.components import erasure  # noqa: E402
 from repro.components.base import Component  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
 from repro.crypto.digital_sig import generate_keypair  # noqa: E402
-from repro.crypto.group import (  # noqa: E402
-    DEFAULT_GROUP,
-    unstamped,
-    verify_dlog_equality_reference,
-)
+from repro.crypto.group import DEFAULT_GROUP, unstamped  # noqa: E402
 from repro.crypto.threshold_sig import deal_threshold_sig  # noqa: E402
 from repro.net.sim import Simulator  # noqa: E402
 from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
 from repro.testbed.harness import build_deployment  # noqa: E402
 from repro.testbed.scenarios import Scenario  # noqa: E402
+from tests.reference import (  # noqa: E402
+    hash_to_group_reference,
+    power_of_g_reference,
+    verify_dlog_equality_reference,
+)
 
 DEFAULT_OUTPUT = os.path.join(_ROOT, "BENCH_hotpath.json")
 
@@ -135,7 +136,7 @@ def bench_group_exp(budget: float) -> dict[str, float]:
 
     def seed_op() -> int:
         for exponent in exponents:
-            group.power_of_g_reference(exponent)
+            power_of_g_reference(group, exponent)
         return len(exponents)
 
     def fast_op() -> int:
@@ -172,14 +173,31 @@ def bench_group_exp(budget: float) -> dict[str, float]:
 
 
 # ------------------------------------------------------------------- signatures
+def _forced(artefact) -> bool:
+    """Whether the lazy witness of a signature, or of a share's proof, has
+    been computed."""
+    return "_witness" not in vars(getattr(artefact, "proof", artefact))
+
+
+def _long_road_copy(artefact):
+    """An equal copy without the maker's stamp, its witness computed: what a
+    receiver in another process holds."""
+    repr(artefact)  # reads, and so computes, every field
+    return unstamped(artefact)
+
+
 def bench_schnorr(budget: float) -> dict[str, float]:
-    """Per-packet signature verification, one fresh signature per call (the
-    process-wide verification memo would answer a repeated one).
+    """Per-packet signing and verification, one fresh signature per call
+    (the process-wide verification memo would answer a repeated one).
 
     ``schnorr_verify`` is the long road -- signatures stripped of their
     maker's stamp off the clock, so the real verifier runs;
     ``schnorr_verify_minted`` is what a simulated receiver pays for a
     signature made in this process (the stamp comparison).
+    ``schnorr_sign`` draws a nonce and defers the rest (lazy witnesses);
+    ``schnorr_sign_verify_minted`` / ``schnorr_sign_verify_long_road`` time
+    a sender plus one receiver, measured in alternation: the honest path of
+    a run, against the same work with every witness computed and checked.
     """
     rng = random.Random(1101)
     signing_key, verify_key = generate_keypair(rng, owner=0)
@@ -194,7 +212,7 @@ def bench_schnorr(budget: float) -> dict[str, float]:
         return batch
 
     def make_batch() -> list:
-        return [(message, unstamped(signature))
+        return [(message, _long_road_copy(signature))
                 for message, signature in make_minted_batch()]
 
     def verify(batch: list) -> int:
@@ -202,11 +220,34 @@ def bench_schnorr(budget: float) -> dict[str, float]:
             assert verify_key.verify(message, signature)
         return len(batch)
 
+    sign_verify_minted, sign_verify_long_road = _rate_pair(
+        lambda: verify(make_minted_batch()), lambda: verify(make_batch()),
+        budget)
     return {
+        "schnorr_sign": _rate(lambda: len(make_minted_batch()), budget),
         "schnorr_verify": _rate_prepared(make_batch, verify, budget),
         "schnorr_verify_minted": _rate_prepared(make_minted_batch, verify,
                                                 budget),
+        "schnorr_sign_verify_minted": sign_verify_minted,
+        "schnorr_sign_verify_long_road": sign_verify_long_road,
     }
+
+
+def witnesses_forced_on_minted_loops() -> int:
+    """Witnesses computed by 64 signatures and 64 shares, each made and
+    then verified by its stamp: nothing on that path may read a field."""
+    rng = random.Random(1102)
+    signing_key, verify_key = generate_keypair(rng, owner=0)
+    schemes = deal_threshold_sig(4, 2, rng)
+    forced = 0
+    for index in range(64):
+        message = b"hotpath-forced-%d" % index
+        signature = signing_key.sign(message, rng)
+        share = schemes[index % 4].sign_share(message, rng)
+        assert verify_key.verify(message, signature)
+        assert schemes[(index + 1) % 4].verify_share(message, share)
+        forced += _forced(signature) + _forced(share)
+    return forced
 
 
 # ------------------------------------------------------------ threshold shares
@@ -235,7 +276,7 @@ def bench_threshold_shares(budget: float) -> dict[str, float]:
         # the verifiers below are measured on the long road: shares stripped
         # of their maker's stamp, off the clock
         message, shares = make_minted_batch()
-        return message, [unstamped(share) for share in shares]
+        return message, [_long_road_copy(share) for share in shares]
 
     def verify_seed(batch: tuple[bytes, list]) -> int:
         # Seed-equivalent per-share verification, faithful to the seed's
@@ -244,7 +285,7 @@ def bench_threshold_shares(budget: float) -> dict[str, float]:
         # each proof costs four full pow() calls.
         message, shares = batch
         for share in shares:
-            point = public_key.group.hash_to_group_reference(b"tsig", message)
+            point = hash_to_group_reference(public_key.group, b"tsig", message)
             assert share.message_point == point
             verify_key = public_key.share_verify_keys[share.signer - 1]
             assert verify_dlog_equality_reference(
@@ -259,8 +300,13 @@ def bench_threshold_shares(budget: float) -> dict[str, float]:
             assert public_key.verify_share(message, share)
         return len(shares)
 
+    sign_verify_minted, sign_verify_long_road = _rate_pair(
+        lambda: verify_single(make_minted_batch()),
+        lambda: verify_single(make_batch()), budget)
     return {
         "share_sign": _rate(sign_op, budget),
+        "share_sign_verify_minted": sign_verify_minted,
+        "share_sign_verify_long_road": sign_verify_long_road,
         "share_verify_seed": _rate_prepared(make_batch, verify_seed, budget),
         "share_verify_single": _rate_prepared(make_batch, verify_single, budget),
         "share_verify_minted": _rate_prepared(make_minted_batch, verify_single,
@@ -540,6 +586,7 @@ def run_benchmarks(quick: bool = False) -> dict:
                         bench_streaming, bench_ingress, bench_scenario,
                         bench_shard):
             results.update(section(budget))
+        forced = witnesses_forced_on_minted_loops()
     # sets the tier itself, slice by slice
     results.update(bench_share_combine(budget))
     results.update(bench_native_backend(budget))
@@ -560,6 +607,12 @@ def run_benchmarks(quick: bool = False) -> dict:
             results["schnorr_verify_native"],
         "share_verify_minted_vs_long_road":
             results["share_verify_minted"] / results["share_verify_single"],
+        "schnorr_sign_verify_minted_vs_long_road":
+            results["schnorr_sign_verify_minted"] /
+            results["schnorr_sign_verify_long_road"],
+        "share_sign_verify_minted_vs_long_road":
+            results["share_sign_verify_minted"] /
+            results["share_sign_verify_long_road"],
         "erasure_decode_vs_seed":
             results["erasure_decode_k32"] / results["erasure_decode_seed_k32"],
         "sim_events_vs_seed":
@@ -600,6 +653,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         },
         "results_ops_per_sec": {key: round(value, 2)
                                 for key, value in results.items()},
+        "counts": {"witnesses_forced_minted": forced},
         "speedups": {key: round(value, 2) for key, value in speedups.items()},
     }
 

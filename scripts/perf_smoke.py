@@ -13,6 +13,11 @@ with short budgets and checks *same-run ratio invariants* only:
   unstamped copy, under the pure tier and under the best available one (a
   refactor that loses the provenance stamp lands at ~1x and would otherwise
   quietly cost a third of every run);
+* signing then verifying by the stamp >= 3x signing, computing the witness
+  and verifying it the long way, for a signature and for a share, and no
+  witness computed at all on a sign -> stamp-verify loop (lazy witnesses: a
+  field read placed before a stamp comparison lands at ~1x and forces every
+  witness, quietly costing a quarter of ``fig13a-n4``);
 * erasure decode >= 5x the seed implementation (k=32);
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
 * with a native backend tier available, a six-term product of full-width
@@ -82,6 +87,7 @@ import bench_hotpath_micro  # noqa: E402
 GATED_METRICS = (
     "group_exp_fixed_base",
     "group_exp_recurring_base",
+    "schnorr_sign",
     "schnorr_verify",
     "share_sign",
     "share_verify_single",
@@ -105,6 +111,7 @@ MAX_REGRESSION = 2.0
 # Same-run ratio invariants (both modes, baseline-independent).
 MIN_RECURRING_BASE_VS_POW = 3.0
 MIN_MINTED_VS_LONG_ROAD = 10.0
+MIN_LAZY_SIGN_VERIFY_VS_FORCED = 3.0
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
 # Guards the native big-integer tier silently not loading, or ``multi_powm``
@@ -156,6 +163,19 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
                 f"{MIN_MINTED_VS_LONG_ROAD}x): artefacts minted in this "
                 f"process are being re-verified -- the provenance stamp is "
                 f"lost between the maker and the verifier")
+    for name in ("schnorr_sign_verify_minted_vs_long_road",
+                 "share_sign_verify_minted_vs_long_road"):
+        if speedups[name] < MIN_LAZY_SIGN_VERIFY_VS_FORCED:
+            failures.append(
+                f"{name} only {speedups[name]:.2f}x (need >= "
+                f"{MIN_LAZY_SIGN_VERIFY_VS_FORCED}x): minted witnesses are "
+                f"being computed on the honest path")
+    forced = document["counts"]["witnesses_forced_minted"]
+    if forced:
+        failures.append(
+            f"{forced} witnesses computed on a sign -> stamp-verify loop "
+            f"(need 0): something reads a signature or proof field before "
+            f"the stamp comparison")
     if speedups["erasure_decode_vs_seed"] < MIN_DECODE_VS_SEED:
         failures.append(
             f"erasure decode only {speedups['erasure_decode_vs_seed']:.2f}x "

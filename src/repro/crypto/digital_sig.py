@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from repro.crypto.group import DEFAULT_GROUP, Group, Stamped, mint
+from repro.crypto.group import DEFAULT_GROUP, Deferred, Group, Stamped, mint
 
 
 @dataclass(frozen=True)
-class Signature(Stamped):
+class Signature(Stamped, Deferred):
     """A Schnorr signature ``(R, z)``."""
 
     commitment: int
@@ -27,6 +27,25 @@ class Signature(Stamped):
     def size_bytes(self) -> int:
         """Nominal wire size (one group element + one scalar)."""
         return 64
+
+    @staticmethod
+    def _prove(group: Group, secret: int, nonce: int, public_element: int,
+               message: bytes) -> tuple[int, int]:
+        commitment = group.power_of_g(nonce)
+        challenge = _challenge(group, commitment, public_element, message)
+        return commitment, (nonce + challenge * secret) % group.q
+
+
+def _challenge(group: Group, commitment: int, public_element: int,
+               message: bytes) -> int:
+    """The Fiat-Shamir challenge of a Schnorr transcript (signer and
+    verifier)."""
+    return group.hash_to_scalar(
+        b"schnorr",
+        group.element_to_bytes(commitment),
+        group.element_to_bytes(public_element),
+        message,
+    )
 
 
 @dataclass(frozen=True)
@@ -52,15 +71,20 @@ class VerifyKey:
         cost model is charged by the :class:`CryptoSuite` facade, so neither
         shortcut changes virtual time -- only wall clock.
 
-        Wrong-typed input is an invalid signature, not an exception.
+        Wrong-typed input is an invalid signature, not an exception.  The
+        field-type gate comes after the stamp comparison, which reads no
+        field: a minted signature's fields are ints, and a stamped verdict
+        must not compute them (see "lazy witnesses" in
+        :mod:`repro.crypto.group`).
         """
         if not (isinstance(signature, Signature)
-                and isinstance(message, bytes)
-                and isinstance(signature.commitment, int)
-                and isinstance(signature.response, int)):
+                and isinstance(message, bytes)):
             return False
         if signature._minted_for == (self.group, self.public_element, message):
             return True
+        if not (isinstance(signature.commitment, int)
+                and isinstance(signature.response, int)):
+            return False
         return _verify_schnorr_cached(
             self.group.p, self.group.q, self.group.g, self.public_element,
             message, signature.commitment, signature.response)
@@ -80,12 +104,7 @@ def _verify_schnorr_cached(p: int, q: int, g: int, public_element: int,
     # still needs the explicit test on ``R``.
     if not group.is_member(public_element) and not group.is_member(commitment):
         return False
-    challenge = group.hash_to_scalar(
-        b"schnorr",
-        group.element_to_bytes(commitment),
-        group.element_to_bytes(public_element),
-        message,
-    )
+    challenge = _challenge(group, commitment, public_element, message)
     lhs = group.power_of_g(response)
     rhs = group.mul(commitment, group.exp(public_element, challenge))
     return lhs == rhs
@@ -110,19 +129,17 @@ class SigningKey:
                          owner=self.owner)
 
     def sign(self, message: bytes, rng) -> Signature:
-        """Produce a Schnorr signature on ``message``."""
-        group = self.group
-        nonce = group.random_scalar(rng)
-        commitment = group.power_of_g(nonce)
-        challenge = group.hash_to_scalar(
-            b"schnorr",
-            group.element_to_bytes(commitment),
-            group.element_to_bytes(self.public_element),
-            message,
-        )
-        response = (nonce + challenge * self.secret) % group.q
-        return mint(Signature(commitment=commitment, response=response),
-                    group, self.public_element, message)
+        """Produce a Schnorr signature on ``message``.
+
+        The nonce is drawn now; the commitment and the response are computed
+        on the signature's first field read (see "lazy witnesses" in
+        :mod:`repro.crypto.group`).
+        """
+        group, public_element = self.group, self.public_element
+        signature = Signature.deferred(group, self.secret,
+                                       group.random_scalar(rng),
+                                       public_element, message)
+        return mint(signature, group, public_element, message)
 
 
 def generate_keypair(rng, owner: int = -1,

@@ -141,7 +141,7 @@ def lagrange_coefficients_at_zero(field: PrimeField,
     :func:`lagrange_ratios_at_zero`).  Every combiner re-derives the
     coefficients for the same few signer sets over and over, so the result
     is memoised on the (modulus, point tuple) pair; the cached path is
-    bit-identical to :func:`lagrange_coefficients_at_zero_reference`.
+    pinned bit-identical to the uncached seed form in the tests.
     """
     return list(_lagrange_at_zero_cached(field.q, _share_points(field, xs)))
 
@@ -189,23 +189,6 @@ def _lagrange_at_zero_cached(q: int, points: tuple[int, ...]) -> tuple[int, ...]
             denominator = field.mul(denominator, field.sub(x_i, x_j))
         coefficients.append(field.div(numerator, denominator))
     return tuple(coefficients)
-
-
-def lagrange_coefficients_at_zero_reference(field: PrimeField,
-                                            xs: Sequence[int]) -> list[int]:
-    """Uncached Lagrange coefficients (the seed implementation)."""
-    points = _share_points(field, xs)
-    coefficients = []
-    for i, x_i in enumerate(points):
-        numerator = 1
-        denominator = 1
-        for j, x_j in enumerate(points):
-            if i == j:
-                continue
-            numerator = field.mul(numerator, field.neg(x_j))
-            denominator = field.mul(denominator, field.sub(x_i, x_j))
-        coefficients.append(field.div(numerator, denominator))
-    return coefficients
 
 
 def interpolate_at_zero(field: PrimeField,

@@ -19,6 +19,7 @@ modelled separately by :mod:`repro.crypto.curves`.
 
 from __future__ import annotations
 
+import copyreg
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field as dataclass_field
@@ -62,8 +63,8 @@ def _is_member_cached(p: int, q: int, a: int) -> bool:
 
 
 def _hash_to_scalar(q: int, parts: tuple[bytes, ...]) -> int:
-    """The one definition of scalar derivation shared by the cached and
-    reference hash-to-group paths (see ``_challenge`` for the rationale)."""
+    """The one definition of scalar derivation, behind ``hash_to_scalar``
+    and the cached hash-to-group (see ``_challenge`` for the rationale)."""
     digest = hashlib.sha512(b"\x00".join(parts)).digest()
     return int.from_bytes(digest, "big") % q
 
@@ -123,14 +124,6 @@ class Group:
         """Return ``g ** exponent`` via the fixed-base windowed table."""
         return _fixed_base_table(self.p, self.q, self.g).pow(exponent)
 
-    def power_of_g_reference(self, exponent: int) -> int:
-        """Uncached/naive ``g ** exponent`` (the seed implementation).
-
-        Builtin ``pow``, not :meth:`exp`: a reference must not run through
-        the recurring-base tables it is compared against.
-        """
-        return pow(self.g, exponent % self.q, self.p)
-
     def is_member(self, a: int) -> bool:
         """True if ``a`` is a member of the order-``q`` subgroup.
 
@@ -138,12 +131,6 @@ class Group:
         full exponentiation (identical results, ~5x faster).
         """
         return _is_member_cached(self.p, self.q, a)
-
-    def is_member_reference(self, a: int) -> bool:
-        """Uncached membership test ``a^q == 1 mod p`` (the seed implementation)."""
-        if not 1 <= a < self.p:
-            return False
-        return pow(a, self.q, self.p) == 1
 
     # --------------------------------------------------------------- hashing
     def hash_to_scalar(self, *parts: bytes) -> int:
@@ -159,12 +146,6 @@ class Group:
         bounded adversaries is not what the consensus experiments exercise.
         """
         return _hash_to_group_cached(self.p, self.q, self.g, parts)
-
-    def hash_to_group_reference(self, *parts: bytes) -> int:
-        """Uncached hash-to-group (the seed implementation)."""
-        exponent = self.hash_to_scalar(b"h2g", *parts)
-        # Avoid the identity element, which would break share verification.
-        return self.power_of_g_reference(exponent if exponent != 0 else 1)
 
     def random_scalar(self, rng) -> int:
         """Uniformly random non-zero exponent."""
@@ -208,6 +189,21 @@ DEFAULT_GROUP = Group(p=_SAFE_PRIME_P, q=_SUBGROUP_ORDER_Q, g=_GENERATOR)
 #    repr-derived digest ignore it.
 # 4. The stamp is process-local: ``Stamped.__reduce__`` rebuilds a pickled
 #    (or ``copy``-ed) artefact from its public fields alone.
+#
+# Lazy witnesses.  Since a stamp answers the verifier before any field is
+# read, nothing on the honest path reads the witness of a minted artefact.
+# ``SigningKey.sign`` and ``prove_dlog_equality`` therefore draw their nonce
+# eagerly (the RNG order is the eager code's) and build a ``Deferred``
+# artefact: the first read of a declared field computes every field exactly
+# as an eager maker would, from ``(group, secret, nonce, statement...)``, and
+# drops the witness and with it the secret.  Anything that reads a field
+# forces: the long-road verifiers, ``==`` and ``hash``, ``repr`` (which
+# ``Cbc._encode`` is), ``dataclasses.replace`` and ``unstamped``, pickling and
+# ``copy``.  What must not force: ``size_bytes`` is a constant and reads no
+# field, and every verifier puts its field-type gate *after* the stamp
+# comparison.  ``__reduce__`` carries the public fields only, never the
+# witness -- ``Stamped``'s for a signature or share, the proof's own for a
+# ``ChaumPedersenProof``.
 @dataclass(frozen=True)
 class Stamped:
     """Base of the frozen artefacts that can carry their maker's stamp."""
@@ -249,12 +245,44 @@ def holds_published_share(group: "Group", private_share,
             == share_verify_keys[index - 1])
 
 
+class Deferred:
+    """Base of the frozen artefacts whose init fields can be computed on
+    first read (see "lazy witnesses" above).  A subclass supplies
+    ``_prove(*witness)``, returning its init fields in declared order."""
+
+    @classmethod
+    def deferred(cls, *witness):
+        """An instance whose init fields ``cls._prove(*witness)`` computes
+        when the first of them is read."""
+        artefact = object.__new__(cls)
+        object.__setattr__(artefact, "_witness", witness)
+        return artefact
+
+    def __getattr__(self, name):
+        # Reached only for a name the instance does not hold.  The name is
+        # checked before the witness is touched: a probe such as
+        # ``hasattr(proof, "_minted_for")`` must fail and leave it in place.
+        # The witness goes only once every field is set, so a ``_prove``
+        # that raises raises again on the next read.
+        field = type(self).__dataclass_fields__.get(name)
+        witness = (self.__dict__.get("_witness")
+                   if field is not None and field.init else None)
+        if witness is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        fields = [field for field in dataclasses.fields(self) if field.init]
+        for field, value in zip(fields, self._prove(*witness)):
+            object.__setattr__(self, field.name, value)
+        del self.__dict__["_witness"]
+        return self.__dict__[name]
+
+
 def _all_ints(*values) -> bool:
     return all(isinstance(value, int) for value in values)
 
 
 @dataclass(frozen=True)
-class ChaumPedersenProof:
+class ChaumPedersenProof(Deferred):
     """NIZK proof that ``log_g(v) == log_h(u)`` (discrete-log equality).
 
     Used to prove that a threshold signature / coin / decryption share was
@@ -269,12 +297,28 @@ class ChaumPedersenProof:
         """Wire size of the proof (two group elements + one scalar)."""
         return 3 * 32
 
+    @staticmethod
+    def _prove(group: Group, secret: int, nonce: int, base_h: int,
+               value_g: int, value_h: int, context: bytes) -> tuple:
+        commitment_g = group.power_of_g(nonce)
+        commitment_h = group.exp(base_h, nonce)
+        challenge = _challenge(group, context, base_h, value_g, value_h,
+                               commitment_g, commitment_h)
+        return commitment_g, commitment_h, (nonce + challenge * secret) % group.q
+
+    def __reduce__(self):
+        # The public fields only, never the witness, in the form the default
+        # reduce gives an eager proof: the pickle bytes are what they were.
+        return copyreg.__newobj__, (type(self),), {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)}
+
 
 def _challenge(group: Group, context: bytes, base_h: int, value_g: int,
                value_h: int, commitment_g: int, commitment_h: int) -> int:
     """The Fiat-Shamir challenge for a Chaum-Pedersen transcript.
 
-    The single definition shared by the prover and both verifiers -- if the
+    The single definition shared by the prover and the verifiers -- if the
     transcript format ever changes, it changes everywhere at once.
     """
     return group.hash_to_scalar(
@@ -290,16 +334,13 @@ def _challenge(group: Group, context: bytes, base_h: int, value_g: int,
 def prove_dlog_equality(group: Group, secret: int, base_h: int,
                         value_g: int, value_h: int, rng,
                         context: bytes = b"") -> ChaumPedersenProof:
-    """Produce a Chaum-Pedersen proof for ``value_g = g^secret``, ``value_h = base_h^secret``."""
-    nonce = group.random_scalar(rng)
-    commitment_g = group.power_of_g(nonce)
-    commitment_h = group.exp(base_h, nonce)
-    challenge = _challenge(group, context, base_h, value_g, value_h,
-                           commitment_g, commitment_h)
-    response = (nonce + challenge * secret) % group.q
-    return ChaumPedersenProof(commitment_g=commitment_g,
-                              commitment_h=commitment_h,
-                              response=response)
+    """Produce a Chaum-Pedersen proof for ``value_g = g^secret``, ``value_h = base_h^secret``.
+
+    The nonce is drawn now; the commitments and the response are computed
+    on the proof's first field read (see "lazy witnesses" above).
+    """
+    return ChaumPedersenProof.deferred(group, secret, group.random_scalar(rng),
+                                       base_h, value_g, value_h, context)
 
 
 def verify_dlog_equality(group: Group, proof: ChaumPedersenProof, base_h: int,
@@ -335,42 +376,16 @@ def _verify_dlog_equality_cached(p: int, q: int, g: int, commitment_g: int,
                                  value_g: int, value_h: int,
                                  context: bytes) -> bool:
     group = Group(p=p, q=q, g=g)
-    proof = ChaumPedersenProof(commitment_g=commitment_g,
-                               commitment_h=commitment_h, response=response)
     if not (group.is_member(value_g) and group.is_member(value_h)):
         return False
     challenge = _challenge(group, context, base_h, value_g, value_h,
-                           proof.commitment_g, proof.commitment_h)
-    lhs_g = group.power_of_g(proof.response)
-    rhs_g = group.mul(proof.commitment_g, group.exp(value_g, challenge))
+                           commitment_g, commitment_h)
+    lhs_g = group.power_of_g(response)
+    rhs_g = group.mul(commitment_g, group.exp(value_g, challenge))
     if lhs_g != rhs_g:
         return False
-    lhs_h = group.exp(base_h, proof.response)
-    rhs_h = group.mul(proof.commitment_h, group.exp(value_h, challenge))
-    return lhs_h == rhs_h
-
-
-def verify_dlog_equality_reference(group: Group, proof: ChaumPedersenProof,
-                                   base_h: int, value_g: int, value_h: int,
-                                   context: bytes = b"") -> bool:
-    """Seed-equivalent verifier that bypasses every cache and fast path.
-
-    Used by the bit-identity property tests and the hot-path micro-benchmarks
-    as the "before" implementation: naive membership tests and four full
-    ``pow()`` calls per proof.
-    """
-    if not (group.is_member_reference(value_g)
-            and group.is_member_reference(value_h)):
-        return False
-    challenge = _challenge(group, context, base_h, value_g, value_h,
-                           proof.commitment_g, proof.commitment_h)
-    p, q = group.p, group.q
-    lhs_g = group.power_of_g_reference(proof.response)
-    rhs_g = group.mul(proof.commitment_g, pow(value_g, challenge % q, p))
-    if lhs_g != rhs_g:
-        return False
-    lhs_h = pow(base_h, proof.response % q, p)
-    rhs_h = group.mul(proof.commitment_h, pow(value_h, challenge % q, p))
+    lhs_h = group.exp(base_h, response)
+    rhs_h = group.mul(commitment_h, group.exp(value_h, challenge))
     return lhs_h == rhs_h
 
 

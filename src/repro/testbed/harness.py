@@ -655,9 +655,11 @@ class Epoch:
             for node_id, instance in self.local_protocols.items()
             if node_id not in byzantine}
         # Resolved once, as (node, instance): settled() reads the crash flag
-        # and the decision of every honest local after every event.
+        # and the decision of the honest locals after every event, resuming
+        # at the first one it has not yet seen crashed or decided.
         self._settling = [(deployment.nodes[node_id], instance)
                           for node_id, instance in self._honest_locals.items()]
+        self._settled_through = 0
         #: the honest instances whose decision *is* the epoch's decision:
         #: the hosted honest leaders' global instances on a multi-hop
         #: deployment, the honest local instances otherwise
@@ -786,15 +788,23 @@ class Epoch:
         honest node ever crashes, so the filter is inert); if churn crashes
         *every* honest member the epoch never settles and the stream times
         out -- the correct failure for churn beyond the f-bound.
+
+        A crash is permanent and so is a decision, so an entry found crashed
+        or decided is never looked at again: each call resumes at the first
+        entry that was neither.  Only whether a decided node is still live
+        can change behind the cursor, and that is asked once it has passed
+        every entry.
         """
-        live = False
-        for node, instance in self._settling:
-            if node.crashed:
-                continue
-            if not instance.decided:
+        settling, cursor = self._settling, self._settled_through
+        while cursor < len(settling):
+            node, instance = settling[cursor]
+            if not (node.crashed or instance.decided):
+                self._settled_through = cursor
                 return False
-            live = True
-        return live and (not self.two_phase or self.done())
+            cursor += 1
+        self._settled_through = cursor
+        return (any(not node.crashed for node, _instance in settling)
+                and (not self.two_phase or self.done()))
 
     def content_locked(self) -> bool:
         """Whether nothing that starts now can change what the epoch decides.

@@ -8,8 +8,9 @@ from repro.crypto.group import (
     _challenge,
     prove_dlog_equality,
     verify_dlog_equality,
-    verify_dlog_equality_reference,
 )
+
+from tests.reference import verify_dlog_equality_reference
 
 
 class TestGroup:

@@ -19,6 +19,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.protocols.base import ConsensusConfig
+from repro.testbed.harness import Epoch
 from repro.testbed.ingress import ingress_profile
 from repro.testbed.metrics import percentile
 from repro.testbed.invariants import RunObserver, check_all
@@ -442,3 +443,33 @@ class TestPinnedIdentity:
         assert (result.ledger_digest, result.sim_events,
                 repr(result.duration_s), result.committed_transactions,
                 observer_digest(observer)) == PINNED_STREAMS[name, seed]
+
+
+@pytest.mark.parametrize("name", ["sh4-depth1", "mh2x4-depth0",
+                                  "crash-replace"])
+def test_settled_resumes_where_the_full_scan_would_answer(monkeypatch, name):
+    """``Epoch.settled`` resumes at the first honest local it has not seen
+    crashed or decided; after every event of a pinned stream -- both hop
+    counts, and churn that crashes a member mid-epoch -- it answers what a
+    full scan of every honest local answers, and the stream still lands on
+    its recorded figures."""
+    resumed = Epoch.settled
+    answers, crashed_seen = [], []
+
+    def checked(epoch):
+        answer = resumed(epoch)
+        live = [instance.decided for node, instance in epoch._settling
+                if not node.crashed]
+        crashed_seen.append(len(live) < len(epoch._settling))
+        assert answer == (bool(live) and all(live)
+                          and (not epoch.two_phase or epoch.done()))
+        answers.append(answer)
+        return answer
+
+    monkeypatch.setattr(Epoch, "settled", checked)
+    args = pinned_stream(name)
+    result = run_streaming_consensus(seed=3, **args)
+    assert result.ledger_digest == PINNED_STREAMS[name, 3][0]
+    assert result.sim_events == PINNED_STREAMS[name, 3][1]
+    assert answers.count(True) >= args["spec"].epochs
+    assert any(crashed_seen) == (name == "crash-replace")
