@@ -53,15 +53,17 @@ from repro.components import erasure  # noqa: E402
 from repro.components.base import Component  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
 from repro.crypto.digital_sig import generate_keypair  # noqa: E402
-from repro.crypto.group import DEFAULT_GROUP, unstamped  # noqa: E402
+from repro.crypto.group import DEFAULT_GROUP  # noqa: E402
 from repro.crypto.threshold_sig import deal_threshold_sig  # noqa: E402
-from repro.net.sim import Simulator  # noqa: E402
+from repro.net.sim import Simulator, Timer  # noqa: E402
 from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
 from repro.testbed.harness import build_deployment  # noqa: E402
 from repro.testbed.scenarios import Scenario  # noqa: E402
 from tests.reference import (  # noqa: E402
+    ReferenceSimulator,
     hash_to_group_reference,
     power_of_g_reference,
+    unstamped,
     verify_dlog_equality_reference,
 )
 
@@ -76,6 +78,8 @@ ERASURE_N = 48
 ERASURE_PAYLOAD = 3000  # bytes -> 1000 chunks -> 32 polynomials at k=32
 FANOUT_NODES = 32  # one sender, 31 receivers: the components-n32 fan-out
 FANOUT_FRAMES = 200  # per storm; below the MAC queue limit of 256
+CHURN_TIMERS = 200  # timers restarted CHURN_RESTARTS times each, then run
+CHURN_RESTARTS = 20
 COMBINE_ROUNDS = 20  # combines per timed slice, so a slice outlasts the timer
 
 
@@ -530,6 +534,16 @@ def bench_frame_fanout(budget: float) -> float:
 
 
 def bench_simulator(budget: float) -> dict[str, float]:
+    """Events per second through the kernel, three ways.
+
+    ``sim_events`` is the kernel (an event is its heap entry);
+    ``sim_events_event_objects`` is the same work on the kernel that built
+    an ``Event`` object per scheduled callback (``tests/reference.py``),
+    measured in alternation with it; ``sim_events_seed`` is the seed's
+    ``order=True`` dataclass heap.  ``sim_timer_churn`` restarts timers --
+    a cancel plus a schedule each, enough of them to compact the heap --
+    and then runs the survivors.
+    """
     batch = 20_000
 
     def seed_op() -> int:
@@ -552,24 +566,71 @@ def bench_simulator(budget: float) -> dict[str, float]:
         assert count[0] == batch
         return batch
 
-    def fast_op() -> int:
+    def kernel_op(kernel) -> Callable[[], int]:
+        def operation() -> int:
+            sim = kernel()
+            count = [0]
+
+            def callback() -> None:
+                count[0] += 1
+
+            for seq in range(batch):
+                sim.schedule(seq * 1e-6, callback)
+            sim.run()
+            assert count[0] == batch
+            return batch
+        return operation
+
+    def timer_churn_op() -> int:
         sim = Simulator()
-        count = [0]
+        fired = [0]
 
         def callback() -> None:
-            count[0] += 1
+            fired[0] += 1
 
-        for seq in range(batch):
-            sim.schedule(seq * 1e-6, callback)
+        timers = [Timer(sim, callback) for _ in range(CHURN_TIMERS)]
+        for restart in range(CHURN_RESTARTS):
+            for timer in timers:
+                timer.start(1.0 + restart * 1e-3)
         sim.run()
-        assert count[0] == batch
-        return batch
+        assert fired[0] == CHURN_TIMERS and sim.pending_events() == 0
+        return CHURN_TIMERS * CHURN_RESTARTS
 
+    sim_events, event_objects = _rate_pair(
+        kernel_op(Simulator), kernel_op(ReferenceSimulator), budget)
     return {
         "sim_events_seed": _rate(seed_op, budget),
-        "sim_events": _rate(fast_op, budget),
+        "sim_events": sim_events,
+        "sim_events_event_objects": event_objects,
+        "sim_timer_churn": _rate(timer_churn_op, budget),
         "frame_fanout_deliveries": bench_frame_fanout(budget),
     }
+
+
+def kernel_calls_per_event(kernel=Simulator, events: int = 1000) -> float:
+    """Python-level calls a kernel makes per scheduled and fired event, the
+    callback's own excluded.  A count, not a rate: a gate on it cannot flake.
+    The kernel makes one (``schedule``); the event-object kernel made three
+    (``schedule``, ``_push``, ``Event.__init__``)."""
+    sim = kernel()
+
+    def callback() -> None:
+        pass
+
+    calls = [0]
+
+    def profile(frame, event, arg) -> None:
+        if event == "call" and frame.f_code is not callback.__code__:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        for index in range(events):
+            sim.schedule(index * 1e-6, callback)
+        sim.run()
+    finally:
+        sys.setprofile(None)
+    return (calls[0] - 1) / events  # the one ``run`` call is not per event
 
 
 # ----------------------------------------------------------------------- driver
@@ -617,6 +678,8 @@ def run_benchmarks(quick: bool = False) -> dict:
             results["erasure_decode_k32"] / results["erasure_decode_seed_k32"],
         "sim_events_vs_seed":
             results["sim_events"] / results["sim_events_seed"],
+        "sim_events_vs_event_objects":
+            results["sim_events"] / results["sim_events_event_objects"],
         "share_combine_native_vs_pure":
             results["share_combine_native"] / results["share_combine"],
         "share_combine_n4_t2_native_vs_pure":
@@ -653,7 +716,12 @@ def run_benchmarks(quick: bool = False) -> dict:
         },
         "results_ops_per_sec": {key: round(value, 2)
                                 for key, value in results.items()},
-        "counts": {"witnesses_forced_minted": forced},
+        "counts": {
+            "witnesses_forced_minted": forced,
+            "sim_kernel_calls_per_event": kernel_calls_per_event(),
+            "sim_kernel_calls_per_event_event_objects":
+                kernel_calls_per_event(ReferenceSimulator),
+        },
         "speedups": {key: round(value, 2) for key, value in speedups.items()},
     }
 

@@ -18,6 +18,12 @@ with short budgets and checks *same-run ratio invariants* only:
   witness computed at all on a sign -> stamp-verify loop (lazy witnesses: a
   field read placed before a stamp comparison lands at ~1x and forces every
   witness, quietly costing a quarter of ``fig13a-n4``);
+* the event kernel makes at most one Python-level call per scheduled and
+  fired event (``schedule``; the kernel that built an ``Event`` object per
+  callback made three).  A count, so it cannot flake: a ``_push`` helper or
+  an event class with an ``__init__`` put back on every event fails it,
+  where a same-run rate ratio against the old kernel read anywhere from
+  1.07x to 1.7x across quick runs on one 2-core VM;
 * erasure decode >= 5x the seed implementation (k=32);
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
 * with a native backend tier available, a six-term product of full-width
@@ -98,6 +104,7 @@ GATED_METRICS = (
     "erasure_decode_k32",
     "erasure_decode_native_k32",
     "sim_events",
+    "sim_timer_churn",
     "frame_fanout_deliveries",
     "dealer_domain_cached_n64",
     "streaming_tx_per_sec",
@@ -112,6 +119,7 @@ MAX_REGRESSION = 2.0
 MIN_RECURRING_BASE_VS_POW = 3.0
 MIN_MINTED_VS_LONG_ROAD = 10.0
 MIN_LAZY_SIGN_VERIFY_VS_FORCED = 3.0
+MAX_KERNEL_CALLS_PER_EVENT = 1
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
 # Guards the native big-integer tier silently not loading, or ``multi_powm``
@@ -176,6 +184,12 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"{forced} witnesses computed on a sign -> stamp-verify loop "
             f"(need 0): something reads a signature or proof field before "
             f"the stamp comparison")
+    kernel_calls = document["counts"]["sim_kernel_calls_per_event"]
+    if kernel_calls > MAX_KERNEL_CALLS_PER_EVENT:
+        failures.append(
+            f"the event kernel makes {kernel_calls:.2f} Python-level calls "
+            f"per event (need <= {MAX_KERNEL_CALLS_PER_EVENT}): something is "
+            f"built or called again for every scheduled event")
     if speedups["erasure_decode_vs_seed"] < MIN_DECODE_VS_SEED:
         failures.append(
             f"erasure decode only {speedups['erasure_decode_vs_seed']:.2f}x "

@@ -111,6 +111,28 @@ class Component:
         return f"{self.kind}{tag}[{self.instance}]@node{self.ctx.node_id}"
 
 
+class Broadcast(Component):
+    """A component one node opens: ``instance`` doubles as the proposer's
+    node id unless ``proposer`` names another."""
+
+    def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
+                 on_output: Optional[OutputCallback] = None,
+                 proposer: Optional[int] = None) -> None:
+        super().__init__(ctx, instance, tag, on_output)
+        self.proposer = instance if proposer is None else proposer
+
+    def start(self, value: Any) -> None:
+        """Proposer entry point: only the proposer may :meth:`propose`."""
+        if self.ctx.node_id != self.proposer:
+            raise ValueError(
+                f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
+        self.propose(value)
+
+    def propose(self, value: Any) -> None:  # pragma: no cover - abstract
+        """Put ``value`` on the air (called on the proposer only)."""
+        raise NotImplementedError
+
+
 class ComponentRouter:
     """Routes delivered messages to component instances, buffering early ones."""
 

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.components.base import Component, ComponentContext, OutputCallback, sha256_hex
+from repro.components.base import Broadcast, ComponentContext, OutputCallback, sha256_hex
 from repro.core.packet import ComponentMessage
 from repro.crypto.threshold_sig import ThresholdSigError
 
 
-class Cbc(Component):
+class Cbc(Broadcast):
     """One CBC instance; ``instance`` doubles as the proposer's node id."""
 
     kind = "cbc"
@@ -28,8 +28,7 @@ class Cbc(Component):
     def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,
                  proposer: Optional[int] = None) -> None:
-        super().__init__(ctx, instance, tag, on_output)
-        self.proposer = instance if proposer is None else proposer
+        super().__init__(ctx, instance, tag, on_output, proposer)
         self.value: Any = None
         self.value_hash: Optional[str] = None
         self.certificate: Any = None
@@ -40,11 +39,8 @@ class Cbc(Component):
         self._pending_echo_shares: list[ComponentMessage] = []
 
     # ------------------------------------------------------------------ start
-    def start(self, value: Any) -> None:
-        """Proposer entry point: broadcast the value."""
-        if self.ctx.node_id != self.proposer:
-            raise ValueError(
-                f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
+    def propose(self, value: Any) -> None:
+        """Broadcast the value."""
         encoded = self._encode(value)
         self.send("initial", {"value": value}, payload_bytes=len(encoded))
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.components.base import Component, ComponentContext, OutputCallback, sha256_hex
+from repro.components.base import Broadcast, ComponentContext, OutputCallback, sha256_hex
 from repro.components.votes import BrachaVotes
 from repro.core.packet import ComponentMessage
 
 
-class BrachaRbc(Component):
+class BrachaRbc(Broadcast):
     """One RBC instance; ``instance`` doubles as the proposer's node id.
 
     The ECHO / READY rule lives in :class:`~repro.components.votes.BrachaVotes`
@@ -38,18 +38,14 @@ class BrachaRbc(Component):
     def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,
                  proposer: Optional[int] = None) -> None:
-        super().__init__(ctx, instance, tag, on_output)
-        self.proposer = instance if proposer is None else proposer
+        super().__init__(ctx, instance, tag, on_output, proposer)
         self.value: Optional[bytes] = None
         self.value_hash: Optional[str] = None
         self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
     # ------------------------------------------------------------------ start
-    def start(self, value: bytes) -> None:
-        """Proposer entry point: broadcast the proposal."""
-        if self.ctx.node_id != self.proposer:
-            raise ValueError(
-                f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
+    def propose(self, value: bytes) -> None:
+        """Broadcast the proposal."""
         self.send("initial", {"value": value}, payload_bytes=len(value))
 
     # ----------------------------------------------------------------- handle

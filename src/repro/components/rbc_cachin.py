@@ -15,13 +15,13 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Optional
 
-from repro.components.base import Component, ComponentContext, OutputCallback
+from repro.components.base import Broadcast, ComponentContext, OutputCallback
 from repro.components.erasure import ErasureBlock, ErasureError, decode_blocks, encode_blocks
 from repro.components.votes import NOTHING, BrachaVotes
 from repro.core.packet import ComponentMessage
 
 
-class CachinRbc(Component):
+class CachinRbc(Broadcast):
     """One erasure-coded RBC instance.
 
     The ECHO / READY rule lives in :class:`~repro.components.votes.BrachaVotes`
@@ -40,19 +40,15 @@ class CachinRbc(Component):
     def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,
                  proposer: Optional[int] = None) -> None:
-        super().__init__(ctx, instance, tag, on_output)
-        self.proposer = instance if proposer is None else proposer
+        super().__init__(ctx, instance, tag, on_output, proposer)
         self.root: Optional[str] = None
         self.my_block: Optional[ErasureBlock] = None
         self._blocks: dict[str, dict[int, ErasureBlock]] = {}
         self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
     # ------------------------------------------------------------------ start
-    def start(self, value: bytes) -> None:
-        """Proposer entry point: encode and disperse the proposal."""
-        if self.ctx.node_id != self.proposer:
-            raise ValueError(
-                f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
+    def propose(self, value: bytes) -> None:
+        """Encode and disperse the proposal."""
         blocks = encode_blocks(value, self.ctx.small_quorum, self.ctx.num_nodes)
         root = self._root_of(blocks)
         self.root = root

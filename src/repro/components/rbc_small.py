@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.components.base import Component, ComponentContext, OutputCallback
+from repro.components.base import Broadcast, ComponentContext, OutputCallback
 from repro.components.votes import NOTHING, BrachaVotes
 from repro.core.packet import ComponentMessage
 
@@ -21,7 +21,7 @@ from repro.core.packet import ComponentMessage
 BOT = None
 
 
-class RbcSmall(Component):
+class RbcSmall(Broadcast):
     """One RBC-small instance broadcasting a value from a tiny domain.
 
     Votes are keyed by the value itself (:data:`BOT` included), so delivery
@@ -33,18 +33,14 @@ class RbcSmall(Component):
     def __init__(self, ctx: ComponentContext, instance: int, tag: Any = None,
                  on_output: Optional[OutputCallback] = None,
                  proposer: Optional[int] = None) -> None:
-        super().__init__(ctx, instance, tag, on_output)
-        self.proposer = instance if proposer is None else proposer
+        super().__init__(ctx, instance, tag, on_output, proposer)
         self.value: Any = BOT
         self._have_value = False
         self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
     # ------------------------------------------------------------------ start
-    def start(self, value: Any) -> None:
-        """Proposer entry point: broadcast the small value (e.g. 0, 1 or None)."""
-        if self.ctx.node_id != self.proposer:
-            raise ValueError(
-                f"node {self.ctx.node_id} is not the proposer of {self.describe()}")
+    def propose(self, value: Any) -> None:
+        """Broadcast the small value (e.g. 0, 1 or None)."""
         self.send("initial", {"value": value}, payload_bytes=1)
 
     # ----------------------------------------------------------------- handle

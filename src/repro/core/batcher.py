@@ -120,8 +120,7 @@ class BaseTransport:
         self.nack_responses_sent = 0
         self._resend_timer = PeriodicTimer(
             node.sim, self.config.resend_interval_s, self._maybe_resend,
-            jitter=self.config.resend_jitter,
-            label=f"transport-resend:{node.node_id}")
+            jitter=self.config.resend_jitter)
         self._resend_timer.start()
 
     # ------------------------------------------------------------------ wiring

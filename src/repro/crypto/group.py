@@ -198,10 +198,10 @@ DEFAULT_GROUP = Group(p=_SAFE_PRIME_P, q=_SUBGROUP_ORDER_Q, g=_GENERATOR)
 # as an eager maker would, from ``(group, secret, nonce, statement...)``, and
 # drops the witness and with it the secret.  Anything that reads a field
 # forces: the long-road verifiers, ``==`` and ``hash``, ``repr`` (which
-# ``Cbc._encode`` is), ``dataclasses.replace`` and ``unstamped``, pickling and
-# ``copy``.  What must not force: ``size_bytes`` is a constant and reads no
-# field, and every verifier puts its field-type gate *after* the stamp
-# comparison.  ``__reduce__`` carries the public fields only, never the
+# ``Cbc._encode`` is), ``dataclasses.replace`` (and so the tests'
+# ``unstamped``), pickling and ``copy``.  What must not force: ``size_bytes``
+# is a constant and reads no field, and every verifier puts its field-type
+# gate *after* the stamp comparison.  ``__reduce__`` carries the public fields only, never the
 # witness -- ``Stamped``'s for a signature or share, the proof's own for a
 # ``ChaumPedersenProof``.
 @dataclass(frozen=True)
@@ -223,15 +223,6 @@ def mint(artefact, *minted_for):
     """Stamp a freshly built frozen artefact with the statement it proves."""
     object.__setattr__(artefact, "_minted_for", minted_for)
     return artefact
-
-
-def unstamped(artefact):
-    """An equal copy that must be verified the long way.
-
-    For tests and micro-benchmarks that sign and then verify in one process:
-    without it they would measure a tuple comparison.
-    """
-    return dataclasses.replace(artefact)
 
 
 def holds_published_share(group: "Group", private_share,

@@ -140,8 +140,7 @@ class WirelessChannel:
         self.trace.record_transmission(self.name, frame.size_bytes, airtime)
         fragments = self.radio.fragments(frame.size_bytes)
         self.trace.record_channel_access(frame.sender, fragments, frame.size_bytes)
-        self.sim.schedule(airtime, lambda: self._finish(transmission),
-                          label=f"tx-end:{self.name}:{frame.frame_id}")
+        self.sim.schedule(airtime, partial(self._finish, transmission))
         return transmission
 
     # ----------------------------------------------------------------- finish
@@ -177,7 +176,6 @@ class WirelessChannel:
         per_hop = self.per_hop_forward_s
         hop_counts = self.hop_counts
         adversary = self.adversary
-        label = f"rx:{name}:{frame.frame_id}"
         delivered = 0
         for mac in self._macs:
             if mac is sender_mac:
@@ -196,7 +194,7 @@ class WirelessChannel:
             deliver = partial(mac.node.deliver_frame, frame)
             if adversary is None:
                 delivered += 1
-                schedule(delay, deliver, label)
+                schedule(delay, deliver)
                 continue
             # The adversary decides the fate of this link's copy: one delay
             # (normal), several (duplication) or none (drop -- a partition
@@ -207,7 +205,7 @@ class WirelessChannel:
                 continue
             for extra in extras:
                 delivered += 1
-                schedule(delay + extra, deliver, label)
+                schedule(delay + extra, deliver)
         if delivered:
             trace.record_delivery(name, delivered)
 
@@ -250,5 +248,5 @@ def decode_boundary_frame(data: bytes) -> Frame:
     sender, payload, size_bytes, channel, frame_id = pickle.loads(data)
     frame = Frame(sender=sender, payload=payload, size_bytes=size_bytes,
                   channel=channel)
-    frame.frame_id = frame_id  # keep the home shard's id (trace labels)
+    frame.frame_id = frame_id  # keep the home shard's id
     return frame

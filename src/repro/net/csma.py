@@ -90,7 +90,7 @@ class CsmaMac:
         slots = self.rng.randrange(self._contention_window)
         wait = max(0.0, self.channel.busy_until - self.sim.now)
         delay = wait + self.config.difs_s + slots * self.config.slot_s
-        self.sim.schedule(delay, self._attempt, label=f"csma-attempt:{self.node_id}")
+        self.sim.schedule(delay, self._attempt)
 
     def _attempt(self) -> None:
         if self._state != "backoff" or not self._queue:

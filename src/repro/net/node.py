@@ -64,10 +64,6 @@ class NetworkNode:
         self._rx_drain_scheduled = False
         #: set True to silence the node entirely (crash-fault behaviour)
         self.crashed = False
-        # Event labels are fixed per node; the receive and send paths
-        # schedule two events per delivered frame and must not rebuild them.
-        self._rx_process_label = f"rx-process:{node_id}"
-        self._tx_enqueue_label = f"tx-enqueue:{node_id}"
 
     # -------------------------------------------------------------- wiring
     def add_interface(self, name: str, mac: CsmaMac) -> None:
@@ -138,8 +134,7 @@ class NetworkNode:
             self._in_task = False
         send_at = self.cpu_available_at
         for queued in outbox:
-            self.sim.schedule_at(send_at, partial(self._enqueue_frame, *queued),
-                                 self._tx_enqueue_label)
+            self.sim.schedule_at(send_at, partial(self._enqueue_frame, *queued))
 
     # ------------------------------------------------------------ receive path
     def deliver_frame(self, frame: Frame) -> None:
@@ -148,8 +143,7 @@ class NetworkNode:
             return
         interrupt_at = self.dma.on_frame(self.sim.now, frame.size_bytes)
         start_at = max(interrupt_at, self.cpu_available_at)
-        self.sim.schedule_at(start_at, partial(self._process_frame, frame),
-                             self._rx_process_label)
+        self.sim.schedule_at(start_at, partial(self._process_frame, frame))
 
     def _process_frame(self, frame: Frame) -> None:
         if self.crashed:
@@ -169,7 +163,8 @@ class NetworkNode:
         self._handle_frame_now(frame)
 
     def _handle_frame_now(self, frame: Frame) -> None:
-        stack = self.stack_for_channel(frame.channel)
+        # stack_for_channel, inline: this runs once per delivered frame
+        stack = self._channel_stacks.get(frame.channel, self.stack)
         if stack is None:
             return
         self.trace.record_frame_received(self.node_id)
@@ -180,8 +175,7 @@ class NetworkNode:
         if self._rx_drain_scheduled:
             return
         self._rx_drain_scheduled = True
-        self.sim.schedule_at(self.cpu_available_at, self._drain_rx_pending,
-                             label=f"rx-requeue:{self.node_id}")
+        self.sim.schedule_at(self.cpu_available_at, self._drain_rx_pending)
 
     def _drain_rx_pending(self) -> None:
         self._rx_drain_scheduled = False
@@ -226,8 +220,7 @@ class NetworkNode:
             send_at = max(self.sim.now, self.cpu_available_at)
             self.sim.schedule_at(send_at,
                                  partial(self._enqueue_frame, payload,
-                                         size_bytes, interface, builder),
-                                 self._tx_enqueue_label)
+                                         size_bytes, interface, builder))
 
     def _enqueue_frame(self, payload: Any, size_bytes: int, interface: str,
                        builder: Optional[Callable[[], Optional[tuple[Any, int]]]] = None
@@ -248,9 +241,8 @@ class NetworkNode:
         if self.crashed:
             return
         start_at = max(self.sim.now, self.cpu_available_at)
-        self.sim.schedule_at(start_at,
-                             lambda: self._run_accounted(fn, self.cpu.task_processing_s),
-                             label=f"task:{self.node_id}")
+        self.sim.schedule_at(start_at, partial(
+            self._run_accounted, fn, self.cpu.task_processing_s))
 
     def crash(self) -> None:
         """Silence the node permanently (crash fault)."""

@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.net.channel import (
@@ -171,8 +172,7 @@ class ShardBackboneChannel(WirelessChannel):
                 ghost.collided = True
         self._active.append(ghost)
         self._busy_until = max(self._busy_until, ghost.end)
-        self.sim.schedule_at(emission.end, lambda: self._finish(ghost),
-                             label=f"ghost-end:{self.name}:{frame.frame_id}")
+        self.sim.schedule_at(emission.end, partial(self._finish, ghost))
         return ghost
 
     def _finish(self, transmission: Transmission) -> None:
@@ -225,8 +225,7 @@ class ShardCsmaMac(CsmaMac):
         delay = wait + self.config.difs_s + slots * self.config.slot_s \
             + self.node_id * SLOT_TIE_BREAK_S
         self.next_attempt_at = self.sim.now + delay
-        self.sim.schedule(delay, self._attempt,
-                          label=f"csma-attempt:{self.node_id}")
+        self.sim.schedule(delay, self._attempt)
 
     def _attempt(self) -> None:
         self.next_attempt_at = None
@@ -274,10 +273,8 @@ class ShardRunner:
                 f"shard {self.shard_index} received ghosts but has no "
                 f"backbone mirror")
         for emission in ghosts:
-            self.sim.schedule_at(
-                emission.start,
-                lambda e=emission: backbone.inject_remote(e),
-                label=f"shard-inject:{emission.shard}:{emission.seq}")
+            self.sim.schedule_at(emission.start,
+                                 partial(backbone.inject_remote, emission))
 
     def bound(self) -> float:
         """Earliest instant this shard could start a backbone transmission."""

@@ -5,13 +5,16 @@ binary-heap event queue with a monotonically increasing sequence number used
 to break ties, which makes runs fully deterministic for a given seed and
 schedule of calls.
 
-Heap entries are plain ``(time, seq, event)`` tuples: tuple comparison is
-implemented in C, whereas the previous ``order=True`` dataclass dispatched
-every ``<`` through generated Python code, which dominated heap operations in
-large-n runs.  Cancelled events are skipped when popped; when too many
-cancelled entries accumulate (heavy retransmission-timer churn) the queue is
-compacted in place so memory and pop costs stay proportional to the live
-event count.
+An event *is* its heap entry: the three-slot list ``[time, seq, callback]``
+that ``schedule`` pushes and returns as the event's handle.  List comparison
+is implemented in C and never reaches the callback slot (``seq`` is unique),
+so ordering costs what a tuple's would; scheduling builds nothing else -- no
+event object and no label, which no run ever read.  A slot of ``None`` marks
+an entry dead: :meth:`Simulator.cancel` sets it on a queued entry, and the
+run loops set it on the entry they pop, so a late cancel of an event that
+already ran is a no-op.  Cancelled entries are skipped when popped; when too
+many accumulate (heavy retransmission-timer churn) the queue is compacted in
+place so memory and pop costs stay proportional to the live event count.
 
 The kernel deliberately stays tiny: processes are modelled as callbacks, and
 higher-level abstractions (timers, periodic timers) are provided as thin
@@ -21,46 +24,28 @@ events, which matches the asynchronous message-passing model of the paper.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
-from typing import Callable, Optional, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Optional, Sequence
 
 # Compact the heap once at least this many cancelled events are queued AND
 # they outnumber the live ones (amortised O(1) per cancellation).
 _COMPACT_MIN_CANCELLED = 64
+
+#: an event handle: the heap entry ``[time, seq, callback or None]``
+Event = list
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an invalid state."""
 
 
-class Event:
-    """A scheduled callback.
-
-    The simulator orders events by ``(time, seq)`` (timestamp order with FIFO
-    tie-breaking).  Cancelled events stay in the heap but are skipped when
-    popped, and are reclaimed wholesale by queue compaction.
-    """
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "label", "_cancel_tally")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None],
-                 cancelled: bool = False, label: str = "",
-                 cancel_tally: Optional[list[int]] = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = cancelled
-        self.label = label
-        self._cancel_tally = cancel_tally
-
-    def cancel(self) -> None:
-        """Prevent the event's callback from running."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._cancel_tally is not None:
-                self._cancel_tally[0] += 1
+def _describe(callback: Any) -> str:
+    """A short name for ``callback`` in an error message (a partial is named
+    by the function it wraps, not by its possibly large arguments)."""
+    target = getattr(callback, "func", callback)
+    return getattr(target, "__qualname__", None) or type(target).__name__
 
 
 class Simulator:
@@ -75,7 +60,7 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: list[tuple[float, int, Event]] = []
+        self._queue: list[Event] = []
         self._seq = itertools.count()
         #: current virtual time in seconds.  A plain attribute, not a
         #: property: every layer reads it several times per event, and only
@@ -83,11 +68,10 @@ class Simulator:
         self.now = 0.0
         self.rng = random.Random(seed)
         self.seed = seed
-        self._running = False
         self._events_processed = 0
-        # Shared mutable tally of cancelled-but-queued events; Event.cancel
-        # increments it so the simulator knows when compaction pays off.
-        self._cancelled_queued = [0]
+        #: cancelled entries still in the heap (compaction pays off when
+        #: they outnumber the live ones)
+        self._cancelled_queued = 0
 
     # ------------------------------------------------------------------ time
     @property
@@ -96,48 +80,50 @@ class Simulator:
         return self._events_processed
 
     # ------------------------------------------------------------- scheduling
-    def schedule(self, delay: float, callback: Callable[[], None],
-                 label: str = "") -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         ``delay`` must be a non-negative, non-NaN number: a NaN compares
-        false against everything, so it used to slip past the ``< 0`` guard
+        false against everything, so it used to slip past a ``< 0`` guard
         and silently poison the heap invariant (every pop after it is
         arbitrary, so the run is no longer a function of the seed).
         """
-        if delay != delay:  # NaN: the only value that breaks heap ordering
+        if not delay >= 0:  # negative, or NaN
             raise SimulationError(
-                f"cannot schedule event {label or '<unlabelled>'!r}: "
-                f"delay is NaN")
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule event {label or '<unlabelled>'!r} in the "
-                f"past (delay={delay})")
-        return self._push(self.now + delay, callback, label)
+                f"cannot schedule {_describe(callback)} "
+                + ("after a NaN delay" if delay != delay
+                   else f"in the past (delay={delay})"))
+        entry = [self.now + delay, next(self._seq), callback]
+        heappush(self._queue, entry)
+        return entry
 
-    def schedule_at(self, when: float, callback: Callable[[], None],
-                    label: str = "") -> Event:
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute virtual time ``when``."""
-        if when != when:
+        if not when >= self.now:  # in the past, or NaN
             raise SimulationError(
-                f"cannot schedule event {label or '<unlabelled>'!r}: "
-                f"time is NaN")
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule event {label or '<unlabelled>'!r} at "
-                f"{when} before current time {self.now}")
-        return self._push(when, callback, label)
+                f"cannot schedule {_describe(callback)} "
+                + ("at a NaN time" if when != when
+                   else f"at {when} before current time {self.now}"))
+        entry = [when, next(self._seq), callback]
+        heappush(self._queue, entry)
+        return entry
 
-    def _push(self, when: float, callback: Callable[[], None],
-              label: str) -> Event:
-        event = Event(when, next(self._seq), callback, False, label,
-                      self._cancelled_queued)
-        heapq.heappush(self._queue, (when, event.seq, event))
-        cancelled = self._cancelled_queued[0]
+    def call_soon(self, callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` at the current time (after pending same-time events)."""
+        return self.schedule(0.0, callback)
+
+    def cancel(self, event: Event) -> None:
+        """Prevent a scheduled callback from running.
+
+        Cancelling an event twice, or one that already ran, does nothing.
+        """
+        if event[2] is None:
+            return
+        event[2] = None
+        cancelled = self._cancelled_queued = self._cancelled_queued + 1
         if (cancelled >= _COMPACT_MIN_CANCELLED
                 and cancelled * 2 > len(self._queue)):
             self._compact()
-        return event
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify (heap order is preserved
@@ -145,13 +131,10 @@ class Simulator:
 
         Mutates the list in place: the run loops hold a local reference to it.
         """
-        self._queue[:] = [entry for entry in self._queue if not entry[2].cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled_queued[0] = 0
-
-    def call_soon(self, callback: Callable[[], None], label: str = "") -> Event:
-        """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule(0.0, callback, label=label)
+        self._queue[:] = [entry for entry in self._queue
+                          if entry[2] is not None]
+        heapify(self._queue)
+        self._cancelled_queued = 0
 
     # ------------------------------------------------------------------- run
     def _check_horizon(self, until: float) -> None:
@@ -165,6 +148,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until}: the clock is already at {self.now}")
 
+    # The three run loops share one body per event: pop the entry, skip it
+    # if cancelled, else mark it dead (a cancel after the pop -- a periodic
+    # timer stopped from inside its own callback -- must neither run it nor
+    # count it as queued), advance the clock and call it.
+
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -174,36 +162,29 @@ class Simulator:
         """
         if until is not None:
             self._check_horizon(until)
-        self._running = True
         processed_this_run = 0
         queue = self._queue
-        pop = heapq.heappop
-        try:
-            while queue:
-                when, _, event = queue[0]
-                if until is not None and when > until:
-                    self.now = until
-                    break
-                pop(queue)
-                if event.cancelled:
-                    self._cancelled_queued[0] -= 1
-                    continue
-                # Detach the tally: a cancel() after the pop (e.g. a periodic
-                # timer stopped from inside its own callback) must not count
-                # an event that is no longer queued, or the compaction
-                # heuristic would fire on a queue with nothing to reclaim.
-                event._cancel_tally = None
-                self.now = when
-                event.callback()
-                self._events_processed += 1
-                processed_this_run += 1
-                if max_events is not None and processed_this_run >= max_events:
-                    break
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
-        finally:
-            self._running = False
+        while queue:
+            entry = queue[0]
+            when = entry[0]
+            if until is not None and when > until:
+                self.now = until
+                break
+            heappop(queue)
+            callback = entry[2]
+            if callback is None:
+                self._cancelled_queued -= 1
+                continue
+            entry[2] = None
+            self.now = when
+            callback()
+            self._events_processed += 1
+            processed_this_run += 1
+            if max_events is not None and processed_this_run >= max_events:
+                break
+        else:
+            if until is not None and until > self.now:
+                self.now = until
         return self.now
 
     def run_window(self, until: float,
@@ -224,28 +205,25 @@ class Simulator:
         self._check_horizon(until)
         processed = 0
         queue = self._queue
-        pop = heapq.heappop
-        self._running = True
-        try:
-            while queue:
-                when, _, event = queue[0]
-                if when > until:
-                    break
-                pop(queue)
-                if event.cancelled:
-                    self._cancelled_queued[0] -= 1
-                    continue
-                event._cancel_tally = None  # see run(): popped events must not tally
-                self.now = when
-                event.callback()
-                self._events_processed += 1
-                processed += 1
-                if poll is not None:
-                    poll()
-            if until > self.now:
-                self.now = until
-        finally:
-            self._running = False
+        while queue:
+            entry = queue[0]
+            when = entry[0]
+            if when > until:
+                break
+            heappop(queue)
+            callback = entry[2]
+            if callback is None:
+                self._cancelled_queued -= 1
+                continue
+            entry[2] = None
+            self.now = when
+            callback()
+            self._events_processed += 1
+            processed += 1
+            if poll is not None:
+                poll()
+        if until > self.now:
+            self.now = until
         return processed
 
     def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
@@ -268,19 +246,20 @@ class Simulator:
         if predicate():
             return True
         queue = self._queue
-        pop = heapq.heappop
         while queue:
-            when, _, event = queue[0]
+            entry = queue[0]
+            when = entry[0]
             if when > deadline:
                 self.now = deadline
                 return predicate()
-            pop(queue)
-            if event.cancelled:
-                self._cancelled_queued[0] -= 1
+            heappop(queue)
+            callback = entry[2]
+            if callback is None:
+                self._cancelled_queued -= 1
                 continue
-            event._cancel_tally = None  # see run(): popped events must not tally
+            entry[2] = None
             self.now = when
-            event.callback()
+            callback()
             self._events_processed += 1
             if predicate():
                 return True
@@ -301,12 +280,12 @@ class Simulator:
         """
         queue = self._queue
         while queue:
-            when, _, event = queue[0]
-            if event.cancelled:
-                heapq.heappop(queue)
-                self._cancelled_queued[0] -= 1
+            entry = queue[0]
+            if entry[2] is None:
+                heappop(queue)
+                self._cancelled_queued -= 1
                 continue
-            return when
+            return entry[0]
         return None
 
 
@@ -371,27 +350,25 @@ class Timer:
     bookkeeping (cancel/restart) in one place.
     """
 
-    def __init__(self, sim: Simulator, callback: Callable[[], None],
-                 label: str = "timer") -> None:
+    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
         self._sim = sim
         self._callback = callback
-        self._label = label
         self._event: Optional[Event] = None
 
     @property
     def armed(self) -> bool:
         """True if the timer is currently scheduled."""
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None and self._event[2] is not None
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire ``delay`` seconds from now."""
         self.cancel()
-        self._event = self._sim.schedule(delay, self._fire, label=self._label)
+        self._event = self._sim.schedule(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""
         if self._event is not None:
-            self._event.cancel()
+            self._sim.cancel(self._event)
             self._event = None
 
     def _fire(self) -> None:
@@ -407,15 +384,13 @@ class PeriodicTimer:
     """
 
     def __init__(self, sim: Simulator, interval: float,
-                 callback: Callable[[], None], jitter: float = 0.0,
-                 label: str = "periodic") -> None:
+                 callback: Callable[[], None], jitter: float = 0.0) -> None:
         if interval <= 0:
             raise SimulationError("periodic timer interval must be positive")
         self._sim = sim
         self.interval = interval
         self._callback = callback
         self._jitter = jitter
-        self._label = label
         self._event: Optional[Event] = None
         self._stopped = True
 
@@ -433,14 +408,14 @@ class PeriodicTimer:
         """Stop firing."""
         self._stopped = True
         if self._event is not None:
-            self._event.cancel()
+            self._sim.cancel(self._event)
             self._event = None
 
     def _schedule_next(self) -> None:
         delay = self.interval
         if self._jitter > 0:
             delay += self._sim.rng.uniform(0, self._jitter * self.interval)
-        self._event = self._sim.schedule(delay, self._fire, label=self._label)
+        self._event = self._sim.schedule(delay, self._fire)
 
     def _fire(self) -> None:
         if self._stopped:

@@ -265,8 +265,7 @@ def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
         if strategy == "crash" and node is not None:
             node.crash()
         elif strategy == "late-crash" and node is not None:
-            deployment.sim.schedule(spec.late_crash_at_s, node.crash,
-                                    label=f"late-crash:{node_id}")
+            deployment.sim.schedule(spec.late_crash_at_s, node.crash)
         elif strategy == "slow-links":
             for other_id in scenario.topology.all_node_ids():
                 if other_id != node_id:

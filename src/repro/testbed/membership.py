@@ -289,9 +289,7 @@ class MembershipController:
         deployment = self.deployment
         for event in self.schedule.crash_events():
             node = deployment.nodes[event.node_id]
-            deployment.sim.schedule_at(
-                event.at_s, node.crash,
-                label=f"membership-crash:{event.node_id}")
+            deployment.sim.schedule_at(event.at_s, node.crash)
         standby = set(deployment.runtimes) - self.committee
         if standby:
             # Standby nodes keep their radio but run no protocol stack; the

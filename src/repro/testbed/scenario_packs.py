@@ -383,10 +383,7 @@ class ScenarioController:
         starts = self.pack.phase_starts()
         for index in range(1, len(self.pack.phases)):
             self.deployment.sim.schedule_at(
-                starts[index],
-                lambda index=index: self._enter_phase(index),
-                label=f"scenario:{self.pack.name}:"
-                      f"{self.pack.phases[index].name}")
+                starts[index], lambda index=index: self._enter_phase(index))
 
     def _enter_phase(self, index: int) -> None:
         adversary = self.deployment.adversary

@@ -377,8 +377,7 @@ class StreamingRun:
         """Schedule node ``node_id``'s next arrival as a simulator event."""
         when, *offer = self.arrivals.next_arrival(node_id)
         self.deployment.sim.schedule_at(
-            when, lambda: self._arrive(node_id, offer),
-            label=f"arrival:{node_id}")
+            when, lambda: self._arrive(node_id, offer))
 
     def _arrive(self, node_id: int, offer: list) -> None:
         self.submit[node_id](self.deployment.sim.now, *offer)

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.fastpath import SHORT_EXPONENT_BITS, multi_exp
 from repro.crypto.field import lagrange_coefficients_at_zero
-from repro.crypto.group import DEFAULT_GROUP, Group, unstamped
+from repro.crypto.group import DEFAULT_GROUP, Group
 from repro.crypto.threshold_coin import ThresholdCoinError, deal_threshold_coin
 from repro.crypto.threshold_enc import ThresholdEncError, deal_threshold_enc
 from repro.crypto.threshold_sig import (
@@ -33,6 +33,7 @@ from repro.crypto.threshold_sig import (
     ThresholdSignature,
     deal_threshold_sig,
 )
+from tests.reference import unstamped
 
 NUM_PARTIES = 5
 THRESHOLD = 3

@@ -11,9 +11,9 @@ from repro.crypto.digital_sig import (
     generate_keypair,
     generate_keyring,
 )
-from repro.crypto.group import DEFAULT_GROUP, unstamped
+from repro.crypto.group import DEFAULT_GROUP
 
-from tests.reference import is_member_reference
+from tests.reference import is_member_reference, unstamped
 
 
 class TestDigitalSignatures:

@@ -28,7 +28,6 @@ from repro.crypto.group import (
     DEFAULT_GROUP,
     _verify_dlog_equality_cached,
     prove_dlog_equality,
-    unstamped,
     verify_dlog_equality,
 )
 from repro.crypto.threshold_coin import deal_threshold_coin
@@ -36,6 +35,7 @@ from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
 
 from tests.crypto.families import FAMILIES, family_ids
+from tests.reference import unstamped
 
 
 def digest(data) -> str:

@@ -24,7 +24,6 @@ from repro.crypto.group import (
     DEFAULT_GROUP,
     _verify_dlog_equality_cached,
     prove_dlog_equality,
-    unstamped,
 )
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.testbed.harness import run_consensus
@@ -32,6 +31,7 @@ from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 
 from tests.crypto.families import FAMILIES, family_ids
+from tests.reference import unstamped
 
 
 def real_verifications(cached, check):

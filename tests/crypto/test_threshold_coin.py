@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.group import unstamped
+from tests.reference import unstamped
 from repro.crypto.threshold_coin import (
     CoinShare,
     ThresholdCoinError,

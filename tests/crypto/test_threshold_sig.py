@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.group import unstamped
+from tests.reference import unstamped
 from repro.crypto.threshold_sig import (
     ThresholdSigError,
     ThresholdSigShare,

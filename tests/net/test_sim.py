@@ -59,7 +59,7 @@ class TestSimulator:
         fired = []
         event = sim.schedule(1.0, lambda: fired.append("cancelled"))
         sim.schedule(2.0, lambda: fired.append("kept"))
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert fired == ["kept"]
 
@@ -175,18 +175,18 @@ class TestSimulator:
         sim = Simulator()
         events = [sim.schedule(1000.0, lambda: None) for _ in range(500)]
         for event in events:
-            event.cancel()
-        sim.schedule(1.0, lambda: None)  # triggers the compaction check
+            sim.cancel(event)  # each cancel runs the compaction check
+        sim.schedule(1.0, lambda: None)
         assert sim.pending_events() < 100
 
     def test_double_cancel_counts_once(self):
         sim = Simulator()
         event = sim.schedule(5.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim._cancelled_queued[0] == 1
+        sim.cancel(event)
+        sim.cancel(event)
+        assert sim._cancelled_queued == 1
         sim.run()
-        assert sim._cancelled_queued[0] == 0
+        assert sim._cancelled_queued == 0
 
     def test_cancel_after_pop_does_not_inflate_tally(self):
         # Regression: stopping a periodic timer from inside its own callback
@@ -205,7 +205,7 @@ class TestSimulator:
             timers.append(PeriodicTimer(sim, 1.0, make_stopper(index)))
             timers[index].start()
         sim.run(until=5.0)
-        assert sim._cancelled_queued[0] == 0
+        assert sim._cancelled_queued == 0
 
     def test_compaction_preserves_order_and_determinism(self):
         def drive(compact: bool) -> list:
@@ -217,7 +217,7 @@ class TestSimulator:
             victims = [sim.schedule(50.0, lambda: order.append("dead"))
                        for _ in range(300 if compact else 0)]
             for victim in victims:
-                victim.cancel()
+                sim.cancel(victim)
             sim.schedule(0.5, lambda: order.append("first"))
             sim.run()
             return order

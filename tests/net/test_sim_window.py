@@ -3,7 +3,7 @@
 Covers the PR-9 additions to :mod:`repro.net.sim`:
 
 * ``schedule`` / ``schedule_at`` reject NaN and past times with a
-  :class:`SimulationError` naming the offending delay and event label
+  :class:`SimulationError` naming the offending delay and callback
   (before, a NaN delay silently poisoned the heap ordering and every later
   pop became nondeterministic);
 * ``run_window`` -- the conservative-synchronization primitive -- is
@@ -13,6 +13,7 @@ Covers the PR-9 additions to :mod:`repro.net.sim`:
 """
 
 import math
+from functools import partial
 
 import pytest
 
@@ -23,26 +24,32 @@ from repro.net.sim import ShardedSimulator, SimulationError, Simulator
 # schedule validation (satellite: NaN / negative delays)
 # ---------------------------------------------------------------------------
 
-class TestScheduleValidation:
-    def test_nan_delay_raises_and_names_the_label(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError, match=r"'resend:7'.*NaN"):
-            sim.schedule(float("nan"), lambda: None, label="resend:7")
+def resend() -> None:
+    """A named callback: the errors below name it."""
 
-    def test_nan_delay_without_label_names_unlabelled(self):
+
+class TestScheduleValidation:
+    def test_nan_delay_raises_and_names_the_callback(self):
         sim = Simulator()
-        with pytest.raises(SimulationError, match="<unlabelled>"):
-            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError, match=r"resend after a NaN"):
+            sim.schedule(float("nan"), resend)
+
+    def test_nan_delay_names_the_function_a_partial_wraps(self):
+        # not the partial's arguments: a frame's repr carries its payload
+        sim = Simulator()
+        with pytest.raises(SimulationError,
+                           match=r"^cannot schedule resend after a NaN delay$"):
+            sim.schedule(float("nan"), partial(resend, b"x" * 4096))
 
     def test_negative_delay_raises_with_delay_value(self):
         sim = Simulator()
-        with pytest.raises(SimulationError, match=r"'tx-end:ch0:1'.*-0\.5"):
-            sim.schedule(-0.5, lambda: None, label="tx-end:ch0:1")
+        with pytest.raises(SimulationError, match=r"resend in the past.*-0\.5"):
+            sim.schedule(-0.5, resend)
 
     def test_zero_delay_is_allowed(self):
         sim = Simulator()
         ran = []
-        sim.schedule(0.0, lambda: ran.append(True), label="soon")
+        sim.schedule(0.0, lambda: ran.append(True))
         sim.run()
         assert ran == [True]
 
@@ -59,16 +66,16 @@ class TestScheduleValidation:
 
     def test_schedule_at_nan_raises(self):
         sim = Simulator()
-        with pytest.raises(SimulationError, match=r"'probe'.*NaN"):
-            sim.schedule_at(float("nan"), lambda: None, label="probe")
+        with pytest.raises(SimulationError, match=r"resend at a NaN time"):
+            sim.schedule_at(float("nan"), resend)
 
-    def test_schedule_at_past_raises_and_names_label(self):
+    def test_schedule_at_past_raises_and_names_the_callback(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.now == 1.0
-        with pytest.raises(SimulationError, match=r"'late'.*0\.5"):
-            sim.schedule_at(0.5, lambda: None, label="late")
+        with pytest.raises(SimulationError, match=r"resend at 0\.5 before"):
+            sim.schedule_at(0.5, resend)
 
     def test_schedule_at_now_is_allowed(self):
         sim = Simulator()
@@ -116,7 +123,7 @@ class TestRunWindow:
         ran = []
         event = sim.schedule(0.5, lambda: ran.append("cancelled"))
         sim.schedule(0.6, lambda: ran.append("live"))
-        event.cancel()
+        sim.cancel(event)
         processed = sim.run_window(1.0)
         assert ran == ["live"]
         assert processed == 1
@@ -164,7 +171,7 @@ class TestNextEventTime:
         sim = Simulator()
         first = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        first.cancel()
+        sim.cancel(first)
         assert sim.next_event_time() == 2.0
 
     def test_empty_queue_returns_none(self):
