@@ -6,7 +6,7 @@ group exponentiation in :mod:`repro.crypto`, Reed-Solomon interpolation in
 This module measures each of them -- both the optimised implementation and a
 seed-equivalent reference path kept in ``tests/reference.py`` for the
 bit-identity tests -- and writes a machine-readable ``BENCH_hotpath.json`` at
-the repo root so the performance trajectory is recorded from PR 1 onward.
+the repo root so the performance trajectory is recorded across changes.
 
 Run directly (writes the JSON)::
 

@@ -41,8 +41,6 @@ DOCS = [
     "CHANGES.md",
     "PAPER.md",
 ]
-#: checked when present: the working issue of a change comes and goes
-OPTIONAL_DOCS = ["ISSUE.md"]
 
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -96,14 +94,10 @@ def check_document(name: str) -> list:
 def main() -> int:
     problems = []
     missing_docs = []
-    present = [name for name in OPTIONAL_DOCS
-               if os.path.exists(os.path.join(ROOT, name))]
     for name in DOCS:
         if not os.path.exists(os.path.join(ROOT, name)):
             missing_docs.append(name)
             continue
-        problems.extend(check_document(name))
-    for name in present:
         problems.extend(check_document(name))
     for name in missing_docs:
         problems.append(f"checked document does not exist: {name}")
@@ -113,8 +107,7 @@ def main() -> int:
         for problem in problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1
-    print(f"docs link check: {len(DOCS) - len(missing_docs) + len(present)} "
-          f"documents, "
+    print(f"docs link check: {len(DOCS) - len(missing_docs)} documents, "
           f"all relative links and anchors resolve")
     return 0
 
