@@ -6,9 +6,12 @@ Two modes with distinct gates:
 **Quick mode (default, well under 60 seconds)** runs the micro-benchmarks
 with short budgets and checks *same-run ratio invariants* only:
 
-* steady-state ``Group.exp`` on a recurring base >= 3x builtin ``pow`` (the
-  pure tier's fixed-base promotion -- a refactor that silently sends hot
-  bases back to ``pow`` lands at ~1x);
+* ``Group.exp`` on a base made here as a power of ``g`` >= 3x builtin
+  ``pow`` (its known log answers it from g's table -- a refactor that loses
+  the log sends it back to ``pow`` and lands at ~1x), and zero backend
+  ``powm`` calls on an honest one-epoch run of every protocol (a count, so
+  it cannot flake: a base the honest path raises without a known log fails
+  it);
 * verifying a signature or share minted in this process >= 10x verifying an
   unstamped copy, under the pure tier and under the best available one (a
   refactor that loses the provenance stamp lands at ~1x and would otherwise
@@ -92,7 +95,7 @@ import bench_hotpath_micro  # noqa: E402
 # these paths (a dropped cache, an accidental O(k^3) decode) overshoot it.
 GATED_METRICS = (
     "group_exp_fixed_base",
-    "group_exp_recurring_base",
+    "group_exp_known_base",
     "schnorr_sign",
     "schnorr_verify",
     "share_sign",
@@ -116,7 +119,8 @@ GATED_METRICS = (
 MAX_REGRESSION = 2.0
 
 # Same-run ratio invariants (both modes, baseline-independent).
-MIN_RECURRING_BASE_VS_POW = 3.0
+MIN_KNOWN_BASE_VS_POW = 3.0
+MAX_BACKEND_POWM_HONEST_EPOCH = 0
 MIN_MINTED_VS_LONG_ROAD = 10.0
 MIN_LAZY_SIGN_VERIFY_VS_FORCED = 3.0
 MAX_KERNEL_CALLS_PER_EVENT = 1
@@ -156,12 +160,18 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
     speedups = document["speedups"]
     backend_info = document["config"].get("backend", {})
 
-    if speedups["group_exp_recurring_base_vs_pow"] < MIN_RECURRING_BASE_VS_POW:
+    if speedups["group_exp_known_base_vs_pow"] < MIN_KNOWN_BASE_VS_POW:
         failures.append(
-            f"Group.exp on a recurring base only "
-            f"{speedups['group_exp_recurring_base_vs_pow']:.2f}x builtin pow "
-            f"(need >= {MIN_RECURRING_BASE_VS_POW}x): hot bases are not "
-            f"reaching the pure tier's fixed-base tables")
+            f"Group.exp on a known base only "
+            f"{speedups['group_exp_known_base_vs_pow']:.2f}x builtin pow "
+            f"(need >= {MIN_KNOWN_BASE_VS_POW}x): powers of g are not "
+            f"answered through their known logs")
+    powm_calls = document["counts"]["backend_powm_honest_epoch"]
+    if powm_calls > MAX_BACKEND_POWM_HONEST_EPOCH:
+        failures.append(
+            f"{powm_calls} backend powm calls on honest one-epoch runs (need "
+            f"{MAX_BACKEND_POWM_HONEST_EPOCH}): a base the honest path raises "
+            f"has no known log")
     for name in ("schnorr_verify_minted_vs_long_road",
                  "schnorr_verify_minted_vs_long_road_native",
                  "share_verify_minted_vs_long_road"):

@@ -10,11 +10,6 @@ naive code they replace:
   ``base^(j * 2^(w*i))`` built per (base, modulus) turns a 256-bit
   exponentiation into ~32 table lookups and modular multiplications, which in
   CPython beats ``pow(base, e, p)`` by roughly 6x.
-* :class:`CompactBaseTable` -- the same idea at a sixth of the bytes of the
-  narrowest useful :class:`FixedBaseTable`: one row per 16 exponent bits
-  shared by four interleaved sub-exponents.  ~17 KB and ~1.5 ``pow`` calls to
-  build, ~3.7x faster than ``pow`` to use, which makes a table per *recurring*
-  base affordable (:mod:`repro.crypto.backend.pure` decides which those are).
 * :func:`jacobi` -- a binary Jacobi symbol.  For a safe prime ``P = 2q + 1``
   the order-``q`` subgroup is exactly the set of quadratic residues, so
   subgroup membership reduces to ``jacobi(a, P) == 1`` -- ~5x cheaper than
@@ -25,7 +20,6 @@ naive code they replace:
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 
@@ -81,69 +75,6 @@ class FixedBaseTable:
             if not exponent:
                 break
         return acc
-
-
-class CompactBaseTable:
-    """A fixed-base table small and cheap enough to build for *many* bases.
-
-    :class:`FixedBaseTable` stores a row for every window of the exponent, so
-    its speed is bought with bytes (45 KB at window 3, 560 KB at window 8 on
-    the 256-bit group).  This table keeps 4-bit windows but only one row per
-    16 exponent bits: row ``i`` holds ``base^(d * 2^(16*i))`` for ``d`` in
-    ``0..15``.  The four nibbles of each 16-bit limb then index the *same*
-    row into four accumulators -- the exponent is split into four interleaved
-    sub-exponents, ``e = e0 + 16*e1 + 256*e2 + 4096*e3`` -- which a final
-    Horner step (twelve squarings) recombines.  For a 256-bit modulus that is
-    16 rows (~17 KB, ~0.2 ms to build: about 1.5 builtin ``pow`` calls) and 64
-    table multiplications per exponentiation, ~27% of the time of
-    ``pow(base, e, modulus)``.  Digits are read from the exponent's bytes, so
-    the loop does no big-integer shifting.
-    """
-
-    __slots__ = ("modulus", "limit", "_rows")
-
-    @staticmethod
-    def estimated_bytes(modulus: int) -> int:
-        """Heap footprint of a table for ``modulus``: 16-slot rows plus
-        residues (what a cache needs to budget tables before building one)."""
-        num_rows = (modulus.bit_length() + 15) // 16
-        return num_rows * (56 + 8 * 16 + 15 * sys.getsizeof(modulus))
-
-    def __init__(self, base: int, modulus: int) -> None:
-        self.modulus = modulus
-        num_rows = (modulus.bit_length() + 15) // 16
-        #: exponents must lie in ``range(limit)``
-        self.limit = 1 << (16 * num_rows)
-        rows = []
-        row_base = base % modulus
-        for _ in range(num_rows):
-            row = [1] * 16
-            acc = 1
-            for digit in range(1, 16):
-                acc = acc * row_base % modulus
-                row[digit] = acc
-            rows.append(row)
-            # acc == row_base^15: one multiply gives ^16, then 12 squarings
-            row_base = pow(acc * row_base % modulus, 1 << 12, modulus)
-        self._rows = rows
-
-    def pow(self, exponent: int) -> int:
-        """Return ``base ** exponent mod modulus`` for ``0 <= exponent < limit``."""
-        modulus = self.modulus
-        limbs = exponent.to_bytes(2 * len(self._rows), "little")
-        acc0 = acc1 = acc2 = acc3 = 1
-        index = 0
-        for row in self._rows:
-            low = limbs[index]
-            high = limbs[index + 1]
-            index += 2
-            acc0 = acc0 * row[low & 15] % modulus
-            acc1 = acc1 * row[low >> 4] % modulus
-            acc2 = acc2 * row[high & 15] % modulus
-            acc3 = acc3 * row[high >> 4] % modulus
-        acc = pow(acc3, 16, modulus) * acc2 % modulus
-        acc = pow(acc, 16, modulus) * acc1 % modulus
-        return pow(acc, 16, modulus) * acc0 % modulus
 
 
 # ------------------------------------------------------------------ membership

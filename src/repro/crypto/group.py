@@ -22,9 +22,10 @@ from __future__ import annotations
 import copyreg
 import dataclasses
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.crypto import backend as crypto_backend
 from repro.crypto.fastpath import FixedBaseTable
@@ -35,20 +36,70 @@ _SAFE_PRIME_P = 1052169564377498564704423699148465423327640882900247513117970794
 _SUBGROUP_ORDER_Q = 52608478218874928235221184957423271166382044145012375655898539728500139585071
 _GENERATOR = 49  # 7^2 mod P, a generator of the order-q subgroup.
 
+#: Bound on the known-log memo of one group: ~145 bytes an entry on the
+#: 256-bit group, so ~0.6 MB at the bound, and over twice the most elements
+#: any ledger workload learns in a pass (see PERFORMANCE.md, "Known logs").
+KNOWN_LOGS_MAX = 4096
+
 
 # Hot-path caches, keyed by the group parameters so arbitrary Group instances
 # (including the toy groups used in tests) share them safely.  All cached
 # functions are pure: the cache can only change speed, never results.
-_FIXED_BASE_TABLES: dict[tuple[int, int, int], FixedBaseTable] = {}
+class _Generator:
+    """``g``'s fixed-base table, and the discrete logs of the elements this
+    process made as ``g^x``.
+
+    Every base the schemes raise to a key share was made here as ``g^x``
+    with ``x`` known -- hash points, ciphertext ephemerals, dealt keys,
+    share values -- so ``base^s`` is ``g^(x*s mod q)``: one table
+    exponentiation instead of a full-width ``pow``.  The memo is bounded and
+    least-recently-used, process-local (nothing pickles or exports it) and
+    read only by :meth:`Group.exp` and :func:`combine_in_exponent`: an
+    evicted or never-seen element costs speed, never a result.  It exists
+    only where exponents live modulo ``q`` (``g^q == 1``); a toy group that
+    fails this keeps every base on ``powm``.
+    """
+
+    __slots__ = ("table", "logs")
+
+    def __init__(self, p: int, q: int, g: int) -> None:
+        self.table = FixedBaseTable(g, p, q)
+        self.logs: Optional[OrderedDict[int, int]] = \
+            OrderedDict() if pow(g, q, p) == 1 else None
+
+    def power(self, exponent: int) -> int:
+        """``g^exponent``, its log remembered."""
+        element = self.table.pow(exponent)
+        self.learn(element, exponent)
+        return element
+
+    def learn(self, element: int, exponent: int) -> None:
+        """Remember that ``element`` is ``g^exponent``."""
+        logs = self.logs
+        if logs is not None:
+            logs[element] = exponent % self.table.order
+            logs.move_to_end(element)
+            if len(logs) > KNOWN_LOGS_MAX:
+                logs.popitem(last=False)
+
+    def log(self, element: int) -> Optional[int]:
+        """The discrete log of ``element``, or ``None`` when not known."""
+        logs = self.logs
+        log = logs.get(element) if logs is not None else None
+        if log is not None:
+            logs.move_to_end(element)
+        return log
 
 
-def _fixed_base_table(p: int, q: int, g: int) -> FixedBaseTable:
+_GENERATORS: dict[tuple[int, int, int], _Generator] = {}
+
+
+def _generator(p: int, q: int, g: int) -> _Generator:
     key = (p, q, g)
-    table = _FIXED_BASE_TABLES.get(key)
-    if table is None:
-        table = FixedBaseTable(g, p, q)
-        _FIXED_BASE_TABLES[key] = table
-    return table
+    generator = _GENERATORS.get(key)
+    if generator is None:
+        generator = _GENERATORS[key] = _Generator(p, q, g)
+    return generator
 
 
 @lru_cache(maxsize=16384)
@@ -70,9 +121,11 @@ def _hash_to_scalar(q: int, parts: tuple[bytes, ...]) -> int:
 
 
 @lru_cache(maxsize=8192)
-def _hash_to_group_cached(p: int, q: int, g: int, parts: tuple[bytes, ...]) -> int:
+def _hash_to_group_cached(p: int, q: int, g: int,
+                          parts: tuple[bytes, ...]) -> tuple[int, int]:
     exponent = _hash_to_scalar(q, (b"h2g",) + parts)
-    return _fixed_base_table(p, q, g).pow(exponent if exponent != 0 else 1)
+    exponent = exponent if exponent != 0 else 1
+    return _generator(p, q, g).table.pow(exponent), exponent
 
 
 @dataclass(frozen=True)
@@ -104,13 +157,17 @@ class Group:
 
     # ----------------------------------------------------------- group ops
     def exp(self, base: int, exponent: int) -> int:
-        """Return ``base ** exponent mod P`` (via the active crypto backend).
+        """Return ``base ** exponent mod P``.
 
-        No call site says which bases are long-lived: the pure tier counts
-        sightings and answers a recurring base from a fixed-base table (see
-        :mod:`repro.crypto.backend.pure`), the native tiers are fast as is.
+        A base whose discrete log this process knows (see
+        :class:`_Generator`) is answered as ``g^(log * exponent)`` from the
+        fixed-base table, any other by the active crypto backend.
         """
-        return crypto_backend.powm(base, exponent % self.q, self.p)
+        generator = _generator(self.p, self.q, self.g)
+        log = generator.log(base)
+        if log is None:
+            return crypto_backend.powm(base, exponent % self.q, self.p)
+        return generator.power(log * exponent)
 
     def mul(self, a: int, b: int) -> int:
         """Return the group product ``a * b mod P``."""
@@ -122,7 +179,7 @@ class Group:
 
     def power_of_g(self, exponent: int) -> int:
         """Return ``g ** exponent`` via the fixed-base windowed table."""
-        return _fixed_base_table(self.p, self.q, self.g).pow(exponent)
+        return _generator(self.p, self.q, self.g).power(exponent)
 
     def is_member(self, a: int) -> bool:
         """True if ``a`` is a member of the order-``q`` subgroup.
@@ -144,8 +201,12 @@ class Group:
         the result is unknown to nobody in this simulation-oriented setting,
         which is acceptable because unforgeability against computationally
         bounded adversaries is not what the consensus experiments exercise.
+        Every call, memoised or not, refreshes the point's known log.
         """
-        return _hash_to_group_cached(self.p, self.q, self.g, parts)
+        element, exponent = _hash_to_group_cached(self.p, self.q, self.g,
+                                                  parts)
+        _generator(self.p, self.q, self.g).learn(element, exponent)
+        return element
 
     def random_scalar(self, rng) -> int:
         """Uniformly random non-zero exponent."""
@@ -413,6 +474,10 @@ def combine_in_exponent(group: Group, shares, threshold: int, error,
     is tested by ``decryption_share`` and ``verify_share``).  No membership
     test runs here; a value that is a multiple of ``P`` has no inverse and
     is in no group, and raises ``error`` whichever weight it meets.
+
+    When this process knows the discrete log of every value kept (see
+    :class:`_Generator`), the result is one ``g^(root * sum weight_i *
+    log_i)``: the same integer by the group law.
     """
     distinct: dict = {}
     for share in shares:
@@ -422,6 +487,15 @@ def combine_in_exponent(group: Group, shares, threshold: int, error,
         raise error(f"need {threshold} valid {noun}, have {len(distinct)}")
     signers = tuple(sorted(distinct)[:threshold])
     weights, root = _combine_weights(group.q, signers)
+    generator = _generator(group.p, group.q, group.g)
+    exponent = 0
+    for signer, weight in zip(signers, weights):
+        log = generator.log(distinct[signer].value)
+        if log is None:
+            break
+        exponent += weight * log
+    else:
+        return generator.power(exponent if root is None else exponent * root)
     over, under = [], []
     for signer, weight in zip(signers, weights):
         if weight > 0:
@@ -438,6 +512,4 @@ def combine_in_exponent(group: Group, shares, threshold: int, error,
     combined = numerator * pow(denominator, -1, modulus) % modulus
     if root is None:
         return combined
-    # a one-term product, not ``powm``: this base never recurs, and ``powm``
-    # on the pure tier remembers every base it is shown
-    return crypto_backend.multi_powm([(combined, root)], modulus)
+    return crypto_backend.powm(combined, root, modulus)

@@ -218,19 +218,13 @@ def _native_bigint_or_none():
     return backend._probe_native_bigint()
 
 
-needs_native = pytest.mark.skipif(
-    _native_bigint_or_none() is None,
-    reason="no native big-integer tier available in this environment")
-
-
 class TestBigintBitIdentity:
     @given(base=st.integers(min_value=0, max_value=P * 2),
            exponent=st.integers(min_value=0, max_value=DEFAULT_GROUP.q),
            modulus=st.integers(min_value=1, max_value=P))
     @settings(max_examples=60, deadline=None)
     def test_powm_matches_pure(self, base, exponent, modulus):
-        # builtin pow is the reference: PURE.powm answers recurring bases
-        # from tables of its own (tests/crypto/test_recurring_base.py)
+        # builtin pow is the reference
         native = _native_bigint_or_none() or PURE
         assert native.powm(base, exponent, modulus) == \
             pow(base, exponent, modulus)
@@ -285,28 +279,6 @@ class TestBigintBitIdentity:
             PURE.jacobi(3, 8)
         with pytest.raises(ValueError):
             native.jacobi(3, 8)
-
-
-class TestNativeNeverBuildsPureTables:
-    @needs_native
-    def test_native_run_leaves_the_pure_tier_untouched(self):
-        """The recurring-base tables live inside ``PureBigint``; a native
-        tier never enters it, so nothing is built or even counted."""
-        from repro.testbed.harness import run_consensus
-        from repro.testbed.scenarios import Scenario
-
-        pure_tier = backend._PURE_BIGINT
-        with backend.use("native"):
-            before = (pure_tier.table_count, pure_tier.table_bytes,
-                      list(pure_tier._seen_once))
-            base = pow(DEFAULT_GROUP.g, 31337, P)
-            for exponent in range(2, 12):
-                assert DEFAULT_GROUP.exp(base, exponent) == \
-                    pow(base, exponent, P)
-            assert run_consensus("honeybadger-sc", Scenario.single_hop(4),
-                                 seed=77).decided
-            assert (pure_tier.table_count, pure_tier.table_bytes,
-                    list(pure_tier._seen_once)) == before
 
 
 # --------------------------------------------------------- matrix identity

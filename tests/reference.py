@@ -5,8 +5,8 @@ Uncached and naive on purpose: the bit-identity property tests compare the
 library's tables, memos and Jacobi tests with these, and
 ``benchmarks/bench_hotpath_micro.py`` times them as the "before" rows.
 Nothing in ``src/`` calls them.  Builtin ``pow`` throughout, never
-``Group.exp``: a reference must not run through the recurring-base tables
-it is compared against.  :class:`ReferenceSimulator` is the event kernel as
+``Group.exp``: a reference must not run through the known-log memo it is
+compared against.  :class:`ReferenceSimulator` is the event kernel as
 it was before an event became its heap entry.
 """
 
