@@ -82,7 +82,6 @@ FANOUT_NODES = 32  # one sender, 31 receivers: the components-n32 fan-out
 FANOUT_FRAMES = 200  # per storm; below the MAC queue limit of 256
 CHURN_TIMERS = 200  # timers restarted CHURN_RESTARTS times each, then run
 CHURN_RESTARTS = 20
-COMBINE_ROUNDS = 20  # combines per timed slice, so a slice outlasts the timer
 
 
 def _rate(operation: Callable[[], int], min_seconds: float) -> float:
@@ -343,23 +342,9 @@ def bench_threshold_shares(budget: float) -> dict[str, float]:
     }
 
 
-def _rate_pure_and_native(work: Callable[[], int],
-                          budget: float) -> tuple[float, float]:
-    """Ops/second of ``work`` (which returns how many ops it performed) on
-    the pure tier and on the best available one, in alternating slices."""
-    def under(mode: str) -> Callable[[], int]:
-        def operation() -> int:
-            with crypto_backend.use(mode):
-                return sum(work() for _ in range(COMBINE_ROUNDS))
-        return operation
-
-    return _rate_pair(under("pure"), under("auto"), budget)
-
-
 def bench_share_combine(budget: float) -> dict[str, float]:
     """``combine(..., verify=False)`` -- the only form any run calls: every
-    component verifies a share when it arrives and combines at quorum -- on
-    the pure tier and the best available one.
+    component verifies a share when it arrives and combines at quorum.
 
     Two shapes.  ``share_combine`` keeps the trajectory's row: the six lowest
     signers of 16, whose integer Lagrange weights are 5 bits under no root.
@@ -379,23 +364,15 @@ def bench_share_combine(budget: float) -> dict[str, float]:
         subsets = list(combinations(shares, threshold)) if every_subset \
             else [shares[:threshold]]
 
-        def combine_all() -> list:
-            return [public_key.combine(message, subset, verify=False)
-                    for subset in subsets]
+        def combine_all() -> int:
+            for subset in subsets:
+                public_key.combine(message, subset, verify=False)
+            return len(subsets)
 
-        with crypto_backend.use("pure"):
-            expected = combine_all()
-        with crypto_backend.use("auto"):
-            # backend switches must never change results
-            assert combine_all() == expected
-        (results[f"share_combine{suffix}"],
-         results[f"share_combine{suffix}_native"]) = _rate_pure_and_native(
-            lambda: len(combine_all()), budget)
+        results[f"share_combine{suffix}"] = _rate(combine_all, budget)
 
-    # What the native tier is for, whatever a combine's algebra: a product of
-    # full-width powers (the wide road of a combine).  The pure tier cannot
-    # catch up here as it has on the combine rows, so this pair tells a
-    # loaded native tier from a missing one.
+    # The wide road of a combine whose share values have no known log: a
+    # product of full-width powers.
     group = DEFAULT_GROUP
     rng = random.Random(2003)
     pairs = [(group.power_of_g(rng.randrange(1, group.q)),
@@ -405,8 +382,7 @@ def bench_share_combine(budget: float) -> dict[str, float]:
         crypto_backend.multi_powm(pairs, group.p)
         return 1
 
-    results["multi_powm_wide"], results["multi_powm_wide_native"] = \
-        _rate_pure_and_native(multi_powm_once, budget)
+    results["multi_powm_wide"] = _rate(multi_powm_once, budget)
     return results
 
 
@@ -447,53 +423,6 @@ def bench_erasure(budget: float) -> dict[str, float]:
         "erasure_decode_seed_k32": _rate(decode_seed_op, max(budget, 0.5)),
         "erasure_decode_k32": _rate(decode_op, budget),
     }
-
-
-# -------------------------------------------------------------- native backend
-def bench_native_backend(budget: float) -> dict[str, float]:
-    """The same erasure/streaming work under the native backend.
-
-    Runs with ``repro.crypto.backend`` forced to ``auto`` (best available
-    tier): with gmpy2 or the libgmp shim plus numpy present these entries
-    record the vectorized hot paths; in a pure-only environment they
-    degenerate to the pure rates, so the ``*_native_vs_pure`` speedups
-    honestly report ~1x rather than being silently omitted.  Results are
-    asserted bit-identical to the pure path before timing starts.
-    """
-    payload_rng = random.Random(3003)
-    payload = bytes(payload_rng.randrange(256) for _ in range(ERASURE_PAYLOAD))
-
-    with crypto_backend.use("pure"):
-        pure_blocks = erasure.encode_blocks(payload, ERASURE_K, ERASURE_N)
-        pure_payload = erasure.decode_blocks(pure_blocks[8:8 + ERASURE_K])
-
-    with crypto_backend.use("auto"):
-        # backend switches must never change results -- pinned by
-        # tests/crypto/test_backend.py, double-checked here off the clock.
-        blocks = erasure.encode_blocks(payload, ERASURE_K, ERASURE_N)
-        selection = blocks[8:8 + ERASURE_K]
-        assert [b.values for b in blocks] == [b.values for b in pure_blocks]
-        assert erasure.decode_blocks(selection) == pure_payload == payload
-
-        def encode_op() -> int:
-            erasure.encode_blocks(payload, ERASURE_K, ERASURE_N)
-            return 1
-
-        def decode_op() -> int:
-            erasure.decode_blocks(selection)
-            return 1
-
-        results = {
-            "erasure_encode_native_k32": _rate(encode_op, budget),
-            "erasure_decode_native_k32": _rate(decode_op, budget),
-        }
-        streaming = bench_streaming(budget)
-        results["streaming_tx_per_sec_native"] = streaming["streaming_tx_per_sec"]
-        # the stamp is compared before any backend call, so the minted rate
-        # must not depend on the tier; the long road it is gated against does
-        results |= {f"{name}_native": rate
-                    for name, rate in bench_schnorr(budget).items()}
-    return results
 
 
 # ------------------------------------------------------------------- simulator
@@ -663,20 +592,14 @@ def run_benchmarks(quick: bool = False) -> dict:
     """Run every micro-benchmark; returns the JSON-ready document."""
     budget = 0.15 if quick else 1.0
     results: dict[str, float] = {}
-    # The classic sections run pinned to the pure backend so the recorded
-    # trajectory never depends on what happens to be installed; the native
-    # section then re-measures its hot paths under the best available tier.
-    with crypto_backend.use("pure"):
-        for section in (bench_group_exp, bench_schnorr, bench_threshold_shares,
-                        bench_erasure, bench_simulator, bench_dealer,
-                        bench_streaming, bench_ingress, bench_scenario,
-                        bench_shard):
-            results.update(section(budget))
-        forced = witnesses_forced_on_minted_loops()
-        powm_calls = backend_powm_honest_epoch()
-    # sets the tier itself, slice by slice
+    for section in (bench_group_exp, bench_schnorr, bench_threshold_shares,
+                    bench_erasure, bench_simulator, bench_dealer,
+                    bench_streaming, bench_ingress, bench_scenario,
+                    bench_shard):
+        results.update(section(budget))
+    forced = witnesses_forced_on_minted_loops()
+    powm_calls = backend_powm_honest_epoch()
     results.update(bench_share_combine(budget))
-    results.update(bench_native_backend(budget))
     speedups = dealer_speedups(results)
     speedups |= shard_speedups(results)
     speedups |= {
@@ -689,9 +612,6 @@ def run_benchmarks(quick: bool = False) -> dict:
             results["share_verify_single"] / results["share_verify_seed"],
         "schnorr_verify_minted_vs_long_road":
             results["schnorr_verify_minted"] / results["schnorr_verify"],
-        "schnorr_verify_minted_vs_long_road_native":
-            results["schnorr_verify_minted_native"] /
-            results["schnorr_verify_native"],
         "share_verify_minted_vs_long_road":
             results["share_verify_minted"] / results["share_verify_single"],
         "schnorr_sign_verify_minted_vs_long_road":
@@ -706,20 +626,6 @@ def run_benchmarks(quick: bool = False) -> dict:
             results["sim_events"] / results["sim_events_seed"],
         "sim_events_vs_event_objects":
             results["sim_events"] / results["sim_events_event_objects"],
-        "share_combine_native_vs_pure":
-            results["share_combine_native"] / results["share_combine"],
-        "share_combine_n4_t2_native_vs_pure":
-            results["share_combine_n4_t2_native"] /
-            results["share_combine_n4_t2"],
-        "multi_powm_wide_native_vs_pure":
-            results["multi_powm_wide_native"] / results["multi_powm_wide"],
-        "erasure_encode_native_vs_pure":
-            results["erasure_encode_native_k32"] / results["erasure_encode_k32"],
-        "erasure_decode_native_vs_pure":
-            results["erasure_decode_native_k32"] / results["erasure_decode_k32"],
-        "streaming_native_vs_pure":
-            results["streaming_tx_per_sec_native"] /
-            results["streaming_tx_per_sec"],
     }
     return {
         "schema": "repro-hotpath-bench/v1",

@@ -13,9 +13,8 @@ with short budgets and checks *same-run ratio invariants* only:
   it cannot flake: a base the honest path raises without a known log fails
   it);
 * verifying a signature or share minted in this process >= 10x verifying an
-  unstamped copy, under the pure tier and under the best available one (a
-  refactor that loses the provenance stamp lands at ~1x and would otherwise
-  quietly cost a third of every run);
+  unstamped copy (a refactor that loses the provenance stamp lands at ~1x
+  and would otherwise quietly cost a third of every run);
 * signing then verifying by the stamp >= 3x signing, computing the witness
   and verifying it the long way, for a signature and for a share, and no
   witness computed at all on a sign -> stamp-verify loop (lazy witnesses: a
@@ -28,13 +27,7 @@ with short budgets and checks *same-run ratio invariants* only:
   where a same-run rate ratio against the old kernel read anywhere from
   1.07x to 1.7x across quick runs on one 2-core VM;
 * erasure decode >= 5x the seed implementation (k=32);
-* a dealer-cache hit >= 5x a fresh n=64 domain deal;
-* with a native backend tier available, a six-term product of full-width
-  powers (``multi_powm``) >= 2.3x and the erasure decode >= 5x their same-run
-  pure rates.  Neither is a speed target: they tell a native tier that
-  loaded and is dispatched to from one that silently is not (~1x).  The
-  share *combine* is no longer that witness -- in small integers the pure
-  tier combines the lowest six signers of 16 as fast as the native one.
+* a dealer-cache hit >= 5x a fresh n=64 domain deal.
 
 Quick-mode timings are never compared against the recorded baseline:
 ``BENCH_hotpath.json`` is recorded with full budgets, and comparing a
@@ -45,11 +38,7 @@ quick run landed slow (the warmup fraction dominates sub-second budgets).
 baseline was recorded with, so absolute comparisons are meaningful.  It
 applies every quick-mode invariant plus
 
-* no gated metric more than 2x slower than ``BENCH_hotpath.json``,
-* the native-backend acceptance floor: erasure decode >= 5x the
-  pre-backend recorded rate (only enforced when a native
-  tier is available -- a pure-only environment cannot hit them and is not
-  expected to), and
+* no gated metric more than 2x slower than ``BENCH_hotpath.json``, and
 * the sharded-simulator gates: a machine-aware ``shard_speedup`` floor
   (overhead bound on one core, same-league floor with real cores) plus a
   4x4 bit-identity smoke across ``shard_workers`` 1 vs 2.
@@ -101,11 +90,9 @@ GATED_METRICS = (
     "share_sign",
     "share_verify_single",
     "share_combine",
-    "share_combine_native",
     "share_combine_n4_t2",
     "erasure_encode_k32",
     "erasure_decode_k32",
-    "erasure_decode_native_k32",
     "sim_events",
     "sim_timer_churn",
     "frame_fanout_deliveries",
@@ -126,23 +113,6 @@ MIN_LAZY_SIGN_VERIFY_VS_FORCED = 3.0
 MAX_KERNEL_CALLS_PER_EVENT = 1
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
-# Guards the native big-integer tier silently not loading, or ``multi_powm``
-# no longer dispatching to it (either reads ~1x) -- not a speed.  Recorded
-# 5.75x; the floor keeps the 2.5x headroom the combine gate it replaces had
-# (7.5x against 3.0).  Measured on a product of full-width powers because a
-# share combine cannot tell any more: its weights are small integers, and on
-# the recorded signer set the pure tier is level with the native one (0.97x).
-MIN_MULTI_POWM_NATIVE_VS_PURE = 2.3
-MIN_DECODE_NATIVE_VS_PURE = 5.0
-
-# Native acceptance floors (full mode): >= 5x the hot-path rates recorded in
-# BENCH_hotpath.json immediately before the native backend landed.  Absolute
-# ops/s, so they are specific to the machine the baseline history was
-# recorded on -- like the baseline file itself.
-PRE_BACKEND_RATES = {
-    "erasure_decode_native_k32": 225.71,  # pure erasure_decode_k32
-}
-MIN_NATIVE_VS_PRE_BACKEND = 5.0
 
 # Sharded-simulator floors (full mode), machine-aware: on a single core the
 # forked workers cannot overlap, so ``shard_speedup`` measures pure
@@ -158,7 +128,6 @@ MIN_SHARD_SPEEDUP_MULTI_CORE = 0.7
 def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
     """Same-run speedup gates that hold in quick and full mode alike."""
     speedups = document["speedups"]
-    backend_info = document["config"].get("backend", {})
 
     if speedups["group_exp_known_base_vs_pow"] < MIN_KNOWN_BASE_VS_POW:
         failures.append(
@@ -173,7 +142,6 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"{MAX_BACKEND_POWM_HONEST_EPOCH}): a base the honest path raises "
             f"has no known log")
     for name in ("schnorr_verify_minted_vs_long_road",
-                 "schnorr_verify_minted_vs_long_road_native",
                  "share_verify_minted_vs_long_road"):
         if speedups[name] < MIN_MINTED_VS_LONG_ROAD:
             failures.append(
@@ -209,28 +177,11 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"dealer-cache hit only {speedups['dealer_cache_vs_fresh']:.2f}x "
             f"a fresh n=64 domain deal (need >= {MIN_DEALER_CACHE}x)")
 
-    if backend_info.get("native_bigint_available"):
-        if speedups["multi_powm_wide_native_vs_pure"] < \
-                MIN_MULTI_POWM_NATIVE_VS_PURE:
-            failures.append(
-                f"native multi_powm only "
-                f"{speedups['multi_powm_wide_native_vs_pure']:.2f}x the pure "
-                f"path (need >= {MIN_MULTI_POWM_NATIVE_VS_PURE}x): the "
-                f"native big-integer tier is not loaded or not dispatched to")
-    if backend_info.get("native_matrix_available"):
-        if speedups["erasure_decode_native_vs_pure"] < \
-                MIN_DECODE_NATIVE_VS_PURE:
-            failures.append(
-                f"native erasure decode only "
-                f"{speedups['erasure_decode_native_vs_pure']:.2f}x the pure "
-                f"path (need >= {MIN_DECODE_NATIVE_VS_PURE}x)")
-
 
 def _check_full_mode_gates(document: dict, baseline_path: str,
                            failures: list[str]) -> None:
-    """Absolute gates: baseline regressions and native acceptance floors."""
+    """Absolute gates: regressions against the recorded baseline."""
     current = document["results_ops_per_sec"]
-    backend_info = document["config"].get("backend", {})
 
     if not os.path.exists(baseline_path):
         failures.append(
@@ -254,19 +205,6 @@ def _check_full_mode_gates(document: dict, baseline_path: str,
             failures.append(
                 f"{metric} regressed {1.0 / ratio:.2f}x "
                 f"({then:.1f} -> {now:.1f} ops/s, allowed {MAX_REGRESSION}x)")
-
-    if backend_info.get("native_bigint_available"):
-        for metric, pre_backend in PRE_BACKEND_RATES.items():
-            floor = pre_backend * MIN_NATIVE_VS_PRE_BACKEND
-            now = current.get(metric)
-            if now is None:
-                failures.append(f"{metric} missing from benchmark results")
-            elif now < floor:
-                failures.append(
-                    f"{metric} at {now:.1f} ops/s is below the native "
-                    f"acceptance floor {floor:.1f} "
-                    f"({MIN_NATIVE_VS_PRE_BACKEND}x the pre-backend "
-                    f"{pre_backend:.1f})")
 
 
 def _check_shard_gates(document: dict, failures: list[str]) -> None:
@@ -305,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="recorded BENCH_hotpath.json to compare against")
     parser.add_argument("--full", action="store_true",
                         help="run full budgets and apply the absolute gates "
-                             "(baseline comparison, native floors); the "
+                             "(baseline comparison, shard gates); the "
                              "default quick mode checks same-run ratio "
                              "invariants only")
     args = parser.parse_args(argv)
@@ -319,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_shard_gates(document, failures)
     else:
         print("quick mode: same-run ratio invariants only "
-              "(use --full for baseline and native-floor gates)")
+              "(use --full for baseline and shard gates)")
         for name, value in sorted(document["speedups"].items()):
             print(f"  {name:<38}{value:>8.2f}x")
 

@@ -20,19 +20,6 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={
-        "repro.testbed": ["packs/*.json"],
-        # The libgmp shim source ships with the package so the compiled
-        # tier of repro.crypto.backend can build itself from an installed
-        # wheel, not just a source checkout.
-        "repro.crypto.backend": ["*.c"],
-    },
-    install_requires=["numpy"],
-    extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        # Optional acceleration tier for REPRO_CRYPTO_BACKEND=auto/native;
-        # without it the backend probes the system libgmp, then falls back
-        # to pure Python.
-        "native": ["gmpy2>=2.1"],
-    },
+    package_data={"repro.testbed": ["packs/*.json"]},
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -35,9 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
-from repro.crypto import backend as crypto_backend
-from repro.crypto.backend.matrix import MAX_INNER_DIM
-
 _PRIME = 2**31 - 1
 _CHUNK_BYTES = 3  # 24-bit chunks always fit below 2^31 - 1
 
@@ -120,33 +117,6 @@ def _interpolate_via_matrix(points: tuple[int, ...],
             for column in columns]
 
 
-def _matrix_engine(inner_dim: int):
-    """The active native matrix engine when it can handle ``inner_dim``.
-
-    ``None`` under the pure backend (the default), when numpy is absent, or
-    when the inner dimension would overflow the int64 limb accumulation --
-    callers fall back to the pure scalar path in every such case.
-    """
-    if inner_dim > MAX_INNER_DIM:
-        return None
-    return crypto_backend.matrix_engine()
-
-
-@lru_cache(maxsize=128)
-def _vandermonde_rows(points: tuple[int, ...],
-                      width: int) -> tuple[tuple[int, ...], ...]:
-    """Evaluation-matrix rows ``point^degree`` for degrees ``0..width-1``."""
-    return tuple(tuple(pow(point, degree, _PRIME) for degree in range(width))
-                 for point in points)
-
-
-def _matmul_rows(engine, rows, vectors: list[list[int]]) -> list[list[int]]:
-    """``rows @ vectors`` over ``F_p`` as lists of Python ints."""
-    product = engine.matmul_mod(engine.matrix(rows), engine.matrix(vectors),
-                                _PRIME)
-    return product.tolist()
-
-
 def encode_blocks(data: bytes, num_data_blocks: int, num_blocks: int,
                   systematic: bool = False) -> list[ErasureBlock]:
     """Encode ``data`` into ``num_blocks`` blocks, any ``num_data_blocks`` of
@@ -174,17 +144,6 @@ def encode_blocks(data: bytes, num_data_blocks: int, num_blocks: int,
         groups.append(group)
     if systematic:
         return _encode_systematic(data, groups, num_data_blocks, num_blocks)
-    engine = _matrix_engine(num_data_blocks)
-    if engine is not None:
-        vandermonde = _vandermonde_rows(tuple(range(1, num_blocks + 1)),
-                                        num_data_blocks)
-        transposed = [[group[degree] for group in groups]
-                      for degree in range(num_data_blocks)]
-        evaluations = _matmul_rows(engine, vandermonde, transposed)
-        return [ErasureBlock(index=index, point=index + 1, values=tuple(row),
-                             payload_length=len(data),
-                             num_data_blocks=num_data_blocks)
-                for index, row in enumerate(evaluations)]
     prime = _PRIME
     blocks = []
     for index in range(num_blocks):
@@ -214,24 +173,6 @@ def _encode_systematic(data: bytes, groups: list[list[int]],
                                    num_data_blocks=num_data_blocks,
                                    systematic=True))
     if num_blocks > num_data_blocks:
-        engine = _matrix_engine(num_data_blocks)
-        if engine is not None:
-            basis = _lagrange_basis_columns(data_points)
-            transposed = [[group[i] for group in groups]
-                          for i in range(num_data_blocks)]
-            coefficients = _matmul_rows(engine, basis, transposed)
-            parity_points = tuple(range(num_data_blocks + 1, num_blocks + 1))
-            evaluations = _matmul_rows(
-                engine, _vandermonde_rows(parity_points, num_data_blocks),
-                coefficients)
-            for offset, row in enumerate(evaluations):
-                index = num_data_blocks + offset
-                blocks.append(ErasureBlock(index=index, point=index + 1,
-                                           values=tuple(row),
-                                           payload_length=len(data),
-                                           num_data_blocks=num_data_blocks,
-                                           systematic=True))
-            return blocks
         coefficient_groups = [_interpolate_via_matrix(data_points, group)
                               for group in groups]
         for index in range(num_data_blocks, num_blocks):
@@ -304,20 +245,6 @@ def decode_blocks(blocks: list[ErasureBlock]) -> bytes:
         # Pass-through: the selected blocks hold the payload chunks directly.
         chunks = [block.values[poly_index] for poly_index in range(num_polynomials)
                   for block in selected]
-        return _unchunk(chunks, payload_length)
-    engine = _matrix_engine(num_data_blocks)
-    if engine is not None:
-        evaluations = [list(block.values) for block in selected]
-        result = _matmul_rows(engine, _lagrange_basis_columns(points),
-                              evaluations)
-        if systematic:
-            # The payload chunks are the evaluations at points 1..k.
-            result = _matmul_rows(
-                engine, _vandermonde_rows(data_points, num_data_blocks),
-                result)
-        chunks = [result[row][poly_index]
-                  for poly_index in range(num_polynomials)
-                  for row in range(num_data_blocks)]
         return _unchunk(chunks, payload_length)
     chunks = []
     for poly_index in range(num_polynomials):

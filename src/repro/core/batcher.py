@@ -66,8 +66,6 @@ class TransportConfig:
     #: a node re-broadcasts its state if it has not received any frame for
     #: this long while unfinished instances remain
     stall_threshold_s: float = 3.0
-    #: whether packets carry a public-key digital signature
-    sign_packets: bool = True
     #: interface name to broadcast on
     interface: Optional[str] = None
 
@@ -184,17 +182,21 @@ class BaseTransport:
 
     # ---------------------------------------------------------------- receive
     def handle_frame(self, sender: int, payload: Any) -> None:
-        """Entry point bound as the node's protocol stack."""
+        """Entry point bound as the node's protocol stack.
+
+        Every packet's signature is checked against its claimed sender, and
+        only that sender's own messages are delivered from it.
+        """
         node = self.node
         now = node.sim.now
         self._last_rx_time = now
         self._packets_received += 1
         if not isinstance(payload, Packet):
             return
-        if self.config.sign_packets and payload.signed:
-            digest = self._packet_digest(payload)
-            if not self.suite.verify(payload.sender, digest, payload.signature):
-                return
+        signer = payload.sender
+        if not self.suite.verify(signer, self._packet_digest(payload),
+                                 payload.signature):
+            return
         receiver = self._receiver
         released = self._released_tags
         nack_kind = self.NACK_KIND
@@ -205,6 +207,8 @@ class BaseTransport:
         # rest of the run stores nothing.
         family_kind = family_tag = stats = None
         for message in payload.messages:
+            if message.sender != signer:
+                continue  # a signer speaks only for itself
             kind = message.kind
             if kind == nack_kind:
                 self._on_nack_request(message)
@@ -230,12 +234,7 @@ class BaseTransport:
         return packet.digest
 
     def _finalize_packet(self, packet: Packet) -> Packet:
-        if self.config.sign_packets:
-            packet.signature = self.suite.sign(self._packet_digest(packet))
-            packet.signed = True
-        else:
-            packet.signature = None
-            packet.signed = False
+        packet.signature = self.suite.sign(self._packet_digest(packet))
         return packet
 
     # ------------------------------------------------------------ reliability

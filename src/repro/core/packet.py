@@ -125,7 +125,6 @@ class Packet:
     group: tuple = ()
     nack_bits: int = 0
     size_bytes: int = 0
-    signed: bool = True
     signature: Any = None
     #: transcript digest cached at signing time; packets are immutable after
     #: finalisation and the same object reaches every simulated receiver, so

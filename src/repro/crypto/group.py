@@ -161,7 +161,7 @@ class Group:
 
         A base whose discrete log this process knows (see
         :class:`_Generator`) is answered as ``g^(log * exponent)`` from the
-        fixed-base table, any other by the active crypto backend.
+        fixed-base table, any other by :func:`repro.crypto.backend.powm`.
         """
         generator = _generator(self.p, self.q, self.g)
         log = generator.log(base)

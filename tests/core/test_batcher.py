@@ -135,8 +135,8 @@ class TestBatchedTransport:
         assert len(received[3]) == before  # rejected
 
     def test_malformed_signature_drops_the_packet_not_the_run(self):
-        """A peer controls every packet field: ``signed=True`` with no (or a
-        wrong-typed) signature or sender is a bad packet, not an exception."""
+        """A peer controls every packet field: no (or a wrong-typed)
+        signature or sender is a bad packet, not an exception."""
         deployment = build_cluster(batched=True, seed=7)
         received = install_collectors(deployment)
         transports = transports_of(deployment)
@@ -157,6 +157,33 @@ class TestBatchedTransport:
         transports[3].handle_frame(0, packet)
         deployment.shutdown()
         assert len(received[3]) == 1
+
+    def test_a_packet_claiming_to_be_unsigned_is_still_verified(self):
+        """No packet field lets a receiver skip verification: a packet that
+        a peer marks ``signed = False`` and sends without a signature is
+        dropped."""
+        deployment = build_cluster(batched=True, seed=7)
+        received = install_collectors(deployment)
+        packet = Packet(sender=0, signature=None, messages=[
+            make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t")])
+        packet.signed = False
+        transports_of(deployment)[1].handle_frame(0, packet)
+        deployment.shutdown()
+        assert not received[1]
+
+    def test_a_signer_cannot_speak_for_another_node(self):
+        """Node 3 validly signs a packet carrying a message that claims
+        node 0 as its sender: the message is dropped, node 3's own kept."""
+        deployment = build_cluster(batched=True, seed=7)
+        received = install_collectors(deployment)
+        transports = transports_of(deployment)
+        forged = make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t")
+        own = make_message("rbc", 1, "echo", 3, {"hash": "h"}, tag="t")
+        packet = transports[3]._finalize_packet(
+            Packet(sender=3, messages=[forged, own], group=("rbc_er", "t")))
+        transports[1].handle_frame(3, packet)
+        deployment.shutdown()
+        assert received[1] == [own]
 
     def test_nack_repair_recovers_missing_state(self):
         deployment = build_cluster(batched=True, seed=6)
@@ -259,8 +286,8 @@ class TestReceiveLoop:
                 messages += [make_message(kind, index, "echo", 0, None, tag=tag)
                              for index in range(rng.randrange(1, 4))]
             releases = {rng.randrange(12): rng.choice(roots) for _ in range(2)}
-            packet = Packet(sender=0, messages=messages, group=("g",),
-                            signed=False)
+            packet = deployment.runtimes[0].transport._finalize_packet(
+                Packet(sender=0, messages=messages, group=("g",)))
             seen = {}
             for transport in (fast, slow):
                 seen[transport] = []

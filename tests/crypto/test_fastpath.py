@@ -7,10 +7,16 @@ kept as ``*_reference`` functions in ``tests/reference.py`` exactly so these
 tests can compare them.
 """
 
+import os
 import random
+import subprocess
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.crypto import backend
 from repro.crypto.fastpath import (
     FixedBaseTable,
     jacobi,
@@ -99,6 +105,114 @@ class TestMultiExp:
 
     def test_empty_product_is_identity(self):
         assert multi_exp([], DEFAULT_GROUP.p) == 1
+
+
+class TestBackendCalls:
+    """The three big-integer calls the crypto layer makes through
+    :mod:`repro.crypto.backend` are ``pow`` and the fastpath helpers."""
+
+    def test_current_mode_is_pure(self):
+        assert backend.current_mode() == "pure"
+
+    def test_backend_info_reports_the_pure_path(self):
+        assert backend.backend_info() == {"mode": "pure", "bigint": "pure",
+                                          "matrix": "pure"}
+
+    def test_match_pow_multi_exp_and_jacobi_on_a_random_grid(self):
+        p, q = DEFAULT_GROUP.p, DEFAULT_GROUP.q
+        rnd = random.Random(5)
+        for count in range(9):
+            pairs = [(rnd.randrange(2 * p), rnd.randrange(q))
+                     for _ in range(count)]
+            for base, exponent in pairs:
+                modulus = rnd.choice((p, rnd.randrange(1, p)))
+                assert backend.powm(base, exponent, modulus) == \
+                    pow(base, exponent, modulus)
+                assert backend.jacobi(base, p) == jacobi(base, p)
+            assert backend.multi_powm(pairs, p) == multi_exp(pairs, p)
+
+    @given(base=st.integers(min_value=0, max_value=DEFAULT_GROUP.p * 2),
+           exponent=st.integers(min_value=0, max_value=DEFAULT_GROUP.q),
+           modulus=st.integers(min_value=1, max_value=DEFAULT_GROUP.p))
+    @settings(max_examples=60, deadline=None)
+    def test_powm_matches_pow(self, base, exponent, modulus):
+        assert backend.powm(base, exponent, modulus) == \
+            pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("base, exponent, modulus", [
+        (0, 0, 7), (0, 5, 7), (5, 0, 7), (7, 3, 1),
+        (DEFAULT_GROUP.p - 1, DEFAULT_GROUP.q, DEFAULT_GROUP.p),
+        (DEFAULT_GROUP.p + 3, 2, DEFAULT_GROUP.p)])
+    def test_powm_edge_cases(self, base, exponent, modulus):
+        assert backend.powm(base, exponent, modulus) == \
+            pow(base, exponent, modulus)
+
+    def test_powm_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError):
+            backend.powm(3, -1, 7)
+
+    @given(count=st.integers(min_value=0, max_value=8),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_multi_powm_is_the_product_of_powers(self, count, seed):
+        p, q = DEFAULT_GROUP.p, DEFAULT_GROUP.q
+        rnd = random.Random(seed)
+        pairs = [(rnd.randrange(p), rnd.randrange(q)) for _ in range(count)]
+        expected = 1
+        for base, exponent in pairs:
+            expected = expected * pow(base, exponent, p) % p
+        assert backend.multi_powm(pairs, p) == expected
+
+    def test_multi_powm_empty_is_identity(self):
+        assert backend.multi_powm([], DEFAULT_GROUP.p) == 1
+
+    def test_multi_powm_rejects_a_negative_exponent(self):
+        with pytest.raises(ValueError):
+            backend.multi_powm([(3, -1)], DEFAULT_GROUP.p)
+
+    @given(value=st.integers(min_value=-DEFAULT_GROUP.p,
+                             max_value=DEFAULT_GROUP.p * 2))
+    @settings(max_examples=60, deadline=None)
+    def test_jacobi_is_eulers_criterion_on_the_group_prime(self, value):
+        p = DEFAULT_GROUP.p
+        euler = pow(value, (p - 1) // 2, p)
+        assert backend.jacobi(value, p) == {0: 0, 1: 1, p - 1: -1}[euler]
+
+    @pytest.mark.parametrize("modulus", [8, 2, 0, -3])
+    def test_jacobi_rejects_a_modulus_that_is_not_odd_and_positive(
+            self, modulus):
+        with pytest.raises(ValueError):
+            backend.jacobi(3, modulus)
+
+    def test_backend_info_loads_no_native_machinery(self):
+        """Reporting the path probes nothing: no numpy, no ctypes and no
+        compiler subprocess in a fresh interpreter."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        probe = ("import sys\n"
+                 "from repro.crypto.backend import backend_info\n"
+                 "assert backend_info()['mode'] == 'pure'\n"
+                 "print(sorted({'numpy', 'ctypes', 'subprocess'}"
+                 " & set(sys.modules)))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == "[]"
+
+    def test_no_module_reaches_for_native_arithmetic(self):
+        """One big-integer path: no source module names a native arithmetic
+        library or build tool, or a backend-selection variable."""
+        root = os.path.dirname(repro.__file__)
+        banned = ("numpy", "ctypes", "subprocess", "gmpy2",
+                  "REPRO_CRYPTO_BACKEND")
+        found = []
+        for directory, _subdirs, files in os.walk(root):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(directory, name)) as handle:
+                    text = handle.read()
+                found += [(name, word) for word in banned if word in text]
+        assert found == []
 
 
 class TestHashing:

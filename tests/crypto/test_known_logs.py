@@ -19,8 +19,7 @@ properties are pinned here:
 * **process-local** -- nothing pickled carries the memo.
 
 Each test that counts or bounds entries builds its own memo
-(``fresh_memo``), so no other test's state reaches it.  The suite runs in
-every leg of the CI backend matrix: a known base never reaches the backend.
+(``fresh_memo``), so no other test's state reaches it.
 """
 
 import pickle

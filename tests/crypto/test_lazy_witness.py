@@ -4,14 +4,11 @@ read of a declared field.  Pinned here:
 
 * the forced artefact is the eager one -- ``repr``, pickle bytes and the RNG
   state after each call were recorded with the eager makers (the commit
-  before the witnesses went lazy), under the pure tier and the gmp shim;
+  before the witnesses went lazy);
 * what must not force does not: ``size_bytes``, a ``hasattr`` probe, a
   stamp-path verify;
 * what reads a field forces, agrees with an eager twin, and a pickle carries
   the public fields only -- never the secret or the nonce.
-
-Backend-independent by the determinism contract: CI runs this file under
-every big-integer tier.
 """
 
 import copy

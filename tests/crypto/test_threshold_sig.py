@@ -1,5 +1,6 @@
 """Tests for (t, n) threshold signatures."""
 
+import hashlib
 import random
 
 import pytest
@@ -139,3 +140,20 @@ class TestThresholdSignatures:
         shares = [scheme.sign_share(message, rng) for scheme in schemes[:threshold]]
         signature = schemes[-1].combine(message, shares)
         assert schemes[0].verify_signature(message, signature)
+
+    def test_transcript_digest_is_pinned(self):
+        """One deal/sign/combine transcript, hashed: the group elements and
+        proofs every recorded run used, whatever computes them."""
+        rng = random.Random(99)
+        schemes = deal_threshold_sig(7, 3, rng)
+        message = b"backend-identity"
+        shares = [scheme.sign_share(message, rng) for scheme in schemes[:5]]
+        signature = schemes[0].combine(message, shares)
+        hasher = hashlib.sha256()
+        hasher.update(signature.value.to_bytes(40, "big"))
+        for share in shares:
+            hasher.update(share.value.to_bytes(40, "big"))
+            hasher.update(share.proof.commitment_g.to_bytes(40, "big"))
+            hasher.update(share.proof.commitment_h.to_bytes(40, "big"))
+            hasher.update(share.proof.response.to_bytes(40, "big"))
+        assert hasher.hexdigest()[:32] == "38f389556e54f3e58447083c167811b4"

@@ -156,8 +156,7 @@ def test_backbone_transport_config_copies_every_field():
     with only the interface overridden -- field by field, so a new
     ``TransportConfig`` field cannot be dropped on the backbone alone."""
     custom = TransportConfig(
-        resend_interval_s=7.5, resend_jitter=0.25, stall_threshold_s=5.5,
-        sign_packets=False)
+        resend_interval_s=7.5, resend_jitter=0.25, stall_threshold_s=5.5)
     defaults = TransportConfig()
     overridden = {"interface"}
     for config_field in dataclasses.fields(TransportConfig):
