@@ -13,8 +13,8 @@ Usage::
 
 import argparse
 
-from repro.core.nack import CompressedNack, PerInstanceNack
 from repro.core.overhead import MessageOverheadModel
+from repro.core.packet import PacketSizer
 from repro.testbed import run_aba_experiment, run_broadcast_experiment
 from repro.testbed.reporting import format_table
 
@@ -59,12 +59,13 @@ def main() -> None:
         rows,
         title=f"Message overhead per node and latency, N = {n} parallel instances"))
 
-    naive = PerInstanceNack(num_instances=n, num_nodes=n)
-    compressed = CompressedNack(num_instances=n)
+    sizer = PacketSizer(n)
+    naive_bits = n * sizer.baseline_nack_bits
+    compressed_bits = sizer.batched_nack_bits
     print(f"\nNACK encoding for {n} batched instances: "
-          f"{naive.size_bits()} bits naive (O(N^2)) vs "
-          f"{compressed.size_bits()} bits compressed (O(N)) -- "
-          f"a {naive.size_bits() / compressed.size_bits():.0f}x saving in packet space.")
+          f"{naive_bits} bits naive (O(N^2)) vs "
+          f"{compressed_bits} bits compressed (O(N)) -- "
+          f"a {naive_bits / compressed_bits:.0f}x saving in packet space.")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ with every substrate it depends on:
   (threshold signatures, threshold coin flipping, threshold encryption) and
   digital signatures, with per-curve size/latency profiles taken from the
   paper's Figure 10.
-* :mod:`repro.core` -- the ConsensusBatcher itself: packet field model, the
-  packet formats of Figures 4-6, NACK compression, vertical and horizontal
+* :mod:`repro.core` -- the ConsensusBatcher itself: the packet model of
+  Figures 4-6 (field widths and NACK compression), vertical and horizontal
   batching, the DMA alignment model and the analytical message-overhead model
   of Table I.
 * :mod:`repro.components` -- consensus components: Bracha/Cachin reliable

@@ -15,29 +15,13 @@ NACK cost from O(N^2) to O(N) bits.
 
 Modules
 -------
-:mod:`~repro.core.packet`   the logical message and packet model plus the size estimator
-:mod:`~repro.core.formats`  the packet formats of Figures 4, 5 and 6
-:mod:`~repro.core.nack`     compressed NACK bitmaps
+:mod:`~repro.core.packet`   the logical message and the packet model (Figs. 4-6)
 :mod:`~repro.core.batcher`  the batched (ConsensusBatcher) and baseline transports
 :mod:`~repro.core.dma`      the DMA buffer/alignment model (Section IV-B.2)
 :mod:`~repro.core.overhead` the analytical message-overhead model of Table I
 """
 
 from repro.core.packet import ComponentMessage, Packet, PacketSizer, SizeProfile
-from repro.core.nack import CompressedNack, PerInstanceNack
-from repro.core.formats import (
-    FieldSpec,
-    PacketFormat,
-    rbc_init_format,
-    rbc_er_format,
-    rbc_small_format,
-    cbc_init_format,
-    cbc_ef_format,
-    cbc_small_format,
-    prbc_done_format,
-    aba_lc_format,
-    aba_sc_format,
-)
 from repro.core.batcher import (
     TransportConfig,
     BaseTransport,
@@ -52,19 +36,6 @@ __all__ = [
     "Packet",
     "PacketSizer",
     "SizeProfile",
-    "CompressedNack",
-    "PerInstanceNack",
-    "FieldSpec",
-    "PacketFormat",
-    "rbc_init_format",
-    "rbc_er_format",
-    "rbc_small_format",
-    "cbc_init_format",
-    "cbc_ef_format",
-    "cbc_small_format",
-    "prbc_done_format",
-    "aba_lc_format",
-    "aba_sc_format",
     "TransportConfig",
     "BaseTransport",
     "BaselineTransport",

@@ -275,7 +275,9 @@ class BaseTransport:
             sender=self.local_id,
             payload={"family_kind": kind, "family_tag": tag,
                      "instances": sorted(instances)},
-            payload_bytes=max(1, (self.num_nodes + 7) // 8), tag=tag)
+            payload_bytes=self.sizer.profile.nack_bytes(
+                self.sizer.batched_nack_bits),
+            tag=tag)
         packet = Packet(sender=self.local_id, messages=[request],
                         group=(self.NACK_KIND, kind, tag))
         packet.size_bytes = self.sizer.baseline_packet_bytes(request)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 
 class OverheadError(ValueError):
-    """Raised for invalid parameters (e.g. N < 1)."""
+    """Raised for invalid parameters (N < 2, an unknown component name)."""
 
 
 @dataclass(frozen=True)
@@ -38,20 +38,6 @@ class OverheadRow:
     wired: int
     wireless_baseline: int
     consensus_batcher: int
-
-    @property
-    def batcher_vs_baseline(self) -> float:
-        """Reduction factor of ConsensusBatcher over the wireless baseline."""
-        if self.consensus_batcher == 0:
-            return float("inf")
-        return self.wireless_baseline / self.consensus_batcher
-
-    @property
-    def baseline_vs_wired(self) -> float:
-        """Reduction factor of the wireless baseline over the wired network."""
-        if self.wireless_baseline == 0:
-            return float("inf")
-        return self.wired / self.wireless_baseline
 
 
 class MessageOverheadModel:
@@ -110,31 +96,11 @@ class MessageOverheadModel:
                 self.bracha_aba(), self.cachin_aba()]
 
     def row(self, component: str) -> OverheadRow:
-        """Look up one row by (case-insensitive) component name."""
-        lookup = {
-            "rbc": self.rbc,
-            "cbc": self.cbc,
-            "prbc": self.prbc,
-            "bracha's aba": self.bracha_aba,
-            "bracha": self.bracha_aba,
-            "aba-lc": self.bracha_aba,
-            "cachin's aba": self.cachin_aba,
-            "cachin": self.cachin_aba,
-            "aba-sc": self.cachin_aba,
-        }
-        try:
-            return lookup[component.strip().lower()]()
-        except KeyError as exc:
-            raise OverheadError(
-                f"unknown component {component!r}; known: {sorted(lookup)}") from exc
-
-    def as_dict(self) -> dict[str, dict[str, int]]:
-        """The table as nested dictionaries (for reporting / JSON output)."""
-        return {
-            row.component: {
-                "wired": row.wired,
-                "wireless_baseline": row.wireless_baseline,
-                "consensus_batcher": row.consensus_batcher,
-            }
-            for row in self.table()
-        }
+        """Look up one row by its component name (``"RBC"``, ...,
+        ``"Cachin's ABA"``)."""
+        for row in self.table():
+            if row.component == component:
+                return row
+        raise OverheadError(
+            f"unknown component {component!r}; known: "
+            f"{[row.component for row in self.table()]}")

@@ -1,4 +1,4 @@
-"""Logical component messages, packets and the packet-size model.
+"""Logical component messages, packets and the packet model of Figs. 4-6.
 
 Consensus components exchange *logical messages* (an ECHO vote for RBC
 instance 3, a coin share for ABA round 2, ...).  How logical messages map to
@@ -11,9 +11,10 @@ on-air packets is the whole point of ConsensusBatcher:
   packet following the formats of Figures 4-6 and pays one channel access for
   all of them.
 
-:class:`PacketSizer` turns a batch of logical messages into a byte size using
-the field widths of the paper's packet structures, so that airtime and
-fragmentation reflect what batching does to packet length.
+:class:`PacketSizer` is the one packet model: it turns a batch of logical
+messages into the byte size of the packet that carries them, using the field
+widths of the paper's packet structures, so that airtime and fragmentation
+reflect what batching does to packet length.
 """
 
 from __future__ import annotations
@@ -161,8 +162,11 @@ class PacketSizer:
     The rules follow Section IV-C and Figures 4-6:
 
     * every packet carries a header and one public-key digital signature;
-    * a batched packet carries one compressed NACK of N bits per phase group
-      (O(N)); a baseline packet carries a per-instance NACK of N-1 bits;
+    * a baseline packet carries its instance's NACK: one bit per peer
+      (``baseline_nack_bits`` = N-1), so N instances cost N(N-1) bits;
+    * a batched packet carries one compressed NACK per phase: one bit per
+      instance, set while it lacks its quorum (``batched_nack_bits`` = N),
+      which is Section IV-C.1's O(N^2) -> O(N) saving;
     * non-INITIAL phases identify each instance by a hash (batched packets
       carry each instance's hash once, however many phases reference it);
     * small-value phases (votes) cost bits, not hashes;
@@ -175,6 +179,10 @@ class PacketSizer:
             raise ValueError(f"num_nodes must be positive, got {num_nodes}")
         self.num_nodes = num_nodes
         self.profile = profile or SizeProfile()
+        #: NACK width of a baseline packet: one bit per peer
+        self.baseline_nack_bits = num_nodes - 1
+        #: NACK width per phase of a batched packet: one bit per instance
+        self.batched_nack_bits = num_nodes
 
     # ------------------------------------------------------------- baseline
     def baseline_packet_bytes(self, message: ComponentMessage) -> int:
@@ -182,7 +190,7 @@ class PacketSizer:
         profile = self.profile
         size = profile.header_bytes + profile.routing_bytes
         size += profile.digital_signature_bytes
-        size += profile.nack_bytes(self.num_nodes - 1)
+        size += profile.nack_bytes(self.baseline_nack_bits)
         if message.phase in PROPOSAL_PHASES:
             size += max(message.payload_bytes, 1)
         elif message.phase in VOTE_PHASES:
@@ -211,8 +219,8 @@ class PacketSizer:
         if not messages:
             return size
         phases = {message.phase for message in messages}
-        # one compressed N-bit NACK per phase present in the packet
-        size += len(phases) * profile.nack_bytes(self.num_nodes)
+        # one compressed NACK per phase present in the packet
+        size += len(phases) * profile.nack_bytes(self.batched_nack_bits)
         # instance identification: one hash per distinct instance for
         # non-small formats (unless the only phase is INITIAL, which carries
         # the proposal itself)
@@ -225,8 +233,8 @@ class PacketSizer:
             if message.phase in PROPOSAL_PHASES:
                 size += max(message.payload_bytes, 1)
             elif message.phase in VOTE_PHASES:
-                # Votes across N instances pack into bitmaps: 2 bits each.
-                size += 1 if small_values else 1
+                # one byte per vote message (Figs. 4-6 pack N-bit bitmaps)
+                size += 1
             elif message.payload_bytes > 0 and message.phase not in SHARE_PHASES:
                 size += message.payload_bytes
             if message.share_bytes > 0:

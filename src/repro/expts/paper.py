@@ -18,8 +18,8 @@ from __future__ import annotations
 import random
 
 from repro.core.dma import DmaConfig
-from repro.core.nack import CompressedNack, PerInstanceNack
 from repro.core.overhead import MessageOverheadModel
+from repro.core.packet import PacketSizer
 from repro.crypto.curves import (
     EC_CURVES,
     THRESHOLD_CURVES,
@@ -676,11 +676,12 @@ def ablation_dma_cell(params: dict) -> list:
 
 
 def ablation_nack_cell(params: dict) -> list:
-    """NACK bitmap size: naive O(N^2) vs. compressed O(N) encoding."""
+    """NACK bits for N instances: one baseline packet per instance (O(N^2))
+    vs. the batched packet's one compressed field per phase (O(N))."""
     num_nodes = params["num_nodes"]
-    naive = PerInstanceNack(num_instances=num_nodes, num_nodes=num_nodes)
-    compressed = CompressedNack(num_instances=num_nodes)
-    naive_bits, compressed_bits = naive.size_bits(), compressed.size_bits()
+    sizer = PacketSizer(num_nodes)
+    naive_bits = num_nodes * sizer.baseline_nack_bits
+    compressed_bits = sizer.batched_nack_bits
     assert compressed_bits < naive_bits
     return [
         ["NACK encoding", f"N={num_nodes} naive O(N^2)", "bits",

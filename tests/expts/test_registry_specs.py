@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.expts import all_specs, registry
+from repro.expts.paper import ABLATIONS, ablation_nack_cell
 from repro.expts.specs import ExperimentSpec, SpecError, params_key
 
 
@@ -31,6 +32,16 @@ def test_registry_contains_every_figure_and_table():
     assert {"fig10a", "fig10b", "fig10c", "fig10d", "fig11a", "fig11b",
             "fig12a", "fig12b", "fig13a", "fig13b", "table1", "ablations",
             "improvement-summary"} <= ids
+
+
+@pytest.mark.parametrize("num_nodes, naive_bits, compressed_bits",
+                         [(4, 12, 4), (10, 90, 10), (16, 240, 16)])
+def test_nack_ablation_pins_every_grid_point(num_nodes, naive_bits,
+                                             compressed_bits):
+    params = {"ablation": "nack-encoding", "num_nodes": num_nodes}
+    assert params in ABLATIONS.grid
+    rows = ablation_nack_cell(params)
+    assert [row[3] for row in rows] == [naive_bits, compressed_bits]
 
 
 def test_registered_specs_have_unique_ids_and_anchors():

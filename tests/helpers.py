@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.components.base import ComponentContext, ComponentRouter
-from repro.core.packet import ComponentMessage
+from repro.core.batcher import ConsensusBatcherTransport
+from repro.core.packet import ComponentMessage, Packet
 from repro.crypto.digital_sig import generate_keyring
 from repro.crypto.threshold_coin import deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
@@ -169,6 +171,42 @@ def build_cluster(num_nodes: int = 4, batched: bool = True,
     """A real simulated single-hop deployment for integration tests."""
     scenario = Scenario.single_hop(num_nodes, **scenario_overrides)
     return build_deployment(scenario, batched=batched, seed=seed)
+
+
+@contextmanager
+def capture_batched_packets():
+    """Collect every packet a :class:`ConsensusBatcherTransport` builds
+    while the block runs (yields the list the packets are appended to)."""
+    packets: list[Packet] = []
+    original = ConsensusBatcherTransport._make_packet
+
+    def recording(self, group, messages):
+        packet = original(self, group, messages)
+        packets.append(packet)
+        return packet
+
+    ConsensusBatcherTransport._make_packet = recording
+    try:
+        yield packets
+    finally:
+        ConsensusBatcherTransport._make_packet = original
+
+
+def full_instance_packets(packets: list[Packet]) -> dict[str, list[Packet]]:
+    """The packets of each group (``rbc_er``, ``aba_sc``, ...: the first
+    element of the batcher's group key) that carry as many distinct instances
+    as any packet of that group did -- the full Fig. 4-6 layouts of a run."""
+    by_group: dict[str, list[Packet]] = {}
+    for packet in packets:
+        by_group.setdefault(packet.group[0], []).append(packet)
+    full = {}
+    for name, group in by_group.items():
+        widths = [len({message.instance for message in packet.messages})
+                  for packet in group]
+        widest = max(widths)
+        full[name] = [packet for packet, width in zip(group, widths)
+                      if width == widest]
+    return full
 
 
 def run_until(deployment: Deployment, predicate: Callable[[], bool],

@@ -1,17 +1,21 @@
 """Ablation-style integration tests for the design choices DESIGN.md calls out.
 
 These cover the knobs the paper motivates qualitatively: the DMA alignment
-optimisation, the radio profile, the small-value packet formats fitting a
-single LoRa frame, and the multi-hop backbone forwarding cost.
+optimisation, the radio profile, the batched packets fitting a single LoRa
+frame, and the multi-hop backbone forwarding cost.
 """
 
 import pytest
 
 from repro.core.dma import DmaConfig
-from repro.core.formats import aba_sc_format, rbc_er_format, rbc_small_format
 from repro.net.radio import LORA_SF7_125KHZ, WIFI_LIKE
-from repro.testbed.harness import run_broadcast_experiment, run_consensus
+from repro.testbed.harness import (
+    run_aba_experiment,
+    run_broadcast_experiment,
+    run_consensus,
+)
 from repro.testbed.scenarios import Scenario
+from tests.helpers import capture_batched_packets, full_instance_packets
 
 
 class TestDmaAlignmentAblation:
@@ -39,20 +43,37 @@ class TestRadioProfileAblation:
         assert fast.latency_s < slow.latency_s / 2
 
 
-class TestPacketParallelismBudget:
-    def test_small_value_formats_fit_one_lora_frame_at_n4(self):
-        # The paper's packet-parallelism argument: the batched small-value
-        # formats for N=4 must fit one maximum-size frame.
-        frame_budget = LORA_SF7_125KHZ.max_payload_bytes
-        assert rbc_small_format(4).total_bytes <= frame_budget
-        assert aba_sc_format(4, parallel_instances=4).total_bytes <= frame_budget
+def _full_packet_sizes(run) -> dict[str, list[int]]:
+    """Sizes of the full-instance packets the batcher builds during ``run``."""
+    with capture_batched_packets() as packets:
+        assert run().completed
+    return {group: [packet.size_bytes for packet in full]
+            for group, full in full_instance_packets(packets).items()}
 
-    def test_full_rbc_er_format_fits_one_frame_at_n4(self):
-        assert rbc_er_format(4).total_bytes <= LORA_SF7_125KHZ.max_payload_bytes
+
+class TestPacketParallelismBudget:
+    def test_small_value_packets_fit_one_lora_frame_at_n4(self):
+        # The paper's packet-parallelism argument: the batched small-value
+        # packets for N=4 must fit one maximum-size frame.
+        frame_budget = LORA_SF7_125KHZ.max_payload_bytes
+        small = _full_packet_sizes(lambda: run_broadcast_experiment(
+            "rbc-small", parallelism=4, batched=True, seed=45))
+        aba = _full_packet_sizes(lambda: run_aba_experiment(
+            "sc", parallel_instances=4, batched=True, seed=45))
+        assert max(small["rbc_small"]) <= frame_budget
+        assert max(aba["aba_sc"]) <= frame_budget
+
+    def test_full_rbc_er_packet_fits_one_frame_at_n4(self):
+        sizes = _full_packet_sizes(lambda: run_broadcast_experiment(
+            "rbc", parallelism=4, batched=True, seed=45))
+        assert max(sizes["rbc_er"]) <= LORA_SF7_125KHZ.max_payload_bytes
 
     @pytest.mark.parametrize("num_nodes", [4, 7, 10])
-    def test_format_growth_is_linear_in_n(self, num_nodes):
-        per_node = rbc_er_format(num_nodes).total_bytes / num_nodes
+    def test_rbc_er_growth_is_linear_in_n(self, num_nodes):
+        sizes = _full_packet_sizes(lambda: run_broadcast_experiment(
+            "rbc", parallelism=num_nodes, num_nodes=num_nodes, batched=True,
+            seed=45))
+        per_node = max(sizes["rbc_er"]) / num_nodes
         assert per_node < 64  # dominated by one 32-byte hash per instance
 
 

@@ -39,7 +39,7 @@ class TestBroadcastExperiments:
         model = MessageOverheadModel(4)
         result = run_broadcast_experiment("rbc", parallelism=4, batched=True, seed=3)
         per_node = result.channel_accesses_per_node
-        assert per_node <= 2 * model.rbc().consensus_batcher + 2
+        assert per_node <= 2 * model.row("RBC").consensus_batcher + 2
 
     def test_rbc_small_cheaper_than_rbc(self):
         small = run_broadcast_experiment("rbc-small", parallelism=4, batched=True,
