@@ -19,6 +19,7 @@ gate regressions without touching the recorded baseline).
 from __future__ import annotations
 
 import argparse
+import gc
 import heapq
 import json
 import os
@@ -59,8 +60,19 @@ from repro.net.sim import Simulator, Timer  # noqa: E402
 from repro.protocols.base import PROTOCOL_NAMES  # noqa: E402
 from repro.testbed import dealer_cache  # noqa: E402
 from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
-from repro.testbed.harness import build_deployment, run_consensus  # noqa: E402
+from repro.testbed.harness import (  # noqa: E402
+    build_deployment,
+    run_aba_experiment,
+    run_broadcast_experiment,
+    run_consensus,
+    run_multihop_consensus,
+)
 from repro.testbed.scenarios import Scenario  # noqa: E402
+from repro.testbed.streaming import (  # noqa: E402
+    StreamingSpec,
+    run_streaming_consensus,
+)
+from repro.testbed.workload import ArrivalSpec  # noqa: E402
 from tests.reference import (  # noqa: E402
     ReferenceSimulator,
     hash_to_group_reference,
@@ -587,6 +599,39 @@ def kernel_calls_per_event(kernel=Simulator, events: int = 1000) -> float:
     return (calls[0] - 1) / events  # the one ``run`` call is not per event
 
 
+def cyclic_garbage_honest_run() -> int:
+    """Objects the cyclic collector finds after one honest call of each
+    harness entry point, run with the collector disabled.  A count, so a
+    gate on it cannot flake: every entry point closes its deployment, so
+    reference counting alone frees a finished run."""
+    stream = StreamingSpec(epochs=3, batch_size=3, warmup=12,
+                           arrival=ArrivalSpec(rate_tps=4.0,
+                                               transaction_bytes=32))
+    runs = (
+        lambda: run_consensus("honeybadger-sc", Scenario.single_hop(4),
+                              seed=1004),
+        lambda: run_multihop_consensus("honeybadger-sc",
+                                       Scenario.multi_hop(2, 4), seed=1004),
+        lambda: run_broadcast_experiment("rbc", parallelism=2, seed=1004),
+        lambda: run_aba_experiment("sc", parallel_instances=2, seed=1004),
+        lambda: run_streaming_consensus("honeybadger-sc",
+                                        Scenario.single_hop(4), stream,
+                                        seed=1004),
+    )
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = 0
+        for run in runs:
+            run()
+            found += gc.collect()
+        return found
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # ----------------------------------------------------------------------- driver
 def run_benchmarks(quick: bool = False) -> dict:
     """Run every micro-benchmark; returns the JSON-ready document."""
@@ -599,6 +644,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         results.update(section(budget))
     forced = witnesses_forced_on_minted_loops()
     powm_calls = backend_powm_honest_epoch()
+    garbage = cyclic_garbage_honest_run()
     results.update(bench_share_combine(budget))
     speedups = dealer_speedups(results)
     speedups |= shard_speedups(results)
@@ -651,6 +697,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         "counts": {
             "witnesses_forced_minted": forced,
             "backend_powm_honest_epoch": powm_calls,
+            "cyclic_garbage_honest_run": garbage,
             "sim_kernel_calls_per_event": kernel_calls_per_event(),
             "sim_kernel_calls_per_event_event_objects":
                 kernel_calls_per_event(ReferenceSimulator),

@@ -12,6 +12,10 @@ with short budgets and checks *same-run ratio invariants* only:
   ``powm`` calls on an honest one-epoch run of every protocol (a count, so
   it cannot flake: a base the honest path raises without a known log fails
   it);
+* zero objects for the cyclic collector after one honest call of each
+  harness entry point run with the collector disabled (a count too: every
+  entry point closes its deployment, so reference counting frees a
+  finished run -- a missed back-reference leaves the whole deployment);
 * verifying a signature or share minted in this process >= 10x verifying an
   unstamped copy (a refactor that loses the provenance stamp lands at ~1x
   and would otherwise quietly cost a third of every run);
@@ -108,6 +112,7 @@ MAX_REGRESSION = 2.0
 # Same-run ratio invariants (both modes, baseline-independent).
 MIN_KNOWN_BASE_VS_POW = 3.0
 MAX_BACKEND_POWM_HONEST_EPOCH = 0
+MAX_CYCLIC_GARBAGE_HONEST_RUN = 0
 MIN_MINTED_VS_LONG_ROAD = 10.0
 MIN_LAZY_SIGN_VERIFY_VS_FORCED = 3.0
 MAX_KERNEL_CALLS_PER_EVENT = 1
@@ -141,6 +146,14 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"{powm_calls} backend powm calls on honest one-epoch runs (need "
             f"{MAX_BACKEND_POWM_HONEST_EPOCH}): a base the honest path raises "
             f"has no known log")
+    garbage = document["counts"]["cyclic_garbage_honest_run"]
+    if garbage > MAX_CYCLIC_GARBAGE_HONEST_RUN:
+        failures.append(
+            f"the cyclic collector found {garbage} objects after one honest "
+            f"call of each harness entry point (need "
+            f"{MAX_CYCLIC_GARBAGE_HONEST_RUN}): a finished run is left in a "
+            f"reference cycle -- an entry point no longer closes its "
+            f"deployment, or a layer's close() misses a back-reference")
     for name in ("schnorr_verify_minted_vs_long_road",
                  "share_verify_minted_vs_long_road"):
         if speedups[name] < MIN_MINTED_VS_LONG_ROAD:

@@ -49,6 +49,12 @@ class RoundBasedAba(Component):
         self._started = False
         self._halted = False
 
+    def close(self) -> None:
+        """Also drop the round records (a local-coin round holds vote
+        tallies whose READY callbacks are this instance)."""
+        super().close()
+        self._rounds.clear()
+
     # ------------------------------------------------------------------ start
     def start(self, value: int) -> None:
         """Provide this node's binary input and start round 0."""

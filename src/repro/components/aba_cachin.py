@@ -70,7 +70,13 @@ class CachinAba(RoundBasedAba):
                  on_output: Optional[OutputCallback] = None,
                  max_rounds: int = 64) -> None:
         super().__init__(ctx, instance, tag, on_output, max_rounds)
-        self.coin = coin
+        self.coin: Optional[CommonCoinManager] = coin
+
+    def close(self) -> None:
+        """Also drop the coin manager, which holds this instance's pending
+        coin callbacks."""
+        super().close()
+        self.coin = None
 
     # ----------------------------------------------------------------- handle
     def handle(self, message: ComponentMessage) -> None:

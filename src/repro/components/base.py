@@ -104,6 +104,12 @@ class Component:
         if self.on_output is not None:
             self.on_output(self.instance, output)
 
+    def close(self) -> None:
+        """Drop the callback state (the instance was released, or its
+        deployment closed): ``on_output`` is usually a closure over the
+        owner that holds this instance, a reference cycle."""
+        self.on_output = None
+
     # ------------------------------------------------------------------ misc
     def describe(self) -> str:
         """Readable identifier for logging."""
@@ -140,6 +146,8 @@ class ComponentRouter:
         self._components: dict[tuple, Component] = {}
         self._pending: dict[tuple, list[ComponentMessage]] = defaultdict(list)
         self._extra_handlers: dict[tuple, Callable[[ComponentMessage], None]] = {}
+        #: per scope tag, the objects adopted for the scope's life
+        self._owners: dict[Any, list[Any]] = {}
         #: scope roots reclaimed by release_tag; late messages for them are
         #: dropped instead of buffered (one tiny tuple per released epoch)
         self._released: set = set()
@@ -158,6 +166,12 @@ class ComponentRouter:
         """Register a handler for a (kind, tag) pair (e.g. the common-coin
         manager, which serves every instance of its protocol scope)."""
         self._extra_handlers[(kind, tag)] = handler
+
+    def adopt(self, tag: Any, owner: Any) -> None:
+        """Hold ``owner`` -- a protocol instance, whose callbacks and
+        components point back at it -- until ``tag``'s scope is released or
+        the router closes; either calls ``owner.close()``."""
+        self._owners.setdefault(tag, []).append(owner)
 
     def get(self, kind: str, tag: Any, instance: int) -> Optional[Component]:
         """Look up a registered component instance."""
@@ -204,17 +218,34 @@ class ComponentRouter:
         O(history) instead of O(backlog).  The root is remembered so that
         messages still in flight at checkpoint time are *dropped* on arrival
         rather than re-buffered into ``_pending`` (the remembered roots cost
-        one small tuple per released epoch).  Returns the number of dropped
-        components (for GC-bound assertions in tests).
+        one small tuple per released epoch).  Dropped components and
+        adopted owners are closed, so reference counting frees them.
+        Returns the number of dropped components (for GC-bound assertions
+        in tests).
         """
         self._released.add(root)
         stale = [key for key in self._components if tag_in_scope(key[1], root)]
         for key in stale:
-            del self._components[key]
+            self._components.pop(key).close()
         for key in [key for key in self._pending
                     if tag_in_scope(key[1], root)]:
             del self._pending[key]
         for key in [key for key in self._extra_handlers
                     if tag_in_scope(key[1], root)]:
             del self._extra_handlers[key]
+        for tag in [tag for tag in self._owners if tag_in_scope(tag, root)]:
+            for owner in self._owners.pop(tag):
+                owner.close()
         return len(stale)
+
+    def close(self) -> None:
+        """Close and drop every component and adopted owner, and drop every
+        kind handler and buffered message (end of run)."""
+        for component in self._components.values():
+            component.close()
+        for owners in self._owners.values():
+            for owner in owners:
+                owner.close()
+        for registry in (self._components, self._pending,
+                         self._extra_handlers, self._owners):
+            registry.clear()

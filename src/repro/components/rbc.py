@@ -43,6 +43,12 @@ class BrachaRbc(Broadcast):
         self.value_hash: Optional[str] = None
         self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
+    def close(self) -> None:
+        """Also unhook the vote tally, whose READY callback is this
+        instance."""
+        super().close()
+        self._votes.send_ready = None
+
     # ------------------------------------------------------------------ start
     def propose(self, value: bytes) -> None:
         """Broadcast the proposal."""

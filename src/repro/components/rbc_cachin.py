@@ -46,6 +46,12 @@ class CachinRbc(Broadcast):
         self._blocks: dict[str, dict[int, ErasureBlock]] = {}
         self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
+    def close(self) -> None:
+        """Also unhook the vote tally, whose READY callback is this
+        instance."""
+        super().close()
+        self._votes.send_ready = None
+
     # ------------------------------------------------------------------ start
     def propose(self, value: bytes) -> None:
         """Encode and disperse the proposal."""

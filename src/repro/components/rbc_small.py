@@ -38,6 +38,12 @@ class RbcSmall(Broadcast):
         self._have_value = False
         self._votes = BrachaVotes(ctx.quorum, ctx.small_quorum, self._send_ready)
 
+    def close(self) -> None:
+        """Also unhook the vote tally, whose READY callback is this
+        instance."""
+        super().close()
+        self._votes.send_ready = None
+
     # ------------------------------------------------------------------ start
     def propose(self, value: Any) -> None:
         """Broadcast the small value (e.g. 0, 1 or None)."""

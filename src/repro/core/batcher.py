@@ -116,7 +116,7 @@ class BaseTransport:
         self._packets_received = 0
         self.nack_requests_sent = 0
         self.nack_responses_sent = 0
-        self._resend_timer = PeriodicTimer(
+        self._resend_timer: Optional[PeriodicTimer] = PeriodicTimer(
             node.sim, self.config.resend_interval_s, self._maybe_resend,
             jitter=self.config.resend_jitter)
         self._resend_timer.start()
@@ -148,7 +148,24 @@ class BaseTransport:
 
     def shutdown(self) -> None:
         """Stop background timers (end of run)."""
-        self._resend_timer.stop()
+        if self._resend_timer is not None:
+            self._resend_timer.stop()
+
+    def close(self) -> None:
+        """Shut down and drop what points back into the stack: the receiver,
+        the resend timer (its callback is this transport) and every
+        per-slot record.
+
+        The node stays: a closed transport may still be bound to a live
+        node (a membership boundary closes the stacks of departed nodes,
+        which keep receiving frames), and a repair task already queued
+        still broadcasts through it.  Neither reaches a closed router.
+        """
+        self.shutdown()
+        self._receiver = self._resend_timer = None
+        for slots in (self._active, self._complete, self._latest,
+                      self._family_last_rx):
+            slots.clear()
 
     def release_tag(self, root: Any) -> None:
         """Forget all per-slot state whose tag is in the scope of ``root``.
@@ -437,6 +454,12 @@ class ConsensusBatcherTransport(BaseTransport):
             # slots are gone and _collect filters inactive instances), so the
             # deferred builder is harmless; just forget the queued marker.
             self._queued_groups.discard(group)
+
+    def close(self) -> None:
+        """Also drop the batching slots."""
+        super().close()
+        for slots in (self._groups, self._dirty, self._queued_groups):
+            slots.clear()
 
     def _rebroadcast(self, kind: str, tag: Any, instances: set[int]) -> None:
         for group, slots in self._groups.items():

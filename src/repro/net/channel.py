@@ -109,6 +109,11 @@ class WirelessChannel:
         """Node ids attached to the channel."""
         return [mac.node_id for mac in self._macs]
 
+    def close(self) -> None:
+        """Detach every MAC and drop the frames on the air (end of run)."""
+        self._macs.clear()
+        self._active.clear()
+
     # ------------------------------------------------------------ carrier sense
     @property
     def busy_until(self) -> float:

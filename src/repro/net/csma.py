@@ -133,3 +133,8 @@ class CsmaMac:
         self._state = "idle"
         if self._queue:
             self._start_backoff()
+
+    def close(self) -> None:
+        """Drop the owning node and the queued frames (end of run)."""
+        self.node = None
+        self._queue.clear()

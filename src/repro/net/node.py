@@ -247,3 +247,19 @@ class NetworkNode:
     def crash(self) -> None:
         """Silence the node permanently (crash fault)."""
         self.crashed = True
+
+    def close(self) -> None:
+        """Unbind the stacks and close the interfaces (end of run).
+
+        The bound stacks and the MACs point back at this node, and frames
+        queued at a MAC carry builders of a stack: dropping them all breaks
+        the cycles a finished deployment would otherwise leave to the
+        cyclic collector.
+        """
+        self.stack = None
+        self._channel_stacks.clear()
+        for mac in self.interfaces.values():
+            mac.close()
+        self.interfaces.clear()
+        self._rx_pending.clear()
+        self._outbox = []

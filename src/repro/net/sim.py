@@ -269,6 +269,17 @@ class Simulator:
         """Number of events still queued (including cancelled ones)."""
         return len(self._queue)
 
+    def close(self) -> None:
+        """Drop every queued event (end of run).
+
+        A queued callback is usually a bound method or closure of the
+        deployment that owns this simulator, so a finished run's heap keeps
+        the whole deployment in a reference cycle.  The clock, the seed and
+        :attr:`events_processed` stay readable.
+        """
+        self._queue.clear()
+        self._cancelled_queued = 0
+
     def next_event_time(self) -> Optional[float]:
         """Time of the earliest live (non-cancelled) queued event, or None.
 
@@ -400,7 +411,13 @@ class PeriodicTimer:
         return not self._stopped
 
     def start(self) -> None:
-        """Start (or restart) the periodic firing."""
+        """Start (or restart) the periodic firing.
+
+        Restarting a running timer re-arms it ``interval`` from now, like
+        :meth:`Timer.start`: the queued firing is cancelled first, so one
+        timer never runs two firing chains.
+        """
+        self.stop()
         self._stopped = False
         self._schedule_next()
 
@@ -420,6 +437,9 @@ class PeriodicTimer:
     def _fire(self) -> None:
         if self._stopped:
             return
+        self._event = None
         self._callback()
-        if not self._stopped:
+        # the callback may have stopped the timer, or restarted it (which
+        # armed the next firing already)
+        if not self._stopped and self._event is None:
             self._schedule_next()

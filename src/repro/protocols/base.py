@@ -207,6 +207,12 @@ class ConsensusProtocol:
         self.router.release_tag(tag)
         self.ctx.transport.release_tag(tag)
 
+    def close(self) -> None:
+        """Drop the callback state (called by the router when the
+        instance's scope is released or the router closes; see
+        :meth:`ComponentRouter.adopt`).  The decision fields stay readable."""
+        self.on_decide = None
+
     # -------------------------------------------------------- invariant hooks
     def witness(self) -> InvariantWitness:
         """This node's decision evidence for the conformance checkers."""

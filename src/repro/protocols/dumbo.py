@@ -63,6 +63,7 @@ class Dumbo(ConsensusProtocol):
             raise ValueError(f"unknown coin type {coin!r}; expected sc or lc")
         self.coin_type = coin
         self.tag = ("dumbo", self.config.epoch)
+        router.adopt(self.tag, self)
         self._value_tag = (self.tag, "value")
         self._commit_tag = (self.tag, "commit")
 
@@ -104,6 +105,12 @@ class Dumbo(ConsensusProtocol):
                                               flavor="tsig", coin_name="pi")
             router.register_kind_handler("coin", (self.tag, "pi"),
                                          self._pi_coin.handle)
+
+    def close(self) -> None:
+        """Also drop the permutation coin, which holds this instance's
+        pending coin callback."""
+        super().close()
+        self._pi_coin = None
 
     @staticmethod
     def _make_callback(handler, index):

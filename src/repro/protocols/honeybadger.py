@@ -58,6 +58,7 @@ class HoneyBadger(ConsensusProtocol):
             raise ValueError(f"unknown coin type {coin!r}; expected sc, lc or cp")
         self.coin_type = coin
         self.tag = ("hb", self.config.epoch)
+        router.adopt(self.tag, self)
         # all parallel ABAs of the epoch share one round coin
         make_aba = aba_factory(coin, ctx, router, coin_tag=self.tag,
                                coin_name="hb")
@@ -124,6 +125,12 @@ class HoneyBadger(ConsensusProtocol):
         streaming pipeline's safety rests on.
         """
         return self.decided or self._acs_output is not None
+
+    def close(self) -> None:
+        """Also unhook the common subset, whose output callback is this
+        instance."""
+        super().close()
+        self.acs.on_output = None
 
     # ------------------------------------------------------------- ACS output
     def _on_acs_output(self, output: dict[int, bytes]) -> None:

@@ -24,12 +24,15 @@ entry points drive one, every shard runner one on its slice, the streaming
 runner one per in-flight epoch on one long-lived deployment; on a single-hop
 deployment its global tier is simply empty.  Likewise there is one
 deployment assembler (:func:`_assemble` over :func:`_build_stack`; the
-sharded builder and the membership rebind call the same two).
+sharded builder and the membership rebind call the same two).  Every entry
+point closes its deployment (:meth:`Deployment.close`) once its result is
+assembled, so reference counting frees a finished run.
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
@@ -169,6 +172,12 @@ class DomainRuntime:
     protocol: Optional[ConsensusProtocol] = None
     components: list[Component] = field(default_factory=list)
 
+    def close(self) -> None:
+        """Close the router (every component and protocol registered on
+        it) and the transport."""
+        self.router.close()
+        self.transport.close()
+
 
 @dataclass
 class Deployment:
@@ -202,6 +211,26 @@ class Deployment:
         """Stop transport timers (end of run)."""
         for runtime in list(self.runtimes.values()) + list(self.global_runtimes.values()):
             runtime.transport.shutdown()
+
+    def close(self) -> None:
+        """Break the run's reference cycles, so reference counting frees the
+        deployment as soon as its owner lets go of it (end of run).
+
+        Nodes, MACs, channels, transports, routers, components and protocols
+        all point back at each other, and the pending heap entries at all of
+        them; left alone, a finished deployment waits for a full cyclic
+        collection.  Closing drops the heap, every stack, interface, slot,
+        registration and callback.  Afterwards the deployment answers only
+        ``sim``'s counters and ``trace``.  Closing twice does nothing.
+        """
+        self.sim.close()
+        for runtime in (*self.runtimes.values(),
+                        *self.global_runtimes.values()):
+            runtime.close()
+        for node in self.nodes.values():
+            node.close()
+        for channel in self.channels.values():
+            channel.close()
 
 
 def _build_stack(deployment: Deployment, node: NetworkNode, local_id: int,
@@ -546,33 +575,34 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
     deployment = build_deployment(
         scenario, batched=batched, seed=seed,
         crypto_schemes=crypto_schemes_for_protocol(protocol, config))
-    workload = TransactionWorkload(
-        workload_spec or WorkloadSpec(batch_size=batch_size,
-                                      transaction_bytes=transaction_bytes),
-        seed=seed)
-    epoch = Epoch(deployment, protocol, config)
-    epoch.propose(workload, observer=observer)
-    decided = deployment.sim.run_until(epoch.done, timeout=scenario.timeout_s)
-    deployment.shutdown()
-    decide_times, digests, digest, committed = fold_decisions(
-        epoch.decisions(), epoch.transactions, observer)
-    crypto_seconds = sum(runtime.ctx.suite.ledger.total_seconds
-                         for runtime in deployment.runtimes.values())
-    return ConsensusRunResult(
-        protocol=protocol, batched=batched,
-        num_nodes=deployment.scenario.num_nodes,
-        decided=decided,
-        latency_s=max(decide_times.values(), default=float("nan")),
-        per_node_latency_s=decide_times,
-        committed_transactions=len(committed), block_digest=digest,
-        per_node_digest=digests,
-        channel_accesses=deployment.trace.total_channel_accesses,
-        frames_sent=deployment.trace.total_frames_sent,
-        bytes_sent=deployment.trace.total_bytes_sent,
-        collisions=deployment.trace.total_collisions,
-        crypto_seconds=crypto_seconds,
-        sim_events=deployment.sim.events_processed,
-        seed=seed)
+    with closing(deployment):
+        workload = TransactionWorkload(
+            workload_spec or WorkloadSpec(batch_size=batch_size,
+                                          transaction_bytes=transaction_bytes),
+            seed=seed)
+        epoch = Epoch(deployment, protocol, config)
+        epoch.propose(workload, observer=observer)
+        decided = deployment.sim.run_until(epoch.done,
+                                           timeout=scenario.timeout_s)
+        decide_times, digests, digest, committed = fold_decisions(
+            epoch.decisions(), epoch.transactions, observer)
+        crypto_seconds = sum(runtime.ctx.suite.ledger.total_seconds
+                             for runtime in deployment.runtimes.values())
+        return ConsensusRunResult(
+            protocol=protocol, batched=batched,
+            num_nodes=deployment.scenario.num_nodes,
+            decided=decided,
+            latency_s=max(decide_times.values(), default=float("nan")),
+            per_node_latency_s=decide_times,
+            committed_transactions=len(committed), block_digest=digest,
+            per_node_digest=digests,
+            channel_accesses=deployment.trace.total_channel_accesses,
+            frames_sent=deployment.trace.total_frames_sent,
+            bytes_sent=deployment.trace.total_bytes_sent,
+            collisions=deployment.trace.total_collisions,
+            crypto_seconds=crypto_seconds,
+            sim_events=deployment.sim.events_processed,
+            seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -947,21 +977,22 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
             workload_spec=workload_spec, observer=observer)
     deployment = build_deployment(scenario, batched=batched, seed=seed,
                                   **multihop_crypto_schemes(protocol, config))
-    workload = TransactionWorkload(
-        workload_spec or WorkloadSpec(batch_size=batch_size,
-                                      transaction_bytes=transaction_bytes),
-        seed=seed)
-    epoch = Epoch(deployment, protocol, config)
-    epoch.propose(workload, observer=observer)
+    with closing(deployment):
+        workload = TransactionWorkload(
+            workload_spec or WorkloadSpec(batch_size=batch_size,
+                                          transaction_bytes=transaction_bytes),
+            seed=seed)
+        epoch = Epoch(deployment, protocol, config)
+        epoch.propose(workload, observer=observer)
 
-    def poll() -> bool:
-        epoch.feed()
-        return epoch.done()
+        def poll() -> bool:
+            epoch.feed()
+            return epoch.done()
 
-    decided = deployment.sim.run_until(poll, timeout=scenario.timeout_s)
-    deployment.shutdown()
-    return merge_multihop_reports([epoch.report()], protocol, scenario,
-                                  batched, seed, decided, observer=observer)
+        decided = deployment.sim.run_until(poll, timeout=scenario.timeout_s)
+        return merge_multihop_reports([epoch.report()], protocol, scenario,
+                                      batched, seed, decided,
+                                      observer=observer)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,48 +1039,49 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
         if component in ("prbc", "cbc", "cbc-small") else (SCHEME_KEYRING,)
     deployment = build_deployment(scenario, batched=batched, seed=seed,
                                   crypto_schemes=schemes)
-    factory = _BROADCAST_FACTORIES[component]
-    tag = ("bcast", component)
-    latch = _CompletionLatch(deployment.honest_ids(), parallelism)
+    with closing(deployment):
+        factory = _BROADCAST_FACTORIES[component]
+        tag = ("bcast", component)
+        latch = _CompletionLatch(deployment.honest_ids(), parallelism)
 
-    proposal_bytes = max(16, proposal_packets * scenario.radio.max_payload_bytes - 60)
-    proposal_rng = random.Random(seed ^ 0xFACE)
+        proposal_bytes = max(16, proposal_packets * scenario.radio.max_payload_bytes - 60)
+        proposal_rng = random.Random(seed ^ 0xFACE)
 
-    for node_id, runtime in deployment.runtimes.items():
-        for instance in range(parallelism):
-            proposer = instance % runtime.ctx.num_nodes
-            comp = factory(runtime.ctx, instance, tag=tag, proposer=proposer)
-            comp.on_output = \
-                lambda inst, _out, node_id=node_id: latch.mark(node_id, inst)
-            runtime.router.register(comp)
-            runtime.components.append(comp)
+        for node_id, runtime in deployment.runtimes.items():
+            for instance in range(parallelism):
+                proposer = instance % runtime.ctx.num_nodes
+                comp = factory(runtime.ctx, instance, tag=tag, proposer=proposer)
+                comp.on_output = \
+                    lambda inst, _out, node_id=node_id: latch.mark(node_id, inst)
+                runtime.router.register(comp)
+                runtime.components.append(comp)
 
-    # proposers start their instances
-    for node_id, runtime in deployment.runtimes.items():
-        for instance in range(parallelism):
-            if instance % runtime.ctx.num_nodes != runtime.local_id:
-                continue
-            comp = runtime.components[instance]
-            if component in ("rbc-small", "cbc-small"):
-                value = 1 if component == "rbc-small" else list(
-                    range(runtime.ctx.quorum))
-            else:
-                value = random_bytes(proposal_rng, proposal_bytes)
-            deployment.nodes[node_id].run_task(
-                lambda c=comp, v=value: c.start(v))
+        # proposers start their instances
+        for node_id, runtime in deployment.runtimes.items():
+            for instance in range(parallelism):
+                if instance % runtime.ctx.num_nodes != runtime.local_id:
+                    continue
+                comp = runtime.components[instance]
+                if component in ("rbc-small", "cbc-small"):
+                    value = 1 if component == "rbc-small" else list(
+                        range(runtime.ctx.quorum))
+                else:
+                    value = random_bytes(proposal_rng, proposal_bytes)
+                deployment.nodes[node_id].run_task(
+                    lambda c=comp, v=value: c.start(v))
 
-    finished = deployment.sim.run_until(latch.done, timeout=scenario.timeout_s)
-    deployment.shutdown()
-    return ComponentRunResult(
-        component=component, batched=batched, num_nodes=scenario.num_nodes,
-        parallelism=parallelism, completed=finished,
-        latency_s=deployment.sim.now if finished else float("nan"),
-        proposal_packets=proposal_packets,
-        channel_accesses=deployment.trace.total_channel_accesses,
-        bytes_sent=deployment.trace.total_bytes_sent,
-        collisions=deployment.trace.total_collisions,
-        per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
-        seed=seed)
+        finished = deployment.sim.run_until(latch.done,
+                                            timeout=scenario.timeout_s)
+        return ComponentRunResult(
+            component=component, batched=batched, num_nodes=scenario.num_nodes,
+            parallelism=parallelism, completed=finished,
+            latency_s=deployment.sim.now if finished else float("nan"),
+            proposal_packets=proposal_packets,
+            channel_accesses=deployment.trace.total_channel_accesses,
+            bytes_sent=deployment.trace.total_bytes_sent,
+            collisions=deployment.trace.total_collisions,
+            per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
+            seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1088,84 +1120,85 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
     deployment = build_deployment(
         scenario, batched=batched, seed=seed,
         crypto_schemes=(SCHEME_KEYRING, *coin_schemes(kind)))
-    tag = ("aba-exp", kind)
-    serial_mode = serial_instances > 0
-    total_instances = serial_instances if serial_mode else parallel_instances
-    honest = deployment.honest_ids()
-    latch = _CompletionLatch(honest, total_instances)
-    decisions: dict[int, dict[int, int]] = {node_id: {} for node_id in deployment.nodes}
-    rounds: dict[int, int] = {}
+    with closing(deployment):
+        tag = ("aba-exp", kind)
+        serial_mode = serial_instances > 0
+        total_instances = serial_instances if serial_mode else parallel_instances
+        honest = deployment.honest_ids()
+        latch = _CompletionLatch(honest, total_instances)
+        decisions: dict[int, dict[int, int]] = {node_id: {} for node_id in deployment.nodes}
+        rounds: dict[int, int] = {}
 
-    per_node_abas: dict[int, list[Component]] = {}
-    for node_id, runtime in deployment.runtimes.items():
-        make_aba = aba_factory(kind, runtime.ctx, runtime.router,
-                               coin_tag=tag, coin_name="aba-exp")
-        abas = []
-        for instance in range(total_instances):
-            aba = make_aba(instance, tag=tag)
-
-            def on_output(nid=node_id, inst=instance):
-                def callback(_instance, decision):
-                    latch.mark(nid, inst)
-                    decisions[nid][inst] = decision
-                    rounds[nid] = rounds.get(nid, 0) + 1
-                    if serial_mode:
-                        _start_next_serial(nid, inst + 1)
-                return callback
-
-            aba.on_output = on_output()
-            runtime.router.register(aba)
-            abas.append(aba)
-        per_node_abas[node_id] = abas
-        runtime.components.extend(abas)
-
-    def input_for(node_id: int, instance: int) -> int:
-        if not mixed_inputs:
-            return 1
-        return (node_id + instance) % 2
-
-    def _start_next_serial(node_id: int, instance: int) -> None:
-        if instance >= total_instances:
-            return
-        node = deployment.nodes[node_id]
-        aba = per_node_abas[node_id][instance]
-        node.run_task(lambda: aba.start(input_for(node_id, instance)))
-
-    for node_id in deployment.runtimes:
-        node = deployment.nodes[node_id]
-        if serial_mode:
-            aba = per_node_abas[node_id][0]
-            node.run_task(lambda a=aba, n=node_id: a.start(input_for(n, 0)))
-        else:
+        per_node_abas: dict[int, list[Component]] = {}
+        for node_id, runtime in deployment.runtimes.items():
+            make_aba = aba_factory(kind, runtime.ctx, runtime.router,
+                                   coin_tag=tag, coin_name="aba-exp")
+            abas = []
             for instance in range(total_instances):
-                aba = per_node_abas[node_id][instance]
-                node.run_task(lambda a=aba, n=node_id, i=instance:
-                              a.start(input_for(n, i)))
+                aba = make_aba(instance, tag=tag)
 
-    finished = deployment.sim.run_until(latch.done, timeout=scenario.timeout_s)
-    deployment.shutdown()
+                def on_output(nid=node_id, inst=instance):
+                    def callback(_instance, decision):
+                        latch.mark(nid, inst)
+                        decisions[nid][inst] = decision
+                        rounds[nid] = rounds.get(nid, 0) + 1
+                        if serial_mode:
+                            _start_next_serial(nid, inst + 1)
+                    return callback
 
-    # agreement check across honest nodes
-    for instance in range(total_instances):
-        values = {decisions[node_id].get(instance) for node_id in honest
-                  if instance in decisions[node_id]}
-        if len(values) > 1:
-            raise DeploymentError(
-                f"ABA agreement violated for instance {instance}: {values}")
+                aba.on_output = on_output()
+                runtime.router.register(aba)
+                abas.append(aba)
+            per_node_abas[node_id] = abas
+            runtime.components.extend(abas)
 
-    total_rounds = sum(
-        getattr(aba, "rounds_executed", 0)
-        for abas in per_node_abas.values() for aba in abas)
-    return ComponentRunResult(
-        component=f"aba-{kind}", batched=batched,
-        num_nodes=scenario.num_nodes,
-        parallelism=parallel_instances if not serial_mode else 1,
-        completed=finished,
-        latency_s=deployment.sim.now if finished else float("nan"),
-        serial_instances=serial_instances,
-        channel_accesses=deployment.trace.total_channel_accesses,
-        bytes_sent=deployment.trace.total_bytes_sent,
-        collisions=deployment.trace.total_collisions,
-        rounds_executed=total_rounds,
-        per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
-        seed=seed)
+        def input_for(node_id: int, instance: int) -> int:
+            if not mixed_inputs:
+                return 1
+            return (node_id + instance) % 2
+
+        def _start_next_serial(node_id: int, instance: int) -> None:
+            if instance >= total_instances:
+                return
+            node = deployment.nodes[node_id]
+            aba = per_node_abas[node_id][instance]
+            node.run_task(lambda: aba.start(input_for(node_id, instance)))
+
+        for node_id in deployment.runtimes:
+            node = deployment.nodes[node_id]
+            if serial_mode:
+                aba = per_node_abas[node_id][0]
+                node.run_task(lambda a=aba, n=node_id: a.start(input_for(n, 0)))
+            else:
+                for instance in range(total_instances):
+                    aba = per_node_abas[node_id][instance]
+                    node.run_task(lambda a=aba, n=node_id, i=instance:
+                                  a.start(input_for(n, i)))
+
+        finished = deployment.sim.run_until(latch.done,
+                                            timeout=scenario.timeout_s)
+
+        # agreement check across honest nodes
+        for instance in range(total_instances):
+            values = {decisions[node_id].get(instance) for node_id in honest
+                      if instance in decisions[node_id]}
+            if len(values) > 1:
+                raise DeploymentError(
+                    f"ABA agreement violated for instance {instance}: {values}")
+
+        total_rounds = sum(
+            getattr(aba, "rounds_executed", 0)
+            for abas in per_node_abas.values() for aba in abas)
+        return ComponentRunResult(
+            component=f"aba-{kind}", batched=batched,
+            num_nodes=scenario.num_nodes,
+            parallelism=parallel_instances if not serial_mode else 1,
+            completed=finished,
+            latency_s=deployment.sim.now if finished else float("nan"),
+            serial_instances=serial_instances,
+            channel_accesses=deployment.trace.total_channel_accesses,
+            bytes_sent=deployment.trace.total_bytes_sent,
+            collisions=deployment.trace.total_collisions,
+            rounds_executed=total_rounds,
+            per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
+            seed=seed)

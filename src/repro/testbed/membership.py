@@ -352,7 +352,8 @@ class MembershipController:
         checkpointed epochs) pre-released, so late frames for old epochs hit
         the released-tag fast path instead of buffering.  Old stacks --
         departed *and* surviving, since survivors change committee-local id
-        and keyring -- are shut down and released.
+        and keyring -- are closed: a departed node's closed transport still
+        takes its frames, but hands them to nobody.
         """
         deployment = self.deployment
         scenario = deployment.scenario
@@ -360,10 +361,7 @@ class MembershipController:
         n = len(members)
         self.reconfig_index += 1
         for runtime in deployment.runtimes.values():
-            runtime.transport.shutdown()
-            for root in released_roots:
-                runtime.router.release_tag(root)
-                runtime.transport.release_tag(root)
+            runtime.close()
         domain = deal_crypto_domain(
             n, stable_seed(self.seed, "cluster", 0),
             schemes=self.schemes, cache=self.dealer_cache,

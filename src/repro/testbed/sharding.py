@@ -31,6 +31,7 @@ merge (:func:`merge_multihop_reports`).
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import fields as dataclass_fields
 from functools import partial
 from typing import Any, Optional, Sequence
@@ -166,10 +167,12 @@ class _MultiHopShardRunner(ShardRunner):
                          poll=self.epoch.feed, done=self.epoch.done)
 
     def finish(self) -> dict[str, Any]:
-        self.deployment.shutdown()
-        return {"shard": self.shard_index,
-                "proposals": self.recorder.proposals,
-                **self.epoch.report()}
+        """The shard's report; the deployment is closed once it is built
+        (here or in the worker process that hosts the shard)."""
+        with closing(self.deployment):
+            return {"shard": self.shard_index,
+                    "proposals": self.recorder.proposals,
+                    **self.epoch.report()}
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import statistics
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -690,6 +691,8 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
         spec = StreamingSpec()
     if scenario.num_nodes < 1:
         raise DeploymentError("streaming needs at least one node")
-    return StreamingRun(protocol, scenario, spec, batched=batched, seed=seed,
-                        config=config, observer=observer, pack=pack,
-                        membership=membership, ingress=ingress).run()
+    run = StreamingRun(protocol, scenario, spec, batched=batched, seed=seed,
+                       config=config, observer=observer, pack=pack,
+                       membership=membership, ingress=ingress)
+    with closing(run.deployment):
+        return run.run()

@@ -148,6 +148,20 @@ class TestSimulator:
                 seen.append(sim.now)
             assert seen == sorted(seen)
 
+    def test_close_drops_queued_events_and_keeps_the_counters(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(3.0, lambda: fired.append(3))
+        sim.run(until=2.0)
+        sim.close()
+        sim.close()
+        assert sim.pending_events() == 0
+        assert sim.events_processed == 1
+        assert sim.now == 2.0
+        sim.run()
+        assert fired == [1]
+
     def test_deterministic_rng(self):
         values_a = [Simulator(seed=42).rng.random() for _ in range(1)]
         values_b = [Simulator(seed=42).rng.random() for _ in range(1)]
@@ -281,6 +295,29 @@ class TestPeriodicTimer:
         timer.stop()
         gaps = [b - a for a, b in zip(fired, fired[1:])]
         assert all(1.0 <= gap <= 1.5 + 1e-9 for gap in gaps)
+
+    def test_restart_rearms_instead_of_forking_a_second_chain(self):
+        sim = Simulator()
+        fired = []
+        timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
+        timer.start()
+        sim.schedule(0.5, timer.start)
+        sim.run(until=4.0)
+        assert fired == [1.5, 2.5, 3.5]
+
+    def test_restart_from_its_own_callback_keeps_one_chain(self):
+        sim = Simulator()
+        fired = []
+
+        def fire():
+            fired.append(sim.now)
+            timer.start()
+
+        timer = PeriodicTimer(sim, 1.0, fire)
+        timer.start()
+        sim.run(until=3.5)
+        assert fired == [1.0, 2.0, 3.0]
+        assert sim.pending_events() == 1
 
     def test_invalid_interval(self):
         with pytest.raises(SimulationError):

@@ -243,6 +243,10 @@ class ReferenceSimulator:
     def pending_events(self) -> int:
         return len(self._queue)
 
+    def close(self) -> None:
+        self._queue.clear()
+        self._cancelled_queued[0] = 0
+
     def next_event_time(self) -> Optional[float]:
         while self._queue:
             when, _, event = self._queue[0]
