@@ -56,7 +56,7 @@ from repro.crypto import backend as crypto_backend  # noqa: E402
 from repro.crypto.digital_sig import generate_keypair  # noqa: E402
 from repro.crypto.group import DEFAULT_GROUP  # noqa: E402
 from repro.crypto.threshold_sig import deal_threshold_sig  # noqa: E402
-from repro.net.sim import Simulator, Timer  # noqa: E402
+from repro.net.sim import PeriodicTimer, Simulator  # noqa: E402
 from repro.protocols.base import PROTOCOL_NAMES  # noqa: E402
 from repro.testbed import dealer_cache  # noqa: E402
 from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
@@ -492,7 +492,7 @@ def bench_frame_fanout(budget: float) -> float:
         target = FANOUT_FRAMES * (FANOUT_NODES - 1)
         finished = deployment.sim.run_until(lambda: tally[0] >= target,
                                             timeout=600.0)
-        deployment.shutdown()
+        deployment.close()
         assert finished and tally[0] == target, tally
         return target
 
@@ -506,9 +506,11 @@ def bench_simulator(budget: float) -> dict[str, float]:
     ``sim_events_event_objects`` is the same work on the kernel that built
     an ``Event`` object per scheduled callback (``tests/reference.py``),
     measured in alternation with it; ``sim_events_seed`` is the seed's
-    ``order=True`` dataclass heap.  ``sim_timer_churn`` restarts timers --
-    a cancel plus a schedule each, enough of them to compact the heap --
-    and then runs the survivors.
+    ``order=True`` dataclass heap.  The kernels run one window with no poll,
+    which is one Python call per event.  ``sim_timer_churn`` restarts
+    periodic timers (the transports' resend timers) -- a cancel plus a
+    schedule each, enough of them to compact the heap -- and then runs the
+    survivors' first firing.
     """
     batch = 20_000
 
@@ -542,7 +544,7 @@ def bench_simulator(budget: float) -> dict[str, float]:
 
             for seq in range(batch):
                 sim.schedule(seq * 1e-6, callback)
-            sim.run()
+            sim.run_window(batch * 1e-6)
             assert count[0] == batch
             return batch
         return operation
@@ -554,12 +556,14 @@ def bench_simulator(budget: float) -> dict[str, float]:
         def callback() -> None:
             fired[0] += 1
 
-        timers = [Timer(sim, callback) for _ in range(CHURN_TIMERS)]
-        for restart in range(CHURN_RESTARTS):
+        timers = [PeriodicTimer(sim, 1.0, callback)
+                  for _ in range(CHURN_TIMERS)]
+        for _restart in range(CHURN_RESTARTS):
             for timer in timers:
-                timer.start(1.0 + restart * 1e-3)
-        sim.run()
-        assert fired[0] == CHURN_TIMERS and sim.pending_events() == 0
+                timer.start()
+        sim.run_window(1.0)
+        assert fired[0] == CHURN_TIMERS
+        assert sim.pending_events() == CHURN_TIMERS  # the next firings
         return CHURN_TIMERS * CHURN_RESTARTS
 
     sim_events, event_objects = _rate_pair(
@@ -578,25 +582,28 @@ def kernel_calls_per_event(kernel=Simulator, events: int = 1000) -> float:
     callback's own excluded.  A count, not a rate: a gate on it cannot flake.
     The kernel makes one (``schedule``); the event-object kernel made three
     (``schedule``, ``_push``, ``Event.__init__``)."""
-    sim = kernel()
-
     def callback() -> None:
         pass
 
-    calls = [0]
+    def calls(count: int) -> int:
+        sim = kernel()
+        seen = [0]
 
-    def profile(frame, event, arg) -> None:
-        if event == "call" and frame.f_code is not callback.__code__:
-            calls[0] += 1
+        def profile(frame, event, arg) -> None:
+            if event == "call" and frame.f_code is not callback.__code__:
+                seen[0] += 1
 
-    sys.setprofile(profile)
-    try:
-        for index in range(events):
-            sim.schedule(index * 1e-6, callback)
-        sim.run()
-    finally:
-        sys.setprofile(None)
-    return (calls[0] - 1) / events  # the one ``run`` call is not per event
+        sys.setprofile(profile)
+        try:
+            for index in range(count):
+                sim.schedule(index * 1e-6, callback)
+            sim.run_window(count * 1e-6)
+        finally:
+            sys.setprofile(None)
+        return seen[0]
+
+    # the window call itself (and its horizon check) is not per event
+    return (calls(events) - calls(0)) / events
 
 
 def cyclic_garbage_honest_run() -> int:

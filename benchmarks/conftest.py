@@ -1,7 +1,7 @@
 """Shared infrastructure for the figure/table reproduction benchmarks.
 
-Each ``bench_*.py`` module is a thin wrapper over one experiment spec
-registered in :mod:`repro.expts.paper` (see ``benchmarks/spec_wrapper.py``).
+``bench_figures.py`` runs every experiment spec registered in
+:mod:`repro.expts.paper` as pytest tests.
 At the end of the session every table produced through the runner is printed
 to the terminal (so it lands in ``bench_output.txt``) and written to
 ``benchmarks/results/`` -- the same artifact store ``scripts/run_experiments.py``

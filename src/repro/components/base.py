@@ -177,10 +177,6 @@ class ComponentRouter:
         """Look up a registered component instance."""
         return self._components.get((kind, tag, instance))
 
-    def components(self) -> list[Component]:
-        """All registered component instances."""
-        return list(self._components.values())
-
     # --------------------------------------------------------------- dispatch
     def dispatch(self, message: ComponentMessage) -> None:
         """Deliver a message to its component (or buffer it until it exists)."""

@@ -146,22 +146,18 @@ class BaseTransport:
         """Re-open an instance (e.g. the coin manager when a new round starts)."""
         self._complete.discard((kind, tag, instance))
 
-    def shutdown(self) -> None:
-        """Stop background timers (end of run)."""
-        if self._resend_timer is not None:
-            self._resend_timer.stop()
-
     def close(self) -> None:
-        """Shut down and drop what points back into the stack: the receiver,
-        the resend timer (its callback is this transport) and every
-        per-slot record.
+        """Stop the resend timer and drop what points back into the stack:
+        the receiver, the resend timer (its callback is this transport) and
+        every per-slot record.
 
         The node stays: a closed transport may still be bound to a live
         node (a membership boundary closes the stacks of departed nodes,
         which keep receiving frames), and a repair task already queued
         still broadcasts through it.  Neither reaches a closed router.
         """
-        self.shutdown()
+        if self._resend_timer is not None:
+            self._resend_timer.stop()
         self._receiver = self._resend_timer = None
         for slots in (self._active, self._complete, self._latest,
                       self._family_last_rx):

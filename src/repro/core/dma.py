@@ -80,8 +80,3 @@ class DmaBuffer:
         self.frames_buffered = 0
         self.interrupts += 1
         return now + self.config.idle_flush_s
-
-    def reset(self) -> None:
-        """Clear buffered state (used between runs)."""
-        self.pending_bytes = 0
-        self.frames_buffered = 0

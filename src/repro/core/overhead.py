@@ -17,8 +17,9 @@ The wired column counts unicasts (a broadcast to N-1 peers costs N-1
 messages); the wireless baseline exploits the shared channel (a broadcast is
 one transmission); ConsensusBatcher further merges the N parallel instances
 into a single transmission per phase.  These formulas are reproduced here and
-cross-checked against the simulator's channel-access counts by
-``benchmarks/bench_table1_overhead.py``.
+cross-checked against the simulator's channel-access counts by the
+``table1`` experiment spec (``PYTHONPATH=src python -m pytest
+benchmarks/bench_figures.py -k table1 -q``).
 """
 
 from __future__ import annotations

@@ -133,12 +133,6 @@ class Packet:
     #: each receiver's modelled verification cost is still charged)
     digest: Any = None
 
-    def __iter__(self):
-        return iter(self.messages)
-
-    def __len__(self) -> int:
-        return len(self.messages)
-
 
 @dataclass(frozen=True)
 class SizeProfile:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class FieldError(ValueError):
@@ -116,10 +116,6 @@ class Polynomial:
         for coeff in reversed(self.coeffs):
             acc = (acc * x + coeff) % q
         return acc
-
-    def evaluate_many(self, xs: Iterable[int]) -> list[int]:
-        """Evaluate at several points."""
-        return [self.evaluate(x) for x in xs]
 
 
 def _share_points(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:

@@ -173,10 +173,6 @@ class Group:
         """Return the group product ``a * b mod P``."""
         return (a * b) % self.p
 
-    def inv(self, a: int) -> int:
-        """Return the group inverse of ``a``."""
-        return pow(a, -1, self.p)
-
     def power_of_g(self, exponent: int) -> int:
         """Return ``g ** exponent`` via the fixed-base windowed table."""
         return _generator(self.p, self.q, self.g).power(exponent)
@@ -216,10 +212,6 @@ class Group:
     def element_to_bytes(self, a: int) -> bytes:
         """Canonical byte encoding of a group element (32 bytes + sign pad)."""
         return a.to_bytes(self._element_size, "big")
-
-    def scalar_to_bytes(self, s: int) -> bytes:
-        """Canonical byte encoding of a scalar."""
-        return (s % self.q).to_bytes(self._scalar_size, "big")
 
 
 DEFAULT_GROUP = Group(p=_SAFE_PRIME_P, q=_SUBGROUP_ORDER_Q, g=_GENERATOR)

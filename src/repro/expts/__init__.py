@@ -15,8 +15,8 @@ and :mod:`repro.expts.report` turns the outcome into the byte-reproducible
 Entry points:
 
 * ``scripts/run_experiments.py`` -- the CLI driver;
-* ``benchmarks/bench_*.py``      -- thin pytest wrappers, one per figure,
-  that run the same specs standalone;
+* ``benchmarks/bench_figures.py`` -- every spec as pytest tests (select one
+  figure with ``-k <spec id>``);
 * :func:`repro.expts.runner.run_spec` / :func:`run_experiments` -- the
   programmatic API.
 """

@@ -20,10 +20,16 @@ from typing import Any, Optional
 
 from repro.testbed.reporting import format_table, markdown_table
 
-#: tables recorded by the benchmark wrappers (``spec_wrapper.bind``), keyed
-#: by spec id in execution order; rendered by the benchmarks conftest at the
-#: end of a pytest session
+#: tables recorded by ``benchmarks/bench_figures.py``, keyed by spec id in
+#: execution order; rendered by the benchmarks conftest at the end of a
+#: pytest session
 SESSION_RESULTS: "OrderedDict[str, Any]" = OrderedDict()
+
+
+def standalone_command(spec_id: str) -> str:
+    """The command that runs one spec's figure-benchmark tests alone."""
+    return (f"PYTHONPATH=src python -m pytest benchmarks/bench_figures.py "
+            f"-k {spec_id} -q")
 
 
 def record_session_result(result) -> None:
@@ -142,9 +148,8 @@ def render_results_markdown(report: dict) -> str:
         detail = (f"{cells_run}/{spec['num_cells']} grid cells (quick subsample)"
                   if experiment["quick"] and cells_run < spec["num_cells"]
                   else f"{cells_run} grid cells")
-        lines.append(f"*Standalone: `PYTHONPATH=src python -m pytest "
-                     f"benchmarks/bench_{spec['spec_id'].replace('-', '_')}*.py "
-                     f"-q` · registry id `{spec['spec_id']}` · {detail}.*")
+        lines.append(f"*Standalone: `{standalone_command(spec['spec_id'])}` "
+                     f"· registry id `{spec['spec_id']}` · {detail}.*")
         if spec["checks"]:
             lines.append("")
             lines.append("Verified paper claims:")

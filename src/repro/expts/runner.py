@@ -201,7 +201,7 @@ def run_spec(spec: ExperimentSpec, quick: bool = False,
              fingerprint: Optional[str] = None) -> ExperimentResult:
     """Run one spec serially (cache-backed) and validate its paper claims.
 
-    This is the entry point the ``benchmarks/bench_*.py`` wrappers use; the
+    This is the entry point ``benchmarks/bench_figures.py`` uses; the
     CLI driver uses :func:`run_experiments`, which shares one worker pool
     across specs.
     """

@@ -42,8 +42,8 @@ class ExperimentSpec:
 
     The spec separates *what* an experiment is (grid, bindings, schema,
     claims) from *how* it is executed (:mod:`repro.expts.runner`), so the
-    same spec backs the ``scripts/run_experiments.py`` driver, the standalone
-    ``benchmarks/bench_*.py`` wrapper and the ``RESULTS.md`` section.
+    same spec backs the ``scripts/run_experiments.py`` CLI, its tests in
+    ``benchmarks/bench_figures.py`` and the ``RESULTS.md`` section.
     """
 
     #: stable identifier (``fig10a``, ``table1``, ...); the cache/replay key

@@ -17,7 +17,7 @@ simulator with
   counts (:mod:`~repro.net.trace`).
 """
 
-from repro.net.sim import Simulator, Timer
+from repro.net.sim import PeriodicTimer, Simulator
 from repro.net.radio import RadioConfig, LORA_SF7_125KHZ, LORA_FAST, WIFI_LIKE
 from repro.net.channel import WirelessChannel, Transmission
 from repro.net.csma import CsmaMac, CsmaConfig
@@ -28,7 +28,7 @@ from repro.net.adversary import AsyncAdversary, DelayModel
 
 __all__ = [
     "Simulator",
-    "Timer",
+    "PeriodicTimer",
     "RadioConfig",
     "LORA_SF7_125KHZ",
     "LORA_FAST",

@@ -293,7 +293,3 @@ class AsyncAdversary:
     def target_link(self, sender: int, receiver: int, extra_delay_s: float) -> None:
         """Make the adversary slow down a specific link."""
         self.delay_model.targeted[(sender, receiver)] = extra_delay_s
-
-    def num_byzantine(self) -> int:
-        """Size of the Byzantine set."""
-        return len(self.byzantine)

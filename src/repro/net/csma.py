@@ -57,11 +57,6 @@ class CsmaMac:
 
     # ----------------------------------------------------------------- status
     @property
-    def queue_length(self) -> int:
-        """Number of frames waiting for the channel."""
-        return len(self._queue)
-
-    @property
     def state(self) -> str:
         """Current MAC state (idle, backoff or transmitting)."""
         return self._state

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
@@ -58,7 +58,7 @@ from repro.net.channel import (
     encode_boundary_frame,
 )
 from repro.net.csma import CsmaMac
-from repro.net.sim import ShardedSimulator, SimulationError, Simulator
+from repro.net.sim import SimulationError, Simulator
 
 
 class ShardSyncError(RuntimeError):
@@ -99,21 +99,14 @@ class GhostMac:
     """Stand-in sender MAC for a remote (ghost) transmission.
 
     Never attached to the channel: it only gives the replayed transmission a
-    sender identity.  It reports itself as never transmitting locally and
-    swallows the transmit-done callback (the real MAC gets it in the home
-    shard).
+    sender identity.  No MAC callback reaches it -- the mirror's ``_finish``
+    handles a ghost itself, and the real MAC is notified in the home shard.
     """
 
     __slots__ = ("node_id",)
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-
-    def was_transmitting_during(self, start: float, end: float) -> bool:
-        return False
-
-    def on_transmit_done(self, frame: Frame, collided: bool) -> None:
-        return None
 
 
 class ShardBackboneChannel(WirelessChannel):
@@ -293,7 +286,7 @@ class ShardRunner:
                             done=bool(self.done()), processed=processed)
 
     def step(self, until: float, ghosts: Sequence[Emission]) -> WindowResult:
-        """Inject + run + collect: the worker-process form of one window."""
+        """Inject + run + collect: one window of this shard."""
         self.inject(ghosts)
         processed = self.sim.run_window(until, poll=self.poll)
         return self.collect(processed)
@@ -353,19 +346,12 @@ class _InProcessPool:
     """
 
     runners: list[ShardRunner]
-    sharded_sim: ShardedSimulator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.sharded_sim = ShardedSimulator([r.sim for r in self.runners])
 
     def step(self, until: float,
              ghosts: dict[int, list[Emission]]) -> list[WindowResult]:
-        for runner in self.runners:
-            runner.inject(ghosts.get(runner.shard_index, ()))
-        processed = self.sharded_sim.run_window(
-            until, polls=[runner.poll for runner in self.runners])
-        return [runner.collect(count)
-                for runner, count in zip(self.runners, processed)]
+        # what a forked worker does with its block of shards, here with all
+        return [runner.step(until, ghosts.get(runner.shard_index, ()))
+                for runner in self.runners]
 
     def finish(self) -> list[Any]:
         return [runner.finish() for runner in self.runners]

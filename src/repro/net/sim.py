@@ -16,10 +16,12 @@ already ran is a no-op.  Cancelled entries are skipped when popped; when too
 many accumulate (heavy retransmission-timer churn) the queue is compacted in
 place so memory and pop costs stay proportional to the live event count.
 
-The kernel deliberately stays tiny: processes are modelled as callbacks, and
-higher-level abstractions (timers, periodic timers) are provided as thin
-wrappers.  Components and protocols never block; they react to delivered
-events, which matches the asynchronous message-passing model of the paper.
+The kernel deliberately stays tiny: processes are modelled as callbacks, the
+two run loops are :meth:`Simulator.run_until` (until a predicate holds) and
+:meth:`Simulator.run_window` (up to a horizon), and the one timer is
+:class:`PeriodicTimer`.  Components and protocols never block; they react to
+delivered events, which matches the asynchronous message-passing model of
+the paper.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import random
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 # Compact the heap once at least this many cancelled events are queued AND
 # they outnumber the live ones (amortised O(1) per cancellation).
@@ -108,10 +110,6 @@ class Simulator:
         heappush(self._queue, entry)
         return entry
 
-    def call_soon(self, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule(0.0, callback)
-
     def cancel(self, event: Event) -> None:
         """Prevent a scheduled callback from running.
 
@@ -148,44 +146,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {until}: the clock is already at {self.now}")
 
-    # The three run loops share one body per event: pop the entry, skip it
+    # The two run loops share one body per event: pop the entry, skip it
     # if cancelled, else mark it dead (a cancel after the pop -- a periodic
     # timer stopped from inside its own callback -- must neither run it nor
     # count it as queued), advance the clock and call it.
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` callbacks have executed.
-
-        Returns the virtual time at which the run stopped.
-        """
-        if until is not None:
-            self._check_horizon(until)
-        processed_this_run = 0
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            when = entry[0]
-            if until is not None and when > until:
-                self.now = until
-                break
-            heappop(queue)
-            callback = entry[2]
-            if callback is None:
-                self._cancelled_queued -= 1
-                continue
-            entry[2] = None
-            self.now = when
-            callback()
-            self._events_processed += 1
-            processed_this_run += 1
-            if max_events is not None and processed_this_run >= max_events:
-                break
-        else:
-            if until is not None and until > self.now:
-                self.now = until
-        return self.now
 
     def run_window(self, until: float,
                    poll: Optional[Callable[[], None]] = None) -> int:
@@ -300,97 +264,12 @@ class Simulator:
         return None
 
 
-class ShardedSimulator:
-    """Facade advancing several per-shard :class:`Simulator`s in lockstep.
-
-    Each member simulator owns its own event heap, sequence counter and RNG
-    stream; the facade advances all of them window by window under a common
-    horizon (classic conservative synchronization).  It deliberately knows
-    nothing about *how* horizons are chosen or what crosses shard boundaries
-    -- that is :mod:`repro.net.shard` -- it only guarantees the lockstep
-    discipline and aggregates the bookkeeping the single-simulator API
-    exposes (``now``, ``events_processed``, ``pending_events``).
-    """
-
-    def __init__(self, shards: Sequence["Simulator"]) -> None:
-        if not shards:
-            raise SimulationError("a sharded simulator needs at least one shard")
-        self.shards = list(shards)
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """The last barrier horizon every shard has reached."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Total callbacks executed across all shards."""
-        return sum(shard.events_processed for shard in self.shards)
-
-    def pending_events(self) -> int:
-        """Total queued events across all shards."""
-        return sum(shard.pending_events() for shard in self.shards)
-
-    def run_window(self, until: float,
-                   polls: Optional[Sequence[Optional[Callable[[], None]]]] = None
-                   ) -> list[int]:
-        """Advance every shard to ``until``; returns per-shard event counts.
-
-        ``until`` must not move backwards (shards have already executed up to
-        the previous horizon).  ``polls`` optionally supplies one per-event
-        poll callback per shard (see :meth:`Simulator.run_window`).
-        """
-        if until < self._now:
-            raise SimulationError(
-                f"cannot run a window back to {until}; shards are already "
-                f"synchronized at {self._now}")
-        if polls is None:
-            polls = [None] * len(self.shards)
-        processed = [shard.run_window(until, poll=poll)
-                     for shard, poll in zip(self.shards, polls)]
-        self._now = until
-        return processed
-
-
-class Timer:
-    """A restartable one-shot timer bound to a :class:`Simulator`.
-
-    Asynchronous BFT consensus in wireless networks relies on retransmission
-    timers to make progress (Section IV-A of the paper); this helper keeps the
-    bookkeeping (cancel/restart) in one place.
-    """
-
-    def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        """True if the timer is currently scheduled."""
-        return self._event is not None and self._event[2] is not None
-
-    def start(self, delay: float) -> None:
-        """(Re)arm the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._sim.schedule(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer if armed."""
-        if self._event is not None:
-            self._sim.cancel(self._event)
-            self._event = None
-
-    def _fire(self) -> None:
-        self._event = None
-        self._callback()
-
-
 class PeriodicTimer:
     """A timer that re-fires every ``interval`` seconds until stopped.
 
-    Optional jitter (a fraction of the interval drawn uniformly) desynchronises
+    The transports' resend timer: asynchronous BFT consensus in wireless
+    networks relies on retransmissions to make progress (Section IV-A of the
+    paper).  Optional jitter (a fraction of the interval drawn uniformly) desynchronises
     periodic retransmissions across nodes, which matters on a shared channel.
     """
 
@@ -413,9 +292,9 @@ class PeriodicTimer:
     def start(self) -> None:
         """Start (or restart) the periodic firing.
 
-        Restarting a running timer re-arms it ``interval`` from now, like
-        :meth:`Timer.start`: the queued firing is cancelled first, so one
-        timer never runs two firing chains.
+        Restarting a running timer re-arms it ``interval`` from now: the
+        queued firing is cancelled first, so one timer never runs two firing
+        chains.
         """
         self.stop()
         self._stopped = False

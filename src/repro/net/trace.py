@@ -24,13 +24,6 @@ class ChannelStats:
     busy_time: float = 0.0
     bytes_on_air: int = 0
 
-    @property
-    def collision_rate(self) -> float:
-        """Fraction of transmissions that ended in a collision."""
-        if self.transmissions == 0:
-            return 0.0
-        return self.collisions / self.transmissions
-
 
 @dataclass
 class NodeStats:
@@ -97,10 +90,6 @@ class NetworkTrace:
         """Node ``node_id`` emitted ``count`` logical protocol messages."""
         self.nodes[node_id].logical_messages_sent += count
 
-    def record_logical_receive(self, node_id: int, count: int = 1) -> None:
-        """Node ``node_id`` received ``count`` logical protocol messages."""
-        self.nodes[node_id].logical_messages_received += count
-
     def record_cpu(self, node_id: int, seconds: float) -> None:
         """Node ``node_id`` spent CPU time (cryptography, packet handling)."""
         self.nodes[node_id].cpu_busy_seconds += seconds
@@ -139,14 +128,3 @@ class NetworkTrace:
         """Channel accesses keyed by node id."""
         return {node_id: stats.channel_accesses
                 for node_id, stats in self.nodes.items()}
-
-    def summary(self) -> dict[str, float]:
-        """A flat summary suitable for benchmark reporting."""
-        return {
-            "channel_accesses": float(self.total_channel_accesses),
-            "frames_sent": float(self.total_frames_sent),
-            "bytes_sent": float(self.total_bytes_sent),
-            "collisions": float(self.total_collisions),
-            "adversary_drops": float(self.total_adversary_drops),
-            "busy_time": sum(stats.busy_time for stats in self.channels.values()),
-        }

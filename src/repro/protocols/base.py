@@ -231,11 +231,3 @@ class ConsensusProtocol:
         self.decide_time = self.ctx.sim.now
         if self.on_decide is not None:
             self.on_decide(block)
-
-    # ------------------------------------------------------------------ info
-    @property
-    def latency(self) -> Optional[float]:
-        """Seconds from :meth:`propose` to decision (None until decided)."""
-        if self.decide_time is None or self.started_at is None:
-            return None
-        return self.decide_time - self.started_at

@@ -58,11 +58,6 @@ class LeaderSchedule:
         self.cluster = cluster
         self._excluded: set[int] = set()
 
-    @property
-    def excluded(self) -> frozenset[int]:
-        """The nodes rotated out so far (persists across epochs)."""
-        return frozenset(self._excluded)
-
     def exclude(self, node_id: int) -> None:
         """Permanently rotate ``node_id`` out of the leader candidacy."""
         if node_id not in self.cluster.node_ids:

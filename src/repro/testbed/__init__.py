@@ -26,7 +26,7 @@ consensus components and the consensus protocols into runnable experiments:
 from repro.testbed.scenarios import Scenario
 from repro.testbed.workload import TransactionWorkload, WorkloadSpec
 from repro.testbed.byzantine import ByzantineSpec, BYZANTINE_STRATEGIES
-from repro.testbed.metrics import ConsensusRunResult, ComponentRunResult, summarize_latencies
+from repro.testbed.metrics import ConsensusRunResult, ComponentRunResult
 from repro.testbed.harness import (
     Deployment,
     run_consensus,
@@ -60,7 +60,6 @@ __all__ = [
     "BYZANTINE_STRATEGIES",
     "ConsensusRunResult",
     "ComponentRunResult",
-    "summarize_latencies",
     "Deployment",
     "run_consensus",
     "run_multihop_consensus",

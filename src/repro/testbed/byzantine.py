@@ -25,7 +25,6 @@ allows without modifying the honest protocol code:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 BYZANTINE_STRATEGIES = (
     "crash",
@@ -95,10 +94,6 @@ class ByzantineSpec:
         """
         return {node_id for node_id, strategy in self.assignments.items()
                 if strategy not in NETWORK_FAULT_STRATEGIES}
-
-    def strategy_of(self, node_id: int) -> Optional[str]:
-        """The strategy assigned to ``node_id`` (None if honest)."""
-        return self.assignments.get(node_id)
 
     def is_byzantine(self, node_id: int) -> bool:
         """True if the node has any adversarial assignment (including the

@@ -56,7 +56,7 @@ from repro.net.csma import CsmaMac
 from repro.net.node import NetworkNode
 from repro.net.routing import InterClusterRouting
 from repro.net.sim import Simulator
-from repro.net.topology import Cluster, Topology
+from repro.net.topology import Topology
 from repro.net.trace import NetworkTrace
 from repro.protocols.base import ConsensusConfig, ConsensusProtocol, ProtocolName
 from repro.protocols.beat import Beat
@@ -206,11 +206,6 @@ class Deployment:
         """Global ids of honest nodes."""
         byzantine = self.scenario.byzantine.byzantine_ids
         return [node_id for node_id in self.nodes if node_id not in byzantine]
-
-    def shutdown(self) -> None:
-        """Stop transport timers (end of run)."""
-        for runtime in list(self.runtimes.values()) + list(self.global_runtimes.values()):
-            runtime.transport.shutdown()
 
     def close(self) -> None:
         """Break the run's reference cycles, so reference counting frees the
@@ -430,25 +425,6 @@ def build_deployment(scenario: Scenario, batched: bool = True,
         global_crypto_schemes = crypto_schemes
     return _assemble(scenario, Simulator(seed=seed), batched, seed,
                      crypto_schemes, global_crypto_schemes, dealer_cache)
-
-
-def _epoch_leader(scenario: Scenario, cluster: Cluster) -> int:
-    """The leader a *fresh* deployment of ``scenario`` would wire for
-    ``cluster`` (a stateless convenience for tests and planning code).
-
-    The rotation discipline itself lives in
-    :meth:`repro.protocols.multihop.LeaderSchedule.active_leader`; deployments
-    own one schedule per cluster (``Deployment.leader_schedules``) so
-    exclusions persist for the deployment's whole life -- a rotated-out
-    leader is never re-selected in any later epoch (regression-tested in
-    ``tests/testbed/test_leader_rotation.py``).  Callers holding a deployment
-    should read ``deployment.epoch_leaders`` instead of calling this.
-    """
-    return LeaderSchedule(cluster).active_leader(
-        epoch=0,
-        crashed=lambda node_id:
-            scenario.byzantine.assignments.get(node_id) == "crash",
-        rotate=scenario.rotate_crashed_leaders)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ a production-shaped ingress layer:
   differential tier in ``tests/testbed/test_ingress.py`` pins digests and
   ``sim_events`` against :class:`~repro.testbed.streaming.Mempool`).
 * **Admission control + backpressure** (:class:`AdmissionPolicy` /
-  :class:`IngressGateway`) -- a queue-depth and/or token-bucket gate in
-  front of each gateway's pool that sheds or defers low-priority classes
-  while the backlog signal is tripped, with per-class disposition counters
-  that conserve transactions::
+  :class:`IngressGateway`) -- a queue-depth gate in front of each
+  gateway's pool that sheds or defers low-priority classes while the
+  backlog signal is tripped, with per-class disposition counters that
+  conserve transactions::
 
       offered == admitted + shed + deferred_pending + duplicates
 
@@ -132,15 +132,11 @@ class AdmissionPolicy:
     ``defer`` parks it in a bounded FIFO side-queue that is re-offered to
     the pool at every checkpoint once pressure clears (overflow sheds).
     Pressure trips when the pool backlog reaches ``backlog_threshold``
-    (0 = no backlog signal) or the token bucket is empty
-    (``token_rate_tps`` tokens per virtual second, depth ``token_burst``,
-    one token per unprotected pool admission; 0 = no token signal).
+    (0 = never; only mode ``none`` may leave it at 0).
     """
 
     mode: str = "none"  # none | shed | defer
     backlog_threshold: int = 0
-    token_rate_tps: float = 0.0
-    token_burst: float = 0.0
     protect_priority: int = 1
 
     def __post_init__(self) -> None:
@@ -151,26 +147,13 @@ class AdmissionPolicy:
             raise ValueError(
                 f"backlog_threshold must be >= 0 (0 = no backlog signal), "
                 f"got {self.backlog_threshold}")
-        if self.token_rate_tps < 0:
-            raise ValueError(
-                f"token_rate_tps must be >= 0 (0 = no token signal), "
-                f"got {self.token_rate_tps}")
-        if self.token_burst < 0:
-            raise ValueError(
-                f"token_burst must be >= 0, got {self.token_burst}")
-        if self.token_rate_tps > 0 and self.token_burst < 1:
-            raise ValueError(
-                f"token_burst must be >= 1 when token_rate_tps > 0 "
-                f"(a bucket that can never hold one token admits nothing), "
-                f"got {self.token_burst}")
         if self.protect_priority < 0:
             raise ValueError(
                 f"protect_priority must be >= 0, got {self.protect_priority}")
-        if self.mode != "none" and self.backlog_threshold == 0 \
-                and self.token_rate_tps == 0:
+        if self.mode != "none" and self.backlog_threshold == 0:
             raise ValueError(
-                f"admission mode {self.mode!r} needs at least one pressure "
-                f"signal (backlog_threshold > 0 or token_rate_tps > 0)")
+                f"admission mode {self.mode!r} needs a pressure signal "
+                f"(backlog_threshold > 0)")
 
 
 @dataclass(frozen=True)
@@ -186,14 +169,6 @@ class IngressSpec:
         names = [spec.name for spec in self.classes]
         if len(set(names)) != len(names):
             raise ValueError(f"class names must be unique, got {names}")
-
-    def class_index(self, name: str) -> int:
-        """Position of class ``name`` (ValueError if unknown)."""
-        for index, spec in enumerate(self.classes):
-            if spec.name == name:
-                return index
-        raise ValueError(f"unknown transaction class {name!r}; "
-                         f"known: {[spec.name for spec in self.classes]}")
 
     @classmethod
     def fifo_equivalent(cls, arrival: ArrivalSpec) -> "IngressSpec":
@@ -514,34 +489,17 @@ class IngressGateway:
         self.released = 0
         self._deferred: deque = deque()
         self._deferred_count = [0] * num_classes
-        self._tokens = float(self.policy.token_burst)
-        self._token_at = 0.0
 
     # ------------------------------------------------------------- pressure
-    def _refill(self, now: float) -> None:
-        if now > self._token_at:
-            self._tokens = min(
-                float(self.policy.token_burst),
-                self._tokens
-                + (now - self._token_at) * self.policy.token_rate_tps)
-            self._token_at = now
-
-    def pressure(self, now: float) -> bool:
-        """Whether the backpressure signal is tripped at virtual time
-        ``now`` (pool backlog at threshold, or token bucket empty)."""
-        policy = self.policy
-        if policy.backlog_threshold > 0 \
-                and self.pool.backlog >= policy.backlog_threshold:
-            return True
-        if policy.token_rate_tps > 0:
-            self._refill(now)
-            if self._tokens < 1.0:
-                return True
-        return False
+    def pressure(self) -> bool:
+        """Whether the backpressure signal is tripped (pool backlog at
+        threshold)."""
+        threshold = self.policy.backlog_threshold
+        return threshold > 0 and self.pool.backlog >= threshold
 
     # ------------------------------------------------------------ admission
     def _pool_admit(self, transaction: bytes, class_index: int, fee: float,
-                    submit_s: float, protected: bool) -> str:
+                    submit_s: float) -> str:
         if self.pool.contains(transaction):
             self.pool.admit(transaction, class_index, fee)  # counts the dup
             self.duplicates[class_index] += 1
@@ -550,10 +508,6 @@ class IngressGateway:
             # pool at capacity: the ingress-level disposition is a shed
             self.shed[class_index] += 1
             return "shed"
-        if not protected and self.policy.token_rate_tps > 0:
-            # no refill here: accrual is time-based and settles on the next
-            # pressure() probe, so decrement order cannot lose tokens
-            self._tokens = max(0.0, self._tokens - 1.0)
         self.admitted[class_index] += 1
         self.meta[transaction] = (class_index, submit_s)
         return "admitted"
@@ -569,7 +523,7 @@ class IngressGateway:
         policy = self.policy
         protected = self.ingress.classes[class_index].priority \
             >= policy.protect_priority
-        if policy.mode != "none" and not protected and self.pressure(now):
+        if policy.mode != "none" and not protected and self.pressure():
             if policy.mode == "shed" \
                     or len(self._deferred) >= self.capacity:
                 self.shed[class_index] += 1
@@ -577,10 +531,9 @@ class IngressGateway:
             self._deferred.append((transaction, class_index, fee, now))
             self._deferred_count[class_index] += 1
             return "deferred"
-        return self._pool_admit(transaction, class_index, fee, now,
-                                protected)
+        return self._pool_admit(transaction, class_index, fee, now)
 
-    def release_deferred(self, now: float) -> int:
+    def release_deferred(self) -> int:
         """Re-offer parked transactions to the pool once pressure clears.
 
         Called at every streaming checkpoint (after commits and requeues
@@ -590,14 +543,12 @@ class IngressGateway:
         client-observed latency.  Returns how many were released.
         """
         released = 0
-        while self._deferred and not self.pressure(now) \
+        while self._deferred and not self.pressure() \
                 and self.pool.backlog < self.capacity:
             transaction, class_index, fee, submit_s = self._deferred.popleft()
             self._deferred_count[class_index] -= 1
-            protected = self.ingress.classes[class_index].priority \
-                >= self.policy.protect_priority
-            if self._pool_admit(transaction, class_index, fee, submit_s,
-                                protected) == "admitted":
+            if self._pool_admit(transaction, class_index, fee,
+                                submit_s) == "admitted":
                 released += 1
         self.released += released
         return released

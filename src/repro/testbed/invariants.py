@@ -73,9 +73,6 @@ class InvariantVerdict:
     ok: bool
     detail: str = ""
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.ok
-
 
 class RunObserver:
     """Collects proposals and decisions during one harness run."""

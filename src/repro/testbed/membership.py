@@ -51,12 +51,12 @@ Extension point
 ---------------
 
 Reconfiguration is single-hop today: a multi-hop committee change would have
-to re-elect cluster leaders and re-route the backbone mid-stream.
-:func:`rebind_leader_schedules` is the seam for that work -- it already
-excludes departed nodes from every cluster's
-:class:`~repro.protocols.multihop.LeaderSchedule` and re-resolves the active
-leaders, so a future multi-hop controller only needs to re-wire the global
-domain around its return value.
+to re-elect cluster leaders and re-route the backbone mid-stream.  The seam
+for that work is the deployment's per-cluster
+:class:`~repro.protocols.multihop.LeaderSchedule` (``exclude`` a departed
+node, then re-resolve ``active_leader``) together with
+``Deployment.epoch_leaders``, the backbone wiring a multi-hop controller
+would re-route.
 """
 
 from __future__ import annotations
@@ -221,29 +221,6 @@ class BoundaryOutcome:
     @property
     def changed(self) -> bool:
         return bool(self.joined or self.departed or self.crashed)
-
-
-def rebind_leader_schedules(deployment, departed, epoch: int = 0) -> dict:
-    """Exclude departed nodes from every cluster's leader rotation.
-
-    The single-hop streaming reconfiguration calls this at each boundary
-    (a no-op there -- single-hop deployments own no schedules); it is the
-    extension point a future multi-hop membership controller builds on: a
-    departed node is permanently excluded from its cluster's
-    :class:`~repro.protocols.multihop.LeaderSchedule`, and the returned
-    ``{cluster index: active leader}`` map (resolved for ``epoch``, skipping
-    crashed nodes) is the backbone wiring the caller would re-route to.
-    """
-    departed = set(departed)
-    crashed = lambda node_id: deployment.nodes[node_id].crashed
-    leaders: dict[int, int] = {}
-    for cluster_index, schedule in deployment.leader_schedules.items():
-        for node_id in sorted(departed):
-            if node_id in schedule.cluster.node_ids:
-                schedule.exclude(node_id)
-        leaders[cluster_index] = schedule.active_leader(
-            epoch=epoch, crashed=crashed, rotate=True)
-    return leaders
 
 
 class MembershipController:

@@ -27,25 +27,6 @@ def chain_digest(previous: str, epoch_digest: str) -> str:
     return hashlib.sha256(f"{previous}|{epoch_digest}".encode()).hexdigest()
 
 
-def summarize_latencies(latencies: list[float]) -> dict[str, float]:
-    """Mean / min / max / stdev of a latency sample, plus the sample count.
-
-    An empty sample (every run timed out) yields NaN statistics; the ``count``
-    key lets consumers detect that case, and the reporting layer renders NaN
-    cells as ``n/a`` instead of leaking ``nan`` into tables.
-    """
-    if not latencies:
-        return {"count": 0.0, "mean": float("nan"), "min": float("nan"),
-                "max": float("nan"), "stdev": float("nan")}
-    return {
-        "count": float(len(latencies)),
-        "mean": statistics.fmean(latencies),
-        "min": min(latencies),
-        "max": max(latencies),
-        "stdev": statistics.pstdev(latencies) if len(latencies) > 1 else 0.0,
-    }
-
-
 @dataclass
 class ConsensusRunResult:
     """Outcome of one consensus run (one epoch) on the testbed."""
@@ -74,24 +55,6 @@ class ConsensusRunResult:
         if not self.decided or self.latency_s <= 0:
             return 0.0
         return self.committed_transactions / (self.latency_s / 60.0)
-
-    @property
-    def mean_node_latency_s(self) -> float:
-        """Mean per-node decision latency."""
-        if not self.per_node_latency_s:
-            return self.latency_s
-        return statistics.fmean(self.per_node_latency_s.values())
-
-    def summary(self) -> dict[str, float]:
-        """Flat summary for reporting."""
-        return {
-            "latency_s": self.latency_s,
-            "throughput_tpm": self.throughput_tpm,
-            "committed_transactions": float(self.committed_transactions),
-            "channel_accesses": float(self.channel_accesses),
-            "bytes_sent": float(self.bytes_sent),
-            "collisions": float(self.collisions),
-        }
 
 
 @dataclass
@@ -276,14 +239,6 @@ class StreamingRunResult:
     #: when an ingress spec was active (else empty)
     classes: list[ClassRecord] = field(default_factory=list)
 
-    def class_record(self, name: str) -> ClassRecord:
-        """The :class:`ClassRecord` of class ``name`` (KeyError if absent)."""
-        for record in self.classes:
-            if record.name == name:
-                return record
-        raise KeyError(f"no ingress class {name!r} in this result; "
-                       f"known: {[record.name for record in self.classes]}")
-
     @property
     def shed_total(self) -> int:
         """Transactions the admission gate shed, summed over classes."""
@@ -293,11 +248,6 @@ class StreamingRunResult:
     def reconfigurations(self) -> int:
         """How many epoch boundaries actually changed the committee."""
         return sum(1 for record in self.committees if record.reconfigured)
-
-    @property
-    def per_epoch_digests(self) -> tuple:
-        """Block digest of every decided epoch, in epoch order."""
-        return tuple(record.block_digest for record in self.per_epoch)
 
     @property
     def throughput_tps(self) -> float:
@@ -323,24 +273,10 @@ class StreamingRunResult:
         return percentile(self.epoch_latencies_s, 0.90)
 
     @property
-    def max_latency_s(self) -> float:
-        """Worst epoch latency (virtual seconds)."""
-        sample = self.epoch_latencies_s
-        return max(sample) if sample else float("nan")
-
-    @property
     def max_backlog(self) -> int:
         """Deepest backlog any node showed at any proposal time."""
         return max((record.backlog_max for record in self.per_epoch),
                    default=0)
-
-    @property
-    def mean_backlog(self) -> float:
-        """Mean of the per-epoch mean backlogs."""
-        if not self.per_epoch:
-            return 0.0
-        return statistics.fmean(record.backlog_mean
-                                for record in self.per_epoch)
 
 
 @dataclass

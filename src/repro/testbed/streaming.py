@@ -31,11 +31,10 @@ Shape of a streaming run
   Tags keep the message streams of concurrent epochs apart.
 * **Checkpoint/GC** -- when the oldest in-flight epoch settles it is
   checkpointed: its committed transactions are folded into the running
-  ledger digest, its metrics are recorded, and (with ``gc`` enabled, the
-  default) every protocol instance of the epoch releases its router and
-  transport state (:meth:`repro.protocols.base.ConsensusProtocol.release`).
-  Live state is therefore bounded by the pipeline window, not the stream
-  length.
+  ledger digest, its metrics are recorded, and every protocol instance of
+  the epoch releases its router and transport state
+  (:meth:`repro.protocols.base.ConsensusProtocol.release`).  Live state is
+  therefore bounded by the pipeline window, not the stream length.
 
 Determinism contract
 --------------------
@@ -75,11 +74,7 @@ from repro.testbed.harness import (
 )
 from repro.testbed.ingress import ClassedArrivals, IngressGateway, IngressSpec
 from repro.testbed.invariants import RunObserver
-from repro.testbed.membership import (
-    MembershipController,
-    MembershipSchedule,
-    rebind_leader_schedules,
-)
+from repro.testbed.membership import MembershipController, MembershipSchedule
 from repro.testbed.metrics import (
     ClassRecord,
     CommitteeRecord,
@@ -106,16 +101,14 @@ class StreamingSpec:
     number of transactions a node drains from its mempool per epoch;
     ``pipeline_depth`` is the number of *extra* epochs allowed in flight
     beyond the oldest incomplete one (0 = strictly sequential, 1 = epoch
-    ``e + 1`` disseminates while epoch ``e`` finishes); ``gc`` toggles the
-    checkpoint-time release of decided-epoch state (disable only to measure
-    what GC saves).
+    ``e + 1`` disseminates while epoch ``e`` finishes).  Every epoch's state
+    is released at its checkpoint.
     """
 
     epochs: int = 16
     batch_size: int = 8
     pipeline_depth: int = 0
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    gc: bool = True
     #: arrivals per node pre-buffered into the mempool at t=0 (clients queued
     #: while the system was offline); lets a stream start saturated instead
     #: of ramping up from empty mempools.
@@ -253,8 +246,7 @@ def reject_unsupported_membership(multi_hop: bool,
     """
     if multi_hop:
         # Multi-hop reconfiguration would re-elect leaders and re-route the
-        # backbone mid-stream -- the documented extension point
-        # (membership.rebind_leader_schedules).
+        # backbone mid-stream.
         raise DeploymentError(
             "membership schedules reconfigure the single-hop "
             "committee; multi-hop reconfiguration is not supported")
@@ -422,7 +414,6 @@ class StreamingRun:
                     # refused by the survivor's pool: it will never commit,
                     # so its latency mark must not outlive it
                     self.tx_meta.pop(entry[0], None)
-            rebind_leader_schedules(self.deployment, removed, epoch=epoch)
             controller.reconfigure(released_roots=tuple(
                 ("epoch", done) for done in range(self.checkpoint_cursor)))
         return CommitteeRecord(
@@ -466,7 +457,7 @@ class StreamingRun:
         return record is None or record.driver.content_locked()
 
     def _checkpoint(self, epoch: int) -> None:
-        """Record, commit and (optionally) GC one settled epoch."""
+        """Record, commit and release one settled epoch."""
         record = self.in_flight.pop(epoch)
         driver = record.driver
         domain_prefix = ("epoch", epoch)
@@ -511,11 +502,9 @@ class StreamingRun:
                     self.class_committed[class_index] += 1
             # Backlogs just settled (commits + requeues landed): give every
             # gateway's defer queue a chance to re-offer parked load.
-            now = self.deployment.sim.now
             for node_id in sorted(self.gateways):
-                self.gateways[node_id].release_deferred(now)
-        if self.spec.gc:
-            driver.release()
+                self.gateways[node_id].release_deferred()
+        driver.release()
         self.checkpoint_cursor = epoch + 1
 
     # ------------------------------------------------------------------- run
@@ -565,7 +554,6 @@ class StreamingRun:
             self._pump(node_id)
         finished = deployment.sim.run_until(self._poll,
                                             timeout=self.scenario.timeout_s)
-        deployment.shutdown()
         dropped_capacity = sum(m.dropped_capacity
                                for m in self.mempools.values())
         dropped_duplicate = sum(m.dropped_duplicate

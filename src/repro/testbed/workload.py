@@ -93,10 +93,6 @@ class TransactionWorkload:
             batch.append(self._transaction(rng, node_id, epoch, index))
         return batch
 
-    def batches(self, num_nodes: int, epoch: int = 0) -> list[list[bytes]]:
-        """Batches for every node."""
-        return [self.batch_for(node_id, epoch) for node_id in range(num_nodes)]
-
     # ---------------------------------------------------------------- flavors
     def _transaction(self, rng: random.Random, node_id: int, epoch: int | str,
                      index: int) -> bytes:

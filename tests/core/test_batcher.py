@@ -54,7 +54,7 @@ class TestBatchedTransport:
         run_until(deployment,
                   lambda: all(len(received[peer]) >= 4 for peer in (1, 2, 3)),
                   timeout=30)
-        deployment.shutdown()
+        deployment.close()
         # four logical messages, one packet, one channel access
         assert deployment.trace.nodes[0].channel_accesses == 1
         assert deployment.trace.nodes[0].logical_messages_sent == 4
@@ -68,7 +68,7 @@ class TestBatchedTransport:
         transport.activate("rbc", "t", 0)
         transport.send(make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t"))
         assert len(received[0]) == 1
-        deployment.shutdown()
+        deployment.close()
 
     def test_updates_while_waiting_merge_into_same_packet(self):
         deployment = build_cluster(batched=True, seed=3)
@@ -91,7 +91,7 @@ class TestBatchedTransport:
         run_until(deployment,
                   lambda: len([m for m in received[1] if m.sender == 0]) >= 2,
                   timeout=60)
-        deployment.shutdown()
+        deployment.close()
         assert deployment.trace.nodes[0].channel_accesses == 1
 
     def test_inactive_instances_are_not_transmitted(self):
@@ -100,8 +100,8 @@ class TestBatchedTransport:
         transport = transports_of(deployment)[0]
         # never activated: the builder finds nothing to send
         transport.send(make_message("rbc", 7, "echo", 0, {"hash": "x"}, tag="t"))
-        deployment.sim.run(until=10)
-        deployment.shutdown()
+        deployment.sim.run_window(10)
+        deployment.close()
         assert deployment.trace.nodes[0].channel_accesses == 0
         assert all(not received[node_id] for node_id in (1, 2, 3))
 
@@ -131,7 +131,7 @@ class TestBatchedTransport:
         forged_packet.sender = 2  # claim somebody else's identity
         before = len(received[3])
         transports[3].handle_frame(0, forged_packet)
-        deployment.shutdown()
+        deployment.close()
         assert len(received[3]) == before  # rejected
 
     def test_malformed_signature_drops_the_packet_not_the_run(self):
@@ -155,7 +155,7 @@ class TestBatchedTransport:
             assert not received[3]
         packet.signature, packet.sender = good_signature, 0
         transports[3].handle_frame(0, packet)
-        deployment.shutdown()
+        deployment.close()
         assert len(received[3]) == 1
 
     def test_a_packet_claiming_to_be_unsigned_is_still_verified(self):
@@ -168,7 +168,7 @@ class TestBatchedTransport:
             make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t")])
         packet.signed = False
         transports_of(deployment)[1].handle_frame(0, packet)
-        deployment.shutdown()
+        deployment.close()
         assert not received[1]
 
     def test_a_signer_cannot_speak_for_another_node(self):
@@ -182,7 +182,7 @@ class TestBatchedTransport:
         packet = transports[3]._finalize_packet(
             Packet(sender=3, messages=[forged, own], group=("rbc_er", "t")))
         transports[1].handle_frame(3, packet)
-        deployment.shutdown()
+        deployment.close()
         assert received[1] == [own]
 
     def test_nack_repair_recovers_missing_state(self):
@@ -202,7 +202,7 @@ class TestBatchedTransport:
         transports[1]._send_nack_request(("rbc", "t"), {0})
         run_until(deployment,
                   lambda: any(m.phase == "echo" for m in received[1]), timeout=60)
-        deployment.shutdown()
+        deployment.close()
         assert any(m.sender == 0 and m.phase == "echo" for m in received[1])
 
 
@@ -216,7 +216,7 @@ class TestBaselineTransport:
             transport.send(make_message("rbc", instance, "echo", 0,
                                         {"hash": f"h{instance}"}, tag="t"))
         run_until(deployment, lambda: len(received[1]) >= 4, timeout=60)
-        deployment.shutdown()
+        deployment.close()
         assert deployment.trace.nodes[0].channel_accesses == 4
 
     def test_baseline_packets_are_larger_in_aggregate(self):
@@ -230,7 +230,7 @@ class TestBaselineTransport:
                 transport.send(make_message("rbc", instance, "echo", 0,
                                             {"hash": f"h{instance}"}, tag="t"))
             run_until(deployment, lambda: len(received[1]) >= 4, timeout=60)
-            deployment.shutdown()
+            deployment.close()
         assert (batched.trace.total_bytes_sent
                 < baseline.trace.total_bytes_sent)
 
@@ -247,7 +247,7 @@ class TestBaselineTransport:
         transports[0]._send_nack_request(("cbc", "t"), {1})
         run_until(deployment,
                   lambda: any(m.phase == "finish" for m in received[0]), timeout=60)
-        deployment.shutdown()
+        deployment.close()
         assert any(m.sender == 2 for m in received[0])
 
 
@@ -263,7 +263,8 @@ def per_message_handle_frame(transport, payload):
                 for root in tag_scope_chain(message.tag)):
             transport._family_last_rx[(message.kind, message.tag)] = \
                 transport.node.sim.now
-        transport.trace.record_logical_receive(transport.node.node_id)
+        transport.trace.nodes[transport.node.node_id] \
+            .logical_messages_received += 1
         transport._receiver(message)
 
 
@@ -278,7 +279,7 @@ class TestReceiveLoop:
         for _ in range(60):
             deployment = build_cluster(batched=True, seed=11)
             fast, slow = (deployment.runtimes[node].transport for node in (1, 2))
-            deployment.sim.run(until=rng.uniform(0.0, 2.0))  # a nonzero clock
+            deployment.sim.run_window(rng.uniform(0.0, 2.0))  # a nonzero clock
             messages = []
             while len(messages) < 12:  # runs of one family, as batching makes
                 kind = rng.choice(["rbc", "aba_sc", "nack"])
@@ -302,7 +303,7 @@ class TestReceiveLoop:
                 transport.release_tag(("e", 9))  # an already-released scope
             fast.handle_frame(0, packet)
             per_message_handle_frame(slow, packet)
-            deployment.shutdown()
+            deployment.close()
             assert fast._family_last_rx == slow._family_last_rx
             assert fast._released_tags == slow._released_tags
             assert seen[fast] == seen[slow]
@@ -326,4 +327,4 @@ class TestActivationBookkeeping:
         assert ("rbc", "t") in transport._unfinished()
         transport.retire("rbc", "t", 0)
         assert not transport.is_active("rbc", "t", 0)
-        deployment.shutdown()
+        deployment.close()

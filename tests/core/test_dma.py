@@ -52,9 +52,13 @@ class TestUnalignedDma:
         with pytest.raises(ValueError):
             buffer.on_frame(0.0, -1)
 
-    def test_reset(self):
+    def test_every_frame_leaves_the_buffer_empty(self):
+        # each arrival ends in an interrupt (threshold or idle flush), so no
+        # bytes carry over from one frame, or one run, to the next
         buffer = DmaBuffer(DmaConfig(alignment_enabled=False,
-                                     max_packet_bytes=1000))
+                                     max_packet_bytes=256))
         buffer.on_frame(0.0, 10)
-        buffer.reset()
-        assert buffer.pending_bytes == 0
+        assert (buffer.pending_bytes, buffer.frames_buffered) == (0, 0)
+        buffer.on_frame(1.0, 300)
+        assert (buffer.pending_bytes, buffer.frames_buffered) == (0, 0)
+        assert buffer.interrupts == 2 and buffer.delayed_frames == 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batcher import SMALL_VALUE_KINDS
-from repro.core.packet import ComponentMessage, Packet, PacketSizer, SizeProfile
+from repro.core.packet import ComponentMessage, PacketSizer, SizeProfile
 from repro.protocols.base import PROTOCOL_NAMES
 from repro.testbed.harness import (
     run_aba_experiment,
@@ -44,14 +44,6 @@ class TestComponentMessage:
         text = make_message(kind="aba_sc", instance=2, phase="bval",
                             round_number=3, sender=1).describe()
         assert "aba_sc" in text and "bval" in text and "r3" in text
-
-
-class TestPacket:
-    def test_packet_iterates_messages(self):
-        messages = [make_message(instance=i) for i in range(3)]
-        packet = Packet(sender=0, messages=messages)
-        assert len(packet) == 3
-        assert list(packet) == messages
 
 
 class TestPacketSizer:

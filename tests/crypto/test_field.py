@@ -86,7 +86,7 @@ class TestPolynomial:
         poly = Polynomial(field=SMALL_FIELD, coeffs=(3, 2, 1))
         assert poly.evaluate(1) == 6
         assert poly.evaluate(2) == (3 + 4 + 4) % 97
-        assert poly.evaluate_many([0, 1]) == [3, 6]
+        assert poly.evaluate(0) == 3
 
 
 class TestLagrange:

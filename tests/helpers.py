@@ -14,6 +14,7 @@ Two complementary ways of exercising consensus components:
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,6 +32,17 @@ from repro.net.sim import Simulator
 from repro.net.topology import faults_tolerated
 from repro.testbed.harness import Deployment, build_deployment
 from repro.testbed.scenarios import Scenario
+
+
+def drain(sim: Simulator) -> None:
+    """Run every queued event and leave the clock at the last one: a
+    ``run_until`` whose predicate never holds."""
+    sim.run_until(lambda: False, timeout=math.inf)
+
+
+def epoch_digests(result) -> tuple:
+    """A streaming result's block digest of every decided epoch, in order."""
+    return tuple(record.block_digest for record in result.per_epoch)
 
 
 class InMemoryTransport:
@@ -63,9 +75,6 @@ class InMemoryTransport:
 
     def mark_incomplete(self, kind, tag, instance) -> None:
         self._complete.discard((kind, tag, instance))
-
-    def shutdown(self) -> None:
-        pass
 
     def send(self, message: ComponentMessage) -> None:
         self.sent.append(message)

@@ -219,4 +219,4 @@ class TestDropTrace:
         trace.record_adversary_drop("ch0")
         trace.record_adversary_drop("ch0")
         assert trace.total_adversary_drops == 2
-        assert trace.summary()["adversary_drops"] == 2.0
+        assert trace.channels["ch0"].adversary_drops == 2

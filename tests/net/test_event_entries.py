@@ -7,7 +7,7 @@ is the kernel as it was, one ``Event`` object (label included) inside a
 observe may tell them apart:
 
 * random programs of schedules, cancellations (also from inside callbacks,
-  and of events that already ran) and every run loop fire the same
+  and of events that already ran) and both run loops fire the same
   callbacks at the same clock, return the same values and count the same
   events;
 * whole consensus runs -- one epoch, streaming, sharded multi-hop -- on the
@@ -19,15 +19,17 @@ observe may tell them apart:
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
 
-from repro.net.sim import PeriodicTimer, SimulationError, Simulator, Timer
+from repro.net.sim import PeriodicTimer, SimulationError, Simulator
 from repro.testbed import harness, sharding
 from repro.testbed.harness import run_consensus, run_multihop_consensus
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from tests.helpers import drain
 from tests.reference import ReferenceSimulator
 
 #: delays with deliberate ties, so FIFO tie-breaking is exercised
@@ -96,10 +98,11 @@ def drive(kernel, seed: int, steps: int, cancel_storms: bool) -> list:
                 sim.cancel(handles[script.randrange(len(handles))])
         elif op == 4:
             horizon = sim.now + script.choice((-1.0, 0.0, 0.5, 2.0))
-            attempt("run", lambda: sim.run(until=horizon))
+            attempt("horizon", lambda: sim.run_window(horizon))
         elif op == 5:
-            count = script.randint(1, 5)
-            attempt("run-max", lambda: sim.run(max_events=count))
+            stop = sim.events_processed + script.randint(1, 5)
+            attempt("count", lambda: sim.run_until(
+                lambda: sim.events_processed >= stop, timeout=math.inf))
         elif op == 6:
             horizon = sim.now + script.choice((0.0, 0.5, 1.0))
             attempt("window", lambda: sim.run_window(
@@ -114,7 +117,7 @@ def drive(kernel, seed: int, steps: int, cancel_storms: bool) -> list:
         else:
             when = sim.now + script.choice((-0.5, 0.0, 0.25, float("nan")))
             attempt("at", lambda: sim.schedule_at(when, lambda: None) and None)
-    attempt("drain", sim.run)
+    attempt("drain", lambda: drain(sim))
     return log
 
 
@@ -197,7 +200,7 @@ class TestHandle:
     def test_a_fired_handle_is_dead_and_a_late_cancel_is_a_no_op(self):
         sim = Simulator()
         handle = sim.schedule(1.0, lambda: None)
-        sim.run()
+        drain(sim)
         assert handle[2] is None
         sim.cancel(handle)
         assert sim._cancelled_queued == 0
@@ -209,23 +212,27 @@ class TestHandle:
         sim.cancel(handle)
         sim.cancel(handle)
         assert handle[2] is None and sim._cancelled_queued == 1
-        assert sim.run() == 0.0 and ran == []
+        drain(sim)
+        assert sim.now == 0.0 and ran == []
         assert sim._cancelled_queued == 0 and sim.pending_events() == 0
 
-    def test_timer_armed_follows_its_entry(self):
+    def test_a_periodic_timer_entry_follows_start_and_stop(self):
         sim = Simulator()
-        timer = Timer(sim, lambda: None)
-        timer.start(1.0)
-        assert timer.armed
-        sim.run()
-        assert not timer.armed
-        timer.start(1.0)
-        timer.cancel()
-        assert not timer.armed
+        timer = PeriodicTimer(sim, 1.0, lambda: None)
+        timer.start()
+        first = timer._event
+        assert first[2] is not None
+        sim.run_window(1.0)
+        second = timer._event
+        assert first[2] is None and second is not first  # fired, re-armed
+        assert second[2] is not None
+        timer.stop()
+        assert second[2] is None and timer._event is None
+        assert sim._cancelled_queued == 1
 
     def test_a_periodic_timer_stopped_by_its_callback_leaves_no_tally(self):
         sim = Simulator()
         timer = PeriodicTimer(sim, 1.0, lambda: timer.stop())
         timer.start()
-        sim.run()
+        drain(sim)
         assert sim.events_processed == 1 and sim._cancelled_queued == 0

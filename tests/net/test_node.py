@@ -42,7 +42,7 @@ class TestCpuAccounting:
         node.bind_stack(stack)
         node.deliver_frame(Frame(sender=1, payload="a", size_bytes=50))
         node.deliver_frame(Frame(sender=2, payload="b", size_bytes=50))
-        sim.run(until=10.0)
+        sim.run_window(10.0)
         # the second frame's processing must wait for the first frame's cost
         assert len(stack.processed) == 2
         first_time = stack.processed[0][0]
@@ -67,7 +67,7 @@ class TestCpuAccounting:
         sim, trace, channel, node = build_node()
         calls = []
         node.run_task(lambda: calls.append(sim.now))
-        sim.run(until=1.0)
+        sim.run_window(1.0)
         assert calls == [0.0]
         assert node.cpu_available_at > 0.0
 
@@ -82,7 +82,7 @@ class TestDmaPath:
             stack = BusyStack(node)
             node.bind_stack(stack)
             node.deliver_frame(Frame(sender=1, payload="x", size_bytes=20))
-            sim.run(until=5.0)
+            sim.run_window(5.0)
             results[name] = stack.processed[0][0]
         assert results["unaligned"] > results["aligned"]
 
@@ -95,7 +95,7 @@ class TestCrashBehaviour:
         node.crash()
         node.broadcast({"from": "crashed"}, 60)
         node.deliver_frame(Frame(sender=1, payload="a", size_bytes=50))
-        sim.run(until=5.0)
+        sim.run_window(5.0)
         assert stack.processed == []
         assert trace.nodes[0].channel_accesses == 0
 
@@ -121,7 +121,7 @@ class TestInterfaces:
         node.bind_stack(stack_b, channel="chB")
         node.deliver_frame(Frame(sender=1, payload="a", size_bytes=10, channel="chA"))
         node.deliver_frame(Frame(sender=2, payload="b", size_bytes=10, channel="chB"))
-        sim.run(until=1.0)
+        sim.run_window(1.0)
         assert [p for _t, _s, p in stack_a.processed] == ["a"]
         assert [p for _t, _s, p in stack_b.processed] == ["b"]
 
@@ -141,5 +141,5 @@ class TestInterfaces:
         node.bind_stack(stack)
         node.deliver_frame(Frame(sender=1, payload="x", size_bytes=10,
                                  channel="other"))
-        sim.run(until=1.0)
+        sim.run_window(1.0)
         assert len(stack.processed) == 1

@@ -28,11 +28,13 @@ from repro.net.shard import (
     ShardRunner,
     ShardSyncError,
     next_horizon,
+    _InProcessPool,
     run_conservative,
 )
-from repro.net.sim import Simulator
+from repro.net.sim import SimulationError, Simulator
 from repro.net.trace import NetworkTrace
 from repro.testbed.scenarios import WIFI_CSMA
+from tests.helpers import drain
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +131,7 @@ class TestShardBackboneChannel:
         channel = _mirror(sim)
         mac = _StubMac(1)
         channel.transmit(mac, Frame(sender=1, payload=b"a", size_bytes=8))
-        sim.run()
+        drain(sim)
         channel.transmit(mac, Frame(sender=1, payload=b"b", size_bytes=8))
         first, second = channel.drain_outbound()
         assert (first.seq, second.seq) == (0, 1)
@@ -146,7 +148,7 @@ class TestShardBackboneChannel:
         receiver = _StubMac(2, node=node)
         remote.attach(receiver)
         remote.inject_remote(emission)
-        remote_sim.run()
+        drain(remote_sim)
         assert len(node.delivered) == 1
         assert node.delivered[0].payload == b"payload"
         # the home shard's frame id (its _frame_seq starts at 1) survives
@@ -165,6 +167,17 @@ class TestShardBackboneChannel:
         assert remote.busy_until == emission.end
         assert remote.is_busy()
 
+    def test_ghost_names_the_remote_sender_and_leaves_its_counters_home(self):
+        home = _mirror(Simulator(), shard_index=0)
+        _, emission = _emit(home, _StubMac(4), sender=4)
+        remote = _mirror(Simulator(), shard_index=1)
+        ghost = remote.inject_remote(emission)
+        assert isinstance(ghost.sender_mac, GhostMac)
+        assert ghost.sender_mac.node_id == 4
+        # the transmission and its channel access belong to the home shard
+        assert home.trace.channels["global"].transmissions == 1
+        assert remote.trace.channels["global"].transmissions == 0
+
     def test_ghost_collides_symmetrically_with_local_transmission(self):
         # Shard A transmits at t=0; shard B independently transmits at t=0.
         # At the barrier each side injects the other's ghost; both sides must
@@ -182,8 +195,8 @@ class TestShardBackboneChannel:
         ghost_a = side_b.inject_remote(emission_a)
         assert tx_a.collided and ghost_b.collided
         assert tx_b.collided and ghost_a.collided
-        sim_a.run()
-        sim_b.run()
+        drain(sim_a)
+        drain(sim_b)
         # nothing delivered anywhere, collision recorded once per real tx
         assert node_a.delivered == [] and node_b.delivered == []
         assert side_a.trace.channels["global"].collisions == 1
@@ -204,7 +217,7 @@ class TestShardBackboneChannel:
         remote.transmit(local_mac, Frame(sender=2, payload=b"l", size_bytes=64))
         remote.drain_outbound()
         remote.inject_remote(emission)
-        sim.run()
+        drain(sim)
         assert node.delivered == []
         # only the local (real) transmission records the collision here
         assert remote.trace.channels["global"].collisions == 1
@@ -214,16 +227,10 @@ class TestShardBackboneChannel:
         _, emission = _emit(home, _StubMac(1))
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.run()
+        drain(sim)
         remote = _mirror(sim, 1)
         with pytest.raises(ShardSyncError, match="horizon protocol"):
             remote.inject_remote(emission)
-
-    def test_ghost_mac_is_inert(self):
-        ghost = GhostMac(9)
-        assert ghost.node_id == 9
-        assert ghost.was_transmitting_during(0.0, 1.0) is False
-        assert ghost.on_transmit_done(None, collided=False) is None
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +317,37 @@ class TestRunConservative:
         emission = Emission(shard=0, seq=1, sender=2, start=0.5, end=0.6,
                             size_bytes=16, data=b"frame")
         assert pickle.loads(pickle.dumps(emission)) == emission
+
+
+class TestInProcessPool:
+    def test_lockstep_advance_and_per_shard_counts(self):
+        times = {0: [0.5], 1: [0.2, 0.8]}
+        runners = [_ToyRunner(index, times[index]) for index in (0, 1)]
+        pool = _InProcessPool(runners)
+        first = pool.step(0.6, {})
+        assert [result.processed for result in first] == [1, 1]
+        assert [runner.sim.now for runner in runners] == [0.6, 0.6]
+        assert [result.done for result in first] == [True, False]
+        second = pool.step(1.0, {})
+        assert [result.processed for result in second] == [0, 1]
+        assert [runner.sim.events_processed for runner in runners] == [1, 2]
+        assert all(result.done for result in second)
+        assert pool.finish() == [{"shard": 0, "ran": [0.5]},
+                                 {"shard": 1, "ran": [0.2, 0.8]}]
+
+    def test_each_shard_polls_after_its_own_events(self):
+        seen = []
+        runners = [_ToyRunner(0, [0.1, 0.3]), _ToyRunner(1, [0.2])]
+        for runner in runners:
+            runner.poll = lambda index=runner.shard_index: seen.append(index)
+        _InProcessPool(runners).step(1.0, {})
+        assert seen == [0, 0, 1]
+
+    def test_a_window_cannot_move_backwards(self):
+        pool = _InProcessPool([_ToyRunner(0, [])])
+        pool.step(1.0, {})
+        with pytest.raises(SimulationError, match="already at 1.0"):
+            pool.step(0.5, {})
 
 
 class TestLookaheadFromScenarioProfiles:

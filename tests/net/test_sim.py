@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.net.sim import PeriodicTimer, SimulationError, Simulator, Timer
+from repro.net.sim import PeriodicTimer, SimulationError, Simulator
+from tests.helpers import drain
 
 
 class TestSimulator:
@@ -14,7 +15,7 @@ class TestSimulator:
         sim.schedule(2.0, lambda: order.append("late"))
         sim.schedule(1.0, lambda: order.append("early"))
         sim.schedule(1.5, lambda: order.append("middle"))
-        sim.run()
+        drain(sim)
         assert order == ["early", "middle", "late"]
 
     def test_same_time_events_fifo(self):
@@ -22,14 +23,14 @@ class TestSimulator:
         order = []
         for index in range(5):
             sim.schedule(1.0, lambda i=index: order.append(i))
-        sim.run()
+        drain(sim)
         assert order == [0, 1, 2, 3, 4]
 
     def test_now_advances(self):
         sim = Simulator()
         seen = []
         sim.schedule(3.5, lambda: seen.append(sim.now))
-        sim.run()
+        drain(sim)
         assert seen == [3.5]
         assert sim.now == 3.5
 
@@ -38,7 +39,7 @@ class TestSimulator:
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(10.0, lambda: fired.append(2))
-        sim.run(until=5.0)
+        sim.run_window(5.0)
         assert fired == [1]
         assert sim.now == 5.0
 
@@ -50,7 +51,7 @@ class TestSimulator:
     def test_schedule_at_in_past_rejected(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
-        sim.run()
+        drain(sim)
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
@@ -60,7 +61,7 @@ class TestSimulator:
         event = sim.schedule(1.0, lambda: fired.append("cancelled"))
         sim.schedule(2.0, lambda: fired.append("kept"))
         sim.cancel(event)
-        sim.run()
+        drain(sim)
         assert fired == ["kept"]
 
     def test_events_scheduled_during_run(self):
@@ -72,7 +73,7 @@ class TestSimulator:
             sim.schedule(1.0, lambda: fired.append("nested"))
 
         sim.schedule(1.0, first)
-        sim.run()
+        drain(sim)
         assert fired == ["first", "nested"]
         assert sim.now == 2.0
 
@@ -95,18 +96,19 @@ class TestSimulator:
     def test_run_until_a_past_time_cannot_rewind_the_clock(self):
         sim = Simulator()
         sim.schedule(2.0, lambda: None)
-        sim.schedule(9.0, lambda: None)  # still queued: run() used to peek it
-        sim.run(until=2.0)
+        sim.schedule(9.0, lambda: None)  # still queued past the horizon
+        sim.run_window(2.0)
         with pytest.raises(SimulationError, match="already at 2.0"):
-            sim.run(until=1.0)
+            sim.run_window(1.0)
         assert sim.now == 2.0
-        assert sim.run(until=2.0) == 2.0  # the present is not the past
+        assert sim.run_window(2.0) == 0  # the present is not the past
+        assert sim.now == 2.0
 
     def test_negative_timeout_cannot_rewind_the_clock(self):
         sim = Simulator()
         sim.schedule(2.0, lambda: None)
         sim.schedule(9.0, lambda: None)
-        sim.run(until=2.0)
+        sim.run_window(2.0)
         with pytest.raises(SimulationError, match="non-negative"):
             sim.run_until(lambda: False, timeout=-1.0)
         assert sim.now == 2.0
@@ -118,8 +120,6 @@ class TestSimulator:
         PeriodicTimer(sim, 1.0, lambda: None).start()
         with pytest.raises(SimulationError, match="nan"):
             sim.run_until(lambda: False, timeout=float("nan"))
-        with pytest.raises(SimulationError, match="nan"):
-            sim.run(until=float("nan"))
         with pytest.raises(SimulationError, match="nan"):
             sim.run_window(float("nan"))
         assert sim.now == 0.0 and sim.events_processed == 0
@@ -134,11 +134,9 @@ class TestSimulator:
             for _ in range(12):
                 horizon = rng.choice([sim.now + rng.uniform(0.0, 3.0),
                                       rng.uniform(0.0, 10.0), float("nan")])
-                call = rng.choice(["run", "run_window", "run_until"])
+                call = rng.choice(["run_window", "run_until"])
                 try:
-                    if call == "run":
-                        sim.run(until=horizon)
-                    elif call == "run_window":
+                    if call == "run_window":
                         sim.run_window(horizon)
                     else:
                         sim.run_until(lambda: rng.random() < 0.2,
@@ -153,13 +151,13 @@ class TestSimulator:
         fired = []
         sim.schedule(1.0, lambda: fired.append(1))
         sim.schedule(3.0, lambda: fired.append(3))
-        sim.run(until=2.0)
+        sim.run_window(2.0)
         sim.close()
         sim.close()
         assert sim.pending_events() == 0
         assert sim.events_processed == 1
         assert sim.now == 2.0
-        sim.run()
+        drain(sim)
         assert fired == [1]
 
     def test_deterministic_rng(self):
@@ -167,19 +165,21 @@ class TestSimulator:
         values_b = [Simulator(seed=42).rng.random() for _ in range(1)]
         assert values_a == values_b
 
-    def test_max_events(self):
+    def test_run_until_stops_at_the_event_that_satisfies_it(self):
         sim = Simulator()
         fired = []
         for index in range(10):
             sim.schedule(1.0, lambda i=index: fired.append(i))
-        sim.run(max_events=4)
-        assert len(fired) == 4
+        assert sim.run_until(lambda: len(fired) == 4, timeout=5.0)
+        assert fired == [0, 1, 2, 3]
+        assert sim.events_processed == 4 and sim.pending_events() == 6
+        assert sim.now == 1.0
 
-    def test_call_soon(self):
+    def test_zero_delay_runs_at_the_current_time(self):
         sim = Simulator()
         fired = []
-        sim.call_soon(lambda: fired.append("now"))
-        sim.run()
+        sim.schedule(0.0, lambda: fired.append("now"))
+        drain(sim)
         assert fired == ["now"]
         assert sim.now == 0.0
 
@@ -199,7 +199,7 @@ class TestSimulator:
         sim.cancel(event)
         sim.cancel(event)
         assert sim._cancelled_queued == 1
-        sim.run()
+        drain(sim)
         assert sim._cancelled_queued == 0
 
     def test_cancel_after_pop_does_not_inflate_tally(self):
@@ -218,7 +218,7 @@ class TestSimulator:
         for index in range(100):
             timers.append(PeriodicTimer(sim, 1.0, make_stopper(index)))
             timers[index].start()
-        sim.run(until=5.0)
+        sim.run_window(5.0)
         assert sim._cancelled_queued == 0
 
     def test_compaction_preserves_order_and_determinism(self):
@@ -233,38 +233,9 @@ class TestSimulator:
             for victim in victims:
                 sim.cancel(victim)
             sim.schedule(0.5, lambda: order.append("first"))
-            sim.run()
+            drain(sim)
             return order
         assert drive(compact=True) == drive(compact=False)
-
-
-class TestTimer:
-    def test_timer_fires(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        sim.run()
-        assert fired == [2.0]
-
-    def test_timer_restart_replaces_previous(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(2.0)
-        timer.start(5.0)
-        sim.run()
-        assert fired == [5.0]
-
-    def test_timer_cancel(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(1))
-        timer.start(1.0)
-        timer.cancel()
-        sim.run()
-        assert fired == []
-        assert not timer.armed
 
 
 class TestPeriodicTimer:
@@ -273,7 +244,7 @@ class TestPeriodicTimer:
         fired = []
         timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
         timer.start()
-        sim.run(until=5.5)
+        sim.run_window(5.5)
         timer.stop()
         assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -283,7 +254,7 @@ class TestPeriodicTimer:
         timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
         timer.start()
         sim.schedule(2.5, timer.stop)
-        sim.run(until=10.0)
+        sim.run_window(10.0)
         assert fired == [1.0, 2.0]
 
     def test_jitter_stays_within_bounds(self):
@@ -291,7 +262,7 @@ class TestPeriodicTimer:
         fired = []
         timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now), jitter=0.5)
         timer.start()
-        sim.run(until=20.0)
+        sim.run_window(20.0)
         timer.stop()
         gaps = [b - a for a, b in zip(fired, fired[1:])]
         assert all(1.0 <= gap <= 1.5 + 1e-9 for gap in gaps)
@@ -302,7 +273,7 @@ class TestPeriodicTimer:
         timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
         timer.start()
         sim.schedule(0.5, timer.start)
-        sim.run(until=4.0)
+        sim.run_window(4.0)
         assert fired == [1.5, 2.5, 3.5]
 
     def test_restart_from_its_own_callback_keeps_one_chain(self):
@@ -315,9 +286,40 @@ class TestPeriodicTimer:
 
         timer = PeriodicTimer(sim, 1.0, fire)
         timer.start()
-        sim.run(until=3.5)
+        sim.run_window(3.5)
         assert fired == [1.0, 2.0, 3.0]
         assert sim.pending_events() == 1
+
+    def test_stop_before_the_first_firing(self):
+        sim = Simulator()
+        fired = []
+        timer = PeriodicTimer(sim, 1.0, lambda: fired.append(1))
+        timer.start()
+        assert timer.running
+        timer.stop()
+        drain(sim)
+        assert fired == []
+        assert not timer.running
+
+    def test_stop_twice_leaves_one_cancelled_entry(self):
+        sim = Simulator()
+        timer = PeriodicTimer(sim, 1.0, lambda: None)
+        timer.start()
+        timer.stop()
+        timer.stop()
+        assert sim._cancelled_queued == 1 and sim.pending_events() == 1
+        drain(sim)
+        assert sim._cancelled_queued == 0 and sim.events_processed == 0
+
+    def test_a_stopped_timer_starts_again_one_interval_later(self):
+        sim = Simulator()
+        fired = []
+        timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now))
+        timer.start()
+        sim.schedule(1.5, timer.stop)
+        sim.schedule(3.25, timer.start)
+        sim.run_window(5.5)
+        assert fired == [1.0, 4.25, 5.25]
 
     def test_invalid_interval(self):
         with pytest.raises(SimulationError):

@@ -1,4 +1,4 @@
-"""Simulator scheduling validation, barrier windows and the sharded facade.
+"""Simulator scheduling validation and barrier windows.
 
 Covers the PR-9 additions to :mod:`repro.net.sim`:
 
@@ -8,16 +8,15 @@ Covers the PR-9 additions to :mod:`repro.net.sim`:
   pop became nondeterministic);
 * ``run_window`` -- the conservative-synchronization primitive -- is
   inclusive of its horizon, fast-forwards empty windows, honours
-  cancellations and runs the poll hook at per-event cadence;
-* ``ShardedSimulator`` advances member simulators in lockstep.
+  cancellations and runs the poll hook at per-event cadence.
 """
 
-import math
 from functools import partial
 
 import pytest
 
-from repro.net.sim import ShardedSimulator, SimulationError, Simulator
+from repro.net.sim import SimulationError, Simulator
+from tests.helpers import drain
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +49,7 @@ class TestScheduleValidation:
         sim = Simulator()
         ran = []
         sim.schedule(0.0, lambda: ran.append(True))
-        sim.run()
+        drain(sim)
         assert ran == [True]
 
     def test_nan_rejected_before_it_can_poison_heap_order(self):
@@ -72,7 +71,7 @@ class TestScheduleValidation:
     def test_schedule_at_past_raises_and_names_the_callback(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.run()
+        drain(sim)
         assert sim.now == 1.0
         with pytest.raises(SimulationError, match=r"resend at 0\.5 before"):
             sim.schedule_at(0.5, resend)
@@ -80,10 +79,10 @@ class TestScheduleValidation:
     def test_schedule_at_now_is_allowed(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        sim.run()
+        drain(sim)
         ran = []
         sim.schedule_at(1.0, lambda: ran.append(True))
-        sim.run()
+        drain(sim)
         assert ran == [True]
 
 
@@ -176,48 +175,3 @@ class TestNextEventTime:
 
     def test_empty_queue_returns_none(self):
         assert Simulator().next_event_time() is None
-
-
-# ---------------------------------------------------------------------------
-# ShardedSimulator facade
-# ---------------------------------------------------------------------------
-
-class TestShardedSimulator:
-    def test_requires_at_least_one_shard(self):
-        with pytest.raises(SimulationError):
-            ShardedSimulator([])
-
-    def test_lockstep_advance_and_per_shard_counts(self):
-        shard_a, shard_b = Simulator(seed=1), Simulator(seed=2)
-        shard_a.schedule(0.5, lambda: None)
-        shard_b.schedule(0.2, lambda: None)
-        shard_b.schedule(0.8, lambda: None)
-        sharded = ShardedSimulator([shard_a, shard_b])
-        assert sharded.run_window(0.6) == [1, 1]
-        assert shard_a.now == 0.6 and shard_b.now == 0.6
-        assert sharded.now == 0.6
-        assert sharded.run_window(1.0) == [0, 1]
-        assert sharded.events_processed == 3
-        assert sharded.pending_events() == 0
-
-    def test_window_cannot_move_backwards(self):
-        sharded = ShardedSimulator([Simulator()])
-        sharded.run_window(1.0)
-        with pytest.raises(SimulationError, match="back"):
-            sharded.run_window(0.5)
-
-    def test_per_shard_polls(self):
-        shard_a, shard_b = Simulator(), Simulator()
-        shard_a.schedule(0.1, lambda: None)
-        shard_b.schedule(0.1, lambda: None)
-        seen = []
-        sharded = ShardedSimulator([shard_a, shard_b])
-        sharded.run_window(1.0, polls=[lambda: seen.append("a"),
-                                       lambda: seen.append("b")])
-        assert seen == ["a", "b"]
-
-    def test_infinite_horizon_not_required(self):
-        # the facade never interprets horizons; inf is a valid window end
-        sharded = ShardedSimulator([Simulator()])
-        sharded.run_window(math.inf)
-        assert sharded.now == math.inf

@@ -160,5 +160,5 @@ class TestCrossProtocolAgreement:
         network = InMemoryNetwork(4, seed=12)
         protocols, _ = run_protocol(
             network, lambda node: HoneyBadger(node.ctx, node.router, coin="sc"))
-        assert all(protocol.latency is not None for protocol in protocols)
-        assert all(protocol.latency >= 0 for protocol in protocols)
+        assert all(protocol.decide_time >= protocol.started_at
+                   for protocol in protocols)

@@ -161,34 +161,6 @@ class ReferenceSimulator:
     # The run loops as they were, line for line: the micro-benchmark times
     # this class as the kernel's "before" row.
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> float:
-        if until is not None and not until >= self.now:
-            raise ValueError(f"cannot run until {until}")
-        processed_this_run = 0
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            when, _, event = queue[0]
-            if until is not None and when > until:
-                self.now = until
-                break
-            pop(queue)
-            if event.cancelled:
-                self._cancelled_queued[0] -= 1
-                continue
-            event._cancel_tally = None
-            self.now = when
-            event.callback()
-            self.events_processed += 1
-            processed_this_run += 1
-            if max_events is not None and processed_this_run >= max_events:
-                break
-        else:
-            if until is not None and until > self.now:
-                self.now = until
-        return self.now
-
     def run_window(self, until: float,
                    poll: Optional[Callable[[], None]] = None) -> int:
         if not until >= self.now:

@@ -263,7 +263,7 @@ def test_feed_proposes_each_cluster_contribution_once():
         return epoch.done()
 
     assert deployment.sim.run_until(poll, timeout=scenario.timeout_s)
-    deployment.shutdown()
+    deployment.close()
     epoch.feed()
     assert Counter(leader for leader, _batch in proposed) == \
         Counter(leaders)
@@ -309,7 +309,7 @@ def test_feed_when_two_leaders_decide_in_one_event():
 
     assert not epoch.done()
     assert deployment.sim.run_until(poll, timeout=scenario.timeout_s)
-    deployment.shutdown()
+    deployment.close()
     epoch.feed()
     assert proposed == leaders  # each once, in cluster order
     assert epoch.local_latencies == {0: 1.0, 1: 1.0}
@@ -383,7 +383,7 @@ def test_settled_and_content_locked_agree_with_the_scans_they_replaced():
                 == _scan_content_locked(deployment, epoch)
             assert epoch.done() == all(
                 instance.decided for instance in epoch.deciders.values())
-        deployment.shutdown()
+        deployment.close()
 
 
 #: (block digest, sim events, repr(latency_s), committed transactions, bytes

@@ -292,7 +292,7 @@ class TestDeploymentConstruction:
         assert len(deployment.runtimes) == 4
         assert set(deployment.channels) == {"ch0"}
         assert deployment.honest_ids() == [0, 1, 2, 3]
-        deployment.shutdown()
+        deployment.close()
 
     def test_multi_hop_deployment_shape(self):
         deployment = build_deployment(Scenario.multi_hop(4, 4), batched=True, seed=1)
@@ -301,7 +301,7 @@ class TestDeploymentConstruction:
         assert len(deployment.global_runtimes) == 4  # one leader per cluster
         for leader_id in deployment.global_runtimes:
             assert "backbone" in deployment.nodes[leader_id].interfaces
-        deployment.shutdown()
+        deployment.close()
 
     def test_crash_strategy_applied_at_build_time(self):
         from repro.testbed.byzantine import ByzantineSpec
@@ -311,7 +311,7 @@ class TestDeploymentConstruction:
         deployment = build_deployment(scenario, batched=True, seed=1)
         assert deployment.nodes[2].crashed
         assert deployment.honest_ids() == [0, 1, 3]
-        deployment.shutdown()
+        deployment.close()
 
     def test_slow_links_strategy_targets_adversary(self):
         from repro.testbed.byzantine import ByzantineSpec
@@ -320,4 +320,4 @@ class TestDeploymentConstruction:
             ByzantineSpec(assignments={1: "slow-links"}))
         deployment = build_deployment(scenario, batched=True, seed=1)
         assert deployment.adversary.delay_model.targeted[(1, 0)] > 0
-        deployment.shutdown()
+        deployment.close()

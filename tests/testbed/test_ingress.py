@@ -54,6 +54,7 @@ from repro.testbed.streaming import (
     run_streaming_consensus,
 )
 from repro.testbed.workload import ArrivalSpec, ChurnSpec, OpenLoopArrivals
+from tests.helpers import epoch_digests
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
 THREE_OPEN = ingress_profile("three-class-open")
@@ -96,12 +97,9 @@ class TestSpecValidation:
 
     def test_admission_policy_rejects_bad_fields(self):
         for bad in (dict(mode="drop"), dict(backlog_threshold=-1),
-                    dict(token_rate_tps=-1.0), dict(token_burst=-1.0),
                     dict(protect_priority=-1),
-                    # a gated mode needs at least one pressure signal
-                    dict(mode="shed"), dict(mode="defer"),
-                    # a bucket that can never hold one token admits nothing
-                    dict(mode="shed", token_rate_tps=2.0, token_burst=0.5)):
+                    # a gated mode needs its pressure signal
+                    dict(mode="shed"), dict(mode="defer")):
             with pytest.raises(ValueError):
                 AdmissionPolicy(**bad)
 
@@ -111,13 +109,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             IngressSpec(classes=(TxClassSpec(name="a"),
                                  TxClassSpec(name="a", weight=2.0)))
-
-    def test_class_index_lookup(self):
-        spec = ingress_profile("three-class-open")
-        assert spec.class_index("high") == 0
-        assert spec.class_index("best-effort") == 2
-        with pytest.raises(ValueError):
-            spec.class_index("platinum")
 
     def test_profile_lookup_is_loud(self):
         assert set(INGRESS_PROFILES) == {
@@ -434,14 +425,33 @@ class TestIngressGateway:
         gateway.submit(0.1, b"b", 2, 0.5)
         assert gateway.submit(0.2, b"c", 2, 0.5) == "deferred"
         assert gateway.deferred_pending(2) == 1
-        assert gateway.release_deferred(0.3) == 0  # pressure still tripped
+        assert gateway.release_deferred() == 0  # pressure still tripped
         gateway.pool.take(2)  # consensus drains the backlog
-        assert gateway.release_deferred(0.4) == 1
+        assert gateway.release_deferred() == 1
         assert gateway.deferred_pending(2) == 0
         assert gateway.released == 1
         assert gateway.admitted == [0, 0, 3]
         # client-observed latency runs from the original submit instant
         assert gateway.meta[b"c"] == (2, 0.2)
+
+    def test_pressure_follows_the_pool_backlog(self):
+        gateway = IngressGateway(self.SHED, capacity=8)
+        assert not gateway.pressure()
+        gateway.submit(0.0, b"a", 2, 0.5)
+        assert not gateway.pressure()
+        gateway.submit(0.1, b"b", 2, 0.5)
+        assert gateway.pressure()  # backlog reached the threshold of 2
+        gateway.pool.take(1)
+        assert not gateway.pressure()
+
+    def test_ungated_policy_admits_every_class_up_to_capacity(self):
+        spec = IngressSpec(classes=ingress_profile("three-class-open").classes)
+        gateway = IngressGateway(spec, capacity=3)
+        for index, tx in enumerate((b"a", b"b", b"c")):
+            assert gateway.submit(0.1 * index, tx, 2, 0.5) == "admitted"
+        assert not gateway.pressure()  # mode none has no pressure signal
+        assert gateway.submit(0.3, b"d", 2, 0.5) == "shed"  # pool full
+        assert gateway.admitted == [0, 0, 3] and gateway.shed == [0, 0, 1]
 
     def test_defer_queue_overflow_sheds(self):
         gateway = IngressGateway(self.DEFER, capacity=2)
@@ -451,18 +461,6 @@ class TestIngressGateway:
         assert gateway.submit(0.3, b"d", 2, 0.5) == "deferred"
         assert gateway.submit(0.4, b"e", 2, 0.5) == "shed"
         assert gateway.deferred_pending(2) == 2
-
-    def test_token_bucket_rate_limits_unprotected_classes(self):
-        spec = IngressSpec(
-            classes=(TxClassSpec(name="only"),),
-            admission=AdmissionPolicy(mode="shed", token_rate_tps=1.0,
-                                      token_burst=2.0, protect_priority=5))
-        gateway = IngressGateway(spec, capacity=64)
-        assert gateway.submit(0.0, b"a", 0, 1.0) == "admitted"
-        assert gateway.submit(0.0, b"b", 0, 1.0) == "admitted"
-        assert gateway.submit(0.0, b"c", 0, 1.0) == "shed"  # bucket empty
-        assert gateway.submit(1.5, b"d", 0, 1.0) == "admitted"  # refilled
-        assert gateway.submit(1.6, b"e", 0, 1.0) == "shed"
 
     def test_conservation_under_randomized_grids(self):
         """The gateway invariant, fuzzed: random class grids x random
@@ -483,8 +481,6 @@ class TestIngressGateway:
                 else AdmissionPolicy(
                     mode=mode,
                     backlog_threshold=rng.randrange(1, 8),
-                    token_rate_tps=rng.choice((0.0, 5.0)),
-                    token_burst=4.0,
                     protect_priority=rng.randrange(4))
             spec = IngressSpec(classes=classes, admission=admission)
             gateway = IngressGateway(spec, capacity=rng.randrange(2, 12))
@@ -506,7 +502,7 @@ class TestIngressGateway:
                         gateway.pool.commit([tx])
                         committed[class_index] += 1
                 else:
-                    gateway.release_deferred(now)
+                    gateway.release_deferred()
             records = [
                 ClassRecord(
                     name=spec_class.name, priority=spec_class.priority,
@@ -547,7 +543,7 @@ class TestStreamingDifferential:
         mirrored = run_streaming_consensus(
             protocol, scenario, spec, seed=seed,
             ingress=IngressSpec.fifo_equivalent(spec.arrival))
-        assert mirrored.per_epoch_digests == baseline.per_epoch_digests
+        assert epoch_digests(mirrored) == epoch_digests(baseline)
         assert mirrored.ledger_digest == baseline.ledger_digest
         # the whole simulated schedule, not just the outputs: the ingress
         # plumbing must not consume simulator randomness or reorder events
@@ -569,15 +565,13 @@ class TestStreamingIngress:
         verdict = check_ingress_conservation(result.classes)
         assert verdict.ok, verdict.detail
         assert result.shed_total > 0  # past saturation, the gate bites
-        high = result.class_record("high")
+        high = result.classes[0]
         assert high.shed == 0 and high.deferred_pending == 0
         assert high.committed > 0
         for record in result.classes:
             if record.committed > 0:
                 assert record.p50_latency_s <= record.p90_latency_s \
                     <= record.p99_latency_s
-        with pytest.raises(KeyError):
-            result.class_record("platinum")
 
     def test_defer_policy_conserves_and_displaces_best_effort(self):
         result = run_streaming_consensus(
@@ -586,9 +580,10 @@ class TestStreamingIngress:
         assert result.decided
         verdict = check_ingress_conservation(result.classes)
         assert verdict.ok, verdict.detail
-        best = result.class_record("best-effort")
+        high, _standard, best = result.classes
+        assert best.name == "best-effort"
         assert best.shed + best.deferred_pending > 0
-        assert result.class_record("high").shed == 0
+        assert high.shed == 0
 
     def test_ingress_run_replays_identically(self):
         kwargs = dict(spec=overload_spec(), seed=5,

@@ -24,11 +24,11 @@ from repro.testbed.membership import (
     MembershipController,
     MembershipEvent,
     MembershipSchedule,
-    rebind_leader_schedules,
 )
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ArrivalSpec, ChurnProcess, ChurnSpec
+from tests.helpers import epoch_digests
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
 
@@ -181,15 +181,20 @@ class TestBoundarySemantics:
 
 class TestLeaderRebind:
     def test_departed_leader_excluded_and_rotation_resolves(self):
+        # The multi-hop seam: a deployment's per-cluster schedule excludes
+        # a departed leader for good and re-resolves the active one.
         scenario = Scenario.multi_hop(2, 4)
         deployment = build_deployment(scenario, seed=0)
         old_leader = deployment.epoch_leaders[0]
-        leaders = rebind_leader_schedules(deployment, {old_leader}, epoch=0)
-        assert leaders[0] != old_leader
-        assert leaders[0] in deployment.leader_schedules[0].cluster.node_ids
+        schedule = deployment.leader_schedules[0]
+        schedule.exclude(old_leader)
+        leader = schedule.active_leader(
+            epoch=0, crashed=lambda n: deployment.nodes[n].crashed,
+            rotate=True)
+        assert leader != old_leader
+        assert leader in schedule.cluster.node_ids
         # Exclusions persist: the departed node is never selected again.
         for epoch in range(6):
-            schedule = deployment.leader_schedules[0]
             assert schedule.active_leader(
                 epoch=epoch, crashed=lambda n: False,
                 rotate=True) != old_leader
@@ -204,7 +209,7 @@ class TestStreamingIntegration:
                                         seed=5)
         under_schedule = run_streaming_consensus(
             "honeybadger-sc", scenario, spec, seed=5, membership=empty)
-        assert plain.per_epoch_digests == under_schedule.per_epoch_digests
+        assert epoch_digests(plain) == epoch_digests(under_schedule)
         assert plain.ledger_digest == under_schedule.ledger_digest
         assert plain.sim_events == under_schedule.sim_events
         assert under_schedule.committees  # the trail is still recorded
@@ -230,7 +235,7 @@ class TestStreamingIntegration:
                                     small_spec(epochs=5), seed=9)
         b = run_streaming_consensus("honeybadger-sc", scenario,
                                     small_spec(epochs=5), seed=9)
-        assert a.per_epoch_digests == b.per_epoch_digests
+        assert epoch_digests(a) == epoch_digests(b)
         assert a.ledger_digest == b.ledger_digest
         assert a.sim_events == b.sim_events
         assert a.committees == b.committees

@@ -33,7 +33,7 @@ from repro.testbed.streaming import (
     run_streaming_consensus,
 )
 from repro.testbed.workload import ArrivalSpec, ChurnSpec, OpenLoopArrivals
-from tests.helpers import observer_digest
+from tests.helpers import epoch_digests, observer_digest
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
 PLAIN = ConsensusConfig(use_threshold_encryption=False)
@@ -161,7 +161,7 @@ class TestStreamingRuns:
         second = run_streaming_consensus("beat", Scenario.single_hop(4), spec,
                                          seed=21)
         assert first == second
-        assert first.per_epoch_digests == second.per_epoch_digests
+        assert epoch_digests(first) == epoch_digests(second)
         assert first.sim_events == second.sim_events
 
     def test_different_seeds_differ(self):
@@ -182,7 +182,7 @@ class TestStreamingRuns:
         depth1 = run_streaming_consensus("honeybadger-sc", scenario,
                                          replace(spec, pipeline_depth=1),
                                          seed=42, config=PLAIN)
-        assert depth0.per_epoch_digests == depth1.per_epoch_digests
+        assert epoch_digests(depth0) == epoch_digests(depth1)
         differing = [key for key, value in asdict(depth0).items()
                      if value != asdict(depth1)[key]]
         assert differing == ["pipeline_depth"]
@@ -259,34 +259,30 @@ class TestStreamingRuns:
 
 
 class TestCheckpointGc:
-    def _finished_run(self, gc: bool, epochs: int = 4) -> StreamingRun:
+    def _finished_run(self, epochs: int = 4) -> StreamingRun:
         run = StreamingRun("honeybadger-sc", Scenario.single_hop(4),
-                           small_spec(epochs=epochs, gc=gc), seed=29)
+                           small_spec(epochs=epochs), seed=29)
         result = run.run()
         assert result.decided
         return run
 
     def test_gc_releases_all_epoch_state(self):
-        run = self._finished_run(gc=True)
+        run = self._finished_run()
         for runtime in run.deployment.runtimes.values():
             assert not runtime.router._components
             assert not runtime.transport._active
             assert not runtime.transport._complete
 
-    def test_without_gc_state_grows_with_stream_length(self):
-        short = self._finished_run(gc=False, epochs=2)
-        long = self._finished_run(gc=False, epochs=4)
-
-        def live_components(run: StreamingRun) -> int:
-            return sum(len(runtime.router._components)
-                       for runtime in run.deployment.runtimes.values())
-
-        assert live_components(short) > 0
-        assert live_components(long) > live_components(short)
+    def test_release_frees_the_batching_slots(self):
+        run = self._finished_run()
+        assert run.deployment.runtimes
+        for runtime in run.deployment.runtimes.values():
+            assert not runtime.transport._groups
+            assert not runtime.transport._dirty
 
     def test_gc_state_is_bounded_by_window_not_epochs(self):
-        short = self._finished_run(gc=True, epochs=2)
-        long = self._finished_run(gc=True, epochs=4)
+        short = self._finished_run(epochs=2)
+        long = self._finished_run(epochs=4)
         for run in (short, long):
             assert all(not runtime.router._components
                        for runtime in run.deployment.runtimes.values())
@@ -312,17 +308,6 @@ class TestCheckpointGc:
                                          sender=1, payload={},
                                          tag=("hb", 1)))
         assert router.pending_count() == 1
-
-    def test_release_is_what_frees_the_state(self):
-        # the explicit contrast: same stream, only the gc flag differs
-        kept = self._finished_run(gc=False)
-        freed = self._finished_run(gc=True)
-        def batching_slots(run: StreamingRun) -> int:
-            return sum(len(slots)
-                       for runtime in run.deployment.runtimes.values()
-                       for slots in runtime.transport._groups.values())
-
-        assert batching_slots(freed) < batching_slots(kept)
 
 
 def pinned_stream(name: str) -> dict:
