@@ -27,6 +27,7 @@ import platform
 import random
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from typing import Callable
@@ -61,6 +62,7 @@ from repro.protocols.base import PROTOCOL_NAMES  # noqa: E402
 from repro.testbed import dealer_cache  # noqa: E402
 from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
 from repro.testbed.harness import (  # noqa: E402
+    Deployment,
     build_deployment,
     run_aba_experiment,
     run_broadcast_experiment,
@@ -639,6 +641,35 @@ def cyclic_garbage_honest_run() -> int:
             gc.enable()
 
 
+def component_state_bytes_n32(seed: int = 3201) -> int:
+    """Bytes allocated in ``repro/components/`` still live at the end of one
+    n=32 shared-coin ABA run plus one n=32 RBC run (12 parallel instances
+    each, as in the ``components-n32`` ledger workload), read just before
+    each deployment closes.  A count, not a rate: a set of voter ids per
+    tally key put back in place of a bitmask multiplies it."""
+    reads = []
+    close = Deployment.close
+
+    def read_then_close(deployment) -> None:
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*/repro/components/*")])
+        reads.append(sum(stat.size for stat in snapshot.statistics("filename")))
+        close(deployment)
+
+    scenario = Scenario.scale_single_hop(32)
+    Deployment.close = read_then_close
+    tracemalloc.start()
+    try:
+        run_aba_experiment("sc", parallel_instances=12, num_nodes=32,
+                           seed=seed, scenario=scenario)
+        run_broadcast_experiment("rbc", parallelism=12, num_nodes=32,
+                                 seed=seed, scenario=scenario)
+    finally:
+        tracemalloc.stop()
+        Deployment.close = close
+    return sum(reads)
+
+
 # ----------------------------------------------------------------------- driver
 def run_benchmarks(quick: bool = False) -> dict:
     """Run every micro-benchmark; returns the JSON-ready document."""
@@ -652,6 +683,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     forced = witnesses_forced_on_minted_loops()
     powm_calls = backend_powm_honest_epoch()
     garbage = cyclic_garbage_honest_run()
+    component_bytes = component_state_bytes_n32()
     results.update(bench_share_combine(budget))
     speedups = dealer_speedups(results)
     speedups |= shard_speedups(results)
@@ -705,6 +737,7 @@ def run_benchmarks(quick: bool = False) -> dict:
             "witnesses_forced_minted": forced,
             "backend_powm_honest_epoch": powm_calls,
             "cyclic_garbage_honest_run": garbage,
+            "component_state_bytes_n32": component_bytes,
             "sim_kernel_calls_per_event": kernel_calls_per_event(),
             "sim_kernel_calls_per_event_event_objects":
                 kernel_calls_per_event(ReferenceSimulator),

@@ -4,7 +4,7 @@
 Two modes with distinct gates:
 
 **Quick mode (default, well under 60 seconds)** runs the micro-benchmarks
-with short budgets and checks *same-run ratio invariants* only:
+with short budgets and checks *same-run ratio invariants* and counts:
 
 * ``Group.exp`` on a base made here as a power of ``g`` >= 3x builtin
   ``pow`` (its known log answers it from g's table -- a refactor that loses
@@ -31,7 +31,13 @@ with short budgets and checks *same-run ratio invariants* only:
   where a same-run rate ratio against the old kernel read anywhere from
   1.07x to 1.7x across quick runs on one 2-core VM;
 * erasure decode >= 5x the seed implementation (k=32);
-* a dealer-cache hit >= 5x a fresh n=64 domain deal.
+* a dealer-cache hit >= 5x a fresh n=64 domain deal;
+* the bytes of component state live at the end of an n=32 ABA and RBC run
+  (``component_state_bytes_n32``, tracemalloc) at most 1.25x the value
+  recorded in ``BENCH_hotpath.json``.  The one baseline read in quick mode,
+  and safe to read there: a count does not depend on the timing budget or
+  the host, so it cannot flake.  Voters are bits of an int; a set of node
+  ids per tally key put back multiplies it.
 
 Quick-mode timings are never compared against the recorded baseline:
 ``BENCH_hotpath.json`` is recorded with full budgets, and comparing a
@@ -118,6 +124,7 @@ MIN_LAZY_SIGN_VERIFY_VS_FORCED = 3.0
 MAX_KERNEL_CALLS_PER_EVENT = 1
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
+MAX_COMPONENT_STATE_GROWTH = 1.25
 
 # Sharded-simulator floors (full mode), machine-aware: on a single core the
 # forked workers cannot overlap, so ``shard_speedup`` measures pure
@@ -191,19 +198,42 @@ def _check_ratio_invariants(document: dict, failures: list[str]) -> None:
             f"a fresh n=64 domain deal (need >= {MIN_DEALER_CACHE}x)")
 
 
-def _check_full_mode_gates(document: dict, baseline_path: str,
-                           failures: list[str]) -> None:
-    """Absolute gates: regressions against the recorded baseline."""
-    current = document["results_ops_per_sec"]
-
+def _load_baseline(baseline_path: str, failures: list[str]) -> dict:
+    """The recorded benchmark document ({} and a failure if missing)."""
     if not os.path.exists(baseline_path):
         failures.append(
             f"no baseline at {baseline_path}; run "
             f"'python benchmarks/bench_hotpath_micro.py' to record one")
-        baseline_results = {}
-    else:
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline_results = json.load(handle).get("results_ops_per_sec", {})
+        return {}
+    with open(baseline_path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _check_memory_count(document: dict, baseline: dict,
+                        failures: list[str]) -> None:
+    """Live component bytes of an n=32 run against the recorded count."""
+    now = document["counts"]["component_state_bytes_n32"]
+    then = baseline.get("counts", {}).get("component_state_bytes_n32")
+    if then is None:
+        if baseline:
+            failures.append("no component_state_bytes_n32 recorded in the "
+                            "baseline; rerun bench_hotpath_micro.py")
+        return
+    print(f"component_state_bytes_n32: {now} (recorded {then}, "
+          f"{now / then:.2f}x)")
+    if now > MAX_COMPONENT_STATE_GROWTH * then:
+        failures.append(
+            f"component state live after an n=32 ABA + RBC run grew "
+            f"{now / then:.2f}x ({then} -> {now} bytes, allowed "
+            f"{MAX_COMPONENT_STATE_GROWTH}x): a tally is holding a set or "
+            f"dict of voter ids again instead of a bitmask")
+
+
+def _check_full_mode_gates(document: dict, baseline: dict,
+                           failures: list[str]) -> None:
+    """Absolute gates: regressions against the recorded baseline."""
+    current = document["results_ops_per_sec"]
+    baseline_results = baseline.get("results_ops_per_sec", {})
 
     print(f"{'metric':<32}{'baseline':>14}{'current':>14}{'ratio':>8}")
     for metric in GATED_METRICS:
@@ -258,19 +288,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="run full budgets and apply the absolute gates "
                              "(baseline comparison, shard gates); the "
                              "default quick mode checks same-run ratio "
-                             "invariants only")
+                             "invariants and the component memory count")
     args = parser.parse_args(argv)
 
     document = bench_hotpath_micro.run_benchmarks(quick=not args.full)
     failures: list[str] = []
 
     _check_ratio_invariants(document, failures)
+    baseline = _load_baseline(args.baseline, failures)
+    _check_memory_count(document, baseline, failures)
     if args.full:
-        _check_full_mode_gates(document, args.baseline, failures)
+        _check_full_mode_gates(document, baseline, failures)
         _check_shard_gates(document, failures)
     else:
-        print("quick mode: same-run ratio invariants only "
-              "(use --full for baseline and shard gates)")
+        print("quick mode: same-run ratio invariants and the component "
+              "memory count (use --full for the rate baseline and shard "
+              "gates)")
         for name, value in sorted(document["speedups"].items()):
             print(f"  {name:<38}{value:>8.2f}x")
 

@@ -9,6 +9,12 @@ standard for round-based ABA: a node that decides broadcasts DECIDED and
 keeps running rounds; ``f + 1`` matching notices let a lagging node decide
 too; a decided node stops once it has seen ``2f + 1`` of them, because then
 every honest node is guaranteed to see ``f + 1``.
+
+Voters are counted as bits: a tally is an int whose bit ``sender`` is set
+once that node's vote counted (``bit_count()`` is the tally).  Only
+authenticated ids -- a delivered message's ``sender``, the node's own id --
+become shift counts; a peer's payload value is a dict key, or a bit only
+through :func:`as_bit`.
 """
 
 from __future__ import annotations
@@ -18,6 +24,14 @@ from typing import Any, Optional
 
 from repro.components.base import Component, ComponentContext, OutputCallback
 from repro.core.packet import ComponentMessage
+
+
+def as_bit(value: Any) -> Optional[int]:
+    """The bit ``value`` equals (``True`` and ``1.0`` are ``1``), or ``None``
+    if it equals neither 0 nor 1."""
+    if value not in (0, 1):
+        return None
+    return 1 if value == 1 else 0
 
 
 class RoundBasedAba(Component):
@@ -44,7 +58,8 @@ class RoundBasedAba(Component):
         self.rounds_executed = 0
         # created on first lookup (messages for a round can arrive early)
         self._rounds: dict[int, Any] = defaultdict(self.round_state)
-        self._decided_notices: dict[int, set[int]] = {}
+        #: per decided value, the voters of its DECIDED notices
+        self._decided_notices: dict[Any, int] = {}
         self._decided_sent = False
         self._started = False
         self._halted = False
@@ -60,10 +75,11 @@ class RoundBasedAba(Component):
         """Provide this node's binary input and start round 0."""
         if self._started:
             return
-        if value not in (0, 1):
+        bit = as_bit(value)
+        if bit is None:
             raise ValueError(f"ABA input must be 0 or 1, got {value!r}")
         self._started = True
-        self.estimate = value
+        self.estimate = bit
         self._enter_round(self.round)
 
     # ----------------------------------------------------------------- rounds
@@ -94,26 +110,32 @@ class RoundBasedAba(Component):
             self.decided_value = value
         if not self._decided_sent:
             self._decided_sent = True
-            self._decided_notices.setdefault(value, set()).add(self.ctx.node_id)
+            self._count_notice(value, self.ctx.node_id)
             self.send("decided", {"value": value}, payload_bytes=1)
         self.complete(value)
         self._maybe_halt()
 
     def _on_decided(self, message: ComponentMessage) -> None:
-        value = message.payload.get("value")
-        if value not in (0, 1):
+        value = as_bit(message.payload.get("value"))
+        if value is None:
             return
-        self._decided_notices.setdefault(value, set()).add(message.sender)
-        if (len(self._decided_notices[value]) >= self.ctx.small_quorum
+        if (self._count_notice(value, message.sender) >= self.ctx.small_quorum
                 and not self.completed):
             self.estimate = value
             self._decide(value)
         self._maybe_halt()
 
+    def _count_notice(self, value: Any, sender: int) -> int:
+        """Count ``sender``'s DECIDED notice for ``value``; return how many
+        nodes sent one for it."""
+        notices = self._decided_notices[value] = (
+            self._decided_notices.get(value, 0) | 1 << sender)
+        return notices.bit_count()
+
     def _maybe_halt(self) -> None:
         """Stop running rounds once enough nodes are known to have decided."""
         if self.decided_value is None:
             return
-        notices = len(self._decided_notices.get(self.decided_value, set()))
+        notices = self._decided_notices.get(self.decided_value, 0).bit_count()
         if notices >= self.ctx.quorum:
             self._halted = True

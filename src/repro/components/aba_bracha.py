@@ -39,17 +39,23 @@ from repro.core.packet import ComponentMessage
 UNDETERMINED = "?"
 
 
-@dataclass
-class _RoundState:
-    """Per-round voting state."""
+#: a round's phases; a message naming another is dropped
+PHASES = (1, 2, 3)
 
-    started_phases: set[int] = field(default_factory=set)
-    completed_phases: set[int] = field(default_factory=set)
+
+@dataclass(slots=True)
+class _RoundState:
+    """Per-round voting state.  Phase sets are ints with bit ``phase`` set
+    for each phase in them."""
+
+    started_phases: int = 0
+    completed_phases: int = 0
     #: one mini-RBC per ``(phase, voter)``, keyed by the vote's value; a vote
     #: is accepted once its tally has a deliverable value
     mini: dict[tuple[int, int], BrachaVotes] = field(default_factory=dict)
-    #: the ``(phase, voter)`` INITIALs this node has echoed
-    echoed: set[tuple[int, int]] = field(default_factory=set)
+    #: the INITIALs this node has echoed: bit ``4 * voter + phase`` (the
+    #: phases 1-3 fit in two bits)
+    echoed: int = 0
     my_votes: dict[int, Any] = field(default_factory=dict)
 
 
@@ -72,6 +78,8 @@ class BrachaAba(RoundBasedAba):
             phase = int(parts[0][1:])
         except ValueError:
             return
+        if phase not in PHASES:
+            return
         kind = parts[1]
         round_number = message.round
         state = self._rounds[round_number]
@@ -80,8 +88,9 @@ class BrachaAba(RoundBasedAba):
             # nothing to count yet, but tallies are walked in creation order
             # when votes are counted (it breaks the phase-1 majority tie)
             self._mini(state, round_number, phase, voter)
-            if (phase, voter) not in state.echoed:
-                state.echoed.add((phase, voter))
+            echo = 1 << (4 * voter + phase)
+            if not state.echoed & echo:
+                state.echoed |= echo
                 self.send(f"p{phase}_echo",
                           {"voter": voter, "value": message.payload.get("value")},
                           round_number=round_number, slot=voter)
@@ -116,9 +125,9 @@ class BrachaAba(RoundBasedAba):
     # ----------------------------------------------------------- round logic
     def _start_phase(self, round_number: int, phase: int) -> None:
         state = self._rounds[round_number]
-        if phase in state.started_phases:
+        if state.started_phases >> phase & 1:
             return
-        state.started_phases.add(phase)
+        state.started_phases |= 1 << phase
         # phases 2 and 3 vote what the phase before them left in my_votes
         vote = state.my_votes.setdefault(phase, self.estimate)
         self.send(f"p{phase}_initial", {"value": vote},
@@ -133,13 +142,14 @@ class BrachaAba(RoundBasedAba):
                                 phase: int) -> None:
         if self._halted or round_number != self.round:
             return
-        if phase not in state.started_phases or phase in state.completed_phases:
+        if not state.started_phases >> phase & 1 \
+                or state.completed_phases >> phase & 1:
             return
         accepted = self._accepted_votes(state, phase)
         needed = self.ctx.num_nodes - self.ctx.faults
         if len(accepted) < needed:
             return
-        state.completed_phases.add(phase)
+        state.completed_phases |= 1 << phase
         counts: dict[Any, int] = {}
         for value in accepted.values():
             counts[value] = counts.get(value, 0) + 1
@@ -181,5 +191,5 @@ class BrachaAba(RoundBasedAba):
     def _enter_round(self, round_number: int) -> None:
         self._start_phase(round_number, 1)
         state = self._rounds[round_number]
-        for phase in (1, 2, 3):
+        for phase in PHASES:
             self._check_phase_completion(state, round_number, phase)

@@ -29,33 +29,44 @@ Input, round advance and DECIDED-notice termination are
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.components.aba_base import RoundBasedAba
+from repro.components.aba_base import RoundBasedAba, as_bit
 from repro.components.base import ComponentContext, OutputCallback
 from repro.components.common_coin import CommonCoinManager
 from repro.core.packet import ComponentMessage
 
 
-@dataclass
+@dataclass(slots=True)
 class _RoundState:
-    """Per-round BVAL/AUX bookkeeping."""
+    """Per-round BVAL/AUX bookkeeping.
 
-    bval_sent: set[int] = field(default_factory=set)
-    bval_received: dict[int, set[int]] = field(
-        default_factory=lambda: defaultdict(set))
-    bin_values: set[int] = field(default_factory=set)
+    Votes are bits: a tally is an int whose bit ``sender`` is set once that
+    node's vote counted, and a set of binary values is an int whose bit ``v``
+    is set for each value ``v`` in it.
+    """
+
+    #: the values this node broadcast BVAL for
+    bval_sent: int = 0
+    #: per value 0 / 1, the voters of its BVALs
+    bval_received: list[int] = field(default_factory=lambda: [0, 0])
+    #: the values with ``2f + 1`` BVALs
+    bin_values: int = 0
     aux_sent: bool = False
-    aux_received: dict[int, int] = field(default_factory=dict)
-    #: number of AUX senders whose value is in bin_values, maintained
-    #: incrementally (recounted when bin_values grows) -- recomputing the
-    #: support set per message is O(n) and made large-n runs O(n^4)
-    support_count: int = 0
+    #: per value 0 / 1, the voters whose (first) AUX carried it
+    aux_received: list[int] = field(default_factory=lambda: [0, 0])
     coin_requested: bool = False
     coin_value: Optional[int] = None
     finished: bool = False
+
+    def aux_support(self) -> int:
+        """How many AUX senders voted a value inside ``bin_values``."""
+        supporters = 0
+        for value in (0, 1):
+            if self.bin_values >> value & 1:
+                supporters |= self.aux_received[value]
+        return supporters.bit_count()
 
 
 class CachinAba(RoundBasedAba):
@@ -91,12 +102,12 @@ class CachinAba(RoundBasedAba):
     # ------------------------------------------------------------------ BVAL
     def _broadcast_bval(self, round_number: int, value: int) -> None:
         state = self._rounds[round_number]
-        if value in state.bval_sent:
+        if state.bval_sent >> value & 1:
             return
-        state.bval_sent.add(value)
-        received = state.bval_received[value]
-        newly_counted = self.ctx.node_id not in received
-        received.add(self.ctx.node_id)
+        state.bval_sent |= 1 << value
+        own = 1 << self.ctx.node_id
+        newly_counted = not state.bval_received[value] & own
+        state.bval_received[value] |= own
         self.send("bval", {"value": value}, round_number=round_number,
                   payload_bytes=1, slot=value)
         if newly_counted:
@@ -105,30 +116,27 @@ class CachinAba(RoundBasedAba):
             self._after_bval_counted(round_number, state, value)
 
     def _on_bval(self, message: ComponentMessage) -> None:
-        value = message.payload.get("value")
-        if value not in (0, 1):
+        value = as_bit(message.payload.get("value"))
+        if value is None:
             return
         round_number = message.round
         state = self._rounds[round_number]
-        received = state.bval_received[value]
-        if message.sender in received:
+        voter = 1 << message.sender
+        if state.bval_received[value] & voter:
             return  # duplicate delivery (NACK repair); state is unchanged
-        received.add(message.sender)
+        state.bval_received[value] |= voter
         self._after_bval_counted(round_number, state, value)
 
     def _after_bval_counted(self, round_number: int, state: _RoundState,
                             value: int) -> None:
         """Quorum transitions after ``value`` gained a BVAL supporter."""
-        count = len(state.bval_received[value])
-        if count >= self.ctx.small_quorum and value not in state.bval_sent:
+        count = state.bval_received[value].bit_count()
+        if count >= self.ctx.small_quorum and not state.bval_sent >> value & 1:
             self._broadcast_bval(round_number, value)
-        if count >= self.ctx.quorum and value not in state.bin_values:
-            state.bin_values.add(value)
+        if count >= self.ctx.quorum and not state.bin_values >> value & 1:
             # AUX entries buffered before their value entered bin_values now
-            # count as support.
-            state.support_count += sum(
-                1 for aux_value in state.aux_received.values()
-                if aux_value == value)
+            # count as support (aux_support reads them).
+            state.bin_values |= 1 << value
             self._maybe_send_aux(round_number, state)
         self._maybe_reveal_coin(round_number, state)
 
@@ -137,30 +145,31 @@ class CachinAba(RoundBasedAba):
         if state.aux_sent or not state.bin_values:
             return
         state.aux_sent = True
-        value = next(iter(sorted(state.bin_values)))
+        value = 0 if state.bin_values & 1 else 1  # the smallest bin value
         self._record_aux(state, self.ctx.node_id, value)
         self.send("aux", {"value": value}, round_number=round_number,
                   payload_bytes=1)
         self._maybe_reveal_coin(round_number, state)
 
     def _on_aux(self, message: ComponentMessage) -> None:
-        value = message.payload.get("value")
-        if value not in (0, 1):
+        value = as_bit(message.payload.get("value"))
+        if value is None:
             return
         round_number = message.round
         state = self._rounds[round_number]
-        if message.sender in state.aux_received:
+        if not self._record_aux(state, message.sender, value):
             return  # duplicate delivery; first value per sender counts
-        self._record_aux(state, message.sender, value)
         self._maybe_reveal_coin(round_number, state)
 
     @staticmethod
-    def _record_aux(state: _RoundState, sender: int, value: int) -> None:
-        if sender in state.aux_received:
-            return
-        state.aux_received[sender] = value
-        if value in state.bin_values:
-            state.support_count += 1
+    def _record_aux(state: _RoundState, sender: int, value: int) -> bool:
+        """Count ``sender``'s AUX for ``value`` unless it already sent one."""
+        voter = 1 << sender
+        received = state.aux_received
+        if (received[0] | received[1]) & voter:
+            return False
+        received[value] |= voter
+        return True
 
     # ------------------------------------------------------------------ coin
     def _maybe_reveal_coin(self, round_number: int, state: _RoundState) -> None:
@@ -168,7 +177,7 @@ class CachinAba(RoundBasedAba):
             return
         if state.coin_requested:
             return
-        if state.support_count < self.ctx.num_nodes - self.ctx.faults:
+        if state.aux_support() < self.ctx.num_nodes - self.ctx.faults:
             return
         state.coin_requested = True
         self.coin.request(round_number,
@@ -183,16 +192,16 @@ class CachinAba(RoundBasedAba):
     def _finish_round(self, round_number: int, state: _RoundState) -> None:
         if state.finished or round_number != self.round or self._halted:
             return
-        if (state.support_count < self.ctx.num_nodes - self.ctx.faults
+        if (state.aux_support() < self.ctx.num_nodes - self.ctx.faults
                 or state.coin_value is None):
             return
         state.finished = True
         self.rounds_executed += 1
         coin = state.coin_value
-        values = {value for value in state.aux_received.values()
-                  if value in state.bin_values}
+        values = [value for value in (0, 1)
+                  if state.bin_values >> value & 1 and state.aux_received[value]]
         if len(values) == 1:
-            value = next(iter(values))
+            value = values[0]
             self.estimate = value
             if value == coin:
                 self._decide(value)

@@ -7,11 +7,17 @@ RBC and the per-voter mini-RBCs of the local-coin ABA -- counts votes on
 ``2f + 1`` readies make the key deliverable.  The owner of a
 :class:`BrachaVotes` decides what a key is, how READY goes on the air and
 what delivery needs beyond the quorum.
+
+A tally is an int bitmask of voter ids: a vote sets ``1 << sender`` and a
+quorum test reads ``bit_count()``.  At ``n = 32`` that is one small int per
+key where a set of ids took 2 KiB, and every node holds ``O(n^2)`` tallies
+per round of ``n`` parallel instances.  ``sender`` must be an authenticated
+node id (a packet's verified signer, or the node's own id), never a payload
+field: it becomes a shift count.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Callable
 
 #: :attr:`BrachaVotes.deliverable` before any key has ``2f + 1`` readies
@@ -29,7 +35,8 @@ class BrachaVotes:
     crossed the threshold -- after the sent flag is set, before the delivery
     quorum is tested.  A transport hands a node its own broadcast at once, so
     the owner's READY re-enters :meth:`ready` (and may make the key
-    deliverable and complete the owner) before ``send_ready`` returns.
+    deliverable and complete the owner) before ``send_ready`` returns, so
+    the tally is re-read after it.
 
     The first key to collect ``2f + 1`` readies stays :attr:`deliverable`.
     Honest nodes send one READY each, so with at most ``f`` faulty nodes no
@@ -44,27 +51,29 @@ class BrachaVotes:
         self.quorum = quorum
         self.small_quorum = small_quorum
         self.send_ready = send_ready
-        self.echoes: dict[Any, set[int]] = defaultdict(set)
-        self.readies: dict[Any, set[int]] = defaultdict(set)
+        #: per key, the voter bitmask of its ECHOs and of its READYs
+        self.echoes: dict[Any, int] = {}
+        self.readies: dict[Any, int] = {}
         self.ready_sent = False
         self.deliverable: Any = NOTHING
 
     def echo(self, key: Any, sender: int) -> None:
         """Count ``sender``'s ECHO for ``key``."""
-        voters = self.echoes[key]
-        voters.add(sender)
-        if not self.ready_sent and len(voters) >= self.quorum:
+        voters = self.echoes[key] = self.echoes.get(key, 0) | 1 << sender
+        if not self.ready_sent and voters.bit_count() >= self.quorum:
             self.ready_sent = True
             self.send_ready(key)
 
     def ready(self, key: Any, sender: int) -> None:
         """Count ``sender``'s READY for ``key``."""
-        voters = self.readies[key]
-        voters.add(sender)
+        voters = self.readies[key] = self.readies.get(key, 0) | 1 << sender
         if self.deliverable is not NOTHING:
             return
-        if not self.ready_sent and len(voters) >= self.small_quorum:
+        if not self.ready_sent and voters.bit_count() >= self.small_quorum:
             self.ready_sent = True
             self.send_ready(key)
-        if self.deliverable is NOTHING and len(voters) >= self.quorum:
+            # an int is a copy, not the live tally a set was: re-read it,
+            # the own READY may have been counted inside send_ready
+            voters = self.readies[key]
+        if self.deliverable is NOTHING and voters.bit_count() >= self.quorum:
             self.deliverable = key

@@ -8,6 +8,8 @@ Properties exercised (on the in-memory fabric, so deterministic):
 * termination helpers -- laggards decide via DECIDED notices.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.components.aba_bracha import BrachaAba
@@ -261,3 +263,78 @@ class TestDecidedTermination:
         assert 0 not in decisions
         lone._next_round(lone.max_rounds - 1)
         assert decisions[0] == 1 and lone._halted and lone.round == 0
+
+
+class TestPeerValuesAreNeverShiftCounts:
+    """Tallies are bitmasks of node ids, so only an authenticated sender id
+    may become a shift count.  A Byzantine peer's payload -- the voter a
+    mini-RBC vote names, the bit a BVAL or AUX carries -- is dropped or
+    counted as a plain dict key: no exception, and no huge int is built
+    (``1 << 10**6`` alone would take 122 KiB)."""
+
+    BYZANTINE = 3  # n = 4, f = 1
+
+    @staticmethod
+    def _traced_growth(action):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            action()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def _forge(self, network, kind, phase, payload, round_number=0):
+        network.broadcast(self.BYZANTINE, make_message(
+            kind, 0, phase, self.BYZANTINE, payload, tag="aba-test",
+            round_number=round_number))
+
+    @pytest.mark.parametrize("voter", [-1, 2**70, 10**6, "x", None])
+    @pytest.mark.parametrize("phase", ["p1_echo", "p1_ready"])
+    def test_aba_lc_voter_field(self, phase, voter):
+        network = InMemoryNetwork(4)
+        abas, decisions = install_abas(network, "lc")
+        grown = self._traced_growth(lambda: self._forge(
+            network, "aba_lc", phase, {"voter": voter, "value": 1}))
+        assert grown < 64 * 1024
+        for aba in abas:
+            mini = aba._rounds[0].mini
+            if voter is None:
+                assert not mini  # dropped
+            else:
+                assert list(mini) == [(1, voter)]  # a plain dict key
+                votes = mini[1, voter]
+                tally = votes.echoes if phase == "p1_echo" else votes.readies
+                assert tally == {1: 1 << self.BYZANTINE}
+        network.drop(self.BYZANTINE)  # and goes silent
+        for aba in abas[:3]:
+            aba.start(1)
+        assert decisions == {0: 1, 1: 1, 2: 1}
+
+    @pytest.mark.parametrize("phase", ["p0_initial", "p-1_echo", "p4_ready",
+                                       "p99999999999_initial"])
+    def test_aba_lc_phase_outside_the_round(self, phase):
+        network = InMemoryNetwork(4)
+        abas, _ = install_abas(network, "lc")
+        self._forge(network, "aba_lc", phase, {"voter": 1, "value": 1})
+        for aba in abas:  # dropped: no tally, and nothing echoed
+            assert not aba._rounds[0].mini
+        assert not any(node.transport.sent for node in network.nodes)
+
+    @pytest.mark.parametrize("value", [-1, 2, 2**70, 10**6])
+    @pytest.mark.parametrize("phase", ["bval", "aux"])
+    def test_aba_sc_value_field(self, phase, value):
+        network = InMemoryNetwork(4)
+        abas, decisions = install_abas(network, "sc")
+        sent = [len(node.transport.sent) for node in network.nodes]
+        grown = self._traced_growth(lambda: self._forge(
+            network, "aba_sc", phase, {"value": value}))
+        assert grown < 64 * 1024
+        for aba in abas:  # dropped: the round record is untouched
+            state = aba._rounds[0]
+            assert state.bval_received == [0, 0] and state.aux_received == [0, 0]
+        assert [len(node.transport.sent) for node in network.nodes] == sent
+        network.drop(self.BYZANTINE)
+        for aba in abas[:3]:
+            aba.start(0)
+        assert decisions == {0: 0, 1: 0, 2: 0}
