@@ -412,10 +412,6 @@ def bench_erasure(budget: float) -> dict[str, float]:
         erasure.encode_blocks(payload, ERASURE_K, ERASURE_N)
         return 1
 
-    def encode_systematic_op() -> int:
-        erasure.encode_blocks(payload, ERASURE_K, ERASURE_N, systematic=True)
-        return 1
-
     def decode_seed_op() -> int:
         # Seed-equivalent decode: per-basis Lagrange expansion, O(k^3) per
         # payload polynomial (the reference implementation kept in-module).
@@ -433,7 +429,6 @@ def bench_erasure(budget: float) -> dict[str, float]:
     erasure.decode_blocks(selection)  # build the cached matrix off the clock
     return {
         "erasure_encode_k32": _rate(encode_op, budget),
-        "erasure_encode_systematic_k32": _rate(encode_systematic_op, budget),
         "erasure_decode_seed_k32": _rate(decode_seed_op, max(budget, 0.5)),
         "erasure_decode_k32": _rate(decode_op, budget),
     }

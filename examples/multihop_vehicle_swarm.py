@@ -14,7 +14,7 @@ Usage::
 
 import argparse
 
-from repro.testbed import Scenario, run_multihop_consensus
+from repro.testbed import Scenario, WorkloadSpec, run_multihop_consensus
 from repro.testbed.reporting import format_table
 
 
@@ -30,9 +30,9 @@ def main() -> None:
     print(f"{scenario.num_nodes} vehicles in {args.clusters} clusters; "
           f"local + global consensus: {args.protocol} (ConsensusBatcher).\n")
 
-    result = run_multihop_consensus(args.protocol, scenario, batch_size=6,
-                                    transaction_bytes=64, batched=True,
-                                    seed=args.seed)
+    result = run_multihop_consensus(
+        args.protocol, scenario, batched=True, seed=args.seed,
+        workload_spec=WorkloadSpec(batch_size=6, transaction_bytes=64))
     if not result.decided:
         print("Global consensus did not complete within the scenario timeout.")
         return

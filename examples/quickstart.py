@@ -14,7 +14,7 @@ Usage::
 import argparse
 
 from repro.protocols.base import PROTOCOL_NAMES
-from repro.testbed import Scenario, run_consensus
+from repro.testbed import Scenario, WorkloadSpec, run_consensus
 from repro.testbed.reporting import format_table, improvement_percent, increase_percent
 
 
@@ -32,10 +32,11 @@ def main() -> None:
           f"network ({scenario.radio.name}, {scenario.ec_curve} + "
           f"{scenario.threshold_curve})...\n")
 
-    batched = run_consensus(args.protocol, scenario, batch_size=args.batch_size,
-                            batched=True, seed=args.seed)
-    baseline = run_consensus(args.protocol, scenario, batch_size=args.batch_size,
-                             batched=False, seed=args.seed)
+    workload = WorkloadSpec(batch_size=args.batch_size)
+    batched = run_consensus(args.protocol, scenario, batched=True,
+                            seed=args.seed, workload_spec=workload)
+    baseline = run_consensus(args.protocol, scenario, batched=False,
+                             seed=args.seed, workload_spec=workload)
 
     rows = []
     for label, result in (("ConsensusBatcher", batched), ("baseline", baseline)):

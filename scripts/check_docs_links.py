@@ -7,7 +7,9 @@ Scans the repo's markdown documents for ``[text](target)`` links and checks
 * anchor targets (``FILE.md#heading`` or ``#heading``) match a real heading
   of the target document, using GitHub's slug rules;
 
-external (``http(s)://``) links are out of scope. Exits non-zero listing
+and checks that every ``NAME.md`` (or ``path/NAME.md``, from the repo root)
+named in a comment or docstring under ``src/`` is a file of the repo.
+External (``http(s)://``) links are out of scope. Exits non-zero listing
 every broken link. Run standalone or via CI::
 
     python scripts/check_docs_links.py
@@ -15,9 +17,12 @@ every broken link. Run standalone or via CI::
 
 from __future__ import annotations
 
+import ast
+import io
 import os
 import re
 import sys
+import tokenize
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(_HERE)
@@ -42,6 +47,9 @@ DOCS = [
     "PAPER.md",
 ]
 
+#: a markdown document named in source text: ``RESULTS.md``,
+#: ``benchmarks/ledger/README.md``
+_DOC_NAME = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
 _LINK = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
@@ -91,6 +99,47 @@ def check_document(name: str) -> list:
     return problems
 
 
+def _comments_and_docstrings(source: str):
+    """``(line, text)`` for every comment and docstring of a module."""
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and \
+                    isinstance(first.value, ast.Constant) and \
+                    isinstance(first.value.value, str):
+                yield first.lineno, first.value.value
+
+
+def check_source(path: str) -> list:
+    """Descriptions of the ``.md`` names in ``path``'s comments and
+    docstrings that are not files of the repo."""
+    with open(path, "r", encoding="utf-8") as handle:
+        source = handle.read()
+    problems = []
+    for line, text in sorted(_comments_and_docstrings(source)):
+        for match in _DOC_NAME.finditer(text):
+            name = match.group(0)
+            if not os.path.exists(os.path.join(ROOT, name)):
+                at_line = line + text.count("\n", 0, match.start())
+                problems.append(f"{os.path.relpath(path, ROOT)}:{at_line}: "
+                                f"names missing document {name!r}")
+    return problems
+
+
+def check_src() -> list:
+    """:func:`check_source` over every ``src/**/*.py``."""
+    problems = []
+    for directory, _, files in sorted(os.walk(_SRC)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                problems.extend(check_source(os.path.join(directory, name)))
+    return problems
+
+
 def main() -> int:
     problems = []
     missing_docs = []
@@ -101,6 +150,7 @@ def main() -> int:
         problems.extend(check_document(name))
     for name in missing_docs:
         problems.append(f"checked document does not exist: {name}")
+    problems.extend(check_src())
     if problems:
         print(f"{len(problems)} broken documentation link(s):",
               file=sys.stderr)
@@ -108,7 +158,8 @@ def main() -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     print(f"docs link check: {len(DOCS) - len(missing_docs)} documents, "
-          f"all relative links and anchors resolve")
+          f"all relative links and anchors resolve; every document src/ "
+          f"names exists")
     return 0
 
 

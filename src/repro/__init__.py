@@ -31,7 +31,7 @@ Quickstart
 
 >>> from repro.testbed import run_consensus, Scenario
 >>> result = run_consensus("honeybadger-sc", Scenario.single_hop(num_nodes=4),
-...                        batch_size=8, seed=1)
+...                        seed=1)
 >>> result.decided
 True
 """

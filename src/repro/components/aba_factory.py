@@ -30,7 +30,7 @@ def coin_schemes(coin: str) -> tuple[str, ...]:
 
 def aba_factory(coin: str, ctx: ComponentContext, router: ComponentRouter,
                 coin_tag: Any, coin_name: str) -> Callable:
-    """``make(instance, tag=..., max_rounds=...)`` for ``coin``-kind ABAs.
+    """``make(instance, tag=...)`` for ``coin``-kind ABAs.
 
     A shared-coin kind gets one :class:`CommonCoinManager` of the ABA
     class's flavor here, registered under ``coin_tag``, which every instance

@@ -19,13 +19,6 @@ vectors, computed in O(k^2) via synthetic division of the master polynomial
 -- caches it, and recovers each polynomial with an O(k^2) matrix-vector
 product.  The results are bit-identical to the naive interpolation (same
 field, same canonical representatives).
-
-``encode_blocks(..., systematic=True)`` additionally offers a *systematic*
-mode where the payload chunks are interpreted as the evaluations at points
-``1..k`` themselves: the first ``k`` blocks carry raw payload chunks (no
-polynomial evaluation at all) and decoding from exactly those blocks is a
-pass-through.  The default mode is unchanged and produces byte-identical
-blocks to the seed implementation.
 """
 
 from __future__ import annotations
@@ -52,7 +45,6 @@ class ErasureBlock:
     values: tuple[int, ...]
     payload_length: int
     num_data_blocks: int
-    systematic: bool = False
 
     def size_bytes(self) -> int:
         """Approximate wire size of the block."""
@@ -117,16 +109,12 @@ def _interpolate_via_matrix(points: tuple[int, ...],
             for column in columns]
 
 
-def encode_blocks(data: bytes, num_data_blocks: int, num_blocks: int,
-                  systematic: bool = False) -> list[ErasureBlock]:
+def encode_blocks(data: bytes, num_data_blocks: int,
+                  num_blocks: int) -> list[ErasureBlock]:
     """Encode ``data`` into ``num_blocks`` blocks, any ``num_data_blocks`` of
     which suffice to decode.
 
-    With ``systematic=True`` the payload chunks are used directly as the
-    evaluations at points ``1..k``, so the first ``k`` blocks are raw payload
-    slices and only the ``n - k`` parity blocks cost polynomial evaluations.
-    The default (non-systematic) encoding is byte-identical to the seed
-    implementation.
+    The encoding is byte-identical to the seed implementation.
     """
     if num_data_blocks < 1:
         raise ErasureError(f"need at least 1 data block, got {num_data_blocks}")
@@ -142,8 +130,6 @@ def encode_blocks(data: bytes, num_data_blocks: int, num_blocks: int,
         group = chunks[start:start + num_data_blocks]
         group += [0] * (num_data_blocks - len(group))
         groups.append(group)
-    if systematic:
-        return _encode_systematic(data, groups, num_data_blocks, num_blocks)
     prime = _PRIME
     blocks = []
     for index in range(num_blocks):
@@ -157,37 +143,6 @@ def encode_blocks(data: bytes, num_data_blocks: int, num_blocks: int,
         blocks.append(ErasureBlock(index=index, point=point, values=tuple(values),
                                    payload_length=len(data),
                                    num_data_blocks=num_data_blocks))
-    return blocks
-
-
-def _encode_systematic(data: bytes, groups: list[list[int]],
-                       num_data_blocks: int, num_blocks: int) -> list[ErasureBlock]:
-    """Systematic fast path: chunks are the evaluations at points ``1..k``."""
-    prime = _PRIME
-    data_points = tuple(range(1, num_data_blocks + 1))
-    blocks = []
-    for index in range(num_data_blocks):
-        values = tuple(group[index] for group in groups)
-        blocks.append(ErasureBlock(index=index, point=index + 1, values=values,
-                                   payload_length=len(data),
-                                   num_data_blocks=num_data_blocks,
-                                   systematic=True))
-    if num_blocks > num_data_blocks:
-        coefficient_groups = [_interpolate_via_matrix(data_points, group)
-                              for group in groups]
-        for index in range(num_data_blocks, num_blocks):
-            point = index + 1
-            values = []
-            for coefficients in coefficient_groups:
-                acc = 0
-                for coefficient in reversed(coefficients):
-                    acc = (acc * point + coefficient) % prime
-                values.append(acc)
-            blocks.append(ErasureBlock(index=index, point=point,
-                                       values=tuple(values),
-                                       payload_length=len(data),
-                                       num_data_blocks=num_data_blocks,
-                                       systematic=True))
     return blocks
 
 
@@ -206,7 +161,6 @@ def decode_blocks(blocks: list[ErasureBlock]) -> bytes:
     reference = blocks[0]
     num_data_blocks = reference.num_data_blocks
     payload_length = reference.payload_length
-    systematic = reference.systematic
     if num_data_blocks < 1:
         raise ErasureError(
             f"blocks declare {num_data_blocks} data blocks, need at least 1")
@@ -226,8 +180,6 @@ def decode_blocks(blocks: list[ErasureBlock]) -> bytes:
             raise ErasureError(
                 f"inconsistent payload lengths across blocks "
                 f"({block.payload_length} != {payload_length})")
-        if block.systematic != systematic:
-            raise ErasureError("systematic and non-systematic blocks mixed")
         if len(block.values) != num_polynomials:
             raise ErasureError(
                 f"block {block.index} carries {len(block.values)} values, "
@@ -240,26 +192,10 @@ def decode_blocks(blocks: list[ErasureBlock]) -> bytes:
     selected = heapq.nsmallest(num_data_blocks, distinct.values(),
                                key=attrgetter("point"))
     points = tuple(block.point for block in selected)
-    data_points = tuple(range(1, num_data_blocks + 1))
-    if systematic and points == data_points:
-        # Pass-through: the selected blocks hold the payload chunks directly.
-        chunks = [block.values[poly_index] for poly_index in range(num_polynomials)
-                  for block in selected]
-        return _unchunk(chunks, payload_length)
     chunks = []
     for poly_index in range(num_polynomials):
         values = [block.values[poly_index] for block in selected]
-        coefficients = _interpolate_via_matrix(points, values)
-        if systematic:
-            # The payload chunks are the evaluations at points 1..k.
-            prime = _PRIME
-            for point in data_points:
-                acc = 0
-                for coefficient in reversed(coefficients):
-                    acc = (acc * point + coefficient) % prime
-                chunks.append(acc)
-        else:
-            chunks.extend(coefficients)
+        chunks.extend(_interpolate_via_matrix(points, values))
     return _unchunk(chunks, payload_length)
 
 

@@ -54,6 +54,9 @@ ReceiverCallback = Callable[[ComponentMessage], None]
 #: component kinds whose proposals are small enough for the Fig. 5 layouts
 SMALL_VALUE_KINDS = frozenset({"rbc_small", "cbc_small", "aba_lc", "aba_sc", "aba_cp"})
 
+#: jitter fraction applied to the resend interval (desynchronises nodes)
+RESEND_JITTER = 0.5
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -61,8 +64,6 @@ class TransportConfig:
 
     #: how often the stall detector looks for missing progress
     resend_interval_s: float = 4.0
-    #: jitter fraction applied to the resend interval (desynchronises nodes)
-    resend_jitter: float = 0.5
     #: a node re-broadcasts its state if it has not received any frame for
     #: this long while unfinished instances remain
     stall_threshold_s: float = 3.0
@@ -118,7 +119,7 @@ class BaseTransport:
         self.nack_responses_sent = 0
         self._resend_timer: Optional[PeriodicTimer] = PeriodicTimer(
             node.sim, self.config.resend_interval_s, self._maybe_resend,
-            jitter=self.config.resend_jitter)
+            jitter=RESEND_JITTER)
         self._resend_timer.start()
 
     # ------------------------------------------------------------------ wiring

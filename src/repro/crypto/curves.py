@@ -18,7 +18,7 @@ the ordering, rough magnitudes (single-digit to hundreds of milliseconds on a
 Cortex-M7 class CPU) and relative gaps visible in the paper's log-scale plots,
 but are not the authors' exact measurements, which are unavailable.  The
 reproduction therefore matches the shape of Fig. 10 and the downstream impact
-on Fig. 10d, not absolute milliseconds (see EXPERIMENTS.md).
+on Fig. 10d, not absolute milliseconds (RESULTS.md, Fig. 10a-10d).
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from repro.crypto import backend as crypto_backend
 from repro.crypto.fastpath import FixedBaseTable
 from repro.crypto.field import PrimeField, lagrange_ratios_at_zero
 
-# 256-bit safe prime P = 2q + 1 generated once with a fixed seed (see DESIGN.md).
+# 256-bit safe prime P = 2q + 1, generated once with a fixed seed.
 _SAFE_PRIME_P = 105216956437749856470442369914846542332764088290024751311797079457000279170143
 _SUBGROUP_ORDER_Q = 52608478218874928235221184957423271166382044145012375655898539728500139585071
 _GENERATOR = 49  # 7^2 mod P, a generator of the order-q subgroup.

@@ -51,11 +51,10 @@ CHURN_PROFILES = {
     "steady-churn": (6, 12, ChurnSpec(
         initial_size=5, join_rate=0.02, leave_rate=0.02, horizon_s=300.0)),
     "crash-replace": (5, 10, ChurnSpec(
-        initial_size=4, crash_times=(40.0,), replace_crashed=True,
-        horizon_s=200.0)),
+        initial_size=4, crash_times=(40.0,), horizon_s=200.0)),
     "mixed": (7, 30, ChurnSpec(
         initial_size=5, join_rate=0.03, leave_rate=0.03,
-        crash_times=(60.0,), replace_crashed=True, horizon_s=500.0)),
+        crash_times=(60.0,), horizon_s=500.0)),
 }
 
 #: profiles whose timeline includes a permanent crash (claim-checked to

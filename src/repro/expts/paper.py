@@ -39,6 +39,12 @@ from repro.testbed.harness import (
 )
 from repro.testbed.reporting import improvement_percent, increase_percent
 from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
+
+#: per-node batches of the paper-testbed consensus runs: 6 x 48 B single-hop
+#: (Fig. 10d, Fig. 13a), 4 x 48 B multi-hop (Fig. 13b) and radio ablation
+SINGLE_HOP_WORKLOAD = WorkloadSpec(batch_size=6, transaction_bytes=48)
+SMALL_WORKLOAD = WorkloadSpec(batch_size=4, transaction_bytes=48)
 
 
 def _rows_by(rows, *columns):
@@ -200,9 +206,9 @@ def fig10d_cell(params: dict) -> list:
     """One batched HoneyBadgerBFT-SC run with the given curve pair and seed."""
     ec_curve, threshold_curve = FIG10D_PAIRS[params["pair"]]
     scenario = Scenario.single_hop(4).with_curves(ec_curve, threshold_curve)
-    result = run_consensus("honeybadger-sc", scenario, batch_size=6,
-                           transaction_bytes=48, batched=True,
-                           seed=params["seed"])
+    result = run_consensus("honeybadger-sc", scenario, batched=True,
+                           seed=params["seed"],
+                           workload_spec=SINGLE_HOP_WORKLOAD)
     assert result.decided
     return [[params["pair"], params["seed"], round(result.latency_s, 2),
              round(result.throughput_tpm, 1), result.committed_transactions]]
@@ -360,8 +366,7 @@ def fig12a_cell(params: dict) -> list:
     """One batched parallel-ABA run (mixed 0/1 inputs)."""
     result = run_aba_experiment(params["kind"],
                                 parallel_instances=params["parallelism"],
-                                batched=True, mixed_inputs=True,
-                                seed=FIG12A_SEED)
+                                batched=True, seed=FIG12A_SEED)
     assert result.completed
     return [[f"ABA-{params['kind'].upper()}", params["parallelism"],
              round(result.latency_s, 2), result.channel_accesses,
@@ -411,7 +416,7 @@ def fig12b_cell(params: dict) -> list:
     """One batched serial-ABA run (instances started back to back)."""
     result = run_aba_experiment(params["kind"],
                                 serial_instances=params["serial"],
-                                batched=True, mixed_inputs=True, seed=330)
+                                batched=True, seed=330)
     assert result.completed
     return [[f"ABA-{params['kind'].upper()}", params["serial"],
              round(result.latency_s, 2), result.channel_accesses]]
@@ -469,8 +474,8 @@ FIG13A_SEED = 405
 def fig13a_cell(params: dict) -> list:
     """One single-hop consensus epoch (batch=6 x 48 B, LoRa-class radio)."""
     result = run_consensus(params["protocol"], Scenario.single_hop(4),
-                           batch_size=6, transaction_bytes=48,
-                           batched=params["batched"], seed=FIG13A_SEED)
+                           batched=params["batched"], seed=FIG13A_SEED,
+                           workload_spec=SINGLE_HOP_WORKLOAD)
     assert result.decided
     mode = "ConsensusBatcher" if params["batched"] else "baseline"
     return [[params["protocol"], mode, round(result.latency_s, 2),
@@ -545,8 +550,9 @@ FIG13B_SEED = 410
 def fig13b_cell(params: dict) -> list:
     """One two-phase multi-hop consensus run (16 nodes, 4 clusters)."""
     result = run_multihop_consensus(
-        params["protocol"], Scenario.multi_hop(4, 4), batch_size=4,
-        transaction_bytes=48, batched=params["batched"], seed=FIG13B_SEED)
+        params["protocol"], Scenario.multi_hop(4, 4),
+        batched=params["batched"], seed=FIG13B_SEED,
+        workload_spec=SMALL_WORKLOAD)
     assert result.decided
     mode = "ConsensusBatcher" if params["batched"] else "baseline"
     return [[params["protocol"], mode, round(result.latency_s, 2),
@@ -695,12 +701,10 @@ def ablation_radio_cell(params: dict) -> list:
     """BEAT latency on a LoRa-class radio vs. a Wi-Fi-like PHY."""
     lora = run_consensus("beat",
                          Scenario.single_hop(4).with_radio(LORA_SF7_125KHZ),
-                         batch_size=4, transaction_bytes=48, batched=True,
-                         seed=501)
+                         batched=True, seed=501, workload_spec=SMALL_WORKLOAD)
     wifi = run_consensus("beat",
                          Scenario.single_hop(4).with_radio(WIFI_LIKE),
-                         batch_size=4, transaction_bytes=48, batched=True,
-                         seed=501)
+                         batched=True, seed=501, workload_spec=SMALL_WORKLOAD)
     assert wifi.latency_s < lora.latency_s
     return [
         ["radio class", "LoRa SF7/125kHz (paper-like)", "BEAT latency s",
@@ -756,7 +760,7 @@ SCALE_SINGLE_NS = (4, 10, 16, 31, 64, 100)
 SCALE_SINGLE_SEED = 600
 SCALE_MULTI_SHAPES = ((4, 4), (4, 8), (8, 4), (8, 8), (16, 4))
 SCALE_MULTI_SEED = 610
-SCALE_WORKLOAD = dict(batch_size=2, transaction_bytes=32)
+SCALE_WORKLOAD = WorkloadSpec(batch_size=2, transaction_bytes=32)
 
 
 def scale_single_hop_cell(params: dict) -> list:
@@ -764,7 +768,7 @@ def scale_single_hop_cell(params: dict) -> list:
     result = run_consensus(params["protocol"],
                            Scenario.scale_single_hop(params["num_nodes"]),
                            batched=True, seed=SCALE_SINGLE_SEED,
-                           **SCALE_WORKLOAD)
+                           workload_spec=SCALE_WORKLOAD)
     assert result.decided, (
         f"{params['protocol']} did not decide at n={params['num_nodes']}")
     return [[params["protocol"], params["num_nodes"],
@@ -833,7 +837,7 @@ def scale_multi_hop_cell(params: dict) -> list:
     clusters, cluster_size = params["clusters"], params["cluster_size"]
     result = run_multihop_consensus(
         params["protocol"], Scenario.scale_multi_hop(clusters, cluster_size),
-        batched=True, seed=SCALE_MULTI_SEED, **SCALE_WORKLOAD)
+        batched=True, seed=SCALE_MULTI_SEED, workload_spec=SCALE_WORKLOAD)
     assert result.decided, (
         f"{params['protocol']} did not decide at {clusters}x{cluster_size}")
     return [[params["protocol"], clusters, cluster_size,
@@ -909,12 +913,12 @@ def improvement_cell(params: dict) -> list:
     is ~0.3 s of simulation per protocol.
     """
     protocol = params["protocol"]
-    batched = run_consensus(protocol, Scenario.single_hop(4), batch_size=6,
-                            transaction_bytes=48, batched=True,
-                            seed=FIG13A_SEED)
-    baseline = run_consensus(protocol, Scenario.single_hop(4), batch_size=6,
-                             transaction_bytes=48, batched=False,
-                             seed=FIG13A_SEED)
+    batched = run_consensus(protocol, Scenario.single_hop(4), batched=True,
+                            seed=FIG13A_SEED,
+                            workload_spec=SINGLE_HOP_WORKLOAD)
+    baseline = run_consensus(protocol, Scenario.single_hop(4), batched=False,
+                             seed=FIG13A_SEED,
+                             workload_spec=SINGLE_HOP_WORKLOAD)
     latency_reduction = improvement_percent(baseline.latency_s,
                                             batched.latency_s)
     throughput_increase = increase_percent(baseline.throughput_tpm,

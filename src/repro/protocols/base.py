@@ -61,8 +61,6 @@ class ConsensusConfig:
     epoch: Any = 0
     #: whether proposals are threshold-encrypted (HoneyBadgerBFT / BEAT)
     use_threshold_encryption: bool = True
-    #: cap on ABA rounds (safety net for bounded experiments)
-    max_aba_rounds: int = 64
 
 
 # --------------------------------------------------------------------------

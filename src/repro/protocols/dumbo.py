@@ -220,8 +220,7 @@ class Dumbo(ConsensusProtocol):
         make_aba = aba_factory(self.coin_type, self.ctx, self.router,
                                coin_tag=(self.tag, "aba", slot),
                                coin_name=f"serial{slot}")
-        return make_aba(slot, tag=(self.tag, "aba"),
-                        max_rounds=self.config.max_aba_rounds)
+        return make_aba(slot, tag=(self.tag, "aba"))
 
     def _on_aba_output(self, slot: int, decision: int) -> None:
         if slot in self._aba_decisions:

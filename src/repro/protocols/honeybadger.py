@@ -66,8 +66,7 @@ class HoneyBadger(ConsensusProtocol):
         self.acs = CommonSubset(
             ctx, router, self.tag,
             rbc_factory=lambda index: BrachaRbc(ctx, index, tag=self.tag),
-            aba_factory=lambda index: make_aba(
-                index, tag=self.tag, max_rounds=self.config.max_aba_rounds),
+            aba_factory=lambda index: make_aba(index, tag=self.tag),
             on_output=self._on_acs_output)
         self._acs_output: Optional[dict[int, bytes]] = None
         self._dec_shares: dict[int, dict[int, Any]] = {}

@@ -16,8 +16,8 @@ loss).
 
 Every cell is replayable in isolation: its outcome is a pure function of the
 cell description (the per-cell seed is derived with
-:func:`repro.testbed.harness.stable_seed` from the campaign base seed and the
-cell coordinates), which is what makes the CLI's ``CAMPAIGN.json`` artifact
+:func:`repro.testbed.dealer_cache.stable_seed` from the campaign base seed and
+the cell coordinates), which is what makes the CLI's ``CAMPAIGN.json`` artifact
 byte-identical across re-runs and lets a red cell be re-run under a debugger
 with ``scripts/run_campaign.py --only <cell-id>``.
 
@@ -35,11 +35,11 @@ from repro.net.adversary import AsyncAdversary, LinkFaultSpec, PartitionSpec
 from repro.net.topology import faults_tolerated
 from repro.protocols.multihop import select_leader
 from repro.testbed.byzantine import ByzantineSpec
+from repro.testbed.dealer_cache import stable_seed
 from repro.testbed.harness import (
     DeploymentError,
     run_consensus,
     run_multihop_consensus,
-    stable_seed,
 )
 from repro.testbed.ingress import INGRESS_PROFILES, ingress_profile
 from repro.testbed.invariants import (
@@ -236,7 +236,7 @@ def _fault_crash_replace(scenario: Scenario) -> Scenario:
     cells only."""
     return scenario.with_membership(ChurnSpec(
         initial_size=scenario.num_nodes - 1,
-        crash_times=(40.0,), replace_crashed=True, horizon_s=150.0))
+        crash_times=(40.0,), horizon_s=150.0))
 
 
 def _fault_quorum_loss(scenario: Scenario) -> Scenario:
@@ -640,10 +640,11 @@ def default_cells(quick: bool = True, base_seed: int = 0) -> list[CampaignCell]:
             faults=("none", "crash-f", "garbage", "quorum-loss"),
             seeds=(0,), base_seed=base_seed)
         cells.extend(large.cells())
-        # Grids past the classic heap's practical ceiling, on the sharded
-        # simulator (one shard per cluster).  16x16 also runs under crash
-        # faults; 32x32 (1024 nodes, ~1.6M events) stays fault-free to keep
-        # the full campaign's wall clock bounded.
+        # The largest grids, on the sharded simulator (one shard per
+        # cluster).  Classic runs them too, in one process (32x32 peaks at
+        # 466 MiB); these cells sweep the sharded engine at scale.  16x16
+        # also runs under crash faults; 32x32 (1024 nodes, ~1.6M events)
+        # stays fault-free to keep the full campaign's wall clock bounded.
         sharded = CampaignSpec(
             protocols=("honeybadger-sc", "beat"),
             topologies=(TopologySpec.multi(16, 16, profile="scale",

@@ -63,9 +63,9 @@ from repro.protocols.beat import Beat
 from repro.protocols.dumbo import Dumbo
 from repro.protocols.honeybadger import HoneyBadger
 from repro.protocols.multihop import (
-    LeaderSchedule,
     contribution_transactions,
     encode_cluster_contribution,
+    select_leader,
 )
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
@@ -94,10 +94,6 @@ from repro.testbed.workload import (
 
 #: epoch tag used to derive the conflicting batch of an equivocating proposer
 EQUIVOCATION_EPOCH = "equiv"
-
-# CryptoDomain / deal_crypto_domain / stable_seed moved to
-# repro.testbed.dealer_cache in PR 4; they stay importable from the harness.
-_REEXPORTED = (CryptoDomain, deal_crypto_domain, stable_seed)
 
 
 class DeploymentError(RuntimeError):
@@ -143,8 +139,7 @@ def global_epoch_config(config: Optional[ConsensusConfig]) -> ConsensusConfig:
     """
     base = config or ConsensusConfig()
     return ConsensusConfig(epoch=("global", base.epoch),
-                           use_threshold_encryption=False,
-                           max_aba_rounds=base.max_aba_rounds)
+                           use_threshold_encryption=False)
 
 
 def multihop_crypto_schemes(protocol: str, config: Optional[ConsensusConfig]
@@ -193,12 +188,8 @@ class Deployment:
     runtimes: dict[int, DomainRuntime]
     #: multi-hop only: per leader node id, the runtime of the global domain
     global_runtimes: dict[int, DomainRuntime] = field(default_factory=dict)
-    #: multi-hop only: per cluster index, the leader-rotation schedule.  The
-    #: deployment is the single owner of rotation state: exclusions persist
-    #: here for the deployment's whole life (one epoch or a streaming run).
-    leader_schedules: dict[int, LeaderSchedule] = field(default_factory=dict)
     #: multi-hop only: per cluster index, the leader wired into the global
-    #: domain (the ``active_leader`` of the cluster's schedule)
+    #: domain for the deployment's whole life (one epoch or a streaming run)
     epoch_leaders: dict[int, int] = field(default_factory=dict)
     batched: bool = True
 
@@ -375,11 +366,15 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
         crashed = lambda node_id: \
             scenario.byzantine.assignments.get(node_id) == "crash"
         for cluster in topology.clusters:
-            schedule = LeaderSchedule(cluster)
-            deployment.leader_schedules[cluster.index] = schedule
-            deployment.epoch_leaders[cluster.index] = schedule.active_leader(
-                epoch=0, crashed=crashed,
-                rotate=scenario.rotate_crashed_leaders)
+            # Detect-and-replace (Section V-B): a crashed leader is excluded
+            # for good and the selection moves on an epoch, until one is live.
+            # Without rotation the epoch-0 leader stays even if crashed.
+            epoch, excluded = 0, frozenset()
+            leader = select_leader(cluster, epoch)
+            while scenario.rotate_crashed_leaders and crashed(leader):
+                epoch, excluded = epoch + 1, excluded | {leader}
+                leader = select_leader(cluster, epoch, excluded)
+            deployment.epoch_leaders[cluster.index] = leader
         leaders = list(deployment.epoch_leaders.values())  # cluster order
         global_domain = deal_crypto_domain(
             len(leaders), stable_seed(seed, "global"),
@@ -521,16 +516,19 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
             or ``beat``.
         scenario: a single-hop :class:`~repro.testbed.scenarios.Scenario`
             (multi-hop raises :class:`DeploymentError`).
-        batch_size: transactions each node proposes per epoch.
-        transaction_bytes: size of one transaction in **bytes** (>= 8).
+        batch_size / transaction_bytes: the uniform workload's transactions
+            per node and bytes per transaction, ignored when
+            ``workload_spec`` is given.  They stay for positional callers
+            (``benchmarks/ledger/test_ledger.py``); pass ``workload_spec``.
         batched: ``True`` deploys the ConsensusBatcher transport, ``False``
             the unbatched baseline transport.
         seed: integer seed from which *all* randomness derives (crypto
             dealing, MAC backoff, adversary jitter, workload bytes).
-        config: protocol tuning (epoch tag, ABA round cap, threshold
-            encryption toggle).
-        workload_spec: overrides the default uniform workload (flavored
-            campaigns use ``task-allocation`` / ``telemetry``).
+        config: protocol tuning (epoch tag, threshold encryption toggle).
+        workload_spec: each node's batch: transactions per epoch, bytes per
+            transaction, flavor (default ``WorkloadSpec()``: 8 uniform
+            transactions of 64 B; flavored campaigns use
+            ``task-allocation`` / ``telemetry``).
         observer: collects proposals and decisions for the conformance
             checkers in :mod:`repro.testbed.invariants`.
 
@@ -682,7 +680,7 @@ class Epoch:
         #: per fed cluster, the virtual time its leader decided locally
         self.local_latencies: dict[int, float] = {}
         # Hosted clusters not yet fed, as (cluster, leader, local instance);
-        # leaders stay pinned to the deployment's schedules.
+        # leaders stay pinned to the deployment's epoch_leaders.
         self._pending = [
             (cluster_index, leader_id, self.local_protocols[leader_id])
             for cluster_index, leader_id in deployment.epoch_leaders.items()
@@ -908,7 +906,6 @@ def replay_cluster_decisions(observer: RunObserver, topology: Topology,
 # ---------------------------------------------------------------------------
 
 def run_multihop_consensus(protocol: str, scenario: Scenario,
-                           batch_size: int = 8, transaction_bytes: int = 64,
                            batched: bool = True, seed: int = 0,
                            config: Optional[ConsensusConfig] = None,
                            workload_spec: Optional[WorkloadSpec] = None,
@@ -948,16 +945,12 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
     if shards is not None:
         return run_sharded_multihop_consensus(
             protocol, scenario, shards=shards, shard_workers=shard_workers,
-            batch_size=batch_size, transaction_bytes=transaction_bytes,
             batched=batched, seed=seed, config=config,
             workload_spec=workload_spec, observer=observer)
     deployment = build_deployment(scenario, batched=batched, seed=seed,
                                   **multihop_crypto_schemes(protocol, config))
     with closing(deployment):
-        workload = TransactionWorkload(
-            workload_spec or WorkloadSpec(batch_size=batch_size,
-                                          transaction_bytes=transaction_bytes),
-            seed=seed)
+        workload = TransactionWorkload(workload_spec, seed=seed)
         epoch = Epoch(deployment, protocol, config)
         epoch.propose(workload, observer=observer)
 
@@ -1066,8 +1059,7 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
 
 def run_aba_experiment(kind: str, parallel_instances: int = 1,
                        serial_instances: int = 0, num_nodes: int = 4,
-                       batched: bool = True, mixed_inputs: bool = True,
-                       seed: int = 0,
+                       batched: bool = True, seed: int = 0,
                        scenario: Optional[Scenario] = None) -> ComponentRunResult:
     """Run parallel or serial ABA instances to completion.
 
@@ -1079,10 +1071,11 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
         serial_instances: when > 0, runs that many instances back to back,
             each starting when the node's previous instance decides locally
             (Fig. 12b / Dumbo's serial pattern).
-        mixed_inputs: ``True`` feeds node/instance-dependent 0/1 inputs
-            (forcing coin rounds); ``False`` lets every node input 1.
         num_nodes / batched / seed / scenario: as in
             :func:`run_broadcast_experiment`.
+
+    Node ``i`` inputs ``(i + instance) % 2`` to each instance: mixed inputs
+    force coin rounds.
 
     Returns a :class:`~repro.testbed.metrics.ComponentRunResult` with
     ``rounds_executed`` summed over all nodes and instances; ``latency_s``
@@ -1103,7 +1096,6 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
         honest = deployment.honest_ids()
         latch = _CompletionLatch(honest, total_instances)
         decisions: dict[int, dict[int, int]] = {node_id: {} for node_id in deployment.nodes}
-        rounds: dict[int, int] = {}
 
         per_node_abas: dict[int, list[Component]] = {}
         for node_id, runtime in deployment.runtimes.items():
@@ -1117,7 +1109,6 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
                     def callback(_instance, decision):
                         latch.mark(nid, inst)
                         decisions[nid][inst] = decision
-                        rounds[nid] = rounds.get(nid, 0) + 1
                         if serial_mode:
                             _start_next_serial(nid, inst + 1)
                     return callback
@@ -1129,8 +1120,6 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
             runtime.components.extend(abas)
 
         def input_for(node_id: int, instance: int) -> int:
-            if not mixed_inputs:
-                return 1
             return (node_id + instance) % 2
 
         def _start_next_serial(node_id: int, instance: int) -> None:

@@ -52,11 +52,10 @@ Extension point
 
 Reconfiguration is single-hop today: a multi-hop committee change would have
 to re-elect cluster leaders and re-route the backbone mid-stream.  The seam
-for that work is the deployment's per-cluster
-:class:`~repro.protocols.multihop.LeaderSchedule` (``exclude`` a departed
-node, then re-resolve ``active_leader``) together with
-``Deployment.epoch_leaders``, the backbone wiring a multi-hop controller
-would re-route.
+for that work is ``Deployment.epoch_leaders``, the backbone wiring a
+multi-hop controller would re-route; it would re-elect a departed leader with
+:func:`~repro.protocols.multihop.select_leader`, keeping its own exclusion
+set across boundaries.
 """
 
 from __future__ import annotations
@@ -77,10 +76,7 @@ from repro.testbed.harness import (
     _build_stack,
     crypto_schemes_for_protocol,
 )
-from repro.testbed.workload import ChurnProcess, ChurnSpec
-
-#: the smallest viable BFT committee (3f + 1 with f = 1)
-QUORUM_FLOOR = 4
+from repro.testbed.workload import QUORUM_FLOOR, ChurnProcess, ChurnSpec
 
 MEMBERSHIP_ACTIONS = ("join", "leave", "crash")
 

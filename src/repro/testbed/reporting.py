@@ -2,7 +2,8 @@
 
 The benchmark harness under ``benchmarks/`` prints paper-style rows (one per
 protocol / parallelism level / curve) so that a run's output can be compared
-against the paper's figures at a glance and recorded in EXPERIMENTS.md.
+against the paper's figures at a glance; the same rows, rendered as markdown
+tables, make up RESULTS.md.
 """
 
 from __future__ import annotations

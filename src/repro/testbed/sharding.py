@@ -181,8 +181,6 @@ class _MultiHopShardRunner(ShardRunner):
 
 def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
                                    shards: int, shard_workers: int = 1,
-                                   batch_size: int = 8,
-                                   transaction_bytes: int = 64,
                                    batched: bool = True, seed: int = 0,
                                    config: Any = None,
                                    workload_spec: Optional[WorkloadSpec] = None,
@@ -200,8 +198,7 @@ def run_sharded_multihop_consensus(protocol: str, scenario: Scenario,
     (``shard``, ``clusters``, ``events``) describing how the event load
     split -- diagnostics the merged result deliberately flattens away.
     """
-    spec = workload_spec or WorkloadSpec(batch_size=batch_size,
-                                         transaction_bytes=transaction_bytes)
+    spec = workload_spec or WorkloadSpec()
     blocks = partition_clusters(scenario.topology.num_clusters, shards)
 
     def factory(shard_index: int) -> _MultiHopShardRunner:

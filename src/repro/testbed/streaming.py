@@ -622,17 +622,15 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
 
     The fifth harness entry point.  Works on single-hop *and* multi-hop
     scenarios: multi-hop streams replay the two-phase construction per epoch
-    with the cluster leaders pinned to the deployment's
-    :class:`~repro.protocols.multihop.LeaderSchedule` state (rotating a
-    leader mid-stream would re-wire the backbone; exclusions still persist
-    on the deployment-owned schedules).
+    with the cluster leaders pinned to ``Deployment.epoch_leaders`` (rotating
+    a leader mid-stream would re-wire the backbone).
 
     Args:
         protocol: canonical protocol name (``honeybadger-sc``, ``beat``, ...).
         scenario: the deployment description; ``scenario.timeout_s`` bounds
             the **whole stream** in virtual seconds.
         spec: the :class:`StreamingSpec` (epochs, per-epoch batch size,
-            pipeline depth, arrival process, GC toggle).
+            pipeline depth, arrival process).
         batched / seed / config / observer: as in
             :func:`repro.testbed.harness.run_consensus`; the observer sees
             per-epoch domains (``("epoch", e)``, or ``("epoch", e,

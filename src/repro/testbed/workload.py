@@ -238,6 +238,10 @@ class OpenLoopArrivals:
 # churn arrival process (dynamic membership)
 # ---------------------------------------------------------------------------
 
+#: the smallest viable BFT committee (3f + 1 with f = 1)
+QUORUM_FLOOR = 4
+
+
 @dataclass(frozen=True)
 class ChurnSpec:
     """Shape of a node churn process over one streaming run.
@@ -251,19 +255,16 @@ class ChurnSpec:
 
     ``initial_size`` selects how many of the deployment's nodes form the
     epoch-0 committee (0 = all of them); the rest start on standby and are
-    the join pool.  ``replace_crashed`` pairs every crash with a standby
-    join at the same instant, modelling operator-driven replacement.
-    ``min_size`` floors the committee (never below 4 = the smallest
-    ``3f + 1`` committee); leaves and crashes that would sink below it are
-    dropped at expansion time.
+    the join pool.  Every crash is paired with a standby join at the same
+    instant while the pool lasts, modelling operator-driven replacement.
+    Leaves and crashes that would sink the committee below
+    :data:`QUORUM_FLOOR` are dropped at expansion time.
     """
 
     initial_size: int = 0
     join_rate: float = 0.0
     leave_rate: float = 0.0
     crash_times: tuple = ()
-    replace_crashed: bool = True
-    min_size: int = 4
     horizon_s: float = 120.0
 
     def __post_init__(self) -> None:
@@ -271,18 +272,14 @@ class ChurnSpec:
             raise ValueError(
                 f"initial_size must be >= 0 (0 = whole deployment), "
                 f"got {self.initial_size}")
-        if self.initial_size and self.initial_size < 4:
+        if self.initial_size and self.initial_size < QUORUM_FLOOR:
             raise ValueError(
-                f"initial_size must be >= 4 (the smallest 3f+1 committee), "
-                f"got {self.initial_size}")
+                f"initial_size must be >= {QUORUM_FLOOR} (the smallest 3f+1 "
+                f"committee), got {self.initial_size}")
         if self.join_rate < 0:
             raise ValueError(f"join_rate must be >= 0, got {self.join_rate}")
         if self.leave_rate < 0:
             raise ValueError(f"leave_rate must be >= 0, got {self.leave_rate}")
-        if self.min_size < 4:
-            raise ValueError(
-                f"min_size must be >= 4 (the smallest 3f+1 committee), "
-                f"got {self.min_size}")
         if self.horizon_s < 0:
             raise ValueError(
                 f"horizon_s must be >= 0, got {self.horizon_s}")
@@ -304,9 +301,10 @@ class ChurnProcess:
     ``events`` is a list of ``(at_s, action, node_id)`` tuples sorted by
     time (``action`` in ``join`` / ``leave`` / ``crash``), a pure function
     of ``(spec, num_nodes, seed)``.  Expansion replays the committee as it
-    goes: leaves/crashes that would sink below ``spec.min_size`` (counting
-    a paired replacement join) are dropped, joins with an empty standby
-    pool are dropped, so the emitted sequence is always structurally valid.
+    goes: leaves/crashes that would sink below :data:`QUORUM_FLOOR`
+    (counting a paired replacement join) are dropped, joins with an empty
+    standby pool are dropped, so the emitted sequence is always structurally
+    valid.
     """
 
     def __init__(self, spec: ChurnSpec, num_nodes: int, seed: int = 0) -> None:
@@ -361,10 +359,8 @@ class ChurnProcess:
                 active.add(node_id)
                 events.append((at_s, "join", node_id))
             else:
-                replaced = action == "crash" and spec.replace_crashed \
-                    and bool(standby)
-                floor = max(spec.min_size, 4)
-                if len(active) - 1 + (1 if replaced else 0) < floor:
+                replaced = action == "crash" and bool(standby)
+                if len(active) - 1 + (1 if replaced else 0) < QUORUM_FLOOR:
                     continue
                 victim = sorted(active)[pick.randrange(len(active))]
                 active.discard(victim)

@@ -21,7 +21,7 @@ from repro.testbed.campaign import (
     run_cell,
     run_matrix,
 )
-from repro.testbed.harness import stable_seed
+from repro.testbed.dealer_cache import stable_seed
 
 CELLS = default_cells(quick=True)
 

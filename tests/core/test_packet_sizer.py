@@ -19,6 +19,7 @@ from repro.testbed.harness import (
     run_consensus,
 )
 from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
 from tests.helpers import capture_batched_packets, full_instance_packets
 
 
@@ -124,8 +125,9 @@ PIN_SEED = 101
 
 def _consensus_run(protocol, scenario=None):
     return lambda: run_consensus(
-        protocol, scenario or Scenario.single_hop(4), batch_size=2,
-        transaction_bytes=32, batched=True, seed=PIN_SEED).decided
+        protocol, scenario or Scenario.single_hop(4), batched=True,
+        seed=PIN_SEED,
+        workload_spec=WorkloadSpec(batch_size=2, transaction_bytes=32)).decided
 
 
 def _broadcast_run(component, num_nodes=4, scenario=None):

@@ -29,6 +29,7 @@ from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.testbed.harness import run_consensus
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.workload import WorkloadSpec
 
 from tests.crypto.families import FAMILIES, family_ids
 from tests.reference import unstamped
@@ -324,16 +325,16 @@ class TestStampingOffChangesNothing:
 
     def test_one_epoch_run(self, monkeypatch):
         scenario = Scenario.single_hop(4)
-        stamped = run_consensus("honeybadger-sc", scenario, batch_size=2,
-                                seed=4101)
+        stamped = run_consensus("honeybadger-sc", scenario, seed=4101,
+                                workload_spec=WorkloadSpec(batch_size=2))
         before = _verify_schnorr_cached.cache_info().misses
         with monkeypatch.context() as patch:
             self._without_stamps(patch)
             signature = generate_keypair(random.Random(1))[0].sign(
                 b"m", random.Random(2))
             assert signature._minted_for is None
-            plain = run_consensus("honeybadger-sc", scenario, batch_size=2,
-                                  seed=4101)
+            plain = run_consensus("honeybadger-sc", scenario, seed=4101,
+                                  workload_spec=WorkloadSpec(batch_size=2))
         assert plain == stamped
         # and the unstamped run really verified its frames
         assert _verify_schnorr_cached.cache_info().misses > before

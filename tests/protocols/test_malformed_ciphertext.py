@@ -17,6 +17,7 @@ from repro.protocols import honeybadger
 from repro.testbed.harness import run_consensus
 from repro.testbed.invariants import RunObserver
 from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
 
 BYZANTINE = 3
 BATCH_SIZE = 8
@@ -51,7 +52,8 @@ def test_one_digest_and_nothing_from_the_malformed_proposer(monkeypatch,
     monkeypatch.setattr(honeybadger, "ciphertext_to_bytes", encode)
     observer = RunObserver()
     result = run_consensus("honeybadger-sc", Scenario.single_hop(4),
-                           batch_size=BATCH_SIZE, seed=seed, observer=observer)
+                           seed=seed, observer=observer,
+                           workload_spec=WorkloadSpec(batch_size=BATCH_SIZE))
     assert result.decided
     assert len(result.per_node_digest) == 4
     assert len(set(result.per_node_digest.values())) == 1

@@ -15,6 +15,7 @@ from repro.testbed.harness import (
     run_consensus,
 )
 from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
 from tests.helpers import capture_batched_packets, full_instance_packets
 
 
@@ -35,10 +36,11 @@ class TestRadioProfileAblation:
     def test_wifi_class_radio_is_far_faster_than_lora(self):
         lora = Scenario.single_hop(4).with_radio(LORA_SF7_125KHZ)
         wifi = Scenario.single_hop(4).with_radio(WIFI_LIKE)
-        slow = run_consensus("beat", lora, batch_size=3, transaction_bytes=32,
-                             batched=True, seed=43)
-        fast = run_consensus("beat", wifi, batch_size=3, transaction_bytes=32,
-                             batched=True, seed=43)
+        spec = WorkloadSpec(batch_size=3, transaction_bytes=32)
+        slow = run_consensus("beat", lora, batched=True, seed=43,
+                             workload_spec=spec)
+        fast = run_consensus("beat", wifi, batched=True, seed=43,
+                             workload_spec=spec)
         assert slow.decided and fast.decided
         assert fast.latency_s < slow.latency_s / 2
 
@@ -83,9 +85,10 @@ class TestBackboneForwardingCost:
 
         near = Scenario.multi_hop(4, 4).replace(per_hop_forward_s=0.05)
         far = Scenario.multi_hop(4, 4).replace(per_hop_forward_s=1.5)
-        quick = run_multihop_consensus("beat", near, batch_size=2,
-                                       transaction_bytes=32, batched=True, seed=44)
-        slow = run_multihop_consensus("beat", far, batch_size=2,
-                                      transaction_bytes=32, batched=True, seed=44)
+        spec = WorkloadSpec(batch_size=2, transaction_bytes=32)
+        quick = run_multihop_consensus("beat", near, batched=True, seed=44,
+                                       workload_spec=spec)
+        slow = run_multihop_consensus("beat", far, batched=True, seed=44,
+                                      workload_spec=spec)
         assert quick.decided and slow.decided
         assert slow.latency_s > quick.latency_s

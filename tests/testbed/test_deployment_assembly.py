@@ -156,7 +156,7 @@ def test_backbone_transport_config_copies_every_field():
     with only the interface overridden -- field by field, so a new
     ``TransportConfig`` field cannot be dropped on the backbone alone."""
     custom = TransportConfig(
-        resend_interval_s=7.5, resend_jitter=0.25, stall_threshold_s=5.5)
+        resend_interval_s=7.5, stall_threshold_s=5.5)
     defaults = TransportConfig()
     overridden = {"interface"}
     for config_field in dataclasses.fields(TransportConfig):
@@ -422,7 +422,8 @@ def test_one_epoch_runs_through_the_driver_reproduce_the_recorded_figures(
     """``shards`` None = ``run_consensus`` on 4 nodes (seed 31), 0 = the
     classic 4x4 multi-hop run (seed 32), 2 = the same run on two shards."""
     observer = RunObserver()
-    small = dict(batch_size=3, transaction_bytes=32, observer=observer)
+    small = dict(observer=observer, workload_spec=WorkloadSpec(
+        batch_size=3, transaction_bytes=32))
     if shards is None:
         result = run_consensus(protocol, Scenario.single_hop(4), seed=31,
                                **small)

@@ -21,7 +21,8 @@ from repro.testbed.scenarios import Scenario
 from repro.testbed.workload import WorkloadSpec
 
 
-SMALL = dict(batch_size=3, transaction_bytes=32)
+SMALL_SPEC = WorkloadSpec(batch_size=3, transaction_bytes=32)
+SMALL = dict(workload_spec=SMALL_SPEC)
 
 
 class TestSingleHopConsensus:
@@ -31,7 +32,7 @@ class TestSingleHopConsensus:
                                seed=11, **SMALL)
         assert result.decided
         assert result.latency_s > 0
-        assert result.committed_transactions >= 3 * SMALL["batch_size"]
+        assert result.committed_transactions >= 3 * SMALL_SPEC.batch_size
         assert result.throughput_tpm > 0
 
     def test_local_coin_variants_decide(self):
@@ -57,7 +58,7 @@ class TestSingleHopConsensus:
                                **SMALL)
         assert result.decided
         # the crashed node contributes nothing, but at least N - f proposals land
-        assert result.committed_transactions >= 2 * SMALL["batch_size"]
+        assert result.committed_transactions >= 2 * SMALL_SPEC.batch_size
 
     def test_tolerates_garbage_proposer(self):
         scenario = Scenario.single_hop(4).with_byzantine(

@@ -633,8 +633,7 @@ class TestStreamingIngress:
         """A crashed member's gateway backlog moves to the survivors at the
         boundary -- a transfer between pools, so conservation holds -- and
         the degenerate spec is the no-ingress stream under the same churn."""
-        churn = ChurnSpec(initial_size=4, crash_times=(40.0,),
-                          replace_crashed=True, horizon_s=100.0)
+        churn = ChurnSpec(initial_size=4, crash_times=(40.0,), horizon_s=100.0)
         scenario = Scenario.single_hop(5).with_membership(churn)
         spec = small_spec(epochs=5)
         result = run_streaming_consensus(

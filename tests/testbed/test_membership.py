@@ -41,8 +41,7 @@ def small_spec(**overrides) -> StreamingSpec:
 
 class TestChurnExpansion:
     CHURN = ChurnSpec(initial_size=5, join_rate=0.05, leave_rate=0.05,
-                      crash_times=(30.0,), replace_crashed=True,
-                      horizon_s=200.0)
+                      crash_times=(30.0,), horizon_s=200.0)
 
     def test_same_seed_same_events(self):
         a = MembershipSchedule.from_churn(self.CHURN, 7, seed=11)
@@ -63,7 +62,7 @@ class TestChurnExpansion:
 
     def test_expansion_never_violates_validation(self):
         # Whatever the seed, the expanded schedule must construct cleanly
-        # (ChurnProcess skips events that would dip below min_size).
+        # (ChurnProcess skips events that would dip below QUORUM_FLOOR).
         for seed in range(25):
             MembershipSchedule.from_churn(self.CHURN, 7, seed=seed)
 
@@ -74,8 +73,6 @@ class TestChurnExpansion:
             ChurnSpec(join_rate=-1.0)
         with pytest.raises(ValueError, match="crash_times"):
             ChurnSpec(crash_times=(0.0,))
-        with pytest.raises(ValueError, match="min_size"):
-            ChurnSpec(min_size=2)
 
 
 class TestScheduleValidation:
@@ -179,27 +176,6 @@ class TestBoundarySemantics:
         assert len(controller.members) == QUORUM_FLOOR
 
 
-class TestLeaderRebind:
-    def test_departed_leader_excluded_and_rotation_resolves(self):
-        # The multi-hop seam: a deployment's per-cluster schedule excludes
-        # a departed leader for good and re-resolves the active one.
-        scenario = Scenario.multi_hop(2, 4)
-        deployment = build_deployment(scenario, seed=0)
-        old_leader = deployment.epoch_leaders[0]
-        schedule = deployment.leader_schedules[0]
-        schedule.exclude(old_leader)
-        leader = schedule.active_leader(
-            epoch=0, crashed=lambda n: deployment.nodes[n].crashed,
-            rotate=True)
-        assert leader != old_leader
-        assert leader in schedule.cluster.node_ids
-        # Exclusions persist: the departed node is never selected again.
-        for epoch in range(6):
-            assert schedule.active_leader(
-                epoch=epoch, crashed=lambda n: False,
-                rotate=True) != old_leader
-
-
 class TestStreamingIntegration:
     def test_no_churn_schedule_is_bit_identical_to_schedule_free(self):
         scenario = Scenario.single_hop(4)
@@ -215,8 +191,7 @@ class TestStreamingIntegration:
         assert under_schedule.committees  # the trail is still recorded
 
     def test_crash_with_replacement_reconfigures(self):
-        churn = ChurnSpec(initial_size=4, crash_times=(40.0,),
-                          replace_crashed=True, horizon_s=100.0)
+        churn = ChurnSpec(initial_size=4, crash_times=(40.0,), horizon_s=100.0)
         scenario = Scenario.single_hop(5).with_membership(churn)
         result = run_streaming_consensus("honeybadger-sc", scenario,
                                          small_spec(epochs=6), seed=7)
@@ -228,8 +203,7 @@ class TestStreamingIntegration:
         assert result.committees[-1].size == 4
 
     def test_replay_is_deterministic(self):
-        churn = ChurnSpec(initial_size=4, crash_times=(40.0,),
-                          replace_crashed=True, horizon_s=100.0)
+        churn = ChurnSpec(initial_size=4, crash_times=(40.0,), horizon_s=100.0)
         scenario = Scenario.single_hop(5).with_membership(churn)
         a = run_streaming_consensus("honeybadger-sc", scenario,
                                     small_spec(epochs=5), seed=9)
@@ -280,8 +254,7 @@ class TestChurnProcessProperties:
 
     def test_graceful_leavers_can_rejoin_crashed_cannot(self):
         spec = ChurnSpec(initial_size=4, join_rate=0.3, leave_rate=0.3,
-                         crash_times=(20.0,), replace_crashed=True,
-                         horizon_s=300.0)
+                         crash_times=(20.0,), horizon_s=300.0)
         process = ChurnProcess(spec, 6, seed=4)
         crashed = {node_id for _, action, node_id in process.events
                    if action == "crash"}

@@ -17,8 +17,9 @@ from repro.testbed.harness import (
     run_multihop_consensus,
 )
 from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
 
-SMALL = dict(batch_size=3, transaction_bytes=32)
+SMALL = dict(workload_spec=WorkloadSpec(batch_size=3, transaction_bytes=32))
 
 
 class TestSeedDeterminism:

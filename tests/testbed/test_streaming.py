@@ -242,8 +242,7 @@ class TestStreamingRuns:
         scenario = Scenario.single_hop(4).with_byzantine(
             ByzantineSpec(assignments={3: "epoch-crash"}, crash_at_epoch=0))
         with pytest.raises(DeploymentError):
-            run_consensus("honeybadger-sc", scenario, batch_size=2,
-                          transaction_bytes=32, seed=1)
+            run_consensus("honeybadger-sc", scenario, seed=1)
         with pytest.raises(ValueError):
             ByzantineSpec(assignments={3: "epoch-crash"}, crash_at_epoch=-1)
 
@@ -322,8 +321,7 @@ def pinned_stream(name: str) -> dict:
             epochs=2, pipeline_depth=int(name.endswith("depth1")))
     elif name == "crash-replace":
         args["scenario"] = Scenario.single_hop(5).with_membership(ChurnSpec(
-            initial_size=4, crash_times=(40.0,), replace_crashed=True,
-            horizon_s=100.0))
+            initial_size=4, crash_times=(40.0,), horizon_s=100.0))
         args["spec"] = small_spec(epochs=5)
     elif name == "pack":
         args.update(protocol="beat", pack=load_pack("burst-loss"))

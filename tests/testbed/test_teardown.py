@@ -46,7 +46,8 @@ from repro.testbed.workload import (
     WorkloadSpec,
 )
 
-SMALL = dict(batch_size=3, transaction_bytes=32)
+SMALL_SPEC = WorkloadSpec(batch_size=3, transaction_bytes=32)
+SMALL = dict(workload_spec=SMALL_SPEC)
 ARRIVALS = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
 
 
@@ -58,8 +59,7 @@ def stream_spec(epochs: int = 3) -> StreamingSpec:
 def membership_stream() -> None:
     """A churn stream that crosses a boundary (so the boundary's close of
     the replaced runtimes is exercised)."""
-    churn = ChurnSpec(initial_size=4, crash_times=(40.0,),
-                      replace_crashed=True, horizon_s=100.0)
+    churn = ChurnSpec(initial_size=4, crash_times=(40.0,), horizon_s=100.0)
     result = run_streaming_consensus(
         "honeybadger-sc", Scenario.single_hop(5).with_membership(churn),
         stream_spec(epochs=6), seed=7)
@@ -112,7 +112,7 @@ def test_entry_point_leaves_no_cyclic_garbage(name):
 def _finished_deployment():
     deployment = build_deployment(Scenario.single_hop(4), seed=5)
     epoch = Epoch(deployment, "honeybadger-sc")
-    epoch.propose(TransactionWorkload(WorkloadSpec(**SMALL), seed=5))
+    epoch.propose(TransactionWorkload(SMALL_SPEC, seed=5))
     assert deployment.sim.run_until(epoch.done, timeout=600.0)
     return deployment
 
