@@ -22,12 +22,15 @@ one tag saying why it stays; see TESTING.md for the tags.  Usage::
 
     python scripts/reach.py            # re-trace; rewrite REACH.json
     python scripts/reach.py --check    # re-trace; fail on an untagged entry
+                                       # or a test-reference that does not hold
 
 A plain run keeps the recorded tags, adds each new unreached function with
 an empty tag and prunes the entries that are reached or gone.  ``--check``
 writes nothing: it exits 1 when an unreached function is missing from
-``REACH.json`` or carries no valid tag, and only warns about recorded
-entries that are now reached or deleted.
+``REACH.json``, carries no valid tag, or is tagged
+``test-reference:<tests/ path>`` with a file that is missing or does not
+mention the function's name; it only warns about recorded entries that are
+now reached or deleted.
 """
 
 from __future__ import annotations
@@ -53,9 +56,9 @@ REACH_PATH = os.path.join(ROOT, "REACH.json")
 LEDGER_SEED = 7000
 
 #: tags that need no argument, and tags written ``prefix:<argument>``
-PLAIN_TAGS = ("test-reference", "ablation", "abstract", "worker-only",
-              "public-api")
-ARGUMENT_TAGS = ("error-path:", "finding:")
+PLAIN_TAGS = ("ablation", "abstract", "worker-only", "public-api")
+ARGUMENT_TAGS = ("error-path:", "finding:", "test-reference:")
+TEST_REFERENCE = "test-reference:"
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +203,48 @@ def valid_tag(tag: str) -> bool:
         for prefix in ARGUMENT_TAGS)
 
 
-def ratchet(recorded: dict, missing: dict) -> tuple:
+def reference_problem(name: str, tag: str, root: str) -> Optional[str]:
+    """Why a ``test-reference:<path>`` tag of ``name`` does not hold, or
+    None: the path must be a file under ``tests/`` that mentions the
+    function's own name (the last part of its qualname)."""
+    path = tag[len(TEST_REFERENCE):]
+    if not path.startswith("tests/"):
+        return f"{path} is not under tests/"
+    try:
+        with open(os.path.join(root, path), encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError:
+        return f"{path} is missing"
+    function = name.rsplit(":", 1)[-1].rsplit(".", 1)[-1]
+    if function not in text:
+        return f"{path} does not mention {function}"
+    return None
+
+
+def ratchet(recorded: dict, missing: dict, root: str = ROOT) -> tuple:
     """Compare a fresh trace's unreached ``missing`` with ``recorded``.
 
     Returns ``(entries, failures, warnings)``: ``entries`` is the new
     ``unreached`` table (recorded tags kept, new functions untagged, reached
     or deleted ones pruned); a failure is an unreached function without a
-    valid tag; a warning is a recorded entry that is no longer unreached.
+    valid tag, or whose ``test-reference`` test (a path under ``root``)
+    does not hold; a warning is a recorded entry that is no longer
+    unreached.
     """
     entries = {name: {"lines": lines,
                       "tag": recorded.get(name, {}).get("tag", "")}
                for name, lines in sorted(missing.items())}
-    failures = [f"{name}: " + ("new unreached function" if name not in
-                               recorded else f"invalid tag {entry['tag']!r}")
-                for name, entry in entries.items()
-                if not valid_tag(entry["tag"])]
+    failures = []
+    for name, entry in entries.items():
+        tag = entry["tag"]
+        if not valid_tag(tag):
+            failures.append(f"{name}: " + (
+                "new unreached function" if name not in recorded
+                else f"invalid tag {tag!r}"))
+        elif tag.startswith(TEST_REFERENCE):
+            problem = reference_problem(name, tag, root)
+            if problem is not None:
+                failures.append(f"{name}: {problem}")
     warnings = [f"{name}: reached or deleted; a plain run prunes it"
                 for name in sorted(recorded) if name not in missing]
     return entries, failures, warnings
@@ -246,8 +276,8 @@ def read_recorded(path: str) -> dict:
 def main(argv: Optional[Iterable[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
-                        help="fail on an untagged unreached function; write "
-                             "nothing")
+                        help="fail on an untagged unreached function or a "
+                             "test-reference that does not hold; write nothing")
     parser.add_argument("--reach", default=REACH_PATH,
                         help="the REACH.json to read (and, without --check, "
                              "rewrite)")
@@ -268,9 +298,9 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     print(f"{summary['unreached_functions']} of {summary['functions']} "
           f"src/ functions unreached ({summary['unreached_lines']} of "
           f"{summary['function_lines']} function lines); "
-          f"{len(failures)} untagged")
+          f"{len(failures)} failing")
     for line in failures:
-        print(f"untagged: {line}", file=sys.stderr)
+        print(f"failing: {line}", file=sys.stderr)
     return 1 if args.check and failures else 0
 
 

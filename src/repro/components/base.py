@@ -198,10 +198,6 @@ class ComponentRouter:
             return
         component.handle(message)
 
-    def pending_count(self) -> int:
-        """Number of buffered messages waiting for their instance."""
-        return sum(len(messages) for messages in self._pending.values())
-
     # ------------------------------------------------------------ epoch GC
     def release_tag(self, root: Any) -> int:
         """Drop every component, kind handler and buffered message whose tag

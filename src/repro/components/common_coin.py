@@ -128,8 +128,3 @@ class CommonCoinManager:
         for callback in callbacks:
             callback(round_number, value)
 
-    # ------------------------------------------------------------------ value
-    def known_value(self, round_number: int) -> Optional[int]:
-        """The coin value if already revealed, else None."""
-        state = self._rounds.get(round_number)
-        return state.value if state else None

@@ -6,8 +6,8 @@ Both transports expose the same interface to consensus components:
   (the component's own copy is delivered locally right away);
 * ``register_receiver(callback)`` installs the upper layer that consumes
   delivered logical messages;
-* ``activate`` / ``retire`` tell the transport which component instances are
-  still running, which drives NACK-style retransmission.
+* ``activate`` / ``mark_complete`` tell the transport which component
+  instances are still running, which drives NACK-style retransmission.
 
 The difference is how logical messages map onto packets and channel accesses:
 
@@ -130,14 +130,6 @@ class BaseTransport:
     def activate(self, kind: str, tag: Any, instance: int) -> None:
         """Mark a component instance as running (its slots will be resent)."""
         self._active.add((kind, tag, instance))
-
-    def retire(self, kind: str, tag: Any, instance: int) -> None:
-        """Mark a component instance as finished (stop resending for it)."""
-        self._active.discard((kind, tag, instance))
-
-    def is_active(self, kind: str, tag: Any, instance: int) -> bool:
-        """True while the instance has not been retired."""
-        return (kind, tag, instance) in self._active
 
     def mark_complete(self, kind: str, tag: Any, instance: int) -> None:
         """Note that the local instance finished (stops NACK requests for it)."""

@@ -37,11 +37,6 @@ class DmaConfig:
     idle_flush_s: float = 0.050
 
     @property
-    def buffer_bytes(self) -> int:
-        """Total DMA buffer size (2D)."""
-        return 2 * self.max_packet_bytes
-
-    @property
     def half_threshold_bytes(self) -> int:
         """The half-buffer interrupt threshold (D)."""
         return self.max_packet_bytes

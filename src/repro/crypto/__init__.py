@@ -27,7 +27,7 @@ does on the paper's STM32F767 testbed.
 
 from repro.crypto.group import Group, DEFAULT_GROUP
 from repro.crypto.field import PrimeField, Polynomial, lagrange_coefficients_at_zero
-from repro.crypto.shamir import ShamirDealer, ShamirShare, split_secret, recover_secret
+from repro.crypto.shamir import ShamirDealer, ShamirShare
 from repro.crypto.digital_sig import SigningKey, VerifyKey, Signature, generate_keypair
 from repro.crypto.threshold_sig import (
     ThresholdSigScheme,
@@ -65,8 +65,6 @@ __all__ = [
     "lagrange_coefficients_at_zero",
     "ShamirDealer",
     "ShamirShare",
-    "split_secret",
-    "recover_secret",
     "SigningKey",
     "VerifyKey",
     "Signature",

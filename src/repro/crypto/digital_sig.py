@@ -24,10 +24,6 @@ class Signature(Stamped, Deferred):
     commitment: int
     response: int
 
-    def size_bytes(self) -> int:
-        """Nominal wire size (one group element + one scalar)."""
-        return 64
-
     @staticmethod
     def _prove(group: Group, secret: int, nonce: int, public_element: int,
                message: bytes) -> tuple[int, int]:

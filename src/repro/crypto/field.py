@@ -34,10 +34,6 @@ class PrimeField:
         """Map an integer into ``[0, q)``."""
         return x % self.q
 
-    def add(self, a: int, b: int) -> int:
-        """Return ``a + b`` in the field."""
-        return (a + b) % self.q
-
     def sub(self, a: int, b: int) -> int:
         """Return ``a - b`` in the field."""
         return (a - b) % self.q
@@ -64,24 +60,9 @@ class PrimeField:
         """Return ``a / b`` in the field."""
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, e: int) -> int:
-        """Return ``a ** e`` in the field (``e`` may be negative)."""
-        if e < 0:
-            return pow(self.inv(a), -e, self.q)
-        return pow(a, e, self.q)
-
     def random_element(self, rng) -> int:
         """Draw a uniformly random field element using ``rng.randrange``."""
         return rng.randrange(self.q)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrimeField(q={self.q})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
 
 
 @dataclass(frozen=True)
@@ -103,11 +84,6 @@ class Polynomial:
         coeffs = [field.reduce(constant)]
         coeffs.extend(field.random_element(rng) for _ in range(degree))
         return cls(field=field, coeffs=tuple(coeffs))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial (number of coefficients minus one)."""
-        return len(self.coeffs) - 1
 
     def evaluate(self, x: int) -> int:
         """Evaluate the polynomial at ``x`` using Horner's rule."""
@@ -195,5 +171,5 @@ def interpolate_at_zero(field: PrimeField,
     coefficients = lagrange_coefficients_at_zero(field, xs)
     acc = 0
     for coeff, y in zip(coefficients, ys):
-        acc = field.add(acc, field.mul(coeff, y))
+        acc = field.reduce(acc + coeff * y)
     return acc

@@ -337,10 +337,6 @@ class ChaumPedersenProof(Deferred):
     commitment_h: int
     response: int
 
-    def size_bytes(self) -> int:
-        """Wire size of the proof (two group elements + one scalar)."""
-        return 3 * 32
-
     @staticmethod
     def _prove(group: Group, secret: int, nonce: int, base_h: int,
                value_g: int, value_h: int, context: bytes) -> tuple:

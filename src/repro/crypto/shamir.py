@@ -94,18 +94,3 @@ class ShamirDealer:
             return interpolate_at_zero(self.field, points)
         except FieldError as exc:  # zero index after reduction etc.
             raise ShamirError(str(exc)) from exc
-
-
-def split_secret(secret: int, num_parties: int, threshold: int, field: PrimeField,
-                 rng) -> list[ShamirShare]:
-    """Convenience wrapper around :class:`ShamirDealer.deal`."""
-    return ShamirDealer(field, num_parties, threshold).deal(secret, rng)
-
-
-def recover_secret(shares: Sequence[ShamirShare], threshold: int,
-                   field: PrimeField) -> int:
-    """Convenience wrapper around :class:`ShamirDealer.recover`."""
-    if not shares:
-        raise ShamirError(f"need {threshold} distinct shares, got 0")
-    num_parties = max(max(share.index for share in shares), threshold)
-    return ShamirDealer(field, num_parties, threshold).recover(list(shares))

@@ -44,10 +44,6 @@ class Share(Stamped):
     its pickle (``Stamped.__reduce__``) have always had.
     """
 
-    def size_bytes(self) -> int:
-        """Nominal wire size of the share (element + proof)."""
-        return 32 + self.proof.size_bytes()
-
 
 @dataclass(frozen=True)
 class SharePublicKey:
@@ -122,11 +118,6 @@ class ShareHolder:
         self.public_key = public_key
         self.private_share = private_share
         self.group = public_key.group
-
-    @property
-    def threshold(self) -> int:
-        """Number of shares required to combine."""
-        return self.public_key.threshold
 
     @cached_property
     def _holds_published_share(self) -> bool:

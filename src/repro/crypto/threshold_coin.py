@@ -80,8 +80,9 @@ class ThresholdCoinPublicKey(SharePublicKey):
                       modulus: int, verify: bool = True) -> int:
         """Combine shares into an integer in ``[0, modulus)``.
 
-        Dumbo uses the coin output as a pseudorandom permutation seed (the
-        global string pi); this helper exposes a wider output range.
+        The wide coin a permutation seed needs.  No run calls it: Dumbo-SC
+        seeds its global string pi from :meth:`combine`, one bit, so pi
+        takes only two orders (finding ``dumbo-pi-one-bit``, ROADMAP).
         """
         digest = self._coin_digest(b"coin-wide", tag, shares, verify)
         return int.from_bytes(digest, "big") % modulus

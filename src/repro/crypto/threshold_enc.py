@@ -56,10 +56,6 @@ class Ciphertext:
     payload: bytes
     label: bytes
 
-    def size_bytes(self) -> int:
-        """Nominal wire size: one group element plus the masked payload."""
-        return 32 + len(self.payload)
-
 
 def ciphertext_to_bytes(ciphertext: Ciphertext) -> bytes:
     """Serialise a ciphertext into a self-contained byte string.

@@ -69,37 +69,21 @@ COIN_FLAVORS: dict[str, CoinFlavor] = {
 
 
 class CostLedger:
-    """Accumulates cryptographic computation cost per operation type.
+    """Accumulates the cryptographic computation cost a node was charged.
 
-    Running per-operation counts and sums plus a running total, not one
-    record per operation: a long stream charges thousands of operations per
-    epoch and its memory must stay O(pipeline window).  Every sum is
-    accumulated in ``record`` order, so each figure is bit-identical to
-    summing a per-operation list.
+    A running total, not one record per operation: a long stream charges
+    thousands of operations per epoch and its memory must stay O(pipeline
+    window).  The total is accumulated in ``record`` order, so it is
+    bit-identical to summing a per-operation list.
     """
 
     def __init__(self) -> None:
         self.total_seconds = 0.0
-        self._counts: dict[str, int] = {}
-        self._seconds: dict[str, float] = {}
 
     def record(self, operation: str, seconds: float) -> None:
-        """Record one operation."""
+        """Record one ``operation`` (the name labels the call site; only the
+        seconds are kept)."""
         self.total_seconds += seconds
-        self._counts[operation] = self._counts.get(operation, 0) + 1
-        self._seconds[operation] = self._seconds.get(operation, 0.0) + seconds
-
-    def count(self, operation: str) -> int:
-        """Number of operations of a given type."""
-        return self._counts.get(operation, 0)
-
-    def seconds_for(self, operation: str) -> float:
-        """Total seconds spent on a given operation type."""
-        return self._seconds.get(operation, 0.0)
-
-    def by_operation(self) -> dict[str, float]:
-        """Total seconds grouped by operation type."""
-        return dict(self._seconds)
 
 
 class CryptoSuite:
@@ -256,7 +240,9 @@ class CryptoSuite:
     def coin_combine_value(self, tag: bytes, shares: Iterable[CoinShare],
                            modulus: int, flavor: str = "tsig",
                            verify: bool = True) -> int:
-        """Reveal a wide pseudorandom value (used for Dumbo's global pi)."""
+        """Reveal a wide pseudorandom value.  Dumbo's global pi should be
+        seeded from it but uses the one-bit :meth:`coin_combine` (finding
+        ``dumbo-pi-one-bit``, ROADMAP)."""
         return self._coin(flavor, "combine").combine_value(
             tag, shares, modulus, verify=verify)
 

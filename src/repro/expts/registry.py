@@ -28,11 +28,6 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
-def unregister(spec_id: str) -> None:
-    """Remove a spec (tests only; production specs stay registered)."""
-    _REGISTRY.pop(spec_id, None)
-
-
 def ensure_loaded() -> None:
     """Import the built-in spec definitions exactly once (idempotent).
 

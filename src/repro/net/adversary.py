@@ -14,10 +14,11 @@ In the simulator the adversary manifests in three places:
   attacks within the asynchronous model -- targeted drop, duplication,
   reordering and (transient) link partitions -- applied by the channel through
   :meth:`AsyncAdversary.plan_delivery`; and
-* the :class:`AsyncAdversary` records which nodes are Byzantine; their
-  *behaviour* (silence, equivocation, adversarial votes) is implemented by
-  the strategies in :mod:`repro.testbed.byzantine` and plugged into the
-  protocol layer.
+* the Byzantine nodes and their *behaviour* (silence, equivocation,
+  adversarial votes) are the scenario's
+  :class:`~repro.testbed.byzantine.ByzantineSpec`, whose strategies plug
+  into the protocol layer (and, for crashes and slow links, into this
+  adversary's models).
 
 Dropped frames are indistinguishable from unbounded delay from the protocols'
 point of view, so they are only admissible on links the retransmission layer
@@ -68,16 +69,15 @@ class LinkFaultSpec:
     extra uniform jitter up to ``reorder_jitter_s`` (large enough jitter
     reorders deliveries relative to the send order).
 
-    ``senders`` / ``receivers`` restrict the affected links (``None`` matches
-    every node); ``start_s`` / ``end_s`` bound the active window in virtual
-    time (``end_s=None`` means forever).
+    ``senders`` restricts the affected links to those from the listed nodes
+    (``None`` matches every node); ``start_s`` / ``end_s`` bound the active
+    window in virtual time (``end_s=None`` means forever).
     """
 
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
     reorder_jitter_s: float = 0.0
     senders: Optional[frozenset[int]] = None
-    receivers: Optional[frozenset[int]] = None
     start_s: float = 0.0
     end_s: Optional[float] = None
 
@@ -95,17 +95,14 @@ class LinkFaultSpec:
             raise ValueError(
                 f"end_s must be > start_s ({self.start_s}), got {self.end_s}")
 
-    def applies(self, sender: int, receiver: int, now: float) -> bool:
-        """True if this fault is active for a delivery on the link right now."""
+    def applies(self, sender: int, now: float) -> bool:
+        """True if this fault is active for a frame from ``sender`` right
+        now."""
         if now < self.start_s:
             return False
         if self.end_s is not None and now >= self.end_s:
             return False
-        if self.senders is not None and sender not in self.senders:
-            return False
-        if self.receivers is not None and receiver not in self.receivers:
-            return False
-        return True
+        return self.senders is None or sender in self.senders
 
 
 @dataclass(frozen=True)
@@ -149,10 +146,6 @@ class PartitionSpec:
                 return index
         return None
 
-    def separates(self, sender: int, receiver: int, now: float) -> bool:
-        """True if the partition blocks sender -> receiver delivery now."""
-        return self.opinion(sender, receiver, now) is True
-
     def opinion(self, sender: int, receiver: int,
                 now: float) -> Optional[bool]:
         """This partition's verdict on the link, or None if it abstains.
@@ -176,24 +169,14 @@ class PartitionSpec:
 
 
 class AsyncAdversary:
-    """Tracks the Byzantine node set and owns the message-level fault models."""
+    """Owns the per-link delay model and the message-level fault models."""
 
-    def __init__(self, byzantine: Optional[set[int]] = None,
-                 delay_model: Optional[DelayModel] = None,
+    def __init__(self, delay_model: Optional[DelayModel] = None,
                  link_faults: Optional[list[LinkFaultSpec]] = None,
                  partitions: Optional[list[PartitionSpec]] = None) -> None:
-        self.byzantine: set[int] = set(byzantine or set())
         self.delay_model = delay_model or DelayModel()
         self.link_faults: list[LinkFaultSpec] = list(link_faults or [])
         self.partitions: list[PartitionSpec] = list(partitions or [])
-
-    def is_byzantine(self, node_id: int) -> bool:
-        """True if ``node_id`` is under adversarial control."""
-        return node_id in self.byzantine
-
-    def corrupt(self, node_id: int) -> None:
-        """Add a node to the Byzantine set."""
-        self.byzantine.add(node_id)
 
     def add_link_fault(self, fault: LinkFaultSpec) -> None:
         """Install a message-level link fault (mid-run installs are safe:
@@ -259,7 +242,7 @@ class AsyncAdversary:
             return []
         delays = [self.delay_model.delay(sender, receiver, rng)]
         for fault in self.link_faults:
-            if not fault.applies(sender, receiver, now):
+            if not fault.applies(sender, now):
                 continue
             if fault.drop_rate > 0.0 and rng.random() < fault.drop_rate:
                 return []

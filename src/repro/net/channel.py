@@ -104,11 +104,6 @@ class WirelessChannel:
         """Attach a node's MAC to this channel."""
         self._macs.append(mac)
 
-    @property
-    def members(self) -> list[int]:
-        """Node ids attached to the channel."""
-        return [mac.node_id for mac in self._macs]
-
     def close(self) -> None:
         """Detach every MAC and drop the frames on the air (end of run)."""
         self._macs.clear()

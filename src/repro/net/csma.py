@@ -56,11 +56,6 @@ class CsmaMac:
         channel.attach(self)
 
     # ----------------------------------------------------------------- status
-    @property
-    def state(self) -> str:
-        """Current MAC state (idle, backoff or transmitting)."""
-        return self._state
-
     def was_transmitting_during(self, start: float, end: float) -> bool:
         """True if this node's transmitter was active during [start, end]."""
         if self._tx_end <= self._tx_start:

@@ -96,10 +96,6 @@ class NetworkNode:
         else:
             self._channel_stacks[channel] = stack
 
-    def stack_for_channel(self, channel: str) -> Optional[Any]:
-        """The stack that should process frames from ``channel``."""
-        return self._channel_stacks.get(channel, self.stack)
-
     # ----------------------------------------------------------- CPU model
     def charge_cpu(self, seconds: float) -> None:
         """Charge CPU time to this node (crypto cost sink).
@@ -163,7 +159,7 @@ class NetworkNode:
         self._handle_frame_now(frame)
 
     def _handle_frame_now(self, frame: Frame) -> None:
-        # stack_for_channel, inline: this runs once per delivered frame
+        # the stack bound to the frame's channel, else the node's own stack
         stack = self._channel_stacks.get(frame.channel, self.stack)
         if stack is None:
             return

@@ -284,11 +284,6 @@ class PeriodicTimer:
         self._event: Optional[Event] = None
         self._stopped = True
 
-    @property
-    def running(self) -> bool:
-        """True while the periodic timer is active."""
-        return not self._stopped
-
     def start(self) -> None:
         """Start (or restart) the periodic firing.
 

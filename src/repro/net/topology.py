@@ -37,11 +37,6 @@ class Cluster:
         """Number of nodes in the cluster."""
         return len(self.node_ids)
 
-    @property
-    def faults_tolerated(self) -> int:
-        """Byzantine faults tolerated inside the cluster."""
-        return faults_tolerated(self.size)
-
 
 @dataclass(frozen=True)
 class Topology:
@@ -109,11 +104,6 @@ class SingleHopTopology(Topology):
     def __init__(self, num_nodes: int, channel_name: str = "ch0") -> None:
         # __new__ already initialised the frozen dataclass fields.
         pass
-
-    @property
-    def faults_tolerated(self) -> int:
-        """Byzantine faults tolerated in the (only) cluster."""
-        return self.clusters[0].faults_tolerated
 
 
 class MultiHopTopology(Topology):

@@ -19,7 +19,8 @@ node:
    referenced PRBC proposals.
 
 The shared-coin variant (``dumbo-sc``) derives ``pi`` from the threshold
-common coin and runs ABA-SC; the local-coin variant (``dumbo-lc``) runs
+common coin (its one-bit output, so ``pi`` takes one of two orders: finding
+``dumbo-pi-one-bit`` in the ROADMAP) and runs ABA-SC; the local-coin variant (``dumbo-lc``) runs
 ABA-LC and derives ``pi`` from the epoch digest (the unpredictability of the
 candidate order against an adaptive adversary is outside the scope of the
 wireless experiments).  Serial ABA instances use per-candidate coin managers

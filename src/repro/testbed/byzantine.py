@@ -7,8 +7,9 @@ allows without modifying the honest protocol code:
 * ``crash``    -- the node is silent from the start (fail-stop);
 * ``late-crash`` -- the node participates for a while, then goes silent;
 * ``epoch-crash`` -- streaming runs only: the node participates honestly
-  until the stream reaches ``crash_at_epoch``, then goes silent (crash *at
-  epoch k*, the mid-stream fail-stop model of the streaming campaign cells);
+  until the stream reaches :data:`CRASH_AT_EPOCH`, then goes silent (crash
+  *at epoch k*, the mid-stream fail-stop model of the streaming campaign
+  cells);
 * ``mute-proposer`` -- the node never proposes but otherwise follows the
   protocol (its RBC instance never completes, so ACS must exclude it);
 * ``garbage-proposer`` -- the node proposes an undecodable payload (honest
@@ -16,10 +17,14 @@ allows without modifying the honest protocol code:
 * ``equivocating-proposer`` -- the node opens its broadcast instance with
   *two* conflicting proposals (the classic equivocation attack; honest nodes
   must still agree on at most one of them, or exclude the node entirely);
-* ``slow-links`` -- the adversary adds large delays on all links from the
-  node (message-delay attack permitted by the asynchronous model);
-* ``lossy-links`` -- the adversary drops, duplicates and reorders frames on
-  the node's outgoing links (the reliability layer must repair the holes).
+* ``slow-links`` -- the adversary adds :data:`SLOW_LINK_DELAY_S` on all
+  links from the node (message-delay attack permitted by the asynchronous
+  model).
+
+Loss, duplication and reordering on a node's outgoing links is not a
+strategy: it is a sender-scoped
+:class:`~repro.net.adversary.LinkFaultSpec` passed through
+:meth:`~repro.testbed.scenarios.Scenario.with_link_faults`.
 """
 
 from __future__ import annotations
@@ -34,15 +39,20 @@ BYZANTINE_STRATEGIES = (
     "garbage-proposer",
     "equivocating-proposer",
     "slow-links",
-    "lossy-links",
 )
 
 #: strategies where the *network* is attacked but the node itself runs
 #: unmodified honest protocol code -- such nodes stay in the honest set, so
 #: the conformance checkers still demand agreement/liveness from them (the
-#: whole point of a message-delay or message-loss attack is that honest
-#: nodes must ride it out).
-NETWORK_FAULT_STRATEGIES = ("slow-links", "lossy-links")
+#: whole point of a message-delay attack is that honest nodes must ride it
+#: out).
+NETWORK_FAULT_STRATEGIES = ("slow-links",)
+
+#: delay (seconds) the ``slow-links`` strategy adds to the node's links
+SLOW_LINK_DELAY_S = 4.0
+#: streaming epoch index at which ``epoch-crash`` nodes go silent (the crash
+#: fires just before the node would propose for that epoch)
+CRASH_AT_EPOCH = 2
 
 
 @dataclass(frozen=True)
@@ -50,19 +60,8 @@ class ByzantineSpec:
     """Assignment of strategies to node ids."""
 
     assignments: dict[int, str] = field(default_factory=dict)
-    #: delay (seconds) injected by the ``slow-links`` strategy
-    slow_link_delay_s: float = 8.0
     #: virtual time at which ``late-crash`` nodes go silent
     late_crash_at_s: float = 20.0
-    #: streaming epoch index at which ``epoch-crash`` nodes go silent (the
-    #: crash fires just before the node would propose for that epoch)
-    crash_at_epoch: int = 2
-    #: per-delivery drop probability of the ``lossy-links`` strategy
-    lossy_drop_rate: float = 0.08
-    #: per-delivery duplication probability of the ``lossy-links`` strategy
-    lossy_duplicate_rate: float = 0.05
-    #: reordering jitter (seconds) of the ``lossy-links`` strategy
-    lossy_reorder_jitter_s: float = 0.25
 
     def __post_init__(self) -> None:
         for node_id, strategy in self.assignments.items():
@@ -70,9 +69,6 @@ class ByzantineSpec:
                 raise ValueError(
                     f"unknown Byzantine strategy {strategy!r} for node {node_id}; "
                     f"known: {BYZANTINE_STRATEGIES}")
-        if self.crash_at_epoch < 0:
-            raise ValueError(
-                f"crash_at_epoch must be >= 0, got {self.crash_at_epoch}")
 
     @classmethod
     def none(cls) -> "ByzantineSpec":
@@ -88,7 +84,7 @@ class ByzantineSpec:
     def byzantine_ids(self) -> set[int]:
         """Ids of nodes under *behavioural* adversarial control.
 
-        Nodes assigned a network-level strategy (slow/lossy links) are not
+        Nodes assigned a network-level strategy (slow links) are not
         included: they run honest code and must still satisfy agreement and
         liveness, so the harness keeps them in the honest set.
         """

@@ -193,7 +193,7 @@ def _fault_equivocate(scenario: Scenario) -> Scenario:
 
 
 def _fault_slow_links(scenario: Scenario) -> Scenario:
-    return _assign(scenario, "slow-links", per_cluster=1, slow_link_delay_s=4.0)
+    return _assign(scenario, "slow-links", per_cluster=1)
 
 
 def _fault_lossy(scenario: Scenario) -> Scenario:
@@ -218,7 +218,7 @@ def _fault_partition_heal(scenario: Scenario) -> Scenario:
 def _fault_stream_crash_epoch(scenario: Scenario) -> Scenario:
     """f nodes per domain crash *at epoch 2* of a streaming run (they
     participate honestly in earlier epochs).  Streaming cells only."""
-    return _assign(scenario, "epoch-crash", crash_at_epoch=2)
+    return _assign(scenario, "epoch-crash")
 
 
 def _fault_churn_rate(scenario: Scenario) -> Scenario:

@@ -266,24 +266,19 @@ class DealerCache:
 
     def domain(self, num_nodes: int, domain_seed: int,
                schemes: Sequence[str] = ALL_SCHEMES,
-               signing_keys=None, verify_keys=None,
                domain: tuple = ()) -> CryptoDomain:
         """Assemble a :class:`CryptoDomain` dealing only ``schemes``.
 
-        ``signing_keys`` / ``verify_keys`` may be passed in when the domain
-        shares an externally dealt digital-signature keyring.  ``domain``
-        separates committees sharing ``(num_nodes, domain_seed)`` -- see
-        :meth:`scheme`.
+        ``domain`` separates committees sharing ``(num_nodes,
+        domain_seed)`` -- see :meth:`scheme`.
         """
         unknown = set(schemes) - set(ALL_SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; "
                              f"known: {ALL_SCHEMES}")
         committee_domain = tuple(domain)
-        if signing_keys is None or verify_keys is None:
-            signing_keys, verify_keys = self.scheme(
-                SCHEME_KEYRING, num_nodes, domain_seed,
-                domain=committee_domain)
+        signing_keys, verify_keys = self.scheme(
+            SCHEME_KEYRING, num_nodes, domain_seed, domain=committee_domain)
         wanted = set(schemes)
         crypto_domain = CryptoDomain(
             num_nodes=num_nodes,
@@ -307,10 +302,9 @@ DEFAULT_DEALER_CACHE = DealerCache()
 
 def deal_crypto_domain(num_nodes: int, domain_seed: int,
                        schemes: Sequence[str] = ALL_SCHEMES,
-                       signing_keys=None, verify_keys=None,
-                       cache: Optional[DealerCache] = None,
                        domain: tuple = ()) -> CryptoDomain:
-    """Deal (or fetch from cache) every scheme a consensus domain needs.
+    """Deal (or fetch from :data:`DEFAULT_DEALER_CACHE`) every scheme a
+    consensus domain needs.
 
     The result is a pure function of ``(num_nodes, domain_seed, domain)`` per
     scheme: repeated calls -- in this process, another worker, or another run
@@ -318,7 +312,5 @@ def deal_crypto_domain(num_nodes: int, domain_seed: int,
     reconfiguration-time re-dealing (empty = the classic fixed-committee
     stream, unchanged).
     """
-    cache = cache if cache is not None else DEFAULT_DEALER_CACHE
-    return cache.domain(num_nodes, domain_seed, schemes=schemes,
-                        signing_keys=signing_keys, verify_keys=verify_keys,
-                        domain=domain)
+    return DEFAULT_DEALER_CACHE.domain(num_nodes, domain_seed,
+                                       schemes=schemes, domain=domain)

@@ -50,7 +50,7 @@ from repro.core.batcher import (
     TransportConfig,
 )
 from repro.crypto.timing import CryptoSuite
-from repro.net.adversary import AsyncAdversary, DelayModel, LinkFaultSpec
+from repro.net.adversary import AsyncAdversary
 from repro.net.channel import WirelessChannel
 from repro.net.csma import CsmaMac
 from repro.net.node import NetworkNode
@@ -67,6 +67,7 @@ from repro.protocols.multihop import (
     encode_cluster_contribution,
     select_leader,
 )
+from repro.testbed.byzantine import SLOW_LINK_DELAY_S
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
     SCHEME_COIN_FLIP,
@@ -75,7 +76,6 @@ from repro.testbed.dealer_cache import (
     SCHEME_THRESHOLD_ENC,
     SCHEME_THRESHOLD_SIG,
     CryptoDomain,
-    DealerCache,
     deal_crypto_domain,
     stable_seed,
 )
@@ -266,12 +266,12 @@ def _build_stack(deployment: Deployment, node: NetworkNode, local_id: int,
 
 
 def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
-    """Apply strategies that act at the network level (crash, delays, loss).
+    """Apply strategies that act at the network level (crashes, delays).
 
     Crashes act on the node object and apply only where the node is hosted
-    (a shard hosts a subset of the topology); slow and lossy links act at
-    delivery time in the *receiver's* adversary, so they are registered
-    against every node of the topology wherever the Byzantine sender lives.
+    (a shard hosts a subset of the topology); slow links act at delivery
+    time in the *receiver's* adversary, so they are registered against every
+    node of the topology wherever the Byzantine sender lives.
     """
     scenario = deployment.scenario
     spec = scenario.byzantine
@@ -285,19 +285,12 @@ def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
             for other_id in scenario.topology.all_node_ids():
                 if other_id != node_id:
                     deployment.adversary.target_link(node_id, other_id,
-                                                     spec.slow_link_delay_s)
-        elif strategy == "lossy-links":
-            deployment.adversary.add_link_fault(LinkFaultSpec(
-                drop_rate=spec.lossy_drop_rate,
-                duplicate_rate=spec.lossy_duplicate_rate,
-                reorder_jitter_s=spec.lossy_reorder_jitter_s,
-                senders=frozenset({node_id})))
+                                                     SLOW_LINK_DELAY_S)
 
 
 def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
               crypto_schemes: Sequence[str],
               global_crypto_schemes: Sequence[str],
-              dealer_cache: Optional[DealerCache],
               hosted: Optional[Sequence[int]] = None,
               backbone_class: Callable[..., WirelessChannel] = WirelessChannel,
               backbone_mac_class: type[CsmaMac] = CsmaMac) -> Deployment:
@@ -323,8 +316,6 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
         else [topology.clusters[index] for index in hosted]
     trace = NetworkTrace()
     adversary = AsyncAdversary(
-        byzantine=set(scenario.byzantine.byzantine_ids),
-        delay_model=DelayModel(base_jitter_s=scenario.link_jitter_s),
         link_faults=list(scenario.link_faults),
         partitions=list(scenario.partitions))
     channels: dict[str, WirelessChannel] = {
@@ -346,7 +337,7 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
     for cluster in clusters:
         domain = deal_crypto_domain(
             cluster.size, stable_seed(seed, "cluster", cluster.index),
-            schemes=crypto_schemes, cache=dealer_cache)
+            schemes=crypto_schemes)
         channel = channels[cluster.channel_name]
         for local_id, global_id in enumerate(cluster.node_ids):
             node = NetworkNode(sim, global_id, trace, cpu=scenario.cpu,
@@ -378,7 +369,7 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
         leaders = list(deployment.epoch_leaders.values())  # cluster order
         global_domain = deal_crypto_domain(
             len(leaders), stable_seed(seed, "global"),
-            schemes=global_crypto_schemes, cache=dealer_cache)
+            schemes=global_crypto_schemes)
         backbone = channels[backbone_name]
         backbone.hop_counts.update(
             InterClusterRouting(topology).hop_table_for(leaders))
@@ -404,8 +395,8 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
 def build_deployment(scenario: Scenario, batched: bool = True,
                      seed: int = 0,
                      crypto_schemes: Sequence[str] = ALL_SCHEMES,
-                     global_crypto_schemes: Optional[Sequence[str]] = None,
-                     dealer_cache: Optional[DealerCache] = None) -> Deployment:
+                     global_crypto_schemes: Optional[Sequence[str]] = None
+                     ) -> Deployment:
     """Assemble nodes, channels, crypto and transports for a scenario.
 
     ``crypto_schemes`` limits which threshold schemes the per-cluster domains
@@ -419,7 +410,7 @@ def build_deployment(scenario: Scenario, batched: bool = True,
     if global_crypto_schemes is None:
         global_crypto_schemes = crypto_schemes
     return _assemble(scenario, Simulator(seed=seed), batched, seed,
-                     crypto_schemes, global_crypto_schemes, dealer_cache)
+                     crypto_schemes, global_crypto_schemes)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +431,23 @@ def make_protocol(name: str, runtime: DomainRuntime,
     return Dumbo(runtime.ctx, runtime.router, coin=coin, config=config)
 
 
-def _reject_streaming_only_strategies(scenario: Scenario) -> None:
-    """Fail loudly when a one-epoch entry point gets a streaming-only fault.
+def _require_one_epoch_scenario(scenario: Scenario, entry_point: str,
+                                multi_hop: bool = False) -> None:
+    """Fail loudly when a one-epoch entry point gets a scenario it cannot run.
 
-    ``epoch-crash`` fires at a stream epoch index; in a single-epoch run it
-    would never fire and the cell would be vacuously green -- the same
-    failure mode :func:`_inject_equivocation` guards against.
+    The hop count must be the entry point's: a single-hop runner on a
+    multi-hop scenario would run every cluster as an unrelated deployment
+    (and mix their nodes into one result), a multi-hop runner needs a
+    backbone.  ``epoch-crash`` fires at a stream epoch index and churn at
+    epoch boundaries; in a single-epoch run neither would fire and the cell
+    would be vacuously green -- the same failure mode
+    :func:`_inject_equivocation` guards against.
     """
+    if scenario.is_multi_hop != multi_hop:
+        raise DeploymentError(
+            f"{entry_point} expects a multi-hop scenario" if multi_hop else
+            f"{entry_point} expects a single-hop scenario; a multi-hop one "
+            f"runs in run_multihop_consensus")
     if scenario.byzantine.nodes_with("epoch-crash"):
         raise DeploymentError(
             "the epoch-crash strategy fires at a stream epoch index and "
@@ -542,10 +543,7 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
     reproduce every metric bit for bit (guarded by
     ``tests/testbed/test_seed_determinism.py``).
     """
-    if scenario.is_multi_hop:
-        raise DeploymentError("run_consensus expects a single-hop scenario; "
-                              "use run_multihop_consensus instead")
-    _reject_streaming_only_strategies(scenario)
+    _require_one_epoch_scenario(scenario, "run_consensus")
     deployment = build_deployment(
         scenario, batched=batched, seed=seed,
         crypto_schemes=crypto_schemes_for_protocol(protocol, config))
@@ -935,9 +933,8 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
     reproduces every metric bit for bit (property-tested in
     ``tests/testbed/test_shard_identity.py``).
     """
-    if not scenario.is_multi_hop:
-        raise DeploymentError("run_multihop_consensus expects a multi-hop scenario")
-    _reject_streaming_only_strategies(scenario)
+    _require_one_epoch_scenario(scenario, "run_multihop_consensus",
+                                multi_hop=True)
     from repro.testbed.sharding import (
         merge_multihop_reports,
         run_sharded_multihop_consensus,
@@ -1004,6 +1001,7 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
             f"unknown broadcast component {component!r}; "
             f"known: {sorted(_BROADCAST_FACTORIES)}")
     scenario = scenario or Scenario.single_hop(num_nodes)
+    _require_one_epoch_scenario(scenario, "run_broadcast_experiment")
     schemes = (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG) \
         if component in ("prbc", "cbc", "cbc-small") else (SCHEME_KEYRING,)
     deployment = build_deployment(scenario, batched=batched, seed=seed,
@@ -1086,6 +1084,7 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
     if kind not in ABA_BY_COIN:
         raise DeploymentError(f"unknown ABA kind {kind!r}; expected lc, sc or cp")
     scenario = scenario or Scenario.single_hop(num_nodes)
+    _require_one_epoch_scenario(scenario, "run_aba_experiment")
     deployment = build_deployment(
         scenario, batched=batched, seed=seed,
         crypto_schemes=(SCHEME_KEYRING, *coin_schemes(kind)))

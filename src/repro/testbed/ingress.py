@@ -325,10 +325,6 @@ class PriorityMempool:
         """Transactions waiting to be proposed (all classes)."""
         return len(self._meta)
 
-    def class_backlog(self, class_index: int) -> int:
-        """Pooled transactions of one class."""
-        return self._pooled[class_index]
-
     def contains(self, transaction: bytes) -> bool:
         """Whether ``transaction`` is pooled or in flight (the dedup set)."""
         return transaction in self._meta or transaction in self._in_flight

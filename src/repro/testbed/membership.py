@@ -62,14 +62,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.net.topology import faults_tolerated
-from repro.testbed.dealer_cache import (
-    DealerCache,
-    deal_crypto_domain,
-    stable_seed,
-)
+from repro.testbed.dealer_cache import deal_crypto_domain, stable_seed
 from repro.testbed.harness import (
     DeploymentError,
     DomainRuntime,
@@ -230,13 +225,11 @@ class MembershipController:
     """
 
     def __init__(self, schedule: MembershipSchedule, deployment, protocol: str,
-                 base_config, seed: int = 0,
-                 dealer_cache: Optional[DealerCache] = None) -> None:
+                 base_config, seed: int = 0) -> None:
         self.schedule = schedule
         self.deployment = deployment
         self.protocol = protocol
         self.seed = seed
-        self.dealer_cache = dealer_cache
         self.schemes = crypto_schemes_for_protocol(protocol, base_config)
         self.committee: set[int] = set(schedule.initial)
         self._next_event = 0
@@ -337,7 +330,7 @@ class MembershipController:
             runtime.close()
         domain = deal_crypto_domain(
             n, stable_seed(self.seed, "cluster", 0),
-            schemes=self.schemes, cache=self.dealer_cache,
+            schemes=self.schemes,
             domain=("committee",) + members)
         channel_name = scenario.topology.clusters[0].channel_name
         new_runtimes: dict[int, DomainRuntime] = {}

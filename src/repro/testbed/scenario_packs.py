@@ -218,14 +218,6 @@ class ScenarioPack:
         bounds.append((starts[-1], math.inf))
         return tuple(bounds)
 
-    def phase_index_at(self, now_s: float) -> int:
-        """Index of the phase containing virtual time ``now_s``."""
-        index = 0
-        for position, start in enumerate(self.phase_starts()):
-            if now_s >= start:
-                index = position
-        return index
-
     def heal_times(self) -> tuple[float, ...]:
         """Start times of recovery phases (non-degraded after degraded) --
         the boundaries the degradation/recovery invariants are anchored to."""

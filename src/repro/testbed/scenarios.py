@@ -66,8 +66,6 @@ class Scenario:
     link_faults: tuple[LinkFaultSpec, ...] = ()
     #: (transient) network partitions the adversary applies
     partitions: tuple[PartitionSpec, ...] = ()
-    #: mean per-link delivery jitter of the asynchronous adversary (seconds)
-    link_jitter_s: float = 0.005
     #: extra forwarding delay per backbone hop in multi-hop deployments
     per_hop_forward_s: float = 0.35
     #: multi-hop only: rotate a cluster's epoch-0 leader out (with exclusions

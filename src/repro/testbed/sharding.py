@@ -47,7 +47,7 @@ from repro.net.shard import (
 from repro.net.sim import Simulator
 from repro.net.trace import NetworkTrace
 from repro.protocols.base import ConsensusConfig
-from repro.testbed.dealer_cache import DealerCache, stable_seed
+from repro.testbed.dealer_cache import stable_seed
 from repro.testbed.harness import (
     Deployment,
     Epoch,
@@ -110,8 +110,7 @@ def merge_traces(traces: list[NetworkTrace]) -> NetworkTrace:
 def build_shard_deployment(scenario: Scenario, shard_index: int,
                            cluster_indices: list[int], batched: bool,
                            seed: int, crypto_schemes: tuple[str, ...],
-                           global_crypto_schemes: tuple[str, ...],
-                           dealer_cache: Optional[DealerCache] = None
+                           global_crypto_schemes: tuple[str, ...]
                            ) -> tuple[Deployment, ShardBackboneChannel,
                                       list[ShardCsmaMac]]:
     """Build one shard's slice of a multi-hop deployment.
@@ -127,7 +126,7 @@ def build_shard_deployment(scenario: Scenario, shard_index: int,
     """
     deployment = _assemble(
         scenario, Simulator(seed=stable_seed(seed, "shard", shard_index)),
-        batched, seed, crypto_schemes, global_crypto_schemes, dealer_cache,
+        batched, seed, crypto_schemes, global_crypto_schemes,
         hosted=cluster_indices,
         backbone_class=partial(ShardBackboneChannel, shard_index=shard_index),
         backbone_mac_class=ShardCsmaMac)

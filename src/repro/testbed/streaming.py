@@ -64,6 +64,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.protocols.base import ConsensusConfig
+from repro.testbed.byzantine import CRASH_AT_EPOCH
 from repro.testbed.harness import (
     DeploymentError,
     Epoch,
@@ -291,11 +292,11 @@ class StreamingRun:
         self.ingress = ingress
         byzantine = scenario.byzantine
         if (byzantine.nodes_with("epoch-crash")
-                and byzantine.crash_at_epoch >= spec.epochs):
+                and CRASH_AT_EPOCH >= spec.epochs):
             # Mirror _inject_equivocation's philosophy: a mid-stream fault
             # that can never fire must fail loudly, not pass vacuously.
             raise DeploymentError(
-                f"epoch-crash at epoch {byzantine.crash_at_epoch} can never "
+                f"epoch-crash at epoch {CRASH_AT_EPOCH} can never "
                 f"fire in a {spec.epochs}-epoch stream")
         # (a single-hop deployment has no global domain to deal for)
         self.deployment = build_deployment(
@@ -379,10 +380,9 @@ class StreamingRun:
     # ------------------------------------------------------------ epoch starts
     def _crash_epoch_victims(self, epoch: int) -> None:
         """Fire the ``epoch-crash`` fault: victims go silent at epoch k."""
-        byzantine = self.scenario.byzantine
-        if byzantine.crash_at_epoch != epoch:
+        if epoch != CRASH_AT_EPOCH:
             return
-        for node_id in byzantine.nodes_with("epoch-crash"):
+        for node_id in self.scenario.byzantine.nodes_with("epoch-crash"):
             node = self.deployment.nodes.get(node_id)
             if node is not None and not node.crashed:
                 node.crash()

@@ -59,7 +59,7 @@ class TestCommonCoinManager:
         late = []
         managers[3].request(2, lambda _r, v: late.append(v))
         assert late == [list(first.values())[0]]
-        assert managers[3].known_value(2) == late[0]
+        assert managers[3]._rounds[2].value == late[0]
 
     def test_different_rounds_are_independent(self):
         network = InMemoryNetwork(4)
@@ -83,8 +83,3 @@ class TestCommonCoinManager:
         for manager in managers:
             manager.request(0, lambda _r, v: revealed.append(v))
         assert len(set(revealed)) == 1
-
-    def test_unknown_round_value_is_none(self):
-        network = InMemoryNetwork(4)
-        managers = install_managers(network)
-        assert managers[0].known_value(99) is None

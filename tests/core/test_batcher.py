@@ -315,16 +315,13 @@ class TestReceiveLoop:
 
 
 class TestActivationBookkeeping:
-    def test_activate_retire_complete_cycle(self):
+    def test_activate_complete_cycle(self):
         deployment = build_cluster(batched=True, seed=10)
         transport = transports_of(deployment)[0]
         transport.activate("rbc", "t", 0)
-        assert transport.is_active("rbc", "t", 0)
         assert ("rbc", "t") in transport._unfinished()
         transport.mark_complete("rbc", "t", 0)
         assert ("rbc", "t") not in transport._unfinished()
         transport.mark_incomplete("rbc", "t", 0)
         assert ("rbc", "t") in transport._unfinished()
-        transport.retire("rbc", "t", 0)
-        assert not transport.is_active("rbc", "t", 0)
         deployment.close()

@@ -6,9 +6,8 @@ from repro.core.dma import DmaBuffer, DmaConfig
 
 
 class TestDmaConfig:
-    def test_buffer_is_twice_max_packet(self):
+    def test_half_threshold_is_max_packet(self):
         config = DmaConfig(max_packet_bytes=256)
-        assert config.buffer_bytes == 512
         assert config.half_threshold_bytes == 256
 
 

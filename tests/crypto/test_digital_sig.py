@@ -71,11 +71,6 @@ class TestDigitalSignatures:
         assert sk.verify_key().public_element == vk.public_element
         assert vk.owner == 2
 
-    def test_signature_size(self):
-        rng = random.Random(7)
-        sk, _vk = generate_keypair(rng)
-        assert sk.sign(b"m", rng).size_bytes() == 64
-
     def test_keyring_generation(self):
         rng = random.Random(8)
         signing, verifying = generate_keyring(5, rng)

@@ -111,8 +111,3 @@ class TestChaumPedersen:
                                         context=b"ctx")
         assert not verify_dlog_equality_reference(
             g, forged, base_h, value_g, value_h, context=b"ctx")
-
-    def test_proof_size(self):
-        g, rng, secret, base_h, value_g, value_h = self._setup()
-        proof = prove_dlog_equality(g, secret, base_h, value_g, value_h, rng)
-        assert proof.size_bytes() == 96

@@ -5,8 +5,7 @@ read of a declared field.  Pinned here:
 * the forced artefact is the eager one -- ``repr``, pickle bytes and the RNG
   state after each call were recorded with the eager makers (the commit
   before the witnesses went lazy);
-* what must not force does not: ``size_bytes``, a ``hasattr`` probe, a
-  stamp-path verify;
+* what must not force does not: a ``hasattr`` probe, a stamp-path verify;
 * what reads a field forces, agrees with an eager twin, and a pickle carries
   the public fields only -- never the secret or the nonce.
 """
@@ -118,10 +117,8 @@ def test_what_must_not_force_does_not(kind):
     rng = random.Random(2611)
     mint, _secret = maker(kind, rng)
     artefact = mint()
-    assert artefact.size_bytes() == (64 if kind == "sign" else 32 + 96)
     assert hasattr(artefact, "_minted_for")
     if kind != "sign":
-        assert artefact.proof.size_bytes() == 96
         # the probe fails without consuming the witness ...
         assert not hasattr(artefact.proof, "_minted_for")
         assert not hasattr(artefact.proof, "__setstate__")

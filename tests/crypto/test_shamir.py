@@ -11,8 +11,6 @@ from repro.crypto.shamir import (
     ShamirDealer,
     ShamirError,
     ShamirShare,
-    recover_secret,
-    split_secret,
 )
 
 FIELD = PrimeField(DEFAULT_GROUP.q)
@@ -56,8 +54,6 @@ class TestShamirDealer:
         shares = dealer.deal(31337, rng)
         assert dealer.recover(
             [shares[0], shares[0], shares[1], shares[2]]) == 31337
-        assert recover_secret([shares[0], shares[0], shares[1], shares[2]],
-                              threshold=3, field=FIELD) == 31337
 
     def test_conflicting_duplicate_indices_rejected_by_name(self):
         rng = random.Random(41)
@@ -79,9 +75,9 @@ class TestShamirDealer:
             dealer.recover([ShamirShare(index=FIELD.q, value=1),
                             ShamirShare(index=1, value=2)])
 
-    def test_recover_secret_empty_shares_rejected(self):
-        with pytest.raises(ShamirError):
-            recover_secret([], threshold=2, field=FIELD)
+    def test_recover_from_no_shares_rejected(self):
+        with pytest.raises(ShamirError, match="need 2 distinct shares, got 0"):
+            ShamirDealer(FIELD, num_parties=3, threshold=2).recover([])
 
     def test_invalid_parameters(self):
         with pytest.raises(ShamirError):
@@ -107,12 +103,7 @@ class TestShamirDealer:
         assert shares_a[0].index == shares_b[0].index == 1
 
 
-class TestModuleHelpers:
-    def test_split_and_recover(self):
-        rng = random.Random(7)
-        shares = split_secret(31337, num_parties=6, threshold=4, field=FIELD, rng=rng)
-        assert recover_secret(shares[2:], threshold=4, field=FIELD) == 31337
-
+class TestShares:
     def test_share_as_point(self):
         share = ShamirShare(index=3, value=99)
         assert share.as_point() == (3, 99)
@@ -123,6 +114,6 @@ class TestModuleHelpers:
     def test_any_valid_configuration_roundtrips(self, secret, num_parties):
         rng = random.Random(secret % 1000)
         threshold = rng.randint(1, num_parties)
-        shares = split_secret(secret, num_parties, threshold, FIELD, rng)
-        recovered = recover_secret(shares[:threshold], threshold, FIELD)
+        dealer = ShamirDealer(FIELD, num_parties, threshold)
+        recovered = dealer.recover(dealer.deal(secret, rng)[:threshold])
         assert recovered == secret % FIELD.q

@@ -102,8 +102,3 @@ class TestCiphertextSerialization:
     def test_truncated_encoding_rejected(self):
         with pytest.raises(ThresholdEncError):
             ciphertext_from_bytes(b"\x00" * 10)
-
-    def test_size_accounting(self):
-        schemes, rng = _deal()
-        ciphertext = schemes[0].encrypt(b"x" * 100, b"label", rng)
-        assert ciphertext.size_bytes() == 32 + 100

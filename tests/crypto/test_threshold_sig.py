@@ -90,7 +90,7 @@ class TestThresholdSignatures:
 
     def test_threshold_property_exposed(self):
         schemes, _rng = _deal(n=7, t=5)
-        assert all(scheme.threshold == 5 for scheme in schemes)
+        assert all(scheme.public_key.threshold == 5 for scheme in schemes)
 
     def test_verify_signature_rejects_wrong_message(self):
         schemes, rng = _deal()

@@ -54,9 +54,10 @@ class TestCryptoSuite:
         assert all(suites[3].tsig_verify_share(message, share) for share in shares)
         signature = suites[3].tsig_combine(message, shares)
         assert suites[0].tsig_verify(message, signature)
-        ledger = suites[3].ledger
-        assert ledger.count("tsig_verify_share") == 3
-        assert ledger.count("tsig_combine") == 1
+        profile = suites[3].threshold_profile
+        assert costs[3] == pytest.approx(
+            (3 * profile.verify_share_ms + profile.combine_share_ms) / 1000)
+        assert suites[3].ledger.total_seconds == costs[3]
 
     def test_coin_flow_both_flavors(self):
         suites, _ = build_suites()
@@ -89,18 +90,15 @@ class TestCryptoSuite:
         assert set(COIN_FLAVORS) == {"tsig", "flip"}
         for flavor, coin in COIN_FLAVORS.items():
             assert getattr(suite, coin.handle).flavor == flavor
-            for ledger_name, cost_row in (coin.sign, coin.verify, coin.combine):
+            for _ledger_name, cost_row in (coin.sign, coin.verify,
+                                           coin.combine):
                 assert getattr(suite.threshold_profile, cost_row) > 0
-                assert suite.ledger.count(ledger_name) == 0
 
     def test_coin_flip_cheaper_than_tsig_coin(self):
-        suites, _ = build_suites()
-        suite = suites[0]
-        suite.coin_share(b"a", flavor="tsig")
-        tsig_cost = suite.ledger.seconds_for("tsig_sign")
-        suite.coin_share(b"a", flavor="flip")
-        flip_cost = suite.ledger.seconds_for("coinflip_sign")
-        assert flip_cost < tsig_cost
+        suites, costs = build_suites()
+        suites[0].coin_share(b"a", flavor="tsig")
+        suites[1].coin_share(b"a", flavor="flip")
+        assert 0 < costs[1] < costs[0]
 
     def test_encryption_flow(self):
         suites, _ = build_suites()
@@ -136,40 +134,22 @@ class TestCryptoSuite:
 
 
 class TestCostLedger:
-    def test_aggregation(self):
-        ledger = CostLedger()
-        ledger.record("op_a", 0.5)
-        ledger.record("op_a", 0.25)
-        ledger.record("op_b", 1.0)
-        assert ledger.total_seconds == pytest.approx(1.75)
-        assert ledger.count("op_a") == 2
-        assert ledger.seconds_for("op_b") == pytest.approx(1.0)
-        assert ledger.by_operation() == pytest.approx({"op_a": 0.75, "op_b": 1.0})
-
-    def test_running_sums_equal_folding_the_record_list(self):
+    def test_running_sum_equals_folding_the_record_list(self):
         """The ledger keeps no per-operation records (a stream's memory must
-        not grow with operations run); its running sums must still be
+        not grow with operations run); its running total must still be
         bit-identical to a left fold over the list it no longer keeps."""
         rng = random.Random(5)
         records = [(rng.choice(("sign", "verify", "combine")),
                     rng.choice((0.0148, 0.033, 1e-9, 0.1 + 0.2)))
                    for _ in range(2000)]
         ledger = CostLedger()
-        total, seconds, counts = 0, {}, {}
+        total = 0
         for operation, cost in records:
             ledger.record(operation, cost)
             total += cost
-            seconds[operation] = seconds.get(operation, 0.0) + cost
-            counts[operation] = counts.get(operation, 0) + 1
         assert ledger.total_seconds == total
-        assert ledger.by_operation() == seconds
-        for operation in ("sign", "verify", "combine"):
-            assert ledger.seconds_for(operation) == seconds[operation]
-            assert ledger.count(operation) == counts[operation]
-        assert ledger.seconds_for("absent") == 0.0
-        assert not hasattr(ledger, "entries")
+        assert vars(ledger) == {"total_seconds": total}
 
     def test_empty_ledger(self):
         ledger = CostLedger()
         assert ledger.total_seconds == 0.0
-        assert ledger.count("anything") == 0

@@ -82,14 +82,13 @@ def test_get_unknown_spec_lists_known_ids():
         registry.get("no-such-experiment")
 
 
-def test_duplicate_registration_is_rejected():
+def test_duplicate_registration_is_rejected(monkeypatch):
+    # register into a copy: the real registry never sees the probe
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
     spec = _make_spec(spec_id="test-duplicate-probe")
     registry.register(spec)
-    try:
-        with pytest.raises(SpecError, match="already registered"):
-            registry.register(spec)
-    finally:
-        registry.unregister("test-duplicate-probe")
+    with pytest.raises(SpecError, match="already registered"):
+        registry.register(spec)
 
 
 # ---------------------------------------------------------------------------

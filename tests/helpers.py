@@ -64,12 +64,6 @@ class InMemoryTransport:
     def activate(self, kind, tag, instance) -> None:
         self._active.add((kind, tag, instance))
 
-    def retire(self, kind, tag, instance) -> None:
-        self._active.discard((kind, tag, instance))
-
-    def is_active(self, kind, tag, instance) -> bool:
-        return (kind, tag, instance) in self._active
-
     def mark_complete(self, kind, tag, instance) -> None:
         self._complete.add((kind, tag, instance))
 

@@ -23,17 +23,16 @@ class TestLinkFaultSpec:
 
     def test_applies_window_and_filters(self):
         fault = LinkFaultSpec(drop_rate=0.5, senders=frozenset({1}),
-                              receivers=frozenset({2}), start_s=10.0, end_s=20.0)
-        assert fault.applies(1, 2, 15.0)
-        assert not fault.applies(1, 2, 5.0)        # before the window
-        assert not fault.applies(1, 2, 20.0)       # window end is exclusive
-        assert not fault.applies(0, 2, 15.0)       # wrong sender
-        assert not fault.applies(1, 3, 15.0)       # wrong receiver
+                              start_s=10.0, end_s=20.0)
+        assert fault.applies(1, 15.0)
+        assert not fault.applies(1, 5.0)        # before the window
+        assert not fault.applies(1, 20.0)       # window end is exclusive
+        assert not fault.applies(0, 15.0)       # wrong sender
 
     def test_unrestricted_fault_matches_everything(self):
         fault = LinkFaultSpec(drop_rate=0.1)
-        assert fault.applies(0, 1, 0.0)
-        assert fault.applies(99, 7, 1e6)
+        assert fault.applies(0, 0.0)
+        assert fault.applies(99, 1e6)
 
     def test_window_validation_names_offending_field(self):
         with pytest.raises(ValueError, match="start_s"):
@@ -60,15 +59,15 @@ class TestPartitionSpec:
         with pytest.raises(ValueError, match="heal_s"):
             PartitionSpec(groups=groups, start_s=10.0, heal_s=10.0)
 
-    def test_separates_only_across_groups_while_active(self):
+    def test_blocks_only_across_groups_while_active(self):
         partition = PartitionSpec(groups=(frozenset({0, 1}), frozenset({2, 3})),
                                   start_s=5.0, heal_s=25.0)
-        assert partition.separates(0, 2, 10.0)
-        assert partition.separates(3, 1, 10.0)
-        assert not partition.separates(0, 1, 10.0)   # same group
-        assert not partition.separates(0, 2, 0.0)    # not started
-        assert not partition.separates(0, 2, 25.0)   # healed
-        assert not partition.separates(0, 9, 10.0)   # node 9 unlisted
+        assert partition.opinion(0, 2, 10.0) is True
+        assert partition.opinion(3, 1, 10.0) is True
+        assert partition.opinion(0, 1, 10.0) is not True   # same group
+        assert partition.opinion(0, 2, 0.0) is not True    # not started
+        assert partition.opinion(0, 2, 25.0) is not True   # healed
+        assert partition.opinion(0, 9, 10.0) is not True   # node 9 unlisted
 
     def test_group_of(self):
         partition = PartitionSpec(groups=(frozenset({0}), frozenset({1})))

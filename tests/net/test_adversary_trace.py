@@ -29,13 +29,6 @@ class TestDelayModel:
 
 
 class TestAsyncAdversary:
-    def test_byzantine_membership(self):
-        adversary = AsyncAdversary(byzantine={2})
-        assert adversary.is_byzantine(2)
-        assert not adversary.is_byzantine(0)
-        adversary.corrupt(3)
-        assert adversary.byzantine == {2, 3}
-
     def test_target_link(self):
         adversary = AsyncAdversary(delay_model=DelayModel(base_jitter_s=0.0))
         adversary.target_link(1, 2, 4.0)

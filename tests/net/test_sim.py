@@ -295,11 +295,11 @@ class TestPeriodicTimer:
         fired = []
         timer = PeriodicTimer(sim, 1.0, lambda: fired.append(1))
         timer.start()
-        assert timer.running
+        assert not timer._stopped
         timer.stop()
         drain(sim)
         assert fired == []
-        assert not timer.running
+        assert timer._stopped
 
     def test_stop_twice_leaves_one_cancelled_entry(self):
         sim = Simulator()

@@ -29,7 +29,6 @@ class TestSingleHopTopology:
         assert topology.num_nodes == 4
         assert topology.num_clusters == 1
         assert not topology.is_multi_hop
-        assert topology.faults_tolerated == 1
         assert topology.all_node_ids() == [0, 1, 2, 3]
 
     def test_cluster_lookup(self):
@@ -50,7 +49,6 @@ class TestMultiHopTopology:
         assert topology.num_clusters == 4
         assert topology.is_multi_hop
         assert topology.clusters[2].node_ids == (8, 9, 10, 11)
-        assert topology.clusters[2].faults_tolerated == 1
         assert topology.cluster_of(9).index == 2
 
     def test_default_links_form_ring(self):
@@ -60,7 +58,7 @@ class TestMultiHopTopology:
     def test_heterogeneous_clusters(self):
         topology = MultiHopTopology([4, 7])
         assert topology.clusters[1].size == 7
-        assert topology.clusters[1].faults_tolerated == 2
+        assert faults_tolerated(topology.clusters[1].size) == 2
 
     def test_small_cluster_rejected(self):
         with pytest.raises(TopologyError):

@@ -149,6 +149,19 @@ class TestDumboLogic:
         permutations = {tuple(protocol.permutation) for protocol in protocols}
         assert len(permutations) == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "finding:dumbo-pi-one-bit (ROADMAP): pi is seeded from coin_combine, "
+        "which returns one bit, so it takes 2 of n! orders; the wide "
+        "coin_combine_value is the seed it needs"))
+    def test_permutation_takes_more_than_two_orders(self):
+        orders = set()
+        for seed in range(12):
+            network = InMemoryNetwork(7, seed=seed)
+            protocols, _batches = run_protocol(
+                network, lambda node: Dumbo(node.ctx, node.router, coin="sc"))
+            orders.add(tuple(protocols[0].permutation))
+        assert len(orders) > 2
+
     def test_invalid_coin_type_rejected(self):
         network = InMemoryNetwork(4)
         with pytest.raises(ValueError):

@@ -106,12 +106,41 @@ def test_a_new_or_untagged_function_fails_the_gate(synthetic):
 def test_tagged_functions_pass_and_keep_their_tags(synthetic):
     _definitions, missing = synthetic
     recorded = {"synth.mod:unused": {"tag": "error-path:bad-input"},
-                "synth.mod:Thing.untouched": {"tag": "test-reference"}}
+                "synth.mod:Thing.untouched": {"tag": "public-api"}}
     entries, failures, warnings = reach.ratchet(recorded, missing)
     assert failures == [] and warnings == []
     assert entries == {
-        "synth.mod:Thing.untouched": {"lines": 2, "tag": "test-reference"},
+        "synth.mod:Thing.untouched": {"lines": 2, "tag": "public-api"},
         "synth.mod:unused": {"lines": 4, "tag": "error-path:bad-input"}}
+
+
+def test_a_test_reference_must_name_a_test_that_mentions_it(synthetic,
+                                                            tmp_path):
+    _definitions, missing = synthetic
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_thing.py").write_text(
+        "def test_it():\n    assert Thing().untouched() == 5\n")
+    (tmp_path / "tests" / "test_other.py").write_text("def test_it(): pass\n")
+
+    def failures_for(tag):
+        recorded = {"synth.mod:unused": {"tag": "ablation"},
+                    "synth.mod:Thing.untouched": {"tag": tag}}
+        entries, failures, _warnings = reach.ratchet(recorded, missing,
+                                                     root=str(tmp_path))
+        assert entries["synth.mod:Thing.untouched"]["tag"] == tag
+        return failures
+
+    assert failures_for("test-reference:tests/test_thing.py") == []
+    assert failures_for("test-reference:tests/test_gone.py") == [
+        "synth.mod:Thing.untouched: tests/test_gone.py is missing"]
+    assert failures_for("test-reference:tests/test_other.py") == [
+        "synth.mod:Thing.untouched: tests/test_other.py does not mention "
+        "untouched"]
+    assert failures_for("test-reference:src/synth/mod.py") == [
+        "synth.mod:Thing.untouched: src/synth/mod.py is not under tests/"]
+    # the bare tag names no test: it is no tag at all
+    assert failures_for("test-reference") == [
+        "synth.mod:Thing.untouched: invalid tag 'test-reference'"]
 
 
 def test_a_reached_or_deleted_entry_only_warns_and_is_pruned(synthetic):
@@ -127,10 +156,12 @@ def test_a_reached_or_deleted_entry_only_warns_and_is_pruned(synthetic):
 
 
 def test_every_tag_form():
-    for tag in ("test-reference", "ablation", "abstract", "worker-only",
-                "public-api", "error-path:node-churn", "finding:collisions"):
+    for tag in ("test-reference:tests/test_x.py", "ablation", "abstract",
+                "worker-only", "public-api", "error-path:node-churn",
+                "finding:collisions"):
         assert reach.valid_tag(tag), tag
-    for tag in ("", "error-path:", "finding:", "public", "finding"):
+    for tag in ("", "error-path:", "finding:", "public", "finding",
+                "test-reference", "test-reference:"):
         assert not reach.valid_tag(tag), tag
 
 
@@ -152,3 +183,7 @@ def test_the_repo_list_is_fully_tagged():
     untagged = [name for name, entry in recorded.items()
                 if not reach.valid_tag(entry["tag"])]
     assert untagged == []
+    broken = [reach.reference_problem(name, entry["tag"], _ROOT)
+              for name, entry in recorded.items()
+              if entry["tag"].startswith(reach.TEST_REFERENCE)]
+    assert [problem for problem in broken if problem is not None] == []

@@ -13,13 +13,18 @@ import pytest
 
 from repro.components.erasure import ErasureBlock, encode_blocks
 from repro.core.batcher import TransportConfig
+from repro.net.adversary import LinkFaultSpec
 from repro.protocols.base import ConsensusConfig
+from repro.testbed.byzantine import ByzantineSpec
+from repro.testbed.dealer_cache import deal_crypto_domain
 from repro.testbed.harness import (
     Deployment,
+    build_deployment,
     run_aba_experiment,
     run_consensus,
     run_multihop_consensus,
 )
+from repro.testbed.scenarios import Scenario
 from repro.testbed.workload import ChurnSpec
 
 FIELDS = {
@@ -31,6 +36,14 @@ FIELDS = {
                    "num_data_blocks"),
     Deployment: ("scenario", "sim", "trace", "adversary", "channels", "nodes",
                  "runtimes", "global_runtimes", "epoch_leaders", "batched"),
+    # late_crash_at_s: the campaign sets 15.0 and an example 10.0
+    ByzantineSpec: ("assignments", "late_crash_at_s"),
+    Scenario: ("topology", "radio", "csma", "transport", "dma", "cpu",
+               "crypto_cost_scale", "ec_curve", "threshold_curve",
+               "byzantine", "link_faults", "partitions", "per_hop_forward_s",
+               "rotate_crashed_leaders", "membership", "timeout_s"),
+    LinkFaultSpec: ("drop_rate", "duplicate_rate", "reorder_jitter_s",
+                    "senders", "start_s", "end_s"),
 }
 
 PARAMETERS = {
@@ -45,6 +58,9 @@ PARAMETERS = {
     run_aba_experiment: ("kind", "parallel_instances", "serial_instances",
                          "num_nodes", "batched", "seed", "scenario"),
     encode_blocks: ("data", "num_data_blocks", "num_blocks"),
+    build_deployment: ("scenario", "batched", "seed", "crypto_schemes",
+                       "global_crypto_schemes"),
+    deal_crypto_domain: ("num_nodes", "domain_seed", "schemes", "domain"),
 }
 
 

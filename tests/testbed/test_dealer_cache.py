@@ -162,9 +162,13 @@ class TestCorruptDiskEntries:
 
 
 class TestHarnessIntegration:
-    def test_deal_crypto_domain_uses_shared_default_cache(self, tmp_path):
+    def test_deal_crypto_domain_uses_shared_default_cache(self, tmp_path,
+                                                           monkeypatch):
+        from repro.testbed import dealer_cache
+
         cache = DealerCache(directory=str(tmp_path))
-        via_helper = deal_crypto_domain(4, 21, cache=cache)
+        monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE", cache)
+        via_helper = deal_crypto_domain(4, 21)
         direct = cache.domain(4, 21)
         assert all(x is y for x, y in zip(via_helper.threshold_sig,
                                           direct.threshold_sig))

@@ -229,9 +229,9 @@ def test_reconfigure_with_unchanged_committee_rebuilds_the_same_stacks():
             SEED, "membership-component", 1, node_id)).getstate()
         assert identity == expected
         transport = built.runtimes[node_id].transport
-        assert built.nodes[node_id].stack is transport
-        assert built.nodes[node_id].stack_for_channel(channel_name) \
-            is transport
+        node = built.nodes[node_id]
+        assert node.stack is transport
+        assert node._channel_stacks.get(channel_name, node.stack) is transport
 
 
 def test_feed_proposes_each_cluster_contribution_once():

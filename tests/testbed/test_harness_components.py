@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.overhead import MessageOverheadModel
+from repro.net.adversary import LinkFaultSpec
 from repro.testbed import harness
 from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.harness import (
@@ -15,6 +16,7 @@ from repro.testbed.harness import (
     run_broadcast_experiment,
 )
 from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import ChurnSpec
 
 
 class TestBroadcastExperiments:
@@ -117,6 +119,33 @@ class TestReportedDeploymentSize:
         assert run_broadcast_experiment(
             "rbc-small", scenario=scenario, seed=1).num_nodes == 7
         assert run_aba_experiment("lc", scenario=scenario, seed=1).num_nodes == 7
+
+
+#: scenarios a one-epoch single-hop component run cannot run, each with the
+#: part of the error that names why
+UNRUNNABLE = {
+    # two 4-node clusters: the run would be two unrelated deployments
+    "multi-hop": (Scenario.multi_hop(2, 4), "single-hop"),
+    # fires at stream epoch 2, which a one-epoch run never reaches
+    "epoch-crash": (Scenario.single_hop(4).with_byzantine(
+        ByzantineSpec(assignments={3: "epoch-crash"})), "run_streaming"),
+    # reconfigures at epoch boundaries, which a one-epoch run does not have
+    "churn": (Scenario.single_hop(5).with_membership(
+        ChurnSpec(join_rate=0.01, horizon_s=50.0)), "run_streaming"),
+}
+
+
+class TestScenarioGuard:
+    @pytest.mark.parametrize("entry_point", ["rbc", "aba-sc"])
+    @pytest.mark.parametrize("name", sorted(UNRUNNABLE))
+    def test_component_runs_reject_what_they_cannot_run(self, entry_point,
+                                                        name):
+        scenario, reason = UNRUNNABLE[name]
+        with pytest.raises(DeploymentError, match=reason):
+            if entry_point == "rbc":
+                run_broadcast_experiment("rbc", seed=1, scenario=scenario)
+            else:
+                run_aba_experiment("sc", seed=1, scenario=scenario)
 
 
 #: (latency repr, channel accesses, bytes, collisions, ABA rounds, sim events)
@@ -245,8 +274,10 @@ class TestPinnedIdentity:
             self, built, component, batched, serial, lossy, seed):
         scenario = None
         if lossy:
-            scenario = Scenario.single_hop(7).with_byzantine(
-                ByzantineSpec(assignments={3: "lossy-links"}))
+            # node 3's outgoing links drop, duplicate and reorder frames
+            scenario = Scenario.single_hop(7).with_link_faults(LinkFaultSpec(
+                drop_rate=0.08, duplicate_rate=0.05, reorder_jitter_s=0.25,
+                senders=frozenset({3})))
         if component.startswith("aba-"):
             result = run_aba_experiment(
                 component[4:], parallel_instances=4, serial_instances=serial,
@@ -304,8 +335,6 @@ class TestDeploymentConstruction:
         deployment.close()
 
     def test_crash_strategy_applied_at_build_time(self):
-        from repro.testbed.byzantine import ByzantineSpec
-
         scenario = Scenario.single_hop(4).with_byzantine(
             ByzantineSpec.crash_nodes([2]))
         deployment = build_deployment(scenario, batched=True, seed=1)
@@ -314,8 +343,6 @@ class TestDeploymentConstruction:
         deployment.close()
 
     def test_slow_links_strategy_targets_adversary(self):
-        from repro.testbed.byzantine import ByzantineSpec
-
         scenario = Scenario.single_hop(4).with_byzantine(
             ByzantineSpec(assignments={1: "slow-links"}))
         deployment = build_deployment(scenario, batched=True, seed=1)

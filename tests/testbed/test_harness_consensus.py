@@ -68,7 +68,7 @@ class TestSingleHopConsensus:
 
     def test_tolerates_slow_links_adversary(self):
         scenario = Scenario.single_hop(4).with_byzantine(
-            ByzantineSpec(assignments={1: "slow-links"}, slow_link_delay_s=4.0))
+            ByzantineSpec(assignments={1: "slow-links"}))
         result = run_consensus("honeybadger-sc", scenario, batched=True, seed=16,
                                **SMALL)
         assert result.decided

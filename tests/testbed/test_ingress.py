@@ -273,8 +273,7 @@ class TestPriorityMempool:
         survivor.admit(b"own", 1, 4.0)
         for entry in departed.drain():
             assert survivor.admit(*entry)
-        assert [survivor.class_backlog(index) for index in range(3)] \
-            == [0, 3, 1]
+        assert survivor._pooled == [0, 3, 1]
         # fee order within the class: the transferred 5.5 overtakes the
         # survivor's own 4.0, the transferred 2.5 queues behind it
         taken = survivor.take(4)
@@ -285,12 +284,12 @@ class TestPriorityMempool:
         fifo.admit(b"x")
         assert fifo.drain() == [(b"x",)] and fifo.backlog == 0
 
-    def test_class_backlog_counts(self):
+    def test_per_class_counts(self):
         pool = PriorityMempool(THREE_OPEN, capacity=8)
         pool.admit(b"a", 0, 9.0)
         pool.admit(b"b", 2, 0.5)
         pool.admit(b"c", 2, 0.6)
-        assert [pool.class_backlog(i) for i in range(3)] == [1, 0, 2]
+        assert pool._pooled == [1, 0, 2]
         assert pool.backlog == 3
 
     def test_take_nonpositive_is_empty(self):
@@ -678,7 +677,7 @@ class TestStreamingIngress:
         assert record.departed == (4,) and run.membership.redistributed == 1
         assert leaver.pool.backlog == 0 and sum(leaver.admitted) == 2
         assert sum(heir.offered) == 0 and sum(heir.admitted) == 0
-        assert heir.pool.class_backlog(1) == 1
+        assert heir.pool._pooled[1] == 1
         assert heir.pool.drain() == [(b"moved", 1, 5.5)]
         assert b"moved" in run.tx_meta and b"refused" not in run.tx_meta
 

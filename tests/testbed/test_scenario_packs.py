@@ -214,13 +214,11 @@ class TestShippedPacks:
             (55.0, 110.0)
         assert load_pack("partition-storm").heal_times() == (83.0,)
 
-    def test_phase_index_attribution(self):
+    def test_phase_bounds(self):
         pack = load_pack("variable-link")  # 40 / 50 / 60 second phases
-        assert pack.phase_index_at(0.0) == 0
-        assert pack.phase_index_at(39.9) == 0
-        assert pack.phase_index_at(40.0) == 1
-        assert pack.phase_index_at(90.0) == 2
-        assert pack.phase_index_at(1e9) == 2  # final phase is open-ended
+        # the final phase is open-ended
+        assert pack.phase_bounds() == ((0.0, 40.0), (40.0, 90.0),
+                                       (90.0, math.inf))
 
     def test_phase_bounds_are_contiguous(self):
         for name in available_packs():
