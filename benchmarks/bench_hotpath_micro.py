@@ -54,7 +54,9 @@ from bench_streaming import STREAM_EPOCHS, bench_streaming  # noqa: E402
 from repro.components import erasure  # noqa: E402
 from repro.components.base import Component  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
+from repro.crypto import group as crypto_group  # noqa: E402
 from repro.crypto.digital_sig import generate_keypair  # noqa: E402
+from repro.crypto.fastpath import FixedBaseTable  # noqa: E402
 from repro.crypto.group import DEFAULT_GROUP  # noqa: E402
 from repro.crypto.threshold_sig import deal_threshold_sig  # noqa: E402
 from repro.net.sim import PeriodicTimer, Simulator  # noqa: E402
@@ -214,6 +216,45 @@ def backend_powm_honest_epoch() -> int:
     return calls[0]
 
 
+def table_pow_honest_epoch(seed: int = 11) -> dict[str, int]:
+    """Fixed-base exponentiations (``FixedBaseTable.pow``) in one honest
+    n=4 epoch of each protocol at ``seed``, run in ``PROTOCOL_NAMES`` order
+    after one warm-up epoch at another seed.  The known-log memo, the
+    hash-to-group memo and the dealer cache start empty, so what ran
+    earlier in the process cannot move it: a count, so a gate on it cannot
+    flake.  A share value computed where only its exponent is read, or a
+    combined exponent raised by every node instead of once per process,
+    puts exponentiations back here."""
+    calls = [0]
+    original = FixedBaseTable.pow
+
+    def counting(table, exponent) -> int:
+        calls[0] += 1
+        return original(table, exponent)
+
+    shared_cache = dealer_cache.DEFAULT_DEALER_CACHE
+    generators = crypto_group._GENERATORS
+    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache(
+        use_disk=False)
+    crypto_group._GENERATORS = {}
+    crypto_group._hash_to_group_cached.cache_clear()
+    FixedBaseTable.pow = counting
+    counts = {}
+    try:
+        assert run_consensus(PROTOCOL_NAMES[0], Scenario.single_hop(4),
+                             seed=seed - 1).decided
+        for protocol in PROTOCOL_NAMES:
+            calls[0] = 0
+            assert run_consensus(protocol, Scenario.single_hop(4),
+                                 seed=seed).decided
+            counts[protocol] = calls[0]
+    finally:
+        FixedBaseTable.pow = original
+        crypto_group._GENERATORS = generators
+        dealer_cache.DEFAULT_DEALER_CACHE = shared_cache
+    return counts
+
+
 # ------------------------------------------------------------------- signatures
 def _forced(artefact) -> bool:
     """Whether the lazy witness of a signature, or of a share's proof, has
@@ -364,8 +405,11 @@ def bench_share_combine(budget: float) -> dict[str, float]:
     signers of 16, whose integer Lagrange weights are 5 bits under no root.
     ``share_combine_n4_t2`` is what every combine of ``stream-n4`` and
     ``ingress-n4`` looks like: all six pairs of four signers in turn (two of
-    them need the shared root).  Nothing on this path is memoised per share,
-    so one batch of shares serves every pass.
+    them need the shared root).  One batch of shares serves every pass: a
+    combine reads each share's recorded exponent, and the combined ``g^e``
+    is memoised per statement, so these rows time what n - 1 of the n nodes
+    combining a statement pay.  The first pays one fixed-base
+    exponentiation more (``group_exp_fixed_base``).
     """
     results = {}
     for suffix, num_parties, threshold, every_subset in (
@@ -677,6 +721,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         results.update(section(budget))
     forced = witnesses_forced_on_minted_loops()
     powm_calls = backend_powm_honest_epoch()
+    table_pows = table_pow_honest_epoch()
     garbage = cyclic_garbage_honest_run()
     component_bytes = component_state_bytes_n32()
     results.update(bench_share_combine(budget))
@@ -731,6 +776,7 @@ def run_benchmarks(quick: bool = False) -> dict:
         "counts": {
             "witnesses_forced_minted": forced,
             "backend_powm_honest_epoch": powm_calls,
+            "table_pow_honest_epoch": table_pows,
             "cyclic_garbage_honest_run": garbage,
             "component_state_bytes_n32": component_bytes,
             "sim_kernel_calls_per_event": kernel_calls_per_event(),

@@ -34,10 +34,15 @@ with short budgets and checks *same-run ratio invariants* and counts:
 * a dealer-cache hit >= 5x a fresh n=64 domain deal;
 * the bytes of component state live at the end of an n=32 ABA and RBC run
   (``component_state_bytes_n32``, tracemalloc) at most 1.25x the value
-  recorded in ``BENCH_hotpath.json``.  The one baseline read in quick mode,
-  and safe to read there: a count does not depend on the timing budget or
-  the host, so it cannot flake.  Voters are bits of an int; a set of node
-  ids per tally key put back multiplies it.
+  recorded in ``BENCH_hotpath.json``.  Voters are bits of an int; a set of
+  node ids per tally key put back multiplies it;
+* the fixed-base exponentiations of one warm honest n=4 epoch of each
+  protocol (``table_pow_honest_epoch``) at most the recorded count: a share
+  value computed where only its exponent is read, or a combined exponent
+  raised by every node, puts them back.
+
+The last two are the baseline reads of quick mode, and safe there: a count
+does not depend on the timing budget or the host, so it cannot flake.
 
 Quick-mode timings are never compared against the recorded baseline:
 ``BENCH_hotpath.json`` is recorded with full budgets, and comparing a
@@ -229,6 +234,28 @@ def _check_memory_count(document: dict, baseline: dict,
             f"dict of voter ids again instead of a bitmask")
 
 
+def _check_table_pow_count(document: dict, baseline: dict,
+                           failures: list[str]) -> None:
+    """Fixed-base exponentiations of honest epochs against the recorded
+    counts, per protocol."""
+    now = document["counts"]["table_pow_honest_epoch"]
+    then = baseline.get("counts", {}).get("table_pow_honest_epoch")
+    if then is None:
+        if baseline:
+            failures.append("no table_pow_honest_epoch recorded in the "
+                            "baseline; rerun bench_hotpath_micro.py")
+        return
+    print(f"table_pow_honest_epoch: {now} (recorded {then})")
+    for protocol, count in now.items():
+        recorded = then.get(protocol)
+        if recorded is None or count > recorded:
+            failures.append(
+                f"one honest epoch of {protocol} made {count} fixed-base "
+                f"exponentiations (recorded {recorded}): a share value is "
+                f"computed where only its exponent is read, or a combined "
+                f"exponent is raised more than once per process")
+
+
 def _check_full_mode_gates(document: dict, baseline: dict,
                            failures: list[str]) -> None:
     """Absolute gates: regressions against the recorded baseline."""
@@ -288,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="run full budgets and apply the absolute gates "
                              "(baseline comparison, shard gates); the "
                              "default quick mode checks same-run ratio "
-                             "invariants and the component memory count")
+                             "invariants and the recorded counts")
     args = parser.parse_args(argv)
 
     document = bench_hotpath_micro.run_benchmarks(quick=not args.full)
@@ -297,13 +324,13 @@ def main(argv: list[str] | None = None) -> int:
     _check_ratio_invariants(document, failures)
     baseline = _load_baseline(args.baseline, failures)
     _check_memory_count(document, baseline, failures)
+    _check_table_pow_count(document, baseline, failures)
     if args.full:
         _check_full_mode_gates(document, baseline, failures)
         _check_shard_gates(document, failures)
     else:
-        print("quick mode: same-run ratio invariants and the component "
-              "memory count (use --full for the rate baseline and shard "
-              "gates)")
+        print("quick mode: same-run ratio invariants and the recorded "
+              "counts (use --full for the rate baseline and shard gates)")
         for name, value in sorted(document["speedups"].items()):
             print(f"  {name:<38}{value:>8.2f}x")
 

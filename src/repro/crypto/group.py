@@ -36,9 +36,10 @@ _SAFE_PRIME_P = 1052169564377498564704423699148465423327640882900247513117970794
 _SUBGROUP_ORDER_Q = 52608478218874928235221184957423271166382044145012375655898539728500139585071
 _GENERATOR = 49  # 7^2 mod P, a generator of the order-q subgroup.
 
-#: Bound on the known-log memo of one group: ~145 bytes an entry on the
-#: 256-bit group, so ~0.6 MB at the bound, and over twice the most elements
-#: any ledger workload learns in a pass (see PERFORMANCE.md, "Known logs").
+#: Bound on the known-log memo of one group, and on its combined powers:
+#: ~145 bytes an entry on the 256-bit group, so ~0.6 MB at the bound, and
+#: about nine times the most elements any ledger workload learns in a pass
+#: (see PERFORMANCE.md, "Known logs").
 KNOWN_LOGS_MAX = 4096
 
 
@@ -50,22 +51,30 @@ class _Generator:
     process made as ``g^x``.
 
     Every base the schemes raise to a key share was made here as ``g^x``
-    with ``x`` known -- hash points, ciphertext ephemerals, dealt keys,
-    share values -- so ``base^s`` is ``g^(x*s mod q)``: one table
-    exponentiation instead of a full-width ``pow``.  The memo is bounded and
-    least-recently-used, process-local (nothing pickles or exports it) and
-    read only by :meth:`Group.exp` and :func:`combine_in_exponent`: an
-    evicted or never-seen element costs speed, never a result.  It exists
-    only where exponents live modulo ``q`` (``g^q == 1``); a toy group that
-    fails this keeps every base on ``powm``.
+    with ``x`` known -- hash points, ciphertext ephemerals, dealt keys -- so
+    ``base^s`` is ``g^(x*s mod q)``: one table exponentiation instead of a
+    full-width ``pow``.  A share value is not learned when it is made: it
+    stays the exponent ``x*s`` (:class:`KnownPower`) until something reads
+    it.  The memo is bounded and least-recently-used, process-local
+    (nothing pickles or exports it) and read only by :meth:`Group.exp` and
+    :func:`combine_in_exponent`: an evicted or never-seen element costs
+    speed, never a result.  It exists only where exponents live modulo ``q``
+    (``g^q == 1``); a toy group that fails this keeps every base on
+    ``powm``.
+
+    ``powers`` maps a combined exponent ``e mod q`` to ``g^e``, read only by
+    :func:`combine_in_exponent`: every node of a domain combines the same
+    statement to the same exponent, and this process raises ``g`` to it once.
+    It is bounded like the memo, and sound as any memo of a pure function.
     """
 
-    __slots__ = ("table", "logs")
+    __slots__ = ("table", "logs", "powers")
 
     def __init__(self, p: int, q: int, g: int) -> None:
         self.table = FixedBaseTable(g, p, q)
         self.logs: Optional[OrderedDict[int, int]] = \
             OrderedDict() if pow(g, q, p) == 1 else None
+        self.powers: OrderedDict[int, int] = OrderedDict()
 
     def power(self, exponent: int) -> int:
         """``g^exponent``, its log remembered."""
@@ -89,6 +98,46 @@ class _Generator:
         if log is not None:
             logs.move_to_end(element)
         return log
+
+    def combined(self, exponent: int) -> int:
+        """``g^exponent`` for a combined exponent, raised once per process
+        while it stays among the last ``KNOWN_LOGS_MAX`` asked for."""
+        exponent %= self.table.order
+        powers = self.powers
+        element = powers.get(exponent)
+        if element is None:
+            element = powers[exponent] = self.table.pow(exponent)
+            if len(powers) > KNOWN_LOGS_MAX:
+                powers.popitem(last=False)
+        else:
+            powers.move_to_end(exponent)
+        return element
+
+
+class KnownPower:
+    """``g^exponent`` for an exponent this process knows, computed (and its
+    log learned) on the first read of :attr:`element`.
+
+    A share made on a base of known log is one: ``base^s_i`` is
+    ``g^(log(base) * s_i mod q)``, and a combine needs only that exponent.
+    The exponent is key-equivalent material and process-local (rule 5,
+    "provenance" below): it is never an init field of anything, and nothing
+    pickles it.
+    """
+
+    __slots__ = ("generator", "exponent", "_element")
+
+    def __init__(self, generator: _Generator, exponent: int) -> None:
+        self.generator = generator
+        self.exponent = exponent
+        self._element: Optional[int] = None
+
+    @property
+    def element(self) -> int:
+        """``g^exponent``, computed once."""
+        if self._element is None:
+            self._element = self.generator.power(self.exponent)
+        return self._element
 
 
 _GENERATORS: dict[tuple[int, int, int], _Generator] = {}
@@ -169,6 +218,15 @@ class Group:
             return crypto_backend.powm(base, exponent % self.q, self.p)
         return generator.power(log * exponent)
 
+    def known_power(self, base: int, exponent: int) -> Optional[KnownPower]:
+        """``base ** exponent`` as a :class:`KnownPower` when this process
+        knows ``base``'s discrete log, else ``None``."""
+        generator = _generator(self.p, self.q, self.g)
+        log = generator.log(base)
+        if log is None:
+            return None
+        return KnownPower(generator, log * exponent % self.q)
+
     def mul(self, a: int, b: int) -> int:
         """Return the group product ``a * b mod P``."""
         return (a * b) % self.p
@@ -242,6 +300,12 @@ DEFAULT_GROUP = Group(p=_SAFE_PRIME_P, q=_SUBGROUP_ORDER_Q, g=_GENERATOR)
 #    repr-derived digest ignore it.
 # 4. The stamp is process-local: ``Stamped.__reduce__`` rebuilds a pickled
 #    (or ``copy``-ed) artefact from its public fields alone.
+# 5. So is a share's recorded exponent (``Share._power``, a
+#    :class:`KnownPower`): it is a class-level default, not a dataclass
+#    field, so no ``__init__`` takes it and ``dataclasses.replace``, a
+#    rebuild, ``copy`` and ``__reduce__`` produce an eager share without it.
+#    A share that crosses a process boundary arrives eager, with the pickle
+#    bytes an eager share always had.
 #
 # Lazy witnesses.  Since a stamp answers the verifier before any field is
 # read, nothing on the honest path reads the witness of a minted artefact.
@@ -339,7 +403,10 @@ class ChaumPedersenProof(Deferred):
 
     @staticmethod
     def _prove(group: Group, secret: int, nonce: int, base_h: int,
-               value_g: int, value_h: int, context: bytes) -> tuple:
+               value_g: int, value_h: "int | KnownPower",
+               context: bytes) -> tuple:
+        if isinstance(value_h, KnownPower):
+            value_h = value_h.element
         commitment_g = group.power_of_g(nonce)
         commitment_h = group.exp(base_h, nonce)
         challenge = _challenge(group, context, base_h, value_g, value_h,
@@ -372,12 +439,13 @@ def _challenge(group: Group, context: bytes, base_h: int, value_g: int,
 
 
 def prove_dlog_equality(group: Group, secret: int, base_h: int,
-                        value_g: int, value_h: int, rng,
+                        value_g: int, value_h: "int | KnownPower", rng,
                         context: bytes = b"") -> ChaumPedersenProof:
     """Produce a Chaum-Pedersen proof for ``value_g = g^secret``, ``value_h = base_h^secret``.
 
     The nonce is drawn now; the commitments and the response are computed
-    on the proof's first field read (see "lazy witnesses" above).
+    on the proof's first field read (see "lazy witnesses" above), and
+    ``value_h`` is read then too.
     """
     return ChaumPedersenProof.deferred(group, secret, group.random_scalar(rng),
                                        base_h, value_g, value_h, context)
@@ -463,9 +531,12 @@ def combine_in_exponent(group: Group, shares, threshold: int, error,
     test runs here; a value that is a multiple of ``P`` has no inverse and
     is in no group, and raises ``error`` whichever weight it meets.
 
-    When this process knows the discrete log of every value kept (see
-    :class:`_Generator`), the result is one ``g^(root * sum weight_i *
-    log_i)``: the same integer by the group law.
+    When this process knows the discrete log of every value kept -- a
+    share's own :class:`KnownPower`, else the memo (see
+    :class:`_Generator`) -- the result is ``g^(root * sum weight_i *
+    log_i)``: the same integer by the group law, and the same exponent
+    ``log(base) * s`` for every signer set, so it is raised once
+    (:meth:`_Generator.combined`).  No share value is read on that path.
     """
     distinct: dict = {}
     for share in shares:
@@ -478,12 +549,18 @@ def combine_in_exponent(group: Group, shares, threshold: int, error,
     generator = _generator(group.p, group.q, group.g)
     exponent = 0
     for signer, weight in zip(signers, weights):
-        log = generator.log(distinct[signer].value)
-        if log is None:
-            break
+        share = distinct[signer]
+        power = share._power
+        if power is not None and power.generator is generator:
+            log = power.exponent
+        else:
+            log = generator.log(share.value)
+            if log is None:
+                break
         exponent += weight * log
     else:
-        return generator.power(exponent if root is None else exponent * root)
+        return generator.combined(exponent if root is None
+                                  else exponent * root)
     over, under = [], []
     for signer, weight in zip(signers, weights):
         if weight > 0:

@@ -17,6 +17,7 @@ from typing import ClassVar, Iterable, Optional
 
 from repro.crypto.group import (
     Group,
+    KnownPower,
     Stamped,
     combine_in_exponent,
     holds_published_share,
@@ -42,7 +43,36 @@ class Share(Stamped):
     ``signer``, ``value`` and ``proof`` are declared by each scheme's
     subclass beside the field that is its own, in the order its ``repr`` and
     its pickle (``Stamped.__reduce__``) have always had.
+
+    A share made on a base of known log holds its value as ``_power``, the
+    exponent ``log(base) * s_i``, until ``value`` is first read: a combine
+    takes the exponent and never reads it.  ``_power`` is no dataclass
+    field, so a rebuild, ``replace``, ``copy`` or pickle drops it (rule 5 of
+    "provenance", :mod:`repro.crypto.group`).
     """
+
+    _power: ClassVar[Optional[KnownPower]] = None
+
+    @classmethod
+    def deferred(cls, power: KnownPower, **fields) -> "Share":
+        """A share whose ``value`` is ``power.element``, computed on first
+        read; ``fields`` are its other init fields."""
+        share = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(share, name, value)
+        object.__setattr__(share, "_power", power)
+        return share
+
+    def __getattr__(self, name):
+        # Reached only for a name the instance does not hold: ``value`` of
+        # a deferred share is computed here, once; anything else is missing.
+        power = self.__dict__.get("_power") if name == "value" else None
+        if power is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = power.element
+        object.__setattr__(self, "value", value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -127,16 +157,23 @@ class ShareHolder:
     def _make_share(self, base: int, statement, rng, **own_field) -> Share:
         """This node's share on the group member ``base``: ``base^{s_i}``,
         its proof and -- from a handle that holds the share the dealer
-        published -- the stamp for ``statement``."""
+        published -- the stamp for ``statement``.  On a base of known log
+        the value is deferred (see :class:`Share`)."""
         public_key, private = self.public_key, self.private_share
-        value = self.group.exp(base, private.secret)
+        power = self.group.known_power(base, private.secret)
+        value = (self.group.exp(base, private.secret) if power is None
+                 else power)
         # The dealer already published g^{s_i} as this node's verify key.
         proof = prove_dlog_equality(
             self.group, secret=private.secret, base_h=base,
             value_g=public_key.share_verify_keys[private.index - 1],
             value_h=value, rng=rng, context=public_key.share_context)
-        share = public_key.share_type(signer=private.index, value=value,
-                                      proof=proof, **own_field)
+        if power is None:
+            share = public_key.share_type(signer=private.index, value=value,
+                                          proof=proof, **own_field)
+        else:
+            share = public_key.share_type.deferred(
+                power, signer=private.index, proof=proof, **own_field)
         if self._holds_published_share:
             mint(share, public_key, statement)
         return share

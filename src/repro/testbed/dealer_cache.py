@@ -14,10 +14,10 @@ This module makes dealing
   stream derived from ``(domain seed, scheme name)``, so any *subset* of
   schemes can be dealt lazily (a protocol that never flips coins skips the
   ``coin_flip`` dealing entirely) without perturbing the keys of the others;
-* **cached**: dealt schemes are memoised per process and persisted to disk
-  under ``benchmarks/results/dealer_cache/``, keyed by
-  ``(num_nodes, seed, scheme, crypto-code fingerprint, committee domain)``
-  -- the same
+* **cached**: dealt schemes are memoised per process, keyed by
+  ``(num_nodes, seed, scheme, committee domain)``, and persisted to disk
+  under ``benchmarks/results/dealer_cache/`` with the crypto-code
+  fingerprint added to the key -- the same
   fingerprint discipline as the experiment result cache in
   :mod:`repro.expts.runner`, scoped to the files that actually determine the
   dealt keys.  A cache hit is bit-identical to a fresh deal (guarded by
@@ -192,20 +192,22 @@ class DealerCache:
         return self._directory
 
     def fingerprint(self) -> str:
-        """The (memoised) crypto-code fingerprint keying every entry."""
+        """The (memoised) crypto-code fingerprint keying every disk entry."""
         if self._fingerprint is None:
             self._fingerprint = _crypto_fingerprint()
         return self._fingerprint
 
     # ----------------------------------------------------------------- tiers
     def _disk_path(self, key: tuple) -> str:
+        # Only the disk tier outlives a code change, so only it is keyed on
+        # the fingerprint: a process never sees two crypto sources.
         fields = {"n": key[0], "f": key[1], "seed": key[2], "scheme": key[3],
-                  "code": key[4]}
-        if key[5]:
+                  "code": self.fingerprint()}
+        if key[4]:
             # The committee domain joins the payload only when non-empty so
             # every pre-domain disk entry keeps its path (no mass
             # invalidation when the key scheme grew this field).
-            fields["domain"] = list(key[5])
+            fields["domain"] = list(key[4])
         payload = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(payload.encode()).hexdigest()
         return os.path.join(self.directory, f"{digest}.pkl")
@@ -246,7 +248,7 @@ class DealerCache:
         different membership can never collide on an entry.
         """
         key = (num_nodes, faults_tolerated(num_nodes), domain_seed, scheme,
-               self.fingerprint(), tuple(domain))
+               tuple(domain))
         value = self._memory.get(key)
         if value is not None:
             self.hits += 1
@@ -258,7 +260,7 @@ class DealerCache:
                 self._memory[key] = value
                 return value
         self.misses += 1
-        value = deal_scheme(scheme, num_nodes, domain_seed, domain=key[5])
+        value = deal_scheme(scheme, num_nodes, domain_seed, domain=key[4])
         self._memory[key] = value
         if self.use_disk:
             self._disk_put(key, value)

@@ -2,9 +2,10 @@
 
 ``repro.crypto.group`` remembers the log of every element this process
 computes as a power of ``g`` -- hash points, ciphertext ephemerals, dealt
-keys, share values -- and answers ``Group.exp`` on such a base, and a
-combine whose every value is known, as one fixed-base exponentiation.  Five
-properties are pinned here:
+keys, share values once read -- and answers ``Group.exp`` on such a base,
+and a combine whose every value is known, as one fixed-base exponentiation.
+A share made on a known base keeps its exponent instead of its value, and a
+combine takes that exponent.  Six properties are pinned here:
 
 * **bit identity** -- ``Group.exp`` equals builtin ``pow`` on known and
   unknown bases alike, and a known-log combine equals the ``multi_powm``
@@ -16,12 +17,16 @@ properties are pinned here:
   through a long stream of fresh points;
 * **the honest path needs no backend** -- an honest one-epoch run of each
   protocol family makes zero backend ``powm`` calls;
+* **one exponentiation per statement** -- a combined exponent is raised
+  once, and an honest epoch leaves no share value in the memo, so a memo
+  bounded far below its default makes no more ``multi_powm`` calls;
 * **process-local** -- nothing pickled carries the memo.
 
 Each test that counts or bounds entries builds its own memo
 (``fresh_memo``), so no other test's state reaches it.
 """
 
+import dataclasses
 import pickle
 import random
 from itertools import combinations
@@ -29,9 +34,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import backend
+from repro.crypto import backend, fastpath, threshold_sig
 from repro.crypto import group as group_module
 from repro.crypto.group import DEFAULT_GROUP, Group, combine_in_exponent
+from repro.crypto.threshold import ShareHolder
 from repro.crypto.threshold_coin import ThresholdCoinError, deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
@@ -140,7 +146,10 @@ class TestKnownLogCombine:
         shares = _shares(rng, schemes, b"subsets")
         known = group_module._Generator.log
         for subset in combinations(shares, 3):
-            forgotten = {share.value for share in subset[:unknown_count]}
+            # an eager copy has no recorded exponent: only the memo knows it
+            eager = [dataclasses.replace(share) for share in subset]
+            mixed = eager[:unknown_count] + list(subset[unknown_count:])
+            forgotten = {share.value for share in eager[:unknown_count]}
 
             def partly_known(generator, element):
                 return None if element in forgotten else known(generator,
@@ -150,10 +159,10 @@ class TestKnownLogCombine:
                 return None
 
             monkeypatch.setattr(group_module._Generator, "log", partly_known)
-            got = combine_in_exponent(DEFAULT_GROUP, subset, 3,
+            got = combine_in_exponent(DEFAULT_GROUP, mixed, 3,
                                       ThresholdCoinError, "coin shares")
             monkeypatch.setattr(group_module._Generator, "log", tail)
-            expected = combine_in_exponent(DEFAULT_GROUP, subset, 3,
+            expected = combine_in_exponent(DEFAULT_GROUP, eager, 3,
                                            ThresholdCoinError, "coin shares")
             monkeypatch.setattr(group_module._Generator, "log", known)
             assert got == expected
@@ -252,6 +261,113 @@ class TestHonestPathNeedsNoBackend:
         assert run_consensus(protocol, Scenario.single_hop(4),
                              seed=8100).decided
         assert powm_calls == []
+
+
+# ------------------------------------------- one exponentiation per statement
+def _table_pows(monkeypatch) -> list:
+    """Every fixed-base exponentiation from here on, as its exponent."""
+    calls = []
+    original = fastpath.FixedBaseTable.pow
+
+    def counting(table, exponent):
+        calls.append(exponent)
+        return original(table, exponent)
+
+    monkeypatch.setattr(fastpath.FixedBaseTable, "pow", counting)
+    return calls
+
+
+def _share_value(share) -> int:
+    """A share's value, computed without reading (and so learning) it."""
+    power = getattr(share, "_power", None)
+    if power is not None and "value" not in vars(share):
+        return pow(G, power.exponent, P)
+    return vars(share)["value"]
+
+
+class TestOneExponentiationPerStatement:
+    def test_a_share_is_made_without_an_exponentiation(self, fresh_memo,
+                                                       monkeypatch):
+        rng = random.Random(46)
+        schemes = deal_threshold_sig(4, 2, rng)
+        point = schemes[0].public_key.hash_message(b"no pow")
+        schemes[1].sign_share(b"warm", rng)  # checks the handle's key once
+        pows = _table_pows(monkeypatch)
+        share = schemes[1].sign_share(b"no pow", rng)
+        assert pows == [] and "value" not in vars(share)
+        assert _share_value(share) not in memo()
+        assert share.value == pow(point, schemes[1].private_share.secret, P)
+        assert len(pows) == 1 and share.value in memo()
+
+    def test_every_signer_set_of_a_statement_raises_g_once(
+            self, fresh_memo, powm_calls, monkeypatch):
+        rng = random.Random(47)
+        schemes = deal_threshold_coin(6, 3, rng)
+        shares = _shares(rng, schemes, b"once")
+        pows = _table_pows(monkeypatch)
+        results = {schemes[0].public_key._combine_element(b"once", subset,
+                                                          verify=False)
+                   for subset in combinations(shares, 3)}
+        assert len(results) == 1 and len(pows) == 1 and powm_calls == []
+        assert all("value" not in vars(share) for share in shares)
+        # the combined element is no base of anything: it is not learned
+        assert results.pop() not in memo()
+
+    def test_the_combined_powers_are_bounded_and_least_recently_used(
+            self, fresh_memo, monkeypatch):
+        bound = 8
+        monkeypatch.setattr(group_module, "KNOWN_LOGS_MAX", bound)
+        rng = random.Random(48)
+        schemes = deal_threshold_coin(4, 2, rng)
+        generator = group_module._generator(P, Q, G)
+        first = _shares(rng, schemes, b"tag 0")[:2]
+        for index in range(1, 4 * bound):
+            schemes[0].combine(b"tag %d" % index,
+                               _shares(rng, schemes, b"tag %d" % index)[:2])
+            if index % (bound // 2) == 0:
+                schemes[0].combine(b"tag 0", first)  # kept in use
+            assert len(generator.powers) <= bound
+        assert len(generator.powers) == bound
+        pows = _table_pows(monkeypatch)
+        schemes[0].combine(b"tag 0", first)
+        assert pows == []
+
+    @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+    def test_the_share_path_needs_no_room_in_the_memo(self, protocol,
+                                                      monkeypatch):
+        """An honest n=7 epoch learns no share value, so a memo bounded at
+        100 elements makes no more ``multi_powm`` calls than the default."""
+        made = []
+        make_share = ShareHolder._make_share
+
+        def recording(holder, *args, **kwargs):
+            made.append(make_share(holder, *args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(ShareHolder, "_make_share", recording)
+        multi_calls = []
+        multi_powm = backend.multi_powm
+        monkeypatch.setattr(
+            backend, "multi_powm",
+            lambda *args: multi_calls.append(args) or multi_powm(*args))
+
+        def epoch() -> tuple[int, dict]:
+            monkeypatch.setattr(group_module, "_GENERATORS", {})
+            monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE",
+                                dealer_cache.DealerCache(use_disk=False))
+            threshold_sig._reconstructed_master_key.cache_clear()
+            made.clear()
+            multi_calls.clear()
+            assert run_consensus(protocol, Scenario.single_hop(7),
+                                 seed=8200).decided
+            return len(multi_calls), memo()
+
+        default_calls, logs = epoch()
+        assert made
+        assert not {_share_value(share) for share in made} & set(logs)
+        monkeypatch.setattr(group_module, "KNOWN_LOGS_MAX", 100)
+        bounded_calls, _ = epoch()
+        assert bounded_calls <= default_calls
 
 
 # --------------------------------------------------------- process-local

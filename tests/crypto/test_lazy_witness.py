@@ -7,7 +7,10 @@ read of a declared field.  Pinned here:
   before the witnesses went lazy);
 * what must not force does not: a ``hasattr`` probe, a stamp-path verify;
 * what reads a field forces, agrees with an eager twin, and a pickle carries
-  the public fields only -- never the secret or the nonce.
+  the public fields only -- never the secret or the nonce;
+* a threshold share's value is deferred the same way: it is held as its
+  exponent, which a combine reads and which no pickle, copy or ``replace``
+  carries.
 """
 
 import copy
@@ -45,6 +48,11 @@ def pending(artefact) -> bool:
     unforced."""
     witnessed = getattr(artefact, "proof", artefact)
     return "_witness" in vars(witnessed)
+
+
+def value_pending(share) -> bool:
+    """Whether a share's value is still held as its recorded exponent."""
+    return "value" not in vars(share) and share._power is not None
 
 
 def maker(kind: str, rng):
@@ -149,7 +157,8 @@ def test_a_stamp_path_verify_share_does_not_force(family):
     assert schemes[2].verify_share(statement, share) and pending(share)
     assert schemes[2].combine(statement, [share, family.mint(
         schemes[1], statement, rng)], verify=False) is not None
-    assert pending(share)  # the combine reads the eager value only
+    # the combine reads the recorded exponent, not the value or the proof
+    assert pending(share) and value_pending(share)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -232,3 +241,55 @@ def test_a_false_statement_forces_to_a_proof_that_fails():
                                     group.power_of_g(secret),
                                     group.exp(base, secret + 1))
     assert set(vars(proof)) == {"commitment_g", "commitment_h", "response"}
+
+
+# ---------------------------------------------------------- deferred values
+@pytest.mark.parametrize("family", FAMILIES, ids=family_ids)
+def test_a_deferred_share_pickles_and_prints_as_an_eager_one(family):
+    def mint_one():
+        rng = random.Random(2651)
+        schemes = family.deal(4, 2, rng)
+        statement = family.statement(schemes, rng, b"deferred")
+        return family.mint(schemes[1], statement, rng)
+
+    lazy, eager = mint_one(), dataclasses.replace(mint_one())
+    assert value_pending(lazy) and eager._power is None
+    assert pickle.dumps(lazy) == pickle.dumps(eager)
+    assert repr(lazy) == repr(eager) and lazy == eager
+    # reading kept the exponent (a later combine still takes it)
+    assert not value_pending(lazy) and lazy._power is not None
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=family_ids)
+def test_no_copy_carries_the_exponent_or_the_stamp(family):
+    rng = random.Random(2652)
+    schemes = family.deal(4, 2, rng)
+    statement = family.statement(schemes, rng, b"copies")
+    share = family.mint(schemes[1], statement, rng)
+    assert share._minted_for is not None and value_pending(share)
+    copies = (pickle.loads(pickle.dumps(share)), copy.copy(share),
+              copy.deepcopy(share), dataclasses.replace(share))
+    for other in copies:
+        assert type(other) is type(share) and other == share
+        assert other._minted_for is None and other._power is None
+        assert "_power" not in vars(other) and "value" in vars(other)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=family_ids)
+def test_the_long_road_forces_the_value_and_rejects_a_wrong_one(family):
+    rng = random.Random(2653)
+    schemes = family.deal(4, 2, rng)
+    statement = family.statement(schemes, rng, b"long road")
+    share = family.mint(schemes[1], statement, rng)
+    power = share._power
+    fields = {name: value for name, value in vars(share).items()
+              if name not in ("_power", "_minted_for")}
+    wrong = type(share).deferred(
+        type(power)(power.generator, power.exponent + 1), **fields)
+    object.__setattr__(share, "_minted_for", None)  # unstamped, still lazy
+    assert value_pending(share) and value_pending(wrong)
+    assert schemes[2].verify_share(statement, share)
+    assert not value_pending(share)
+    assert not schemes[2].verify_share(statement, wrong)
+    assert not value_pending(wrong)
+    assert wrong.value == DEFAULT_GROUP.mul(share.value, DEFAULT_GROUP.g)

@@ -103,6 +103,16 @@ class TestDeterministicDealing:
         cache.domain(7, 1)
         assert cache.misses > first_misses
 
+    def test_only_the_disk_tier_reads_the_code_fingerprint(self, tmp_path):
+        """The fingerprint is constant per process, so the process tier
+        gains nothing from it: a memory-only cache never computes it."""
+        memory_only = DealerCache(use_disk=False)
+        memory_only.domain(4, 5)
+        assert memory_only.misses > 0 and memory_only._fingerprint is None
+        on_disk = DealerCache(directory=str(tmp_path))
+        on_disk.domain(4, 5)
+        assert on_disk._fingerprint == memory_only.fingerprint()
+
     def test_process_tier_hit_shares_scheme_objects_not_lists(self, tmp_path):
         cache = DealerCache(directory=str(tmp_path))
         a = cache.domain(4, 3)
