@@ -192,9 +192,10 @@ def bench_group_exp(budget: float) -> dict[str, float]:
 
 def backend_powm_honest_epoch() -> int:
     """Backend ``powm`` calls made by one honest epoch of every protocol,
-    on keys dealt fresh in this process (a disk-cached deal carries no known
-    logs).  A count, so a gate on it cannot flake: every base the honest
-    path raises was made here as a power of ``g``."""
+    on keys dealt fresh in this process (a disk-cached deal re-learns its
+    known logs on load, see ``tests/testbed/test_dealer_cache.py``).  A
+    count, so a gate on it cannot flake: every base the honest path raises
+    was made here as a power of ``g``."""
     calls = [0]
     original = crypto_backend.powm
 
@@ -499,7 +500,7 @@ class _CountingComponent(Component):
         super().__init__(ctx, 0, tag="bench")
         self.tally = tally
         # nothing is "unfinished": keeps the NACK repair cycle off the air
-        ctx.transport.mark_complete(self.kind, self.tag, 0)
+        ctx.transport.mark_complete(self.key)
 
     def handle(self, message) -> None:
         self.tally[0] += 1
@@ -680,33 +681,56 @@ def cyclic_garbage_honest_run() -> int:
             gc.enable()
 
 
+def _bytes_live_at_close(patterns: tuple[str, ...],
+                         runs: tuple[Callable[[], object], ...]) -> int:
+    """Bytes allocated in files matching ``patterns`` still live when each
+    of ``runs``'s deployments closes (read just before it does), summed."""
+    reads = []
+    close = Deployment.close
+    filters = [tracemalloc.Filter(True, pattern) for pattern in patterns]
+
+    def read_then_close(deployment) -> None:
+        snapshot = tracemalloc.take_snapshot().filter_traces(filters)
+        reads.append(sum(stat.size for stat in snapshot.statistics("filename")))
+        close(deployment)
+
+    Deployment.close = read_then_close
+    tracemalloc.start()
+    try:
+        for run in runs:
+            run()
+    finally:
+        tracemalloc.stop()
+        Deployment.close = close
+    return sum(reads)
+
+
 def component_state_bytes_n32(seed: int = 3201) -> int:
     """Bytes allocated in ``repro/components/`` still live at the end of one
     n=32 shared-coin ABA run plus one n=32 RBC run (12 parallel instances
     each, as in the ``components-n32`` ledger workload), read just before
     each deployment closes.  A count, not a rate: a set of voter ids per
     tally key put back in place of a bitmask multiplies it."""
-    reads = []
-    close = Deployment.close
-
-    def read_then_close(deployment) -> None:
-        snapshot = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, "*/repro/components/*")])
-        reads.append(sum(stat.size for stat in snapshot.statistics("filename")))
-        close(deployment)
-
     scenario = Scenario.scale_single_hop(32)
-    Deployment.close = read_then_close
-    tracemalloc.start()
-    try:
-        run_aba_experiment("sc", parallel_instances=12, num_nodes=32,
-                           seed=seed, scenario=scenario)
-        run_broadcast_experiment("rbc", parallelism=12, num_nodes=32,
-                                 seed=seed, scenario=scenario)
-    finally:
-        tracemalloc.stop()
-        Deployment.close = close
-    return sum(reads)
+    return _bytes_live_at_close(("*/repro/components/*",), (
+        lambda: run_aba_experiment("sc", parallel_instances=12, num_nodes=32,
+                                   seed=seed, scenario=scenario),
+        lambda: run_broadcast_experiment("rbc", parallelism=12, num_nodes=32,
+                                         seed=seed, scenario=scenario)))
+
+
+def held_state_bytes_8x8(seed: int = 8801) -> int:
+    """Bytes allocated in ``repro/core/``, ``repro/components/`` and
+    ``repro/protocols/`` still live when one ``multihop-8x8``-shaped run
+    (HoneyBadger-SC on 8 clusters of 8) closes its deployment: mostly the
+    messages the transports hold for NACK repair, their payloads and the
+    instance keys.  A count: a per-instance ``__dict__`` put back on
+    ``ComponentMessage``, or a vote payload dict allocated per send, grows
+    it."""
+    return _bytes_live_at_close(
+        ("*/repro/core/*", "*/repro/components/*", "*/repro/protocols/*"),
+        (lambda: run_multihop_consensus(
+            "honeybadger-sc", Scenario.scale_multi_hop(8, 8), seed=seed),))
 
 
 # ----------------------------------------------------------------------- driver
@@ -724,6 +748,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     table_pows = table_pow_honest_epoch()
     garbage = cyclic_garbage_honest_run()
     component_bytes = component_state_bytes_n32()
+    held_bytes = held_state_bytes_8x8()
     results.update(bench_share_combine(budget))
     speedups = dealer_speedups(results)
     speedups |= shard_speedups(results)
@@ -779,6 +804,7 @@ def run_benchmarks(quick: bool = False) -> dict:
             "table_pow_honest_epoch": table_pows,
             "cyclic_garbage_honest_run": garbage,
             "component_state_bytes_n32": component_bytes,
+            "held_state_bytes_8x8": held_bytes,
             "sim_kernel_calls_per_event": kernel_calls_per_event(),
             "sim_kernel_calls_per_event_event_objects":
                 kernel_calls_per_event(ReferenceSimulator),

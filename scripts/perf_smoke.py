@@ -36,12 +36,16 @@ with short budgets and checks *same-run ratio invariants* and counts:
   (``component_state_bytes_n32``, tracemalloc) at most 1.25x the value
   recorded in ``BENCH_hotpath.json``.  Voters are bits of an int; a set of
   node ids per tally key put back multiplies it;
+* the bytes allocated under ``repro/core``, ``repro/components`` and
+  ``repro/protocols`` live when a ``multihop-8x8``-shaped run closes its
+  deployment (``held_state_bytes_8x8``) at most 1.1x the recorded value.
+  Vote payloads are shared; a dict per BVAL / AUX put back reads 1.13x;
 * the fixed-base exponentiations of one warm honest n=4 epoch of each
   protocol (``table_pow_honest_epoch``) at most the recorded count: a share
   value computed where only its exponent is read, or a combined exponent
   raised by every node, puts them back.
 
-The last two are the baseline reads of quick mode, and safe there: a count
+The last three are the baseline reads of quick mode, and safe there: a count
 does not depend on the timing budget or the host, so it cannot flake.
 
 Quick-mode timings are never compared against the recorded baseline:
@@ -130,6 +134,7 @@ MAX_KERNEL_CALLS_PER_EVENT = 1
 MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
 MAX_COMPONENT_STATE_GROWTH = 1.25
+MAX_HELD_STATE_GROWTH = 1.1
 
 # Sharded-simulator floors (full mode), machine-aware: on a single core the
 # forked workers cannot overlap, so ``shard_speedup`` measures pure
@@ -214,24 +219,36 @@ def _load_baseline(baseline_path: str, failures: list[str]) -> dict:
         return json.load(handle)
 
 
-def _check_memory_count(document: dict, baseline: dict,
-                        failures: list[str]) -> None:
-    """Live component bytes of an n=32 run against the recorded count."""
-    now = document["counts"]["component_state_bytes_n32"]
-    then = baseline.get("counts", {}).get("component_state_bytes_n32")
-    if then is None:
-        if baseline:
-            failures.append("no component_state_bytes_n32 recorded in the "
-                            "baseline; rerun bench_hotpath_micro.py")
-        return
-    print(f"component_state_bytes_n32: {now} (recorded {then}, "
-          f"{now / then:.2f}x)")
-    if now > MAX_COMPONENT_STATE_GROWTH * then:
-        failures.append(
-            f"component state live after an n=32 ABA + RBC run grew "
-            f"{now / then:.2f}x ({then} -> {now} bytes, allowed "
-            f"{MAX_COMPONENT_STATE_GROWTH}x): a tally is holding a set or "
-            f"dict of voter ids again instead of a bitmask")
+#: live-bytes counts gated against the baseline: the allowed growth, and
+#: what a breach most likely means
+MEMORY_COUNTS = (
+    ("component_state_bytes_n32", MAX_COMPONENT_STATE_GROWTH,
+     "component state live after an n=32 ABA + RBC run",
+     "a tally is holding a set or dict of voter ids again instead of a "
+     "bitmask"),
+    ("held_state_bytes_8x8", MAX_HELD_STATE_GROWTH,
+     "core, component and protocol state live after a multihop-8x8 run",
+     "a vote payload is allocated per send again, or a held message or "
+     "its instance key grew"),
+)
+
+
+def _check_memory_counts(document: dict, baseline: dict,
+                         failures: list[str]) -> None:
+    """Live bytes at the end of the gated runs against the recorded counts."""
+    for name, allowed, what, cause in MEMORY_COUNTS:
+        now = document["counts"][name]
+        then = baseline.get("counts", {}).get(name)
+        if then is None:
+            if baseline:
+                failures.append(f"no {name} recorded in the baseline; rerun "
+                                f"bench_hotpath_micro.py")
+            continue
+        print(f"{name}: {now} (recorded {then}, {now / then:.2f}x)")
+        if now > allowed * then:
+            failures.append(
+                f"{what} grew {now / then:.2f}x ({then} -> {now} bytes, "
+                f"allowed {allowed}x): {cause}")
 
 
 def _check_table_pow_count(document: dict, baseline: dict,
@@ -323,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
 
     _check_ratio_invariants(document, failures)
     baseline = _load_baseline(args.baseline, failures)
-    _check_memory_count(document, baseline, failures)
+    _check_memory_counts(document, baseline, failures)
     _check_table_pow_count(document, baseline, failures)
     if args.full:
         _check_full_mode_gates(document, baseline, failures)

@@ -26,6 +26,13 @@ from repro.components.base import Component, ComponentContext, OutputCallback
 from repro.core.packet import ComponentMessage
 
 
+#: the payload of every one-bit vote sent (``CachinAba``'s BVAL and AUX, a
+#: DECIDED notice), indexed by the bit.  Shared, never copied: a payload is
+#: read-only once sent -- the transport holds it for NACK repair and one
+#: object reaches every receiver -- so no send allocates a dict.
+VALUE_PAYLOADS = ({"value": 0}, {"value": 1})
+
+
 def as_bit(value: Any) -> Optional[int]:
     """The bit ``value`` equals (``True`` and ``1.0`` are ``1``), or ``None``
     if it equals neither 0 nor 1."""
@@ -111,7 +118,7 @@ class RoundBasedAba(Component):
         if not self._decided_sent:
             self._decided_sent = True
             self._count_notice(value, self.ctx.node_id)
-            self.send("decided", {"value": value}, payload_bytes=1)
+            self.send("decided", VALUE_PAYLOADS[value], payload_bytes=1)
         self.complete(value)
         self._maybe_halt()
 

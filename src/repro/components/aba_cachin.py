@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.components.aba_base import RoundBasedAba, as_bit
+from repro.components.aba_base import VALUE_PAYLOADS, RoundBasedAba, as_bit
 from repro.components.base import ComponentContext, OutputCallback
 from repro.components.common_coin import CommonCoinManager
 from repro.core.packet import ComponentMessage
@@ -108,7 +108,7 @@ class CachinAba(RoundBasedAba):
         own = 1 << self.ctx.node_id
         newly_counted = not state.bval_received[value] & own
         state.bval_received[value] |= own
-        self.send("bval", {"value": value}, round_number=round_number,
+        self.send("bval", VALUE_PAYLOADS[value], round_number=round_number,
                   payload_bytes=1, slot=value)
         if newly_counted:
             # Our own vote can complete a quorum; evaluate the transitions
@@ -138,7 +138,9 @@ class CachinAba(RoundBasedAba):
             # count as support (aux_support reads them).
             state.bin_values |= 1 << value
             self._maybe_send_aux(round_number, state)
-        self._maybe_reveal_coin(round_number, state)
+            # The coin's answer changes only when bin_values or the AUX
+            # tally grows, or the round is entered: each of those checks it.
+            self._maybe_reveal_coin(round_number, state)
 
     # ------------------------------------------------------------------- AUX
     def _maybe_send_aux(self, round_number: int, state: _RoundState) -> None:
@@ -147,7 +149,7 @@ class CachinAba(RoundBasedAba):
         state.aux_sent = True
         value = 0 if state.bin_values & 1 else 1  # the smallest bin value
         self._record_aux(state, self.ctx.node_id, value)
-        self.send("aux", {"value": value}, round_number=round_number,
+        self.send("aux", VALUE_PAYLOADS[value], round_number=round_number,
                   payload_bytes=1)
         self._maybe_reveal_coin(round_number, state)
 

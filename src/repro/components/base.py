@@ -69,10 +69,13 @@ class Component:
         self.ctx = ctx
         self.instance = instance
         self.tag = tag
+        #: ``(kind, tag, instance)``, built once: the router and the
+        #: transport's instance sets hold this very tuple
+        self.key = (self.kind, tag, instance)
         self.on_output = on_output
         self.completed = False
         self.output: Any = None
-        ctx.transport.activate(self.kind, tag, instance)
+        ctx.transport.activate(self.key)
 
     # ------------------------------------------------------------------ sends
     def send(self, phase: str, payload: Any, payload_bytes: int = 0,
@@ -100,13 +103,13 @@ class Component:
         self.output = output
         # Stop NACK-requesting for this instance; peers may still ask us for
         # its state and we will keep answering from the transport slots.
-        self.ctx.transport.mark_complete(self.kind, self.tag, self.instance)
+        self.ctx.transport.mark_complete(self.key)
         if self.on_output is not None:
             self.on_output(self.instance, output)
 
     def close(self) -> None:
         """Drop the callback state (the instance was released, or its
-        deployment closed): ``on_output`` is usually a closure over the
+        deployment closed): ``on_output`` is usually a bound method of the
         owner that holds this instance, a reference cycle."""
         self.on_output = None
 
@@ -155,7 +158,7 @@ class ComponentRouter:
     # --------------------------------------------------------------- register
     def register(self, component: Component) -> None:
         """Register a component instance and replay any buffered messages."""
-        key = (component.kind, component.tag, component.instance)
+        key = component.key
         self._components[key] = component
         pending = self._pending.pop(key, [])
         for message in pending:

@@ -54,10 +54,12 @@ class CommonCoinManager:
         self.coin_name = coin_name
         # created on first lookup (shares for a round can arrive early)
         self._rounds: dict[int, _RoundState] = defaultdict(_RoundState)
-        ctx.transport.activate(self.kind, tag, 0)
+        #: the manager's instance key in the transport, built once
+        self.key = (self.kind, tag, 0)
+        ctx.transport.activate(self.key)
         # The manager only counts as "unfinished" while a requested coin is
         # still unrevealed (drives NACK repair for missing coin shares).
-        ctx.transport.mark_complete(self.kind, tag, 0)
+        ctx.transport.mark_complete(self.key)
 
     # ---------------------------------------------------------------- request
     def request(self, round_number: int, callback: CoinCallback) -> None:
@@ -68,7 +70,7 @@ class CommonCoinManager:
             return
         state.callbacks.append(callback)
         state.requested = True
-        self.ctx.transport.mark_incomplete(self.kind, self.tag, 0)
+        self.ctx.transport.mark_incomplete(self.key)
         self._maybe_send_share(round_number, state)
         self._maybe_combine(round_number, state)
 
@@ -123,7 +125,7 @@ class CommonCoinManager:
                                             flavor=self.flavor, verify=False)
         state.value = value
         if all(s.value is not None or not s.requested for s in self._rounds.values()):
-            self.ctx.transport.mark_complete(self.kind, self.tag, 0)
+            self.ctx.transport.mark_complete(self.key)
         callbacks, state.callbacks = state.callbacks, []
         for callback in callbacks:
             callback(round_number, value)

@@ -7,7 +7,9 @@ Both transports expose the same interface to consensus components:
 * ``register_receiver(callback)`` installs the upper layer that consumes
   delivered logical messages;
 * ``activate`` / ``mark_complete`` tell the transport which component
-  instances are still running, which drives NACK-style retransmission.
+  instances are still running, which drives NACK-style retransmission; an
+  instance is named by its ``(kind, tag, instance)`` key, the one tuple its
+  component built (``Component.key``).
 
 The difference is how logical messages map onto packets and channel accesses:
 
@@ -127,17 +129,19 @@ class BaseTransport:
         """Install the upper-layer consumer of logical messages."""
         self._receiver = callback
 
-    def activate(self, kind: str, tag: Any, instance: int) -> None:
-        """Mark a component instance as running (its slots will be resent)."""
-        self._active.add((kind, tag, instance))
+    def activate(self, key: tuple) -> None:
+        """Mark the component instance ``key`` -- its ``(kind, tag,
+        instance)``, the tuple its owner built once -- as running (its slots
+        will be resent)."""
+        self._active.add(key)
 
-    def mark_complete(self, kind: str, tag: Any, instance: int) -> None:
+    def mark_complete(self, key: tuple) -> None:
         """Note that the local instance finished (stops NACK requests for it)."""
-        self._complete.add((kind, tag, instance))
+        self._complete.add(key)
 
-    def mark_incomplete(self, kind: str, tag: Any, instance: int) -> None:
+    def mark_incomplete(self, key: tuple) -> None:
         """Re-open an instance (e.g. the coin manager when a new round starts)."""
-        self._complete.discard((kind, tag, instance))
+        self._complete.discard(key)
 
     def close(self) -> None:
         """Stop the resend timer and drop what points back into the stack:
@@ -249,9 +253,10 @@ class BaseTransport:
         stuck: dict[tuple, set[int]] = {}
         # sorted for cross-process determinism (set iteration order of tuples
         # containing strings is salted per process)
-        for kind, tag, instance in sorted(self._active, key=repr):
-            if (kind, tag, instance) in self._complete:
+        for key in sorted(self._active, key=repr):
+            if key in self._complete:
                 continue
+            kind, tag, instance = key
             stuck.setdefault((kind, tag), set()).add(instance)
         return stuck
 

@@ -59,9 +59,16 @@ SHARE_PHASES = frozenset({"done", "echo_sig", "finish", "share"})
 VOTE_PHASES = frozenset({"echo", "ready", "bval", "aux", "initial_small"})
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentMessage:
     """One logical protocol message emitted by a consensus component.
+
+    Slotted: the batching transport holds every instance's latest message
+    until its scope is released (NACK repair may ask for it again), so a
+    held message costs only its fields.  Messages and their payloads are
+    read-only once sent: one object reaches every receiver, and the vote
+    payloads are shared module-level dicts
+    (:data:`repro.components.aba_base.VALUE_PAYLOADS`).
 
     Attributes
     ----------

@@ -227,6 +227,12 @@ class Group:
             return None
         return KnownPower(generator, log * exponent % self.q)
 
+    def learn(self, element: int, exponent: int) -> None:
+        """Remember that ``element`` is ``g ** exponent`` (a hash point, or
+        a key dealt in another process and loaded here), so raising it
+        takes the fixed-base table."""
+        _generator(self.p, self.q, self.g).learn(element, exponent)
+
     def mul(self, a: int, b: int) -> int:
         """Return the group product ``a * b mod P``."""
         return (a * b) % self.p
@@ -259,7 +265,7 @@ class Group:
         """
         element, exponent = _hash_to_group_cached(self.p, self.q, self.g,
                                                   parts)
-        _generator(self.p, self.q, self.g).learn(element, exponent)
+        self.learn(element, exponent)
         return element
 
     def random_scalar(self, rng) -> int:

@@ -45,13 +45,14 @@ class CommonSubset:
 
         self.rbc_instances: dict[int, Component] = {}
         self.aba_instances: dict[int, Component] = {}
+        # a component reports its own instance, which is its index here
         for index in range(ctx.num_nodes):
             rbc = rbc_factory(index)
-            rbc.on_output = self._make_rbc_callback(index)
+            rbc.on_output = self._on_rbc_output
             self.rbc_instances[index] = rbc
             router.register(rbc)
             aba = aba_factory(index)
-            aba.on_output = self._make_aba_callback(index)
+            aba.on_output = self._on_aba_output
             self.aba_instances[index] = aba
             router.register(aba)
 
@@ -61,9 +62,6 @@ class CommonSubset:
         self.rbc_instances[self.ctx.node_id].start(value)
 
     # --------------------------------------------------------------- RBC side
-    def _make_rbc_callback(self, index: int):
-        return lambda _instance, value: self._on_rbc_output(index, value)
-
     def _on_rbc_output(self, index: int, value: bytes) -> None:
         if index in self.rbc_values:
             return
@@ -86,9 +84,6 @@ class CommonSubset:
                 aba.start(1 if index in delivered else 0)
 
     # --------------------------------------------------------------- ABA side
-    def _make_aba_callback(self, index: int):
-        return lambda _instance, decision: self._on_aba_output(index, decision)
-
     def _on_aba_output(self, index: int, decision: int) -> None:
         if index in self.aba_decisions:
             return

@@ -86,19 +86,18 @@ class Dumbo(ConsensusProtocol):
         self.prbc_instances: dict[int, Prbc] = {}
         self.cbc_value_instances: dict[int, Cbc] = {}
         self.cbc_commit_instances: dict[int, CbcSmall] = {}
+        # a component reports its own instance, which is its index here
         for index in range(ctx.num_nodes):
             prbc = Prbc(ctx, index, tag=self.tag,
-                        on_output=self._make_callback(self._on_prbc_output, index))
+                        on_output=self._on_prbc_output)
             self.prbc_instances[index] = prbc
             router.register(prbc)
             value_cbc = Cbc(ctx, index, tag=self._value_tag,
-                            on_output=self._make_callback(self._on_cbc_value_output,
-                                                          index))
+                            on_output=self._on_cbc_value_output)
             self.cbc_value_instances[index] = value_cbc
             router.register(value_cbc)
             commit_cbc = CbcSmall(ctx, index, tag=self._commit_tag,
-                                  on_output=self._make_callback(
-                                      self._on_cbc_commit_output, index))
+                                  on_output=self._on_cbc_commit_output)
             self.cbc_commit_instances[index] = commit_cbc
             router.register(commit_cbc)
         if self.coin_type == "sc":
@@ -112,10 +111,6 @@ class Dumbo(ConsensusProtocol):
         pending coin callback."""
         super().close()
         self._pi_coin = None
-
-    @staticmethod
-    def _make_callback(handler, index):
-        return lambda _instance, output: handler(index, output)
 
     # ------------------------------------------------------------------- API
     def propose(self, transactions: list[bytes]) -> None:
@@ -210,7 +205,7 @@ class Dumbo(ConsensusProtocol):
         candidate = self.permutation[self._candidate_cursor]
         slot = self._candidate_rounds * self.ctx.num_nodes + self._candidate_cursor
         aba = self._make_serial_aba(slot)
-        aba.on_output = self._make_callback(self._on_aba_output, slot)
+        aba.on_output = self._on_aba_output  # its instance is the slot
         self._aba_instances[slot] = aba
         self.router.register(aba)
         vote = 1 if candidate in self.cbc_value_outputs else 0

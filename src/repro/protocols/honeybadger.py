@@ -75,6 +75,8 @@ class HoneyBadger(ConsensusProtocol):
         self._valid_dec_shares: dict[int, dict[int, Any]] = {}
         self._ciphertexts: dict[int, Any] = {}
         self._decrypted: dict[int, list[bytes]] = {}
+        #: per ACS index, its decryption instance's key in the transport
+        self._dec_keys: dict[int, tuple] = {}
         self._dec_share_sent = False
 
     # ------------------------------------------------------------------- API
@@ -181,7 +183,8 @@ class HoneyBadger(ConsensusProtocol):
             return
         self._dec_share_sent = True
         for index, ciphertext in self._ciphertexts.items():
-            self.ctx.transport.activate(self.DEC_KIND, self.tag, index)
+            key = self._dec_keys[index] = (self.DEC_KIND, self.tag, index)
+            self.ctx.transport.activate(key)
             share = self.ctx.suite.decryption_share(ciphertext)
             self._dec_shares.setdefault(index, {})[self.ctx.node_id] = share
             message = ComponentMessage(
@@ -241,7 +244,7 @@ class HoneyBadger(ConsensusProtocol):
         except ValueError:
             # A Byzantine proposer contributed garbage; include nothing.
             self._decrypted[index] = []
-        self.ctx.transport.mark_complete(self.DEC_KIND, self.tag, index)
+        self.ctx.transport.mark_complete(self._dec_keys[index])
 
     def _maybe_assemble_block(self) -> None:
         if self.decided or self._acs_output is None:

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.crypto.digital_sig import generate_keyring
+from repro.crypto.field import interpolate_at_zero
+from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.threshold_coin import deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
@@ -138,6 +140,30 @@ def deal_scheme(scheme: str, num_nodes: int, domain_seed: int,
                   **options)
 
 
+def _dealt_logs(scheme: str, value) -> list[tuple[int, int]]:
+    """The ``(element, exponent)`` pairs dealing ``value`` taught this
+    process: every key it publishes is ``g`` to a secret the dealt material
+    holds -- a signer's secret, a node's key share, or the master secret
+    its shares interpolate to.
+
+    The known-log memo is process-local, so a disk entry carries these
+    pairs and a load re-learns them: without them every exponentiation of a
+    loaded key (an ``encrypt``, a signature or share verification) pays a
+    full-width ``pow`` instead of the fixed-base table."""
+    if scheme == SCHEME_KEYRING:
+        return [(key.public_element, key.secret) for key in value[0]]
+    public_key = value[0].public_key
+    shares = [holder.private_share for holder in value]
+    master_secret = interpolate_at_zero(
+        public_key.group.scalar_field,
+        [(share.index, share.secret) for share in shares[:public_key.threshold]])
+    master_key = (public_key.encryption_key if scheme == SCHEME_THRESHOLD_ENC
+                  else public_key.master_verify_key)
+    return [(master_key, master_secret),
+            *zip(public_key.share_verify_keys,
+                 (share.secret for share in shares))]
+
+
 def _crypto_fingerprint() -> str:
     """Fingerprint of the sources that determine dealt key material.
 
@@ -171,7 +197,8 @@ class DealerCache:
     workers race benignly), and a corrupt or unreadable entry behaves like a
     miss.  Because dealing is a pure function of ``(num_nodes, seed,
     scheme)`` plus the fingerprinted code, a hit is bit-identical to a fresh
-    deal.
+    deal.  A disk entry also holds the known logs its dealing taught
+    (:func:`_dealt_logs`), which a load re-learns.
     """
 
     def __init__(self, directory: Optional[str] = None,
@@ -213,12 +240,18 @@ class DealerCache:
         return os.path.join(self.directory, f"{digest}.pkl")
 
     def _disk_get(self, key: tuple):
+        """The entry's dealt material, its dealing's known logs learned
+        (None on a miss or an unreadable entry)."""
         try:
             with open(self._disk_path(key), "rb") as handle:
-                return pickle.load(handle)
+                entry = pickle.load(handle)
+            value, logs = entry["material"], entry["known_logs"]
         except (OSError, pickle.PickleError, EOFError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError, KeyError, TypeError):
             return None
+        for element, exponent in logs:
+            DEFAULT_GROUP.learn(element, exponent)
+        return value
 
     def _disk_put(self, key: tuple, value) -> None:
         try:
@@ -226,7 +259,9 @@ class DealerCache:
             path = self._disk_path(key)
             tmp = f"{path}.tmp.{os.getpid()}"
             with open(tmp, "wb") as handle:
-                pickle.dump(value, handle)
+                pickle.dump({"material": value,
+                             "known_logs": _dealt_logs(key[3], value)},
+                            handle)
             os.replace(tmp, path)
         except OSError:
             pass  # a read-only checkout degrades to process-local caching

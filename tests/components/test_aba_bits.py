@@ -37,10 +37,10 @@ class _Loopback:
         self.log = log
         self.instance = None
 
-    def activate(self, kind, tag, instance):
+    def activate(self, key):
         pass
 
-    def mark_complete(self, kind, tag, instance):
+    def mark_complete(self, key):
         pass
 
     def send(self, message):

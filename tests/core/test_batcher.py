@@ -48,7 +48,7 @@ class TestBatchedTransport:
         transports = transports_of(deployment)
         sender = transports[0]
         for instance in range(4):
-            sender.activate("rbc", "t", instance)
+            sender.activate(("rbc", "t", instance))
             sender.send(make_message("rbc", instance, "echo", 0,
                                      {"hash": f"h{instance}"}, tag="t"))
         run_until(deployment,
@@ -65,7 +65,7 @@ class TestBatchedTransport:
         deployment = build_cluster(batched=True, seed=2)
         received = install_collectors(deployment)
         transport = transports_of(deployment)[0]
-        transport.activate("rbc", "t", 0)
+        transport.activate(("rbc", "t", 0))
         transport.send(make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t"))
         assert len(received[0]) == 1
         deployment.close()
@@ -75,7 +75,7 @@ class TestBatchedTransport:
         received = install_collectors(deployment)
         transports = transports_of(deployment)
         # occupy the channel with a large transmission from node 3
-        transports[3].activate("rbc", "t", 0)
+        transports[3].activate(("rbc", "t", 0))
         transports[3].send(make_message("rbc", 0, "initial", 3, {"value": b"x"},
                                         tag="t", payload_bytes=600))
         # wait until node 3 is actually on the air, then queue two updates on
@@ -84,8 +84,8 @@ class TestBatchedTransport:
         run_until(deployment,
                   lambda: deployment.trace.nodes[3].channel_accesses >= 1,
                   timeout=30)
-        transports[0].activate("rbc", "t", 0)
-        transports[0].activate("rbc", "t", 1)
+        transports[0].activate(("rbc", "t", 0))
+        transports[0].activate(("rbc", "t", 1))
         transports[0].send(make_message("rbc", 0, "echo", 0, {"hash": "a"}, tag="t"))
         transports[0].send(make_message("rbc", 1, "echo", 0, {"hash": "b"}, tag="t"))
         run_until(deployment,
@@ -110,7 +110,7 @@ class TestBatchedTransport:
         received = install_collectors(deployment)
         transports = transports_of(deployment)
         genuine = transports[0]
-        genuine.activate("rbc", "t", 0)
+        genuine.activate(("rbc", "t", 0))
         genuine.send(make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t"))
         run_until(deployment, lambda: len(received[1]) >= 1, timeout=30)
         # replay node 0's packet but claim it came from node 2 (local id 2):
@@ -141,7 +141,7 @@ class TestBatchedTransport:
         received = install_collectors(deployment)
         transports = transports_of(deployment)
         sender = transports[0]
-        sender.activate("rbc", "t", 0)
+        sender.activate(("rbc", "t", 0))
         sender.send(make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t"))
         packet, _size = sender._build_packet(("rbc_er", "t"))
         good_signature = packet.signature
@@ -193,12 +193,12 @@ class TestBatchedTransport:
         # emulate the loss by crashing node 1's radio momentarily -- simplest
         # is to deliver to everyone, then wipe node 1's record and check that
         # a NACK request brings the data back.
-        transports[0].activate("rbc", "t", 0)
+        transports[0].activate(("rbc", "t", 0))
         transports[0].send(make_message("rbc", 0, "echo", 0, {"hash": "h"}, tag="t"))
         run_until(deployment, lambda: len(received[2]) >= 1, timeout=30)
         received[1].clear()
         # node 1 is stuck on instance 0 and asks for repair
-        transports[1].activate("rbc", "t", 0)
+        transports[1].activate(("rbc", "t", 0))
         transports[1]._send_nack_request(("rbc", "t"), {0})
         run_until(deployment,
                   lambda: any(m.phase == "echo" for m in received[1]), timeout=60)
@@ -212,7 +212,7 @@ class TestBaselineTransport:
         received = install_collectors(deployment)
         transport = transports_of(deployment)[0]
         for instance in range(4):
-            transport.activate("rbc", "t", instance)
+            transport.activate(("rbc", "t", instance))
             transport.send(make_message("rbc", instance, "echo", 0,
                                         {"hash": f"h{instance}"}, tag="t"))
         run_until(deployment, lambda: len(received[1]) >= 4, timeout=60)
@@ -226,7 +226,7 @@ class TestBaselineTransport:
             received = install_collectors(deployment)
             transport = transports_of(deployment)[0]
             for instance in range(4):
-                transport.activate("rbc", "t", instance)
+                transport.activate(("rbc", "t", instance))
                 transport.send(make_message("rbc", instance, "echo", 0,
                                             {"hash": f"h{instance}"}, tag="t"))
             run_until(deployment, lambda: len(received[1]) >= 4, timeout=60)
@@ -238,12 +238,12 @@ class TestBaselineTransport:
         deployment = build_cluster(batched=False, seed=9)
         received = install_collectors(deployment)
         transports = transports_of(deployment)
-        transports[2].activate("cbc", "t", 1)
+        transports[2].activate(("cbc", "t", 1))
         transports[2].send(make_message("cbc", 1, "finish", 2,
                                         {"hash": "h", "certificate": "c"}, tag="t"))
         run_until(deployment, lambda: len(received[0]) >= 1, timeout=30)
         received[0].clear()
-        transports[0].activate("cbc", "t", 1)
+        transports[0].activate(("cbc", "t", 1))
         transports[0]._send_nack_request(("cbc", "t"), {1})
         run_until(deployment,
                   lambda: any(m.phase == "finish" for m in received[0]), timeout=60)
@@ -318,10 +318,10 @@ class TestActivationBookkeeping:
     def test_activate_complete_cycle(self):
         deployment = build_cluster(batched=True, seed=10)
         transport = transports_of(deployment)[0]
-        transport.activate("rbc", "t", 0)
+        transport.activate(("rbc", "t", 0))
         assert ("rbc", "t") in transport._unfinished()
-        transport.mark_complete("rbc", "t", 0)
+        transport.mark_complete(("rbc", "t", 0))
         assert ("rbc", "t") not in transport._unfinished()
-        transport.mark_incomplete("rbc", "t", 0)
+        transport.mark_incomplete(("rbc", "t", 0))
         assert ("rbc", "t") in transport._unfinished()
         deployment.close()

@@ -61,14 +61,14 @@ class InMemoryTransport:
     def register_receiver(self, callback) -> None:
         self._receiver = callback
 
-    def activate(self, kind, tag, instance) -> None:
-        self._active.add((kind, tag, instance))
+    def activate(self, key) -> None:
+        self._active.add(key)
 
-    def mark_complete(self, kind, tag, instance) -> None:
-        self._complete.add((kind, tag, instance))
+    def mark_complete(self, key) -> None:
+        self._complete.add(key)
 
-    def mark_incomplete(self, kind, tag, instance) -> None:
-        self._complete.discard((kind, tag, instance))
+    def mark_incomplete(self, key) -> None:
+        self._complete.discard(key)
 
     def send(self, message: ComponentMessage) -> None:
         self.sent.append(message)

@@ -171,6 +171,20 @@ class TestCorruptDiskEntries:
         assert_domains_bit_identical(reference, recovered)
 
 
+    def test_entry_without_known_logs_behaves_like_miss(self, tmp_path):
+        import pickle
+
+        cache = DealerCache(directory=str(tmp_path))
+        reference = cache.domain(4, 5)
+        for entry in tmp_path.iterdir():
+            material = pickle.loads(entry.read_bytes())["material"]
+            entry.write_bytes(pickle.dumps(material))
+        fresh_cache = DealerCache(directory=str(tmp_path))
+        recovered = fresh_cache.domain(4, 5)
+        assert fresh_cache.misses == len(ALL_SCHEMES)
+        assert_domains_bit_identical(reference, recovered)
+
+
 class TestHarnessIntegration:
     def test_deal_crypto_domain_uses_shared_default_cache(self, tmp_path,
                                                            monkeypatch):
@@ -235,3 +249,50 @@ class TestCommitteeDomains:
         b = deal_scheme(SCHEME_THRESHOLD_SIG, 4, 99, domain=committee)
         assert [s.private_share.secret for s in a] == \
             [s.private_share.secret for s in b]
+
+
+class TestDiskTierKnownLogs:
+    """A key loaded from disk was dealt in another process, whose known-log
+    memo did not come with it: the load re-learns what the dealing taught,
+    so an honest epoch on loaded keys raises nothing with a full ``pow``."""
+
+    def test_every_dealt_pair_is_a_power_of_g(self):
+        from repro.crypto.group import DEFAULT_GROUP
+        from repro.testbed.dealer_cache import _dealt_logs
+
+        for scheme in ALL_SCHEMES:
+            pairs = _dealt_logs(scheme, deal_scheme(scheme, 7, 5))
+            assert len(pairs) == (7 if scheme == SCHEME_KEYRING else 8)
+            assert all(DEFAULT_GROUP.power_of_g(exponent) == element
+                       for element, exponent in pairs)
+
+    def test_honest_epoch_on_disk_loaded_keys_makes_no_powm(self, tmp_path,
+                                                             monkeypatch):
+        from repro.crypto import backend, group as crypto_group
+        from repro.protocols.base import PROTOCOL_NAMES
+        from repro.testbed import dealer_cache
+        from repro.testbed.harness import run_consensus
+        from repro.testbed.scenarios import Scenario
+
+        def epochs() -> None:
+            for protocol in PROTOCOL_NAMES:
+                assert run_consensus(protocol, Scenario.single_hop(4),
+                                     seed=2024).decided
+
+        monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE",
+                            DealerCache(directory=str(tmp_path)))
+        epochs()  # deals every scheme into the directory
+        reader = DealerCache(directory=str(tmp_path))
+        monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE", reader)
+        monkeypatch.setattr(crypto_group, "_GENERATORS", {})  # a new process
+        calls = [0]
+        powm = backend.powm
+
+        def counting(*args):
+            calls[0] += 1
+            return powm(*args)
+
+        monkeypatch.setattr(backend, "powm", counting)
+        epochs()
+        assert reader.misses == 0 and reader.hits > 0
+        assert calls[0] == 0
