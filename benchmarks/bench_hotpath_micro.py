@@ -65,6 +65,7 @@ from repro.testbed import dealer_cache  # noqa: E402
 from repro.testbed.dealer_cache import SCHEME_KEYRING  # noqa: E402
 from repro.testbed.harness import (  # noqa: E402
     Deployment,
+    Epoch,
     build_deployment,
     run_aba_experiment,
     run_broadcast_experiment,
@@ -733,6 +734,32 @@ def held_state_bytes_8x8(seed: int = 8801) -> int:
             "honeybadger-sc", Scenario.scale_multi_hop(8, 8), seed=seed),))
 
 
+def stream_poll_bodies(seed: int = 4001) -> int:
+    """Bodies of ``StreamingRun._poll`` run in one ``stream-n4``-shaped
+    stream (HoneyBadger-SC, n=4, 40 epochs), counted as the ``Epoch.feed``
+    calls they make: one per in-flight epoch per pass.  The predicate runs
+    after every event; its body only after a decision, a locked common
+    subset or a crash.  A count: a poll that re-reads its epochs after
+    every event again multiplies it."""
+    calls = [0]
+    feed = Epoch.feed
+
+    def counting(epoch) -> None:
+        calls[0] += 1
+        feed(epoch)
+
+    spec = StreamingSpec(epochs=40, batch_size=4, warmup=64,
+                         arrival=ArrivalSpec(rate_tps=2.0, transaction_bytes=32,
+                                             max_mempool=1024))
+    Epoch.feed = counting
+    try:
+        run_streaming_consensus("honeybadger-sc", Scenario.single_hop(4),
+                                spec, seed=seed)
+    finally:
+        Epoch.feed = feed
+    return calls[0]
+
+
 # ----------------------------------------------------------------------- driver
 def run_benchmarks(quick: bool = False) -> dict:
     """Run every micro-benchmark; returns the JSON-ready document."""
@@ -749,6 +776,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     garbage = cyclic_garbage_honest_run()
     component_bytes = component_state_bytes_n32()
     held_bytes = held_state_bytes_8x8()
+    poll_bodies = stream_poll_bodies()
     results.update(bench_share_combine(budget))
     speedups = dealer_speedups(results)
     speedups |= shard_speedups(results)
@@ -805,6 +833,7 @@ def run_benchmarks(quick: bool = False) -> dict:
             "cyclic_garbage_honest_run": garbage,
             "component_state_bytes_n32": component_bytes,
             "held_state_bytes_8x8": held_bytes,
+            "stream_poll_bodies": poll_bodies,
             "sim_kernel_calls_per_event": kernel_calls_per_event(),
             "sim_kernel_calls_per_event_event_objects":
                 kernel_calls_per_event(ReferenceSimulator),

@@ -43,9 +43,13 @@ with short budgets and checks *same-run ratio invariants* and counts:
 * the fixed-base exponentiations of one warm honest n=4 epoch of each
   protocol (``table_pow_honest_epoch``) at most the recorded count: a share
   value computed where only its exponent is read, or a combined exponent
-  raised by every node, puts them back.
+  raised by every node, puts them back;
+* the poll bodies of one ``stream-n4``-shaped stream
+  (``stream_poll_bodies``) at most 1.1x the recorded count.  The body runs
+  only after a milestone (a decision, a locked common subset, a crash); a
+  poll that re-reads its epochs after every event again reads ~90x.
 
-The last three are the baseline reads of quick mode, and safe there: a count
+The last four are the baseline reads of quick mode, and safe there: a count
 does not depend on the timing budget or the host, so it cannot flake.
 
 Quick-mode timings are never compared against the recorded baseline:
@@ -135,6 +139,7 @@ MIN_DECODE_VS_SEED = 5.0
 MIN_DEALER_CACHE = 5.0
 MAX_COMPONENT_STATE_GROWTH = 1.25
 MAX_HELD_STATE_GROWTH = 1.1
+MAX_STREAM_POLL_BODIES_GROWTH = 1.1
 
 # Sharded-simulator floors (full mode), machine-aware: on a single core the
 # forked workers cannot overlap, so ``shard_speedup`` measures pure
@@ -219,24 +224,31 @@ def _load_baseline(baseline_path: str, failures: list[str]) -> dict:
         return json.load(handle)
 
 
-#: live-bytes counts gated against the baseline: the allowed growth, and
-#: what a breach most likely means
-MEMORY_COUNTS = (
+#: counts gated against the baseline: the allowed growth, what is counted,
+#: its unit, and what a breach most likely means
+RECORDED_COUNTS = (
     ("component_state_bytes_n32", MAX_COMPONENT_STATE_GROWTH,
-     "component state live after an n=32 ABA + RBC run",
+     "component state live after an n=32 ABA + RBC run", "bytes",
      "a tally is holding a set or dict of voter ids again instead of a "
      "bitmask"),
     ("held_state_bytes_8x8", MAX_HELD_STATE_GROWTH,
      "core, component and protocol state live after a multihop-8x8 run",
+     "bytes",
      "a vote payload is allocated per send again, or a held message or "
      "its instance key grew"),
+    ("stream_poll_bodies", MAX_STREAM_POLL_BODIES_GROWTH,
+     "poll bodies of one stream-n4-shaped stream", "bodies",
+     "the stream re-reads its epochs after events that cannot change its "
+     "answer -- the sim.milestones gate is lost, or something bumps it "
+     "per event"),
 )
 
 
-def _check_memory_counts(document: dict, baseline: dict,
-                         failures: list[str]) -> None:
-    """Live bytes at the end of the gated runs against the recorded counts."""
-    for name, allowed, what, cause in MEMORY_COUNTS:
+def _check_recorded_counts(document: dict, baseline: dict,
+                           failures: list[str]) -> None:
+    """Live bytes and poll bodies of the gated runs against the recorded
+    counts."""
+    for name, allowed, what, unit, cause in RECORDED_COUNTS:
         now = document["counts"][name]
         then = baseline.get("counts", {}).get(name)
         if then is None:
@@ -247,7 +259,7 @@ def _check_memory_counts(document: dict, baseline: dict,
         print(f"{name}: {now} (recorded {then}, {now / then:.2f}x)")
         if now > allowed * then:
             failures.append(
-                f"{what} grew {now / then:.2f}x ({then} -> {now} bytes, "
+                f"{what} grew {now / then:.2f}x ({then} -> {now} {unit}, "
                 f"allowed {allowed}x): {cause}")
 
 
@@ -340,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
 
     _check_ratio_invariants(document, failures)
     baseline = _load_baseline(args.baseline, failures)
-    _check_memory_counts(document, baseline, failures)
+    _check_recorded_counts(document, baseline, failures)
     _check_table_pow_count(document, baseline, failures)
     if args.full:
         _check_full_mode_gates(document, baseline, failures)

@@ -115,6 +115,9 @@ class BaseTransport:
         #: scope roots reclaimed by release_tag (late-arrival bookkeeping of
         #: a released scope is skipped instead of re-created)
         self._released_tags: set = set()
+        #: per tag received since the last release_tag: whether it is in a
+        #: released scope (handle_frame asks once per tag, not per family run)
+        self._tag_released: dict[Any, bool] = {}
         self._last_rx_time = 0.0
         self._packets_received = 0
         self.nack_requests_sent = 0
@@ -157,7 +160,7 @@ class BaseTransport:
             self._resend_timer.stop()
         self._receiver = self._resend_timer = None
         for slots in (self._active, self._complete, self._latest,
-                      self._family_last_rx):
+                      self._family_last_rx, self._tag_released):
             slots.clear()
 
     def release_tag(self, root: Any) -> None:
@@ -171,6 +174,7 @@ class BaseTransport:
         flight at release time cannot re-create per-family bookkeeping.
         """
         self._released_tags.add(root)
+        self._tag_released.clear()
         for slots in (self._active, self._complete):
             for key in [key for key in slots if tag_in_scope(key[1], root)]:
                 slots.discard(key)
@@ -209,12 +213,14 @@ class BaseTransport:
             return
         receiver = self._receiver
         released = self._released_tags
+        tag_released = self._tag_released
         nack_kind = self.NACK_KIND
         # A batched packet carries runs of messages of one (kind, tag)
         # family, so the family bookkeeping is fixed per run, not per
         # message.  A scope released by a receiver callback mid-run needs no
         # re-check: release_tag drops the family's entry itself, and the
-        # rest of the run stores nothing.
+        # rest of the run stores nothing.  It also empties tag_released, so
+        # the next family's tag is judged against the new root.
         family_kind = family_tag = stats = None
         for message in payload.messages:
             if message.sender != signer:
@@ -226,8 +232,14 @@ class BaseTransport:
             tag = message.tag
             if stats is None or kind != family_kind or tag != family_tag:
                 family_kind, family_tag = kind, tag
-                if not released or not any(
-                        root in released for root in tag_scope_chain(tag)):
+                if released:
+                    dead = tag_released.get(tag)
+                    if dead is None:
+                        dead = tag_released[tag] = not released.isdisjoint(
+                            tag_scope_chain(tag))
+                else:
+                    dead = False
+                if not dead:
                     self._family_last_rx[(kind, tag)] = now
                 stats = self.trace.nodes[node.node_id]
             stats.logical_messages_received += 1

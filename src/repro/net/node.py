@@ -243,6 +243,7 @@ class NetworkNode:
     def crash(self) -> None:
         """Silence the node permanently (crash fault)."""
         self.crashed = True
+        self.sim.milestones += 1
 
     def close(self) -> None:
         """Unbind the stacks and close the interfaces (end of run).

@@ -74,6 +74,10 @@ class Simulator:
         #: cancelled entries still in the heap (compaction pays off when
         #: they outnumber the live ones)
         self._cancelled_queued = 0
+        #: bumped by every event that can change a stream poll's answer (a
+        #: decision, a locked common subset, a crash): a run-loop predicate
+        #: that reads only such state may skip its body while it is unchanged
+        self.milestones = 0
 
     # ------------------------------------------------------------------ time
     @property

@@ -227,5 +227,6 @@ class ConsensusProtocol:
         self.decided = True
         self.block = block
         self.decide_time = self.ctx.sim.now
+        self.ctx.sim.milestones += 1
         if self.on_decide is not None:
             self.on_decide(block)

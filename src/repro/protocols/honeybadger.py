@@ -136,6 +136,7 @@ class HoneyBadger(ConsensusProtocol):
     # ------------------------------------------------------------- ACS output
     def _on_acs_output(self, output: dict[int, bytes]) -> None:
         self._acs_output = output
+        self.ctx.sim.milestones += 1  # pipeline_ready just turned True
         if not self.config.use_threshold_encryption:
             self._assemble_plain_block(output)
             return

@@ -14,7 +14,8 @@ This module makes dealing
   stream derived from ``(domain seed, scheme name)``, so any *subset* of
   schemes can be dealt lazily (a protocol that never flips coins skips the
   ``coin_flip`` dealing entirely) without perturbing the keys of the others;
-* **cached**: dealt schemes are memoised per process, keyed by
+* **cached**: dealt schemes are memoised per process (the last
+  :data:`DEALT_SCHEMES_MAX`), keyed by
   ``(num_nodes, seed, scheme, committee domain)``, and persisted to disk
   under ``benchmarks/results/dealer_cache/`` with the crypto-code
   fingerprint added to the key -- the same
@@ -33,6 +34,7 @@ import os
 import pickle
 import random
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,6 +68,12 @@ ALL_SCHEMES = (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG, SCHEME_THRESHOLD_COIN,
 
 #: default on-disk tier, resolved relative to the repo root
 CACHE_DIR_NAME = os.path.join("benchmarks", "results", "dealer_cache")
+
+#: entries the process tier keeps, least recently used evicted first: more
+#: than two of the largest canonical deployment's sets (a 32x32 multi-hop
+#: run deals 33 domains x at most 3 schemes), so no run re-deals its own
+#: keys, while a long process no longer holds every seed it ever dealt for
+DEALT_SCHEMES_MAX = 256
 
 
 @dataclass
@@ -190,7 +198,7 @@ def _default_cache_dir() -> str:
 
 
 class DealerCache:
-    """Two-tier (process dict + disk pickle) cache of dealt schemes.
+    """Two-tier (bounded process LRU + disk pickle) cache of dealt schemes.
 
     The disk tier uses the same discipline as ``repro.expts.runner``'s result
     cache: one file per content key, atomic rename on write (concurrent
@@ -205,7 +213,7 @@ class DealerCache:
                  use_disk: bool = True) -> None:
         self._directory = directory
         self.use_disk = use_disk
-        self._memory: dict[tuple, object] = {}
+        self._memory: OrderedDict[tuple, object] = OrderedDict()
         self._fingerprint: Optional[str] = None
         #: instrumentation for tests/benchmarks
         self.hits = 0
@@ -284,21 +292,24 @@ class DealerCache:
         """
         key = (num_nodes, faults_tolerated(num_nodes), domain_seed, scheme,
                tuple(domain))
-        value = self._memory.get(key)
+        memory = self._memory
+        value = memory.get(key)
         if value is not None:
             self.hits += 1
+            memory.move_to_end(key)
             return value
         if self.use_disk:
             value = self._disk_get(key)
-            if value is not None:
-                self.hits += 1
-                self._memory[key] = value
-                return value
-        self.misses += 1
-        value = deal_scheme(scheme, num_nodes, domain_seed, domain=key[4])
-        self._memory[key] = value
-        if self.use_disk:
-            self._disk_put(key, value)
+        if value is not None:
+            self.hits += 1
+        else:
+            self.misses += 1
+            value = deal_scheme(scheme, num_nodes, domain_seed, domain=key[4])
+            if self.use_disk:
+                self._disk_put(key, value)
+        memory[key] = value
+        if len(memory) > DEALT_SCHEMES_MAX:
+            memory.popitem(last=False)
         return value
 
     def domain(self, num_nodes: int, domain_seed: int,

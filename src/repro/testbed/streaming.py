@@ -365,6 +365,8 @@ class StreamingRun:
         self.ledger_digest = ""
         self.committed_transactions = 0
         self.last_decide_s = float("nan")
+        #: ``sim.milestones`` when the last poll body ran (None: never)
+        self._polled_at: Optional[int] = None
 
     # ----------------------------------------------------------- arrival pump
     def _pump(self, node_id: int) -> None:
@@ -518,7 +520,18 @@ class StreamingRun:
         simulated instant, commits and requeues land in the mempools before
         the successor drains them -- regardless of pipeline depth (part of
         the depth-0-vs-depth-1 identity contract).
+
+        The body reads only decisions, locked common subsets, crash flags
+        and state it writes itself, so it runs only when ``sim.milestones``
+        moved since it last ran: every other event leaves its answer as it
+        was (False -- a True one ended the run).  The counter is recorded
+        before the body, so a milestone the body itself causes (a crash at
+        an epoch start) re-arms the next poll.
         """
+        milestones = self.deployment.sim.milestones
+        if milestones == self._polled_at:
+            return False
+        self._polled_at = milestones
         window = 1 + self.spec.pipeline_depth
         progressed = True
         while progressed:

@@ -303,7 +303,6 @@ class TestReceiveLoop:
                 transport.release_tag(("e", 9))  # an already-released scope
             fast.handle_frame(0, packet)
             per_message_handle_frame(slow, packet)
-            deployment.close()
             assert fast._family_last_rx == slow._family_last_rx
             assert fast._released_tags == slow._released_tags
             assert seen[fast] == seen[slow]
@@ -311,7 +310,53 @@ class TestReceiveLoop:
                         for node in (1, 2)]
             assert received[0] == received[1] == len(seen[fast])
             delivered += len(seen[fast])
+            deployment.close()  # (close() empties _family_last_rx)
         assert delivered > 300  # the packets were not rejected wholesale
+
+    def test_a_tag_seen_live_stops_refreshing_once_its_scope_is_released(self):
+        """``handle_frame`` judges a tag against the released scopes once
+        per release; a release must void what it remembered of a tag seen
+        live, between packets and in the middle of one."""
+        deployment = build_cluster(batched=True, seed=12)
+        sender = deployment.runtimes[0].transport
+        transport = deployment.runtimes[1].transport
+        release_at = {}  # delivered-message count -> root to release there
+        seen = []
+
+        def receiver(message):
+            seen.append(message)
+            if len(seen) in release_at:
+                transport.release_tag(release_at.pop(len(seen)))
+
+        def deliver(tag, *kinds):
+            """One packet: a run of two messages per kind, all on ``tag``."""
+            deployment.sim.run_window(deployment.sim.now + 1.0)
+            messages = [make_message(kind, index, "echo", 0, None, tag=tag)
+                        for kind in kinds for index in range(2)]
+            transport.handle_frame(0, sender._finalize_packet(
+                Packet(sender=0, messages=messages, group=("g",))))
+
+        transport.register_receiver(receiver)
+        transport.release_tag(("e", 9))  # tags are judged from here on
+        first = (("e", 0), "aba")
+        deliver(first, "rbc")
+        assert transport._family_last_rx[("rbc", first)] == deployment.sim.now
+        transport.release_tag(("e", 0))
+        deliver(first, "rbc", "aba_sc")
+        assert ("rbc", first) not in transport._family_last_rx
+        assert ("aba_sc", first) not in transport._family_last_rx
+        # mid-packet: the scope is released by the receiver of the packet's
+        # first message, and its second family was seen live before
+        second = (("e", 1), "aba")
+        deliver(second, "cbc", "prbc")
+        assert transport._family_last_rx[("prbc", second)] == \
+            deployment.sim.now
+        release_at[len(seen) + 1] = ("e", 1)
+        deliver(second, "cbc", "prbc")
+        assert not release_at and len(seen) == 14
+        assert ("cbc", second) not in transport._family_last_rx
+        assert ("prbc", second) not in transport._family_last_rx
+        deployment.close()  # (close() empties _family_last_rx)
 
 
 class TestActivationBookkeeping:

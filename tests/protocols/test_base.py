@@ -64,6 +64,7 @@ class TestBatchEncoding:
 
 class _FakeSim:
     now = 3.5
+    milestones = 0
 
 
 class _FakeCtx:

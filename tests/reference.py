@@ -135,6 +135,7 @@ class ReferenceSimulator:
         self.seed = seed
         self.events_processed = 0
         self._cancelled_queued = [0]
+        self.milestones = 0
 
     def schedule(self, delay: float, callback: Callable[[], None],
                  label: str = "") -> ReferenceEvent:

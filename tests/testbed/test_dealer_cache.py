@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from repro.protocols.base import PROTOCOL_NAMES
+from repro.testbed import dealer_cache
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
     SCHEME_COIN_FLIP,
@@ -22,6 +24,7 @@ from repro.testbed.dealer_cache import (
     deal_crypto_domain,
     deal_scheme,
 )
+from repro.testbed.harness import multihop_crypto_schemes
 
 
 def assert_domains_bit_identical(a: CryptoDomain, b: CryptoDomain) -> None:
@@ -124,6 +127,41 @@ class TestDeterministicDealing:
         a.threshold_sig[0] = None
         assert cache.domain(4, 3).threshold_sig[0] is not None
         assert cache.hits > 0
+
+
+class TestProcessTierBound:
+    """The process tier is least-recently-used under ``DEALT_SCHEMES_MAX``:
+    a long process holds a bounded number of dealt schemes, and a scheme
+    evicted from it is dealt again bit for bit."""
+
+    def test_holds_at_most_the_bound_and_re_deals_bit_identically(
+            self, monkeypatch):
+        monkeypatch.setattr(dealer_cache, "DEALT_SCHEMES_MAX", 3)
+        cache = DealerCache(use_disk=False)
+        first = cache.scheme(SCHEME_THRESHOLD_SIG, 4, 0)
+        kept = cache.scheme(SCHEME_THRESHOLD_SIG, 4, 1)
+        for seed in range(2, 8):
+            cache.scheme(SCHEME_THRESHOLD_SIG, 4, 1)  # recently used: kept
+            cache.scheme(SCHEME_THRESHOLD_SIG, 4, seed)
+            assert len(cache._memory) <= 3
+        assert cache.scheme(SCHEME_THRESHOLD_SIG, 4, 1) is kept
+        misses = cache.misses
+        again = cache.scheme(SCHEME_THRESHOLD_SIG, 4, 0)
+        assert cache.misses == misses + 1  # evicted, so dealt afresh
+        assert again is not first
+        assert [s.private_share.secret for s in again] == \
+            [s.private_share.secret for s in first]
+        assert again[0].public_key.share_verify_keys == \
+            first[0].public_key.share_verify_keys
+        assert again[0].public_key.master_verify_key == \
+            first[0].public_key.master_verify_key
+
+    def test_bound_holds_two_runs_of_the_largest_deployment(self):
+        # a 32x32 multi-hop run: 32 cluster domains and the leaders' one
+        per_domain = max(len(schemes) for protocol in PROTOCOL_NAMES
+                         for schemes in multihop_crypto_schemes(
+                             protocol, None).values())
+        assert dealer_cache.DEALT_SCHEMES_MAX >= 2 * 33 * per_domain
 
 
 class TestLazySubsets:

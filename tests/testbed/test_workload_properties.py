@@ -51,8 +51,10 @@ class TestRandomBytes:
     def test_equals_per_byte_randrange_and_leaves_the_same_rng_state(self):
         # every pinned digest in the repo descends from the bytes (and the
         # RNG position) the per-byte expression produced
-        for seed in SEEDS:
-            for count in (0, 1, 6000):
+        # (sizes below, at and above the bulk rounds' threshold of 32
+        # missing bytes, and a 4-packet proposal's ~6,000 bytes)
+        for seed in SEEDS + tuple(range(100, 140)):
+            for count in (0, 1, 2, 3, 7, 31, 32, 33, 40, 100, 1000, 6000):
                 fast, reference = random.Random(seed), random.Random(seed)
                 assert random_bytes(fast, count) == bytes(
                     reference.randrange(256) for _ in range(count))
