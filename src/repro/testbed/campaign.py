@@ -21,14 +21,21 @@ the cell coordinates), which is what makes the CLI's ``CAMPAIGN.json`` artifact
 byte-identical across re-runs and lets a red cell be re-run under a debugger
 with ``scripts/run_campaign.py --only <cell-id>``.
 
+Which combinations of hop count, stream length, ``epoch-crash`` and churn
+can run is stated once, in :func:`repro.testbed.harness.check_composition`,
+the fence every harness entry point calls; :class:`CampaignCell` calls it
+when it is built, so a bad sweep is refused here, not inside a campaign
+worker.
+
 Fault models are small composable builders over :class:`Scenario`; to add
 one, register a :class:`FaultModel` in :data:`FAULT_MODELS` (see TESTING.md).
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from repro.net.adversary import AsyncAdversary, LinkFaultSpec, PartitionSpec
@@ -38,6 +45,7 @@ from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.dealer_cache import stable_seed
 from repro.testbed.harness import (
     DeploymentError,
+    check_composition,
     run_consensus,
     run_multihop_consensus,
 )
@@ -54,11 +62,7 @@ from repro.testbed.invariants import (
 )
 from repro.testbed.scenario_packs import available_packs, load_pack
 from repro.testbed.scenarios import Scenario
-from repro.testbed.streaming import (
-    StreamingSpec,
-    reject_unsupported_membership,
-    run_streaming_consensus,
-)
+from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ArrivalSpec, ChurnSpec, WorkloadSpec
 
 #: protocols swept by the default campaigns (one per family)
@@ -269,7 +273,8 @@ class FaultModel:
     #: virtual-time budget multiplier (partitions and loss need slack)
     timeout_scale: float = 1.0
     #: True for models that only make sense on streaming cells (their fault
-    #: fires at an epoch index); excluded from the one-epoch default matrix
+    #: fires at an epoch index or boundary): matrix-filter data for
+    #: :data:`ONE_EPOCH_FAULTS`; the harness fence refuses such a cell
     streaming_only: bool = False
 
     def affected_domains(self, multi_hop: bool) -> Optional[set]:
@@ -318,6 +323,11 @@ FAULT_MODELS: dict[str, FaultModel] = {
 #: the fault models that put a cell under a membership schedule
 CHURN_FAULTS = ("node-churn-rate", "permanent-crash-with-replacement")
 
+#: the fault models a one-epoch cell can run (the rest fire at an epoch
+#: index or an epoch boundary)
+ONE_EPOCH_FAULTS = tuple(name for name, model in FAULT_MODELS.items()
+                         if not model.streaming_only)
+
 
 # ---------------------------------------------------------------------------
 # cells
@@ -325,7 +335,7 @@ CHURN_FAULTS = ("node-churn-rate", "permanent-crash-with-replacement")
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One fully specified campaign run.
+    """One fully specified campaign run: the replayable run document.
 
     ``stream_epochs`` = 0 runs the classic single-epoch cell through
     ``run_consensus`` / ``run_multihop_consensus``; > 0 runs a streaming
@@ -342,11 +352,12 @@ class CampaignCell:
     admission gate) in front of a streaming cell; ingress cells run at
     :data:`INGRESS_STREAM_RATE_TPS` offered load, additionally gate on the
     transaction-conservation invariant and record per-class dispositions
-    in their outcome.  Scenario packs, churn faults, ingress profiles and
-    multi-hop topologies compose freely, with one exception: a churn fault
-    needs a single-hop topology
-    (:func:`repro.testbed.streaming.reject_unsupported_membership`; the
-    cell is refused here, not inside a campaign worker).
+    in their outcome.
+
+    A cell is checked when it is built: its names must be known, and its
+    faulted scenario must pass :func:`repro.testbed.harness.check_composition`
+    at its stream length (a fence refusal becomes a ``ValueError`` naming
+    the fault model), so a cell that is built is a cell a worker can run.
     """
 
     protocol: str
@@ -365,33 +376,27 @@ class CampaignCell:
         if self.stream_epochs < 0:
             raise ValueError(
                 f"stream_epochs must be >= 0, got {self.stream_epochs}")
-        if FAULT_MODELS[self.fault].streaming_only and not self.stream_epochs:
-            raise ValueError(f"fault model {self.fault!r} is streaming-only; "
-                             f"set stream_epochs > 0")
-        if self.scenario:
-            if not self.stream_epochs:
-                raise ValueError(f"scenario {self.scenario!r} needs a "
-                                 f"streaming cell; set stream_epochs > 0")
-            if self.scenario not in available_packs():
-                raise ValueError(
-                    f"unknown scenario pack {self.scenario!r}; "
-                    f"shipped: {list(available_packs())}")
-        if self.ingress:
-            if not self.stream_epochs:
-                raise ValueError(f"ingress profile {self.ingress!r} needs a "
-                                 f"streaming cell; set stream_epochs > 0")
-            if self.ingress not in INGRESS_PROFILES:
-                raise ValueError(
-                    f"unknown ingress profile {self.ingress!r}; "
-                    f"known: {sorted(INGRESS_PROFILES)}")
-        if self.fault in CHURN_FAULTS:
-            try:
-                # cells stream unpipelined (run_cell builds the StreamingSpec)
-                reject_unsupported_membership(self.topology.is_multi_hop,
-                                              pipeline_depth=0)
-            except DeploymentError as error:
-                raise ValueError(
-                    f"fault model {self.fault!r}: {error}") from error
+        if (self.scenario or self.ingress) and not self.stream_epochs:
+            raise ValueError(
+                f"scenario pack {self.scenario!r} / ingress profile "
+                f"{self.ingress!r} need a streaming cell; "
+                f"set stream_epochs > 0")
+        if self.scenario and self.scenario not in available_packs():
+            raise ValueError(f"unknown scenario pack {self.scenario!r}; "
+                             f"shipped: {list(available_packs())}")
+        if self.ingress and self.ingress not in INGRESS_PROFILES:
+            raise ValueError(f"unknown ingress profile {self.ingress!r}; "
+                             f"known: {sorted(INGRESS_PROFILES)}")
+        faulted = FAULT_MODELS[self.fault].apply(
+            self.topology.base_scenario())
+        # a stream takes either hop count; cells stream unpipelined
+        multi_hop = None if self.stream_epochs else self.topology.is_multi_hop
+        try:
+            check_composition(faulted, "run_cell", multi_hop=multi_hop,
+                              epochs=self.stream_epochs or 1)
+        except DeploymentError as error:
+            raise ValueError(
+                f"fault model {self.fault!r}: {error}") from error
 
     @property
     def cell_id(self) -> str:
@@ -401,6 +406,29 @@ class CampaignCell:
         ingress = f"|ing:{self.ingress}" if self.ingress else ""
         return (f"{self.protocol}|{self.topology.label}|{self.fault}"
                 f"|{self.flavor}|s{self.seed}{stream}{scenario}{ingress}")
+
+    def seeded(self, base_seed: int, seed_index: int = 0) -> "CampaignCell":
+        """This cell with its seed derived from ``base_seed`` and its own
+        fields -- the one seed rule of every matrix.
+
+        The salt after the coordinates is the first that applies of the
+        ingress profile, the scenario pack, a churn fault, the stream
+        length, and ``seed_index`` (a :class:`CampaignSpec` seed axis).
+        """
+        epochs = self.stream_epochs
+        if self.ingress:
+            salt: tuple = ("ingress", self.ingress, epochs)
+        elif self.scenario:
+            salt = ("scenario", self.scenario, epochs)
+        elif self.fault in CHURN_FAULTS:
+            salt = ("churn", epochs)
+        elif epochs:
+            salt = ("stream", epochs)
+        else:
+            salt = (seed_index,)
+        return replace(self, seed=stable_seed(
+            base_seed, self.protocol, self.topology.label, self.fault,
+            self.flavor, *salt))
 
 
 @dataclass
@@ -435,31 +463,7 @@ class CellOutcome:
 
     def to_json(self) -> dict[str, Any]:
         """JSON-stable representation (no wall-clock, no floats-as-NaN)."""
-        return {
-            "cell_id": self.cell_id,
-            "protocol": self.protocol,
-            "topology": self.topology,
-            "fault": self.fault,
-            "flavor": self.flavor,
-            "seed": self.seed,
-            "expect_decision": self.expect_decision,
-            "decided": self.decided,
-            "ok": self.ok,
-            "latency_s": self.latency_s,
-            "committed_transactions": self.committed_transactions,
-            "block_digest": self.block_digest,
-            "bytes_sent": self.bytes_sent,
-            "channel_accesses": self.channel_accesses,
-            "collisions": self.collisions,
-            "invariants": [{"name": verdict.name, "ok": verdict.ok,
-                            "detail": verdict.detail}
-                           for verdict in self.invariants],
-            "scenario": self.scenario,
-            "phases": self.phases,
-            "committees": self.committees,
-            "ingress": self.ingress,
-            "ingress_classes": self.ingress_classes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -468,94 +472,116 @@ class CampaignSpec:
 
     protocols: tuple[str, ...] = CAMPAIGN_PROTOCOLS
     topologies: tuple[TopologySpec, ...] = (TopologySpec.single(4),)
-    faults: tuple[str, ...] = tuple(
-        name for name, model in FAULT_MODELS.items()
-        if not model.streaming_only)
+    faults: tuple[str, ...] = ONE_EPOCH_FAULTS
     flavors: tuple[str, ...] = ("uniform",)
     seeds: tuple[int, ...] = (0,)
     base_seed: int = 0
 
     def cells(self) -> list[CampaignCell]:
-        """The full cartesian matrix, per-cell seeds derived deterministically."""
-        matrix: list[CampaignCell] = []
-        for protocol in self.protocols:
-            for topology in self.topologies:
-                for fault in self.faults:
-                    for flavor in self.flavors:
-                        for seed_index in self.seeds:
-                            matrix.append(CampaignCell(
-                                protocol=protocol, topology=topology,
-                                fault=fault, flavor=flavor,
-                                seed=stable_seed(self.base_seed, protocol,
-                                                 topology.label, fault, flavor,
-                                                 seed_index)))
-        return matrix
+        """The full cartesian matrix, seeded by :meth:`CampaignCell.seeded`."""
+        return [CampaignCell(protocol, topology, fault, flavor).seeded(
+                    self.base_seed, seed_index)
+                for protocol in self.protocols
+                for topology in self.topologies
+                for fault in self.faults
+                for flavor in self.flavors
+                for seed_index in self.seeds]
 
 
-#: large-n quick cells: every protocol family at n=31 single-hop plus the
-#: 8x8 clustered deployment, fault-free and under crash faults (the scale
-#: profile keeps them a few seconds each)
-SCALE_QUICK_CELLS = (
-    ("honeybadger-sc", TopologySpec.single(31, profile="scale"), "none"),
-    ("honeybadger-sc", TopologySpec.multi(8, 8, profile="scale"), "none"),
-    ("beat", TopologySpec.single(31, profile="scale"), "crash-f"),
-    ("dumbo-sc", TopologySpec.single(31, profile="scale"), "garbage"),
-)
-
-#: streaming quick cells: mid-stream faults (a crash at epoch 2, a partition
-#: healing across epochs) plus fault-free single- and multi-hop streams,
-#: each judged per epoch by the invariant checkers
-STREAMING_QUICK_CELLS = (
-    ("honeybadger-sc", TopologySpec.single(4), "stream-crash-epoch",
-     "uniform", 4),
-    ("beat", TopologySpec.single(4), "partition-heal", "telemetry", 4),
-    ("dumbo-sc", TopologySpec.single(4), "none", "task-allocation", 3),
-    ("honeybadger-sc", TopologySpec.multi(4, 4), "none", "uniform", 2),
-)
-
-#: scenario quick cells: streaming runs driven by time-varying scenario
-#: packs (degraded middle phases, healed tail), each additionally judged by
-#: the ledger-continuity and degradation/recovery invariants
-SCENARIO_QUICK_CELLS = (
-    ("honeybadger-sc", TopologySpec.single(4), "uniform", 10,
-     "variable-link"),
-    ("beat", TopologySpec.single(4), "telemetry", 12, "burst-loss"),
-    ("dumbo-sc", TopologySpec.single(4), "task-allocation", 7,
-     "intermittent-connectivity"),
-)
-
-#: churn quick cells: streaming runs under dynamic membership (join/leave
-#: churn, permanent crash with standby replacement), each additionally gated
-#: on the reconfiguration invariants
-#: (:func:`check_ledger_continuity_across_reconfig`,
-#: :func:`check_liveness_under_bounded_churn`)
-CHURN_QUICK_CELLS = (
-    ("honeybadger-sc", TopologySpec.single(6), "node-churn-rate",
-     "uniform", 10),
-    ("beat", TopologySpec.single(5), "permanent-crash-with-replacement",
-     "telemetry", 8),
-)
-
-#: ingress quick cells: streaming runs behind the client-facing ingress
-#: (class-marked arrivals, priority mempools, admission gate) at an offered
-#: load past the scale profile's saturation point, each additionally gated
-#: on the transaction-conservation invariant
-#: (:func:`check_ingress_conservation`).  The last three compose the ingress
-#: with a multi-hop topology and with both churn faults (a departed
-#: gateway's pooled transactions move to the survivors with their class and
-#: fee marks); the churn ones gate on the reconfiguration invariants too.
-INGRESS_QUICK_CELLS = (
-    ("honeybadger-sc", TopologySpec.single(4, profile="scale"), "none",
-     "uniform", 8, "three-class-shed"),
-    ("beat", TopologySpec.single(4, profile="scale"), "stream-crash-epoch",
-     "uniform", 8, "three-class-defer"),
-    ("honeybadger-sc", TopologySpec.multi(4, 4), "none",
-     "uniform", 3, "three-class-shed"),
+#: the hand-picked quick cells after the one-epoch matrix, one
+#: :class:`CampaignCell` keyword set per row, unseeded (:func:`default_cells`
+#: builds and seeds them)
+QUICK_CELLS: tuple[dict, ...] = (
+    # large n: every protocol family at n=31 single-hop plus the 8x8
+    # clustered deployment, fault-free and under crash faults (the scale
+    # profile keeps them a few seconds each)
+    dict(protocol="honeybadger-sc",
+         topology=TopologySpec.single(31, profile="scale"), fault="none"),
+    dict(protocol="honeybadger-sc",
+         topology=TopologySpec.multi(8, 8, profile="scale"), fault="none"),
+    dict(protocol="beat", topology=TopologySpec.single(31, profile="scale"),
+         fault="crash-f"),
+    dict(protocol="dumbo-sc",
+         topology=TopologySpec.single(31, profile="scale"), fault="garbage"),
+    # streams: mid-stream faults (a crash at epoch 2, a partition healing
+    # across epochs) plus fault-free single- and multi-hop streams, each
+    # judged per epoch by the invariant checkers
+    dict(protocol="honeybadger-sc", topology=TopologySpec.single(4),
+         fault="stream-crash-epoch", stream_epochs=4),
+    dict(protocol="beat", topology=TopologySpec.single(4),
+         fault="partition-heal", flavor="telemetry", stream_epochs=4),
+    dict(protocol="dumbo-sc", topology=TopologySpec.single(4), fault="none",
+         flavor="task-allocation", stream_epochs=3),
+    dict(protocol="honeybadger-sc", topology=TopologySpec.multi(4, 4),
+         fault="none", stream_epochs=2),
+    # scenario packs: time-varying degradation (degraded middle phases,
+    # healed tail), additionally judged by the ledger-continuity and
+    # degradation/recovery invariants
+    dict(protocol="honeybadger-sc", topology=TopologySpec.single(4),
+         fault="none", stream_epochs=10, scenario="variable-link"),
+    dict(protocol="beat", topology=TopologySpec.single(4), fault="none",
+         flavor="telemetry", stream_epochs=12, scenario="burst-loss"),
+    dict(protocol="dumbo-sc", topology=TopologySpec.single(4), fault="none",
+         flavor="task-allocation", stream_epochs=7,
+         scenario="intermittent-connectivity"),
+    # membership churn (join/leave churn, permanent crash with standby
+    # replacement), additionally gated on the reconfiguration invariants
+    # (check_ledger_continuity_across_reconfig,
+    # check_liveness_under_bounded_churn)
+    dict(protocol="honeybadger-sc", topology=TopologySpec.single(6),
+         fault="node-churn-rate", stream_epochs=10),
+    dict(protocol="beat", topology=TopologySpec.single(5),
+         fault="permanent-crash-with-replacement", flavor="telemetry",
+         stream_epochs=8),
+    # ingress: the client-facing ingress (class-marked arrivals, priority
+    # mempools, admission gate) at an offered load past the scale profile's
+    # saturation point, additionally gated on transaction conservation
+    # (check_ingress_conservation); alone, on a multi-hop topology and
+    # under both churn faults (a departed gateway's pooled transactions
+    # move to the survivors with their class and fee marks)
+    dict(protocol="honeybadger-sc",
+         topology=TopologySpec.single(4, profile="scale"), fault="none",
+         stream_epochs=8, ingress="three-class-shed"),
+    dict(protocol="beat", topology=TopologySpec.single(4, profile="scale"),
+         fault="stream-crash-epoch", stream_epochs=8,
+         ingress="three-class-defer"),
+    dict(protocol="honeybadger-sc", topology=TopologySpec.multi(4, 4),
+         fault="none", stream_epochs=3, ingress="three-class-shed"),
     # paper profile: the scale profile's 8 epochs end before the crash fires
-    ("beat", TopologySpec.single(5), "permanent-crash-with-replacement",
-     "uniform", 8, "three-class-defer"),
-    ("honeybadger-sc", TopologySpec.single(6), "node-churn-rate",
-     "uniform", 10, "three-class-shed"),
+    dict(protocol="beat", topology=TopologySpec.single(5),
+         fault="permanent-crash-with-replacement", stream_epochs=8,
+         ingress="three-class-defer"),
+    dict(protocol="honeybadger-sc", topology=TopologySpec.single(6),
+         fault="node-churn-rate", stream_epochs=10,
+         ingress="three-class-shed"),
+)
+
+#: the matrices full mode adds (their ``base_seed`` is replaced by the
+#: campaign's): larger single-hop deployments with a second seed; the
+#: large-n sweep over the start-state fault models; and the largest grids
+#: on the sharded simulator (one shard per cluster).  Classic runs those
+#: too, in one process (32x32 peaks near 380 MiB); these cells sweep the
+#: sharded engine at scale.  16x16 also runs under crash faults; 32x32
+#: (1024 nodes, ~1.6M events) stays fault-free to keep the full campaign's
+#: wall clock bounded.
+FULL_SPECS = (
+    CampaignSpec(
+        topologies=(TopologySpec.single(7), TopologySpec.single(10)),
+        faults=("none", "crash-f", "garbage", "equivocate", "quorum-loss"),
+        seeds=(0, 1)),
+    CampaignSpec(
+        topologies=(TopologySpec.single(64, profile="scale"),
+                    TopologySpec.multi(8, 8, profile="scale"),
+                    TopologySpec.multi(16, 4, profile="scale")),
+        faults=("none", "crash-f", "garbage", "quorum-loss")),
+    CampaignSpec(
+        protocols=("honeybadger-sc", "beat"),
+        topologies=(TopologySpec.multi(16, 16, profile="scale", shards=16),),
+        faults=("none", "crash-f")),
+    CampaignSpec(
+        protocols=("honeybadger-sc",),
+        topologies=(TopologySpec.multi(32, 32, profile="scale", shards=32),),
+        faults=("none",)),
 )
 
 
@@ -565,98 +591,20 @@ def default_cells(quick: bool = True, base_seed: int = 0) -> list[CampaignCell]:
     Quick mode: 3 protocols x 9 one-epoch fault models x {single-hop n=4,
     multi-hop 4x4} with workload flavors cycled across cells -- 54 cells,
     every fault model exercised on both topologies by every protocol family
-    -- plus the four large-n cells of :data:`SCALE_QUICK_CELLS` on the
-    gateway-class scale profile and the four multi-epoch cells of
-    :data:`STREAMING_QUICK_CELLS` (mid-stream crash, healing partition
-    spanning epochs, fault-free single-/multi-hop streams), the three
-    scenario-pack cells of :data:`SCENARIO_QUICK_CELLS` (time-varying
-    degradation with recovery gates), the two membership-churn cells of
-    :data:`CHURN_QUICK_CELLS` (join/leave churn, permanent crash with
-    replacement) and the five ingress cells of :data:`INGRESS_QUICK_CELLS`
-    (priority mempool + admission gate at a saturating offered load, gated
-    on transaction conservation; alone, on a multi-hop topology and under
-    both churn faults).  Full mode adds
-    larger single-hop deployments (n=7, n=10) and a second seed per cell at
-    uniform flavor on the fault models that scale with n, and a large-n
-    sweep (scale profile, n=64 single-hop and 8x8 / 16x4 clustered) over
-    the start-state fault models.
+    -- plus the 18 hand-picked :data:`QUICK_CELLS` (large n, streams,
+    scenario packs, churn, ingress).  Full mode adds the :data:`FULL_SPECS`
+    matrices.  Every cell is seeded by :meth:`CampaignCell.seeded`.
     """
-    topologies = [TopologySpec.single(4), TopologySpec.multi(4, 4)]
-    cells: list[CampaignCell] = []
-    index = 0
-    for protocol in CAMPAIGN_PROTOCOLS:
-        for topology in topologies:
-            for fault, model in FAULT_MODELS.items():
-                if model.streaming_only:
-                    continue
-                flavor = CAMPAIGN_FLAVORS[index % len(CAMPAIGN_FLAVORS)]
-                cells.append(CampaignCell(
-                    protocol=protocol, topology=topology, fault=fault,
-                    flavor=flavor,
-                    seed=stable_seed(base_seed, protocol, topology.label,
-                                     fault, flavor, 0)))
-                index += 1
-    for protocol, topology, fault in SCALE_QUICK_CELLS:
-        cells.append(CampaignCell(
-            protocol=protocol, topology=topology, fault=fault,
-            flavor="uniform",
-            seed=stable_seed(base_seed, protocol, topology.label, fault,
-                             "uniform", 0)))
-    for protocol, topology, fault, flavor, epochs in STREAMING_QUICK_CELLS:
-        cells.append(CampaignCell(
-            protocol=protocol, topology=topology, fault=fault, flavor=flavor,
-            stream_epochs=epochs,
-            seed=stable_seed(base_seed, protocol, topology.label, fault,
-                             flavor, "stream", epochs)))
-    for protocol, topology, flavor, epochs, scenario in SCENARIO_QUICK_CELLS:
-        cells.append(CampaignCell(
-            protocol=protocol, topology=topology, fault="none", flavor=flavor,
-            stream_epochs=epochs, scenario=scenario,
-            seed=stable_seed(base_seed, protocol, topology.label, "none",
-                             flavor, "scenario", scenario, epochs)))
-    for protocol, topology, fault, flavor, epochs in CHURN_QUICK_CELLS:
-        cells.append(CampaignCell(
-            protocol=protocol, topology=topology, fault=fault, flavor=flavor,
-            stream_epochs=epochs,
-            seed=stable_seed(base_seed, protocol, topology.label, fault,
-                             flavor, "churn", epochs)))
-    for protocol, topology, fault, flavor, epochs, profile \
-            in INGRESS_QUICK_CELLS:
-        cells.append(CampaignCell(
-            protocol=protocol, topology=topology, fault=fault, flavor=flavor,
-            stream_epochs=epochs, ingress=profile,
-            seed=stable_seed(base_seed, protocol, topology.label, fault,
-                             flavor, "ingress", profile, epochs)))
+    flavors = itertools.cycle(CAMPAIGN_FLAVORS)
+    cells = [CampaignCell(protocol, topology, fault,
+                          next(flavors)).seeded(base_seed)
+             for protocol in CAMPAIGN_PROTOCOLS
+             for topology in (TopologySpec.single(4), TopologySpec.multi(4, 4))
+             for fault in ONE_EPOCH_FAULTS]
+    cells += [CampaignCell(**row).seeded(base_seed) for row in QUICK_CELLS]
     if not quick:
-        extra = CampaignSpec(
-            topologies=(TopologySpec.single(7), TopologySpec.single(10)),
-            faults=("none", "crash-f", "garbage", "equivocate", "quorum-loss"),
-            seeds=(0, 1), base_seed=base_seed)
-        cells.extend(extra.cells())
-        large = CampaignSpec(
-            topologies=(TopologySpec.single(64, profile="scale"),
-                        TopologySpec.multi(8, 8, profile="scale"),
-                        TopologySpec.multi(16, 4, profile="scale")),
-            faults=("none", "crash-f", "garbage", "quorum-loss"),
-            seeds=(0,), base_seed=base_seed)
-        cells.extend(large.cells())
-        # The largest grids, on the sharded simulator (one shard per
-        # cluster).  Classic runs them too, in one process (32x32 peaks at
-        # 466 MiB); these cells sweep the sharded engine at scale.  16x16
-        # also runs under crash faults; 32x32 (1024 nodes, ~1.6M events)
-        # stays fault-free to keep the full campaign's wall clock bounded.
-        sharded = CampaignSpec(
-            protocols=("honeybadger-sc", "beat"),
-            topologies=(TopologySpec.multi(16, 16, profile="scale",
-                                           shards=16),),
-            faults=("none", "crash-f"), seeds=(0,), base_seed=base_seed)
-        cells.extend(sharded.cells())
-        frontier = CampaignSpec(
-            protocols=("honeybadger-sc",),
-            topologies=(TopologySpec.multi(32, 32, profile="scale",
-                                           shards=32),),
-            faults=("none",), seeds=(0,), base_seed=base_seed)
-        cells.extend(frontier.cells())
+        for spec in FULL_SPECS:
+            cells.extend(replace(spec, base_seed=base_seed).cells())
     return cells
 
 
@@ -717,6 +665,21 @@ def build_cell_scenario(cell: CampaignCell, quick: bool = True) -> Scenario:
     return scenario
 
 
+def _row(record: Any, drop: tuple = ()) -> dict:
+    """One artifact row from a result record, minus the ``drop`` fields:
+    floats to 6 places with NaN as ``null``, tuples as lists."""
+    row = {}
+    for key, value in asdict(record).items():
+        if key in drop:
+            continue
+        if isinstance(value, float):
+            value = None if value != value else round(value, 6)
+        elif isinstance(value, tuple):
+            value = list(value)
+        row[key] = value
+    return row
+
+
 def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
     """Run one campaign cell and judge it against the conformance suite.
 
@@ -730,7 +693,6 @@ def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
     sizes = QUICK_WORKLOAD if quick else FULL_WORKLOAD
     observer = RunObserver()
     pack = load_pack(cell.scenario) if cell.scenario else None
-    phases: list[dict] = []
     if cell.stream_epochs:
         ingress = ingress_profile(cell.ingress) if cell.ingress else None
         rate = INGRESS_STREAM_RATE_TPS if cell.ingress else STREAM_RATE_TPS
@@ -773,62 +735,21 @@ def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
         verdicts.append(check_liveness_under_bounded_churn(
             result.per_epoch, result.committees, result.decided,
             cell.stream_epochs))
-        committees = [
-            {
-                "epoch": record.epoch,
-                "members": list(record.members),
-                "joined": list(record.joined),
-                "departed": list(record.departed),
-                "crashed": list(record.crashed),
-                "reconfigured": record.reconfigured,
-            }
-            for record in result.committees
-        ]
+        committees = [_row(record) for record in result.committees]
     ingress_classes: list[dict] = []
     if cell.ingress:
         # Ingress cells gate on transaction conservation and record the
         # per-class disposition/latency summary for the artifact.
         verdicts.append(check_ingress_conservation(result.classes))
-        ingress_classes = [
-            {
-                "name": record.name,
-                "priority": record.priority,
-                "offered": record.offered,
-                "admitted": record.admitted,
-                "shed": record.shed,
-                "deferred_pending": record.deferred_pending,
-                "duplicates": record.duplicates,
-                "committed": record.committed,
-                "p50_latency_s": None
-                if record.p50_latency_s != record.p50_latency_s
-                else round(record.p50_latency_s, 6),
-                "p90_latency_s": None
-                if record.p90_latency_s != record.p90_latency_s
-                else round(record.p90_latency_s, 6),
-                "p99_latency_s": None
-                if record.p99_latency_s != record.p99_latency_s
-                else round(record.p99_latency_s, 6),
-            }
-            for record in result.classes
-        ]
+        ingress_classes = [_row(record) for record in result.classes]
+    phases: list[dict] = []
     if pack is not None:
         verdicts.append(check_ledger_continuity(result.per_epoch,
                                                 result.ledger_digest))
         verdicts.append(check_scenario_recovery(result.per_epoch,
                                                 pack.heal_times()))
-        phases = [
-            {
-                "index": record.index,
-                "name": record.name,
-                "degraded": record.degraded,
-                "epochs": record.epochs,
-                "committed_transactions": record.committed_transactions,
-                "throughput_tps": round(record.throughput_tps, 6),
-                "p50_latency_s": round(record.p50_latency_s, 6),
-                "adversary_drops": record.adversary_drops,
-            }
-            for record in result.phases
-        ]
+        phases = [_row(record, drop=("start_s", "end_s"))
+                  for record in result.phases]
     if latency != latency:  # NaN (timed-out run): keep JSON clean
         latency = None
     return CellOutcome(

@@ -26,7 +26,9 @@ deployment its global tier is simply empty.  Likewise there is one
 deployment assembler (:func:`_assemble` over :func:`_build_stack`; the
 sharded builder and the membership rebind call the same two).  Every entry
 point closes its deployment (:meth:`Deployment.close`) once its result is
-assembled, so reference counting frees a finished run.
+assembled, so reference counting frees a finished run, and every entry
+point first asks :func:`check_composition`, the one list of the scenario
+compositions a run refuses.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from repro.protocols.multihop import (
     encode_cluster_contribution,
     select_leader,
 )
-from repro.testbed.byzantine import SLOW_LINK_DELAY_S
+from repro.testbed.byzantine import CRASH_AT_EPOCH, SLOW_LINK_DELAY_S
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
     SCHEME_COIN_FLIP,
@@ -431,32 +433,62 @@ def make_protocol(name: str, runtime: DomainRuntime,
     return Dumbo(runtime.ctx, runtime.router, coin=coin, config=config)
 
 
-def _require_one_epoch_scenario(scenario: Scenario, entry_point: str,
-                                multi_hop: bool = False) -> None:
-    """Fail loudly when a one-epoch entry point gets a scenario it cannot run.
+def check_composition(scenario: Scenario, entry_point: str,
+                      multi_hop: Optional[bool] = None, epochs: int = 1,
+                      pipeline_depth: int = 0,
+                      membership: bool = False) -> None:
+    """The one list of composition rules: refuse a run that cannot run.
 
-    The hop count must be the entry point's: a single-hop runner on a
-    multi-hop scenario would run every cluster as an unrelated deployment
-    (and mix their nodes into one result), a multi-hop runner needs a
-    backbone.  ``epoch-crash`` fires at a stream epoch index and churn at
-    epoch boundaries; in a single-epoch run neither would fire and the cell
-    would be vacuously green -- the same failure mode
-    :func:`_inject_equivocation` guards against.
+    ``multi_hop`` is a one-epoch entry point's hop count; ``None`` marks a
+    stream of ``epochs`` epochs at ``pipeline_depth``, which takes either
+    hop count.  ``membership`` says the stream gets an explicit schedule (a
+    scenario's churn spec counts on its own).  The rules:
+
+    * the hop count must be the entry point's: a single-hop runner on a
+      multi-hop scenario would run every cluster as an unrelated deployment
+      (and mix their nodes into one result), a multi-hop runner needs a
+      backbone;
+    * ``epoch-crash`` fires at stream epoch :data:`CRASH_AT_EPOCH`, so the
+      run needs more epochs than that (a one-epoch run counts as one): a
+      fault that can never fire would leave the run vacuously green -- the
+      failure mode :func:`_inject_equivocation` guards against;
+    * membership reconfigures the single-hop committee at a quiescent epoch
+      boundary: it needs a stream, a single-hop topology (multi-hop
+      reconfiguration would re-elect leaders and re-route the backbone
+      mid-stream) and ``pipeline_depth == 0``.
+
+    The four one-epoch entry points and
+    :class:`~repro.testbed.streaming.StreamingRun` call it on the scenario
+    they get; :class:`~repro.testbed.campaign.CampaignCell` calls it when it
+    is built, so a bad sweep is refused then rather than inside a worker.
     """
-    if scenario.is_multi_hop != multi_hop:
+    stream = multi_hop is None
+    if not stream and scenario.is_multi_hop != multi_hop:
         raise DeploymentError(
             f"{entry_point} expects a multi-hop scenario" if multi_hop else
             f"{entry_point} expects a single-hop scenario; a multi-hop one "
             f"runs in run_multihop_consensus")
-    if scenario.byzantine.nodes_with("epoch-crash"):
+    if (scenario.byzantine.nodes_with("epoch-crash")
+            and epochs <= CRASH_AT_EPOCH):
         raise DeploymentError(
-            "the epoch-crash strategy fires at a stream epoch index and "
-            "never triggers in a one-epoch run; use run_streaming_consensus")
-    if scenario.membership is not None:
-        raise DeploymentError(
-            "membership churn reconfigures the committee at epoch "
-            "boundaries, which a one-epoch run does not have; use "
-            "run_streaming_consensus")
+            f"epoch-crash at epoch {CRASH_AT_EPOCH} can never fire in a "
+            f"{epochs}-epoch run; run_streaming_consensus with more epochs "
+            f"fires it")
+    if membership or scenario.membership is not None:
+        if not stream:
+            raise DeploymentError(
+                "membership churn reconfigures the committee at epoch "
+                "boundaries, which a one-epoch run does not have; use "
+                "run_streaming_consensus")
+        if scenario.is_multi_hop:
+            raise DeploymentError(
+                "membership schedules reconfigure the single-hop "
+                "committee; multi-hop reconfiguration is not supported")
+        if pipeline_depth > 0:
+            raise ValueError(
+                f"pipeline_depth must be 0 under a membership schedule "
+                f"(reconfiguration needs a quiescent epoch boundary), "
+                f"got {pipeline_depth}")
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +575,7 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
     reproduce every metric bit for bit (guarded by
     ``tests/testbed/test_seed_determinism.py``).
     """
-    _require_one_epoch_scenario(scenario, "run_consensus")
+    check_composition(scenario, "run_consensus", multi_hop=False)
     deployment = build_deployment(
         scenario, batched=batched, seed=seed,
         crypto_schemes=crypto_schemes_for_protocol(protocol, config))
@@ -656,11 +688,9 @@ class Epoch:
             for node_id, instance in self.local_protocols.items()
             if node_id not in byzantine}
         # Resolved once, as (node, instance): settled() reads the crash flag
-        # and the decision of the honest locals after every event, resuming
-        # at the first one it has not yet seen crashed or decided.
+        # and the decision of every honest local.
         self._settling = [(deployment.nodes[node_id], instance)
                           for node_id, instance in self._honest_locals.items()]
-        self._settled_through = 0
         #: the honest instances whose decision *is* the epoch's decision:
         #: the hosted honest leaders' global instances on a multi-hop
         #: deployment, the honest local instances otherwise
@@ -790,22 +820,12 @@ class Epoch:
         *every* honest member the epoch never settles and the stream times
         out -- the correct failure for churn beyond the f-bound.
 
-        A crash is permanent and so is a decision, so an entry found crashed
-        or decided is never looked at again: each call resumes at the first
-        entry that was neither.  Only whether a decided node is still live
-        can change behind the cursor, and that is asked once it has passed
-        every entry.
+        A full scan of the honest locals: the stream asks only from a poll
+        body, which runs only when ``sim.milestones`` moved.
         """
-        settling, cursor = self._settling, self._settled_through
-        while cursor < len(settling):
-            node, instance = settling[cursor]
-            if not (node.crashed or instance.decided):
-                self._settled_through = cursor
-                return False
-            cursor += 1
-        self._settled_through = cursor
-        return (any(not node.crashed for node, _instance in settling)
-                and (not self.two_phase or self.done()))
+        live = [instance.decided for node, instance in self._settling
+                if not node.crashed]
+        return bool(live) and all(live) and (not self.two_phase or self.done())
 
     def content_locked(self) -> bool:
         """Whether nothing that starts now can change what the epoch decides.
@@ -933,8 +953,7 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
     reproduces every metric bit for bit (property-tested in
     ``tests/testbed/test_shard_identity.py``).
     """
-    _require_one_epoch_scenario(scenario, "run_multihop_consensus",
-                                multi_hop=True)
+    check_composition(scenario, "run_multihop_consensus", multi_hop=True)
     from repro.testbed.sharding import (
         merge_multihop_reports,
         run_sharded_multihop_consensus,
@@ -1001,7 +1020,7 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
             f"unknown broadcast component {component!r}; "
             f"known: {sorted(_BROADCAST_FACTORIES)}")
     scenario = scenario or Scenario.single_hop(num_nodes)
-    _require_one_epoch_scenario(scenario, "run_broadcast_experiment")
+    check_composition(scenario, "run_broadcast_experiment", multi_hop=False)
     schemes = (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG) \
         if component in ("prbc", "cbc", "cbc-small") else (SCHEME_KEYRING,)
     deployment = build_deployment(scenario, batched=batched, seed=seed,
@@ -1084,7 +1103,7 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
     if kind not in ABA_BY_COIN:
         raise DeploymentError(f"unknown ABA kind {kind!r}; expected lc, sc or cp")
     scenario = scenario or Scenario.single_hop(num_nodes)
-    _require_one_epoch_scenario(scenario, "run_aba_experiment")
+    check_composition(scenario, "run_aba_experiment", multi_hop=False)
     deployment = build_deployment(
         scenario, batched=batched, seed=seed,
         crypto_schemes=(SCHEME_KEYRING, *coin_schemes(kind)))

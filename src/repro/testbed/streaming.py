@@ -36,6 +36,11 @@ Shape of a streaming run
   (:meth:`repro.protocols.base.ConsensusProtocol.release`).  Live state is
   therefore bounded by the pipeline window, not the stream length.
 
+What a stream refuses -- an ``epoch-crash`` its epochs never reach, a
+membership schedule on a multi-hop or pipelined stream -- is stated once,
+in :func:`repro.testbed.harness.check_composition`, which every entry point
+calls.
+
 Determinism contract
 --------------------
 
@@ -69,6 +74,7 @@ from repro.testbed.harness import (
     DeploymentError,
     Epoch,
     build_deployment,
+    check_composition,
     fold_decisions,
     multihop_crypto_schemes,
     replay_cluster_decisions,
@@ -236,28 +242,6 @@ class Mempool:
         return drained
 
 
-def reject_unsupported_membership(multi_hop: bool,
-                                  pipeline_depth: int) -> None:
-    """The two compositions a membership schedule cannot enter yet.
-
-    The one statement of the rule: :class:`StreamingRun` calls it for every
-    stream under a schedule, :class:`repro.testbed.campaign.CampaignCell`
-    for every cell under a churn fault, so a sweep is refused when it is
-    built rather than inside a worker.
-    """
-    if multi_hop:
-        # Multi-hop reconfiguration would re-elect leaders and re-route the
-        # backbone mid-stream.
-        raise DeploymentError(
-            "membership schedules reconfigure the single-hop "
-            "committee; multi-hop reconfiguration is not supported")
-    if pipeline_depth > 0:
-        raise ValueError(
-            f"pipeline_depth must be 0 under a membership schedule "
-            f"(reconfiguration needs a quiescent epoch boundary), "
-            f"got {pipeline_depth}")
-
-
 @dataclass
 class _InFlightEpoch:
     """What the stream keeps per started, not yet checkpointed epoch."""
@@ -290,14 +274,10 @@ class StreamingRun:
         self.observer = observer
         self.pack = pack
         self.ingress = ingress
-        byzantine = scenario.byzantine
-        if (byzantine.nodes_with("epoch-crash")
-                and CRASH_AT_EPOCH >= spec.epochs):
-            # Mirror _inject_equivocation's philosophy: a mid-stream fault
-            # that can never fire must fail loudly, not pass vacuously.
-            raise DeploymentError(
-                f"epoch-crash at epoch {CRASH_AT_EPOCH} can never "
-                f"fire in a {spec.epochs}-epoch stream")
+        check_composition(scenario, "run_streaming_consensus",
+                          epochs=spec.epochs,
+                          pipeline_depth=spec.pipeline_depth,
+                          membership=membership is not None)
         # (a single-hop deployment has no global domain to deal for)
         self.deployment = build_deployment(
             scenario, batched=batched, seed=seed,
@@ -311,8 +291,6 @@ class StreamingRun:
             schedule = MembershipSchedule.from_churn(
                 scenario.membership, scenario.num_nodes, seed=seed)
         if schedule is not None:
-            reject_unsupported_membership(scenario.is_multi_hop,
-                                          spec.pipeline_depth)
             if len(schedule.universe) != scenario.num_nodes:
                 raise ValueError(
                     f"universe: the schedule covers {len(schedule.universe)} "
@@ -660,7 +638,7 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
             join/leave/permanent-crash events, applied at epoch boundaries
             by a :class:`~repro.testbed.membership.MembershipController`
             (single-hop, ``pipeline_depth == 0`` only:
-            :func:`reject_unsupported_membership`); overrides the
+            :func:`repro.testbed.harness.check_composition`); overrides the
             schedule ``scenario.membership`` would expand to.  The result
             then carries one :class:`~repro.testbed.metrics.CommitteeRecord`
             per epoch in ``committees``.

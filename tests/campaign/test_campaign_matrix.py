@@ -8,6 +8,7 @@ invariants.  Excluded from tier-1 by the ``campaign`` marker; run with::
     PYTHONPATH=src python -m pytest -m campaign -q
 """
 
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,22 @@ CHURN_SWEEP = tuple(
                                   "churn-sweep", 8))
     for protocol in ("honeybadger-sc", "beat")
     for fault in CHURN_FAULTS)
+
+
+#: sha256 over the ``f"{cell_id} {seed}\n"`` lines of
+#: ``default_cells(quick=False, base_seed=0)``, recorded before the cell
+#: tables became one table with one seed rule
+FULL_MATRIX_SHA256 = \
+    "025c01cac66c4d18985e6672fc4133601e22ab273464a0cac22c5b3da14e839f"
+
+
+def test_full_matrix_ids_and_seeds_are_pinned():
+    # Only the quick matrix is pinned by CAMPAIGN.json; this pins the ids
+    # and seeds of all 173 full-mode cells without running any of them.
+    cells = default_cells(quick=False, base_seed=0)
+    lines = "".join(f"{cell.cell_id} {cell.seed}\n" for cell in cells)
+    assert len(cells) == 173
+    assert hashlib.sha256(lines.encode()).hexdigest() == FULL_MATRIX_SHA256
 
 
 def test_default_matrix_is_large_enough():

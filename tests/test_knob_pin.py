@@ -16,6 +16,7 @@ from repro.core.batcher import TransportConfig
 from repro.net.adversary import LinkFaultSpec
 from repro.protocols.base import ConsensusConfig
 from repro.testbed.byzantine import ByzantineSpec
+from repro.testbed.campaign import CampaignCell, FaultModel, TopologySpec
 from repro.testbed.dealer_cache import deal_crypto_domain
 from repro.testbed.harness import (
     Deployment,
@@ -25,6 +26,7 @@ from repro.testbed.harness import (
     run_multihop_consensus,
 )
 from repro.testbed.scenarios import Scenario
+from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ChurnSpec
 
 FIELDS = {
@@ -44,6 +46,16 @@ FIELDS = {
                "rotate_crashed_leaders", "membership", "timeout_s"),
     LinkFaultSpec: ("drop_rate", "duplicate_rate", "reorder_jitter_s",
                     "senders", "start_s", "end_s"),
+    # the run document: a campaign cell and what it is made of
+    CampaignCell: ("protocol", "topology", "fault", "flavor", "seed",
+                   "stream_epochs", "scenario", "ingress"),
+    TopologySpec: ("kind", "num_nodes", "num_clusters", "cluster_size",
+                   "profile", "shards"),
+    FaultModel: ("name", "description", "apply", "expect_decision",
+                 "affected_domains_multihop", "timeout_scale",
+                 "streaming_only"),
+    StreamingSpec: ("epochs", "batch_size", "pipeline_depth", "arrival",
+                    "warmup", "pipeline_gate"),
 }
 
 PARAMETERS = {
@@ -55,6 +67,9 @@ PARAMETERS = {
     run_multihop_consensus: ("protocol", "scenario", "batched", "seed",
                              "config", "workload_spec", "observer", "shards",
                              "shard_workers"),
+    run_streaming_consensus: ("protocol", "scenario", "spec", "batched",
+                              "seed", "config", "observer", "pack",
+                              "membership", "ingress"),
     run_aba_experiment: ("kind", "parallel_instances", "serial_instances",
                          "num_nodes", "batched", "seed", "scenario"),
     encode_blocks: ("data", "num_data_blocks", "num_blocks"),

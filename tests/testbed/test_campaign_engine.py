@@ -133,6 +133,26 @@ class TestCells:
                      topology=TopologySpec.single(6), fault=fault,
                      stream_epochs=4)
 
+    @pytest.mark.parametrize("fault,stream_epochs,reason", [
+        # epoch-crash fires at epoch 2, which a 2-epoch stream never reaches
+        ("stream-crash-epoch", 2, "epoch 2 can never fire"),
+        # a one-epoch cell counts as one epoch
+        ("stream-crash-epoch", 0, "epoch 2 can never fire"),
+        ("node-churn-rate", 0, "streaming"),
+    ])
+    def test_what_the_fence_refuses_is_refused_at_construction(
+            self, fault, stream_epochs, reason):
+        # harness.check_composition's rules, applied when the cell is
+        # built, so the refusal never reaches a campaign worker
+        for ingress in ("", "three-class-defer"):
+            if ingress and not stream_epochs:
+                continue
+            with pytest.raises(ValueError, match=reason):
+                CampaignCell("honeybadger-sc", TopologySpec.single(6), fault,
+                             stream_epochs=stream_epochs, ingress=ingress)
+        CampaignCell("honeybadger-sc", TopologySpec.single(6), fault,
+                     stream_epochs=3)
+
     def test_campaign_spec_cartesian(self):
         spec = CampaignSpec(protocols=("beat",),
                             topologies=(TopologySpec.single(4),),

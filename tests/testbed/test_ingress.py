@@ -25,7 +25,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from repro.testbed.campaign import INGRESS_QUICK_CELLS, CampaignCell, \
+from repro.testbed.campaign import QUICK_CELLS, CampaignCell, \
     TopologySpec, run_cell
 from repro.testbed.ingress import (
     INGRESS_PROFILES,
@@ -705,14 +705,12 @@ class TestCampaignIngressCells:
 
     @pytest.mark.campaign
     def test_quick_ingress_cells_pass_conformance(self):
-        for protocol, topology, fault, flavor, epochs, profile \
-                in INGRESS_QUICK_CELLS:
-            cell = CampaignCell(protocol, topology, fault, flavor=flavor,
-                                stream_epochs=epochs, ingress=profile)
+        for row in [row for row in QUICK_CELLS if "ingress" in row]:
+            cell = CampaignCell(**row)
             outcome = run_cell(cell, quick=True)
             assert outcome.ok, [verdict for verdict in outcome.invariants
                                 if not verdict.ok]
-            assert outcome.ingress == profile
+            assert outcome.ingress == cell.ingress
             assert len(outcome.ingress_classes) == 3
             names = {verdict.name for verdict in outcome.invariants}
             assert "ingress-conservation" in names
