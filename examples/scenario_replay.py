@@ -5,8 +5,9 @@ Loads one of the shipped scenario packs (``repro.testbed.scenario_packs``)
 -- a declarative timeline of network phases that degrade and heal the
 wireless channel on the virtual-time axis -- and drives a multi-epoch
 HoneyBadger stream through it, printing the per-phase timeline: committed
-throughput, median epoch latency and adversary drops per phase, plus the
-degradation/recovery invariant verdicts.
+throughput, median epoch latency and adversary drops per phase, plus every
+invariant verdict of the run (safety, liveness, ledger continuity and
+recovery after each heal).
 
 Usage::
 
@@ -18,10 +19,7 @@ import argparse
 
 from repro.protocols.base import PROTOCOL_NAMES
 from repro.testbed import Scenario
-from repro.testbed.invariants import (
-    check_ledger_continuity,
-    check_scenario_recovery,
-)
+from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.reporting import format_table
 from repro.testbed.scenario_packs import available_packs, load_pack
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
@@ -57,8 +55,10 @@ def main() -> None:
         epochs=args.epochs, batch_size=4, warmup=64,
         arrival=ArrivalSpec(rate_tps=1.0, transaction_bytes=32,
                             max_mempool=512))
+    observer = RunObserver()
     result = run_streaming_consensus(args.protocol, scenario, spec,
-                                     seed=args.seed, pack=pack)
+                                     seed=args.seed, observer=observer,
+                                     pack=pack)
 
     rows = []
     for record in result.phases:
@@ -80,10 +80,8 @@ def main() -> None:
           f"{result.epochs_completed}/{args.epochs} epochs, "
           f"{result.committed_transactions} transactions in "
           f"{result.duration_s:.0f}s of virtual time.")
-    for verdict in (check_ledger_continuity(result.per_epoch,
-                                            result.ledger_digest),
-                    check_scenario_recovery(result.per_epoch,
-                                            pack.heal_times())):
+    for verdict in check_all(observer, result, scenario.timeout_s,
+                             pack=pack):
         status = "ok" if verdict.ok else "FAILED"
         print(f"  invariant {verdict.name}: {status} -- {verdict.detail}")
     print(f"\nLedger digest: {result.ledger_digest[:16]}...")

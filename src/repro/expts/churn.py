@@ -26,12 +26,7 @@ from __future__ import annotations
 
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
-from repro.testbed.invariants import (
-    RunObserver,
-    check_all,
-    check_ledger_continuity_across_reconfig,
-    check_liveness_under_bounded_churn,
-)
+from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ArrivalSpec, ChurnSpec
@@ -74,15 +69,8 @@ def churn_cell(params: dict) -> list:
     observer = RunObserver()
     result = run_streaming_consensus(params["protocol"], scenario, spec,
                                      seed=CHURN_SEED, observer=observer)
-    assert result.decided, (
-        f"{params['protocol']} stream stalled under churn profile "
-        f"{params['profile']}")
-    verdicts = check_all(observer, result.decided, True, scenario.timeout_s)
-    verdicts.append(check_ledger_continuity_across_reconfig(
-        result.per_epoch, result.committees, result.ledger_digest))
-    verdicts.append(check_liveness_under_bounded_churn(
-        result.per_epoch, result.committees, result.decided, epochs))
-    failed = [verdict for verdict in verdicts if not verdict.ok]
+    failed = [verdict for verdict in check_all(
+        observer, result, scenario.timeout_s) if not verdict.ok]
     assert not failed, (
         f"{params['protocol']} x {params['profile']}: {failed}")
     crashes = sum(len(record.crashed) for record in result.committees)

@@ -8,7 +8,7 @@ preserves registration order, which is the section order of ``RESULTS.md``.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.expts.specs import ExperimentSpec, SpecError
 
@@ -77,12 +77,3 @@ def spec_ids() -> "list[str]":
     """Registered spec ids, in registration order."""
     return [spec.spec_id for spec in all_specs()]
 
-
-def validate_registry(specs: Optional[Iterable[ExperimentSpec]] = None) -> None:
-    """Cross-spec sanity checks (unique anchors are *not* required: a figure
-    with sub-plots may register one spec per panel)."""
-    seen: set = set()
-    for spec in (specs if specs is not None else all_specs()):
-        if spec.spec_id in seen:
-            raise SpecError(f"duplicate spec id {spec.spec_id!r}")
-        seen.add(spec.spec_id)

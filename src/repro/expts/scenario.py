@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
-from repro.testbed.invariants import (
-    RunObserver,
-    check_all,
-    check_ledger_continuity,
-    check_scenario_recovery,
-)
+from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenario_packs import available_packs, load_pack
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
@@ -58,14 +53,8 @@ def scenario_cell(params: dict) -> list:
     result = run_streaming_consensus(params["protocol"], scenario, spec,
                                      seed=SCENARIO_SEED, observer=observer,
                                      pack=pack)
-    assert result.decided, (
-        f"{params['protocol']} stream stalled under pack {pack.name}")
-    verdicts = check_all(observer, result.decided, True, scenario.timeout_s)
-    verdicts.append(check_ledger_continuity(result.per_epoch,
-                                            result.ledger_digest))
-    verdicts.append(check_scenario_recovery(result.per_epoch,
-                                            pack.heal_times()))
-    failed = [verdict for verdict in verdicts if not verdict.ok]
+    failed = [verdict for verdict in check_all(
+        observer, result, scenario.timeout_s, pack=pack) if not verdict.ok]
     assert not failed, (
         f"{params['protocol']} x {pack.name}: {failed}")
     return [[params["protocol"], pack.name, record.index, record.name,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
 from repro.testbed.ingress import ingress_profile
-from repro.testbed.invariants import check_ingress_conservation
+from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ArrivalSpec
@@ -51,14 +51,16 @@ def slo_sweep_cell(params: dict) -> list:
         epochs=SLO_EPOCHS, batch_size=SLO_BATCH,
         arrival=ArrivalSpec(rate_tps=params["offered_tps"],
                             transaction_bytes=48, max_mempool=256))
+    scenario = Scenario.scale_single_hop(4)
+    observer = RunObserver()
     result = run_streaming_consensus(
-        params["protocol"], Scenario.scale_single_hop(4), spec,
-        seed=SLO_SEED, ingress=ingress)
-    assert result.decided, (
-        f"{params['protocol']} ingress stream did not finish at "
-        f"{params['offered_tps']} tx/s under policy {params['policy']}")
-    verdict = check_ingress_conservation(result.classes)
-    assert verdict.ok, verdict.detail
+        params["protocol"], scenario, spec, seed=SLO_SEED,
+        observer=observer, ingress=ingress)
+    failed = [verdict for verdict in check_all(
+        observer, result, scenario.timeout_s) if not verdict.ok]
+    assert not failed, (
+        f"{params['protocol']} x {params['policy']} @ "
+        f"{params['offered_tps']} tx/s: {failed}")
     saturated = int(result.max_backlog
                     > SLO_SATURATION_BACKLOG_BATCHES * SLO_BATCH)
     rows = []

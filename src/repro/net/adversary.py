@@ -201,10 +201,6 @@ class AsyncAdversary:
         """Retire an installed partition (raises ValueError if absent)."""
         self.partitions.remove(partition)
 
-    def delivery_delay(self, sender: int, receiver: int, rng) -> float:
-        """Delay added to one frame delivery (jitter + targeted only)."""
-        return self.delay_model.delay(sender, receiver, rng)
-
     def plan_delivery(self, sender: int, receiver: int, now: float,
                       rng) -> list[float]:
         """Decide the fate of one frame on the (sender, receiver) link.

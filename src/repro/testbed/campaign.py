@@ -8,11 +8,9 @@ sweep over
 
 where every cell runs one full consensus epoch -- or, for streaming cells
 (``CampaignCell.stream_epochs`` > 0), a multi-epoch stream with mid-stream
-faults -- through the harness entry points and is judged against the
-protocols' safety/liveness contract
-(:mod:`repro.testbed.invariants`): agreement, total order, validity, and the
-fault model's decision expectation (liveness, or *non*-decision under quorum
-loss).
+faults -- through the harness entry points and is judged by
+:func:`repro.testbed.invariants.check_all`, which picks the gates from the
+run's result and the fault model's decision expectation.
 
 Every cell is replayable in isolation: its outcome is a pure function of the
 cell description (the per-cell seed is derived with
@@ -50,16 +48,7 @@ from repro.testbed.harness import (
     run_multihop_consensus,
 )
 from repro.testbed.ingress import INGRESS_PROFILES, ingress_profile
-from repro.testbed.invariants import (
-    InvariantVerdict,
-    RunObserver,
-    check_all,
-    check_ingress_conservation,
-    check_ledger_continuity,
-    check_ledger_continuity_across_reconfig,
-    check_liveness_under_bounded_churn,
-    check_scenario_recovery,
-)
+from repro.testbed.invariants import InvariantVerdict, RunObserver, check_all
 from repro.testbed.scenario_packs import available_packs, load_pack
 from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
@@ -344,15 +333,11 @@ class CampaignCell:
     -- a crash at epoch k, a partition healing across epochs -- are put
     under conformance checking.  ``scenario`` names a shipped scenario pack
     (``repro.testbed.scenario_packs``) of time-varying network phases to
-    drive during a streaming cell; scenario cells additionally gate on the
-    ledger-continuity and degradation/recovery invariants and record
-    per-phase metrics in their outcome.  ``ingress`` names a canned
+    drive during a streaming cell.  ``ingress`` names a canned
     :data:`repro.testbed.ingress.INGRESS_PROFILES` entry to install a
     client-facing ingress (class-marked arrivals, priority mempools,
     admission gate) in front of a streaming cell; ingress cells run at
-    :data:`INGRESS_STREAM_RATE_TPS` offered load, additionally gate on the
-    transaction-conservation invariant and record per-class dispositions
-    in their outcome.
+    :data:`INGRESS_STREAM_RATE_TPS` offered load.
 
     A cell is checked when it is built: its names must be known, and its
     faulted scenario must pass :func:`repro.testbed.harness.check_composition`
@@ -515,8 +500,7 @@ QUICK_CELLS: tuple[dict, ...] = (
     dict(protocol="honeybadger-sc", topology=TopologySpec.multi(4, 4),
          fault="none", stream_epochs=2),
     # scenario packs: time-varying degradation (degraded middle phases,
-    # healed tail), additionally judged by the ledger-continuity and
-    # degradation/recovery invariants
+    # healed tail)
     dict(protocol="honeybadger-sc", topology=TopologySpec.single(4),
          fault="none", stream_epochs=10, scenario="variable-link"),
     dict(protocol="beat", topology=TopologySpec.single(4), fault="none",
@@ -525,9 +509,7 @@ QUICK_CELLS: tuple[dict, ...] = (
          flavor="task-allocation", stream_epochs=7,
          scenario="intermittent-connectivity"),
     # membership churn (join/leave churn, permanent crash with standby
-    # replacement), additionally gated on the reconfiguration invariants
-    # (check_ledger_continuity_across_reconfig,
-    # check_liveness_under_bounded_churn)
+    # replacement)
     dict(protocol="honeybadger-sc", topology=TopologySpec.single(6),
          fault="node-churn-rate", stream_epochs=10),
     dict(protocol="beat", topology=TopologySpec.single(5),
@@ -535,10 +517,9 @@ QUICK_CELLS: tuple[dict, ...] = (
          stream_epochs=8),
     # ingress: the client-facing ingress (class-marked arrivals, priority
     # mempools, admission gate) at an offered load past the scale profile's
-    # saturation point, additionally gated on transaction conservation
-    # (check_ingress_conservation); alone, on a multi-hop topology and
-    # under both churn faults (a departed gateway's pooled transactions
-    # move to the survivors with their class and fee marks)
+    # saturation point; alone, on a multi-hop topology and under both churn
+    # faults (a departed gateway's pooled transactions move to the
+    # survivors with their class and fee marks)
     dict(protocol="honeybadger-sc",
          topology=TopologySpec.single(4, profile="scale"), fault="none",
          stream_epochs=8, ingress="three-class-shed"),
@@ -681,12 +662,13 @@ def _row(record: Any, drop: tuple = ()) -> dict:
 
 
 def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
-    """Run one campaign cell and judge it against the conformance suite.
+    """Run one campaign cell and judge it with
+    :func:`repro.testbed.invariants.check_all`.
 
     Streaming cells (``cell.stream_epochs`` > 0) run the whole multi-epoch
     stream through ``run_streaming_consensus``; the observer then carries
-    one decision domain per epoch, so agreement/total-order/validity are
-    checked epoch by epoch and ``latency_s`` reports the stream duration.
+    one decision domain per epoch, and ``latency_s`` reports the stream
+    duration.
     """
     fault = FAULT_MODELS[cell.fault]
     scenario = build_cell_scenario(cell, quick=quick)
@@ -724,32 +706,9 @@ def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
         latency = result.latency_s
         digest = result.block_digest
     verdicts = check_all(
-        observer, result.decided, fault.expect_decision, scenario.timeout_s,
-        affected_domains=fault.affected_domains(cell.topology.is_multi_hop))
-    committees: list[dict] = []
-    if cell.stream_epochs and result.committees:
-        # Membership-churn cells gate on the reconfiguration invariants and
-        # record the full committee trail for the artifact.
-        verdicts.append(check_ledger_continuity_across_reconfig(
-            result.per_epoch, result.committees, result.ledger_digest))
-        verdicts.append(check_liveness_under_bounded_churn(
-            result.per_epoch, result.committees, result.decided,
-            cell.stream_epochs))
-        committees = [_row(record) for record in result.committees]
-    ingress_classes: list[dict] = []
-    if cell.ingress:
-        # Ingress cells gate on transaction conservation and record the
-        # per-class disposition/latency summary for the artifact.
-        verdicts.append(check_ingress_conservation(result.classes))
-        ingress_classes = [_row(record) for record in result.classes]
-    phases: list[dict] = []
-    if pack is not None:
-        verdicts.append(check_ledger_continuity(result.per_epoch,
-                                                result.ledger_digest))
-        verdicts.append(check_scenario_recovery(result.per_epoch,
-                                                pack.heal_times()))
-        phases = [_row(record, drop=("start_s", "end_s"))
-                  for record in result.phases]
+        observer, result, scenario.timeout_s, fault.expect_decision,
+        affected_domains=fault.affected_domains(cell.topology.is_multi_hop),
+        pack=pack)
     if latency != latency:  # NaN (timed-out run): keep JSON clean
         latency = None
     return CellOutcome(
@@ -765,10 +724,13 @@ def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
         collisions=result.collisions,
         invariants=verdicts,
         scenario=cell.scenario,
-        phases=phases,
-        committees=committees,
+        phases=[_row(record, drop=("start_s", "end_s"))
+                for record in getattr(result, "phases", ())],
+        committees=[_row(record)
+                    for record in getattr(result, "committees", ())],
         ingress=cell.ingress,
-        ingress_classes=ingress_classes)
+        ingress_classes=[_row(record)
+                         for record in getattr(result, "classes", ())])
 
 
 def _run_cell_task(task: tuple) -> CellOutcome:

@@ -16,8 +16,9 @@ A :class:`RunObserver` is threaded through the harness entry points; it
 records what every node proposed (including garbage and equivocated variants)
 and what every honest node decided, per consensus *domain* (the single-hop
 network, one multi-hop cluster, or the multi-hop leader group).  The checkers
-then turn a populated observer into :class:`InvariantVerdict` records which
-the campaign engine aggregates into per-cell conformance reports.
+then turn a populated observer into :class:`InvariantVerdict` records;
+:func:`check_all` is the judge every caller runs, and it alone decides which
+stream-layer gates a run gets from the layers its result carries.
 """
 
 from __future__ import annotations
@@ -438,19 +439,38 @@ def check_ingress_conservation(classes: Sequence[Any]) -> InvariantVerdict:
     return InvariantVerdict(name, True)
 
 
-def check_all(observer: RunObserver, decided: bool, expect_decision: bool,
-              timeout_s: float,
-              affected_domains: Optional[set[Any]] = None) -> list[InvariantVerdict]:
-    """Run the full conformance suite for one testbed run.
+def check_all(observer: RunObserver, result: Any, timeout_s: float,
+              expect_decision: bool = True,
+              affected_domains: Optional[set[Any]] = None,
+              pack: Any = None) -> list[InvariantVerdict]:
+    """Judge one testbed run: the one place that picks a run's gates.
 
     Safety (agreement, total order, validity) is checked unconditionally --
     it must hold even when the fault model denies liveness (the checks pass
-    vacuously over an empty decision set).
+    vacuously over an empty decision set).  Then each stream layer the
+    ``result`` carries adds its gates: a committee trail (membership
+    schedule) the two reconfiguration gates, class records (ingress) the
+    conservation gate, and a scenario ``pack`` ledger continuity plus
+    recovery after each of the pack's heal times.
     """
-    return [
-        check_liveness(observer, decided, expect_decision, timeout_s,
+    verdicts = [
+        check_liveness(observer, result.decided, expect_decision, timeout_s,
                        affected_domains=affected_domains),
         check_agreement(observer),
         check_total_order(observer),
         check_validity(observer),
     ]
+    if getattr(result, "committees", ()):
+        verdicts.append(check_ledger_continuity_across_reconfig(
+            result.per_epoch, result.committees, result.ledger_digest))
+        verdicts.append(check_liveness_under_bounded_churn(
+            result.per_epoch, result.committees, result.decided,
+            result.epochs_target))
+    if getattr(result, "classes", ()):
+        verdicts.append(check_ingress_conservation(result.classes))
+    if pack is not None:
+        verdicts.append(check_ledger_continuity(result.per_epoch,
+                                                result.ledger_digest))
+        verdicts.append(check_scenario_recovery(result.per_epoch,
+                                                pack.heal_times()))
+    return verdicts

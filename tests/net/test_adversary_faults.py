@@ -175,14 +175,14 @@ class TestPlanDelivery:
 
     def test_fault_free_stream_matches_legacy_delay(self):
         # With no faults installed, plan_delivery must consume exactly the
-        # same RNG draws as the legacy delivery_delay path (bit-identical
-        # replay of pre-campaign seeds).
+        # same RNG draws as the bare delay model (bit-identical replay of
+        # pre-campaign seeds).
         model = DelayModel(base_jitter_s=0.01)
         adversary = AsyncAdversary(delay_model=model)
         rng_plan, rng_legacy = random.Random(3), random.Random(3)
         for _ in range(50):
             plan = adversary.plan_delivery(0, 1, 0.0, rng_plan)
-            legacy = adversary.delivery_delay(0, 1, rng_legacy)
+            legacy = model.delay(0, 1, rng_legacy)
             assert plan == [legacy]
 
 

@@ -32,7 +32,8 @@ class TestAsyncAdversary:
     def test_target_link(self):
         adversary = AsyncAdversary(delay_model=DelayModel(base_jitter_s=0.0))
         adversary.target_link(1, 2, 4.0)
-        assert adversary.delivery_delay(1, 2, random.Random(0)) == pytest.approx(4.0)
+        assert adversary.delay_model.delay(1, 2, random.Random(0)) == \
+            pytest.approx(4.0)
 
 
 class TestNetworkTrace:

@@ -123,7 +123,7 @@ class TestSingleHopConsensus:
         kinds = {proposal.kind for proposal in observer.proposals}
         assert "equivocation" in kinds
         assert all(verdict.ok for verdict in check_all(
-            observer, result.decided, True, scenario.timeout_s))
+            observer, result, scenario.timeout_s))
 
     def test_tolerates_lossy_links(self):
         scenario = Scenario.single_hop(4).with_link_faults(
@@ -187,5 +187,4 @@ class TestMultiHopConsensus:
         assert "global" in domains
         assert {("cluster", index) for index in range(4)} <= domains
         assert all(verdict.ok for verdict in check_all(
-            observer, result.decided, True,
-            Scenario.multi_hop(4, 4).timeout_s))
+            observer, result, Scenario.multi_hop(4, 4).timeout_s))

@@ -614,12 +614,11 @@ class TestStreamingIngress:
             "honeybadger-sc", scenario, spec, seed=1, observer=observer,
             ingress=ingress_profile("three-class-shed"))
         assert result.decided and result.epochs_completed == 2
-        verdicts = check_all(observer, result.decided, True,
-                             scenario.timeout_s)
+        verdicts = check_all(observer, result, scenario.timeout_s)
         assert [verdict.name for verdict in verdicts if not verdict.ok] == []
-        assert len(verdicts) == 4
-        verdict = check_ingress_conservation(result.classes)
-        assert verdict.ok, verdict.detail
+        assert [verdict.name for verdict in verdicts] == [
+            "liveness", "agreement", "total-order", "validity",
+            "ingress-conservation"]
         baseline = run_streaming_consensus("honeybadger-sc", scenario, spec,
                                            seed=1)
         mirrored = run_streaming_consensus(

@@ -1,5 +1,9 @@
 """Unit tests for the conformance invariant checkers."""
 
+import json
+import os
+from types import SimpleNamespace
+
 import pytest
 
 from repro.protocols.base import block_digest
@@ -12,6 +16,16 @@ from repro.testbed.invariants import (
     check_total_order,
     check_validity,
 )
+from repro.testbed.metrics import (
+    ClassRecord,
+    CommitteeRecord,
+    EpochRecord,
+    StreamingRunResult,
+    chain_digest,
+)
+from repro.testbed.scenario_packs import ScenarioPack, ScenarioPhase
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def observer_with(decisions, proposals=()):
@@ -125,14 +139,68 @@ class TestLiveness:
                                   affected_domains={"global"}).ok
 
 
+CORE = ["liveness", "agreement", "total-order", "validity"]
+RECONFIG = ["ledger-continuity-across-reconfig",
+            "liveness-under-bounded-churn"]
+
+#: the judge's verdict names, in order, per stream layer combination
+#: ``(membership, ingress, pack)`` -- one-epoch and plain-stream runs carry
+#: no layer; the rest are every combination the quick campaign holds
+LAYER_VERDICTS = {
+    (False, False, False): CORE,
+    (True, False, False): CORE + RECONFIG,
+    (False, True, False): CORE + ["ingress-conservation"],
+    (False, False, True): CORE + ["ledger-continuity", "scenario-recovery"],
+    (True, True, False): CORE + RECONFIG + ["ingress-conservation"],
+}
+
+#: a pack whose one heal is at 20 s, when the synthetic stream's last epoch
+#: starts
+HEALING_PACK = ScenarioPack(
+    name="synthetic", description="nominal, outage, recovered",
+    phases=(ScenarioPhase("nominal", 10.0),
+            ScenarioPhase("outage", 10.0, drop_rate=1.0),
+            ScenarioPhase("recovered", 10.0)))
+
+
+def synthetic_run(membership: bool, ingress: bool):
+    """A green three-epoch stream carrying the requested layers, plus the
+    observer of its decisions (one domain per epoch)."""
+    observer = RunObserver()
+    per_epoch, ledger = [], ""
+    for epoch in range(3):
+        block = [f"tx-{epoch}".encode()]
+        observer.record_proposal(0, block)
+        for node_id in range(4):
+            observer.record_decision(node_id, block, 10.0 * epoch + 5.0,
+                                     domain=epoch)
+        per_epoch.append(EpochRecord(
+            epoch=epoch, start_s=10.0 * epoch, decide_s=10.0 * epoch + 5.0,
+            latency_s=5.0, committed_transactions=1,
+            block_digest=block_digest(block), backlog_max=0,
+            backlog_mean=0.0))
+        ledger = chain_digest(ledger, block_digest(block))
+    result = StreamingRunResult(
+        protocol="beat", batched=True, num_nodes=4, epochs_target=3,
+        epochs_completed=3, decided=True, pipeline_depth=0,
+        offered_load_tps=1.0, per_epoch=per_epoch, ledger_digest=ledger,
+        committees=[CommitteeRecord(epoch=epoch, members=(0, 1, 2, 3))
+                    for epoch in range(3)] if membership else [],
+        classes=[ClassRecord("high", 0, offered=3, admitted=3, shed=0,
+                             deferred_pending=0, duplicates=0, committed=3,
+                             p50_latency_s=5.0, p90_latency_s=5.0,
+                             p99_latency_s=5.0)] if ingress else [])
+    return observer, result
+
+
 class TestCheckAll:
     def test_safety_checked_even_without_liveness_expectation(self):
         observer = observer_with([(0, BLOCK, 1.0, ("cluster", 0)),
                                   (1, [b"x"], 1.0, ("cluster", 0))])
         verdicts = {verdict.name: verdict.ok
-                    for verdict in check_all(observer, decided=False,
-                                             expect_decision=False,
-                                             timeout_s=10.0,
+                    for verdict in check_all(observer,
+                                             SimpleNamespace(decided=False),
+                                             10.0, expect_decision=False,
                                              affected_domains={"global"})}
         assert verdicts["no-decision-without-quorum"]
         assert not verdicts["agreement"]  # the local split must still surface
@@ -141,7 +209,39 @@ class TestCheckAll:
         observer = observer_with(
             [(0, BLOCK, 1.0, 0), (1, BLOCK, 2.0, 0)],
             proposals=[(0, [b"tx-a", b"tx-b"], "honest")])
-        verdicts = check_all(observer, decided=True, expect_decision=True,
-                             timeout_s=10.0)
-        assert len(verdicts) == 4
+        # a one-epoch result carries no stream layer: the core verdicts only
+        verdicts = check_all(observer, SimpleNamespace(decided=True), 10.0)
+        assert [verdict.name for verdict in verdicts] == CORE
         assert all(verdict.ok for verdict in verdicts)
+
+
+class TestJudgeLayers:
+    """``check_all`` picks every stream layer's gates from the result."""
+
+    @pytest.mark.parametrize("layers", sorted(LAYER_VERDICTS))
+    def test_verdict_names_follow_the_layers(self, layers):
+        membership, ingress, pack = layers
+        observer, result = synthetic_run(membership, ingress)
+        verdicts = check_all(observer, result, 100.0,
+                             pack=HEALING_PACK if pack else None)
+        assert [verdict.name for verdict in verdicts] == LAYER_VERDICTS[layers]
+        assert all(verdict.ok for verdict in verdicts), verdicts
+
+    def test_committed_campaign_cells_match_the_judge(self):
+        # Every cell of the committed artifact recorded exactly the verdicts
+        # the judge gives its layers; nothing is run.
+        with open(os.path.join(_ROOT, "CAMPAIGN.json")) as handle:
+            cells = json.load(handle)["cells"]
+        seen = set()
+        for cell in cells:
+            layers = (bool(cell["committees"]), bool(cell["ingress"]),
+                      bool(cell["scenario"]))
+            seen.add(layers)
+            observer, result = synthetic_run(*layers[:2])
+            names = [verdict.name for verdict in check_all(
+                observer, result, 100.0,
+                expect_decision=cell["expect_decision"],
+                pack=HEALING_PACK if layers[2] else None)]
+            assert [verdict["name"] for verdict in cell["invariants"]] == \
+                names, cell["cell_id"]
+        assert seen == set(LAYER_VERDICTS)

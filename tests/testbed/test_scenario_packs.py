@@ -14,12 +14,7 @@ import math
 
 import pytest
 
-from repro.testbed.invariants import (
-    RunObserver,
-    check_all,
-    check_ledger_continuity,
-    check_scenario_recovery,
-)
+from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenario_packs import (
     PackValidationError,
     ScenarioPack,
@@ -283,12 +278,10 @@ class TestAllPacksEndToEnd:
         pack = load_pack(name)
         result, observer, scenario = _stream(pack, epochs=16)
         assert result.decided, f"{name}: stream stalled"
-        verdicts = check_all(observer, result.decided, True,
-                             scenario.timeout_s)
-        verdicts.append(check_ledger_continuity(result.per_epoch,
-                                                result.ledger_digest))
-        verdicts.append(check_scenario_recovery(result.per_epoch,
-                                                pack.heal_times()))
+        verdicts = check_all(observer, result, scenario.timeout_s,
+                             pack=pack)
+        assert [verdict.name for verdict in verdicts[-2:]] == \
+            ["ledger-continuity", "scenario-recovery"]
         failed = [verdict for verdict in verdicts if not verdict.ok]
         assert not failed, f"{name}: {failed}"
         assert [record.name for record in result.phases] == \

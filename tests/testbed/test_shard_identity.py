@@ -132,8 +132,8 @@ class TestShardedWithFaults:
         observer = RunObserver()
         result = run_multihop_consensus("honeybadger-sc", scenario, seed=0,
                                         shards=2, observer=observer)
-        verdicts = check_all(observer, result.decided, expect_decision=True,
-                             timeout_s=scenario.timeout_s)
+        verdicts = check_all(observer, result, scenario.timeout_s,
+                             expect_decision=True)
         assert all(verdict.ok for verdict in verdicts), verdicts
 
     def test_observer_records_match_classic_shape(self):

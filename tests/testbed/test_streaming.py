@@ -211,8 +211,7 @@ class TestStreamingRuns:
         scenario = Scenario.single_hop(4)
         result = run_streaming_consensus("beat", scenario, small_spec(),
                                          seed=17, observer=observer)
-        verdicts = check_all(observer, result.decided, True,
-                             scenario.timeout_s)
+        verdicts = check_all(observer, result, scenario.timeout_s)
         assert all(verdict.ok for verdict in verdicts)
         # one decision domain per epoch
         assert len(observer.domains()) == 3
