@@ -24,11 +24,11 @@ across reruns and worker counts.
 
 from __future__ import annotations
 
+from repro.expts.judged import judged_stream
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
-from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenarios import Scenario
-from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.streaming import StreamingSpec
 from repro.testbed.workload import ArrivalSpec, ChurnSpec
 
 CHURN_PROTOCOLS = ("honeybadger-sc", "beat")
@@ -66,13 +66,8 @@ def churn_cell(params: dict) -> list:
         epochs=epochs, batch_size=CHURN_BATCH,
         arrival=ArrivalSpec(rate_tps=1.0, transaction_bytes=32,
                             max_mempool=512))
-    observer = RunObserver()
-    result = run_streaming_consensus(params["protocol"], scenario, spec,
-                                     seed=CHURN_SEED, observer=observer)
-    failed = [verdict for verdict in check_all(
-        observer, result, scenario.timeout_s) if not verdict.ok]
-    assert not failed, (
-        f"{params['protocol']} x {params['profile']}: {failed}")
+    result = judged_stream(f"{params['protocol']} x {params['profile']}",
+                           params["protocol"], scenario, spec, CHURN_SEED)
     crashes = sum(len(record.crashed) for record in result.committees)
     return [[params["protocol"], params["profile"], epochs,
              result.epochs_completed, result.reconfigurations, crashes,

@@ -21,12 +21,12 @@ worker counts.
 
 from __future__ import annotations
 
+from repro.expts.judged import judged_stream
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
 from repro.protocols.base import ConsensusConfig
-from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenarios import Scenario
-from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.streaming import StreamingSpec
 from repro.testbed.workload import ArrivalSpec
 
 LOAD_PROTOCOLS = ("honeybadger-sc", "beat", "dumbo-sc")
@@ -54,14 +54,9 @@ def load_sweep_cell(params: dict) -> list:
         epochs=LOAD_EPOCHS, batch_size=LOAD_BATCH,
         arrival=ArrivalSpec(rate_tps=params["offered_tps"],
                             transaction_bytes=32, max_mempool=256))
-    observer = RunObserver()
-    result = run_streaming_consensus(params["protocol"], scenario, spec,
-                                     seed=LOAD_SEED, observer=observer)
-    failed = [verdict for verdict in check_all(
-        observer, result, scenario.timeout_s) if not verdict.ok]
-    assert not failed, (
+    result = judged_stream(
         f"{params['protocol']} @ {params['offered_tps']} tx/s on "
-        f"{params['profile']}: {failed}")
+        f"{params['profile']}", params["protocol"], scenario, spec, LOAD_SEED)
     saturated = int(
         result.max_backlog > SATURATION_BACKLOG_BATCHES * LOAD_BATCH
         or result.arrivals_dropped_capacity > 0)
@@ -185,13 +180,8 @@ def streaming_pipeline_cell(params: dict) -> list:
             arrival=ArrivalSpec(rate_tps=20.0, transaction_bytes=32,
                                 max_mempool=8192))
         config = None
-    observer = RunObserver()
-    result = run_streaming_consensus("honeybadger-sc", scenario, spec,
-                                     seed=PIPELINE_SEED, config=config,
-                                     observer=observer)
-    failed = [verdict for verdict in check_all(
-        observer, result, scenario.timeout_s) if not verdict.ok]
-    assert not failed, f"{mode} gate, depth {depth}: {failed}"
+    result = judged_stream(f"{mode} gate, depth {depth}", "honeybadger-sc",
+                           scenario, spec, PIPELINE_SEED, config=config)
     return [[mode, depth, result.epochs_completed,
              round(result.duration_s, 3), round(result.throughput_tps, 2),
              round(result.p50_latency_s, 3), result.ledger_digest[:16]]]

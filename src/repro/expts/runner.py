@@ -19,7 +19,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
@@ -135,7 +134,6 @@ class ExperimentResult:
     #: deliberately excluded from RESULTS.json, which must not depend on
     #: cache state)
     cached_cells: int = 0
-    elapsed_s: float = 0.0
 
     @property
     def rows(self) -> list:
@@ -239,7 +237,6 @@ def run_experiments(specs: Iterable[ExperimentSpec], quick: bool = True,
 
     misses = [item for item in plan if item[5] is None]
     miss_ids = {id(item) for item in misses}
-    started = time.time()
     if misses:
         pooled = [item for item in misses if _pool_resolvable(item[2])] \
             if workers > 1 else []
@@ -257,7 +254,6 @@ def run_experiments(specs: Iterable[ExperimentSpec], quick: bool = True,
             item[5] = _execute_cell(item[2], item[3])
         for item in misses:
             cache.put(item[4], item[2].spec_id, item[3], fingerprint, item[5])
-    elapsed = time.time() - started
 
     results = []
     for spec_index, spec in enumerate(specs):
@@ -267,8 +263,7 @@ def run_experiments(specs: Iterable[ExperimentSpec], quick: bool = True,
             spec=spec, cell_rows=cell_rows, quick=quick,
             cached_cells=sum(1 for item in plan
                              if item[0] == spec_index
-                             and id(item) not in miss_ids),
-            elapsed_s=elapsed)
+                             and id(item) not in miss_ids))
         spec.run_checks(result.rows)
         results.append(result)
     return results

@@ -21,12 +21,12 @@ worker counts.
 
 from __future__ import annotations
 
+from repro.expts.judged import judged_stream
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
-from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenario_packs import available_packs, load_pack
 from repro.testbed.scenarios import Scenario
-from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.streaming import StreamingSpec
 from repro.testbed.workload import ArrivalSpec
 
 SCENARIO_PROTOCOLS = ("honeybadger-sc", "beat")
@@ -49,14 +49,9 @@ def scenario_cell(params: dict) -> list:
         epochs=SCENARIO_EPOCHS, batch_size=SCENARIO_BATCH, warmup=64,
         arrival=ArrivalSpec(rate_tps=1.0, transaction_bytes=32,
                             max_mempool=512))
-    observer = RunObserver()
-    result = run_streaming_consensus(params["protocol"], scenario, spec,
-                                     seed=SCENARIO_SEED, observer=observer,
-                                     pack=pack)
-    failed = [verdict for verdict in check_all(
-        observer, result, scenario.timeout_s, pack=pack) if not verdict.ok]
-    assert not failed, (
-        f"{params['protocol']} x {pack.name}: {failed}")
+    result = judged_stream(f"{params['protocol']} x {pack.name}",
+                           params["protocol"], scenario, spec, SCENARIO_SEED,
+                           pack=pack)
     return [[params["protocol"], pack.name, record.index, record.name,
              int(record.degraded), record.epochs,
              record.committed_transactions,

@@ -19,12 +19,12 @@ RESULTS.json stays byte-reproducible across reruns and worker counts.
 
 from __future__ import annotations
 
+from repro.expts.judged import judged_stream
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
 from repro.testbed.ingress import ingress_profile
-from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.scenarios import Scenario
-from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.streaming import StreamingSpec
 from repro.testbed.workload import ArrivalSpec
 
 SLO_PROTOCOLS = ("honeybadger-sc", "beat")
@@ -52,15 +52,10 @@ def slo_sweep_cell(params: dict) -> list:
         arrival=ArrivalSpec(rate_tps=params["offered_tps"],
                             transaction_bytes=48, max_mempool=256))
     scenario = Scenario.scale_single_hop(4)
-    observer = RunObserver()
-    result = run_streaming_consensus(
-        params["protocol"], scenario, spec, seed=SLO_SEED,
-        observer=observer, ingress=ingress)
-    failed = [verdict for verdict in check_all(
-        observer, result, scenario.timeout_s) if not verdict.ok]
-    assert not failed, (
+    result = judged_stream(
         f"{params['protocol']} x {params['policy']} @ "
-        f"{params['offered_tps']} tx/s: {failed}")
+        f"{params['offered_tps']} tx/s", params["protocol"], scenario, spec,
+        SLO_SEED, ingress=ingress)
     saturated = int(result.max_backlog
                     > SLO_SATURATION_BACKLOG_BATCHES * SLO_BATCH)
     rows = []

@@ -71,7 +71,8 @@ class ExperimentSpec:
     #: in RESULTS.json so a reader can see what a figure depends on without
     #: reading the cell function
     bindings: Mapping[str, str] = field(default_factory=dict)
-    #: wall-clock budget for one cell, seconds (documentation + runner warning)
+    #: wall-clock budget for one cell, seconds: documentation, recorded in
+    #: RESULTS.json; nothing enforces or warns on it
     cell_budget_s: float = 60.0
 
     def __post_init__(self) -> None:

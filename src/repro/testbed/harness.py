@@ -36,6 +36,7 @@ from __future__ import annotations
 import random
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
@@ -167,7 +168,6 @@ class DomainRuntime:
     transport: BaseTransport
     router: ComponentRouter
     protocol: Optional[ConsensusProtocol] = None
-    components: list[Component] = field(default_factory=list)
 
     def close(self) -> None:
         """Close the router (every component and protocol registered on
@@ -981,16 +981,84 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# component experiments (broadcast protocols, Fig. 11)
+# component experiments (broadcasts, Fig. 11; ABA, Fig. 12)
 # ---------------------------------------------------------------------------
 
-_BROADCAST_FACTORIES: dict[str, Callable[..., Component]] = {
-    "rbc": BrachaRbc,
-    "rbc-small": RbcSmall,
-    "prbc": Prbc,
-    "cbc": Cbc,
-    "cbc-small": CbcSmall,
+#: broadcast component -> (its class, the crypto schemes its runs deal)
+_BROADCASTS: dict[str, tuple[Callable[..., Component], tuple[str, ...]]] = {
+    "rbc": (BrachaRbc, (SCHEME_KEYRING,)),
+    "rbc-small": (RbcSmall, (SCHEME_KEYRING,)),
+    "prbc": (Prbc, (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG)),
+    "cbc": (Cbc, (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG)),
+    "cbc-small": (CbcSmall, (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG)),
 }
+
+
+def _run_components(name: str, scenario: Scenario, batched: bool, seed: int,
+                    schemes: Sequence[str], instances: int,
+                    make: Callable[[DomainRuntime], Callable[[int], Component]],
+                    value_for: Callable[[DomainRuntime, int], Any],
+                    serial: bool = False, **fields: Any) -> ComponentRunResult:
+    """Run ``instances`` components on every node to completion.
+
+    ``make(runtime)`` gives a node's builder of instance ``i``;
+    ``value_for(runtime, i)`` the node's input to it, ``None`` when the node
+    waits for the proposer.  With ``serial`` only instance 0 starts, and
+    each later one when the node's previous instance outputs.  Components
+    are built node by node, instance by instance, then started in the same
+    order.  Every honest output of an instance must equal the first one
+    (:class:`DeploymentError` otherwise).  ``fields`` complete the result.
+    """
+    deployment = build_deployment(scenario, batched=batched, seed=seed,
+                                  crypto_schemes=schemes)
+    with closing(deployment):
+        honest = set(deployment.honest_ids())
+        latch = _CompletionLatch(honest, instances)
+        #: the first honest output of each instance
+        agreed: dict[int, Any] = {}
+        built: dict[int, list[Component]] = {}
+
+        def start(node_id: int, instance: int) -> None:
+            value = value_for(deployment.runtimes[node_id], instance)
+            if value is not None:
+                deployment.nodes[node_id].run_task(
+                    partial(built[node_id][instance].start, value))
+
+        def on_output(node_id: int, instance: int, output: Any) -> None:
+            latch.mark(node_id, instance)
+            if node_id in honest \
+                    and agreed.setdefault(instance, output) != output:
+                raise DeploymentError(
+                    f"{name} agreement violated for instance {instance}: "
+                    f"node {node_id} output differs from an earlier honest one")
+            if serial and instance + 1 < instances:
+                start(node_id, instance + 1)
+
+        for node_id, runtime in deployment.runtimes.items():
+            build = make(runtime)
+            built[node_id] = []
+            for instance in range(instances):
+                comp = build(instance)
+                comp.on_output = partial(on_output, node_id)
+                runtime.router.register(comp)
+                built[node_id].append(comp)
+        for node_id in built:
+            for instance in range(1 if serial else instances):
+                start(node_id, instance)
+
+        finished = deployment.sim.run_until(latch.done,
+                                            timeout=scenario.timeout_s)
+        return ComponentRunResult(
+            component=name, batched=batched, num_nodes=scenario.num_nodes,
+            completed=finished,
+            latency_s=deployment.sim.now if finished else float("nan"),
+            channel_accesses=deployment.trace.total_channel_accesses,
+            bytes_sent=deployment.trace.total_bytes_sent,
+            collisions=deployment.trace.total_collisions,
+            rounds_executed=sum(getattr(comp, "rounds_executed", 0)
+                                for comps in built.values() for comp in comps),
+            per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
+            seed=seed, **fields)
 
 
 def run_broadcast_experiment(component: str, parallelism: int = 1,
@@ -1012,67 +1080,40 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
 
     Returns a :class:`~repro.testbed.metrics.ComponentRunResult`;
     ``latency_s`` is the virtual time at which the *last* honest node
-    completed its *last* instance (NaN on timeout).  Deterministic in
+    completed its *last* instance (NaN on timeout).  Honest-node agreement
+    on every instance is asserted before returning.  Deterministic in
     ``(component, parallelism, proposal_packets, scenario, batched, seed)``.
     """
-    if component not in _BROADCAST_FACTORIES:
+    if component not in _BROADCASTS:
         raise DeploymentError(
             f"unknown broadcast component {component!r}; "
-            f"known: {sorted(_BROADCAST_FACTORIES)}")
+            f"known: {sorted(_BROADCASTS)}")
     scenario = scenario or Scenario.single_hop(num_nodes)
     check_composition(scenario, "run_broadcast_experiment", multi_hop=False)
-    schemes = (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG) \
-        if component in ("prbc", "cbc", "cbc-small") else (SCHEME_KEYRING,)
-    deployment = build_deployment(scenario, batched=batched, seed=seed,
-                                  crypto_schemes=schemes)
-    with closing(deployment):
-        factory = _BROADCAST_FACTORIES[component]
-        tag = ("bcast", component)
-        latch = _CompletionLatch(deployment.honest_ids(), parallelism)
+    factory, schemes = _BROADCASTS[component]
+    tag = ("bcast", component)
+    proposal_bytes = max(16, proposal_packets * scenario.radio.max_payload_bytes - 60)
+    proposal_rng = random.Random(seed ^ 0xFACE)
 
-        proposal_bytes = max(16, proposal_packets * scenario.radio.max_payload_bytes - 60)
-        proposal_rng = random.Random(seed ^ 0xFACE)
+    def make(runtime: DomainRuntime) -> Callable[[int], Component]:
+        return lambda instance: factory(
+            runtime.ctx, instance, tag=tag,
+            proposer=instance % runtime.ctx.num_nodes)
 
-        for node_id, runtime in deployment.runtimes.items():
-            for instance in range(parallelism):
-                proposer = instance % runtime.ctx.num_nodes
-                comp = factory(runtime.ctx, instance, tag=tag, proposer=proposer)
-                comp.on_output = \
-                    lambda inst, _out, node_id=node_id: latch.mark(node_id, inst)
-                runtime.router.register(comp)
-                runtime.components.append(comp)
+    def value_for(runtime: DomainRuntime, instance: int) -> Any:
+        if instance % runtime.ctx.num_nodes != runtime.local_id:
+            return None
+        if component == "rbc-small":
+            return 1
+        if component == "cbc-small":
+            return list(range(runtime.ctx.quorum))
+        return random_bytes(proposal_rng, proposal_bytes)
 
-        # proposers start their instances
-        for node_id, runtime in deployment.runtimes.items():
-            for instance in range(parallelism):
-                if instance % runtime.ctx.num_nodes != runtime.local_id:
-                    continue
-                comp = runtime.components[instance]
-                if component in ("rbc-small", "cbc-small"):
-                    value = 1 if component == "rbc-small" else list(
-                        range(runtime.ctx.quorum))
-                else:
-                    value = random_bytes(proposal_rng, proposal_bytes)
-                deployment.nodes[node_id].run_task(
-                    lambda c=comp, v=value: c.start(v))
+    return _run_components(component, scenario, batched, seed, schemes,
+                           parallelism, make, value_for,
+                           parallelism=parallelism,
+                           proposal_packets=proposal_packets)
 
-        finished = deployment.sim.run_until(latch.done,
-                                            timeout=scenario.timeout_s)
-        return ComponentRunResult(
-            component=component, batched=batched, num_nodes=scenario.num_nodes,
-            parallelism=parallelism, completed=finished,
-            latency_s=deployment.sim.now if finished else float("nan"),
-            proposal_packets=proposal_packets,
-            channel_accesses=deployment.trace.total_channel_accesses,
-            bytes_sent=deployment.trace.total_bytes_sent,
-            collisions=deployment.trace.total_collisions,
-            per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
-            seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# component experiments (ABA, Fig. 12)
-# ---------------------------------------------------------------------------
 
 def run_aba_experiment(kind: str, parallel_instances: int = 1,
                        serial_instances: int = 0, num_nodes: int = 4,
@@ -1104,84 +1145,17 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
         raise DeploymentError(f"unknown ABA kind {kind!r}; expected lc, sc or cp")
     scenario = scenario or Scenario.single_hop(num_nodes)
     check_composition(scenario, "run_aba_experiment", multi_hop=False)
-    deployment = build_deployment(
-        scenario, batched=batched, seed=seed,
-        crypto_schemes=(SCHEME_KEYRING, *coin_schemes(kind)))
-    with closing(deployment):
-        tag = ("aba-exp", kind)
-        serial_mode = serial_instances > 0
-        total_instances = serial_instances if serial_mode else parallel_instances
-        honest = deployment.honest_ids()
-        latch = _CompletionLatch(honest, total_instances)
-        decisions: dict[int, dict[int, int]] = {node_id: {} for node_id in deployment.nodes}
+    tag = ("aba-exp", kind)
+    serial = serial_instances > 0
 
-        per_node_abas: dict[int, list[Component]] = {}
-        for node_id, runtime in deployment.runtimes.items():
-            make_aba = aba_factory(kind, runtime.ctx, runtime.router,
-                                   coin_tag=tag, coin_name="aba-exp")
-            abas = []
-            for instance in range(total_instances):
-                aba = make_aba(instance, tag=tag)
+    def make(runtime: DomainRuntime) -> Callable[[int], Component]:
+        return partial(aba_factory(kind, runtime.ctx, runtime.router,
+                                   coin_tag=tag, coin_name="aba-exp"), tag=tag)
 
-                def on_output(nid=node_id, inst=instance):
-                    def callback(_instance, decision):
-                        latch.mark(nid, inst)
-                        decisions[nid][inst] = decision
-                        if serial_mode:
-                            _start_next_serial(nid, inst + 1)
-                    return callback
-
-                aba.on_output = on_output()
-                runtime.router.register(aba)
-                abas.append(aba)
-            per_node_abas[node_id] = abas
-            runtime.components.extend(abas)
-
-        def input_for(node_id: int, instance: int) -> int:
-            return (node_id + instance) % 2
-
-        def _start_next_serial(node_id: int, instance: int) -> None:
-            if instance >= total_instances:
-                return
-            node = deployment.nodes[node_id]
-            aba = per_node_abas[node_id][instance]
-            node.run_task(lambda: aba.start(input_for(node_id, instance)))
-
-        for node_id in deployment.runtimes:
-            node = deployment.nodes[node_id]
-            if serial_mode:
-                aba = per_node_abas[node_id][0]
-                node.run_task(lambda a=aba, n=node_id: a.start(input_for(n, 0)))
-            else:
-                for instance in range(total_instances):
-                    aba = per_node_abas[node_id][instance]
-                    node.run_task(lambda a=aba, n=node_id, i=instance:
-                                  a.start(input_for(n, i)))
-
-        finished = deployment.sim.run_until(latch.done,
-                                            timeout=scenario.timeout_s)
-
-        # agreement check across honest nodes
-        for instance in range(total_instances):
-            values = {decisions[node_id].get(instance) for node_id in honest
-                      if instance in decisions[node_id]}
-            if len(values) > 1:
-                raise DeploymentError(
-                    f"ABA agreement violated for instance {instance}: {values}")
-
-        total_rounds = sum(
-            getattr(aba, "rounds_executed", 0)
-            for abas in per_node_abas.values() for aba in abas)
-        return ComponentRunResult(
-            component=f"aba-{kind}", batched=batched,
-            num_nodes=scenario.num_nodes,
-            parallelism=parallel_instances if not serial_mode else 1,
-            completed=finished,
-            latency_s=deployment.sim.now if finished else float("nan"),
-            serial_instances=serial_instances,
-            channel_accesses=deployment.trace.total_channel_accesses,
-            bytes_sent=deployment.trace.total_bytes_sent,
-            collisions=deployment.trace.total_collisions,
-            rounds_executed=total_rounds,
-            per_node_channel_accesses=deployment.trace.channel_accesses_per_node(),
-            seed=seed)
+    return _run_components(
+        f"aba-{kind}", scenario, batched, seed,
+        (SCHEME_KEYRING, *coin_schemes(kind)),
+        serial_instances if serial else parallel_instances, make,
+        lambda runtime, instance: (runtime.local_id + instance) % 2,
+        serial=serial, parallelism=1 if serial else parallel_instances,
+        serial_instances=serial_instances)

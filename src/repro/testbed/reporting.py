@@ -37,12 +37,7 @@ def increase_percent(baseline: float, improved: float) -> float:
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
                  title: str = "") -> str:
     """Render a plain-text table (used by benchmark ``--benchmark-only`` output)."""
-    rendered_rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(header) for header in headers]
-    for row in rendered_rows:
-        for index, cell in enumerate(row):
-            if index < len(widths):
-                widths[index] = max(widths[index], len(cell))
+    rendered_rows, widths = _rendered(headers, rows)
     lines = []
     if title:
         lines.append(title)
@@ -64,13 +59,7 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     padded to its widest cell so the raw markdown stays readable in diffs.
     Used by the ``RESULTS.md`` generator (:mod:`repro.expts.report`).
     """
-    rendered_rows = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [len(header) for header in headers]
-    if align_padding:
-        for row in rendered_rows:
-            for index, cell in enumerate(row):
-                if index < len(widths):
-                    widths[index] = max(widths[index], len(cell))
+    rendered_rows, widths = _rendered(headers, rows, align_padding)
     lines = ["| " + " | ".join(header.ljust(widths[index])
                                for index, header in enumerate(headers)) + " |",
              "| " + " | ".join("-" * widths[index]
@@ -80,6 +69,19 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
             cell.ljust(widths[index]) if index < len(widths) else cell
             for index, cell in enumerate(row)) + " |")
     return "\n".join(lines)
+
+
+def _rendered(headers: Sequence[str], rows: Iterable[Sequence[Any]],
+              pad: bool = True) -> tuple[list[list[str]], list[int]]:
+    """The rows' cells formatted, and each header's column width: the widest
+    of the header and its column's cells (the header alone without ``pad``)."""
+    rendered_rows = [[_fmt(cell) for cell in row] for row in rows]
+    widths = [len(header) for header in headers]
+    if pad:
+        for row in rendered_rows:
+            for index, cell in enumerate(row[:len(widths)]):
+                widths[index] = max(widths[index], len(cell))
+    return rendered_rows, widths
 
 
 def _fmt(cell: Any) -> str:

@@ -110,7 +110,6 @@ def test_results_markdown_marks_quick_subsamples():
 def test_experiment_result_to_json_excludes_cache_state():
     result = _result()
     result.cached_cells = 1
-    result.elapsed_s = 123.0
     payload = json.dumps(result.to_json())
     assert "cached" not in payload
     assert "elapsed" not in payload

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.components.rbc import BrachaRbc
 from repro.core.overhead import MessageOverheadModel
 from repro.net.adversary import LinkFaultSpec
 from repro.testbed import harness
@@ -73,6 +74,21 @@ class TestBroadcastExperiments:
     def test_unknown_component_rejected(self):
         with pytest.raises(DeploymentError):
             run_broadcast_experiment("avid-x", parallelism=1)
+
+    def test_an_honest_node_that_outputs_another_value_fails_the_run(
+            self, monkeypatch):
+        complete = BrachaRbc.complete
+
+        def fork(rbc, output):
+            if (rbc.ctx.node_id, rbc.instance) == (2, 1):
+                output = b"forked"
+            complete(rbc, output)
+
+        monkeypatch.setattr(BrachaRbc, "complete", fork)
+        with pytest.raises(DeploymentError,
+                           match=r"^rbc agreement violated for instance 1: "
+                                 r"node 2 "):
+            run_broadcast_experiment("rbc", parallelism=3, seed=1)
 
 
 class TestAbaExperiments:

@@ -41,8 +41,6 @@ from repro.testbed.invariants import (
     RunObserver,
     check_all,
     check_ingress_conservation,
-    check_ledger_continuity_across_reconfig,
-    check_liveness_under_bounded_churn,
 )
 from repro.testbed.membership import MembershipSchedule
 from repro.testbed.metrics import ClassRecord
@@ -72,6 +70,24 @@ def overload_spec() -> StreamingSpec:
         epochs=8, batch_size=4,
         arrival=ArrivalSpec(rate_tps=120.0, transaction_bytes=48,
                             max_mempool=256))
+
+
+def judged_ingress_stream(scenario: Scenario, spec: StreamingSpec,
+                          seed: int, ingress: IngressSpec) -> tuple:
+    """One observed honeybadger-sc stream and :func:`check_all`'s verdict
+    names on it; every verdict must pass."""
+    observer = RunObserver()
+    result = run_streaming_consensus("honeybadger-sc", scenario, spec,
+                                     seed=seed, observer=observer,
+                                     ingress=ingress)
+    verdicts = check_all(observer, result, scenario.timeout_s)
+    assert [(verdict.name, verdict.detail) for verdict in verdicts
+            if not verdict.ok] == []
+    return result, [verdict.name for verdict in verdicts]
+
+
+#: what ``check_all`` gives every run, in order
+CORE_VERDICTS = ["liveness", "agreement", "total-order", "validity"]
 
 
 def solo_spec(fee_max: float = 10.0) -> IngressSpec:
@@ -555,14 +571,13 @@ class TestStreamingDifferential:
 
 class TestStreamingIngress:
     def test_three_class_overload_populates_class_records(self):
-        result = run_streaming_consensus(
-            "honeybadger-sc", Scenario.scale_single_hop(4), overload_spec(),
-            seed=5, ingress=ingress_profile("three-class-shed"))
+        result, verdicts = judged_ingress_stream(
+            Scenario.scale_single_hop(4), overload_spec(), 5,
+            ingress_profile("three-class-shed"))
         assert result.decided
         assert [record.name for record in result.classes] \
             == ["high", "standard", "best-effort"]
-        verdict = check_ingress_conservation(result.classes)
-        assert verdict.ok, verdict.detail
+        assert verdicts == [*CORE_VERDICTS, "ingress-conservation"]
         assert result.shed_total > 0  # past saturation, the gate bites
         high = result.classes[0]
         assert high.shed == 0 and high.deferred_pending == 0
@@ -573,12 +588,11 @@ class TestStreamingIngress:
                     <= record.p99_latency_s
 
     def test_defer_policy_conserves_and_displaces_best_effort(self):
-        result = run_streaming_consensus(
-            "honeybadger-sc", Scenario.scale_single_hop(4), overload_spec(),
-            seed=5, ingress=ingress_profile("three-class-defer"))
+        result, verdicts = judged_ingress_stream(
+            Scenario.scale_single_hop(4), overload_spec(), 5,
+            ingress_profile("three-class-defer"))
         assert result.decided
-        verdict = check_ingress_conservation(result.classes)
-        assert verdict.ok, verdict.detail
+        assert verdicts == [*CORE_VERDICTS, "ingress-conservation"]
         high, _standard, best = result.classes
         assert best.name == "best-effort"
         assert best.shed + best.deferred_pending > 0
@@ -616,9 +630,8 @@ class TestStreamingIngress:
         assert result.decided and result.epochs_completed == 2
         verdicts = check_all(observer, result, scenario.timeout_s)
         assert [verdict.name for verdict in verdicts if not verdict.ok] == []
-        assert [verdict.name for verdict in verdicts] == [
-            "liveness", "agreement", "total-order", "validity",
-            "ingress-conservation"]
+        assert [verdict.name for verdict in verdicts] \
+            == [*CORE_VERDICTS, "ingress-conservation"]
         baseline = run_streaming_consensus("honeybadger-sc", scenario, spec,
                                            seed=1)
         mirrored = run_streaming_consensus(
@@ -634,16 +647,13 @@ class TestStreamingIngress:
         churn = ChurnSpec(initial_size=4, crash_times=(40.0,), horizon_s=100.0)
         scenario = Scenario.single_hop(5).with_membership(churn)
         spec = small_spec(epochs=5)
-        result = run_streaming_consensus(
-            "honeybadger-sc", scenario, spec, seed=7, ingress=THREE_OPEN)
+        result, verdicts = judged_ingress_stream(scenario, spec, 7,
+                                                 THREE_OPEN)
         assert result.decided and result.reconfigurations >= 1
-        verdict = check_ingress_conservation(result.classes)
-        assert verdict.ok, verdict.detail
-        assert all(verdict.ok for verdict in (
-            check_ledger_continuity_across_reconfig(
-                result.per_epoch, result.committees, result.ledger_digest),
-            check_liveness_under_bounded_churn(
-                result.per_epoch, result.committees, result.decided, 5)))
+        assert result.epochs_target == 5
+        assert verdicts == [
+            *CORE_VERDICTS, "ledger-continuity-across-reconfig",
+            "liveness-under-bounded-churn", "ingress-conservation"]
         baseline = run_streaming_consensus("honeybadger-sc", scenario, spec,
                                            seed=7)
         mirrored = run_streaming_consensus(
