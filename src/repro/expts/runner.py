@@ -221,8 +221,14 @@ def run_experiments(specs: Iterable[ExperimentSpec], quick: bool = True,
     ad-hoc (unregistered) specs transparently run in-process instead.
     ``use_cache=False`` ignores the disk cache for reading but still writes
     fresh entries.  Paper-claim checks run on the assembled rows; a failing
-    check raises.
+    check raises.  Refuses to run under ``python -O``, which strips the
+    ``assert`` statements the checks are written in.
     """
+    if not __debug__:
+        raise RuntimeError(
+            "run_experiments: python -O strips the assert statements of the "
+            "paper-claim checks, so every claim would pass unchecked; run "
+            "without -O")
     specs = list(specs)
     cache = cache or ResultsCache()
     fingerprint = fingerprint or code_fingerprint()

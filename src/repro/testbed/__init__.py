@@ -11,8 +11,8 @@ consensus components and the consensus protocols into runnable experiments:
 * :mod:`~repro.testbed.harness`   -- builds deployments and runs consensus,
   broadcast-component and ABA experiments, batched or baseline;
 * :mod:`~repro.testbed.streaming` -- the sustained-load subsystem: E
-  back-to-back epochs, open-loop arrivals, mempools, epoch pipelining and
-  checkpoint/GC;
+  back-to-back epochs, open-loop arrivals through the ingress layer
+  (:mod:`~repro.testbed.ingress`), epoch pipelining and checkpoint/GC;
 * :mod:`~repro.testbed.metrics`   -- latency / throughput (TPM) / overhead
   metrics extracted from runs;
 * :mod:`~repro.testbed.invariants` -- safety/liveness conformance checking
@@ -34,12 +34,8 @@ from repro.testbed.harness import (
     run_broadcast_experiment,
     run_aba_experiment,
 )
-from repro.testbed.streaming import (
-    Mempool,
-    StreamingSpec,
-    run_streaming_consensus,
-)
-from repro.testbed.workload import ArrivalSpec, OpenLoopArrivals
+from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.workload import ArrivalSpec
 from repro.testbed.metrics import StreamingRunResult
 from repro.testbed.invariants import InvariantVerdict, RunObserver, check_all
 from repro.testbed.campaign import (
@@ -68,9 +64,7 @@ __all__ = [
     "run_streaming_consensus",
     "StreamingSpec",
     "StreamingRunResult",
-    "Mempool",
     "ArrivalSpec",
-    "OpenLoopArrivals",
     "InvariantVerdict",
     "RunObserver",
     "check_all",

@@ -1,9 +1,10 @@
 """Client-facing ingress: transaction classes, priority mempool, admission.
 
-The streaming subsystem (:mod:`repro.testbed.streaming`) models clients as a
-single undifferentiated open-loop arrival stream per node feeding a bounded
-FIFO :class:`~repro.testbed.streaming.Mempool`.  This module grows that into
-a production-shaped ingress layer:
+Every stream of the streaming subsystem (:mod:`repro.testbed.streaming`)
+feeds its nodes through this layer.  A plain stream runs the degenerate
+:meth:`IngressSpec.fifo_equivalent` spec -- one undifferentiated open-loop
+arrival stream per node into a pool that serves FIFO order; an ingress
+stream runs a production-shaped spec:
 
 * **Transaction classes** (:class:`TxClassSpec` / :class:`IngressSpec`) --
   named client populations with an arrival-mix weight, a priority band, a
@@ -16,9 +17,9 @@ a production-shaped ingress layer:
   fee first) *within* a class, deficit-weighted round-robin *across*
   classes, with the FIFO pool's dedup and capacity semantics preserved.  A
   single-class spec with a uniform fee reduces exactly to FIFO behavior,
-  which is what keeps the no-ingress default path bit-identical (the
-  differential tier in ``tests/testbed/test_ingress.py`` pins digests and
-  ``sim_events`` against :class:`~repro.testbed.streaming.Mempool`).
+  so a plain stream's pool behaves as the FIFO reference
+  :class:`~repro.testbed.streaming.Mempool` does (the differential tier in
+  ``tests/testbed/test_ingress.py`` replays that pool op for op).
 * **Admission control + backpressure** (:class:`AdmissionPolicy` /
   :class:`IngressGateway`) -- a queue-depth gate in front of each
   gateway's pool that sheds or defers low-priority classes while the
@@ -32,16 +33,16 @@ a production-shaped ingress layer:
 Seeded-RNG stream discipline
 ----------------------------
 
-Arrival *gaps* reuse the exact child-RNG stream of
-:class:`~repro.testbed.workload.OpenLoopArrivals` (key ``(seed, "arrival",
-node_id)`` via :func:`~repro.testbed.workload.arrival_gap_rng`); class,
-fee and size *marks* draw from a separate ``(seed, "ingress", node_id)``
-child RNG, and only when the spec leaves them free (one class -> no class
-draw; ``fee_min == fee_max`` -> no fee draw; no jitter -> no size draw).
-A degenerate spec (:meth:`IngressSpec.fifo_equivalent`) therefore produces
-the byte-identical arrival stream of the plain open-loop process, and the
-whole layer stays pace independent: the k-th arrival of a gateway has
-identical time, bytes, class and fee no matter how fast consensus runs.
+Arrival *gaps* draw from the child RNG keyed ``(seed, "arrival",
+node_id)``; class, fee and size *marks* draw from a separate ``(seed,
+"ingress", node_id)`` child RNG, and only when the spec leaves them free
+(one class -> no class draw; ``fee_min == fee_max`` -> no fee draw; no
+jitter -> no size draw).  A degenerate spec
+(:meth:`IngressSpec.fifo_equivalent`) therefore consumes the gap stream
+alone (its arrivals are pinned by digest in
+``tests/testbed/test_ingress.py``), and the whole layer stays pace
+independent: the k-th arrival of a gateway has identical time, bytes,
+class and fee no matter how fast consensus runs.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from repro.testbed.workload import (
     ArrivalSpec,
     TransactionWorkload,
     WorkloadSpec,
-    arrival_gap_rng,
 )
 
 _FLAVORS = ("uniform", "task-allocation", "telemetry")
@@ -172,12 +172,12 @@ class IngressSpec:
 
     @classmethod
     def fifo_equivalent(cls, arrival: ArrivalSpec) -> "IngressSpec":
-        """The degenerate spec whose behavior is bit-identical to no ingress.
+        """The degenerate spec a plain (no-ingress) stream runs.
 
         One class matching ``arrival``'s size/flavor, a constant fee and no
-        admission gate: the arrival stream reuses the plain open-loop gap
-        RNG and draws nothing else, and the priority mempool reduces to
-        FIFO -- the configuration the differential test tier pins against
+        admission gate: the arrival stream draws from the gap RNG and
+        nothing else, and the priority mempool reduces to FIFO -- the
+        configuration the differential test tier pins against
         :class:`~repro.testbed.streaming.Mempool`.
         """
         return cls(classes=(TxClassSpec(
@@ -195,14 +195,15 @@ class ClassedArrivals:
     The superposition of a gateway's client streams is itself Poisson, so a
     population of millions of clients collapses to one arrival process per
     gateway: exponential gaps of mean ``num_nodes / rate_tps`` virtual
-    seconds from the **same** child RNG stream as
-    :class:`~repro.testbed.workload.OpenLoopArrivals` (key ``(seed,
-    "arrival", node_id)``), plus categorical class marks and uniform
-    fee/size marks from a separate ``(seed, "ingress", node_id)`` child RNG.
-    Mark draws are elided whenever the spec pins them (single class /
-    constant fee / no jitter), so a degenerate spec consumes *only* the gap
-    stream and reproduces the plain process byte-for-byte.  Pace
-    independent: never reads simulator state.
+    seconds from a child RNG keyed ``(seed, "arrival", node_id)``, plus
+    categorical class marks and uniform fee/size marks from a separate
+    ``(seed, "ingress", node_id)`` child RNG.  Mark draws are elided
+    whenever the spec pins them (single class / constant fee / no jitter),
+    so a degenerate spec consumes *only* the gap stream -- the plain
+    open-loop process.  Pace independent: never reads simulator state, so
+    the k-th arrival of a gateway is the same at any pipeline depth and in
+    any interleaving of gateways -- the property the depth-0-vs-depth-1
+    bit-identity of streaming runs rests on.
     """
 
     def __init__(self, ingress: IngressSpec, arrival: ArrivalSpec,
@@ -214,12 +215,10 @@ class ClassedArrivals:
         self.num_nodes = num_nodes
         self.seed = seed
         self.per_node_rate = arrival.rate_tps / num_nodes
-        self._gap_rngs = [arrival_gap_rng(seed, node_id)
-                          for node_id in range(num_nodes)]
-        self._mark_rngs = [
-            random.Random(zlib.crc32(
-                repr((seed, "ingress", node_id)).encode()))
-            for node_id in range(num_nodes)]
+        self._gap_rngs, self._mark_rngs = (
+            [random.Random(zlib.crc32(repr((seed, stream, node_id)).encode()))
+             for node_id in range(num_nodes)]
+            for stream in ("arrival", "ingress"))
         total = sum(spec.weight for spec in ingress.classes)
         edge = 0.0
         self._mix_edges = []
@@ -282,10 +281,10 @@ class ClassedArrivals:
 class PriorityMempool:
     """Class-aware bounded mempool: fee order within a class, DRR across.
 
-    Interface-compatible with :class:`~repro.testbed.streaming.Mempool`
-    (``admit`` / ``take`` / ``commit`` / ``requeue`` / ``drain`` /
-    ``backlog`` and the four counters) so the streaming checkpoint loop is
-    oblivious to which pool it drives.  Within a class, :meth:`take` serves
+    Interface-compatible with the FIFO reference
+    :class:`~repro.testbed.streaming.Mempool` (``admit`` / ``take`` /
+    ``commit`` / ``requeue`` / ``drain`` / ``backlog`` and the four
+    counters); every stream pools here.  Within a class, :meth:`take` serves
     the highest fee first (ties by arrival order); across classes it runs
     deficit-weighted round-robin with per-class quanta proportional to
     ``TxClassSpec.service_weight`` (deficits persist across takes, and an
@@ -303,8 +302,7 @@ class PriorityMempool:
         self.ingress = ingress
         self.capacity = capacity
         num_classes = len(ingress.classes)
-        #: pooled tx -> (class_index, fee, seq); insertion-ordered like the
-        #: FIFO pool's dict so drain() hands over arrival order
+        #: pooled tx -> (class_index, fee, seq)
         self._meta: dict = {}
         self._in_flight: dict = {}
         self._heaps: list = [[] for _ in range(num_classes)]
@@ -435,11 +433,13 @@ class PriorityMempool:
         Mirrors the FIFO pool's drain contract (committee departure):
         in-flight state is cleared too, and each entry is the argument
         tuple of a survivor's :meth:`admit` -- ``(transaction, class_index,
-        fee)``, so the marks travel with the transaction.
+        fee)``, so the marks travel with the transaction.  Entries go in
+        admission ``seq`` order, so a requeued transaction keeps its rank
+        ahead of later arrivals, as at the front of the FIFO pool.
         """
         drained = [(transaction, class_index, fee)
                    for transaction, (class_index, fee, _seq)
-                   in self._meta.items()]
+                   in sorted(self._meta.items(), key=lambda item: item[1][2])]
         self._meta.clear()
         self._in_flight.clear()
         self._heaps = [[] for _ in self._quantum]

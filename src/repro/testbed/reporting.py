@@ -41,12 +41,10 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     lines = []
     if title:
         lines.append(title)
-    lines.append("  ".join(header.ljust(widths[index])
-                           for index, header in enumerate(headers)))
-    lines.append("  ".join("-" * widths[index] for index in range(len(headers))))
+    lines.append("  ".join(_padded(headers, widths)))
+    lines.append("  ".join("-" * width for width in widths))
     for row in rendered_rows:
-        lines.append("  ".join(cell.ljust(widths[index])
-                               for index, cell in enumerate(row)))
+        lines.append("  ".join(_padded(row, widths)))
     return "\n".join(lines)
 
 
@@ -60,14 +58,10 @@ def markdown_table(headers: Sequence[str], rows: Iterable[Sequence[Any]],
     Used by the ``RESULTS.md`` generator (:mod:`repro.expts.report`).
     """
     rendered_rows, widths = _rendered(headers, rows, align_padding)
-    lines = ["| " + " | ".join(header.ljust(widths[index])
-                               for index, header in enumerate(headers)) + " |",
-             "| " + " | ".join("-" * widths[index]
-                               for index in range(len(headers))) + " |"]
+    lines = ["| " + " | ".join(_padded(headers, widths)) + " |",
+             "| " + " | ".join("-" * width for width in widths) + " |"]
     for row in rendered_rows:
-        lines.append("| " + " | ".join(
-            cell.ljust(widths[index]) if index < len(widths) else cell
-            for index, cell in enumerate(row)) + " |")
+        lines.append("| " + " | ".join(_padded(row, widths)) + " |")
     return "\n".join(lines)
 
 
@@ -82,6 +76,13 @@ def _rendered(headers: Sequence[str], rows: Iterable[Sequence[Any]],
             for index, cell in enumerate(row[:len(widths)]):
                 widths[index] = max(widths[index], len(cell))
     return rendered_rows, widths
+
+
+def _padded(cells: Sequence[str], widths: Sequence[int]) -> list[str]:
+    """Each cell padded to its column's width; cells past the last header
+    (a row longer than the headers) go unpadded."""
+    return [cell.ljust(widths[index]) if index < len(widths) else cell
+            for index, cell in enumerate(cells)]
 
 
 def _fmt(cell: Any) -> str:

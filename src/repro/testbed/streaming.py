@@ -4,7 +4,7 @@ Every other harness entry point runs exactly *one* epoch; this module is the
 fifth entry point, :func:`run_streaming_consensus`, which drives the same
 protocol cores through ``E`` back-to-back epochs on **one long-lived
 deployment** against an open-loop transaction arrival process
-(:class:`~repro.testbed.workload.OpenLoopArrivals`).  It is what answers the
+(:class:`~repro.testbed.ingress.ClassedArrivals`).  It is what answers the
 paper's deployment question -- sustained throughput and latency under
 continuous client load -- rather than the per-epoch snapshots of the figures.
 
@@ -13,9 +13,11 @@ Shape of a streaming run
 
 * **Arrivals** -- each node receives a seeded Poisson-like stream of
   transactions (virtual-time inter-arrival gaps from a per-node child RNG,
-  never the simulator RNG) into a bounded :class:`Mempool`; arrivals beyond
-  the bound are dropped and counted, so memory stays O(backlog) under
-  overload.
+  never the simulator RNG) through its ingress gateway into a bounded
+  priority mempool; arrivals beyond the bound are dropped and counted, so
+  memory stays O(backlog) under overload.  A plain stream runs
+  :meth:`~repro.testbed.ingress.IngressSpec.fifo_equivalent`: one class,
+  one fee, no gate, FIFO service.
 * **Epochs** -- epoch ``e`` installs fresh protocol instances tagged with
   ``e`` on the deployment's existing routers/transports (dealt keys are
   reused; only the per-epoch tags change), every eligible node proposes up
@@ -45,7 +47,7 @@ Determinism contract
 --------------------
 
 ``run_streaming_consensus`` is a pure function of
-``(protocol, scenario, spec, batched, seed, config)`` -- bit-reproducible
+``(protocol, scenario, spec, seed, config)`` -- bit-reproducible
 across reruns and worker counts like the other entry points (guarded by
 ``tests/testbed/test_streaming.py``).  Additionally, because arrival streams
 are pace independent and nodes drain their mempools in FIFO arrival order,
@@ -66,7 +68,7 @@ import itertools
 import statistics
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Optional
 
 from repro.protocols.base import ConsensusConfig
 from repro.testbed.byzantine import CRASH_AT_EPOCH
@@ -94,7 +96,6 @@ from repro.testbed.scenario_packs import ScenarioController, ScenarioPack
 from repro.testbed.scenarios import Scenario
 from repro.testbed.workload import (
     ArrivalSpec,
-    OpenLoopArrivals,
     TransactionWorkload,
     WorkloadSpec,
 )
@@ -146,6 +147,11 @@ class StreamingSpec:
 
 class Mempool:
     """One node's bounded FIFO backlog of not-yet-proposed transactions.
+
+    No run path builds one: every stream pools through the ingress layer's
+    :class:`~repro.testbed.ingress.PriorityMempool`.  It stays as the
+    reference that pool's differential tests replay op for op, and as a
+    wrap point the performance ledger's tracer resolves by this name.
 
     Admission dedups against everything currently pooled *or* in flight
     (proposed but not yet committed) and enforces ``capacity`` on the pooled
@@ -259,7 +265,7 @@ class StreamingRun:
     inspect the deployment's post-run state, e.g. the GC bounds)."""
 
     def __init__(self, protocol: str, scenario: Scenario, spec: StreamingSpec,
-                 batched: bool = True, seed: int = 0,
+                 seed: int = 0,
                  config: Optional[ConsensusConfig] = None,
                  observer: Optional[RunObserver] = None,
                  pack: Optional[ScenarioPack] = None,
@@ -268,7 +274,6 @@ class StreamingRun:
         self.protocol = protocol
         self.scenario = scenario
         self.spec = spec
-        self.batched = batched
         self.seed = seed
         self.base_config = config or ConsensusConfig()
         self.observer = observer
@@ -280,7 +285,7 @@ class StreamingRun:
                           membership=membership is not None)
         # (a single-hop deployment has no global domain to deal for)
         self.deployment = build_deployment(
-            scenario, batched=batched, seed=seed,
+            scenario, seed=seed,
             **multihop_crypto_schemes(protocol, self.base_config))
         #: time-varying network conditions (None = static scenario only)
         self.controller = ScenarioController(pack, self.deployment) \
@@ -300,35 +305,25 @@ class StreamingRun:
             base_config=self.base_config, seed=seed) \
             if schedule is not None else None
         self.committees: list[CommitteeRecord] = []
-        #: committed-latency bookkeeping of ingress runs: pooled tx ->
-        #: (class, submit_s), shared by every gateway, popped at checkpoint
-        #: time
+        # A plain stream runs the single-class ungated ingress, whose
+        # priority pool serves FIFO order: one input path for every stream.
+        layer = ingress or IngressSpec.fifo_equivalent(spec.arrival)
+        self.arrivals = ClassedArrivals(layer, spec.arrival,
+                                        scenario.num_nodes, seed=seed)
+        #: pooled and in-flight tx -> (class, submit_s), shared by every
+        #: gateway, popped at checkpoint time
         self.tx_meta: dict = {}
-        if ingress is not None:
-            self.arrivals: Any = ClassedArrivals(
-                ingress, spec.arrival, scenario.num_nodes, seed=seed)
-            self.gateways = {
-                node_id: IngressGateway(ingress, spec.arrival.max_mempool,
-                                        meta=self.tx_meta)
-                for node_id in self.deployment.nodes}
-            self.mempools = {node_id: gateway.pool
-                             for node_id, gateway in self.gateways.items()}
-            #: per node, where an arrival ``(now, transaction, *marks)`` goes
-            self.submit = {node_id: gateway.submit
-                           for node_id, gateway in self.gateways.items()}
-            self.class_latencies: list[list] = [
-                [] for _ in ingress.classes]
-            self.class_committed = [0] * len(ingress.classes)
-        else:
-            self.arrivals = OpenLoopArrivals(spec.arrival, scenario.num_nodes,
-                                             seed=seed)
-            self.mempools = {node_id: Mempool(spec.arrival.max_mempool)
-                             for node_id in self.deployment.nodes}
-            # the FIFO pool has no gate, hence no use for the clock
-            self.submit = {
-                node_id: (lambda _now, transaction, admit=pool.admit:
-                          admit(transaction))
-                for node_id, pool in self.mempools.items()}
+        self.gateways = {
+            node_id: IngressGateway(layer, spec.arrival.max_mempool,
+                                    meta=self.tx_meta)
+            for node_id in self.deployment.nodes}
+        self.mempools = {node_id: gateway.pool
+                         for node_id, gateway in self.gateways.items()}
+        #: per class, latency samples -- only for a caller's ``ingress``: a
+        #: plain stream keeps none, so its memory stays O(backlog)
+        self.class_latencies: Optional[list] = [
+            [] for _ in ingress.classes] if ingress is not None else None
+        self.class_committed = [0] * len(layer.classes)
         #: conflicting-batch source for equivocating proposers (per epoch)
         self.workload = TransactionWorkload(
             WorkloadSpec(batch_size=spec.batch_size,
@@ -354,7 +349,7 @@ class StreamingRun:
             when, lambda: self._arrive(node_id, offer))
 
     def _arrive(self, node_id: int, offer: list) -> None:
-        self.submit[node_id](self.deployment.sim.now, *offer)
+        self.gateways[node_id].submit(self.deployment.sim.now, *offer)
         self._pump(node_id)
 
     # ------------------------------------------------------------ epoch starts
@@ -470,20 +465,20 @@ class StreamingRun:
         self.ledger_digest = chain_digest(self.ledger_digest, digest)
         self.committed_transactions += len(committed)
         self.last_decide_s = decide_s
-        if self.ingress is not None:
-            # Client-observed latency: submit (original arrival, even when
-            # the gate deferred it) -> the epoch's decide instant.
-            for transaction in committed:
-                meta = self.tx_meta.pop(transaction, None)
-                if meta is not None:
-                    class_index, submit_s = meta
-                    self.class_latencies[class_index].append(
-                        decide_s - submit_s)
-                    self.class_committed[class_index] += 1
-            # Backlogs just settled (commits + requeues landed): give every
-            # gateway's defer queue a chance to re-offer parked load.
-            for node_id in sorted(self.gateways):
-                self.gateways[node_id].release_deferred()
+        # Client-observed latency: submit (original arrival, even when the
+        # gate deferred it) -> the epoch's decide instant.
+        latencies = self.class_latencies
+        for transaction in committed:
+            meta = self.tx_meta.pop(transaction, None)
+            if meta is not None:
+                class_index, submit_s = meta
+                self.class_committed[class_index] += 1
+                if latencies is not None:
+                    latencies[class_index].append(decide_s - submit_s)
+        # Backlogs just settled (commits + requeues landed): give every
+        # gateway's defer queue a chance to re-offer parked load.
+        for node_id in sorted(self.gateways):
+            self.gateways[node_id].release_deferred()
         driver.release()
         self.checkpoint_cursor = epoch + 1
 
@@ -541,7 +536,7 @@ class StreamingRun:
             # t=0 burst.
             for _ in range(self.spec.warmup):
                 _when, *offer = self.arrivals.next_arrival(node_id)
-                self.submit[node_id](0.0, *offer)
+                self.gateways[node_id].submit(0.0, *offer)
             self._pump(node_id)
         finished = deployment.sim.run_until(self._poll,
                                             timeout=self.scenario.timeout_s)
@@ -551,7 +546,7 @@ class StreamingRun:
                                 for m in self.mempools.values())
         admitted = sum(m.admitted for m in self.mempools.values())
         return StreamingRunResult(
-            protocol=self.protocol, batched=self.batched,
+            protocol=self.protocol, batched=True,
             num_nodes=self.scenario.num_nodes,
             epochs_target=self.spec.epochs,
             epochs_completed=self.checkpoint_cursor,
@@ -603,7 +598,7 @@ class StreamingRun:
 
 def run_streaming_consensus(protocol: str, scenario: Scenario,
                             spec: Optional[StreamingSpec] = None,
-                            batched: bool = True, seed: int = 0,
+                            seed: int = 0,
                             config: Optional[ConsensusConfig] = None,
                             observer: Optional[RunObserver] = None,
                             pack: Optional[ScenarioPack] = None,
@@ -622,7 +617,7 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
             the **whole stream** in virtual seconds.
         spec: the :class:`StreamingSpec` (epochs, per-epoch batch size,
             pipeline depth, arrival process).
-        batched / seed / config / observer: as in
+        seed / config / observer: as in
             :func:`repro.testbed.harness.run_consensus`; the observer sees
             per-epoch domains (``("epoch", e)``, or ``("epoch", e,
             "cluster", c)`` / ``("epoch", e, "global")`` for multi-hop), so
@@ -653,10 +648,9 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
             :class:`~repro.testbed.metrics.ClassRecord` per transaction
             class in ``classes`` (per-class dispositions + client-observed
             submit->commit latency percentiles).  ``None`` (the default)
-            keeps the plain FIFO path bit-identical to earlier releases;
-            so does the degenerate
+            runs the degenerate
             :meth:`~repro.testbed.ingress.IngressSpec.fifo_equivalent`
-            spec (pinned by ``tests/testbed/test_ingress.py``).
+            spec (one class, FIFO service) and reports no classes.
 
     Returns a :class:`~repro.testbed.metrics.StreamingRunResult`; all times
     are virtual seconds and ``throughput_tps`` is committed transactions per
@@ -668,7 +662,7 @@ def run_streaming_consensus(protocol: str, scenario: Scenario,
         spec = StreamingSpec()
     if scenario.num_nodes < 1:
         raise DeploymentError("streaming needs at least one node")
-    run = StreamingRun(protocol, scenario, spec, batched=batched, seed=seed,
+    run = StreamingRun(protocol, scenario, spec, seed=seed,
                        config=config, observer=observer, pack=pack,
                        membership=membership, ingress=ingress)
     with closing(run.deployment):

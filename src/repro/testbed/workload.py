@@ -7,11 +7,13 @@ two domain-flavoured workloads matching the motivating wireless applications
 (dynamic task allocation for a robot swarm and telemetry/map-fragment
 exchange), which the example programs use.
 
-For sustained-load (streaming) runs the module adds an **open-loop arrival
-process** (:class:`ArrivalSpec` / :class:`OpenLoopArrivals`): clients submit
-transactions at seeded Poisson-like arrival times *regardless of how fast
-consensus drains them*, which is what exposes saturation -- the offered load
-beyond which the backlog grows without bound.
+For sustained-load (streaming) runs the module adds the shape of an
+**open-loop arrival process** (:class:`ArrivalSpec`, driven by
+:class:`~repro.testbed.ingress.ClassedArrivals`) and the bytes of its
+transactions (:meth:`TransactionWorkload.stream_transaction`): clients
+submit transactions at seeded Poisson-like arrival times *regardless of how
+fast consensus drains them*, which is what exposes saturation -- the offered
+load beyond which the backlog grows without bound.
 
 Seeded-RNG stream discipline
 ----------------------------
@@ -20,9 +22,10 @@ Every random quantity here derives from a caller-provided integer ``seed``
 through CRCs of canonical reprs (never Python's per-process-salted ``hash``),
 and each node's arrival stream draws from its **own** child RNG:
 
-* arrival *times* and transaction *bytes* of node ``i`` are a pure function
-  of ``(seed, i, arrival index)`` -- independent of every other node, of the
-  simulation's pace, and of how often (or lazily) the stream is read;
+* arrival *times* (drawn by ``ClassedArrivals`` from a per-node child RNG)
+  and transaction *bytes* of node ``i`` are a pure function of ``(seed, i,
+  arrival index)`` -- independent of every other node, of the simulation's
+  pace, and of how often (or lazily) the stream is read;
 * nothing here ever touches the simulator's RNG, so a fault-free streaming
   run consumes exactly the same substrate RNG stream as the equivalent
   sequence of single-epoch runs -- fault-free streams stay bit-identical to
@@ -169,18 +172,6 @@ class TransactionWorkload:
 # open-loop arrivals (streaming runs)
 # ---------------------------------------------------------------------------
 
-def arrival_gap_rng(seed: int, node_id: int) -> random.Random:
-    """The child RNG of node ``node_id``'s arrival-gap stream.
-
-    Shared by :class:`OpenLoopArrivals` and the ingress layer's
-    ``ClassedArrivals`` so that a degenerate (single-class) ingress
-    configuration consumes the **same** gap stream and reproduces the plain
-    open-loop arrival times byte-for-byte -- the anchor of the ingress
-    differential tests.
-    """
-    return random.Random(zlib.crc32(repr((seed, "arrival", node_id)).encode()))
-
-
 @dataclass(frozen=True)
 class ArrivalSpec:
     """Shape of an open-loop transaction arrival process.
@@ -211,54 +202,6 @@ class ArrivalSpec:
                 f"max_mempool must be >= 1, got {self.max_mempool}")
         if self.flavor not in ("uniform", "task-allocation", "telemetry"):
             raise ValueError(f"unknown workload flavor {self.flavor!r}")
-
-
-class OpenLoopArrivals:
-    """Deterministic per-node open-loop arrival streams.
-
-    Node ``i``'s stream is an independent sequence of ``(time_s, tx)``
-    pairs: exponential inter-arrival gaps of mean ``n / rate_tps`` seconds
-    (virtual time) drawn from a child RNG seeded by ``(seed, i)``, and
-    transaction bytes from
-    :meth:`TransactionWorkload.stream_transaction`.  The stream is **pace
-    independent**: it never reads simulator state, so the k-th arrival of a
-    node has identical time and bytes no matter how fast consensus runs, at
-    which pipeline depth, or in which order streams are interleaved -- the
-    property the depth-0-vs-depth-1 bit-identity of streaming runs rests on.
-    """
-
-    def __init__(self, spec: ArrivalSpec, num_nodes: int, seed: int = 0) -> None:
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        self.spec = spec
-        self.num_nodes = num_nodes
-        self.seed = seed
-        self.per_node_rate = spec.rate_tps / num_nodes
-        self._workload = TransactionWorkload(
-            WorkloadSpec(batch_size=1,
-                         transaction_bytes=spec.transaction_bytes,
-                         flavor=spec.flavor), seed=seed)
-        self._rngs = [arrival_gap_rng(seed, node_id)
-                      for node_id in range(num_nodes)]
-        self._clock = [0.0] * num_nodes
-        self._index = [0] * num_nodes
-
-    def next_arrival(self, node_id: int) -> tuple[float, bytes]:
-        """Advance node ``node_id``'s stream by one arrival.
-
-        Returns ``(arrival_time_s, transaction_bytes)``; arrival times are
-        absolute virtual-time seconds, strictly increasing per node.
-        """
-        rng = self._rngs[node_id]
-        self._clock[node_id] += rng.expovariate(self.per_node_rate)
-        transaction = self._workload.stream_transaction(
-            node_id, self._index[node_id])
-        self._index[node_id] += 1
-        return self._clock[node_id], transaction
-
-    def generated(self, node_id: int) -> int:
-        """How many arrivals node ``node_id``'s stream has produced so far."""
-        return self._index[node_id]
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,11 @@ def test_markdown_table_handles_ragged_row():
     assert "extra" in text
 
 
+def test_both_renderers_leave_cells_past_the_headers_unpadded():
+    assert format_table(["a"], [[1, 2]]).splitlines() == ["a", "-", "1  2"]
+    assert markdown_table(["a"], [[1, 2]]).splitlines()[2] == "| 1 | 2 |"
+
+
 # ---------------------------------------------------------------------------
 # RESULTS.json / RESULTS.md
 # ---------------------------------------------------------------------------

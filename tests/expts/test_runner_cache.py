@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import repro
 from repro.expts.runner import (
     ResultsCache,
     code_fingerprint,
@@ -140,3 +143,27 @@ def test_shared_pool_across_specs_preserves_grid_order(tmp_path):
     assert [result.spec.spec_id for result in results] == \
         ["cache-probe", "cache-probe-2"]
     assert results[0].rows == results[1].rows == [[1, 10], [2, 20], [3, 30]]
+
+
+def test_optimized_interpreter_is_refused(tmp_path):
+    """``python -O`` strips assert statements, so a violated paper claim
+    would pass unseen: the runner refuses to run at all, naming -O."""
+    probe = (
+        "from repro.expts.runner import ResultsCache, run_experiments\n"
+        "from repro.expts.specs import ExperimentSpec\n"
+        "def cell(params):\n"
+        "    return [[params['p']]]\n"
+        "def violated(rows):\n"
+        "    assert False, 'claim violated'\n"
+        "spec = ExperimentSpec(\n"
+        "    spec_id='optimized-probe', paper_anchor='Fig. T', title='t',\n"
+        "    description='d', headers=('p',), schema=('int',),\n"
+        "    cell_fn=cell, grid=({'p': 1},), checks=(violated,))\n"
+        f"run_experiments([spec], cache=ResultsCache({str(tmp_path)!r}))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    done = subprocess.run([sys.executable, "-O", "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode != 0
+    assert "RuntimeError" in done.stderr and "-O" in done.stderr
+    assert os.listdir(tmp_path) == []  # refused before any cell ran

@@ -67,9 +67,9 @@ PARAMETERS = {
     run_multihop_consensus: ("protocol", "scenario", "batched", "seed",
                              "config", "workload_spec", "observer", "shards",
                              "shard_workers"),
-    run_streaming_consensus: ("protocol", "scenario", "spec", "batched",
-                              "seed", "config", "observer", "pack",
-                              "membership", "ingress"),
+    run_streaming_consensus: ("protocol", "scenario", "spec", "seed",
+                              "config", "observer", "pack", "membership",
+                              "ingress"),
     run_aba_experiment: ("kind", "parallel_instances", "serial_instances",
                          "num_nodes", "batched", "seed", "scenario"),
     encode_blocks: ("data", "num_data_blocks", "num_blocks"),

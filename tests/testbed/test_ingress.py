@@ -7,7 +7,8 @@ Four contracts pinned here:
   path: per-epoch digests, ledger digest and the full ``sim_events`` trace
   match across protocols and seeds, and a single-class
   :class:`PriorityMempool` replays the FIFO :class:`Mempool` op-for-op under
-  randomized admit/take/commit/requeue sequences with identical counters.
+  randomized admit/take/commit/requeue/drain sequences with identical
+  counters.
 * **Ordering properties** -- fee order within a class (ties by arrival),
   deficit-weighted round-robin shares across classes proportional to
   ``service_weight``, requeue restoring a transaction's original rank.
@@ -20,6 +21,7 @@ Four contracts pinned here:
   drawing the simulator RNG, byte-identical across replays.
 """
 
+import hashlib
 import random
 from dataclasses import asdict, replace
 
@@ -51,7 +53,7 @@ from repro.testbed.streaming import (
     StreamingSpec,
     run_streaming_consensus,
 )
-from repro.testbed.workload import ArrivalSpec, ChurnSpec, OpenLoopArrivals
+from repro.testbed.workload import ArrivalSpec, ChurnSpec
 from tests.helpers import epoch_digests
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
@@ -135,20 +137,27 @@ class TestSpecValidation:
 
 
 class TestClassedArrivals:
+    #: sha256 of the repr of the ``(time, bytes)`` pairs of the plain
+    #: open-loop process streams ran on before every stream went through
+    #: the ingress layer: 3 nodes x 40 arrivals, node by node
+    PLAIN_STREAM_SHA256 = \
+        "51aa728ceb4619b740d61fd123005a8655a70826ccc63a701bad3b447a8e1e04"
+
     def test_degenerate_spec_reproduces_plain_stream_exactly(self):
         """The anchor of the differential tier: a fifo-equivalent spec
-        consumes only the gap RNG, so (time, bytes) pairs are byte-identical
-        to OpenLoopArrivals on every gateway."""
+        consumes only the gap RNG, so its (time, bytes) pairs are the plain
+        open-loop stream's, byte for byte, on every gateway."""
         arrival = ArrivalSpec(rate_tps=6.0, transaction_bytes=40)
-        plain = OpenLoopArrivals(arrival, num_nodes=3, seed=17)
         classed = ClassedArrivals(IngressSpec.fifo_equivalent(arrival),
                                   arrival, num_nodes=3, seed=17)
+        pairs = []
         for node in range(3):
             for _ in range(40):
-                when, tx = plain.next_arrival(node)
-                c_when, c_tx, class_index, fee = classed.next_arrival(node)
-                assert (when, tx) == (c_when, c_tx)
+                when, tx, class_index, fee = classed.next_arrival(node)
                 assert class_index == 0 and fee == 1.0
+                pairs.append((when, tx))
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() \
+            == self.PLAIN_STREAM_SHA256
 
     def test_streams_are_pace_independent(self):
         arrival = ArrivalSpec(rate_tps=6.0, transaction_bytes=48)
@@ -316,8 +325,9 @@ class TestPriorityMempool:
 
     def test_single_class_differential_vs_fifo_mempool(self):
         """The op-level reduction: a single-class uniform-fee priority pool
-        replays the FIFO pool op-for-op -- same take batches, same backlog,
-        same counters -- under randomized admit/take/commit/requeue."""
+        replays the FIFO pool op-for-op -- same take batches, same drained
+        order, same backlog, same counters -- under randomized
+        admit/take/commit/requeue/drain."""
         rng = random.Random(2024)
         fifo = Mempool(capacity=12)
         prio = PriorityMempool(IngressSpec(), capacity=12)
@@ -332,6 +342,12 @@ class TestPriorityMempool:
                 batch = fifo.take(count)
                 assert prio.take(count) == batch
                 in_flight.extend(batch)
+            elif op < 0.78:
+                # committee departure: requeued transactions lead the
+                # handover as they lead the FIFO pool
+                assert [entry[0] for entry in prio.drain()] \
+                    == [entry[0] for entry in fifo.drain()]
+                in_flight = []
             elif in_flight:
                 # requeue in take (= arrival) order, as the checkpoint
                 # loop does; commit order is irrelevant to both pools
@@ -360,6 +376,8 @@ class TestMempoolCapacityEdges:
         return lambda capacity: PriorityMempool(IngressSpec(), capacity)
 
     def test_capacity_zero_rejected(self, make_pool):
+        """Both constructors (``Mempool.__init__`` and the priority
+        pool's) refuse a pool that could hold nothing."""
         with pytest.raises(ValueError):
             make_pool(0)
 

@@ -19,7 +19,8 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.protocols.base import ConsensusConfig
-from repro.testbed.ingress import ingress_profile
+from repro.testbed.ingress import ClassedArrivals, IngressSpec, \
+    ingress_profile
 from repro.testbed.metrics import percentile
 from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.byzantine import ByzantineSpec
@@ -31,7 +32,7 @@ from repro.testbed.streaming import (
     StreamingSpec,
     run_streaming_consensus,
 )
-from repro.testbed.workload import ArrivalSpec, ChurnSpec, OpenLoopArrivals
+from repro.testbed.workload import ArrivalSpec, ChurnSpec
 from tests.helpers import epoch_digests, observer_digest
 
 FAST = ArrivalSpec(rate_tps=4.0, transaction_bytes=32, max_mempool=512)
@@ -111,11 +112,18 @@ class TestPercentile:
         assert value != value
 
 
+def plain_arrivals(spec: ArrivalSpec, num_nodes: int,
+                   seed: int) -> ClassedArrivals:
+    """The arrival process of a stream run without an ingress spec."""
+    return ClassedArrivals(IngressSpec.fifo_equivalent(spec), spec,
+                           num_nodes, seed=seed)
+
+
 class TestArrivals:
     def test_streams_are_pace_independent(self):
         spec = ArrivalSpec(rate_tps=3.0, transaction_bytes=32)
-        first = OpenLoopArrivals(spec, num_nodes=3, seed=5)
-        second = OpenLoopArrivals(spec, num_nodes=3, seed=5)
+        first = plain_arrivals(spec, num_nodes=3, seed=5)
+        second = plain_arrivals(spec, num_nodes=3, seed=5)
         # interleave reads in different orders; per-node streams must match
         a = [first.next_arrival(0) for _ in range(4)]
         _ = [first.next_arrival(1) for _ in range(2)]
@@ -124,10 +132,10 @@ class TestArrivals:
         assert a == b
 
     def test_times_strictly_increase_and_txs_unique(self):
-        arrivals = OpenLoopArrivals(ArrivalSpec(rate_tps=10.0), 2, seed=9)
+        arrivals = plain_arrivals(ArrivalSpec(rate_tps=10.0), 2, seed=9)
         times, txs = [], set()
         for _ in range(20):
-            when, tx = arrivals.next_arrival(0)
+            when, tx, _class_index, _fee = arrivals.next_arrival(0)
             times.append(when)
             txs.add(tx)
         assert times == sorted(times) and len(set(times)) == len(times)
@@ -274,6 +282,18 @@ class TestCheckpointGc:
         for runtime in run.deployment.runtimes.values():
             assert not runtime.transport._groups
             assert not runtime.transport._dirty
+
+    def test_plain_stream_keeps_only_live_transaction_marks(self):
+        """Memory stays O(backlog): after a plain stream the submit marks
+        cover exactly the pooled and in-flight transactions, and no latency
+        sample is kept."""
+        run = self._finished_run()
+        live = set()
+        for pool in run.mempools.values():
+            live.update(pool._meta, pool._in_flight)
+        assert live and set(run.tx_meta) == live
+        assert run.class_latencies is None
+        assert sum(run.class_committed) == run.committed_transactions
 
     def test_gc_state_is_bounded_by_window_not_epochs(self):
         short = self._finished_run(epochs=2)
