@@ -7,11 +7,11 @@ canonical runs execute in this process:
 * one pass of every ledger cell (``benchmarks/ledger/workloads.py``, traced
   form, seed 7000), each result read through ``failure``, ``facts`` and
   ``canonical`` the way the ledger reads it;
-* ``scripts/run_experiments.py --quick --no-cache --workers 1``;
+* ``scripts/run_experiments.py --quick --workers 1``;
 * ``scripts/run_campaign.py --quick --parallel 1``.
 
-Every run writes into a fresh temporary directory (dealer cache, results
-cache, artifacts), so the trace never reads a warm cache and never touches a
+Every run writes into a fresh temporary directory (dealer cache,
+artifacts), so the trace never reads a warm cache and never touches a
 tracked file.  Worker processes are not followed (these runs start none):
 what only a worker runs is tagged ``worker-only``.
 
@@ -164,7 +164,6 @@ def canonical_runs(workdir: str) -> None:
         if path not in sys.path:
             sys.path.insert(0, path)
     import workloads
-    from repro.expts.runner import ResultsCache
     from repro.testbed import dealer_cache
 
     dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache(
@@ -177,12 +176,10 @@ def canonical_runs(workdir: str) -> None:
             workloads.canonical(result)
 
     experiments = _load_script("run_experiments")
-    experiments.ResultsCache = lambda: ResultsCache(
-        os.path.join(workdir, "results-cache"))
     campaign = _load_script("run_campaign")
     with contextlib.redirect_stdout(io.StringIO()):
         status = [
-            experiments.main(["--quick", "--no-cache", "--workers", "1",
+            experiments.main(["--quick", "--workers", "1",
                               "--json", os.path.join(workdir, "RESULTS.json"),
                               "--markdown",
                               os.path.join(workdir, "RESULTS.md")]),

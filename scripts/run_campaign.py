@@ -17,7 +17,8 @@ Usage::
     PYTHONPATH=src python scripts/run_campaign.py \
         --only 'beat|mh4x4|lossy' --output /tmp/one_cell.json
 
-Exits non-zero if any cell violates an invariant.
+Exits non-zero if any cell violates an invariant, and prints for each red
+cell the command that replays it alone.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 import time
 
@@ -40,6 +42,18 @@ from repro.testbed.campaign import (  # noqa: E402
     run_matrix,
 )
 from repro.testbed.reporting import format_table  # noqa: E402
+
+
+def select(cells: list, only: str) -> list:
+    """The cells ``--only`` runs: those whose id contains ``only``."""
+    return [cell for cell in cells if only in cell.cell_id]
+
+
+def replay_command(cell_id: str, seed: int, quick: bool) -> str:
+    """The command that re-runs one cell of a campaign alone."""
+    mode = "" if quick else " --full"
+    return (f"PYTHONPATH=src python scripts/run_campaign.py --seed {seed}"
+            f"{mode} --only {shlex.quote(cell_id)} --output /tmp/replay.json")
 
 
 def main(argv=None) -> int:
@@ -67,7 +81,7 @@ def main(argv=None) -> int:
     quick = not args.full
     cells = default_cells(quick=quick, base_seed=args.seed)
     if args.only:
-        cells = [cell for cell in cells if args.only in cell.cell_id]
+        cells = select(cells, args.only)
         if not cells:
             print(f"no cells match {args.only!r}", file=sys.stderr)
             return 2
@@ -119,6 +133,8 @@ def main(argv=None) -> int:
                 if not verdict.ok:
                     print(f"  {outcome.cell_id}: {verdict.name}: {verdict.detail}",
                           file=sys.stderr)
+            print(f"  replay: {replay_command(outcome.cell_id, args.seed, quick)}",
+                  file=sys.stderr)
         return 1
     return 0
 

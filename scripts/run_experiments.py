@@ -4,17 +4,22 @@
 Executes the experiment registry (`repro.expts`): every figure, table and
 ablation of the paper's evaluation as a declarative spec with a parameter
 grid, paper-claim checks and an expected-output schema.  Cells run across
-multiprocessing workers and are cached on disk keyed by
-``(spec id, params, code fingerprint)``, so re-runs on unchanged code are
-instant and the artifacts are byte-identical regardless of worker count.
+multiprocessing workers, every row computed fresh, and the artifacts are
+byte-identical regardless of worker count.
 
 Usage::
 
     PYTHONPATH=src python scripts/run_experiments.py --quick
     PYTHONPATH=src python scripts/run_experiments.py --full --workers 8
     PYTHONPATH=src python scripts/run_experiments.py --list
+    PYTHONPATH=src python scripts/run_experiments.py --full --only fig13a
     PYTHONPATH=src python scripts/run_experiments.py \
         --only fig13 --json /tmp/fig13.json --markdown /tmp/fig13.md
+
+``--only`` runs the specs whose id contains its value and prints their
+tables; it writes an artifact only to a ``--json`` / ``--markdown`` path
+given with it, so a partial run never overwrites the canonical
+``RESULTS.json`` / ``RESULTS.md``.
 
 Exits non-zero if any cell violates its output schema or any reproduced
 paper claim fails.
@@ -35,11 +40,7 @@ if _SRC not in sys.path:
 
 from repro.expts import registry  # noqa: E402
 from repro.expts.report import write_artifacts  # noqa: E402
-from repro.expts.runner import (  # noqa: E402
-    ResultsCache,
-    code_fingerprint,
-    run_experiments,
-)
+from repro.expts.runner import code_fingerprint, run_experiments  # noqa: E402
 from repro.testbed.reporting import format_table  # noqa: E402
 
 
@@ -57,13 +58,9 @@ def main(argv=None) -> int:
                              "exit")
     parser.add_argument("--workers", type=int, default=0,
                         help="worker processes (0 = cpu count, 1 = serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore cached cell results (fresh entries are "
-                             "still written)")
     parser.add_argument("--json", default=None,
-                        help="RESULTS.json path (default: repo root; required "
-                             "with --only so a partial run cannot clobber the "
-                             "canonical artifact)")
+                        help="RESULTS.json path (default: repo root; with "
+                             "--only, written only when given)")
     parser.add_argument("--markdown", default=None,
                         help="RESULTS.md path (default: repo root; same --only "
                              "rule as --json)")
@@ -83,22 +80,16 @@ def main(argv=None) -> int:
             for cell_id in spec.cell_ids(quick):
                 print(f"  - {cell_id}")
         return 0
-    if args.only and (args.json is None or args.markdown is None):
-        print("--only runs a partial registry; pass --json and --markdown so "
-              "it cannot clobber the canonical RESULTS.json / RESULTS.md",
-              file=sys.stderr)
-        return 2
-    json_path = args.json or os.path.join(_ROOT, "RESULTS.json")
-    markdown_path = args.markdown or os.path.join(_ROOT, "RESULTS.md")
+    json_path, markdown_path = args.json, args.markdown
+    if not args.only:
+        json_path = json_path or os.path.join(_ROOT, "RESULTS.json")
+        markdown_path = markdown_path or os.path.join(_ROOT, "RESULTS.md")
 
     workers = args.workers or os.cpu_count() or 1
     fingerprint = code_fingerprint()
     started = time.time()
     try:
-        results = run_experiments(specs, quick=quick, workers=workers,
-                                  cache=ResultsCache(),
-                                  use_cache=not args.no_cache,
-                                  fingerprint=fingerprint)
+        results = run_experiments(specs, quick=quick, workers=workers)
     except AssertionError as error:
         print(f"paper-claim check failed: {error}", file=sys.stderr)
         return 1
@@ -107,19 +98,27 @@ def main(argv=None) -> int:
     write_artifacts(results, quick=quick, fingerprint=fingerprint,
                     json_path=json_path, markdown_path=markdown_path)
 
+    if args.only:
+        for result in results:
+            print(format_table(
+                result.spec.headers, result.rows,
+                title=f"{result.spec.paper_anchor}: {result.spec.title}"))
+            print()
+
     rows = []
     for result in results:
         cells = result.spec.cells(quick)
         rows.append([result.spec.spec_id, result.spec.paper_anchor,
-                     len(cells), len(result.rows), result.cached_cells,
-                     len(result.spec.checks), "ok"])
+                     len(cells), len(result.rows), len(result.spec.checks),
+                     "ok"])
     print(format_table(
-        ["experiment", "anchor", "cells", "rows", "cached", "checks", "status"],
+        ["experiment", "anchor", "cells", "rows", "checks", "status"],
         rows,
         title=f"experiments: {len(results)} specs, "
               f"{'quick' if quick else 'full'} mode, fingerprint {fingerprint}"))
+    written = ", ".join(path for path in (json_path, markdown_path) if path)
     print(f"\n{len(results)} experiments green in {elapsed:.1f}s "
-          f"({workers} workers) -> {json_path}, {markdown_path}")
+          f"({workers} workers) -> {written or 'no artifact written'}")
     return 0
 
 

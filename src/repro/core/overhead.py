@@ -18,8 +18,8 @@ messages); the wireless baseline exploits the shared channel (a broadcast is
 one transmission); ConsensusBatcher further merges the N parallel instances
 into a single transmission per phase.  These formulas are reproduced here and
 cross-checked against the simulator's channel-access counts by the
-``table1`` experiment spec (``PYTHONPATH=src python -m pytest
-benchmarks/bench_figures.py -k table1 -q``).
+``table1`` experiment spec (``PYTHONPATH=src python
+scripts/run_experiments.py --full --only table1``).
 """
 
 from __future__ import annotations

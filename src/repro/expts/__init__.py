@@ -7,18 +7,15 @@ output schema and paper-claim checks -- registered in
 :mod:`repro.expts.registry` by :mod:`repro.expts.paper`.
 
 The :mod:`repro.expts.runner` executes selected specs (optionally across
-multiprocessing workers), caches per-cell results keyed by
-``(spec id, params, code fingerprint)`` under ``benchmarks/results/cache/``,
-and :mod:`repro.expts.report` turns the outcome into the byte-reproducible
+multiprocessing workers), computing every row fresh, and
+:mod:`repro.expts.report` turns the outcome into the byte-reproducible
 ``RESULTS.json`` artifact and the auto-generated ``RESULTS.md`` document.
 
 Entry points:
 
-* ``scripts/run_experiments.py`` -- the CLI driver;
-* ``benchmarks/bench_figures.py`` -- every spec as pytest tests (select one
-  figure with ``-k <spec id>``);
-* :func:`repro.expts.runner.run_spec` / :func:`run_experiments` -- the
-  programmatic API.
+* ``scripts/run_experiments.py`` -- the CLI driver and the one way to run
+  an experiment (one figure: ``--full --only <spec id>``);
+* :func:`repro.expts.runner.run_experiments` -- the programmatic API.
 """
 
 from repro.expts.registry import all_specs, ensure_loaded, get, register

@@ -1,8 +1,8 @@
 """The paper's evaluation (Figs. 10-13, Table I, ablations) as registered specs.
 
-This module is the single home of the figure-reproduction logic:
-``benchmarks/bench_figures.py`` and the ``scripts/run_experiments.py``
-driver execute the cell functions defined here through the registry.  Cell
+This module is the single home of the figure-reproduction logic: the
+``scripts/run_experiments.py`` driver executes the cell functions defined
+here through the registry.  Cell
 functions are deterministic -- metrics are simulated virtual time, byte
 counts and analytic model values, never wall-clock -- which is what makes
 ``RESULTS.json`` byte-reproducible across runs and worker counts.

@@ -1,46 +1,24 @@
-"""Artifact rendering: RESULTS.json, RESULTS.md and the session table store.
+"""Artifact rendering: RESULTS.json and RESULTS.md.
 
-Two consumers share this module:
-
-* ``scripts/run_experiments.py`` turns a list of
-  :class:`~repro.expts.runner.ExperimentResult` into the byte-reproducible
-  ``RESULTS.json`` and the auto-generated ``RESULTS.md`` (one section per
-  figure/table, markdown tables, paper-anchor cross-references);
-* the benchmark suite's conftest renders every table executed during a
-  pytest session from the :data:`SESSION_RESULTS` store (the successor of
-  the old ``benchmarks/figrecorder.py`` accumulator) and writes them under
-  ``benchmarks/results/``.
+``scripts/run_experiments.py`` turns a list of
+:class:`~repro.expts.runner.ExperimentResult` into the byte-reproducible
+``RESULTS.json`` and the auto-generated ``RESULTS.md`` (one section per
+figure/table, markdown tables, paper-anchor cross-references).
 """
 
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
-from typing import Any, Optional
+from typing import Optional
 
-from repro.testbed.reporting import format_table, markdown_table
-
-#: tables recorded by ``benchmarks/bench_figures.py``, keyed by spec id in
-#: execution order; rendered by the benchmarks conftest at the end of a
-#: pytest session
-SESSION_RESULTS: "OrderedDict[str, Any]" = OrderedDict()
+from repro.testbed.reporting import markdown_table
 
 
 def standalone_command(spec_id: str) -> str:
-    """The command that runs one spec's figure-benchmark tests alone."""
-    return (f"PYTHONPATH=src python -m pytest benchmarks/bench_figures.py "
-            f"-k {spec_id} -q")
-
-
-def record_session_result(result) -> None:
-    """Remember an executed spec for end-of-session rendering (latest wins)."""
-    SESSION_RESULTS[result.spec.spec_id] = result
-
-
-def render_result_text(result) -> str:
-    """One executed spec as a plain-text table (terminal / results dir)."""
-    title = f"{result.spec.paper_anchor}: {result.spec.title}"
-    return format_table(result.spec.headers, result.rows, title=title)
+    """The command that runs one spec's full grid alone and prints its
+    table."""
+    return (f"PYTHONPATH=src python scripts/run_experiments.py --full "
+            f"--only {spec_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +28,8 @@ def render_result_text(result) -> str:
 def results_report(results: list, quick: bool, fingerprint: str) -> dict:
     """The ``RESULTS.json`` structure for a list of experiment results.
 
-    Byte-reproducible: contains no wall-clock data and no cache state, only
-    simulated metrics and the code fingerprint the cells were computed
-    under.  Serialise with :func:`dump_results_json` so key order, float
+    Byte-reproducible: contains no wall-clock data, only simulated metrics
+    and the code fingerprint the cells were computed under.  Serialise with :func:`dump_results_json` so key order, float
     formatting and the trailing newline are stable too.
     """
     return {

@@ -5,7 +5,7 @@ table or ablation: which cells (parameter dictionaries) it sweeps, which
 function turns one cell into table rows, what the rows must look like, and
 which paper claims the assembled table must satisfy.  Specs are pure data
 plus references to module-level functions, so cells can be dispatched to
-multiprocessing workers and cached on disk by content key.
+multiprocessing workers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def params_key(params: Mapping[str, Any]) -> str:
     """Canonical JSON key of one parameter cell.
 
     Deterministic across processes and runs (sorted keys, no whitespace
-    variance), so it can index the on-disk result cache.
+    variance), so it compares cells by value.
     """
     return json.dumps(dict(params), sort_keys=True, separators=(",", ":"))
 
@@ -42,11 +42,11 @@ class ExperimentSpec:
 
     The spec separates *what* an experiment is (grid, bindings, schema,
     claims) from *how* it is executed (:mod:`repro.expts.runner`), so the
-    same spec backs the ``scripts/run_experiments.py`` CLI, its tests in
-    ``benchmarks/bench_figures.py`` and the ``RESULTS.md`` section.
+    same spec backs the ``scripts/run_experiments.py`` CLI and the
+    ``RESULTS.md`` section.
     """
 
-    #: stable identifier (``fig10a``, ``table1``, ...); the cache/replay key
+    #: stable identifier (``fig10a``, ``table1``, ...); the ``--only`` key
     spec_id: str
     #: paper cross-reference rendered in RESULTS.md (``Fig. 10a``)
     paper_anchor: str
@@ -106,7 +106,7 @@ class ExperimentSpec:
         return self.grid
 
     def cell_ids(self, quick: bool = False) -> list:
-        """Human-readable identifiers of the selected cells (pytest ids)."""
+        """Human-readable identifiers of the selected cells (``--list``)."""
         return [self._cell_id(params) for params in self.cells(quick)]
 
     def _cell_id(self, params: Mapping[str, Any]) -> str:

@@ -574,7 +574,9 @@ def default_cells(quick: bool = True, base_seed: int = 0) -> list[CampaignCell]:
     every fault model exercised on both topologies by every protocol family
     -- plus the 18 hand-picked :data:`QUICK_CELLS` (large n, streams,
     scenario packs, churn, ingress).  Full mode adds the :data:`FULL_SPECS`
-    matrices.  Every cell is seeded by :meth:`CampaignCell.seeded`.
+    matrices, minus any cell whose id the list already holds (the fault-free
+    8x8 cell is in both).  Every cell is seeded by
+    :meth:`CampaignCell.seeded`.
     """
     flavors = itertools.cycle(CAMPAIGN_FLAVORS)
     cells = [CampaignCell(protocol, topology, fault,
@@ -584,8 +586,12 @@ def default_cells(quick: bool = True, base_seed: int = 0) -> list[CampaignCell]:
              for fault in ONE_EPOCH_FAULTS]
     cells += [CampaignCell(**row).seeded(base_seed) for row in QUICK_CELLS]
     if not quick:
+        seen = {cell.cell_id for cell in cells}
         for spec in FULL_SPECS:
-            cells.extend(replace(spec, base_seed=base_seed).cells())
+            for cell in replace(spec, base_seed=base_seed).cells():
+                if cell.cell_id not in seen:
+                    seen.add(cell.cell_id)
+                    cells.append(cell)
     return cells
 
 

@@ -38,19 +38,29 @@ CHURN_SWEEP = tuple(
 
 
 #: sha256 over the ``f"{cell_id} {seed}\n"`` lines of
-#: ``default_cells(quick=False, base_seed=0)``, recorded before the cell
-#: tables became one table with one seed rule
+#: ``default_cells(quick=False, base_seed=0)``: the matrix recorded before
+#: the cell tables became one table with one seed rule, minus the second
+#: copy of the fault-free 8x8 cell that both the quick rows and a full
+#: matrix produce
 FULL_MATRIX_SHA256 = \
-    "025c01cac66c4d18985e6672fc4133601e22ab273464a0cac22c5b3da14e839f"
+    "67afb963bc7cd6c97986e4707ce37306102fdf8aa214276d11693936dbfdd22b"
 
 
 def test_full_matrix_ids_and_seeds_are_pinned():
     # Only the quick matrix is pinned by CAMPAIGN.json; this pins the ids
-    # and seeds of all 173 full-mode cells without running any of them.
+    # and seeds of all 172 full-mode cells without running any of them.
     cells = default_cells(quick=False, base_seed=0)
     lines = "".join(f"{cell.cell_id} {cell.seed}\n" for cell in cells)
-    assert len(cells) == 173
+    assert len(cells) == 172
     assert hashlib.sha256(lines.encode()).hexdigest() == FULL_MATRIX_SHA256
+
+
+@pytest.mark.parametrize("quick", (True, False))
+@pytest.mark.parametrize("base_seed", (0, 7))
+def test_cell_ids_are_unique(quick, base_seed):
+    # A duplicate id runs one cell twice and writes two identical rows.
+    ids = [cell.cell_id for cell in default_cells(quick, base_seed)]
+    assert len(ids) == len(set(ids))
 
 
 def test_default_matrix_is_large_enough():

@@ -53,7 +53,7 @@ def test_registered_specs_have_unique_ids_and_anchors():
 
 
 def test_registered_grids_are_json_stable_and_picklable():
-    """Cells must survive the JSON cache key and multiprocessing pickling."""
+    """Cells must survive the JSON params key and multiprocessing pickling."""
     for spec in all_specs():
         for params in spec.grid:
             assert json.loads(params_key(params)) == dict(params)

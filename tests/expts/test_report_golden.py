@@ -112,11 +112,8 @@ def test_results_markdown_marks_quick_subsamples():
     assert "--quick" in text
 
 
-def test_experiment_result_to_json_excludes_cache_state():
-    result = _result()
-    result.cached_cells = 1
-    payload = json.dumps(result.to_json())
-    assert "cached" not in payload
+def test_experiment_result_to_json_excludes_wall_clock():
+    payload = json.dumps(_result().to_json())
     assert "elapsed" not in payload
 
 

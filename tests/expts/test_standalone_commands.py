@@ -1,11 +1,11 @@
-"""The "Standalone" command of every RESULTS.md section selects its tests.
+"""The "Standalone" command of every RESULTS.md section runs its spec alone.
 
 ``repro.expts.report.standalone_command`` renders one command per registered
-spec: ``pytest benchmarks/bench_figures.py -k <spec id>``.  A one-word ``-k``
-selects the tests whose name contains the word (case-insensitively), so the
-command selects a spec's tests exactly when its id occurs in their names and
-in no other spec's.  The names are the module's own parametrize ids, which
-pytest uses verbatim (``test_cell[<id>]``).
+spec: ``scripts/run_experiments.py --full --only <spec id>``.  ``--only``
+selects the specs whose id contains its value (``registry.select``), so the
+command runs exactly its spec when no other id contains that one.  Without
+``--json`` / ``--markdown`` such a run writes no artifact and prints the
+tables of the specs it ran.
 """
 
 import importlib.util
@@ -15,32 +15,36 @@ import shlex
 from repro.expts import registry, report
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-_MODULE = "benchmarks/bench_figures.py"
+_SCRIPT = "scripts/run_experiments.py"
 
 
-def _test_names() -> list:
+def _load_script():
     spec = importlib.util.spec_from_file_location(
-        "bench_figures_under_test", os.path.join(_ROOT, _MODULE))
+        "run_experiments_under_test", os.path.join(_ROOT, _SCRIPT))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    names = []
-    for test in (module.test_cell, module.test_paper_claim):
-        (mark,) = [mark for mark in test.pytestmark
-                   if mark.name == "parametrize"]
-        names += [f"{test.__name__}[{test_id}]"
-                  for test_id in mark.kwargs["ids"]]
-    return names
+    return module
 
 
-def test_every_rendered_command_selects_its_spec_tests():
-    names = _test_names()
-    assert len(names) == len(set(names))
+def test_every_rendered_command_selects_exactly_its_spec():
     for spec in registry.all_specs():
         words = shlex.split(report.standalone_command(spec.spec_id))
-        assert words[words.index("pytest") + 1] == _MODULE
-        keyword = words[words.index("-k") + 1].lower()
-        selected = [name for name in names if keyword in name.lower()]
-        assert selected, f"the {spec.spec_id} command selects no test"
-        foreign = [name for name in selected
-                   if f"[{spec.spec_id}/" not in name]
-        assert not foreign, f"the {spec.spec_id} command also selects {foreign}"
+        assert words[words.index("python") + 1] == _SCRIPT
+        assert "--full" in words
+        only = words[words.index("--only") + 1]
+        assert registry.select(only) == [spec], \
+            f"the {spec.spec_id} command does not select exactly its spec"
+
+
+def test_only_without_artifact_paths_prints_tables_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    script = _load_script()
+    # Where the canonical RESULTS.* would go: --only must write nothing there.
+    monkeypatch.setattr(script, "_ROOT", str(tmp_path))
+    assert script.main(["--full", "--only", "fig10c"]) == 0
+    assert os.listdir(tmp_path) == []
+    spec = registry.get("fig10c")
+    out = capsys.readouterr().out
+    assert f"{spec.paper_anchor}: {spec.title}" in out
+    assert all(header in out for header in spec.headers)
+    assert "no artifact written" in out
