@@ -193,10 +193,9 @@ def bench_group_exp(budget: float) -> dict[str, float]:
 
 def backend_powm_honest_epoch() -> int:
     """Backend ``powm`` calls made by one honest epoch of every protocol,
-    on keys dealt fresh in this process (a disk-cached deal re-learns its
-    known logs on load, see ``tests/testbed/test_dealer_cache.py``).  A
-    count, so a gate on it cannot flake: every base the honest path raises
-    was made here as a power of ``g``."""
+    on keys dealt fresh in this process.  A count, so a gate on it cannot
+    flake: every base the honest path raises was made here as a power of
+    ``g``."""
     calls = [0]
     original = crypto_backend.powm
 
@@ -205,8 +204,7 @@ def backend_powm_honest_epoch() -> int:
         return original(*args)
 
     shared_cache = dealer_cache.DEFAULT_DEALER_CACHE
-    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache(
-        use_disk=False)
+    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache()
     crypto_backend.powm = counting
     try:
         for protocol in PROTOCOL_NAMES:
@@ -236,8 +234,7 @@ def table_pow_honest_epoch(seed: int = 11) -> dict[str, int]:
 
     shared_cache = dealer_cache.DEFAULT_DEALER_CACHE
     generators = crypto_group._GENERATORS
-    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache(
-        use_disk=False)
+    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache()
     crypto_group._GENERATORS = {}
     crypto_group._hash_to_group_cached.cache_clear()
     FixedBaseTable.pow = counting

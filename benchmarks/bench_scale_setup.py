@@ -2,7 +2,7 @@
 
 Dealing one consensus domain runs four Shamir dealings plus a keyring --
 O(n^2) share evaluations and n fixed-base exponentiations per scheme.  The
-two-tier :class:`repro.testbed.dealer_cache.DealerCache` amortises that
+process cache :class:`repro.testbed.dealer_cache.DealerCache` amortises that
 across the repeated ``(num_nodes, seed)`` cells of campaign matrices and
 experiment sweeps; this benchmark records the fresh-deal rate, the cache-hit
 rate and their ratio into ``BENCH_hotpath.json`` (merged, so the other
@@ -57,7 +57,7 @@ def bench_dealer(budget: float) -> dict[str, float]:
     seeds = iter(range(10_000_000))
 
     def fresh_op() -> int:
-        # A fresh deal of every scheme, bypassing both cache tiers; a new
+        # A fresh deal of every scheme, bypassing the cache; a new
         # seed each iteration so memoised group tables are the only warmth
         # (matching what a cold harness run would pay per domain).
         seed = next(seeds)
@@ -65,7 +65,7 @@ def bench_dealer(budget: float) -> dict[str, float]:
             deal_scheme(scheme, DEALER_NUM_NODES, seed)
         return 1
 
-    warm = DealerCache(use_disk=False)
+    warm = DealerCache()
     warm.domain(DEALER_NUM_NODES, 0)  # populate the process tier off the clock
 
     def cached_op() -> int:

@@ -10,10 +10,10 @@ canonical runs execute in this process:
 * ``scripts/run_experiments.py --quick --workers 1``;
 * ``scripts/run_campaign.py --quick --parallel 1``.
 
-Every run writes into a fresh temporary directory (dealer cache,
-artifacts), so the trace never reads a warm cache and never touches a
-tracked file.  Worker processes are not followed (these runs start none):
-what only a worker runs is tagged ``worker-only``.
+Every run starts from an empty dealer cache and writes its artifacts into
+a fresh temporary directory, so the trace never reads a warm cache and
+never touches a tracked file.  Worker processes are not followed (these
+runs start none): what only a worker runs is tagged ``worker-only``.
 
 Every function defined under ``src/repro`` that the trace did not reach is
 an entry of ``REACH.json``, keyed ``module:qualname`` (a function nested in
@@ -166,8 +166,7 @@ def canonical_runs(workdir: str) -> None:
     import workloads
     from repro.testbed import dealer_cache
 
-    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache(
-        os.path.join(workdir, "dealer"))
+    dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache()
     for name in workloads.NAMES:
         for cell in workloads.build(name, traced=True):
             result = cell.run(LEDGER_SEED)

@@ -85,15 +85,15 @@ def main(argv=None) -> int:
         if not cells:
             print(f"no cells match {args.only!r}", file=sys.stderr)
             return 2
-        if args.output is None:
-            print("--only runs a partial matrix; pass --output so it cannot "
-                  "clobber the canonical CAMPAIGN.json", file=sys.stderr)
-            return 2
-    output = args.output or default_output
     if args.list_cells:
         for cell in cells:
             print(cell.cell_id)
         return 0
+    if args.only and args.output is None:
+        print("--only runs a partial matrix; pass --output so it cannot "
+              "clobber the canonical CAMPAIGN.json", file=sys.stderr)
+        return 2
+    output = args.output or default_output
 
     workers = args.parallel or os.cpu_count() or 1
     workers = min(workers, len(cells))

@@ -17,7 +17,6 @@ Modules
 -------
 :mod:`~repro.core.packet`   the logical message and the packet model (Figs. 4-6)
 :mod:`~repro.core.batcher`  the batched (ConsensusBatcher) and baseline transports
-:mod:`~repro.core.dma`      the DMA buffer/alignment model (Section IV-B.2)
 :mod:`~repro.core.overhead` the analytical message-overhead model of Table I
 """
 
@@ -28,7 +27,6 @@ from repro.core.batcher import (
     BaselineTransport,
     ConsensusBatcherTransport,
 )
-from repro.core.dma import DmaBuffer, DmaConfig
 from repro.core.overhead import MessageOverheadModel, OverheadRow
 
 __all__ = [
@@ -40,8 +38,6 @@ __all__ = [
     "BaseTransport",
     "BaselineTransport",
     "ConsensusBatcherTransport",
-    "DmaBuffer",
-    "DmaConfig",
     "MessageOverheadModel",
     "OverheadRow",
 ]

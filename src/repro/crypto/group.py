@@ -228,9 +228,8 @@ class Group:
         return KnownPower(generator, log * exponent % self.q)
 
     def learn(self, element: int, exponent: int) -> None:
-        """Remember that ``element`` is ``g ** exponent`` (a hash point, or
-        a key dealt in another process and loaded here), so raising it
-        takes the fixed-base table."""
+        """Remember that ``element`` is ``g ** exponent`` (a hash point), so
+        raising it takes the fixed-base table."""
         _generator(self.p, self.q, self.g).learn(element, exponent)
 
     def mul(self, a: int, b: int) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 
-from repro.core.dma import DmaConfig
 from repro.core.overhead import MessageOverheadModel
 from repro.core.packet import PacketSizer
 from repro.crypto.curves import (
@@ -30,6 +29,7 @@ from repro.crypto.threshold_coin import deal_threshold_coin
 from repro.crypto.threshold_sig import deal_threshold_sig
 from repro.expts.registry import register
 from repro.expts.specs import ExperimentSpec
+from repro.net.dma import DmaConfig
 from repro.net.radio import LORA_SF7_125KHZ, WIFI_LIKE
 from repro.testbed.harness import (
     run_aba_experiment,

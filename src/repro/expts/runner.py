@@ -31,11 +31,6 @@ def _package_root() -> str:
     return os.path.dirname(os.path.abspath(repro.__file__))
 
 
-def repo_root() -> str:
-    """The repository root (two levels above ``src/repro``)."""
-    return os.path.dirname(os.path.dirname(_package_root()))
-
-
 def code_fingerprint(root: Optional[str] = None) -> str:
     """Stable hex fingerprint of every file under ``src/repro``.
 

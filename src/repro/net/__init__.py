@@ -8,7 +8,9 @@ simulator with
 * a CSMA/CA medium access layer (:mod:`~repro.net.csma`),
 * a radio airtime model parameterised by bitrate (:mod:`~repro.net.radio`),
 * a node runtime with a CPU busy-time model so cryptographic computation
-  delays flow into consensus latency (:mod:`~repro.net.node`),
+  delays flow into consensus latency (:mod:`~repro.net.node`), behind a DMA
+  receive buffer with the packet-alignment optimisation of Section IV-B.2
+  (:mod:`~repro.net.dma`),
 * single-hop and clustered multi-hop topologies plus inter-cluster routing
   (:mod:`~repro.net.topology`, :mod:`~repro.net.routing`),
 * an asynchronous adversary able to delay and reorder messages and to control
@@ -21,6 +23,7 @@ from repro.net.sim import PeriodicTimer, Simulator
 from repro.net.radio import RadioConfig, LORA_SF7_125KHZ, LORA_FAST, WIFI_LIKE
 from repro.net.channel import WirelessChannel, Transmission
 from repro.net.csma import CsmaMac, CsmaConfig
+from repro.net.dma import DmaBuffer, DmaConfig
 from repro.net.node import NetworkNode, CpuConfig
 from repro.net.topology import Topology, SingleHopTopology, MultiHopTopology, Cluster
 from repro.net.trace import NetworkTrace, ChannelStats
@@ -37,6 +40,8 @@ __all__ = [
     "Transmission",
     "CsmaMac",
     "CsmaConfig",
+    "DmaBuffer",
+    "DmaConfig",
     "NetworkNode",
     "CpuConfig",
     "Topology",

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional
 
-from repro.core.dma import DmaBuffer, DmaConfig
 from repro.net.channel import Frame
 from repro.net.csma import CsmaMac
+from repro.net.dma import DmaBuffer, DmaConfig
 from repro.net.sim import Simulator
 from repro.net.trace import NetworkTrace
 

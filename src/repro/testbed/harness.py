@@ -404,7 +404,7 @@ def build_deployment(scenario: Scenario, batched: bool = True,
     ``crypto_schemes`` limits which threshold schemes the per-cluster domains
     deal (see :func:`crypto_schemes_for_protocol`); ``global_crypto_schemes``
     does the same for the multi-hop leader domain (defaults to
-    ``crypto_schemes``).  Dealing goes through the two-tier
+    ``crypto_schemes``).  Dealing goes through the process's
     :class:`~repro.testbed.dealer_cache.DealerCache`, so repeated deployments
     at the same ``(num_nodes, seed)`` share bit-identical key material
     without re-dealing.

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.core.dma import DmaConfig
 from repro.crypto.curves import DEFAULT_EC_CURVE, DEFAULT_THRESHOLD_CURVE
 from repro.net.adversary import LinkFaultSpec, PartitionSpec
 from repro.net.csma import CsmaConfig
+from repro.net.dma import DmaConfig
 from repro.net.node import CpuConfig
 from repro.net.radio import LORA_SF7_125KHZ, WIFI_LIKE, RadioConfig
 from repro.net.topology import MultiHopTopology, SingleHopTopology, Topology

@@ -255,9 +255,9 @@ class TestHonestPathNeedsNoBackend:
     @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
     def test_zero_backend_powm_on_an_honest_epoch(self, protocol, monkeypatch,
                                                   powm_calls):
-        # a fresh in-memory deal: keys from disk would carry no logs
+        # a fresh deal, so this process learned every dealt key's log
         monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE",
-                            dealer_cache.DealerCache(use_disk=False))
+                            dealer_cache.DealerCache())
         assert run_consensus(protocol, Scenario.single_hop(4),
                              seed=8100).decided
         assert powm_calls == []
@@ -354,7 +354,7 @@ class TestOneExponentiationPerStatement:
         def epoch() -> tuple[int, dict]:
             monkeypatch.setattr(group_module, "_GENERATORS", {})
             monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE",
-                                dealer_cache.DealerCache(use_disk=False))
+                                dealer_cache.DealerCache())
             threshold_sig._reconstructed_master_key.cache_clear()
             made.clear()
             multi_calls.clear()

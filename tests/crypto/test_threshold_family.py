@@ -1,7 +1,7 @@
 """What the three threshold schemes share, pinned per family: dealt key
 material, share bytes and RNG consumption (recorded before the schemes were
 folded onto one base, so the fold moved no draw and no byte), the pickle
-round trip the dealer cache's disk tier and the forked shard pipe rely on,
+round trip of dealt keys and of stamped shares (the forked shard pipe),
 and the verdict of ``verify_share`` on every kind of bad share (the three
 schemes used to run the same checks in three orders).
 
@@ -77,7 +77,7 @@ class TestFamilyPins:
             assert found == expected, (name, n, threshold, seed)
 
     def test_a_dealt_scheme_list_survives_pickle(self, family):
-        """The dealer cache's disk tier: equal key material, handles that
+        """A pickled copy of dealt keys: equal key material, handles that
         still make shares everybody accepts."""
         rng = random.Random(2411)
         schemes = family.deal(4, 2, rng)

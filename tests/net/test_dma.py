@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dma import DmaBuffer, DmaConfig
+from repro.net.dma import DmaBuffer, DmaConfig
 
 
 class TestDmaConfig:

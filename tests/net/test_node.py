@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.dma import DmaConfig
 from repro.net.channel import Frame, WirelessChannel
 from repro.net.csma import CsmaConfig, CsmaMac
+from repro.net.dma import DmaConfig
 from repro.net.node import CpuConfig, NetworkNode
 from repro.net.radio import LORA_SF7_125KHZ
 from repro.net.sim import Simulator

@@ -1,5 +1,6 @@
-"""``scripts/run_campaign.py``: ``--only`` selects one cell by its id, and a
-red cell prints the command that replays it alone."""
+"""``scripts/run_campaign.py``: ``--only`` selects one cell by its id,
+``--list`` prints a selection without running it, and a red cell prints the
+command that replays it alone."""
 
 import importlib.util
 import os
@@ -32,6 +33,14 @@ def test_every_cell_id_selects_exactly_its_cell(quick, base_seed):
     cells = campaign.default_cells(quick, base_seed)
     for cell in cells:
         assert script.select(cells, cell.cell_id) == [cell], cell.cell_id
+
+
+def test_list_prints_the_selected_cells_without_an_output(monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(campaign, "run_cell", None)  # --list runs no cell
+    cells = script.select(campaign.default_cells(True, 0), "beat|")
+    assert script.main(["--only", "beat|", "--list"]) == 0
+    assert capsys.readouterr().out.split() == [cell.cell_id for cell in cells]
 
 
 @pytest.mark.parametrize("quick", (True, False))

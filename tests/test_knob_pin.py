@@ -17,7 +17,7 @@ from repro.net.adversary import LinkFaultSpec
 from repro.protocols.base import ConsensusConfig
 from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.campaign import CampaignCell, FaultModel, TopologySpec
-from repro.testbed.dealer_cache import deal_crypto_domain
+from repro.testbed.dealer_cache import DealerCache, deal_crypto_domain
 from repro.testbed.harness import (
     Deployment,
     build_deployment,
@@ -76,6 +76,8 @@ PARAMETERS = {
     build_deployment: ("scenario", "batched", "seed", "crypto_schemes",
                        "global_crypto_schemes"),
     deal_crypto_domain: ("num_nodes", "domain_seed", "schemes", "domain"),
+    # one process tier, nothing to point at or switch off
+    DealerCache: (),
 }
 
 

@@ -7,7 +7,7 @@ frame, and the multi-hop backbone forwarding cost.
 
 import pytest
 
-from repro.core.dma import DmaConfig
+from repro.net.dma import DmaConfig
 from repro.net.radio import LORA_SF7_125KHZ, WIFI_LIKE
 from repro.testbed.harness import (
     run_aba_experiment,

@@ -2,10 +2,12 @@
 
 The cache may only ever change wall clock: a cached domain must be
 bit-identical to a freshly dealt one (same shares, same verify keys, same
-signatures over a fixed message), across both tiers, and the key must miss
-when the seed changes.
+signatures over a fixed message), and the key must miss when the seed
+changes.
 """
 
+import ast
+import builtins
 import random
 
 import pytest
@@ -50,8 +52,8 @@ def assert_domains_bit_identical(a: CryptoDomain, b: CryptoDomain) -> None:
 class TestDeterministicDealing:
     @pytest.mark.parametrize("num_nodes,seed", [(4, 0), (4, 7), (7, 0),
                                                 (10, 1234), (16, 99)])
-    def test_cached_equals_fresh(self, num_nodes, seed, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_cached_equals_fresh(self, num_nodes, seed):
+        cache = DealerCache()
         cached = cache.domain(num_nodes, seed)
         fresh = CryptoDomain(
             num_nodes=num_nodes, faults=(num_nodes - 1) // 3,
@@ -64,10 +66,10 @@ class TestDeterministicDealing:
         )
         assert_domains_bit_identical(cached, fresh)
 
-    def test_signatures_over_fixed_message_identical(self, tmp_path):
+    def test_signatures_over_fixed_message_identical(self):
         message = b"dealer-cache-equivalence"
         rng_a, rng_b = random.Random(5), random.Random(5)
-        cache = DealerCache(directory=str(tmp_path))
+        cache = DealerCache()
         cached = cache.domain(4, 42)
         fresh_sig = deal_scheme(SCHEME_THRESHOLD_SIG, 4, 42)
         shares_cached = [s.sign_share(message, rng_a)
@@ -80,16 +82,8 @@ class TestDeterministicDealing:
         assert combined_cached.value == combined_fresh.value
         assert fresh_sig[0].verify_signature(message, combined_cached)
 
-    def test_disk_tier_round_trip_bit_identical(self, tmp_path):
-        writer = DealerCache(directory=str(tmp_path))
-        dealt = writer.domain(7, 17)
-        reader = DealerCache(directory=str(tmp_path))
-        loaded = reader.domain(7, 17)
-        assert reader.hits > 0 and reader.misses == 0
-        assert_domains_bit_identical(dealt, loaded)
-
-    def test_seed_change_misses(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_seed_change_misses(self):
+        cache = DealerCache()
         cache.domain(4, 1)
         first_misses = cache.misses
         cache.domain(4, 2)
@@ -99,25 +93,15 @@ class TestDeterministicDealing:
         assert a.threshold_sig[0].private_share.secret != \
             b.threshold_sig[0].private_share.secret
 
-    def test_num_nodes_change_misses(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_num_nodes_change_misses(self):
+        cache = DealerCache()
         cache.domain(4, 1)
         first_misses = cache.misses
         cache.domain(7, 1)
         assert cache.misses > first_misses
 
-    def test_only_the_disk_tier_reads_the_code_fingerprint(self, tmp_path):
-        """The fingerprint is constant per process, so the process tier
-        gains nothing from it: a memory-only cache never computes it."""
-        memory_only = DealerCache(use_disk=False)
-        memory_only.domain(4, 5)
-        assert memory_only.misses > 0 and memory_only._fingerprint is None
-        on_disk = DealerCache(directory=str(tmp_path))
-        on_disk.domain(4, 5)
-        assert on_disk._fingerprint == memory_only.fingerprint()
-
-    def test_process_tier_hit_shares_scheme_objects_not_lists(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_process_tier_hit_shares_scheme_objects_not_lists(self):
+        cache = DealerCache()
         a = cache.domain(4, 3)
         b = cache.domain(4, 3)
         # Scheme handles are shared (the cache hit), but each domain gets its
@@ -137,7 +121,7 @@ class TestProcessTierBound:
     def test_holds_at_most_the_bound_and_re_deals_bit_identically(
             self, monkeypatch):
         monkeypatch.setattr(dealer_cache, "DEALT_SCHEMES_MAX", 3)
-        cache = DealerCache(use_disk=False)
+        cache = DealerCache()
         first = cache.scheme(SCHEME_THRESHOLD_SIG, 4, 0)
         kept = cache.scheme(SCHEME_THRESHOLD_SIG, 4, 1)
         for seed in range(2, 8):
@@ -164,11 +148,48 @@ class TestProcessTierBound:
         assert dealer_cache.DEALT_SCHEMES_MAX >= 2 * 33 * per_domain
 
 
+class TestProcessOnly:
+    """Dealt schemes live in the process and nowhere else: the cache takes
+    no directory, reads and writes no file, and keeps no serialiser."""
+
+    def test_takes_no_parameters(self):
+        assert DealerCache.use_disk is False
+        with pytest.raises(TypeError):
+            DealerCache(use_disk=True)
+        with pytest.raises(TypeError):
+            DealerCache(directory="dealt")
+
+    def test_dealing_opens_no_file(self, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(*args, **kwargs):
+            opened.append(args[0] if args else kwargs.get("file"))
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        cache = DealerCache()
+        cache.domain(4, 2024)  # a miss on every scheme
+        cache.domain(4, 2024)  # a hit on every scheme
+        assert cache.misses == len(ALL_SCHEMES) and cache.hits > 0
+        assert opened == []
+
+    def test_module_imports_no_serialiser_and_no_experiment_code(self):
+        with open(dealer_cache.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.module}
+        assert not imported & {"pickle", "json"}
+        assert not any(name.startswith("repro.expts") for name in imported)
+
+
 class TestLazySubsets:
-    def test_subset_matches_full_deal(self, tmp_path):
+    def test_subset_matches_full_deal(self):
         """Skipping a scheme never perturbs the keys of the others."""
-        full = DealerCache(directory=str(tmp_path / "a")).domain(4, 11)
-        lazy = DealerCache(directory=str(tmp_path / "b")).domain(
+        full = DealerCache().domain(4, 11)
+        lazy = DealerCache().domain(
             4, 11, schemes=(SCHEME_KEYRING, SCHEME_THRESHOLD_SIG,
                             SCHEME_THRESHOLD_ENC))
         assert lazy.coin_flip is None and lazy.threshold_coin is None
@@ -177,8 +198,8 @@ class TestLazySubsets:
         assert [s.private_share.secret for s in lazy.threshold_enc] == \
             [s.private_share.secret for s in full.threshold_enc]
 
-    def test_node_scheme_tolerates_missing(self, tmp_path):
-        lazy = DealerCache(directory=str(tmp_path)).domain(
+    def test_node_scheme_tolerates_missing(self):
+        lazy = DealerCache().domain(
             4, 11, schemes=(SCHEME_KEYRING,))
         assert lazy.node_scheme(SCHEME_COIN_FLIP, 0) is None
         assert lazy.node_scheme(SCHEME_THRESHOLD_SIG, 2) is None
@@ -190,45 +211,16 @@ class TestLazySubsets:
             assert {scheme.flavor for scheme in deal_scheme(coin.handle, 4, 3)} \
                 == {flavor}
 
-    def test_unknown_scheme_rejected(self, tmp_path):
+    def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            DealerCache(directory=str(tmp_path)).domain(4, 0, schemes=("bogus",))
+            DealerCache().domain(4, 0, schemes=("bogus",))
         with pytest.raises(ValueError):
             deal_scheme("bogus", 4, 0)
 
 
-class TestCorruptDiskEntries:
-    def test_corrupt_entry_behaves_like_miss(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
-        reference = cache.domain(4, 5)
-        for entry in tmp_path.iterdir():
-            entry.write_bytes(b"not a pickle")
-        fresh_cache = DealerCache(directory=str(tmp_path))
-        recovered = fresh_cache.domain(4, 5)
-        assert fresh_cache.misses == len(ALL_SCHEMES)
-        assert_domains_bit_identical(reference, recovered)
-
-
-    def test_entry_without_known_logs_behaves_like_miss(self, tmp_path):
-        import pickle
-
-        cache = DealerCache(directory=str(tmp_path))
-        reference = cache.domain(4, 5)
-        for entry in tmp_path.iterdir():
-            material = pickle.loads(entry.read_bytes())["material"]
-            entry.write_bytes(pickle.dumps(material))
-        fresh_cache = DealerCache(directory=str(tmp_path))
-        recovered = fresh_cache.domain(4, 5)
-        assert fresh_cache.misses == len(ALL_SCHEMES)
-        assert_domains_bit_identical(reference, recovered)
-
-
 class TestHarnessIntegration:
-    def test_deal_crypto_domain_uses_shared_default_cache(self, tmp_path,
-                                                           monkeypatch):
-        from repro.testbed import dealer_cache
-
-        cache = DealerCache(directory=str(tmp_path))
+    def test_deal_crypto_domain_uses_shared_default_cache(self, monkeypatch):
+        cache = DealerCache()
         monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE", cache)
         via_helper = deal_crypto_domain(4, 21)
         direct = cache.domain(4, 21)
@@ -241,8 +233,8 @@ class TestCommitteeDomains:
     two different committees of the same ``(n, seed)`` must never share
     keys, while the empty domain stays bit-identical to the legacy path."""
 
-    def test_empty_domain_is_the_legacy_deal(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_empty_domain_is_the_legacy_deal(self):
+        cache = DealerCache()
         legacy = cache.domain(4, 13)
         explicit = cache.domain(4, 13, domain=())
         assert_domains_bit_identical(legacy, explicit)
@@ -250,8 +242,8 @@ class TestCommitteeDomains:
             .private_share.secret == \
             deal_scheme(SCHEME_THRESHOLD_SIG, 4, 13)[0].private_share.secret
 
-    def test_different_committees_get_different_keys(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_different_committees_get_different_keys(self):
+        cache = DealerCache()
         a = cache.domain(4, 13, domain=("committee", 0, 1, 2, 3))
         b = cache.domain(4, 13, domain=("committee", 0, 1, 2, 4))
         plain = cache.domain(4, 13)
@@ -263,23 +255,14 @@ class TestCommitteeDomains:
                    plain.signing_keys[0].secret}
         assert len(signing) == 3
 
-    def test_recurring_committee_is_a_cache_hit(self, tmp_path):
-        cache = DealerCache(directory=str(tmp_path))
+    def test_recurring_committee_is_a_cache_hit(self):
+        cache = DealerCache()
         committee = ("committee", 0, 1, 2, 3)
         first = cache.domain(4, 13, domain=committee)
         misses = cache.misses
         second = cache.domain(4, 13, domain=committee)
         assert cache.misses == misses and cache.hits > 0
         assert_domains_bit_identical(first, second)
-
-    def test_committee_domain_disk_round_trip(self, tmp_path):
-        committee = ("committee", 1, 2, 3, 4)
-        writer = DealerCache(directory=str(tmp_path))
-        dealt = writer.domain(4, 17, domain=committee)
-        reader = DealerCache(directory=str(tmp_path))
-        loaded = reader.domain(4, 17, domain=committee)
-        assert reader.hits > 0 and reader.misses == 0
-        assert_domains_bit_identical(dealt, loaded)
 
     def test_domain_deal_is_deterministic(self):
         committee = ("committee", 2, 3, 4, 5)
@@ -288,49 +271,3 @@ class TestCommitteeDomains:
         assert [s.private_share.secret for s in a] == \
             [s.private_share.secret for s in b]
 
-
-class TestDiskTierKnownLogs:
-    """A key loaded from disk was dealt in another process, whose known-log
-    memo did not come with it: the load re-learns what the dealing taught,
-    so an honest epoch on loaded keys raises nothing with a full ``pow``."""
-
-    def test_every_dealt_pair_is_a_power_of_g(self):
-        from repro.crypto.group import DEFAULT_GROUP
-        from repro.testbed.dealer_cache import _dealt_logs
-
-        for scheme in ALL_SCHEMES:
-            pairs = _dealt_logs(scheme, deal_scheme(scheme, 7, 5))
-            assert len(pairs) == (7 if scheme == SCHEME_KEYRING else 8)
-            assert all(DEFAULT_GROUP.power_of_g(exponent) == element
-                       for element, exponent in pairs)
-
-    def test_honest_epoch_on_disk_loaded_keys_makes_no_powm(self, tmp_path,
-                                                             monkeypatch):
-        from repro.crypto import backend, group as crypto_group
-        from repro.protocols.base import PROTOCOL_NAMES
-        from repro.testbed import dealer_cache
-        from repro.testbed.harness import run_consensus
-        from repro.testbed.scenarios import Scenario
-
-        def epochs() -> None:
-            for protocol in PROTOCOL_NAMES:
-                assert run_consensus(protocol, Scenario.single_hop(4),
-                                     seed=2024).decided
-
-        monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE",
-                            DealerCache(directory=str(tmp_path)))
-        epochs()  # deals every scheme into the directory
-        reader = DealerCache(directory=str(tmp_path))
-        monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE", reader)
-        monkeypatch.setattr(crypto_group, "_GENERATORS", {})  # a new process
-        calls = [0]
-        powm = backend.powm
-
-        def counting(*args):
-            calls[0] += 1
-            return powm(*args)
-
-        monkeypatch.setattr(backend, "powm", counting)
-        epochs()
-        assert reader.misses == 0 and reader.hits > 0
-        assert calls[0] == 0
