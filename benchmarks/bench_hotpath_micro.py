@@ -5,8 +5,12 @@ group exponentiation in :mod:`repro.crypto`, Reed-Solomon interpolation in
 :mod:`repro.components.erasure`, and the event heap in :mod:`repro.net.sim`.
 This module measures each of them -- both the optimised implementation and a
 seed-equivalent reference path kept in ``tests/reference.py`` for the
-bit-identity tests -- and writes a machine-readable ``BENCH_hotpath.json`` at
-the repo root so the performance trajectory is recorded across changes.
+bit-identity tests -- and, through the same timing loop, the rates built on
+them: the n=64 dealer cache against a fresh deal, three shapes of stream
+(plain, behind a shedding ingress, under a scenario pack) and multi-hop runs
+on the classic heap against the sharded engine.  It is the one writer of
+the machine-readable ``BENCH_hotpath.json`` at the repo root, so the
+performance trajectory is recorded across changes.
 
 Run directly (writes the JSON)::
 
@@ -38,19 +42,6 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from bench_scale_setup import (  # noqa: E402
-    DEALER_NUM_NODES,
-    bench_dealer,
-    dealer_speedups,
-)
-from bench_ingress import OFFERED_TPS, bench_ingress  # noqa: E402
-from bench_scenario import SCENARIO_PACK, bench_scenario  # noqa: E402
-from bench_shard_scale import (  # noqa: E402
-    bench_shard,
-    shard_speedups,
-    shard_workers,
-)
-from bench_streaming import STREAM_EPOCHS, bench_streaming  # noqa: E402
 from repro.components import erasure  # noqa: E402
 from repro.components.base import Component  # noqa: E402
 from repro.crypto import backend as crypto_backend  # noqa: E402
@@ -72,6 +63,8 @@ from repro.testbed.harness import (  # noqa: E402
     run_consensus,
     run_multihop_consensus,
 )
+from repro.testbed.ingress import ingress_profile  # noqa: E402
+from repro.testbed.scenario_packs import load_pack  # noqa: E402
 from repro.testbed.scenarios import Scenario  # noqa: E402
 from repro.testbed.streaming import (  # noqa: E402
     StreamingSpec,
@@ -99,6 +92,16 @@ FANOUT_NODES = 32  # one sender, 31 receivers: the components-n32 fan-out
 FANOUT_FRAMES = 200  # per storm; below the MAC queue limit of 256
 CHURN_TIMERS = 200  # timers restarted CHURN_RESTARTS times each, then run
 CHURN_RESTARTS = 20
+DEALER_NUM_NODES = 64  # the dealer cache's domain: a mid-size scale cell
+#: epochs per measured stream: short enough for the perf-smoke budget, long
+#: enough that checkpoint/GC, the pools and the gateways dominate setup
+STREAM_EPOCHS = 8
+#: the ingress stream's offered load, past the scale profile's saturation
+#: point, so the admission gate and the per-class heaps are exercised
+OFFERED_TPS = 120.0
+SCENARIO_PACK = "variable-link"
+SHARD_GRIDS = ((4, 4), (8, 8), (16, 16))  # quick budgets time the first
+SHARD_WORKERS = min(4, os.cpu_count() or 1)
 
 
 def _rate(operation: Callable[[], int], min_seconds: float) -> float:
@@ -646,6 +649,111 @@ def kernel_calls_per_event(kernel=Simulator, events: int = 1000) -> float:
     return (calls(events) - calls(0)) / events
 
 
+# ---------------------------------------------------------------------- dealer
+def bench_dealer(budget: float) -> dict[str, float]:
+    """A fresh deal of every scheme of an n=64 crypto domain against a hit
+    in a warm dealer cache."""
+    seeds = iter(range(10_000_000))
+
+    def fresh_op() -> int:
+        # a new seed each time, bypassing the cache: the memoised group
+        # tables are the only warmth, as for a cold run's domain
+        seed = next(seeds)
+        for scheme in dealer_cache.ALL_SCHEMES:
+            dealer_cache.deal_scheme(scheme, DEALER_NUM_NODES, seed)
+        return 1
+
+    warm = dealer_cache.DealerCache()
+    warm.domain(DEALER_NUM_NODES, 0)  # filled off the clock
+
+    def cached_op() -> int:
+        assert warm.domain(DEALER_NUM_NODES, 0).threshold_sig is not None
+        return 1
+
+    return {
+        "dealer_domain_fresh_n64": _rate(fresh_op, max(budget, 0.3)),
+        "dealer_domain_cached_n64": _rate(cached_op, budget),
+    }
+
+
+# --------------------------------------------------------------------- streams
+_SATURATED = StreamingSpec(
+    epochs=STREAM_EPOCHS, batch_size=4, warmup=64,
+    arrival=ArrivalSpec(rate_tps=2.0, transaction_bytes=32, max_mempool=1024))
+
+#: HoneyBadger-SC streams at n=4: (row prefix, scenario, spec, seed,
+#: scenario pack, ingress profile)
+STREAM_SHAPES = (
+    # saturated: the pools, pipelining bookkeeping and checkpoint/GC
+    ("streaming", Scenario.single_hop(4), _SATURATED, 321, None, None),
+    # three classes past saturation: gateway submits, DRR takes, shedding
+    ("ingress_stream", Scenario.scale_single_hop(4),
+     StreamingSpec(epochs=STREAM_EPOCHS, batch_size=4,
+                   arrival=ArrivalSpec(rate_tps=OFFERED_TPS,
+                                       transaction_bytes=48, max_mempool=256)),
+     654, None, "three-class-shed"),
+    # the saturated stream under a pack: the controller's phase changes
+    ("scenario_stream", Scenario.single_hop(4).replace(timeout_s=1200.0),
+     _SATURATED, 321, SCENARIO_PACK, None),
+)
+
+
+def bench_streams(budget: float) -> dict[str, float]:
+    """Committed transactions per wall-clock second of each stream shape,
+    and the saturated stream's epochs per second."""
+    results = {}
+    last = {}
+    for prefix, scenario, spec, seed, pack, ingress in STREAM_SHAPES:
+        def stream_once() -> int:
+            result = run_streaming_consensus(
+                "honeybadger-sc", scenario, spec, seed=seed,
+                pack=load_pack(pack) if pack else None,
+                ingress=ingress_profile(ingress) if ingress else None)
+            assert result.decided and result.scenario == (pack or "")
+            last[prefix] = result
+            return result.committed_transactions
+
+        results[f"{prefix}_tx_per_sec"] = _rate(stream_once, budget)
+    # every run of a shape is a pure function of its seed, so it completes
+    # its epochs in the same proportion to its transactions
+    plain = last["streaming"]
+    results["streaming_epochs_per_sec"] = (
+        results["streaming_tx_per_sec"] * plain.epochs_completed
+        / plain.committed_transactions)
+    return results
+
+
+# ---------------------------------------------------------------- sharded runs
+def bench_shard(grids: tuple, budget: float) -> dict[str, float]:
+    """Runs per second of HoneyBadger-SC on the scale multi-hop profile,
+    three ways per cluster grid: the classic single heap, one shard per
+    cluster stepped in-process, and the same barrier schedule over
+    ``SHARD_WORKERS`` forked processes (bit-identical results, so the same
+    workload).  On one core, forking a single worker would time the
+    in-process configuration plus pipe traffic, so the in-process rate
+    stands in for it."""
+    results = {}
+    for clusters, size in grids:
+        scenario = Scenario.scale_multi_hop(clusters, size)
+
+        def run(shards: int | None = None,
+                workers: int = 1) -> Callable[[], int]:
+            def operation() -> int:
+                assert run_multihop_consensus(
+                    "honeybadger-sc", scenario, seed=0, shards=shards,
+                    shard_workers=workers).decided
+                return 1
+            return operation
+
+        row = f"shard_multihop_{clusters}x{size}"
+        results[f"{row}_classic"] = _rate(run(), budget)
+        results[f"{row}_sharded"] = _rate(run(clusters), budget)
+        results[f"{row}_sharded_mp"] = (
+            _rate(run(clusters, SHARD_WORKERS), budget) if SHARD_WORKERS > 1
+            else results[f"{row}_sharded"])
+    return results
+
+
 def cyclic_garbage_honest_run() -> int:
     """Objects the cyclic collector finds after one honest call of each
     harness entry point, run with the collector disabled.  A count, so a
@@ -764,9 +872,11 @@ def run_benchmarks(quick: bool = False) -> dict:
     results: dict[str, float] = {}
     for section in (bench_group_exp, bench_schnorr, bench_threshold_shares,
                     bench_erasure, bench_simulator, bench_dealer,
-                    bench_streaming, bench_ingress, bench_scenario,
-                    bench_shard):
+                    bench_streams):
         results.update(section(budget))
+    grids = SHARD_GRIDS[:1] if quick else SHARD_GRIDS
+    results.update(bench_shard(grids, budget))
+    largest = "shard_multihop_%dx%d" % grids[-1]
     forced = witnesses_forced_on_minted_loops()
     powm_calls = backend_powm_honest_epoch()
     table_pows = table_pow_honest_epoch()
@@ -775,9 +885,16 @@ def run_benchmarks(quick: bool = False) -> dict:
     held_bytes = held_state_bytes_8x8()
     poll_bodies = stream_poll_bodies()
     results.update(bench_share_combine(budget))
-    speedups = dealer_speedups(results)
-    speedups |= shard_speedups(results)
-    speedups |= {
+    speedups = {
+        "dealer_cache_vs_fresh":
+            results["dealer_domain_cached_n64"] /
+            results["dealer_domain_fresh_n64"],
+        # < 1x on one core (the synchronisation overhead alone); > 1x once
+        # the forked workers run on cores of their own
+        "shard_speedup":
+            results[f"{largest}_sharded_mp"] / results[f"{largest}_classic"],
+        "shard_sync_overhead":
+            results[f"{largest}_sharded"] / results[f"{largest}_classic"],
         "group_exp_fixed_base_vs_pow":
             results["group_exp_fixed_base"] / results["group_exp_pow"],
         "group_exp_known_base_vs_pow":
@@ -818,7 +935,7 @@ def run_benchmarks(quick: bool = False) -> dict:
             "erasure_payload_bytes": ERASURE_PAYLOAD,
             "fanout_nodes": FANOUT_NODES,
             "fanout_frames": FANOUT_FRAMES,
-            "shard_workers": shard_workers(),
+            "shard_workers": SHARD_WORKERS,
             "backend": crypto_backend.backend_info(),
         },
         "results_ops_per_sec": {key: round(value, 2)

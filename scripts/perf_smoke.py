@@ -72,12 +72,13 @@ real channel / node / transport / router) rides in the gated set beside
 receive path multiplies by the fan-out and fails here before it reaches the
 ledger.
 
-The streaming gates (``streaming_tx_per_sec``,
-``scenario_stream_tx_per_sec``, ``ingress_stream_tx_per_sec``) ride in the
-gated set so a slowdown of the multi-epoch path (mempool, pipelining
+The stream rates (``streaming_tx_per_sec``, ``scenario_stream_tx_per_sec``,
+``ingress_stream_tx_per_sec``) ride in the gated set too, so under
+``--full`` a slowdown of the multi-epoch path (pools, pipelining
 bookkeeping, checkpoint/GC), the scenario controller or the client-facing
 ingress (gateway submits, DRR takes) fails like any crypto or simulator
-hot-path regression.
+hot-path regression; quick mode gates no rate.  A gated metric missing
+from the run or from the baseline fails ``--full`` by name.
 
 Usage::
 
@@ -287,7 +288,9 @@ def _check_table_pow_count(document: dict, baseline: dict,
 
 def _check_full_mode_gates(document: dict, baseline: dict,
                            failures: list[str]) -> None:
-    """Absolute gates: regressions against the recorded baseline."""
+    """Absolute gates: regressions against the recorded baseline.  A gated
+    metric missing from the run or from the baseline fails: a renamed or
+    dropped row must not take its gate with it."""
     current = document["results_ops_per_sec"]
     baseline_results = baseline.get("results_ops_per_sec", {})
 
@@ -297,6 +300,13 @@ def _check_full_mode_gates(document: dict, baseline: dict,
         then = baseline_results.get(metric)
         if now is None or then is None or then <= 0:
             print(f"{metric:<32}{'-':>14}{now or '-':>14}{'-':>8}")
+            if now is None:
+                failures.append(f"gated metric {metric} is missing from this "
+                                f"run: bench_hotpath_micro.py no longer "
+                                f"measures it")
+            elif baseline:
+                failures.append(f"no {metric} rate recorded in the baseline; "
+                                f"rerun bench_hotpath_micro.py")
             continue
         ratio = now / then
         print(f"{metric:<32}{then:>14.1f}{now:>14.1f}{ratio:>7.2f}x")

@@ -206,7 +206,6 @@ class StreamingRunResult:
     """
 
     protocol: str
-    batched: bool
     num_nodes: int
     epochs_target: int
     epochs_completed: int

@@ -546,7 +546,7 @@ class StreamingRun:
                                 for m in self.mempools.values())
         admitted = sum(m.admitted for m in self.mempools.values())
         return StreamingRunResult(
-            protocol=self.protocol, batched=True,
+            protocol=self.protocol,
             num_nodes=self.scenario.num_nodes,
             epochs_target=self.spec.epochs,
             epochs_completed=self.checkpoint_cursor,

@@ -181,7 +181,7 @@ def synthetic_run(membership: bool, ingress: bool):
             backlog_mean=0.0))
         ledger = chain_digest(ledger, block_digest(block))
     result = StreamingRunResult(
-        protocol="beat", batched=True, num_nodes=4, epochs_target=3,
+        protocol="beat", num_nodes=4, epochs_target=3,
         epochs_completed=3, decided=True, pipeline_depth=0,
         offered_load_tps=1.0, per_epoch=per_epoch, ledger_digest=ledger,
         committees=[CommitteeRecord(epoch=epoch, members=(0, 1, 2, 3))
