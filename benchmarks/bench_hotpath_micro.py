@@ -29,6 +29,7 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -787,10 +788,39 @@ def cyclic_garbage_honest_run() -> int:
             gc.enable()
 
 
-def _bytes_live_at_close(patterns: tuple[str, ...],
-                         runs: tuple[Callable[[], object], ...]) -> int:
-    """Bytes allocated in files matching ``patterns`` still live when each
-    of ``runs``'s deployments closes (read just before it does), summed."""
+def _component_n32_runs(seed: int) -> tuple[Callable[[], object], ...]:
+    scenario = Scenario.scale_single_hop(32)
+    return (
+        lambda: run_aba_experiment("sc", parallel_instances=12, num_nodes=32,
+                                   seed=seed, scenario=scenario),
+        lambda: run_broadcast_experiment("rbc", parallelism=12, num_nodes=32,
+                                         seed=seed, scenario=scenario))
+
+
+def _held_8x8_runs(seed: int) -> tuple[Callable[[], object], ...]:
+    return (lambda: run_multihop_consensus(
+        "honeybadger-sc", Scenario.scale_multi_hop(8, 8), seed=seed),)
+
+
+#: each live-bytes count: the source files it traces and its runs
+LIVE_BYTES = {
+    "component_state_bytes_n32": (("*/repro/components/*",),
+                                  _component_n32_runs),
+    "held_state_bytes_8x8": (
+        ("*/repro/core/*", "*/repro/components/*", "*/repro/protocols/*"),
+        _held_8x8_runs),
+}
+
+
+def _live_bytes_here(count: str, seed: int) -> int:
+    """Bytes allocated in the files ``count`` traces still live when each of
+    its runs' deployments closes (read just before it does), summed.  An
+    untraced warm-up pass of the same runs comes first, so the memos and
+    caches a first run fills are not counted as held state."""
+    patterns, make_runs = LIVE_BYTES[count]
+    runs = make_runs(seed)
+    for run in runs:
+        run()
     reads = []
     close = Deployment.close
     filters = [tracemalloc.Filter(True, pattern) for pattern in patterns]
@@ -811,18 +841,25 @@ def _bytes_live_at_close(patterns: tuple[str, ...],
     return sum(reads)
 
 
+def _bytes_live_at_close(count: str, seed: int) -> int:
+    """:func:`_live_bytes_here` in a fresh interpreter with
+    ``PYTHONHASHSEED=0``: in this process the figure would move with the
+    hash seed (set order, dict sizes) and with whatever ran before."""
+    code = ("import bench_hotpath_micro as bench\n"
+            f"print(bench._live_bytes_here({count!r}, {seed}))")
+    child = subprocess.run([sys.executable, "-c", code], cwd=_HERE,
+                           env=dict(os.environ, PYTHONHASHSEED="0"),
+                           stdout=subprocess.PIPE, text=True, check=True)
+    return int(child.stdout)
+
+
 def component_state_bytes_n32(seed: int = 3201) -> int:
     """Bytes allocated in ``repro/components/`` still live at the end of one
     n=32 shared-coin ABA run plus one n=32 RBC run (12 parallel instances
     each, as in the ``components-n32`` ledger workload), read just before
     each deployment closes.  A count, not a rate: a set of voter ids per
     tally key put back in place of a bitmask multiplies it."""
-    scenario = Scenario.scale_single_hop(32)
-    return _bytes_live_at_close(("*/repro/components/*",), (
-        lambda: run_aba_experiment("sc", parallel_instances=12, num_nodes=32,
-                                   seed=seed, scenario=scenario),
-        lambda: run_broadcast_experiment("rbc", parallelism=12, num_nodes=32,
-                                         seed=seed, scenario=scenario)))
+    return _bytes_live_at_close("component_state_bytes_n32", seed)
 
 
 def held_state_bytes_8x8(seed: int = 8801) -> int:
@@ -833,10 +870,7 @@ def held_state_bytes_8x8(seed: int = 8801) -> int:
     instance keys.  A count: a per-instance ``__dict__`` put back on
     ``ComponentMessage``, or a vote payload dict allocated per send, grows
     it."""
-    return _bytes_live_at_close(
-        ("*/repro/core/*", "*/repro/components/*", "*/repro/protocols/*"),
-        (lambda: run_multihop_consensus(
-            "honeybadger-sc", Scenario.scale_multi_hop(8, 8), seed=seed),))
+    return _bytes_live_at_close("held_state_bytes_8x8", seed)
 
 
 def stream_poll_bodies(seed: int = 4001) -> int:

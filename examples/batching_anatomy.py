@@ -15,7 +15,7 @@ import argparse
 
 from repro.core.overhead import MessageOverheadModel
 from repro.core.packet import PacketSizer
-from repro.testbed import run_aba_experiment, run_broadcast_experiment
+from repro.testbed.harness import run_aba_experiment, run_broadcast_experiment
 from repro.testbed.reporting import format_table
 
 

@@ -14,8 +14,10 @@ Usage::
 
 import argparse
 
-from repro.testbed import Scenario, WorkloadSpec, run_multihop_consensus
+from repro.testbed.harness import run_multihop_consensus
 from repro.testbed.reporting import format_table
+from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
 
 
 def main() -> None:

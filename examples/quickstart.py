@@ -14,8 +14,10 @@ Usage::
 import argparse
 
 from repro.protocols.base import PROTOCOL_NAMES
-from repro.testbed import Scenario, WorkloadSpec, run_consensus
+from repro.testbed.harness import run_consensus
 from repro.testbed.reporting import format_table, improvement_percent, increase_percent
+from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import WorkloadSpec
 
 
 def main() -> None:

@@ -18,10 +18,10 @@ Usage::
 import argparse
 
 from repro.protocols.base import PROTOCOL_NAMES
-from repro.testbed import Scenario
 from repro.testbed.invariants import RunObserver, check_all
 from repro.testbed.reporting import format_table
 from repro.testbed.scenario_packs import available_packs, load_pack
+from repro.testbed.scenarios import Scenario
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ArrivalSpec
 

@@ -22,8 +22,8 @@ impractical for.
 import argparse
 import time
 
-from repro.testbed import Scenario
 from repro.testbed.reporting import format_table
+from repro.testbed.scenarios import Scenario
 from repro.testbed.sharding import run_sharded_multihop_consensus
 
 

@@ -20,14 +20,11 @@ Usage::
 
 import argparse
 
-from repro.testbed import (
-    ByzantineSpec,
-    Scenario,
-    TransactionWorkload,
-    WorkloadSpec,
-    run_consensus,
-)
+from repro.testbed.byzantine import ByzantineSpec
+from repro.testbed.harness import run_consensus
 from repro.testbed.reporting import format_table
+from repro.testbed.scenarios import Scenario
+from repro.testbed.workload import TransactionWorkload, WorkloadSpec
 
 
 def parse_task(transaction: bytes) -> dict:

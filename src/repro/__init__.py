@@ -26,16 +26,15 @@ with every substrate it depends on:
   generators, latency/throughput metrics, Byzantine strategies and the canned
   scenarios used to regenerate every table and figure of the evaluation.
 
+Import a name from the module that defines it; the package re-exports nothing.
+
 Quickstart
 ----------
 
->>> from repro.testbed import run_consensus, Scenario
+>>> from repro.testbed.harness import run_consensus
+>>> from repro.testbed.scenarios import Scenario
 >>> result = run_consensus("honeybadger-sc", Scenario.single_hop(num_nodes=4),
 ...                        seed=1)
 >>> result.decided
 True
 """
-
-from repro.version import __version__
-
-__all__ = ["__version__"]

@@ -33,40 +33,6 @@ DECIDED termination of every ABA are
 All components run on top of either transport from :mod:`repro.core.batcher`,
 so the same protocol logic executes batched (ConsensusBatcher) or unbatched
 (baseline), as the paper's safety argument requires.
+
+Import a name from the module that defines it; the package re-exports nothing.
 """
-
-from repro.components.base import ComponentContext, Component, ComponentRouter
-from repro.components.erasure import encode_blocks, decode_blocks, ErasureError
-from repro.components.common_coin import CommonCoinManager
-from repro.components.rbc import BrachaRbc
-from repro.components.rbc_small import RbcSmall
-from repro.components.rbc_cachin import CachinRbc
-from repro.components.prbc import Prbc
-from repro.components.cbc import Cbc
-from repro.components.cbc_small import CbcSmall
-from repro.components.aba_bracha import BrachaAba
-from repro.components.aba_cachin import CachinAba
-from repro.components.aba_coinflip import CoinFlipAba
-from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
-
-__all__ = [
-    "ComponentContext",
-    "Component",
-    "ComponentRouter",
-    "encode_blocks",
-    "decode_blocks",
-    "ErasureError",
-    "CommonCoinManager",
-    "BrachaRbc",
-    "RbcSmall",
-    "CachinRbc",
-    "Prbc",
-    "Cbc",
-    "CbcSmall",
-    "BrachaAba",
-    "CachinAba",
-    "CoinFlipAba",
-    "ABA_BY_COIN",
-    "aba_factory",
-    "coin_schemes",
-]

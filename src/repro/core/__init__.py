@@ -18,26 +18,6 @@ Modules
 :mod:`~repro.core.packet`   the logical message and the packet model (Figs. 4-6)
 :mod:`~repro.core.batcher`  the batched (ConsensusBatcher) and baseline transports
 :mod:`~repro.core.overhead` the analytical message-overhead model of Table I
+
+Import a name from the module that defines it; the package re-exports nothing.
 """
-
-from repro.core.packet import ComponentMessage, Packet, PacketSizer, SizeProfile
-from repro.core.batcher import (
-    TransportConfig,
-    BaseTransport,
-    BaselineTransport,
-    ConsensusBatcherTransport,
-)
-from repro.core.overhead import MessageOverheadModel, OverheadRow
-
-__all__ = [
-    "ComponentMessage",
-    "Packet",
-    "PacketSizer",
-    "SizeProfile",
-    "TransportConfig",
-    "BaseTransport",
-    "BaselineTransport",
-    "ConsensusBatcherTransport",
-    "MessageOverheadModel",
-    "OverheadRow",
-]

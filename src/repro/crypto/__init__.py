@@ -23,70 +23,6 @@ per-curve computation latency and signature byte size reported in the paper's
 Figure 10 (:mod:`~repro.crypto.curves`, :mod:`~repro.crypto.timing`), so that
 cryptographic cost flows into the simulated consensus latency exactly as it
 does on the paper's STM32F767 testbed.
+
+Import a name from the module that defines it; the package re-exports nothing.
 """
-
-from repro.crypto.group import Group, DEFAULT_GROUP
-from repro.crypto.field import PrimeField, Polynomial, lagrange_coefficients_at_zero
-from repro.crypto.shamir import ShamirDealer, ShamirShare
-from repro.crypto.digital_sig import SigningKey, VerifyKey, Signature, generate_keypair
-from repro.crypto.threshold_sig import (
-    ThresholdSigScheme,
-    ThresholdSigPublicKey,
-    ThresholdSigShare,
-    ThresholdSignature,
-    deal_threshold_sig,
-)
-from repro.crypto.threshold_coin import (
-    ThresholdCoinScheme,
-    CoinShare,
-    deal_threshold_coin,
-)
-from repro.crypto.threshold_enc import (
-    ThresholdEncScheme,
-    Ciphertext,
-    DecryptionShare,
-    deal_threshold_enc,
-)
-from repro.crypto.curves import (
-    CurveProfile,
-    ThresholdCurveProfile,
-    EC_CURVES,
-    THRESHOLD_CURVES,
-    get_ec_curve,
-    get_threshold_curve,
-)
-from repro.crypto.timing import CryptoSuite, CostLedger
-
-__all__ = [
-    "Group",
-    "DEFAULT_GROUP",
-    "PrimeField",
-    "Polynomial",
-    "lagrange_coefficients_at_zero",
-    "ShamirDealer",
-    "ShamirShare",
-    "SigningKey",
-    "VerifyKey",
-    "Signature",
-    "generate_keypair",
-    "ThresholdSigScheme",
-    "ThresholdSigPublicKey",
-    "ThresholdSigShare",
-    "ThresholdSignature",
-    "deal_threshold_sig",
-    "ThresholdCoinScheme",
-    "CoinShare",
-    "deal_threshold_coin",
-    "ThresholdEncScheme",
-    "Ciphertext",
-    "DecryptionShare",
-    "deal_threshold_enc",
-    "CurveProfile",
-    "ThresholdCurveProfile",
-    "EC_CURVES",
-    "THRESHOLD_CURVES",
-    "get_ec_curve",
-    "get_threshold_curve",
-    "CryptoSuite",
-    "CostLedger",
-]

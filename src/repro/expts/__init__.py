@@ -16,15 +16,6 @@ Entry points:
 * ``scripts/run_experiments.py`` -- the CLI driver and the one way to run
   an experiment (one figure: ``--full --only <spec id>``);
 * :func:`repro.expts.runner.run_experiments` -- the programmatic API.
+
+Import a name from the module that defines it; the package re-exports nothing.
 """
-
-from repro.expts.registry import all_specs, ensure_loaded, get, register
-from repro.expts.specs import ExperimentSpec
-
-__all__ = [
-    "ExperimentSpec",
-    "all_specs",
-    "ensure_loaded",
-    "get",
-    "register",
-]

@@ -17,39 +17,6 @@ simulator with
   up to ``f`` Byzantine nodes (:mod:`~repro.net.adversary`), and
 * per-run statistics: channel accesses, airtime, collisions, message and byte
   counts (:mod:`~repro.net.trace`).
+
+Import a name from the module that defines it; the package re-exports nothing.
 """
-
-from repro.net.sim import PeriodicTimer, Simulator
-from repro.net.radio import RadioConfig, LORA_SF7_125KHZ, LORA_FAST, WIFI_LIKE
-from repro.net.channel import WirelessChannel, Transmission
-from repro.net.csma import CsmaMac, CsmaConfig
-from repro.net.dma import DmaBuffer, DmaConfig
-from repro.net.node import NetworkNode, CpuConfig
-from repro.net.topology import Topology, SingleHopTopology, MultiHopTopology, Cluster
-from repro.net.trace import NetworkTrace, ChannelStats
-from repro.net.adversary import AsyncAdversary, DelayModel
-
-__all__ = [
-    "Simulator",
-    "PeriodicTimer",
-    "RadioConfig",
-    "LORA_SF7_125KHZ",
-    "LORA_FAST",
-    "WIFI_LIKE",
-    "WirelessChannel",
-    "Transmission",
-    "CsmaMac",
-    "CsmaConfig",
-    "DmaBuffer",
-    "DmaConfig",
-    "NetworkNode",
-    "CpuConfig",
-    "Topology",
-    "SingleHopTopology",
-    "MultiHopTopology",
-    "Cluster",
-    "NetworkTrace",
-    "ChannelStats",
-    "AsyncAdversary",
-    "DelayModel",
-]

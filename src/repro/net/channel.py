@@ -11,7 +11,6 @@ parallel consensus components expensive (N times the channel contention).
 from __future__ import annotations
 
 import itertools
-import pickle
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Optional, TYPE_CHECKING  # noqa: F401
@@ -208,45 +207,3 @@ class WirelessChannel:
                 schedule(delay + extra, deliver)
         if delivered:
             trace.record_delivery(name, delivered)
-
-
-# ---------------------------------------------------------------------------
-# shard-boundary frame codec
-# ---------------------------------------------------------------------------
-
-class BoundaryCodecError(ValueError):
-    """Raised when a frame cannot cross a shard boundary."""
-
-
-def encode_boundary_frame(frame: Frame) -> bytes:
-    """Serialize a frame for transport across a shard boundary.
-
-    Digest-preserving by construction: the payload (a signed
-    :class:`repro.core.packet.Packet`) carries its cached ``digest`` as a
-    plain field, so the receiving shard sees exactly the bytes, signature and
-    digest the sender put on the air -- adversary and link-fault bookkeeping
-    at the receiving shard operate on an indistinguishable frame.  Frames
-    with a pending ``builder`` cannot cross (content is only materialised at
-    channel-access time, which already happened for anything transmitted).
-    """
-    if frame.builder is not None:
-        raise BoundaryCodecError(
-            f"frame {frame.frame_id} from {frame.sender} still has a pending "
-            f"builder; only materialised (transmitted) frames cross shards")
-    try:
-        return pickle.dumps(
-            (frame.sender, frame.payload, frame.size_bytes, frame.channel,
-             frame.frame_id),
-            protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:  # pragma: no cover - payload must be picklable
-        raise BoundaryCodecError(
-            f"frame {frame.frame_id} payload is not serializable: {exc}") from exc
-
-
-def decode_boundary_frame(data: bytes) -> Frame:
-    """Reconstruct a frame serialized by :func:`encode_boundary_frame`."""
-    sender, payload, size_bytes, channel, frame_id = pickle.loads(data)
-    frame = Frame(sender=sender, payload=payload, size_bytes=size_bytes,
-                  channel=channel)
-    frame.frame_id = frame_id  # keep the home shard's id
-    return frame

@@ -46,23 +46,56 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import pickle
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from repro.net.channel import (
-    Frame,
-    Transmission,
-    WirelessChannel,
-    decode_boundary_frame,
-    encode_boundary_frame,
-)
+from repro.net.channel import Frame, Transmission, WirelessChannel
 from repro.net.csma import CsmaMac
 from repro.net.sim import SimulationError, Simulator
 
 
 class ShardSyncError(RuntimeError):
     """Raised when the conservative synchronization invariants are violated."""
+
+
+class BoundaryCodecError(ValueError):
+    """Raised when a frame cannot cross a shard boundary."""
+
+
+def encode_boundary_frame(frame: Frame) -> bytes:
+    """Serialize a frame for transport across a shard boundary.
+
+    Digest-preserving by construction: the payload (a signed
+    :class:`repro.core.packet.Packet`) carries its cached ``digest`` as a
+    plain field, so the receiving shard sees exactly the bytes, signature and
+    digest the sender put on the air -- adversary and link-fault bookkeeping
+    at the receiving shard operate on an indistinguishable frame.  Frames
+    with a pending ``builder`` cannot cross (content is only materialised at
+    channel-access time, which already happened for anything transmitted).
+    """
+    if frame.builder is not None:
+        raise BoundaryCodecError(
+            f"frame {frame.frame_id} from {frame.sender} still has a pending "
+            f"builder; only materialised (transmitted) frames cross shards")
+    try:
+        return pickle.dumps(
+            (frame.sender, frame.payload, frame.size_bytes, frame.channel,
+             frame.frame_id),
+            protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # pragma: no cover - payload must be picklable
+        raise BoundaryCodecError(
+            f"frame {frame.frame_id} payload is not serializable: {exc}") from exc
+
+
+def decode_boundary_frame(data: bytes) -> Frame:
+    """Reconstruct a frame serialized by :func:`encode_boundary_frame`."""
+    sender, payload, size_bytes, channel, frame_id = pickle.loads(data)
+    frame = Frame(sender=sender, payload=payload, size_bytes=size_bytes,
+                  channel=channel)
+    frame.frame_id = frame_id  # keep the home shard's id
+    return frame
 
 
 @dataclass(frozen=True)
@@ -72,8 +105,7 @@ class Emission:
     ``shard``/``seq`` identify the emission in its home shard's order; the
     coordinator sorts all emissions of a barrier by ``(start, shard, seq)``
     before replay, which is the deterministic cross-shard tie-break.
-    ``data`` is the frame serialized by
-    :func:`repro.net.channel.encode_boundary_frame`.
+    ``data`` is the frame serialized by :func:`encode_boundary_frame`.
     """
 
     shard: int

@@ -16,30 +16,6 @@ baseline transport; the protocol logic is identical (Section III-A.2), so
 the comparison isolates the effect of batching.  The multi-hop construction
 of Section V-B (per-cluster local consensus + leader-level global consensus)
 is provided by :mod:`repro.protocols.multihop`.
+
+Import a name from the module that defines it; the package re-exports nothing.
 """
-
-from repro.protocols.base import (
-    ConsensusConfig,
-    ConsensusProtocol,
-    ProtocolName,
-    encode_batch,
-    decode_batch,
-    PROTOCOL_NAMES,
-)
-from repro.protocols.acs import CommonSubset
-from repro.protocols.honeybadger import HoneyBadger
-from repro.protocols.beat import Beat
-from repro.protocols.dumbo import Dumbo
-
-__all__ = [
-    "ConsensusConfig",
-    "ConsensusProtocol",
-    "ProtocolName",
-    "PROTOCOL_NAMES",
-    "encode_batch",
-    "decode_batch",
-    "CommonSubset",
-    "HoneyBadger",
-    "Beat",
-    "Dumbo",
-]

@@ -16,7 +16,8 @@ import pytest
 from repro.components.aba_base import VALUE_PAYLOADS
 from repro.core.batcher import BaseTransport
 from repro.core.packet import ComponentMessage, Packet
-from repro.net.channel import Frame, decode_boundary_frame, encode_boundary_frame
+from repro.net.channel import Frame
+from repro.net.shard import decode_boundary_frame, encode_boundary_frame
 from repro.protocols.base import PROTOCOL_NAMES
 from repro.testbed.campaign import default_cells, run_cell
 from repro.testbed.harness import run_consensus

@@ -64,7 +64,7 @@ def test_results_md_is_generated_and_covers_every_spec():
     """RESULTS.md must exist and contain one section per registered spec."""
     sys.path.insert(0, os.path.join(_ROOT, "src"))
     try:
-        from repro.expts import all_specs
+        from repro.expts.registry import all_specs
     finally:
         sys.path.pop(0)
     results = _read("RESULTS.md")

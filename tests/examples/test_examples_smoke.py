@@ -6,11 +6,15 @@ cannot break them silently.  Each invocation uses small parameters to keep
 the tier-1 budget.
 """
 
+import doctest
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+
+import repro
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 _EXAMPLES = os.path.join(_ROOT, "examples")
@@ -64,3 +68,30 @@ def test_every_example_is_smoked():
     assert on_disk == smoked, (
         f"examples without a smoke test: {sorted(on_disk - smoked)}; "
         f"smoked but missing on disk: {sorted(smoked - on_disk)}")
+
+
+def _readme_python_snippets() -> list:
+    """The code of every ``PYTHONPATH=src python -c "..."`` block in README.md."""
+    with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as handle:
+        text = handle.read()
+    return re.findall(r'^PYTHONPATH=src python -c "\n(.*?)"$', text,
+                      flags=re.MULTILINE | re.DOTALL)
+
+
+def test_readme_python_snippet_runs():
+    """The README's inline stream snippet runs as printed."""
+    snippets = _readme_python_snippets()
+    assert len(snippets) == 1
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(_ROOT, "src")
+    proc = subprocess.run([sys.executable, "-c", snippets[0]],
+                          capture_output=True, text=True, timeout=120,
+                          env=env, cwd=_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert "tx/s" in proc.stdout
+
+
+def test_package_docstring_quickstart_runs():
+    """The quickstart in ``repro``'s docstring passes as a doctest."""
+    outcome = doctest.testmod(repro)
+    assert outcome.attempted > 0 and outcome.failed == 0

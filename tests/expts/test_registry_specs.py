@@ -5,7 +5,8 @@ import pickle
 
 import pytest
 
-from repro.expts import all_specs, registry
+from repro.expts import registry
+from repro.expts.registry import all_specs
 from repro.expts.paper import ABLATIONS, ablation_nack_cell
 from repro.expts.specs import ExperimentSpec, SpecError, params_key
 

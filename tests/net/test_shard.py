@@ -12,21 +12,18 @@ import pickle
 
 import pytest
 
-from repro.net.channel import (
-    BoundaryCodecError,
-    Frame,
-    WirelessChannel,
-    decode_boundary_frame,
-    encode_boundary_frame,
-)
+from repro.net.channel import Frame, WirelessChannel
 from repro.net.radio import WIFI_LIKE
 from repro.net.shard import (
+    BoundaryCodecError,
     Emission,
     GhostMac,
     Lookahead,
     ShardBackboneChannel,
     ShardRunner,
     ShardSyncError,
+    decode_boundary_frame,
+    encode_boundary_frame,
     next_horizon,
     _InProcessPool,
     run_conservative,

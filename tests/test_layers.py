@@ -4,10 +4,16 @@ Every ``repro.<package>`` import under ``src/repro`` -- at module level or
 nested in a function -- points down the order below, or stays inside its own
 package.  ``crypto`` is a leaf: any layer may import it, and it imports no
 other layer.
+
+Every package ``__init__`` is its docstring alone, so importing one module
+loads that module's imports and nothing else: a one-epoch run never loads
+the campaign engine, the stream runner or the erasure coder.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import repro
 
@@ -56,7 +62,7 @@ def upward_imports() -> list[str]:
         dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
         relative = os.path.relpath(directory, SRC)
         if relative == ".":
-            continue  # the package root and repro.version sit outside the order
+            continue  # the package root sits outside the order
         package = relative.replace(os.sep, ".")
         source = package.split(".")[0]
         for filename in sorted(f for f in filenames if f.endswith(".py")):
@@ -101,3 +107,44 @@ def test_a_relative_import_resolves_against_its_own_package():
     assert _imported_modules(tree, "testbed.packs") == [
         (1, "repro.testbed.expts"), (2, "repro.testbed.packs"),
         (3, "repro.testbed")]
+
+
+def test_every_package_init_is_its_docstring_alone():
+    """A name is imported from the module that defines it: no package
+    ``__init__`` re-exports one."""
+    for directory, dirnames, filenames in os.walk(SRC):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        if "__init__.py" not in filenames:
+            continue
+        path = os.path.join(directory, "__init__.py")
+        with open(path, encoding="utf-8") as handle:
+            body = ast.parse(handle.read(), filename=path).body
+        assert len(body) == 1 and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str), \
+            os.path.relpath(path, SRC)
+
+
+#: what a one-epoch run has no use for: the campaign, stream and report
+#: layers, the erasure-coded RBC, Table I's model and the process pools
+ONE_EPOCH_NEVER_LOADS = (
+    "repro.testbed.campaign", "repro.testbed.streaming",
+    "repro.testbed.reporting", "repro.components.rbc_cachin",
+    "repro.components.erasure", "repro.core.overhead",
+    "multiprocessing", "pickle")
+
+
+def test_a_one_epoch_run_loads_only_what_it_runs():
+    code = (
+        "import sys\n"
+        "from repro.testbed import harness\n"
+        "from repro.testbed.scenarios import Scenario\n"
+        "result = harness.run_consensus('honeybadger-sc',"
+        " Scenario.single_hop(num_nodes=4), seed=1)\n"
+        "assert result.decided\n"
+        f"print(sorted(set({ONE_EPOCH_NEVER_LOADS!r}) & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
