@@ -223,12 +223,15 @@ def backend_powm_honest_epoch() -> int:
 def table_pow_honest_epoch(seed: int = 11) -> dict[str, int]:
     """Fixed-base exponentiations (``FixedBaseTable.pow``) in one honest
     n=4 epoch of each protocol at ``seed``, run in ``PROTOCOL_NAMES`` order
-    after one warm-up epoch at another seed.  The known-log memo, the
-    hash-to-group memo and the dealer cache start empty, so what ran
-    earlier in the process cannot move it: a count, so a gate on it cannot
-    flake.  A share value computed where only its exponent is read, or a
-    combined exponent raised by every node instead of once per process,
-    puts exponentiations back here."""
+    after one warm-up epoch at another seed.  The hash-to-group memo and
+    the dealer cache start empty, and every run's close (the warm-up's
+    too) empties the known logs and combined powers, so a protocol raises
+    its combined powers once per run whatever ran before it; hash points
+    and dealt keys still come from the earlier runs at ``seed``.  The
+    sequence is fixed: a count, so a gate on it cannot flake.  A share
+    value computed where only its exponent is read, or a combined exponent
+    raised by every node instead of once per run, puts exponentiations
+    back here."""
     calls = [0]
     original = FixedBaseTable.pow
 
@@ -237,9 +240,7 @@ def table_pow_honest_epoch(seed: int = 11) -> dict[str, int]:
         return original(table, exponent)
 
     shared_cache = dealer_cache.DEFAULT_DEALER_CACHE
-    generators = crypto_group._GENERATORS
     dealer_cache.DEFAULT_DEALER_CACHE = dealer_cache.DealerCache()
-    crypto_group._GENERATORS = {}
     crypto_group._hash_to_group_cached.cache_clear()
     FixedBaseTable.pow = counting
     counts = {}
@@ -253,7 +254,6 @@ def table_pow_honest_epoch(seed: int = 11) -> dict[str, int]:
             counts[protocol] = calls[0]
     finally:
         FixedBaseTable.pow = original
-        crypto_group._GENERATORS = generators
         dealer_cache.DEFAULT_DEALER_CACHE = shared_cache
     return counts
 

@@ -283,7 +283,7 @@ def _check_table_pow_count(document: dict, baseline: dict,
                 f"one honest epoch of {protocol} made {count} fixed-base "
                 f"exponentiations (recorded {recorded}): a share value is "
                 f"computed where only its exponent is read, or a combined "
-                f"exponent is raised more than once per process")
+                f"exponent is raised more than once per run")
 
 
 def _check_full_mode_gates(document: dict, baseline: dict,

@@ -12,9 +12,16 @@ charged by :mod:`repro.crypto.timing`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from repro.crypto.group import DEFAULT_GROUP, Deferred, Group, Stamped, mint
+from repro.crypto.group import (
+    DEFAULT_GROUP,
+    Deferred,
+    Group,
+    Stamped,
+    mint,
+    run_scoped,
+)
 
 
 @dataclass(frozen=True)
@@ -61,11 +68,12 @@ class VerifyKey:
         holds identically for it, and a matching stamp is answered ``True``
         without recomputing either side.  By the first verifier otherwise:
         a hand-built, altered, replayed, cross-key or unpickled signature
-        has no matching stamp and runs the Schnorr check, memoised
-        process-wide because every receiver of a broadcast frame verifies
-        the same ``(key, message, signature)`` transcript.  The per-node CPU
-        cost model is charged by the :class:`CryptoSuite` facade, so neither
-        shortcut changes virtual time -- only wall clock.
+        has no matching stamp and runs the Schnorr check, memoised for the
+        run (run-scoped, see :func:`repro.crypto.group.forget_run`) because
+        every receiver of a broadcast frame verifies the same ``(key,
+        message, signature)`` transcript.  The per-node CPU cost model is
+        charged by the :class:`CryptoSuite` facade, so neither shortcut
+        changes virtual time -- only wall clock.
 
         Wrong-typed input is an invalid signature, not an exception.  The
         field-type gate comes after the stamp comparison, which reads no
@@ -86,7 +94,7 @@ class VerifyKey:
             message, signature.commitment, signature.response)
 
 
-@lru_cache(maxsize=32768)
+@run_scoped(maxsize=32768)
 def _verify_schnorr_cached(p: int, q: int, g: int, public_element: int,
                            message: bytes, commitment: int,
                            response: int) -> bool:

@@ -36,36 +36,70 @@ _SAFE_PRIME_P = 1052169564377498564704423699148465423327640882900247513117970794
 _SUBGROUP_ORDER_Q = 52608478218874928235221184957423271166382044145012375655898539728500139585071
 _GENERATOR = 49  # 7^2 mod P, a generator of the order-q subgroup.
 
-#: Bound on the known-log memo of one group, and on its combined powers:
-#: ~145 bytes an entry on the 256-bit group, so ~0.6 MB at the bound, and
-#: about nine times the most elements any ledger workload learns in a pass
-#: (see PERFORMANCE.md, "Known logs").
+#: Bound on the known-log memo of one group, and on its combined powers,
+#: within one run (both are run-scoped, see below): ~145 bytes an entry on
+#: the 256-bit group, so ~0.6 MB at the bound, and about nine times the most
+#: elements any ledger workload learns in a pass (see PERFORMANCE.md, "Known
+#: logs").
 KNOWN_LOGS_MAX = 4096
 
 
 # Hot-path caches, keyed by the group parameters so arbitrary Group instances
 # (including the toy groups used in tests) share them safely.  All cached
 # functions are pure: the cache can only change speed, never results.
+#
+# Each memo has a scope (PERFORMANCE.md, "Memo scopes").  A memo whose
+# entries come from one run's keys or randomness -- known logs, combined
+# powers, membership and proof verdicts -- is *run-scoped*: no later run at
+# a fresh seed can hit it, so ``forget_run`` empties it when the run's
+# deployment closes.  A memo keyed by public parameters any run can reuse
+# (hash points, Lagrange weights, fixed-base tables) is process-scoped.
+_RUN_SCOPED: list = []
+
+
+def run_scoped(maxsize: int):
+    """``lru_cache(maxsize=maxsize)`` whose entries :func:`forget_run`
+    drops."""
+    def decorate(function):
+        cached = lru_cache(maxsize=maxsize)(function)
+        _RUN_SCOPED.append(cached)
+        return cached
+    return decorate
+
+
+def forget_run() -> None:
+    """Empty every run-scoped memo: the :func:`run_scoped` caches and each
+    generator's known logs and combined powers, but not its fixed-base
+    table.  Called by ``Deployment.close()`` once a run's result is built."""
+    for cached in _RUN_SCOPED:
+        cached.cache_clear()
+    for generator in _GENERATORS.values():
+        if generator.logs is not None:
+            generator.logs.clear()
+        generator.powers.clear()
+
+
 class _Generator:
     """``g``'s fixed-base table, and the discrete logs of the elements this
-    process made as ``g^x``.
+    run made as ``g^x``.
 
     Every base the schemes raise to a key share was made here as ``g^x``
     with ``x`` known -- hash points, ciphertext ephemerals, dealt keys -- so
     ``base^s`` is ``g^(x*s mod q)``: one table exponentiation instead of a
     full-width ``pow``.  A share value is not learned when it is made: it
     stays the exponent ``x*s`` (:class:`KnownPower`) until something reads
-    it.  The memo is bounded and least-recently-used, process-local
-    (nothing pickles or exports it) and read only by :meth:`Group.exp` and
-    :func:`combine_in_exponent`: an evicted or never-seen element costs
-    speed, never a result.  It exists only where exponents live modulo ``q``
+    it.  The memo is bounded and least-recently-used, run-scoped (emptied
+    by :func:`forget_run`; nothing pickles or exports it) and read only by
+    :meth:`Group.exp` and :func:`combine_in_exponent`: an evicted or
+    never-seen element costs speed, never a result.  It exists only where exponents live modulo ``q``
     (``g^q == 1``); a toy group that fails this keeps every base on
     ``powm``.
 
     ``powers`` maps a combined exponent ``e mod q`` to ``g^e``, read only by
     :func:`combine_in_exponent`: every node of a domain combines the same
-    statement to the same exponent, and this process raises ``g`` to it once.
-    It is bounded like the memo, and sound as any memo of a pure function.
+    statement to the same exponent, and this run raises ``g`` to it once.
+    It is bounded and run-scoped like the memo, and sound as any memo of a
+    pure function.  The table is process-scoped: it depends on ``g`` alone.
     """
 
     __slots__ = ("table", "logs", "powers")
@@ -100,7 +134,7 @@ class _Generator:
         return log
 
     def combined(self, exponent: int) -> int:
-        """``g^exponent`` for a combined exponent, raised once per process
+        """``g^exponent`` for a combined exponent, raised once per run
         while it stays among the last ``KNOWN_LOGS_MAX`` asked for."""
         exponent %= self.table.order
         powers = self.powers
@@ -151,7 +185,7 @@ def _generator(p: int, q: int, g: int) -> _Generator:
     return generator
 
 
-@lru_cache(maxsize=16384)
+@run_scoped(maxsize=16384)
 def _is_member_cached(p: int, q: int, a: int) -> bool:
     if not 1 <= a < p:
         return False
@@ -231,6 +265,10 @@ class Group:
         """Remember that ``element`` is ``g ** exponent`` (a hash point), so
         raising it takes the fixed-base table."""
         _generator(self.p, self.q, self.g).learn(element, exponent)
+
+    def knows_log(self, element: int) -> bool:
+        """True if this run knows ``element``'s discrete log."""
+        return _generator(self.p, self.q, self.g).log(element) is not None
 
     def mul(self, a: int, b: int) -> int:
         """Return the group product ``a * b mod P``."""
@@ -461,13 +499,14 @@ def verify_dlog_equality(group: Group, proof: ChaumPedersenProof, base_h: int,
                          context: bytes = b"") -> bool:
     """Verify a Chaum-Pedersen discrete-log-equality proof.
 
-    Memoised process-wide: verification is a pure function of the transcript,
-    and in a simulated broadcast domain every receiver verifies the *same*
-    share, so the n-fold re-verification across simulated nodes collapses to
-    one real computation -- the long road for a verdict nobody in this
-    process has established yet.  (A share still carrying its maker's stamp
-    never gets here: the scheme's ``verify_share`` answers from the stamp,
-    see "provenance" above.)  The per-node CPU cost model is charged by
+    Memoised for the run (run-scoped, see :func:`forget_run`): verification
+    is a pure function of the transcript, and in a simulated broadcast
+    domain every receiver verifies the *same* share, so the n-fold
+    re-verification across simulated nodes collapses to one real
+    computation -- the long road for a verdict nobody in this run has
+    established yet.  (A share still carrying its maker's stamp never gets
+    here: the scheme's ``verify_share`` answers from the stamp, see
+    "provenance" above.)  The per-node CPU cost model is charged by
     :class:`repro.crypto.timing.CryptoSuite` before this function runs, so
     simulated virtual time is unaffected -- only wall clock.
 
@@ -483,7 +522,7 @@ def verify_dlog_equality(group: Group, proof: ChaumPedersenProof, base_h: int,
         proof.response, base_h, value_g, value_h, context)
 
 
-@lru_cache(maxsize=32768)
+@run_scoped(maxsize=32768)
 def _verify_dlog_equality_cached(p: int, q: int, g: int, commitment_g: int,
                                  commitment_h: int, response: int, base_h: int,
                                  value_g: int, value_h: int,

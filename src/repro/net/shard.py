@@ -17,13 +17,13 @@ discipline:
   is a sound per-shard promise (a consequence: every backbone transmission
   starts *exactly on* a window horizon);
 * backbone transmissions are exchanged at the barrier, serialized through
-  the digest-preserving codec in :mod:`repro.net.channel` and replayed in
-  every other shard as **ghost transmissions** on that shard's backbone
-  mirror: they occupy the channel, collide symmetrically with local
-  transmissions (the strict-overlap rule depends only on ``(start, end)``
-  pairs, which all shards agree on) and deliver to local leaders through the
-  ordinary half-duplex / hop-delay / adversary pipeline -- drawing jitter
-  from the *receiving* shard's RNG;
+  this module's digest-preserving codec (:func:`encode_boundary_frame`)
+  and replayed in every other shard as **ghost transmissions** on that
+  shard's backbone mirror: they occupy the channel, collide symmetrically
+  with local transmissions (the strict-overlap rule depends only on
+  ``(start, end)`` pairs, which all shards agree on) and deliver to local
+  leaders through the ordinary half-duplex / hop-delay / adversary
+  pipeline -- drawing jitter from the *receiving* shard's RNG;
 * cross-shard events are replayed in deterministic ``(time, shard, seq)``
   order, which makes a run a pure function of ``(scenario, seed, shards)``
   -- bit-identical for any number of worker processes, since worker

@@ -18,7 +18,9 @@ This module makes dealing
   ``(num_nodes, seed, scheme, committee domain)``.  A cache hit is
   bit-identical to a fresh deal (guarded by
   ``tests/testbed/test_dealer_cache.py``), so caching can only change wall
-  clock, never simulation results.
+  clock, never simulation results.  The cache is process-scoped; the known
+  logs a dealing teaches are run-scoped, so a hit in a later run teaches
+  them again (:func:`_dealt_logs`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.crypto.digital_sig import generate_keyring
+from repro.crypto.field import interpolate_at_zero
+from repro.crypto.group import DEFAULT_GROUP
 from repro.crypto.threshold_coin import deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
@@ -134,11 +138,48 @@ def deal_scheme(scheme: str, num_nodes: int, domain_seed: int,
                   **options)
 
 
+def _dealt_logs(scheme: str, value) -> list[tuple[int, int]]:
+    """The ``(element, exponent)`` pairs dealing ``value`` taught the
+    known-log memo: every key it publishes is ``g`` to a secret the dealt material
+    holds -- a signer's secret, a node's key share, or the master secret
+    its shares interpolate to.
+
+    The known-log memo is run-scoped (``repro.crypto.group.forget_run``), so
+    a later run that reuses cached keys learns these pairs again: without
+    them every exponentiation of a cached key (an ``encrypt``, a signature
+    or share verification) pays a full-width ``pow`` instead of the
+    fixed-base table."""
+    if scheme == SCHEME_KEYRING:
+        return [(key.public_element, key.secret) for key in value[0]]
+    public_key = value[0].public_key
+    shares = [holder.private_share for holder in value]
+    master_secret = interpolate_at_zero(
+        public_key.group.scalar_field,
+        [(share.index, share.secret)
+         for share in shares[:public_key.threshold]])
+    master_key = (public_key.encryption_key if scheme == SCHEME_THRESHOLD_ENC
+                  else public_key.master_verify_key)
+    return [(master_key, master_secret),
+            *zip(public_key.share_verify_keys,
+                 (share.secret for share in shares))]
+
+
+def _teach_logs(scheme: str, value) -> None:
+    """Learn the known logs of cached material again when this run does not
+    know its first published key: a finished run forgot them."""
+    first_key = (value[1][0].public_element if scheme == SCHEME_KEYRING
+                 else value[0].public_key.share_verify_keys[0])
+    if not DEFAULT_GROUP.knows_log(first_key):
+        for element, exponent in _dealt_logs(scheme, value):
+            DEFAULT_GROUP.learn(element, exponent)
+
+
 class DealerCache:
     """Bounded process LRU of dealt schemes.
 
     Because dealing is a pure function of ``(num_nodes, seed, scheme,
-    domain)``, a hit is bit-identical to a fresh deal.
+    domain)``, a hit is bit-identical to a fresh deal.  A hit in a run that
+    has not learned its keys' logs teaches them (:func:`_teach_logs`).
     """
 
     #: always False; kept while benchmarks/ledger/ reads and patches it
@@ -166,6 +207,7 @@ class DealerCache:
         if value is not None:
             self.hits += 1
             memory.move_to_end(key)
+            _teach_logs(scheme, value)
             return value
         self.misses += 1
         value = deal_scheme(scheme, num_nodes, domain_seed, domain=key[3])

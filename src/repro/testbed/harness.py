@@ -52,6 +52,7 @@ from repro.core.batcher import (
     ConsensusBatcherTransport,
     TransportConfig,
 )
+from repro.crypto.group import forget_run
 from repro.crypto.timing import CryptoSuite
 from repro.net.adversary import AsyncAdversary
 from repro.net.channel import WirelessChannel
@@ -208,8 +209,11 @@ class Deployment:
         all point back at each other, and the pending heap entries at all of
         them; left alone, a finished deployment waits for a full cyclic
         collection.  Closing drops the heap, every stack, interface, slot,
-        registration and callback.  Afterwards the deployment answers only
-        ``sim``'s counters and ``trace``.  Closing twice does nothing.
+        registration and callback, and empties the run-scoped crypto memos
+        (:func:`repro.crypto.group.forget_run`): their entries come from
+        this run's keys and randomness, which no later run at a fresh seed
+        meets again.  Afterwards the deployment answers only ``sim``'s
+        counters and ``trace``.  Closing twice does nothing.
         """
         self.sim.close()
         for runtime in (*self.runtimes.values(),
@@ -219,6 +223,7 @@ class Deployment:
             node.close()
         for channel in self.channels.values():
             channel.close()
+        forget_run()
 
 
 def _build_stack(deployment: Deployment, node: NetworkNode, local_id: int,

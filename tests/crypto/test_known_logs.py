@@ -42,7 +42,7 @@ from repro.crypto.threshold_coin import ThresholdCoinError, deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
 from repro.protocols.base import PROTOCOL_NAMES
-from repro.testbed import dealer_cache
+from repro.testbed import dealer_cache, harness
 from repro.testbed.harness import run_consensus
 from repro.testbed.scenarios import Scenario
 
@@ -351,6 +351,16 @@ class TestOneExponentiationPerStatement:
             backend, "multi_powm",
             lambda *args: multi_calls.append(args) or multi_powm(*args))
 
+        forget_run = harness.forget_run
+        at_close = {}
+
+        def recording_forget_run():
+            # the run's close empties the memo: read it just before
+            at_close.update(memo())
+            forget_run()
+
+        monkeypatch.setattr(harness, "forget_run", recording_forget_run)
+
         def epoch() -> tuple[int, dict]:
             monkeypatch.setattr(group_module, "_GENERATORS", {})
             monkeypatch.setattr(dealer_cache, "DEFAULT_DEALER_CACHE",
@@ -358,12 +368,13 @@ class TestOneExponentiationPerStatement:
             threshold_sig._reconstructed_master_key.cache_clear()
             made.clear()
             multi_calls.clear()
+            at_close.clear()
             assert run_consensus(protocol, Scenario.single_hop(7),
                                  seed=8200).decided
-            return len(multi_calls), memo()
+            return len(multi_calls), dict(at_close)
 
         default_calls, logs = epoch()
-        assert made
+        assert made and logs
         assert not {_share_value(share) for share in made} & set(logs)
         monkeypatch.setattr(group_module, "KNOWN_LOGS_MAX", 100)
         bounded_calls, _ = epoch()
