@@ -80,8 +80,7 @@ def main() -> None:
           f"{result.epochs_completed}/{args.epochs} epochs, "
           f"{result.committed_transactions} transactions in "
           f"{result.duration_s:.0f}s of virtual time.")
-    for verdict in check_all(observer, result, scenario.timeout_s,
-                             pack=pack):
+    for verdict in check_all(observer, result, scenario.timeout_s):
         status = "ok" if verdict.ok else "FAILED"
         print(f"  invariant {verdict.name}: {status} -- {verdict.detail}")
     print(f"\nLedger digest: {result.ledger_digest[:16]}...")

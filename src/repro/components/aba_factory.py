@@ -2,7 +2,7 @@
 
 ``lc`` / ``sc`` / ``cp`` (ABA-LC / ABA-SC / ABA-CP) name an ABA class; the
 class names the coin flavor its rounds draw on (``coin_flavor``), and
-:data:`repro.crypto.timing.COIN_FLAVORS` gives the flavor its dealt scheme
+:data:`repro.crypto.timing.COIN_FLAVORS` gives the flavor its suite handle
 and cost rows.  Protocols and the harness build agreements through here, so
 an ABA is never wired to a coin manager of another flavor.
 """
@@ -17,15 +17,8 @@ from repro.components.aba_cachin import CachinAba
 from repro.components.aba_coinflip import CoinFlipAba
 from repro.components.base import ComponentContext, ComponentRouter
 from repro.components.common_coin import CommonCoinManager
-from repro.crypto.timing import COIN_FLAVORS
 
 ABA_BY_COIN = {"lc": BrachaAba, "sc": CachinAba, "cp": CoinFlipAba}
-
-
-def coin_schemes(coin: str) -> tuple[str, ...]:
-    """The dealt schemes a ``coin``-kind ABA needs (none for the local coin)."""
-    flavor = ABA_BY_COIN[coin].coin_flavor
-    return () if flavor is None else (COIN_FLAVORS[flavor].handle,)
 
 
 def aba_factory(coin: str, ctx: ComponentContext, router: ComponentRouter,

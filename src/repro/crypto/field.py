@@ -8,7 +8,6 @@ Schnorr group used by :mod:`repro.crypto.group`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -33,32 +32,6 @@ class PrimeField:
     def reduce(self, x: int) -> int:
         """Map an integer into ``[0, q)``."""
         return x % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        """Return ``a - b`` in the field."""
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        """Return ``a * b`` in the field."""
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        """Return ``-a`` in the field."""
-        return (-a) % self.q
-
-    def inv(self, a: int) -> int:
-        """Return the multiplicative inverse of ``a``.
-
-        Raises :class:`FieldError` if ``a`` is zero modulo ``q``.
-        """
-        a = a % self.q
-        if a == 0:
-            raise FieldError("zero has no multiplicative inverse")
-        return pow(a, -1, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        """Return ``a / b`` in the field."""
-        return self.mul(a, self.inv(b))
 
     def random_element(self, rng) -> int:
         """Draw a uniformly random field element using ``rng.randrange``."""
@@ -104,37 +77,20 @@ def _share_points(field: PrimeField, xs: Sequence[int]) -> tuple[int, ...]:
     return points
 
 
-def lagrange_coefficients_at_zero(field: PrimeField,
-                                  xs: Sequence[int]) -> list[int]:
-    """Lagrange coefficients ``λ_i`` such that ``f(0) = Σ λ_i · f(x_i)``.
-
-    ``xs`` must be distinct and non-zero modulo ``q``.  This is the combining
-    step for Shamir shares (threshold shares combine in the exponent, with
-    :func:`lagrange_ratios_at_zero`).  Every combiner re-derives the
-    coefficients for the same few signer sets over and over, so the result
-    is memoised on the (modulus, point tuple) pair; the cached path is
-    pinned bit-identical to the uncached seed form in the tests.
-    """
-    return list(_lagrange_at_zero_cached(field.q, _share_points(field, xs)))
-
-
 def lagrange_ratios_at_zero(field: PrimeField, xs: Sequence[int]
                             ) -> tuple[tuple[int, ...], int]:
-    """The same coefficients as integer ratios: ``(a, D)`` with
-    ``λ_i = a_i / D`` in lowest terms (``D > 0``).
+    """Lagrange coefficients at zero as integer ratios: ``(a, D)`` with
+    ``λ_i = a_i / D`` in lowest terms (``D > 0``), so that
+    ``f(0) = Σ λ_i · f(x_i)``.
 
-    For share indices ``1..n`` the ``a_i`` are small signed integers (2 and
-    -1 for signers ``{1, 2}``; some 40 bits at 11-of-32) where the residues
-    of ``λ_i`` modulo ``q`` are full-width, which is what makes combining in
-    the exponent cheap.  Raises :class:`FieldError` for exactly the inputs
-    :func:`lagrange_coefficients_at_zero` does.
+    ``xs`` must be distinct and non-zero modulo ``q``.  For share indices
+    ``1..n`` the ``a_i`` are small signed integers (2 and -1 for signers
+    ``{1, 2}``; some 40 bits at 11-of-32) where the residues of ``λ_i``
+    modulo ``q`` are full-width, which is what makes combining in the
+    exponent cheap.  Not memoised here: the one hot caller,
+    :func:`repro.crypto.group._combine_weights`, memoises on the same key.
     """
-    return _lagrange_ratios_cached(_share_points(field, xs))
-
-
-@lru_cache(maxsize=4096)
-def _lagrange_ratios_cached(points: tuple[int, ...]
-                            ) -> tuple[tuple[int, ...], int]:
+    points = _share_points(field, xs)
     numerators = [prod(x_j for x_j in points if x_j != x_i)
                   for x_i in points]
     denominators = [prod(x_j - x_i for x_j in points if x_j != x_i)
@@ -147,20 +103,20 @@ def _lagrange_ratios_cached(points: tuple[int, ...]
     return tuple(weight // shared for weight in weights), common // shared
 
 
-@lru_cache(maxsize=4096)
-def _lagrange_at_zero_cached(q: int, points: tuple[int, ...]) -> tuple[int, ...]:
-    field = PrimeField(q)
-    coefficients = []
-    for i, x_i in enumerate(points):
-        numerator = 1
-        denominator = 1
-        for j, x_j in enumerate(points):
-            if i == j:
-                continue
-            numerator = field.mul(numerator, field.neg(x_j))
-            denominator = field.mul(denominator, field.sub(x_i, x_j))
-        coefficients.append(field.div(numerator, denominator))
-    return tuple(coefficients)
+def lagrange_coefficients_at_zero(field: PrimeField,
+                                  xs: Sequence[int]) -> list[int]:
+    """The same coefficients as residues ``λ_i mod q``: the combining step
+    for Shamir shares.
+
+    Derived from :func:`lagrange_ratios_at_zero`: the points are distinct in
+    ``[1, q)``, so every difference ``x_j - x_i`` lies strictly between
+    ``-q`` and ``q`` and ``q`` cannot divide ``D``.  Pinned equal to the
+    field-division form in the tests.
+    """
+    weights, denominator = lagrange_ratios_at_zero(field, xs)
+    q = field.q
+    inverse = pow(denominator, -1, q)
+    return [weight * inverse % q for weight in weights]
 
 
 def interpolate_at_zero(field: PrimeField,

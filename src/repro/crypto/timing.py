@@ -41,14 +41,14 @@ CostSink = Callable[[float], None]
 
 class CoinFlavor(NamedTuple):
     """What one coin kind pays for: the :class:`CryptoSuite` handle it uses
-    (also its dealer scheme name) and, per operation, the ledger name it is
-    recorded under and the :class:`ThresholdCurveProfile` row it is charged."""
+    (also its dealer scheme name) and, per operation, the
+    :class:`ThresholdCurveProfile` row it is charged."""
 
     handle: str
     description: str
-    sign: tuple[str, str]
-    verify: tuple[str, str]
-    combine: tuple[str, str]
+    sign: str
+    verify: str
+    combine: str
 
 
 #: The one place a coin flavor is given meaning.  ABA-SC's coin is a
@@ -57,33 +57,13 @@ class CoinFlavor(NamedTuple):
 COIN_FLAVORS: dict[str, CoinFlavor] = {
     "tsig": CoinFlavor(
         "threshold_coin", "threshold coin scheme",
-        sign=("tsig_sign", "sign_share_ms"),
-        verify=("tsig_verify_share", "verify_share_ms"),
-        combine=("tsig_combine", "combine_share_ms")),
+        sign="sign_share_ms", verify="verify_share_ms",
+        combine="combine_share_ms"),
     "flip": CoinFlavor(
         "coin_flip", "threshold coin-flipping scheme",
-        sign=("coinflip_sign", "coin_sign_ms"),
-        verify=("coinflip_verify_share", "coin_verify_share_ms"),
-        combine=("coinflip_combine", "coin_combine_ms")),
+        sign="coin_sign_ms", verify="coin_verify_share_ms",
+        combine="coin_combine_ms"),
 }
-
-
-class CostLedger:
-    """Accumulates the cryptographic computation cost a node was charged.
-
-    A running total, not one record per operation: a long stream charges
-    thousands of operations per epoch and its memory must stay O(pipeline
-    window).  The total is accumulated in ``record`` order, so it is
-    bit-identical to summing a per-operation list.
-    """
-
-    def __init__(self) -> None:
-        self.total_seconds = 0.0
-
-    def record(self, operation: str, seconds: float) -> None:
-        """Record one ``operation`` (the name labels the call site; only the
-        seconds are kept)."""
-        self.total_seconds += seconds
 
 
 class CryptoSuite:
@@ -96,8 +76,9 @@ class CryptoSuite:
     signing_key / verify_keys:
         The node's digital-signature keypair and everybody's verify keys.
     threshold_sig / threshold_coin / coin_flip / threshold_enc:
-        The node's handles for the threshold schemes (any may be ``None`` when
-        a protocol does not use it, e.g. local-coin ABA needs no coin scheme).
+        The node's handles for the threshold schemes.  A deployment's suite
+        holds all four; a suite built by hand may leave any ``None``, and
+        an operation on it raises.
     ec_curve / threshold_curve:
         Curve profiles controlling byte sizes and operation latencies.
     rng:
@@ -110,6 +91,10 @@ class CryptoSuite:
         the paper's STM32F767 boards; large-n scale scenarios run on
         gateway-class hardware and scale the same relative costs down
         (``repro.testbed.scenarios.GATEWAY_CRYPTO_SCALE``).
+
+    ``crypto_seconds`` is the running total of every charged latency: a
+    stream charges thousands of operations per epoch, so no per-operation
+    record is kept.
     """
 
     def __init__(self, node_id: int, signing_key: SigningKey,
@@ -136,12 +121,12 @@ class CryptoSuite:
         if cost_scale <= 0:
             raise ValueError(f"cost_scale must be positive, got {cost_scale}")
         self.cost_scale = cost_scale
-        self.ledger = CostLedger()
+        self.crypto_seconds = 0.0
 
     # ------------------------------------------------------------- accounting
-    def _charge(self, operation: str, milliseconds: float) -> None:
+    def _charge(self, milliseconds: float) -> None:
         seconds = milliseconds * self.cost_scale / 1000.0
-        self.ledger.record(operation, seconds)
+        self.crypto_seconds += seconds
         if self.cost_sink is not None:
             self.cost_sink(seconds)
 
@@ -164,12 +149,12 @@ class CryptoSuite:
     # --------------------------------------------------- digital signatures
     def sign(self, message: bytes) -> Signature:
         """Sign a packet payload with the node's digital signature key."""
-        self._charge("ecdsa_sign", self.ec_profile.sign_ms)
+        self._charge(self.ec_profile.sign_ms)
         return self.signing_key.sign(message, self.rng)
 
     def verify(self, signer: int, message: bytes, signature: Signature) -> bool:
         """Verify a packet signature from ``signer``."""
-        self._charge("ecdsa_verify", self.ec_profile.verify_ms)
+        self._charge(self.ec_profile.verify_ms)
         if not (isinstance(signer, int)
                 and 0 <= signer < len(self.verify_keys)):
             return False
@@ -179,13 +164,13 @@ class CryptoSuite:
     def tsig_share(self, message: bytes) -> ThresholdSigShare:
         """Produce a threshold-signature share."""
         self._require(self.threshold_sig, "threshold signature scheme")
-        self._charge("tsig_sign", self.threshold_profile.sign_share_ms)
+        self._charge(self.threshold_profile.sign_share_ms)
         return self.threshold_sig.sign_share(message, self.rng)
 
     def tsig_verify_share(self, message: bytes, share: ThresholdSigShare) -> bool:
         """Verify a threshold-signature share."""
         self._require(self.threshold_sig, "threshold signature scheme")
-        self._charge("tsig_verify_share", self.threshold_profile.verify_share_ms)
+        self._charge(self.threshold_profile.verify_share_ms)
         return self.threshold_sig.verify_share(message, share)
 
     def tsig_combine(self, message: bytes,
@@ -198,13 +183,13 @@ class CryptoSuite:
         combine cost is charged either way).
         """
         self._require(self.threshold_sig, "threshold signature scheme")
-        self._charge("tsig_combine", self.threshold_profile.combine_share_ms)
+        self._charge(self.threshold_profile.combine_share_ms)
         return self.threshold_sig.combine(message, shares, verify=verify)
 
     def tsig_verify(self, message: bytes, signature: ThresholdSignature) -> bool:
         """Verify a combined threshold signature."""
         self._require(self.threshold_sig, "threshold signature scheme")
-        self._charge("tsig_verify", self.threshold_profile.verify_signature_ms)
+        self._charge(self.threshold_profile.verify_signature_ms)
         return self.threshold_sig.verify_signature(message, signature)
 
     # --------------------------------------------------------- common coin
@@ -217,8 +202,7 @@ class CryptoSuite:
                              f"known: {sorted(COIN_FLAVORS)}") from None
         scheme = getattr(self, coin.handle)
         self._require(scheme, coin.description)
-        ledger_name, cost_row = getattr(coin, operation)
-        self._charge(ledger_name, getattr(self.threshold_profile, cost_row))
+        self._charge(getattr(self.threshold_profile, getattr(coin, operation)))
         return scheme
 
     def coin_share(self, tag: bytes, flavor: str = "tsig") -> CoinShare:
@@ -250,20 +234,20 @@ class CryptoSuite:
     def encrypt(self, plaintext: bytes, label: bytes) -> Ciphertext:
         """Threshold-encrypt a proposal."""
         self._require(self.threshold_enc, "threshold encryption scheme")
-        self._charge("tenc_encrypt", self.threshold_profile.sign_share_ms)
+        self._charge(self.threshold_profile.sign_share_ms)
         return self.threshold_enc.encrypt(plaintext, label, self.rng)
 
     def decryption_share(self, ciphertext: Ciphertext) -> DecryptionShare:
         """Produce a decryption share."""
         self._require(self.threshold_enc, "threshold encryption scheme")
-        self._charge("tenc_share", self.threshold_profile.sign_share_ms)
+        self._charge(self.threshold_profile.sign_share_ms)
         return self.threshold_enc.decryption_share(ciphertext, self.rng)
 
     def verify_decryption_share(self, ciphertext: Ciphertext,
                                 share: DecryptionShare) -> bool:
         """Verify a decryption share."""
         self._require(self.threshold_enc, "threshold encryption scheme")
-        self._charge("tenc_verify_share", self.threshold_profile.verify_share_ms)
+        self._charge(self.threshold_profile.verify_share_ms)
         return self.threshold_enc.verify_share(ciphertext, share)
 
     def decrypt(self, ciphertext: Ciphertext,
@@ -271,7 +255,7 @@ class CryptoSuite:
                 verify: bool = True) -> bytes:
         """Combine decryption shares and recover the plaintext."""
         self._require(self.threshold_enc, "threshold encryption scheme")
-        self._charge("tenc_combine", self.threshold_profile.combine_share_ms)
+        self._charge(self.threshold_profile.combine_share_ms)
         return self.threshold_enc.combine(ciphertext, shares, verify=verify)
 
     # ------------------------------------------------------------------ misc

@@ -15,12 +15,12 @@ def judged_stream(label: str, protocol: str, scenario: Scenario,
                   **options: Any) -> StreamingRunResult:
     """Run one observed stream and assert every verdict :func:`check_all`
     gives it; ``label`` names the cell in the failure.  ``options`` go to
-    :func:`run_streaming_consensus` (``pack`` also to the judge)."""
+    :func:`run_streaming_consensus`."""
     observer = RunObserver()
     result = run_streaming_consensus(protocol, scenario, spec, seed=seed,
                                      observer=observer, **options)
-    failed = [verdict for verdict in check_all(
-        observer, result, scenario.timeout_s, pack=options.get("pack"))
-        if not verdict.ok]
+    failed = [verdict for verdict in check_all(observer, result,
+                                               scenario.timeout_s)
+              if not verdict.ok]
     assert not failed, f"{label}: {failed}"
     return result

@@ -713,8 +713,7 @@ def run_cell(cell: CampaignCell, quick: bool = True) -> CellOutcome:
         digest = result.block_digest
     verdicts = check_all(
         observer, result, scenario.timeout_s, fault.expect_decision,
-        affected_domains=fault.affected_domains(cell.topology.is_multi_hop),
-        pack=pack)
+        affected_domains=fault.affected_domains(cell.topology.is_multi_hop))
     if latency != latency:  # NaN (timed-out run): keep JSON clean
         latency = None
     return CellOutcome(

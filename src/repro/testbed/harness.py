@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
-from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
+from repro.components.aba_factory import ABA_BY_COIN, aba_factory
 from repro.components.base import Component, ComponentContext, ComponentRouter
 from repro.components.cbc import Cbc
 from repro.components.cbc_small import CbcSmall
@@ -73,12 +73,6 @@ from repro.protocols.multihop import (
 )
 from repro.testbed.byzantine import CRASH_AT_EPOCH, SLOW_LINK_DELAY_S
 from repro.testbed.dealer_cache import (
-    ALL_SCHEMES,
-    SCHEME_COIN_FLIP,
-    SCHEME_KEYRING,
-    SCHEME_THRESHOLD_COIN,
-    SCHEME_THRESHOLD_ENC,
-    SCHEME_THRESHOLD_SIG,
     CryptoDomain,
     deal_crypto_domain,
     stable_seed,
@@ -102,58 +96,6 @@ EQUIVOCATION_EPOCH = "equiv"
 
 class DeploymentError(RuntimeError):
     """Raised when a deployment cannot be assembled or a run misbehaves."""
-
-
-# ---------------------------------------------------------------------------
-# crypto domains
-# ---------------------------------------------------------------------------
-
-def crypto_schemes_for_protocol(protocol: str,
-                                config: Optional[ConsensusConfig] = None
-                                ) -> tuple[str, ...]:
-    """The threshold schemes one protocol actually uses (lazy dealing).
-
-    Every domain needs the digital-signature keyring (packet signing); beyond
-    that, HoneyBadger needs the coin of its ABA variant plus threshold
-    encryption (when enabled), BEAT substitutes the coin-flipping scheme, and
-    Dumbo needs threshold signatures (PRBC DONE / CBC FINISH) plus the
-    threshold coin that derives its global permutation.  Dealing only these
-    keeps large-n setup proportional to what the run can exercise.
-    """
-    canonical = ProtocolName.validate(protocol)
-    family = ProtocolName.family(canonical)
-    coin = ProtocolName.coin(canonical)
-    config = config or ConsensusConfig()
-    needed: set[str] = {SCHEME_KEYRING}
-    if family == "dumbo":
-        needed.add(SCHEME_THRESHOLD_SIG)
-        needed.add(SCHEME_THRESHOLD_COIN)  # the "pi" permutation coin
-    else:  # honeybadger / beat share the HoneyBadger structure
-        if config.use_threshold_encryption:
-            needed.add(SCHEME_THRESHOLD_ENC)
-    needed.update(coin_schemes(coin))
-    return tuple(scheme for scheme in ALL_SCHEMES if scheme in needed)
-
-
-def global_epoch_config(config: Optional[ConsensusConfig]) -> ConsensusConfig:
-    """The config of the leaders' global instance for a local epoch config.
-
-    The global instance orders already-decided (public) cluster blocks, so it
-    runs without threshold encryption under the tag ``("global", epoch)``.
-    """
-    base = config or ConsensusConfig()
-    return ConsensusConfig(epoch=("global", base.epoch),
-                           use_threshold_encryption=False)
-
-
-def multihop_crypto_schemes(protocol: str, config: Optional[ConsensusConfig]
-                            ) -> dict[str, tuple[str, ...]]:
-    """The two ``*crypto_schemes`` builder arguments of a ``protocol`` run:
-    what the cluster domains and the leaders' global domain must deal."""
-    return {
-        "crypto_schemes": crypto_schemes_for_protocol(protocol, config),
-        "global_crypto_schemes": crypto_schemes_for_protocol(
-            protocol, global_epoch_config(config))}
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +188,10 @@ def _build_stack(deployment: Deployment, node: NetworkNode, local_id: int,
         node_id=local_id,
         signing_key=domain.signing_keys[local_id],
         verify_keys=domain.verify_keys,
-        threshold_sig=domain.node_scheme(SCHEME_THRESHOLD_SIG, local_id),
-        threshold_coin=domain.node_scheme(SCHEME_THRESHOLD_COIN, local_id),
-        coin_flip=domain.node_scheme(SCHEME_COIN_FLIP, local_id),
-        threshold_enc=domain.node_scheme(SCHEME_THRESHOLD_ENC, local_id),
+        threshold_sig=domain.threshold_sig[local_id],
+        threshold_coin=domain.threshold_coin[local_id],
+        coin_flip=domain.coin_flip[local_id],
+        threshold_enc=domain.threshold_enc[local_id],
         ec_curve=scenario.ec_curve,
         threshold_curve=scenario.threshold_curve,
         rng=suite_rng,
@@ -296,8 +238,6 @@ def _apply_byzantine_network_behaviour(deployment: Deployment) -> None:
 
 
 def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
-              crypto_schemes: Sequence[str],
-              global_crypto_schemes: Sequence[str],
               hosted: Optional[Sequence[int]] = None,
               backbone_class: Callable[..., WirelessChannel] = WirelessChannel,
               backbone_mac_class: type[CsmaMac] = CsmaMac) -> Deployment:
@@ -343,8 +283,7 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
     # --- per-cluster (local) domains -------------------------------------
     for cluster in clusters:
         domain = deal_crypto_domain(
-            cluster.size, stable_seed(seed, "cluster", cluster.index),
-            schemes=crypto_schemes)
+            cluster.size, stable_seed(seed, "cluster", cluster.index))
         channel = channels[cluster.channel_name]
         for local_id, global_id in enumerate(cluster.node_ids):
             node = NetworkNode(sim, global_id, trace, cpu=scenario.cpu,
@@ -374,9 +313,8 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
                 leader = select_leader(cluster, epoch, excluded)
             deployment.epoch_leaders[cluster.index] = leader
         leaders = list(deployment.epoch_leaders.values())  # cluster order
-        global_domain = deal_crypto_domain(
-            len(leaders), stable_seed(seed, "global"),
-            schemes=global_crypto_schemes)
+        global_domain = deal_crypto_domain(len(leaders),
+                                           stable_seed(seed, "global"))
         backbone = channels[backbone_name]
         backbone.hop_counts.update(
             InterClusterRouting(topology).hop_table_for(leaders))
@@ -400,24 +338,15 @@ def _assemble(scenario: Scenario, sim: Simulator, batched: bool, seed: int,
 
 
 def build_deployment(scenario: Scenario, batched: bool = True,
-                     seed: int = 0,
-                     crypto_schemes: Sequence[str] = ALL_SCHEMES,
-                     global_crypto_schemes: Optional[Sequence[str]] = None
-                     ) -> Deployment:
+                     seed: int = 0) -> Deployment:
     """Assemble nodes, channels, crypto and transports for a scenario.
 
-    ``crypto_schemes`` limits which threshold schemes the per-cluster domains
-    deal (see :func:`crypto_schemes_for_protocol`); ``global_crypto_schemes``
-    does the same for the multi-hop leader domain (defaults to
-    ``crypto_schemes``).  Dealing goes through the process's
-    :class:`~repro.testbed.dealer_cache.DealerCache`, so repeated deployments
-    at the same ``(num_nodes, seed)`` share bit-identical key material
-    without re-dealing.
+    Every crypto domain deals every scheme.  Dealing goes through the
+    process's :class:`~repro.testbed.dealer_cache.DealerCache`, so repeated
+    deployments at the same ``(num_nodes, seed)`` share bit-identical key
+    material without re-dealing.
     """
-    if global_crypto_schemes is None:
-        global_crypto_schemes = crypto_schemes
-    return _assemble(scenario, Simulator(seed=seed), batched, seed,
-                     crypto_schemes, global_crypto_schemes)
+    return _assemble(scenario, Simulator(seed=seed), batched, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +510,7 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
     ``tests/testbed/test_seed_determinism.py``).
     """
     check_composition(scenario, "run_consensus", multi_hop=False)
-    deployment = build_deployment(
-        scenario, batched=batched, seed=seed,
-        crypto_schemes=crypto_schemes_for_protocol(protocol, config))
+    deployment = build_deployment(scenario, batched=batched, seed=seed)
     with closing(deployment):
         workload = TransactionWorkload(
             workload_spec or WorkloadSpec(batch_size=batch_size,
@@ -595,7 +522,7 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
                                            timeout=scenario.timeout_s)
         decide_times, digests, digest, committed = fold_decisions(
             epoch.decisions(), epoch.transactions, observer)
-        crypto_seconds = sum(runtime.ctx.suite.ledger.total_seconds
+        crypto_seconds = sum(runtime.ctx.suite.crypto_seconds
                              for runtime in deployment.runtimes.values())
         return ConsensusRunResult(
             protocol=protocol, batched=batched,
@@ -617,6 +544,17 @@ def run_consensus(protocol: str, scenario: Scenario, batch_size: int = 8,
 # ---------------------------------------------------------------------------
 # the epoch driver
 # ---------------------------------------------------------------------------
+
+def global_epoch_config(config: Optional[ConsensusConfig]) -> ConsensusConfig:
+    """The config of the leaders' global instance for a local epoch config.
+
+    The global instance orders already-decided (public) cluster blocks, so it
+    runs without threshold encryption under the tag ``("global", epoch)``.
+    """
+    base = config or ConsensusConfig()
+    return ConsensusConfig(epoch=("global", base.epoch),
+                           use_threshold_encryption=False)
+
 
 def _install_protocols(protocol: str, runtimes: dict[int, DomainRuntime],
                        config: Optional[ConsensusConfig]
@@ -968,8 +906,7 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
             protocol, scenario, shards=shards, shard_workers=shard_workers,
             batched=batched, seed=seed, config=config,
             workload_spec=workload_spec, observer=observer)
-    deployment = build_deployment(scenario, batched=batched, seed=seed,
-                                  **multihop_crypto_schemes(protocol, config))
+    deployment = build_deployment(scenario, batched=batched, seed=seed)
     with closing(deployment):
         workload = TransactionWorkload(workload_spec, seed=seed)
         epoch = Epoch(deployment, protocol, config)
@@ -989,18 +926,18 @@ def run_multihop_consensus(protocol: str, scenario: Scenario,
 # component experiments (broadcasts, Fig. 11; ABA, Fig. 12)
 # ---------------------------------------------------------------------------
 
-#: broadcast component -> (its class, the crypto schemes its runs deal)
-_BROADCASTS: dict[str, tuple[Callable[..., Component], tuple[str, ...]]] = {
-    "rbc": (BrachaRbc, (SCHEME_KEYRING,)),
-    "rbc-small": (RbcSmall, (SCHEME_KEYRING,)),
-    "prbc": (Prbc, (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG)),
-    "cbc": (Cbc, (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG)),
-    "cbc-small": (CbcSmall, (SCHEME_KEYRING, SCHEME_THRESHOLD_SIG)),
+#: broadcast component -> its class
+_BROADCASTS: dict[str, Callable[..., Component]] = {
+    "rbc": BrachaRbc,
+    "rbc-small": RbcSmall,
+    "prbc": Prbc,
+    "cbc": Cbc,
+    "cbc-small": CbcSmall,
 }
 
 
 def _run_components(name: str, scenario: Scenario, batched: bool, seed: int,
-                    schemes: Sequence[str], instances: int,
+                    instances: int,
                     make: Callable[[DomainRuntime], Callable[[int], Component]],
                     value_for: Callable[[DomainRuntime, int], Any],
                     serial: bool = False, **fields: Any) -> ComponentRunResult:
@@ -1014,8 +951,7 @@ def _run_components(name: str, scenario: Scenario, batched: bool, seed: int,
     order.  Every honest output of an instance must equal the first one
     (:class:`DeploymentError` otherwise).  ``fields`` complete the result.
     """
-    deployment = build_deployment(scenario, batched=batched, seed=seed,
-                                  crypto_schemes=schemes)
+    deployment = build_deployment(scenario, batched=batched, seed=seed)
     with closing(deployment):
         honest = set(deployment.honest_ids())
         latch = _CompletionLatch(honest, instances)
@@ -1095,7 +1031,7 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
             f"known: {sorted(_BROADCASTS)}")
     scenario = scenario or Scenario.single_hop(num_nodes)
     check_composition(scenario, "run_broadcast_experiment", multi_hop=False)
-    factory, schemes = _BROADCASTS[component]
+    factory = _BROADCASTS[component]
     tag = ("bcast", component)
     proposal_bytes = max(16, proposal_packets * scenario.radio.max_payload_bytes - 60)
     proposal_rng = random.Random(seed ^ 0xFACE)
@@ -1114,9 +1050,8 @@ def run_broadcast_experiment(component: str, parallelism: int = 1,
             return list(range(runtime.ctx.quorum))
         return random_bytes(proposal_rng, proposal_bytes)
 
-    return _run_components(component, scenario, batched, seed, schemes,
-                           parallelism, make, value_for,
-                           parallelism=parallelism,
+    return _run_components(component, scenario, batched, seed, parallelism,
+                           make, value_for, parallelism=parallelism,
                            proposal_packets=proposal_packets)
 
 
@@ -1159,7 +1094,6 @@ def run_aba_experiment(kind: str, parallel_instances: int = 1,
 
     return _run_components(
         f"aba-{kind}", scenario, batched, seed,
-        (SCHEME_KEYRING, *coin_schemes(kind)),
         serial_instances if serial else parallel_instances, make,
         lambda runtime, instance: (runtime.local_id + instance) % 2,
         serial=serial, parallelism=1 if serial else parallel_instances,

@@ -366,6 +366,14 @@ def check_liveness_under_bounded_churn(
 RECOVERY_EPOCH_BOUND = 3
 
 
+def heal_times(phases: Sequence[Any]) -> tuple[float, ...]:
+    """When a stream's scenario pack heals: the ``start_s`` of every
+    :class:`~repro.testbed.metrics.PhaseRecord` in ``phases`` that is not
+    degraded and follows one that is."""
+    return tuple(phase.start_s for previous, phase in zip(phases, phases[1:])
+                 if previous.degraded and not phase.degraded)
+
+
 def check_scenario_recovery(per_epoch: Sequence[Any],
                             heal_times: Sequence[float],
                             bound_epochs: int = RECOVERY_EPOCH_BOUND) -> InvariantVerdict:
@@ -441,8 +449,8 @@ def check_ingress_conservation(classes: Sequence[Any]) -> InvariantVerdict:
 
 def check_all(observer: RunObserver, result: Any, timeout_s: float,
               expect_decision: bool = True,
-              affected_domains: Optional[set[Any]] = None,
-              pack: Any = None) -> list[InvariantVerdict]:
+              affected_domains: Optional[set[Any]] = None
+              ) -> list[InvariantVerdict]:
     """Judge one testbed run: the one place that picks a run's gates.
 
     Safety (agreement, total order, validity) is checked unconditionally --
@@ -450,8 +458,8 @@ def check_all(observer: RunObserver, result: Any, timeout_s: float,
     vacuously over an empty decision set).  Then each stream layer the
     ``result`` carries adds its gates: a committee trail (membership
     schedule) the two reconfiguration gates, class records (ingress) the
-    conservation gate, and a scenario ``pack`` ledger continuity plus
-    recovery after each of the pack's heal times.
+    conservation gate, and phase records (a scenario pack) ledger
+    continuity plus recovery after each of the phases' heal times.
     """
     verdicts = [
         check_liveness(observer, result.decided, expect_decision, timeout_s,
@@ -468,9 +476,9 @@ def check_all(observer: RunObserver, result: Any, timeout_s: float,
             result.epochs_target))
     if getattr(result, "classes", ()):
         verdicts.append(check_ingress_conservation(result.classes))
-    if pack is not None:
+    if getattr(result, "phases", ()):
         verdicts.append(check_ledger_continuity(result.per_epoch,
                                                 result.ledger_digest))
         verdicts.append(check_scenario_recovery(result.per_epoch,
-                                                pack.heal_times()))
+                                                heal_times(result.phases)))
     return verdicts

@@ -65,12 +65,7 @@ from dataclasses import dataclass
 
 from repro.net.topology import faults_tolerated
 from repro.testbed.dealer_cache import deal_crypto_domain, stable_seed
-from repro.testbed.harness import (
-    DeploymentError,
-    DomainRuntime,
-    _build_stack,
-    crypto_schemes_for_protocol,
-)
+from repro.testbed.harness import DeploymentError, DomainRuntime, _build_stack
 from repro.testbed.workload import QUORUM_FLOOR, ChurnProcess, ChurnSpec
 
 MEMBERSHIP_ACTIONS = ("join", "leave", "crash")
@@ -224,13 +219,11 @@ class MembershipController:
     -- arrivals continue into their mempools -- but no protocol stack).
     """
 
-    def __init__(self, schedule: MembershipSchedule, deployment, protocol: str,
-                 base_config, seed: int = 0) -> None:
+    def __init__(self, schedule: MembershipSchedule, deployment,
+                 seed: int = 0) -> None:
         self.schedule = schedule
         self.deployment = deployment
-        self.protocol = protocol
         self.seed = seed
-        self.schemes = crypto_schemes_for_protocol(protocol, base_config)
         self.committee: set[int] = set(schedule.initial)
         self._next_event = 0
         #: how many times the committee runtimes were rebuilt (keys the
@@ -330,7 +323,6 @@ class MembershipController:
             runtime.close()
         domain = deal_crypto_domain(
             n, stable_seed(self.seed, "cluster", 0),
-            schemes=self.schemes,
             domain=("committee",) + members)
         channel_name = scenario.topology.clusters[0].channel_name
         new_runtimes: dict[int, DomainRuntime] = {}

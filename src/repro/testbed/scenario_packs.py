@@ -218,15 +218,6 @@ class ScenarioPack:
         bounds.append((starts[-1], math.inf))
         return tuple(bounds)
 
-    def heal_times(self) -> tuple[float, ...]:
-        """Start times of recovery phases (non-degraded after degraded) --
-        the boundaries the degradation/recovery invariants are anchored to."""
-        starts = self.phase_starts()
-        return tuple(
-            starts[index] for index in range(1, len(self.phases))
-            if self.phases[index - 1].is_degraded
-            and not self.phases[index].is_degraded)
-
     def eventual_delivery_holds(self) -> bool:
         """False if the *final* phase silences links forever (its faults have
         no end time); such a pack is only admissible in non-decision runs."""

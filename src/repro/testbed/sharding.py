@@ -54,7 +54,6 @@ from repro.testbed.harness import (
     _assemble,
     fold_decisions,
     global_block_transactions,
-    multihop_crypto_schemes,
     replay_cluster_decisions,
 )
 from repro.testbed.invariants import RunObserver
@@ -109,8 +108,7 @@ def merge_traces(traces: list[NetworkTrace]) -> NetworkTrace:
 
 def build_shard_deployment(scenario: Scenario, shard_index: int,
                            cluster_indices: list[int], batched: bool,
-                           seed: int, crypto_schemes: tuple[str, ...],
-                           global_crypto_schemes: tuple[str, ...]
+                           seed: int
                            ) -> tuple[Deployment, ShardBackboneChannel,
                                       list[ShardCsmaMac]]:
     """Build one shard's slice of a multi-hop deployment.
@@ -126,8 +124,7 @@ def build_shard_deployment(scenario: Scenario, shard_index: int,
     """
     deployment = _assemble(
         scenario, Simulator(seed=stable_seed(seed, "shard", shard_index)),
-        batched, seed, crypto_schemes, global_crypto_schemes,
-        hosted=cluster_indices,
+        batched, seed, hosted=cluster_indices,
         backbone_class=partial(ShardBackboneChannel, shard_index=shard_index),
         backbone_mac_class=ShardCsmaMac)
     backbone = deployment.channels[scenario.topology.global_channel_name]
@@ -153,8 +150,7 @@ class _MultiHopShardRunner(ShardRunner):
                  config: Optional[ConsensusConfig],
                  workload_spec: WorkloadSpec) -> None:
         self.deployment, backbone, backbone_macs = build_shard_deployment(
-            scenario, shard_index, cluster_indices, batched, seed,
-            **multihop_crypto_schemes(protocol, config))
+            scenario, shard_index, cluster_indices, batched, seed)
         self.epoch = Epoch(self.deployment, protocol, config)
         # The caller's observer lives in the coordinating process; proposals
         # are recorded here (picklable records) and replayed there.

@@ -78,7 +78,6 @@ from repro.testbed.harness import (
     build_deployment,
     check_composition,
     fold_decisions,
-    multihop_crypto_schemes,
     replay_cluster_decisions,
 )
 from repro.testbed.ingress import ClassedArrivals, IngressGateway, IngressSpec
@@ -283,10 +282,7 @@ class StreamingRun:
                           epochs=spec.epochs,
                           pipeline_depth=spec.pipeline_depth,
                           membership=membership is not None)
-        # (a single-hop deployment has no global domain to deal for)
-        self.deployment = build_deployment(
-            scenario, seed=seed,
-            **multihop_crypto_schemes(protocol, self.base_config))
+        self.deployment = build_deployment(scenario, seed=seed)
         #: time-varying network conditions (None = static scenario only)
         self.controller = ScenarioController(pack, self.deployment) \
             if pack is not None else None
@@ -301,8 +297,7 @@ class StreamingRun:
                     f"universe: the schedule covers {len(schedule.universe)} "
                     f"nodes but the scenario deploys {scenario.num_nodes}")
         self.membership = MembershipController(
-            schedule, self.deployment, protocol=protocol,
-            base_config=self.base_config, seed=seed) \
+            schedule, self.deployment, seed=seed) \
             if schedule is not None else None
         self.committees: list[CommitteeRecord] = []
         # A plain stream runs the single-class ungated ingress, whose

@@ -15,7 +15,7 @@ import pytest
 from repro.components.aba_bracha import BrachaAba
 from repro.components.aba_cachin import CachinAba
 from repro.components.aba_coinflip import CoinFlipAba
-from repro.components.aba_factory import ABA_BY_COIN, aba_factory, coin_schemes
+from repro.components.aba_factory import ABA_BY_COIN, aba_factory
 from repro.components.common_coin import CommonCoinManager
 from repro.crypto.timing import COIN_FLAVORS
 
@@ -191,21 +191,16 @@ class TestCachinAbaInternals:
 
 
 class TestAbaFactory:
-    """The one place a coin kind becomes an ABA class, a coin manager of the
-    class's own flavor, and a dealt scheme."""
+    """The one place a coin kind becomes an ABA class and a coin manager of
+    the class's own flavor."""
 
-    def test_kinds_classes_flavors_and_schemes(self):
+    def test_kinds_classes_and_flavors(self):
         assert ABA_BY_COIN == {"lc": BrachaAba, "sc": CachinAba,
                                "cp": CoinFlipAba}
         assert [ABA_BY_COIN[kind].coin_flavor for kind in ("lc", "sc", "cp")] \
             == [None, "tsig", "flip"]
-        assert coin_schemes("lc") == ()
-        assert coin_schemes("sc") == ("threshold_coin",)
-        assert coin_schemes("cp") == ("coin_flip",)
         assert {aba_class.coin_flavor for aba_class in ABA_BY_COIN.values()} \
             == {None, *COIN_FLAVORS}
-        with pytest.raises(KeyError):
-            coin_schemes("xx")
 
     @pytest.mark.parametrize("kind", ["lc", "sc", "cp"])
     def test_the_manager_has_the_flavor_of_the_aba_class(self, kind):

@@ -8,7 +8,7 @@ from repro.crypto.digital_sig import generate_keyring
 from repro.crypto.threshold_coin import deal_threshold_coin
 from repro.crypto.threshold_enc import deal_threshold_enc
 from repro.crypto.threshold_sig import deal_threshold_sig
-from repro.crypto.timing import COIN_FLAVORS, CostLedger, CryptoSuite
+from repro.crypto.timing import COIN_FLAVORS, CryptoSuite
 
 
 def build_suites(n=4, ec_curve="secp160r1", threshold_curve="BN158", seed=1):
@@ -57,7 +57,7 @@ class TestCryptoSuite:
         profile = suites[3].threshold_profile
         assert costs[3] == pytest.approx(
             (3 * profile.verify_share_ms + profile.combine_share_ms) / 1000)
-        assert suites[3].ledger.total_seconds == costs[3]
+        assert suites[3].crypto_seconds == costs[3]
 
     def test_coin_flow_both_flavors(self):
         suites, _ = build_suites()
@@ -73,7 +73,7 @@ class TestCryptoSuite:
         suites, costs = build_suites()
         suite = suites[0]
         share = suite.coin_share(b"tag", flavor="flip")
-        before = (costs[0], suite.ledger.total_seconds)
+        before = (costs[0], suite.crypto_seconds)
         for call in (lambda: suite.coin_share(b"tag", flavor="flp"),
                      lambda: suite.coin_verify_share(b"tag", share,
                                                      flavor="flp"),
@@ -82,7 +82,7 @@ class TestCryptoSuite:
                                                       flavor=None)):
             with pytest.raises(ValueError, match=r"known: \['flip', 'tsig'\]"):
                 call()
-        assert (costs[0], suite.ledger.total_seconds) == before
+        assert (costs[0], suite.crypto_seconds) == before
 
     def test_coin_table_names_the_suite_handles_and_cost_rows(self):
         suites, _ = build_suites()
@@ -90,8 +90,7 @@ class TestCryptoSuite:
         assert set(COIN_FLAVORS) == {"tsig", "flip"}
         for flavor, coin in COIN_FLAVORS.items():
             assert getattr(suite, coin.handle).flavor == flavor
-            for _ledger_name, cost_row in (coin.sign, coin.verify,
-                                           coin.combine):
+            for cost_row in (coin.sign, coin.verify, coin.combine):
                 assert getattr(suite.threshold_profile, cost_row) > 0
 
     def test_coin_flip_cheaper_than_tsig_coin(self):
@@ -131,25 +130,3 @@ class TestCryptoSuite:
             bare.coin_share(b"m")
         with pytest.raises(RuntimeError):
             bare.encrypt(b"m", b"l")
-
-
-class TestCostLedger:
-    def test_running_sum_equals_folding_the_record_list(self):
-        """The ledger keeps no per-operation records (a stream's memory must
-        not grow with operations run); its running total must still be
-        bit-identical to a left fold over the list it no longer keeps."""
-        rng = random.Random(5)
-        records = [(rng.choice(("sign", "verify", "combine")),
-                    rng.choice((0.0148, 0.033, 1e-9, 0.1 + 0.2)))
-                   for _ in range(2000)]
-        ledger = CostLedger()
-        total = 0
-        for operation, cost in records:
-            ledger.record(operation, cost)
-            total += cost
-        assert ledger.total_seconds == total
-        assert vars(ledger) == {"total_seconds": total}
-
-    def test_empty_ledger(self):
-        ledger = CostLedger()
-        assert ledger.total_seconds == 0.0

@@ -79,6 +79,7 @@ def verify_dlog_equality_reference(group: Group, proof: ChaumPedersenProof,
 def lagrange_coefficients_at_zero_reference(field: PrimeField,
                                             xs: Sequence[int]) -> list[int]:
     """Lagrange coefficients at zero, uncached, by field division."""
+    q = field.q
     points = _share_points(field, xs)
     coefficients = []
     for i, x_i in enumerate(points):
@@ -87,9 +88,9 @@ def lagrange_coefficients_at_zero_reference(field: PrimeField,
         for j, x_j in enumerate(points):
             if i == j:
                 continue
-            numerator = field.mul(numerator, field.neg(x_j))
-            denominator = field.mul(denominator, field.sub(x_i, x_j))
-        coefficients.append(field.div(numerator, denominator))
+            numerator = numerator * -x_j % q
+            denominator = denominator * (x_i - x_j) % q
+        coefficients.append(numerator * pow(denominator, -1, q) % q)
     return coefficients
 
 

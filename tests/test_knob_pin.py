@@ -17,7 +17,11 @@ from repro.net.adversary import LinkFaultSpec
 from repro.protocols.base import ConsensusConfig
 from repro.testbed.byzantine import ByzantineSpec
 from repro.testbed.campaign import CampaignCell, FaultModel, TopologySpec
-from repro.testbed.dealer_cache import DealerCache, deal_crypto_domain
+from repro.testbed.dealer_cache import (
+    CryptoDomain,
+    DealerCache,
+    deal_crypto_domain,
+)
 from repro.testbed.harness import (
     Deployment,
     build_deployment,
@@ -25,7 +29,10 @@ from repro.testbed.harness import (
     run_consensus,
     run_multihop_consensus,
 )
+from repro.testbed.invariants import check_all
+from repro.testbed.membership import MembershipController
 from repro.testbed.scenarios import Scenario
+from repro.testbed.sharding import build_shard_deployment
 from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
 from repro.testbed.workload import ChurnSpec
 
@@ -36,6 +43,10 @@ FIELDS = {
                 "horizon_s"),
     ErasureBlock: ("index", "point", "values", "payload_length",
                    "num_data_blocks"),
+    # a keyring and every threshold scheme, none optional
+    CryptoDomain: ("num_nodes", "faults", "signing_keys", "verify_keys",
+                   "threshold_sig", "threshold_coin", "coin_flip",
+                   "threshold_enc"),
     Deployment: ("scenario", "sim", "trace", "adversary", "channels", "nodes",
                  "runtimes", "global_runtimes", "epoch_leaders", "batched"),
     # late_crash_at_s: the campaign sets 15.0 and an example 10.0
@@ -73,11 +84,18 @@ PARAMETERS = {
     run_aba_experiment: ("kind", "parallel_instances", "serial_instances",
                          "num_nodes", "batched", "seed", "scenario"),
     encode_blocks: ("data", "num_data_blocks", "num_blocks"),
-    build_deployment: ("scenario", "batched", "seed", "crypto_schemes",
-                       "global_crypto_schemes"),
-    deal_crypto_domain: ("num_nodes", "domain_seed", "schemes", "domain"),
+    # every domain deals every scheme
+    build_deployment: ("scenario", "batched", "seed"),
+    build_shard_deployment: ("scenario", "shard_index", "cluster_indices",
+                             "batched", "seed"),
+    deal_crypto_domain: ("num_nodes", "domain_seed", "domain"),
     # one process tier, nothing to point at or switch off
     DealerCache: (),
+    DealerCache.domain: ("self", "num_nodes", "domain_seed", "domain"),
+    MembershipController: ("schedule", "deployment", "seed"),
+    # every gate is read off the result
+    check_all: ("observer", "result", "timeout_s", "expect_decision",
+                "affected_domains"),
 }
 
 

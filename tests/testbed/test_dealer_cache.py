@@ -12,7 +12,6 @@ import random
 
 import pytest
 
-from repro.protocols.base import PROTOCOL_NAMES
 from repro.testbed import dealer_cache
 from repro.testbed.dealer_cache import (
     ALL_SCHEMES,
@@ -26,7 +25,6 @@ from repro.testbed.dealer_cache import (
     deal_crypto_domain,
     deal_scheme,
 )
-from repro.testbed.harness import multihop_crypto_schemes
 
 
 def assert_domains_bit_identical(a: CryptoDomain, b: CryptoDomain) -> None:
@@ -38,9 +36,6 @@ def assert_domains_bit_identical(a: CryptoDomain, b: CryptoDomain) -> None:
     for scheme_name in (SCHEME_THRESHOLD_SIG, SCHEME_THRESHOLD_COIN,
                         SCHEME_COIN_FLIP):
         left, right = getattr(a, scheme_name), getattr(b, scheme_name)
-        assert (left is None) == (right is None)
-        if left is None:
-            continue
         assert [s.private_share.secret for s in left] == \
             [s.private_share.secret for s in right]
         assert left[0].public_key.share_verify_keys == \
@@ -141,11 +136,9 @@ class TestProcessTierBound:
             first[0].public_key.master_verify_key
 
     def test_bound_holds_two_runs_of_the_largest_deployment(self):
-        # a 32x32 multi-hop run: 32 cluster domains and the leaders' one
-        per_domain = max(len(schemes) for protocol in PROTOCOL_NAMES
-                         for schemes in multihop_crypto_schemes(
-                             protocol, None).values())
-        assert dealer_cache.DEALT_SCHEMES_MAX >= 2 * 33 * per_domain
+        # a 32x32 multi-hop run: 32 cluster domains and the leaders' one,
+        # each dealing every scheme
+        assert dealer_cache.DEALT_SCHEMES_MAX >= 2 * 33 * len(ALL_SCHEMES)
 
 
 class TestProcessOnly:
@@ -185,24 +178,16 @@ class TestProcessOnly:
         assert not any(name.startswith("repro.expts") for name in imported)
 
 
-class TestLazySubsets:
-    def test_subset_matches_full_deal(self):
-        """Skipping a scheme never perturbs the keys of the others."""
+class TestSchemeStreams:
+    def test_each_scheme_is_dealt_from_its_own_stream(self):
+        """A scheme dealt alone equals the domain's: no scheme's keys depend
+        on the schemes dealt before it."""
         full = DealerCache().domain(4, 11)
-        lazy = DealerCache().domain(
-            4, 11, schemes=(SCHEME_KEYRING, SCHEME_THRESHOLD_SIG,
-                            SCHEME_THRESHOLD_ENC))
-        assert lazy.coin_flip is None and lazy.threshold_coin is None
-        assert [s.private_share.secret for s in lazy.threshold_sig] == \
-            [s.private_share.secret for s in full.threshold_sig]
-        assert [s.private_share.secret for s in lazy.threshold_enc] == \
-            [s.private_share.secret for s in full.threshold_enc]
-
-    def test_node_scheme_tolerates_missing(self):
-        lazy = DealerCache().domain(
-            4, 11, schemes=(SCHEME_KEYRING,))
-        assert lazy.node_scheme(SCHEME_COIN_FLIP, 0) is None
-        assert lazy.node_scheme(SCHEME_THRESHOLD_SIG, 2) is None
+        for scheme in (SCHEME_THRESHOLD_SIG, SCHEME_COIN_FLIP,
+                       SCHEME_THRESHOLD_ENC):
+            alone = deal_scheme(scheme, 4, 11)
+            assert [s.private_share.secret for s in alone] == \
+                [s.private_share.secret for s in getattr(full, scheme)]
 
     def test_a_coin_scheme_is_dealt_in_the_flavor_its_suite_handle_serves(self):
         from repro.crypto.timing import COIN_FLAVORS
@@ -212,8 +197,6 @@ class TestLazySubsets:
                 == {flavor}
 
     def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            DealerCache().domain(4, 0, schemes=("bogus",))
         with pytest.raises(ValueError):
             deal_scheme("bogus", 4, 0)
 

@@ -16,6 +16,7 @@ from collections import Counter
 import pytest
 
 from repro.core.batcher import TransportConfig
+from repro.crypto.timing import CryptoSuite
 from repro.protocols.multihop import decode_cluster_contribution
 from repro.testbed import harness
 from repro.testbed.byzantine import ByzantineSpec
@@ -23,8 +24,8 @@ from repro.testbed.dealer_cache import deal_crypto_domain, stable_seed
 from repro.testbed.harness import (
     Epoch,
     build_deployment,
-    crypto_schemes_for_protocol,
-    multihop_crypto_schemes,
+    run_aba_experiment,
+    run_broadcast_experiment,
     run_consensus,
     run_multihop_consensus,
 )
@@ -32,7 +33,8 @@ from repro.testbed.invariants import RunObserver
 from repro.testbed.membership import MembershipController, MembershipSchedule
 from repro.testbed.scenarios import Scenario
 from repro.testbed.sharding import build_shard_deployment, partition_clusters
-from repro.testbed.workload import TransactionWorkload, WorkloadSpec
+from repro.testbed.streaming import StreamingSpec, run_streaming_consensus
+from repro.testbed.workload import ArrivalSpec, TransactionWorkload, WorkloadSpec
 from tests.helpers import observer_digest
 
 SEED = 11
@@ -46,8 +48,7 @@ def _key_handles(suite):
                "verify_keys": tuple(suite.verify_keys)}
     for name in SCHEME_ATTRIBUTES:
         scheme = getattr(suite, name)
-        handles[name] = None if scheme is None \
-            else (scheme.public_key, scheme.private_share)
+        handles[name] = (scheme.public_key, scheme.private_share)
     return handles
 
 
@@ -85,8 +86,7 @@ def _identities(deployment):
 @pytest.mark.parametrize("batched", [True, False])
 def test_every_shard_layout_builds_the_classic_stacks(clusters, batched):
     scenario = Scenario.scale_multi_hop(clusters, 4)
-    schemes = multihop_crypto_schemes("honeybadger-sc", None)
-    classic = build_deployment(scenario, batched=batched, seed=SEED, **schemes)
+    classic = build_deployment(scenario, batched=batched, seed=SEED)
     classic_local, classic_leaders = _identities(classic)
     assert set(classic_local) == set(scenario.topology.all_node_ids())
     assert len(classic_leaders) == clusters
@@ -98,7 +98,7 @@ def test_every_shard_layout_builds_the_classic_stacks(clusters, batched):
         for shard_index, block in enumerate(
                 partition_clusters(clusters, shards)):
             deployment, backbone, macs = build_shard_deployment(
-                scenario, shard_index, block, batched, SEED, **schemes)
+                scenario, shard_index, block, batched, SEED)
             local, leaders = _identities(deployment)
             hosted = {node_id for index in block
                       for node_id in scenario.topology.clusters[index].node_ids}
@@ -114,6 +114,50 @@ def test_every_shard_layout_builds_the_classic_stacks(clusters, batched):
             seen_leaders.update(leaders)
         assert seen_local == classic_local, f"{shards} shards"
         assert seen_leaders == classic_leaders, f"{shards} shards"
+
+
+_STREAM = StreamingSpec(epochs=2, batch_size=2, warmup=8,
+                        arrival=ArrivalSpec(rate_tps=4.0, transaction_bytes=32,
+                                            max_mempool=512))
+
+#: every entry point, on the smallest run that builds its stacks (the
+#: membership stream rebuilds its committee once before it starts)
+ENTRY_POINTS = {
+    "consensus-hb": lambda: run_consensus("honeybadger-sc",
+                                          Scenario.single_hop(4), seed=SEED),
+    "consensus-beat": lambda: run_consensus("beat", Scenario.single_hop(4),
+                                            seed=SEED),
+    "consensus-dumbo": lambda: run_consensus("dumbo-lc",
+                                             Scenario.single_hop(4), seed=SEED),
+    "multihop": lambda: run_multihop_consensus(
+        "beat", Scenario.scale_multi_hop(2, 4), seed=SEED),
+    "multihop-sharded": lambda: run_multihop_consensus(
+        "dumbo-sc", Scenario.scale_multi_hop(2, 4), seed=SEED, shards=2),
+    "broadcast": lambda: run_broadcast_experiment("rbc", seed=SEED),
+    "aba": lambda: run_aba_experiment("lc", seed=SEED),
+    "stream": lambda: run_streaming_consensus(
+        "honeybadger-lc", Scenario.single_hop(4), _STREAM, seed=SEED),
+    "stream-membership": lambda: run_streaming_consensus(
+        "dumbo-lc", Scenario.single_hop(5), _STREAM, seed=SEED,
+        membership=MembershipSchedule(range(5), range(4))),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+def test_every_suite_holds_every_threshold_scheme(entry_point, monkeypatch):
+    """One crypto domain shape: whatever the protocol or component, every
+    node's suite gets a handle of all four threshold schemes."""
+    held = []
+    init = CryptoSuite.__init__
+
+    def recording(suite, *args, **kwargs):
+        init(suite, *args, **kwargs)
+        held.append(tuple(getattr(suite, name) is not None
+                          for name in SCHEME_ATTRIBUTES))
+
+    monkeypatch.setattr(CryptoSuite, "__init__", recording)
+    ENTRY_POINTS[entry_point]()
+    assert held and set(held) == {(True,) * len(SCHEME_ATTRIBUTES)}
 
 
 def test_global_stacks_are_built_after_every_local_stack(monkeypatch):
@@ -133,7 +177,6 @@ def test_global_stacks_are_built_after_every_local_stack(monkeypatch):
     monkeypatch.setattr(harness, "_build_stack", recording)
     scenario = Scenario.scale_multi_hop(4, 4)
     topology = scenario.topology
-    schemes = multihop_crypto_schemes("beat", None)
 
     def expected(cluster_indices, leaders):
         clusters = [topology.clusters[index] for index in cluster_indices]
@@ -142,12 +185,11 @@ def test_global_stacks_are_built_after_every_local_stack(monkeypatch):
                [(leaders[cluster.index], (topology.global_channel_name,))
                 for cluster in clusters]
 
-    classic = build_deployment(scenario, seed=SEED, **schemes)
+    classic = build_deployment(scenario, seed=SEED)
     assert built == expected(range(4), classic.epoch_leaders)
     for shard_index, block in enumerate(partition_clusters(4, 2)):
         built.clear()
-        build_shard_deployment(scenario, shard_index, block, True, SEED,
-                               **schemes)
+        build_shard_deployment(scenario, shard_index, block, True, SEED)
         assert built == expected(block, classic.epoch_leaders)
 
 
@@ -192,36 +234,28 @@ def test_reconfigure_with_unchanged_committee_rebuilds_the_same_stacks():
     first build, modulo its committee-domain dealing and ``membership-*``
     RNG labels."""
     scenario = Scenario.single_hop(4)
-    protocol = "honeybadger-sc"
-    schemes = crypto_schemes_for_protocol(protocol, None)
-    built = build_deployment(scenario, seed=SEED, crypto_schemes=schemes)
+    built = build_deployment(scenario, seed=SEED)
     before, _ = _identities(built)
     nodes = dict(built.nodes)
 
     members = tuple(range(4))
     controller = MembershipController(
-        MembershipSchedule(members, members), built, protocol=protocol,
-        base_config=None, seed=SEED)
+        MembershipSchedule(members, members), built, seed=SEED)
     controller.reconfigure()
     after, _ = _identities(built)
     assert built.nodes == nodes and set(after) == set(before)
 
     domain = deal_crypto_domain(
-        4, stable_seed(SEED, "cluster", 0), schemes=schemes,
-        domain=("committee",) + members)
+        4, stable_seed(SEED, "cluster", 0), domain=("committee",) + members)
     channel_name = scenario.topology.clusters[0].channel_name
     for node_id, identity in after.items():
         expected = dict(before[node_id])
-        suite = built.runtimes[node_id].ctx.suite
         # re-dealt under the committee domain ...
         expected["signing_key"] = domain.signing_keys[node_id]
         expected["verify_keys"] = tuple(domain.verify_keys)
         for name in SCHEME_ATTRIBUTES:
-            dealt = domain.node_scheme(name, node_id)
-            expected[name] = None if dealt is None \
-                else (dealt.public_key, dealt.private_share)
-            assert (getattr(suite, name) is None) == \
-                (before[node_id][name] is None)
+            dealt = getattr(domain, name)[node_id]
+            expected[name] = (dealt.public_key, dealt.private_share)
         # ... on the membership RNG labels; the MAC is not rebuilt
         expected["suite_rng"] = random.Random(stable_seed(
             SEED, "membership-crypto", 1, node_id)).getstate()
@@ -237,8 +271,7 @@ def test_reconfigure_with_unchanged_committee_rebuilds_the_same_stacks():
 def test_feed_proposes_each_cluster_contribution_once():
     scenario = Scenario.scale_multi_hop(2, 4)
     protocol = "honeybadger-sc"
-    deployment = build_deployment(
-        scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
+    deployment = build_deployment(scenario, seed=SEED)
     epoch = Epoch(deployment, protocol)
     epoch.propose(TransactionWorkload(WorkloadSpec(batch_size=2), seed=SEED))
 
@@ -282,8 +315,7 @@ def test_feed_when_two_leaders_decide_in_one_event():
     order -- and later calls with no new decision must do nothing."""
     scenario = Scenario.scale_multi_hop(2, 4)
     protocol = "honeybadger-sc"
-    deployment = build_deployment(
-        scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
+    deployment = build_deployment(scenario, seed=SEED)
     epoch = Epoch(deployment, protocol)
     leaders = list(deployment.epoch_leaders.values())
 
@@ -363,8 +395,7 @@ def test_settled_and_content_locked_agree_with_the_scans_they_replaced():
                      if rng.random() < 0.25
                      and not (multi_hop and node_id in leaders)}
         scenario = scenario.with_byzantine(ByzantineSpec(assignments=byzantine))
-        deployment = build_deployment(
-            scenario, seed=SEED, **multihop_crypto_schemes(protocol, None))
+        deployment = build_deployment(scenario, seed=SEED)
         epoch = Epoch(deployment, protocol)
         instances = list(epoch.local_protocols.items()) \
             + list(epoch.global_protocols.items())

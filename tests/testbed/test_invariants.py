@@ -1,6 +1,7 @@
 """Unit tests for the conformance invariant checkers."""
 
 import json
+import math
 import os
 from types import SimpleNamespace
 
@@ -20,10 +21,10 @@ from repro.testbed.metrics import (
     ClassRecord,
     CommitteeRecord,
     EpochRecord,
+    PhaseRecord,
     StreamingRunResult,
     chain_digest,
 )
-from repro.testbed.scenario_packs import ScenarioPack, ScenarioPhase
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
@@ -154,16 +155,18 @@ LAYER_VERDICTS = {
     (True, True, False): CORE + RECONFIG + ["ingress-conservation"],
 }
 
-#: a pack whose one heal is at 20 s, when the synthetic stream's last epoch
-#: starts
-HEALING_PACK = ScenarioPack(
-    name="synthetic", description="nominal, outage, recovered",
-    phases=(ScenarioPhase("nominal", 10.0),
-            ScenarioPhase("outage", 10.0, drop_rate=1.0),
-            ScenarioPhase("recovered", 10.0)))
+def healing_phases() -> list[PhaseRecord]:
+    """The phase records of a nominal / outage / recovered pack whose one
+    heal is at 20 s, when the synthetic stream's last epoch starts."""
+    return [PhaseRecord(index, name, start_s=10.0 * index,
+                        end_s=10.0 * index + 10.0 if index < 2 else math.inf,
+                        degraded=name == "outage", epochs=1,
+                        committed_transactions=1, throughput_tps=0.2,
+                        p50_latency_s=5.0, adversary_drops=0)
+            for index, name in enumerate(("nominal", "outage", "recovered"))]
 
 
-def synthetic_run(membership: bool, ingress: bool):
+def synthetic_run(membership: bool, ingress: bool, pack: bool = False):
     """A green three-epoch stream carrying the requested layers, plus the
     observer of its decisions (one domain per epoch)."""
     observer = RunObserver()
@@ -189,7 +192,8 @@ def synthetic_run(membership: bool, ingress: bool):
         classes=[ClassRecord("high", 0, offered=3, admitted=3, shed=0,
                              deferred_pending=0, duplicates=0, committed=3,
                              p50_latency_s=5.0, p90_latency_s=5.0,
-                             p99_latency_s=5.0)] if ingress else [])
+                             p99_latency_s=5.0)] if ingress else [],
+        phases=healing_phases() if pack else [])
     return observer, result
 
 
@@ -220,10 +224,8 @@ class TestJudgeLayers:
 
     @pytest.mark.parametrize("layers", sorted(LAYER_VERDICTS))
     def test_verdict_names_follow_the_layers(self, layers):
-        membership, ingress, pack = layers
-        observer, result = synthetic_run(membership, ingress)
-        verdicts = check_all(observer, result, 100.0,
-                             pack=HEALING_PACK if pack else None)
+        observer, result = synthetic_run(*layers)
+        verdicts = check_all(observer, result, 100.0)
         assert [verdict.name for verdict in verdicts] == LAYER_VERDICTS[layers]
         assert all(verdict.ok for verdict in verdicts), verdicts
 
@@ -237,11 +239,10 @@ class TestJudgeLayers:
             layers = (bool(cell["committees"]), bool(cell["ingress"]),
                       bool(cell["scenario"]))
             seen.add(layers)
-            observer, result = synthetic_run(*layers[:2])
+            observer, result = synthetic_run(*layers)
             names = [verdict.name for verdict in check_all(
                 observer, result, 100.0,
-                expect_decision=cell["expect_decision"],
-                pack=HEALING_PACK if layers[2] else None)]
+                expect_decision=cell["expect_decision"])]
             assert [verdict["name"] for verdict in cell["invariants"]] == \
                 names, cell["cell_id"]
         assert seen == set(LAYER_VERDICTS)

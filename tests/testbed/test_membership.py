@@ -128,8 +128,7 @@ class TestScheduleValidation:
 def controller_for(schedule, num_nodes=6):
     scenario = Scenario.single_hop(num_nodes)
     deployment = build_deployment(scenario, seed=0)
-    return MembershipController(schedule, deployment, "honeybadger-sc",
-                                base_config=None, seed=0)
+    return MembershipController(schedule, deployment, seed=0)
 
 
 class TestBoundarySemantics:
